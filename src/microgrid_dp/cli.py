@@ -1,8 +1,10 @@
 """Command-line surface: validate, calibrate, moments, solve, simulate, paper-run.
 
 Exit codes: 0 success, 1 configuration/usage failure, 2 I/O failure,
-3 numerical failure. All numeric exports use shortest round-trip float
-formatting so identical inputs yield byte-identical CSV files.
+3 numerical failure, each with a one-line message on stderr. All numeric
+exports use shortest round-trip float formatting so identical inputs
+yield byte-identical CSV files. Run as `microgrid-dp`, `python -m
+microgrid_dp` or `python -m microgrid_dp.cli`.
 """
 
 from __future__ import annotations
@@ -89,10 +91,41 @@ def _build_parser() -> _Parser:
 
 
 def _parse_window(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ConfigError([f"window must be 'start,end' hours, got {raw!r}"])
-    return float(parts[0]), float(parts[1])
+    try:
+        start, end = (float(part) for part in raw.split(","))
+    except ValueError:
+        raise ConfigError([f"window must be 'start,end' hours, got {raw!r}"]) from None
+    return start, end
+
+
+def _parse_export_steps(raw: str | None, cfg: ModelConfig) -> list[int]:
+    """Sorted unique export steps from '--export-steps', range-checked against 0..N."""
+    if raw is None:
+        return _default_export_steps(cfg)
+    try:
+        steps = sorted({int(s) for s in raw.split(",")})
+    except ValueError:
+        raise ConfigError([f"--export-steps must be comma-separated step indices, got {raw!r}"]) from None
+    n_steps = cfg.discretization.steps_N
+    for n in steps:
+        if not 0 <= n <= n_steps:
+            raise ConfigError([f"export step {n} outside 0..{n_steps}"])
+    return steps
+
+
+def _check_policy_config(policy_dir: str, cfg: ModelConfig) -> None:
+    """Refuse a policy directory solved for another config (value_policy_meta.json hash)."""
+    path = os.path.join(policy_dir, "value_policy_meta.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise OSError(f"unreadable policy metadata {path}: {exc}") from None
+    recorded = meta.get("config_hash") if isinstance(meta, dict) else None
+    expected = config_hash(cfg)
+    if recorded != expected:
+        raise ConfigError([f"policy in {policy_dir} was solved for config hash "
+                           f"{str(recorded)[:16]}, not this config's {expected[:16]}"])
 
 
 def _fmt(value) -> str:
@@ -199,15 +232,19 @@ def _run(args) -> int:
         return 0
 
     if args.command == "calibrate":
-        report = calibration_report(
-            cfg,
-            q_star=args.q_star, q_star_hours=args.q_star_hours,
-            window_charge=_parse_window(args.charge_window),
-            window_discharge=_parse_window(args.discharge_window),
-            p=args.confidence, z1=args.z1,
-            battery_price=args.battery_price, battery_life_h=args.battery_life,
-            max_abs_R=args.max_abs_r,
-        )
+        window_charge = _parse_window(args.charge_window)
+        window_discharge = _parse_window(args.discharge_window)
+        try:
+            report = calibration_report(
+                cfg,
+                q_star=args.q_star, q_star_hours=args.q_star_hours,
+                window_charge=window_charge, window_discharge=window_discharge,
+                p=args.confidence, z1=args.z1,
+                battery_price=args.battery_price, battery_life_h=args.battery_life,
+                max_abs_R=args.max_abs_r,
+            )
+        except ValueError as exc:  # out-of-range calibration inputs
+            raise ConfigError([str(exc)]) from None
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return 0
 
@@ -222,10 +259,9 @@ def _run(args) -> int:
     grid = build_grid(cfg)
 
     if args.command == "solve":
+        steps = _parse_export_steps(args.export_steps, cfg)
         values, policy = solve(cfg, grid)
         os.makedirs(args.out, exist_ok=True)
-        steps = (_default_export_steps(cfg) if args.export_steps is None
-                 else sorted({int(s) for s in args.export_steps.split(",")}))
         outputs = export_value_policy((values, policy), grid, steps, args.out, cfg)
         outputs.append(_write_tables(values, policy, args.out))
         _write_manifest(args.out, cfg, None, outputs)
@@ -233,6 +269,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simulate":
+        _check_policy_config(args.policy, cfg)
         _, policy = _load_tables(args.policy)
         scenario = SCENARIOS[args.scenario].with_seed(args.base_seed)
         os.makedirs(args.out, exist_ok=True)
@@ -264,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _run(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {'; '.join(exc.errors)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
@@ -275,3 +312,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 cli = main
+
+
+if __name__ == "__main__":
+    sys.exit(main())

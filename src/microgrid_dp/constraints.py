@@ -9,6 +9,12 @@ check applied in the action's direction of motion: charging guards both
 ends of the box, discharging and fuel burning guard depletion below 0, so
 a full battery may still serve demand. Near zero residual demand (within
 half a grid cell of 0) the only feasible control is to wait.
+
+Two routes decide the same sets. feasible_actions works on one state,
+with a reason for every excluded action, from the scalar moments.
+feasibility_mask decides all states of a step at once as broadcast numpy
+over the (z, q, g) lattice, from the array laws the transition blocks
+also use; it is what the solver calls.
 """
 
 from __future__ import annotations
@@ -16,10 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import Action, ModelConfig, State, seasonality
-from .dynamics import g_moments, q_moments
+import numpy as np
+from scipy.special import ndtr
 
-__all__ = ["FeasibleSet", "feasible_actions", "near_zero_halfwidth"]
+from .config import Action, ModelConfig, State, seasonality
+from .dynamics import (_norm_cdf, battery_law, discharge_limited_mean, fuel_limited_mean,
+                       g_moments, generator_law, q_moments)
+from .grid import StateGrid, z_truncation
+
+__all__ = ["FeasibleSet", "feasibility_mask", "feasible_actions", "near_zero_halfwidth"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +50,9 @@ class FeasibleSet:
         return len(self.actions)
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def near_zero_halfwidth(cfg: ModelConfig) -> float:
     """Half-width of the near-zero residual-demand band: Delta_z / 2."""
-    zbar = 3.0 * cfg.demand.sigma_R / math.sqrt(2.0 * cfg.demand.beta_R)
-    return zbar / cfg.discretization.N_Z
+    return z_truncation(cfg) / cfg.discretization.N_Z
 
 
 def _box_chance(m: float, var: float, eps: float, check_upper: bool) -> str | None:
@@ -116,3 +122,43 @@ def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
 
     feasible.sort()
     return FeasibleSet(actions=tuple(feasible), excluded=excluded)
+
+
+def _box_ok(m: np.ndarray, sd, eps: float, check_upper: bool) -> np.ndarray:
+    """Array form of _box_chance for sd > 0: True where the level stays in the box."""
+    ok = ndtr(-m / sd) < eps
+    if check_upper:
+        ok &= ndtr((m - 1.0) / sd) < eps
+    return ok
+
+
+def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
+    """Boolean mask (action, i, j, k): True where the action is feasible.
+
+    The same decisions as feasible_actions at every grid state, taken for
+    the whole lattice at once: the residual-demand regime depends on z
+    only, the battery checks on (z, q) and the fuel checks on (z, g).
+    """
+    eps = cfg.discretization.epsilon
+    z, q, g = grid.z.points, grid.q.points, grid.g.points
+    r = seasonality(cfg.t_of(n), cfg.demand) + z
+    band = np.abs(r) < near_zero_halfwidth(cfg)
+    surplus = ~band & (r < 0.0)
+    deficit = ~band & (r >= 0.0)
+    m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
+    burn, sd_g = generator_law(n, z, cfg)
+    m_g = g[None, :] - burn[:, None]
+
+    mask = np.zeros((len(Action),) + grid.shape, dtype=bool)
+    mask[Action.OVERSPILL] = surplus[:, None, None]
+    mask[Action.CHARGE] = (surplus[:, None] & _box_ok(m_q, sd_q, eps, check_upper=True))[:, :, None]
+    mask[Action.WAIT] = ~surplus[:, None, None]
+    q_lim_ok = ~(discharge_limited_mean(q, cfg) < 0.0)
+    mask[Action.DISCHARGE_LIMITED] = ((deficit & (r >= cfg.battery.R_Q0))[:, None]
+                                      & q_lim_ok[None, :])[:, :, None]
+    mask[Action.DISCHARGE_FULL] = (deficit[:, None] & _box_ok(m_q, sd_q, eps, check_upper=False))[:, :, None]
+    g_lim_ok = ~(fuel_limited_mean(g, cfg) < 0.0)
+    mask[Action.FUEL_LIMITED] = ((deficit & (r >= cfg.generator.R_G0))[:, None]
+                                 & g_lim_ok[None, :])[:, None, :]
+    mask[Action.FUEL_FULL] = (deficit[:, None] & _box_ok(m_g, sd_g, eps, check_upper=False))[:, None, :]
+    return mask

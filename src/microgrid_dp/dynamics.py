@@ -6,6 +6,13 @@ parameters), which makes the joint one-step law Gaussian with the
 closed-form moments implemented here. All integral kernels are written
 with expm1-based helpers so they stay stable for small rates and handle
 the removable singularity at eta0 = beta_R.
+
+The scalar functions (z/q/g_moments, transition_moments) serve single
+states: the simulator and the reference routes. The array laws (z_law,
+battery_law, generator_law) evaluate the same moments over whole grid
+lattices and are the one source the feasibility mask and the transition
+blocks share. The deterministic limited-mode means are written once for
+floats and arrays alike.
 """
 
 from __future__ import annotations
@@ -14,17 +21,22 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
 
 __all__ = [
     "NoiseVector",
     "TransitionMoments",
+    "battery_law",
     "cross_moments",
     "efficiency",
     "g_moments",
+    "generator_law",
     "q_moments",
     "transition_moments",
     "transition_operator",
+    "z_law",
     "z_moments",
 ]
 
@@ -54,6 +66,11 @@ class TransitionMoments:
     rho_Q: float
     cov_ZG: float
     rho_G: float
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF of a float; exactly 0 / 1 at -inf / +inf."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _phi(a: float, dt: float) -> float:
@@ -133,9 +150,7 @@ def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[
         var_Q = (eta * p.sigma_R / bat.capacity_CQ) ** 2 * _iq(bat.eta0, p.beta_R, dt)
         return m_Q, var_Q
     if a is Action.DISCHARGE_LIMITED:
-        eta = 1.0 / eta_discharge(q, bat)
-        m_Q = q * decay - (eta * bat.R_Q0 / bat.capacity_CQ) * _phi(bat.eta0, dt)
-        return m_Q, 0.0
+        return discharge_limited_mean(q, cfg), 0.0
     if a in Action:
         return q * decay, 0.0
     raise ValueError(f"unknown action: {a!r}")
@@ -152,10 +167,59 @@ def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[
         var_G = (gen.c1 * p.sigma_R / gen.capacity_CG) ** 2 * _ig(p.beta_R, dt)
         return m_G, var_G
     if a is Action.FUEL_LIMITED:
-        return g - (gen.c0 + gen.c1 * gen.R_G0) * dt / gen.capacity_CG, 0.0
+        return fuel_limited_mean(g, cfg), 0.0
     if a in Action:
         return g, 0.0
     raise ValueError(f"unknown action: {a!r}")
+
+
+def discharge_limited_mean(q, cfg: ModelConfig):
+    """Deterministic Q_{n+1} under limited discharge; q a float or an array."""
+    bat = cfg.battery
+    dt = cfg.dt
+    eta = 1.0 / eta_discharge(q, bat)
+    return q * math.exp(-bat.eta0 * dt) - (eta * bat.R_Q0 / bat.capacity_CQ) * _phi(bat.eta0, dt)
+
+
+def fuel_limited_mean(g, cfg: ModelConfig):
+    """Deterministic G_{n+1} under the limited generator mode; g a float or an array."""
+    gen = cfg.generator
+    return g - (gen.c0 + gen.c1 * gen.R_G0) * cfg.dt / gen.capacity_CG
+
+
+def z_law(z: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """(mean array, standard deviation) of Z_{n+1} over an array of z; step-free."""
+    p = cfg.demand
+    return z * math.exp(-p.beta_R * cfg.dt), math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, cfg.dt))
+
+
+def battery_law(n: int, z: np.ndarray, q: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
+
+    Both depend on the state through the frozen efficiency eta_E(t_n, z, q).
+    """
+    bat, p = cfg.battery, cfg.demand
+    dt = cfg.dt
+    mu = seasonality(cfg.t_of(n), p)
+    eta = np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))
+    h = z * _psi(bat.eta0, p.beta_R, dt) + mu * _phi(bat.eta0, dt)
+    m_q = q * math.exp(-bat.eta0 * dt) - (eta / bat.capacity_CQ) * h
+    sd_q = eta * (p.sigma_R / bat.capacity_CQ) * math.sqrt(_iq(bat.eta0, p.beta_R, dt))
+    return m_q, sd_q
+
+
+def generator_law(n: int, z: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """(burn, sd) of the full generator mode over an array of z: G_{n+1} ~ N(g - burn, sd^2).
+
+    The burn depends on z only and the standard deviation on no state at
+    all; the generator block exploits exactly this structure.
+    """
+    gen, p = cfg.generator, cfg.demand
+    dt = cfg.dt
+    mu = seasonality(cfg.t_of(n), p)
+    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * _phi(p.beta_R, dt))) / gen.capacity_CG
+    sd_g = (gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(_ig(p.beta_R, dt))
+    return burn, sd_g
 
 
 def cross_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float, float, float]:

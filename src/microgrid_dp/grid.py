@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ModelConfig, State
 
-__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "neighborhood"]
+__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "neighborhood", "z_truncation"]
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,19 @@ class StateGrid:
         return {"z": self.z, "q": self.q, "g": self.g}[name]
 
 
+def z_truncation(cfg: ModelConfig) -> float:
+    """zbar = 3 sigma_R / sqrt(2 beta_R), the 3-sigma band of the stationary Z law."""
+    return 3.0 * cfg.demand.sigma_R / math.sqrt(2.0 * cfg.demand.beta_R)
+
+
 def build_grid(cfg: ModelConfig) -> StateGrid:
     """Construct the truncated state grid for a validated config.
 
-    The z axis spans [-zbar, zbar] with zbar = 3 sigma_R / sqrt(2 beta_R),
-    the 3-sigma band of the stationary residual-demand law. N_Z is odd, so
+    The z axis spans [-zbar, zbar] (see z_truncation). N_Z is odd, so
     z = 0 falls exactly between the two central grid points.
     """
     d = cfg.discretization
-    zbar = 3.0 * cfg.demand.sigma_R / math.sqrt(2.0 * cfg.demand.beta_R)
+    zbar = z_truncation(cfg)
     return StateGrid(
         z=_make_axis("z", -zbar, zbar, d.N_Z, -math.inf, math.inf),
         q=_make_axis("q", 0.0, 1.0, d.N_Q, 0.0, 1.0),

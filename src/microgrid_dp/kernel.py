@@ -15,6 +15,15 @@ rectangle masses come from adaptive quadrature (transition_row /
 bvn_rect_prob), and vectorized per-step blocks using a Gauss-Legendre
 bivariate-normal algorithm (TransitionKernel.*_block) consumed by the
 solver.
+
+A block is the inclusion-exclusion of the bivariate CDF over the lattice
+of cell edges. The CDF is evaluated by Genz's scheme only on interior
+edges; the rows and columns of the infinite tail edges take their closed
+forms (0, the univariate CDF, 1). The generator block also uses an exact
+structure of its law, G' ~ N(g - burn(z), sd^2) with a state-free sd on
+an equidistant g axis: every standardized g edge is a shared offset
+(edge_f - point_k) shifted by burn(z_i), so one CDF lattice per z source
+serves all g sources, each reading its window at f - k.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
-from .dynamics import _ig, _iq, _jg, _jq, _phi, _psi, transition_moments, z_moments
+from .config import Action, ModelConfig, eta_discharge
+from .dynamics import (_ig, _iq, _jg, _jq, _norm_cdf, _phi, battery_law, generator_law,
+                       transition_moments, z_law)
 from .grid import StateGrid, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel", "TransitionRow", "bvn_rect_prob"]
@@ -53,14 +63,6 @@ class TransitionRow:
         dense = np.zeros(n_states)
         dense[self.targets] = self.probs
         return dense
-
-
-def _norm_cdf(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def bvn_rect_prob(mean2, cov2, rect) -> float:
@@ -146,8 +148,14 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(rho)
         sn = np.sin(asr * x)  # (nodes,)
-        expo = (sn * hk[..., None] - hs[..., None]) / (1.0 - sn**2)
-        bvn = np.exp(expo) @ w
+        expo = np.multiply.outer(hk, sn)
+        expo -= hs[..., None]
+        expo /= 1.0 - sn**2
+        # Far cells drive exponents to -1e3 and below, where exp underflows
+        # through subnormals (many times slower). Terms below e^-700 move
+        # the result by < 1e-300, so clamp them there.
+        np.maximum(expo, -700.0, out=expo)
+        bvn = np.exp(expo, out=expo) @ w
         return np.clip(bvn * asr / twopi + ndtr(-h) * ndtr(-k), 0.0, 1.0)
 
     # high-correlation branch
@@ -200,18 +208,37 @@ def _tail_edges(axis_edges: np.ndarray) -> np.ndarray:
 
 
 def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
-    """Standardize cell edges against broadcast means/sds, clipping the tails."""
+    """Standardize cell edges against broadcast means/sds, clipped to +-_CLIP."""
     return np.clip((edges - np.asarray(mean)[..., None]) / np.asarray(sd)[..., None], -_CLIP, _CLIP)
 
 
-def _rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
-    """Cell masses on a 2-D grid from standardized edges (..., NA+1), (..., NB+1).
+def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
+    """Bivariate CDF over the edge lattice, tails included: shape (..., NA + 2, NB + 2).
 
-    Inclusion-exclusion of the bivariate CDF over the edge lattice; returns
-    shape (..., NA, NB).
+    std_a (..., NA) and std_b (..., NB) are standardized interior edges;
+    only there is the bivariate CDF evaluated. A -inf edge gives 0, a +inf
+    edge the univariate CDF of the other coordinate, (+inf, +inf) gives 1.
     """
-    cdf = _bvn_cdf(std_a[..., :, None], std_b[..., None, :], rho)
+    inner = _bvn_cdf(std_a[..., :, None], std_b[..., None, :], rho)
+    cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
+    cdf[..., 1:-1, 1:-1] = inner
+    cdf[..., 1:-1, -1] = ndtr(std_a)
+    cdf[..., -1, 1:-1] = ndtr(std_b)
+    cdf[..., -1, -1] = 1.0
+    return cdf
+
+
+def _lattice_masses(cdf: np.ndarray) -> np.ndarray:
+    """Cell masses (..., NA + 1, NB + 1) by inclusion-exclusion over a CDF lattice."""
     return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
+
+
+def _rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
+    """Cell masses (..., NA + 1, NB + 1) from standardized interior edges (..., NA), (..., NB).
+
+    The outer cells of both axes reach to -inf / +inf.
+    """
+    return _lattice_masses(_cdf_lattice(std_a, std_b, rho))
 
 
 def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
@@ -271,26 +298,11 @@ class TransitionKernel:
     def z_block(self) -> np.ndarray:
         """Univariate Z cell masses, shape (z sources, z cells); step-free."""
         if self._z_block is None:
-            p = self.cfg.demand
-            m = self.grid.z.points * math.exp(-p.beta_R * self.cfg.dt)
-            sd = math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, self.cfg.dt))
+            m, sd = z_law(self.grid.z.points, self.cfg)
             std = _std_edges(_tail_edges(self.grid.z.edges), m, sd)
             mass = np.clip(np.diff(ndtr(std), axis=-1), 0.0, None)
             self._z_block = _normalize_rows(mass, (-1,), "z rows")
         return self._z_block
-
-    def _battery_moment_arrays(self, n: int):
-        cfg = self.cfg
-        bat, p = cfg.battery, cfg.demand
-        dt = cfg.dt
-        z = self.grid.z.points[:, None]
-        q = self.grid.q.points[None, :]
-        mu = seasonality(cfg.t_of(n), p)
-        eta = np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))
-        h = z * _psi(bat.eta0, p.beta_R, dt) + mu * _phi(bat.eta0, dt)
-        m_q = q * math.exp(-bat.eta0 * dt) - (eta / bat.capacity_CQ) * h
-        sd_q = eta * (p.sigma_R / bat.capacity_CQ) * math.sqrt(_iq(bat.eta0, p.beta_R, dt))
-        return m_q, sd_q
 
     def battery_rho(self) -> float:
         """State-free corr(Z', Q') under charge / full discharge."""
@@ -312,13 +324,11 @@ class TransitionKernel:
         two axes. The law is shared by both actions (costs and feasibility
         differ, the transition does not).
         """
-        cfg = self.cfg
-        p = cfg.demand
-        m_z = self.grid.z.points * math.exp(-p.beta_R * cfg.dt)
-        sd_z = math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, cfg.dt))
-        m_q, sd_q = self._battery_moment_arrays(n)
-        std_z = _std_edges(_tail_edges(self.grid.z.edges), m_z, sd_z)[:, None, :]
-        std_q = _std_edges(_tail_edges(self.grid.q.edges), m_q, sd_q)
+        grid = self.grid
+        m_z, sd_z = z_law(grid.z.points, self.cfg)
+        m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
+        std_z = _std_edges(grid.z.edges, m_z, sd_z)[:, None, :]
+        std_q = _std_edges(grid.q.edges, m_q, sd_q)
         mass = _rect_masses(std_z, std_q, self.battery_rho())
         return _normalize_rows(mass, (-2, -1), f"battery block n={n}")
 
@@ -326,21 +336,26 @@ class TransitionKernel:
         """Joint (Z, G) cell masses for the full generator mode at step n.
 
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
-        two axes.
+        two axes. The standardized g edge f of source (i, k) is
+        (edge_f - point_k + burn_i) / sd_g, and edge_f - point_k depends on
+        f - k only, so each z source needs one CDF lattice over the 2 N_G
+        shared offsets; g source k reads the window of offsets f - k.
         """
-        cfg = self.cfg
-        gen, p = cfg.generator, cfg.demand
-        dt = cfg.dt
-        z = self.grid.z.points[:, None]
-        g = self.grid.g.points[None, :]
-        mu = seasonality(cfg.t_of(n), p)
-        m_z = self.grid.z.points * math.exp(-p.beta_R * dt)
-        sd_z = math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, dt))
-        m_g = g - (gen.c0 * dt + gen.c1 * (mu * dt + z * _phi(p.beta_R, dt))) / gen.capacity_CG
-        sd_g = (gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(_ig(p.beta_R, dt))
-        std_z = _std_edges(_tail_edges(self.grid.z.edges), m_z, sd_z)[:, None, :]
-        std_g = _std_edges(_tail_edges(self.grid.g.edges), m_g, np.full_like(m_g, sd_g))
-        mass = _rect_masses(std_z, std_g, self.generator_rho())
+        grid = self.grid
+        pts, edges = grid.g.points, grid.g.edges
+        n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
+        m_z, sd_z = z_law(grid.z.points, self.cfg)
+        burn, sd_g = generator_law(n, grid.z.points, self.cfg)
+        offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
+        std_z = _std_edges(grid.z.edges, m_z, sd_z)
+        std_g = _std_edges(offsets, -burn, sd_g)
+        cdf = _cdf_lattice(std_z, std_g, self.generator_rho())  # (z src, z edge, offset)
+        # Padded column of interior edge f (column f + 1) for source k is
+        # f - k + N_G + 1; the two tail columns are shared by every source.
+        cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int
+        cols[:, 0] = 0
+        cols[:, -1] = 2 * n_int + 1
+        mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
         return _normalize_rows(mass, (-2, -1), f"generator block n={n}")
 
     # -- Scalar reference route ----------------------------------------------

@@ -3,9 +3,12 @@
 Each backward step evaluates, for every grid state and feasible action,
 the closed-form expected discounted stage cost plus the discounted
 expected continuation value under the action's transition row, then takes
-the canonical-order argmin. The heavy lifting is vectorized: per-step
-probability blocks contract against the next value table with einsum,
-while infeasible (state, action) pairs are masked to +inf.
+the canonical-order argmin. A step is array code throughout: the
+feasibility mask (constraints.feasibility_mask) is one broadcast over the
+lattice, the battery and generator probability blocks (TransitionKernel)
+contract against the next value table with einsum, and infeasible
+(state, action) pairs are masked to +inf. With more than one worker the
+two blocks run on a thread pool while the main thread builds the mask.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Action, ModelConfig, State
-from .constraints import feasible_actions
+from .constraints import feasibility_mask, feasible_actions
 from .cost import expected_stage_cost, terminal_cost
 from .grid import StateGrid
 from .kernel import NumericalError, TransitionKernel
@@ -73,17 +76,6 @@ def terminal_values(cfg: ModelConfig, grid: StateGrid) -> np.ndarray:
         for q in grid.q.points
     ])
     return np.broadcast_to(per_qg, grid.shape).reshape(-1).copy()
-
-
-def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
-    """Boolean mask (action, i, j, k): True where the action is feasible."""
-    mask = np.zeros((len(Action),) + grid.shape, dtype=bool)
-    for i, z in enumerate(grid.z.points):
-        for j, q in enumerate(grid.q.points):
-            for k, g in enumerate(grid.g.points):
-                for a in feasible_actions(n, State(float(z), float(q), float(g)), cfg):
-                    mask[a, i, j, k] = True
-    return mask
 
 
 def _stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:

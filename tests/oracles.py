@@ -4,7 +4,10 @@ Each oracle re-derives a quantity the package computes, through a
 deliberately different route: pure-Python recursion from scalar
 quadrature rows for the solver, sampled path integrals for the expected
 stage cost, plain Monte Carlo for rectangle probabilities and cell
-frequencies, and a composite Simpson rule for the terminal integral.
+frequencies, and a composite Simpson rule for the terminal integral. The
+full-lattice block forms evaluate the bivariate CDF on every edge of every
+source, tails as +-37: the reference for the kernel's closed-form tail
+edges and its one generator lattice per z source.
 """
 
 from __future__ import annotations
@@ -19,14 +22,18 @@ from microgrid_dp import (
     State,
     StateGrid,
     cell_of,
+    cross_moments,
     expected_stage_cost,
     feasible_actions,
+    g_moments,
     seasonality,
     terminal_cost,
     transition_operator,
     transition_row,
+    z_moments,
 )
 from microgrid_dp.dynamics import NoiseVector
+from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows
 
 
 def mc_bvn_rect(rho: float, rect, n_samples: int = 10**7, seed: int = 7771):
@@ -188,3 +195,40 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
         return best
 
     return np.array([value(0, m) for m in range(n_states)])
+
+
+def full_lattice_rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
+    """Cell masses with the bivariate CDF evaluated on every lattice edge.
+
+    std_a (..., NA) and std_b (..., NB) are standardized interior edges;
+    the -inf / +inf tails enter as -37 / +37 like any other edge.
+    Returns shape (..., NA + 1, NB + 1).
+    """
+    def padded(std):
+        lo = np.full(std.shape[:-1] + (1,), -_CLIP)
+        return np.concatenate((lo, std, -lo), axis=-1)
+
+    cdf = _bvn_cdf(padded(std_a)[..., :, None], padded(std_b)[..., None, :], rho)
+    return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
+
+
+def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
+    """Full-generator (Z, G) block with one CDF lattice per (z, g) source.
+
+    Means and variances come from the scalar moment functions, one source
+    at a time, so neither the shared offset lattice nor the array laws
+    are involved. Shape (z src, g src, z cell, g cell), rows normalized.
+    """
+    n_z, n_g = grid.z.n_points, grid.g.n_points
+    std_z = np.empty((n_z, 1, grid.z.edges.size))
+    std_g = np.empty((n_z, n_g, grid.g.edges.size))
+    rho = cross_moments(n, 0.0, 0.0, Action.FUEL_FULL, cfg)[3]
+    for i, z in enumerate(grid.z.points):
+        m_z, var_z = z_moments(n, float(z), cfg)
+        std_z[i, 0] = (grid.z.edges - m_z) / math.sqrt(var_z)
+        for k, g in enumerate(grid.g.points):
+            m_g, var_g = g_moments(n, float(z), float(g), Action.FUEL_FULL, cfg)
+            std_g[i, k] = (grid.g.edges - m_g) / math.sqrt(var_g)
+    mass = full_lattice_rect_masses(np.clip(std_z, -_CLIP, _CLIP),
+                                    np.clip(std_g, -_CLIP, _CLIP), rho)
+    return _normalize_rows(mass, (-2, -1), f"reference generator block n={n}")

@@ -1,7 +1,11 @@
 """End-to-end CLI checks on a small instance: subcommands, files, exit codes."""
 
+import dataclasses
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +91,33 @@ def test_calibrate_bad_window(small_ini, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--charge-window", "a,b"],
+    ["--discharge-window", "18,x"],
+    ["--charge-window", "6,6"],
+    ["--q-star", "2"],
+])
+def test_calibrate_bad_inputs_are_one_line_usage_errors(small_ini, argv, capsys):
+    assert cli.main(["calibrate", small_ini, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["validate"], ["solve", "--out", "unused", "--export-steps", "0,x"]])
+def test_module_entry_points_run_the_cli(small_ini, args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(m.__file__)))
+    argv = [args[0], small_ini, *args[1:]]
+    for module in ("microgrid_dp", "microgrid_dp.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        if args == ["validate"]:
+            assert proc.returncode == 0, proc.stderr
+            assert "configuration valid" in proc.stdout
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_solve_outputs(solve_dir, cfg_small, grid_small, small_solution, capsys):
     steps_n = cfg_small.discretization.steps_N
     names = set(os.listdir(solve_dir))
@@ -123,6 +154,18 @@ def test_solve_export_steps_flag(small_ini, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", ["0,x", "0,,2", "-1", "0,99"])
+def test_bad_export_steps_fail_before_solving(small_ini, tmp_path, monkeypatch, raw, capsys):
+    def never(cfg, grid):
+        raise AssertionError("solve ran before --export-steps was checked")
+
+    monkeypatch.setattr("microgrid_dp.cli.solve", never)
+    assert cli.main(["solve", small_ini, "--out", str(tmp_path / "x"), "--export-steps", raw]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_simulate_from_policy_dir(small_ini, solve_dir, cfg_small, grid_small,
                                   small_solution, tmp_path, capsys):
     out = str(tmp_path / "paths")
@@ -146,6 +189,41 @@ def test_simulate_missing_policy_dir(small_ini, tmp_path, capsys):
     assert cli.main(["simulate", small_ini, "--policy", str(tmp_path / "void"),
                      "--scenario", "neutral", "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+def _ini_for(cfg, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(m.dump_config(cfg))
+    return str(path)
+
+
+def test_simulate_refuses_policy_of_another_config(solve_dir, cfg_small, tmp_path, capsys):
+    other_costs = dataclasses.replace(cfg_small, costs=dataclasses.replace(
+        cfg_small.costs, k0=2.0 * cfg_small.costs.k0))
+    other_grid = dataclasses.replace(cfg_small, discretization=dataclasses.replace(
+        cfg_small.discretization, N_Z=7))
+    for name, cfg in (("costs.ini", other_costs), ("grid.ini", other_grid)):
+        out = tmp_path / f"paths_{name}"
+        assert cli.main(["simulate", _ini_for(cfg, tmp_path, name), "--policy", solve_dir,
+                         "--scenario", "neutral", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert m.config_hash(cfg)[:16] in err
+        assert not out.exists()
+
+
+def test_simulate_without_policy_meta_is_io_error(small_ini, solve_dir, tmp_path, capsys):
+    policy = tmp_path / "policy"
+    shutil.copytree(solve_dir, policy)
+    meta = policy / "value_policy_meta.json"
+    meta.write_text("{not json")
+    assert cli.main(["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
+                     "--out", str(tmp_path / "o")]) == 2
+    meta.unlink()
+    assert cli.main(["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "value_policy_meta.json" in err
 
 
 def test_paper_run_pipeline(small_ini, tmp_path, capsys):

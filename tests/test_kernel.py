@@ -7,8 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 import microgrid_dp as m
-from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _z_cell_masses_scalar
-from oracles import mc_bvn_rect
+from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses, _z_cell_masses_scalar
+from oracles import full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect
 
 STD2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -224,3 +224,31 @@ def test_scalar_z_masses_match_block(cfg_table1, grid_table1):
         mom = m.z_moments(0, float(z), cfg_table1)
         mass = _z_cell_masses_scalar(mom[0], math.sqrt(mom[1]), grid_table1)
         np.testing.assert_allclose(mass / mass.sum(), block[i], atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, -0.84, 0.95, -0.999])
+def test_rect_masses_tail_closed_forms_match_full_lattice(rho):
+    # Both Genz branches (|rho| < / >= 0.925) and the independent shortcut;
+    # the q-like axis has a small sd so that far edges hit the +-37 clip.
+    rng = np.random.default_rng(11)
+    z_edges = np.linspace(-2.0, 2.0, 9)
+    q_edges = np.linspace(0.05, 0.95, 10)
+    std_a = np.clip(z_edges - rng.uniform(-3.0, 3.0, size=(6, 1, 1)), -37.0, 37.0)
+    means = rng.uniform(-0.2, 1.2, size=(6, 4, 1))
+    sds = np.array([0.02, 0.3, 1.0, 4.0])[None, :, None]
+    std_b = np.clip((q_edges - means) / sds, -37.0, 37.0)
+    got = _rect_masses(std_a, std_b, rho)
+    ref = full_lattice_rect_masses(std_a, std_b, rho)
+    assert got.shape == ref.shape == (6, 4, 10, 11)
+    assert np.abs(got - ref).max() <= 1e-15
+
+
+def test_generator_block_matches_per_source_lattices(cfg_table1, grid_table1):
+    kern = m.TransitionKernel(cfg_table1, grid_table1)
+    steps = cfg_table1.discretization.steps_N
+    worst = 0.0
+    for n in sorted({0, steps - 1, *range(0, steps, 7)}):
+        ref = generator_block_per_source(n, grid_table1, cfg_table1)
+        worst = max(worst, float(np.abs(kern.generator_block(n) - ref).max()))
+    print(f"generator block vs per-source lattices: max |diff| {worst:.2e}")
+    assert worst <= 1e-14

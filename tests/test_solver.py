@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from conftest import small_discretization
 from oracles import brute_force_values
 
 
@@ -35,6 +36,35 @@ def test_feasibility_mask_matches_scalar_route(cfg_table1, grid_table1):
         feas = m.feasible_actions(11, grid_table1.state_of(int(state)), cfg_table1)
         for a in m.Action:
             assert mask[a, i, j, k] == (a in feas)
+
+
+def _scalar_mask(n, grid, cfg):
+    mask = np.zeros((len(m.Action), grid.n_states), dtype=bool)
+    for state in range(grid.n_states):
+        for a in m.feasible_actions(n, grid.state_of(state), cfg):
+            mask[a, state] = True
+    return mask.reshape((len(m.Action),) + grid.shape)
+
+
+def test_feasibility_mask_matches_scalar_route_every_step(cfg_table1, grid_table1):
+    mismatches = 0
+    for n in range(cfg_table1.discretization.steps_N):
+        mask = m.feasibility_mask(n, grid_table1, cfg_table1)
+        mismatches += int((mask != _scalar_mask(n, grid_table1, cfg_table1)).sum())
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.05, 0.49])
+def test_feasibility_mask_matches_scalar_route_small_grids(cfg_table1, eps):
+    # tiny and lopsided lattices, with the chance level near both ends
+    for n_z, n_q, n_g in ((3, 2, 2), (5, 3, 3), (9, 20, 2)):
+        cfg = small_discretization(cfg_table1, steps=24, n_z=n_z, n_q=n_q, n_g=n_g)
+        cfg = m.validate_config(dataclasses.replace(cfg, discretization=dataclasses.replace(
+            cfg.discretization, epsilon=eps)))
+        grid = m.build_grid(cfg)
+        for n in range(0, 24, 3):
+            np.testing.assert_array_equal(m.feasibility_mask(n, grid, cfg),
+                                          _scalar_mask(n, grid, cfg))
 
 
 def test_zero_cost_model_solves_to_zero(cfg_small, grid_small):
