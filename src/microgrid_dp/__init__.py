@@ -25,7 +25,7 @@ from .kernel import (NumericalError, TransitionKernel, TransitionRow,
 from .simulate import (SCENARIOS, PathRecord, Scenario, baseline_wait_policy,
                        euler_oracle, sample_transition, simulate_path)
 from .solver import (PolicyTable, ValueTable, bellman_backup, feasibility_mask,
-                     solve, step_q_values, terminal_values, worker_count)
+                     solve, step_q_values, terminal_values)
 
 __all__ = [
     "Action", "Axis", "BatteryParams", "ConfigError", "CostParams",
@@ -41,5 +41,5 @@ __all__ = [
     "running_cost", "sample_transition", "seasonality", "simulate_path",
     "solve", "step_q_values", "terminal_cost", "terminal_values",
     "transition_moments", "transition_operator", "transition_row",
-    "validate_config", "worker_count", "z_moments",
+    "validate_config", "z_moments",
 ]

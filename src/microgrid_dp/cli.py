@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -173,16 +174,34 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     return written
 
 
-def _write_tables(values: ValueTable, policy: PolicyTable, out_dir: str) -> str:
+def _solve_and_export(cfg: ModelConfig, grid: StateGrid, steps: list[int],
+                      out_dir: str) -> tuple[PolicyTable, list[str]]:
+    """Solve, then write the value/policy CSVs of `steps`, their metadata and tables.npz."""
+    values, policy = solve(cfg, grid)
+    outputs = export_value_policy((values, policy), grid, steps, out_dir, cfg)
     path = os.path.join(out_dir, "tables.npz")
     np.savez(path, values=values.values, actions=policy.actions)
-    return path
+    outputs.append(path)
+    return policy, outputs
 
 
-def _load_tables(policy_dir: str) -> tuple[ValueTable, PolicyTable]:
+def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
+    """The policy in policy_dir/tables.npz; unreadable or misshapen tables are I/O errors."""
     path = os.path.join(policy_dir, "tables.npz")
-    with np.load(path) as data:
-        return ValueTable(data["values"].copy()), PolicyTable(data["actions"].copy())
+    try:
+        with np.load(path) as data:
+            values, actions = data["values"], data["actions"]
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise OSError(f"unreadable policy tables {path}: {exc}") from None
+    n_steps = cfg.discretization.steps_N
+    for name, table, shape in (("values", values, (n_steps + 1, grid.n_states)),
+                               ("actions", actions, (n_steps, grid.n_states))):
+        if table.shape != shape:
+            raise OSError(f"policy tables {path}: {name} has shape {table.shape}, "
+                          f"expected {shape}")
+    if not np.isin(actions, list(Action)).all():
+        raise OSError(f"policy tables {path}: actions holds codes outside 0..{len(Action) - 1}")
+    return PolicyTable(actions)
 
 
 def _write_paths_csv(records, path: str) -> None:
@@ -260,17 +279,14 @@ def _run(args) -> int:
 
     if args.command == "solve":
         steps = _parse_export_steps(args.export_steps, cfg)
-        values, policy = solve(cfg, grid)
-        os.makedirs(args.out, exist_ok=True)
-        outputs = export_value_policy((values, policy), grid, steps, args.out, cfg)
-        outputs.append(_write_tables(values, policy, args.out))
+        _, outputs = _solve_and_export(cfg, grid, steps, args.out)
         _write_manifest(args.out, cfg, None, outputs)
         print(f"solved {cfg.discretization.steps_N} steps x {grid.n_states} states -> {args.out}")
         return 0
 
     if args.command == "simulate":
         _check_policy_config(args.policy, cfg)
-        _, policy = _load_tables(args.policy)
+        policy = _load_tables(args.policy, cfg, grid)
         scenario = SCENARIOS[args.scenario].with_seed(args.base_seed)
         os.makedirs(args.out, exist_ok=True)
         outputs = _simulate_scenario(cfg, grid, policy, scenario, args.seeds, args.out)
@@ -279,11 +295,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "paper-run":
-        values, policy = solve(cfg, grid)
-        os.makedirs(args.out, exist_ok=True)
-        outputs = export_value_policy((values, policy), grid, _default_export_steps(cfg),
-                                      args.out, cfg)
-        outputs.append(_write_tables(values, policy, args.out))
+        policy, outputs = _solve_and_export(cfg, grid, _default_export_steps(cfg), args.out)
         for name in ("sunny-start", "overcast-break", "sunny-finish", "overcast-week"):
             scenario = SCENARIOS[name].with_seed(args.base_seed)
             outputs.extend(_simulate_scenario(cfg, grid, policy, scenario,

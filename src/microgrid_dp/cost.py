@@ -92,6 +92,8 @@ def expected_stage_cost(k: int, x: State, a: Action, cfg: ModelConfig) -> float:
     Along one step the residual demand is R(s) = mu_{R,k} + Z(s) with
     E[Z(s)|z] = z e^(-beta s) and Var[Z(s)] = sigma^2/(2 beta) (1 - e^(-2 beta s)),
     so every branch reduces to a combination of zeta_1, zeta_2, zeta_3.
+    The closed form is plain arithmetic in z, so x.z may also be a numpy
+    array; the result then has its shape (a float for overspill).
     """
     c, p = cfg.costs, cfg.demand
     z = x.z

@@ -11,8 +11,10 @@ The scalar functions (z/q/g_moments, transition_moments) serve single
 states: the simulator and the reference routes. The array laws (z_law,
 battery_law, generator_law) evaluate the same moments over whole grid
 lattices and are the one source the feasibility mask and the transition
-blocks share. The deterministic limited-mode means are written once for
-floats and arrays alike.
+blocks share, together with the state-free correlations battery_rho and
+generator_rho. The deterministic branches of q_moments/g_moments (the
+idle decay and the limited-mode means) take a float or an array level
+alike; the kernel's Dirac target maps evaluate them over a whole axis.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ __all__ = [
     "NoiseVector",
     "TransitionMoments",
     "battery_law",
+    "battery_rho",
     "cross_moments",
     "efficiency",
     "g_moments",
     "generator_law",
+    "generator_rho",
     "q_moments",
     "transition_moments",
     "transition_operator",
@@ -220,6 +224,20 @@ def generator_law(n: int, z: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, 
     burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * _phi(p.beta_R, dt))) / gen.capacity_CG
     sd_g = (gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(_ig(p.beta_R, dt))
     return burn, sd_g
+
+
+def battery_rho(cfg: ModelConfig) -> float:
+    """State-free corr(Z', Q') under charge / full discharge."""
+    bat, p = cfg.battery, cfg.demand
+    dt = cfg.dt
+    return -_jq(bat.eta0, p.beta_R, dt) / math.sqrt(_phi(2.0 * p.beta_R, dt) * _iq(bat.eta0, p.beta_R, dt))
+
+
+def generator_rho(cfg: ModelConfig) -> float:
+    """State-free corr(Z', G') under the full generator mode."""
+    beta = cfg.demand.beta_R
+    dt = cfg.dt
+    return -_jg(beta, dt) / math.sqrt(_phi(2.0 * beta, dt) * _ig(beta, dt))
 
 
 def cross_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float, float, float]:

@@ -121,6 +121,11 @@ def neighborhood(axis: Axis | str, i: int, grid: StateGrid | None = None) -> tup
     return lo, hi
 
 
+def _clamp01(v: float) -> float:
+    """A q or g level clamped to its physical box [0, 1]."""
+    return min(1.0, max(0.0, v))
+
+
 def cell_of(value: float, axis: Axis | str, grid: StateGrid | None = None) -> int:
     """Index of the cell containing value (right-closed ownership at boundaries).
 

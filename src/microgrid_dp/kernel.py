@@ -14,7 +14,9 @@ independent evaluation routes are provided: a scalar per-row builder whose
 rectangle masses come from adaptive quadrature (transition_row /
 bvn_rect_prob), and vectorized per-step blocks using a Gauss-Legendre
 bivariate-normal algorithm (TransitionKernel.*_block) consumed by the
-solver.
+solver. The Dirac axes need no probabilities: their target cells are
+step-free maps per source level, taken once per kernel from the
+deterministic branches of dynamics.q_moments/g_moments.
 
 A block is the inclusion-exclusion of the bivariate CDF over the lattice
 of cell edges. The CDF is evaluated by Genz's scheme only on interior
@@ -36,10 +38,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .config import Action, ModelConfig, eta_discharge
-from .dynamics import (_ig, _iq, _jg, _jq, _norm_cdf, _phi, battery_law, generator_law,
-                       transition_moments, z_law)
-from .grid import StateGrid, cell_of
+from .config import Action, ModelConfig
+from .dynamics import (_norm_cdf, battery_law, battery_rho, g_moments, generator_law,
+                       generator_rho, q_moments, transition_moments, z_law)
+from .grid import Axis, StateGrid, _clamp01, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel", "TransitionRow", "bvn_rect_prob"]
 
@@ -249,8 +251,9 @@ def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.nd
     return mass / total
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
+def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
+    """Cell index of each level, clamped to the physical box first."""
+    return np.array([cell_of(_clamp01(float(v)), axis) for v in levels])
 
 
 class TransitionKernel:
@@ -259,7 +262,8 @@ class TransitionKernel:
     Scalar rows are built on demand per (n, source, action) and cached
     (the seasonal mean varies per step, so there is no single stationary
     matrix). Blocks are recomputed per call; the solver uses them once per
-    backward step.
+    backward step. The Dirac target maps of the deterministic moves are
+    step- and z-free and are computed once, here.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
@@ -268,30 +272,25 @@ class TransitionKernel:
         self._rows: dict[tuple[int, int, Action], TransitionRow] = {}
         self._lock = threading.Lock()
         self._z_block: np.ndarray | None = None
+        # The deterministic branches of the moment laws ignore n and z.
+        q, g = grid.q.points, grid.g.points
+        self._q_idle = _cells(q_moments(0, 0.0, q, Action.WAIT, cfg)[0], grid.q)
+        self._q_limited = _cells(q_moments(0, 0.0, q, Action.DISCHARGE_LIMITED, cfg)[0], grid.q)
+        self._g_limited = _cells(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
 
     # -- Dirac target maps (step-independent) --------------------------------
 
     def q_idle_targets(self) -> np.ndarray:
         """Target q-cell for the self-discharge-only move, per source q index."""
-        decay = math.exp(-self.cfg.battery.eta0 * self.cfg.dt)
-        return np.array([cell_of(_clamp01(q * decay), self.grid.q) for q in self.grid.q.points])
+        return self._q_idle
 
     def q_limited_targets(self) -> np.ndarray:
         """Target q-cell under limited discharge, per source q index."""
-        bat = self.cfg.battery
-        dt = self.cfg.dt
-        decay = math.exp(-bat.eta0 * dt)
-        draw = bat.R_Q0 * _phi(bat.eta0, dt) / bat.capacity_CQ
-        return np.array([
-            cell_of(_clamp01(q * decay - draw / eta_discharge(q, bat)), self.grid.q)
-            for q in self.grid.q.points
-        ])
+        return self._q_limited
 
     def g_limited_targets(self) -> np.ndarray:
         """Target g-cell under the limited generator mode, per source g index."""
-        gen = self.cfg.generator
-        burn = (gen.c0 + gen.c1 * gen.R_G0) * self.cfg.dt / gen.capacity_CG
-        return np.array([cell_of(_clamp01(g - burn), self.grid.g) for g in self.grid.g.points])
+        return self._g_limited
 
     # -- Vectorized blocks ----------------------------------------------------
 
@@ -303,19 +302,6 @@ class TransitionKernel:
             mass = np.clip(np.diff(ndtr(std), axis=-1), 0.0, None)
             self._z_block = _normalize_rows(mass, (-1,), "z rows")
         return self._z_block
-
-    def battery_rho(self) -> float:
-        """State-free corr(Z', Q') under charge / full discharge."""
-        cfg = self.cfg
-        bat, p = cfg.battery, cfg.demand
-        dt = cfg.dt
-        return -_jq(bat.eta0, p.beta_R, dt) / math.sqrt(_phi(2.0 * p.beta_R, dt) * _iq(bat.eta0, p.beta_R, dt))
-
-    def generator_rho(self) -> float:
-        """State-free corr(Z', G') under the full generator mode."""
-        beta = self.cfg.demand.beta_R
-        dt = self.cfg.dt
-        return -_jg(beta, dt) / math.sqrt(_phi(2.0 * beta, dt) * _ig(beta, dt))
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
@@ -329,7 +315,7 @@ class TransitionKernel:
         m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
         std_z = _std_edges(grid.z.edges, m_z, sd_z)[:, None, :]
         std_q = _std_edges(grid.q.edges, m_q, sd_q)
-        mass = _rect_masses(std_z, std_q, self.battery_rho())
+        mass = _rect_masses(std_z, std_q, battery_rho(self.cfg))
         return _normalize_rows(mass, (-2, -1), f"battery block n={n}")
 
     def generator_block(self, n: int) -> np.ndarray:
@@ -349,7 +335,7 @@ class TransitionKernel:
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
         std_z = _std_edges(grid.z.edges, m_z, sd_z)
         std_g = _std_edges(offsets, -burn, sd_g)
-        cdf = _cdf_lattice(std_z, std_g, self.generator_rho())  # (z src, z edge, offset)
+        cdf = _cdf_lattice(std_z, std_g, generator_rho(self.cfg))  # (z src, z edge, offset)
         # Padded column of interior edge f (column f + 1) for source k is
         # f - k + N_G + 1; the two tail columns are shared by every source.
         cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int

@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Action, ModelConfig, State, seasonality
+from .constraints import feasibility_mask
 from .cost import expected_stage_cost
 from .dynamics import NoiseVector, transition_operator
-from .grid import StateGrid, cell_of
+from .grid import StateGrid, _clamp01, cell_of
 from .solver import PolicyTable
 
 __all__ = [
@@ -94,10 +95,6 @@ def sample_transition(n: int, x: State, a: Action, rng: np.random.Generator,
     return transition_operator(n, x, a, eps, cfg)
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
-
-
 def default_initial_state(grid: StateGrid) -> State:
     """Full tank, 80% charge, demand residual at the grid maximum."""
     return State(float(grid.z.points[-1]), 0.8, 1.0)
@@ -139,17 +136,10 @@ def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
 
 def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
     """Do-nothing reference policy: overspill under surplus, wait otherwise."""
-    from .constraints import near_zero_halfwidth
-
-    steps = cfg.discretization.steps_N
-    actions = np.full((steps, grid.n_states), int(Action.WAIT), dtype=np.int8)
-    half = near_zero_halfwidth(cfg)
-    for n in range(steps):
-        mu = seasonality(cfg.t_of(n), cfg.demand)
-        for i, z in enumerate(grid.z.points):
-            if mu + z <= -half:
-                base = grid.lin(i, 0, 0)
-                actions[n, base:base + grid.q.n_points * grid.g.n_points] = int(Action.OVERSPILL)
+    actions = np.empty((cfg.discretization.steps_N, grid.n_states), dtype=np.int8)
+    for n in range(actions.shape[0]):
+        surplus = feasibility_mask(n, grid, cfg)[Action.OVERSPILL].reshape(-1)
+        actions[n] = np.where(surplus, int(Action.OVERSPILL), int(Action.WAIT))
     return PolicyTable(actions)
 
 

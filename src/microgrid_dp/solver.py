@@ -6,16 +6,15 @@ expected continuation value under the action's transition row, then takes
 the canonical-order argmin. A step is array code throughout: the
 feasibility mask (constraints.feasibility_mask) is one broadcast over the
 lattice, the battery and generator probability blocks (TransitionKernel)
-contract against the next value table with einsum, and infeasible
-(state, action) pairs are masked to +inf. With more than one worker the
-two blocks run on a thread pool while the main thread builds the mask.
+contract against the next value table with einsum, the stage costs are
+one closed-form call per action over the z axis, and infeasible
+(state, action) pairs are masked to +inf. The steps run one after another
+on one thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +58,8 @@ class PolicyTable:
 
 
 def worker_count() -> int:
-    """Worker cap for intra-step parallelism; MICROGRID_DP_THREADS overrides."""
-    raw = os.environ.get("MICROGRID_DP_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """Threads a solve runs on: always 1, since the backward step is serial array code."""
+    return 1
 
 
 def terminal_values(cfg: ModelConfig, grid: StateGrid) -> np.ndarray:
@@ -82,26 +75,17 @@ def _stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Expected stage cost per (action, z index); independent of q and g."""
     out = np.empty((len(Action), grid.z.n_points))
     for a in Action:
-        for i, z in enumerate(grid.z.points):
-            out[a, i] = expected_stage_cost(n, State(float(z), 0.0, 0.0), a, cfg)
+        out[a] = expected_stage_cost(n, State(grid.z.points, 0.0, 0.0), a, cfg)
     return out
 
 
-def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel,
-                  mask: np.ndarray | None = None,
-                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Q(n, state, action) for all states, +inf where infeasible.
-
-    Returns shape (action, i, j, k). `blocks` may carry precomputed
-    (battery, generator) probability blocks for step n.
-    """
+def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
+    """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k)."""
     cfg, grid = kernel.cfg, kernel.grid
     v1 = v_next.reshape(grid.shape)
     pz = kernel.z_block()
-    b_block, g_block = blocks if blocks is not None else (
-        kernel.battery_block(n), kernel.generator_block(n))
-    if mask is None:
-        mask = feasibility_mask(n, grid, cfg)
+    b_block, g_block = kernel.battery_block(n), kernel.generator_block(n)
+    mask = feasibility_mask(n, grid, cfg)
 
     q_idle = kernel.q_idle_targets()
     q_lim = kernel.q_limited_targets()
@@ -159,26 +143,12 @@ def solve(cfg: ModelConfig, grid: StateGrid,
     actions = np.empty((steps, n_states), dtype=np.int8)
     values[steps] = terminal_values(cfg, grid)
 
-    workers = worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for n in range(steps - 1, -1, -1):
-            if pool is not None:
-                fut_b = pool.submit(kernel.battery_block, n)
-                fut_g = pool.submit(kernel.generator_block, n)
-                mask = feasibility_mask(n, grid, cfg)
-                blocks = (fut_b.result(), fut_g.result())
-            else:
-                mask = feasibility_mask(n, grid, cfg)
-                blocks = (kernel.battery_block(n), kernel.generator_block(n))
-            q_vals = step_q_values(n, values[n + 1], kernel, mask=mask, blocks=blocks)
-            v_n = q_vals.min(axis=0)
-            if not np.isfinite(v_n).all():
-                raise NumericalError(f"non-finite value at step {n}")
-            values[n] = v_n.reshape(-1)
-            tied = q_vals <= v_n[None] + _TIE_TOL
-            actions[n] = np.argmax(tied, axis=0).reshape(-1)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for n in range(steps - 1, -1, -1):
+        q_vals = step_q_values(n, values[n + 1], kernel)
+        v_n = q_vals.min(axis=0)
+        if not np.isfinite(v_n).all():
+            raise NumericalError(f"non-finite value at step {n}")
+        values[n] = v_n.reshape(-1)
+        tied = q_vals <= v_n[None] + _TIE_TOL
+        actions[n] = np.argmax(tied, axis=0).reshape(-1)
     return ValueTable(values), PolicyTable(actions)

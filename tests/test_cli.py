@@ -226,6 +226,46 @@ def test_simulate_without_policy_meta_is_io_error(small_ini, solve_dir, tmp_path
     assert err.count("\n") == 2 and "value_policy_meta.json" in err
 
 
+def _text_file(path, tables):
+    path.write_text("not an npz archive\n")
+
+
+def _no_actions(path, tables):
+    np.savez(path, values=tables["values"])
+
+
+def _actions_cut_short(path, tables):
+    np.savez(path, values=tables["values"], actions=tables["actions"][:, :90])
+
+
+def _unknown_action_code(path, tables):
+    actions = tables["actions"].copy()
+    actions[0, 0] = len(m.Action)
+    np.savez(path, values=tables["values"], actions=actions)
+
+
+def _truncated_archive(path, tables):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("corrupt", [_text_file, _no_actions, _actions_cut_short,
+                                     _unknown_action_code, _truncated_archive],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, capsys, corrupt):
+    policy = tmp_path / "policy"
+    shutil.copytree(solve_dir, policy)
+    with np.load(policy / "tables.npz") as data:
+        tables = {k: data[k] for k in data.files}
+    corrupt(policy / "tables.npz", tables)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1 and "tables.npz" in err
+    assert not out.exists()
+
+
 def test_paper_run_pipeline(small_ini, tmp_path, capsys):
     out = str(tmp_path / "pipe")
     assert cli.main(["paper-run", small_ini, "--out", out, "--seeds", "1"]) == 0

@@ -7,6 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 import microgrid_dp as m
+from conftest import small_discretization
+from microgrid_dp.grid import _clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses, _z_cell_masses_scalar
 from oracles import full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect
 
@@ -84,8 +86,8 @@ def test_block_rhos_match_moment_route(cfg_table1, grid_table1):
     x = m.State(1.0, 0.8, 0.9)
     bat = m.transition_moments(0, x, m.Action.CHARGE, cfg_table1)
     gen = m.transition_moments(0, x, m.Action.FUEL_FULL, cfg_table1)
-    assert kern.battery_rho() == pytest.approx(bat.rho_Q, abs=1e-14)
-    assert kern.generator_rho() == pytest.approx(gen.rho_G, abs=1e-14)
+    assert m.dynamics.battery_rho(cfg_table1) == pytest.approx(bat.rho_Q, abs=1e-14)
+    assert m.dynamics.generator_rho(cfg_table1) == pytest.approx(gen.rho_G, abs=1e-14)
 
 
 def test_scalar_rows_normalize_small_grid(cfg_small, grid_small):
@@ -168,6 +170,20 @@ def test_limited_targets_match_moments(cfg_table1, grid_table1):
             assert q_idle[j] == cell_of(min(1.0, max(0.0, idle.m_Q)), grid_table1.q)
             assert q_lim[j] == cell_of(min(1.0, max(0.0, lim.m_Q)), grid_table1.q)
             assert g_lim[k] == cell_of(min(1.0, max(0.0, fuel.m_G)), grid_table1.g)
+
+
+@pytest.mark.parametrize("n_z, n_q, n_g", [(5, 3, 3), (7, 9, 5), (1, 1, 1)])
+def test_target_maps_match_per_point_moments(cfg_table1, n_z, n_q, n_g):
+    cfg = small_discretization(cfg_table1, n_z=n_z, n_q=n_q, n_g=n_g)
+    grid = m.build_grid(cfg)
+    kern = m.TransitionKernel(cfg, grid)
+    for targets, moments, axis, a in (
+            (kern.q_idle_targets(), m.q_moments, grid.q, m.Action.WAIT),
+            (kern.q_limited_targets(), m.q_moments, grid.q, m.Action.DISCHARGE_LIMITED),
+            (kern.g_limited_targets(), m.g_moments, grid.g, m.Action.FUEL_LIMITED)):
+        expected = [cell_of(_clamp01(moments(0, 0.7, float(v), a, cfg)[0]), axis)
+                    for v in axis.points]
+        assert targets.tolist() == expected
 
 
 def test_kernel_row_memoization(cfg_small, grid_small):

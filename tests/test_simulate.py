@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.simulate import default_initial_state
 
 STATE = m.State(1.0, 0.8, 0.9)
@@ -142,6 +143,27 @@ def test_baseline_policy_only_waits_or_spills(cfg_small, grid_small):
         mask = m.feasibility_mask(n, grid_small, cfg_small).reshape(len(m.Action), -1)
         for state in range(grid_small.n_states):
             assert mask[policy.actions[n, state], state]
+
+
+def _spill_under_surplus(cfg, grid):
+    # the rule as first written: overspill where mu + z <= -half, wait elsewhere
+    half = near_zero_halfwidth(cfg)
+    actions = np.full((cfg.discretization.steps_N, grid.n_states), int(m.Action.WAIT),
+                      dtype=np.int8)
+    for n in range(cfg.discretization.steps_N):
+        mu = m.seasonality(cfg.t_of(n), cfg.demand)
+        for i, z in enumerate(grid.z.points):
+            if mu + z <= -half:
+                base = grid.lin(i, 0, 0)
+                actions[n, base:base + grid.q.n_points * grid.g.n_points] = int(m.Action.OVERSPILL)
+    return actions
+
+
+def test_baseline_policy_matches_surplus_rule(cfg_table1, grid_table1, cfg_small, grid_small):
+    for cfg, grid in ((cfg_table1, grid_table1), (cfg_small, grid_small)):
+        policy = m.baseline_wait_policy(cfg, grid)
+        assert policy.actions.dtype == np.int8
+        np.testing.assert_array_equal(policy.actions, _spill_under_surplus(cfg, grid))
 
 
 def test_adverse_week_burns_stored_energy(cfg_table1, grid_table1, table1_solution):

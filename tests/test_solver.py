@@ -8,6 +8,7 @@ import pytest
 
 import microgrid_dp as m
 from conftest import small_discretization
+from microgrid_dp.solver import _stage_cost_rows
 from oracles import brute_force_values
 
 
@@ -121,26 +122,6 @@ def test_policy_respects_feasibility(cfg_small, grid_small, small_solution):
             assert flat[policy.actions[n, state], state]
 
 
-def test_solve_deterministic_across_worker_counts(cfg_small, grid_small, monkeypatch):
-    monkeypatch.setenv("MICROGRID_DP_THREADS", "1")
-    v1, p1 = m.solve(cfg_small, grid_small)
-    monkeypatch.setenv("MICROGRID_DP_THREADS", "4")
-    v4, p4 = m.solve(cfg_small, grid_small)
-    np.testing.assert_array_equal(v1.values, v4.values)
-    np.testing.assert_array_equal(p1.actions, p4.actions)
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("MICROGRID_DP_THREADS", "7")
-    assert m.worker_count() == 7
-    monkeypatch.setenv("MICROGRID_DP_THREADS", "0")
-    assert m.worker_count() == 1
-    monkeypatch.setenv("MICROGRID_DP_THREADS", "not-a-number")
-    assert m.worker_count() == min(4, __import__("os").cpu_count() or 1)
-    monkeypatch.delenv("MICROGRID_DP_THREADS")
-    assert 1 <= m.worker_count() <= 4
-
-
 def test_table_shapes_and_action_type(cfg_small, grid_small, small_solution):
     values, policy, _ = small_solution
     steps = cfg_small.discretization.steps_N
@@ -162,3 +143,13 @@ def test_discount_flag_changes_values(cfg_small, grid_small, small_solution):
     v_off, _ = m.solve(rho0_off, grid_small)
     np.testing.assert_allclose(v_on.values, v_off.values, atol=1e-12)
     assert math.exp(-cfg_small.costs.rho * cfg_small.dt) < 1.0
+
+
+def test_stage_cost_rows_match_scalar_cost_bit_for_bit(cfg_table1, grid_table1):
+    mismatches = 0
+    for n in range(cfg_table1.discretization.steps_N):
+        rows = _stage_cost_rows(n, grid_table1, cfg_table1)
+        scalar = np.array([[m.expected_stage_cost(n, m.State(float(z), 0.0, 0.0), a, cfg_table1)
+                            for z in grid_table1.z.points] for a in m.Action])
+        mismatches += int((rows != scalar).sum())
+    assert mismatches == 0
