@@ -16,14 +16,14 @@ from .config import (Action, BatteryParams, ConfigError, CostParams,
 from .constraints import FeasibleSet, feasible_actions
 from .cost import (DiscountFactors, StageCost, discount_factors,
                    expected_stage_cost, running_cost, terminal_cost)
-from .dynamics import (NoiseVector, TransitionMoments, cross_moments, efficiency,
-                       g_moments, q_moments, transition_moments,
-                       transition_operator, z_moments)
+from .dynamics import (NoiseVector, TransitionMoments, efficiency, g_moments,
+                       q_moments, transition_moments, transition_operator,
+                       z_moments)
 from .grid import Axis, StateGrid, build_grid, cell_of, neighborhood
 from .kernel import (NumericalError, TransitionKernel, TransitionRow,
                      bvn_rect_prob, transition_row)
 from .simulate import (SCENARIOS, PathRecord, Scenario, baseline_wait_policy,
-                       euler_oracle, sample_transition, simulate_path)
+                       sample_transition, simulate_path)
 from .solver import (PolicyTable, ValueTable, bellman_backup, feasibility_mask,
                      solve, step_q_values, terminal_values)
 
@@ -34,9 +34,9 @@ __all__ = [
     "SCENARIOS", "Scenario", "SeasonalOUParams", "StageCost", "State",
     "StateGrid", "TransitionKernel", "TransitionMoments", "TransitionRow",
     "ValueTable", "baseline_wait_policy", "bellman_backup", "build_grid",
-    "bvn_rect_prob", "cell_of", "config_hash", "cross_moments",
+    "bvn_rect_prob", "cell_of", "config_hash",
     "default_config", "discount_factors", "dump_config", "efficiency",
-    "euler_oracle", "expected_stage_cost", "feasibility_mask",
+    "expected_stage_cost", "feasibility_mask",
     "feasible_actions", "g_moments", "load_config", "neighborhood", "q_moments",
     "running_cost", "sample_transition", "seasonality", "simulate_path",
     "solve", "step_q_values", "terminal_cost", "terminal_values",

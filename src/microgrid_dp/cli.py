@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import zipfile
@@ -129,6 +130,28 @@ def _check_policy_config(policy_dir: str, cfg: ModelConfig) -> None:
                            f"{str(recorded)[:16]}, not this config's {expected[:16]}"])
 
 
+def _check_options(args, cfg: ModelConfig) -> None:
+    """Range checks of the numeric options, before any work: one usage error each."""
+    errors = []
+    if args.command == "moments":
+        n_steps = cfg.discretization.steps_N
+        if not 0 <= args.n < n_steps:
+            errors.append(f"--n {args.n} outside 0..{n_steps - 1}")
+        if not math.isfinite(args.z):
+            errors.append(f"--z must be finite, got {args.z}")
+        for name in ("q", "g"):
+            value = getattr(args, name)
+            if not 0.0 <= value <= 1.0:
+                errors.append(f"--{name} must lie in [0, 1], got {value}")
+    if args.command in ("simulate", "paper-run"):
+        if args.seeds < 1:
+            errors.append(f"--seeds must be >= 1, got {args.seeds}")
+        if args.base_seed < 0:
+            errors.append(f"--base-seed must be >= 0, got {args.base_seed}")
+    if errors:
+        raise ConfigError(errors)
+
+
 def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
@@ -189,9 +212,10 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
     """The policy in policy_dir/tables.npz; unreadable or misshapen tables are I/O errors."""
     path = os.path.join(policy_dir, "tables.npz")
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             values, actions = data["values"], data["actions"]
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: a bare .npy array, which is no archive (no context manager)
         raise OSError(f"unreadable policy tables {path}: {exc}") from None
     n_steps = cfg.discretization.steps_N
     for name, table, shape in (("values", values, (n_steps + 1, grid.n_states)),
@@ -245,6 +269,7 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) ->
 
 def _run(args) -> int:
     cfg = load_config(args.config)
+    _check_options(args, cfg)
 
     if args.command == "validate":
         print(f"configuration valid (hash {config_hash(cfg)[:16]})")

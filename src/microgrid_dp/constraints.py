@@ -10,24 +10,26 @@ ends of the box, discharging and fuel burning guard depletion below 0, so
 a full battery may still serve demand. Near zero residual demand (within
 half a grid cell of 0) the only feasible control is to wait.
 
-Two routes decide the same sets. feasible_actions works on one state,
-with a reason for every excluded action, from the scalar moments.
+Two routes decide the same sets from the same numbers. feasible_actions
+works on one state, with a reason for every excluded action;
 feasibility_mask decides all states of a step at once as broadcast numpy
-over the (z, q, g) lattice, from the array laws the transition blocks
-also use; it is what the solver calls.
+over the (z, q, g) lattice and is what the solver calls. Both take the
+means and standard deviations from the dynamics laws (the scalar moments
+read them at a point) and compare the one tail helper _box_tails with
+epsilon, so they agree even where a tail probability sits exactly at
+epsilon.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
 from .config import Action, ModelConfig, State, seasonality
-from .dynamics import (_norm_cdf, battery_law, discharge_limited_mean, fuel_limited_mean,
-                       g_moments, generator_law, q_moments)
+from .dynamics import (battery_law, discharge_limited_mean, fuel_limited_mean, g_moments,
+                       generator_law, q_moments)
 from .grid import StateGrid, z_truncation
 
 __all__ = ["FeasibleSet", "feasibility_mask", "feasible_actions", "near_zero_halfwidth"]
@@ -55,13 +57,18 @@ def near_zero_halfwidth(cfg: ModelConfig) -> float:
     return z_truncation(cfg) / cfg.discretization.N_Z
 
 
+def _box_tails(m, sd):
+    """(P(next level < 0), P(next level > 1)) for N(m, sd^2), sd > 0; floats or arrays."""
+    return ndtr(-m / sd), ndtr((m - 1.0) / sd)
+
+
 def _box_chance(m: float, var: float, eps: float, check_upper: bool) -> str | None:
     """None if the next level stays in [0, 1] with chance >= 1 - eps, else the reason."""
     if var > 0.0:
-        sd = math.sqrt(var)
-        if _norm_cdf(-m / sd) >= eps:
+        below, above = _box_tails(m, np.sqrt(var))
+        if below >= eps:
             return f"P(next level < 0) >= {eps}"
-        if check_upper and _norm_cdf((m - 1.0) / sd) >= eps:
+        if check_upper and above >= eps:
             return f"P(next level > 1) >= {eps}"
         return None
     if m < 0.0:
@@ -124,14 +131,6 @@ def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
     return FeasibleSet(actions=tuple(feasible), excluded=excluded)
 
 
-def _box_ok(m: np.ndarray, sd, eps: float, check_upper: bool) -> np.ndarray:
-    """Array form of _box_chance for sd > 0: True where the level stays in the box."""
-    ok = ndtr(-m / sd) < eps
-    if check_upper:
-        ok &= ndtr((m - 1.0) / sd) < eps
-    return ok
-
-
 def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Boolean mask (action, i, j, k): True where the action is feasible.
 
@@ -145,20 +144,20 @@ def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     band = np.abs(r) < near_zero_halfwidth(cfg)
     surplus = ~band & (r < 0.0)
     deficit = ~band & (r >= 0.0)
-    m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
+    q_below, q_above = _box_tails(*battery_law(n, z[:, None], q[None, :], cfg))
     burn, sd_g = generator_law(n, z, cfg)
-    m_g = g[None, :] - burn[:, None]
+    g_below, _ = _box_tails(g[None, :] - burn[:, None], sd_g)
 
     mask = np.zeros((len(Action),) + grid.shape, dtype=bool)
     mask[Action.OVERSPILL] = surplus[:, None, None]
-    mask[Action.CHARGE] = (surplus[:, None] & _box_ok(m_q, sd_q, eps, check_upper=True))[:, :, None]
+    mask[Action.CHARGE] = (surplus[:, None] & (q_below < eps) & (q_above < eps))[:, :, None]
     mask[Action.WAIT] = ~surplus[:, None, None]
     q_lim_ok = ~(discharge_limited_mean(q, cfg) < 0.0)
     mask[Action.DISCHARGE_LIMITED] = ((deficit & (r >= cfg.battery.R_Q0))[:, None]
                                       & q_lim_ok[None, :])[:, :, None]
-    mask[Action.DISCHARGE_FULL] = (deficit[:, None] & _box_ok(m_q, sd_q, eps, check_upper=False))[:, :, None]
+    mask[Action.DISCHARGE_FULL] = (deficit[:, None] & (q_below < eps))[:, :, None]
     g_lim_ok = ~(fuel_limited_mean(g, cfg) < 0.0)
     mask[Action.FUEL_LIMITED] = ((deficit & (r >= cfg.generator.R_G0))[:, None]
                                  & g_lim_ok[None, :])[:, None, :]
-    mask[Action.FUEL_FULL] = (deficit[:, None] & _box_ok(m_g, sd_g, eps, check_upper=False))[:, None, :]
+    mask[Action.FUEL_FULL] = (deficit[:, None] & (g_below < eps))[:, None, :]
     return mask

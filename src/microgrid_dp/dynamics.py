@@ -7,14 +7,17 @@ closed-form moments implemented here. All integral kernels are written
 with expm1-based helpers so they stay stable for small rates and handle
 the removable singularity at eta0 = beta_R.
 
-The scalar functions (z/q/g_moments, transition_moments) serve single
-states: the simulator and the reference routes. The array laws (z_law,
-battery_law, generator_law) evaluate the same moments over whole grid
-lattices and are the one source the feasibility mask and the transition
-blocks share, together with the state-free correlations battery_rho and
-generator_rho. The deterministic branches of q_moments/g_moments (the
-idle decay and the limited-mode means) take a float or an array level
-alike; the kernel's Dirac target maps evaluate them over a whole axis.
+Each law has one implementation, written for numpy arrays and read at a
+single state by passing floats: z_law (mean and sd of Z'), battery_law
+(mean and sd of Q' under charge / full discharge, through the one regime
+rule efficiency), generator_law (burn and sd of G' under the full
+generator mode), the state-free correlations battery_rho and
+generator_rho, and the deterministic means discharge_limited_mean and
+fuel_limited_mean. The feasibility mask and the transition blocks read
+them over whole lattices. The scalar API (z/q/g_moments,
+transition_moments) and the path sampler transition_operator read them at
+a point: a variance is sd * sd, whose square root is sd again exactly in
+binary64, so every route sees the same (mean, sd) and the same rho.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "TransitionMoments",
     "battery_law",
     "battery_rho",
-    "cross_moments",
     "efficiency",
     "g_moments",
     "generator_law",
@@ -46,6 +48,10 @@ __all__ = [
 
 # Below this gap, (eta0 - beta_R) expressions switch to their analytic limits.
 _SINGULAR_TOL = 1e-9
+
+# The actions under which Q' is Gaussian (one shared law; costs and
+# feasibility differ, the transition does not).
+_GAUSSIAN_Q_ACTIONS = (Action.CHARGE, Action.DISCHARGE_FULL)
 
 
 class NoiseVector(NamedTuple):
@@ -123,53 +129,39 @@ def _jg(beta: float, dt: float) -> float:
 
 def z_moments(n: int, z: float, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Z_{n+1} given Z_n = z."""
-    p = cfg.demand
-    dt = cfg.dt
-    m_Z = z * math.exp(-p.beta_R * dt)
-    var_Z = p.sigma_R**2 * _phi(2.0 * p.beta_R, dt)
-    return m_Z, var_Z
+    m_Z, sd_Z = z_law(z, cfg)
+    return m_Z, sd_Z * sd_Z
 
 
-def efficiency(t: float, z: float, q: float, cfg: ModelConfig) -> float:
-    """Energy-conversion factor eta_E frozen at (t, z, q).
+def efficiency(t: float, z, q, cfg: ModelConfig):
+    """Energy-conversion factor eta_E frozen at (t, z, q); z and q floats or arrays.
 
     Charging (residual demand mu_R(t) + z <= 0) applies eta_E^C(q) to the
     stored surplus; discharging applies 1 / eta_E^D(q) to the served demand.
+    Broadcasts over z and q; a scalar for float arguments.
     """
-    if seasonality(t, cfg.demand) + z <= 0.0:
-        return eta_charge(q, cfg.battery)
-    return 1.0 / eta_discharge(q, cfg.battery)
+    bat = cfg.battery
+    return np.where(seasonality(t, cfg.demand) + z <= 0.0,
+                    eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 
 
 def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Q_{n+1} given state and action."""
-    bat, p = cfg.battery, cfg.demand
-    dt = cfg.dt
-    decay = math.exp(-bat.eta0 * dt)
-    if a in (Action.CHARGE, Action.DISCHARGE_FULL):
-        t = cfg.t_of(n)
-        eta = efficiency(t, z, q, cfg)
-        h = z * _psi(bat.eta0, p.beta_R, dt) + seasonality(t, p) * _phi(bat.eta0, dt)
-        m_Q = q * decay - (eta / bat.capacity_CQ) * h
-        var_Q = (eta * p.sigma_R / bat.capacity_CQ) ** 2 * _iq(bat.eta0, p.beta_R, dt)
-        return m_Q, var_Q
+    if a in _GAUSSIAN_Q_ACTIONS:
+        m_Q, sd_Q = battery_law(n, z, q, cfg)
+        return m_Q, sd_Q * sd_Q
     if a is Action.DISCHARGE_LIMITED:
         return discharge_limited_mean(q, cfg), 0.0
     if a in Action:
-        return q * decay, 0.0
+        return q * math.exp(-cfg.battery.eta0 * cfg.dt), 0.0
     raise ValueError(f"unknown action: {a!r}")
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of G_{n+1} given state and action."""
-    gen, p = cfg.generator, cfg.demand
-    dt = cfg.dt
     if a is Action.FUEL_FULL:
-        mu = seasonality(cfg.t_of(n), p)
-        burn = gen.c0 * dt + gen.c1 * (mu * dt + z * _phi(p.beta_R, dt))
-        m_G = g - burn / gen.capacity_CG
-        var_G = (gen.c1 * p.sigma_R / gen.capacity_CG) ** 2 * _ig(p.beta_R, dt)
-        return m_G, var_G
+        burn, sd_G = generator_law(n, z, cfg)
+        return g - burn, sd_G * sd_G
     if a is Action.FUEL_LIMITED:
         return fuel_limited_mean(g, cfg), 0.0
     if a in Action:
@@ -191,29 +183,30 @@ def fuel_limited_mean(g, cfg: ModelConfig):
     return g - (gen.c0 + gen.c1 * gen.R_G0) * cfg.dt / gen.capacity_CG
 
 
-def z_law(z: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """(mean array, standard deviation) of Z_{n+1} over an array of z; step-free."""
+def z_law(z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """(mean, standard deviation) of Z_{n+1} over a float or an array of z; step-free."""
     p = cfg.demand
     return z * math.exp(-p.beta_R * cfg.dt), math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, cfg.dt))
 
 
-def battery_law(n: int, z: np.ndarray, q: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
 
-    Both depend on the state through the frozen efficiency eta_E(t_n, z, q).
+    Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
+    scalars for float z and q.
     """
     bat, p = cfg.battery, cfg.demand
     dt = cfg.dt
-    mu = seasonality(cfg.t_of(n), p)
-    eta = np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))
-    h = z * _psi(bat.eta0, p.beta_R, dt) + mu * _phi(bat.eta0, dt)
+    t = cfg.t_of(n)
+    eta = efficiency(t, z, q, cfg)
+    h = z * _psi(bat.eta0, p.beta_R, dt) + seasonality(t, p) * _phi(bat.eta0, dt)
     m_q = q * math.exp(-bat.eta0 * dt) - (eta / bat.capacity_CQ) * h
     sd_q = eta * (p.sigma_R / bat.capacity_CQ) * math.sqrt(_iq(bat.eta0, p.beta_R, dt))
     return m_q, sd_q
 
 
-def generator_law(n: int, z: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """(burn, sd) of the full generator mode over an array of z: G_{n+1} ~ N(g - burn, sd^2).
+def generator_law(n: int, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """(burn, sd) of the full generator mode for a float or array z: G_{n+1} ~ N(g - burn, sd^2).
 
     The burn depends on z only and the standard deviation on no state at
     all; the generator block exploits exactly this structure.
@@ -240,39 +233,26 @@ def generator_rho(cfg: ModelConfig) -> float:
     return -_jg(beta, dt) / math.sqrt(_phi(2.0 * beta, dt) * _ig(beta, dt))
 
 
-def cross_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float, float, float]:
-    """(cov_ZQ, rho_Q, cov_ZG, rho_G) for the step-(n) transition.
-
-    The state enters only through the frozen efficiency factor eta_E(t_n, z, q)
-    scaling cov_ZQ; both correlations are state-free. At most one of the two
-    covariances is nonzero because the battery and the generator are never
-    simultaneously stochastic.
-    """
-    p = cfg.demand
-    dt = cfg.dt
-    _, var_Z = z_moments(n, z, cfg)
-    sd_Z = math.sqrt(var_Z)
-    if a in (Action.CHARGE, Action.DISCHARGE_FULL):
-        eta = efficiency(cfg.t_of(n), z, q, cfg)
-        cov_ZQ = -(eta * p.sigma_R**2 / cfg.battery.capacity_CQ) * _jq(cfg.battery.eta0, p.beta_R, dt)
-        _, var_Q = q_moments(n, z, q, a, cfg)
-        rho_Q = cov_ZQ / (sd_Z * math.sqrt(var_Q))
-        return cov_ZQ, rho_Q, 0.0, 0.0
-    if a is Action.FUEL_FULL:
-        cov_ZG = -(cfg.generator.c1 * p.sigma_R**2 / cfg.generator.capacity_CG) * _jg(p.beta_R, dt)
-        _, var_G = g_moments(n, z, 0.0, a, cfg)
-        rho_G = cov_ZG / (sd_Z * math.sqrt(var_G))
-        return 0.0, 0.0, cov_ZG, rho_G
-    return 0.0, 0.0, 0.0, 0.0
-
-
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
-    """All first and second conditional moments of (Z', Q', G') in one record."""
-    m_Z, var_Z = z_moments(n, x.z, cfg)
+    """All first and second conditional moments of (Z', Q', G') in one record.
+
+    Both correlations are state-free; each covariance is rho * sd_Z * sd of
+    the stochastic axis. At most one of them is nonzero because the battery
+    and the generator are never simultaneously stochastic.
+    """
+    m_Z, sd_Z = z_law(x.z, cfg)
     m_Q, var_Q = q_moments(n, x.z, x.q, a, cfg)
     m_G, var_G = g_moments(n, x.z, x.g, a, cfg)
-    cov_ZQ, rho_Q, cov_ZG, rho_G = cross_moments(n, x.z, x.q, a, cfg)
-    return TransitionMoments(m_Z, var_Z, m_Q, var_Q, m_G, var_G, cov_ZQ, rho_Q, cov_ZG, rho_G)
+    rho_Q = battery_rho(cfg) if a in _GAUSSIAN_Q_ACTIONS else 0.0
+    rho_G = generator_rho(cfg) if a is Action.FUEL_FULL else 0.0
+    return TransitionMoments(m_Z, sd_Z * sd_Z, m_Q, var_Q, m_G, var_G,
+                             rho_Q * sd_Z * math.sqrt(var_Q), rho_Q,
+                             rho_G * sd_Z * math.sqrt(var_G), rho_G)
+
+
+def _correlated(m: float, sd: float, rho: float, eps_Z: float, eps: float) -> float:
+    """m + sd * (rho eps_Z + sqrt(1 - rho^2) eps): one axis correlated with Z'."""
+    return float(m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps))
 
 
 def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: ModelConfig) -> State:
@@ -282,13 +262,15 @@ def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: Mode
     not clamped to [0, 1]; callers that need physical trajectories clamp
     (the boundary states represent all overshooting levels).
     """
-    mom = transition_moments(n, x, a, cfg)
-    sd_Z = math.sqrt(mom.var_Z)
-    z_next = mom.m_Z + sd_Z * eps.eps_Z
-    q_next = mom.m_Q + math.sqrt(mom.var_Q) * (
-        mom.rho_Q * eps.eps_Z + math.sqrt(1.0 - mom.rho_Q**2) * eps.eps_Q
-    )
-    g_next = mom.m_G + math.sqrt(mom.var_G) * (
-        mom.rho_G * eps.eps_Z + math.sqrt(1.0 - mom.rho_G**2) * eps.eps_G
-    )
-    return State(z_next, q_next, g_next)
+    m_Z, sd_Z = z_law(x.z, cfg)
+    if a in _GAUSSIAN_Q_ACTIONS:
+        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
+        q_next = _correlated(m_Q, sd_Q, battery_rho(cfg), eps.eps_Z, eps.eps_Q)
+    else:
+        q_next = q_moments(n, x.z, x.q, a, cfg)[0]
+    if a is Action.FUEL_FULL:
+        burn, sd_G = generator_law(n, x.z, cfg)
+        g_next = _correlated(x.g - burn, sd_G, generator_rho(cfg), eps.eps_Z, eps.eps_G)
+    else:
+        g_next = g_moments(n, x.z, x.g, a, cfg)[0]
+    return State(m_Z + sd_Z * eps.eps_Z, q_next, g_next)

@@ -357,15 +357,6 @@ class TransitionKernel:
         with self._lock:
             return self._rows.setdefault(key, fresh)
 
-    def dump_rows(self, n: int, a: Action, path: str) -> None:
-        """Write all rows of (step n, action a) as CSV triplets source,target,prob."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("source,target,prob\n")
-            for source in range(self.grid.n_states):
-                row = self.row(n, source, a)
-                for target, prob in zip(row.targets, row.probs):
-                    fh.write(f"{source},{int(target)},{float(prob)!r}\n")
-
 
 def _z_cell_masses_scalar(m: float, sd: float, grid: StateGrid) -> np.ndarray:
     std = np.clip((_tail_edges(grid.z.edges) - m) / sd, -_CLIP, _CLIP)

@@ -1,4 +1,4 @@
-"""Scenario-controlled path simulation and the Euler-Maruyama moment oracle.
+"""Scenario-controlled path simulation.
 
 Paths are sampled from the exact one-step Gaussian laws (no time-stepping
 error); scenarios tilt the weather by adding a bounded per-day offset to
@@ -23,13 +23,10 @@ from .grid import StateGrid, _clamp01, cell_of
 from .solver import PolicyTable
 
 __all__ = [
-    "EmpiricalMoments",
-    "MomentEstimate",
     "PathRecord",
     "SCENARIOS",
     "Scenario",
     "baseline_wait_policy",
-    "euler_oracle",
     "sample_transition",
     "simulate_path",
 ]
@@ -141,122 +138,3 @@ def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
         surplus = feasibility_mask(n, grid, cfg)[Action.OVERSPILL].reshape(-1)
         actions[n] = np.where(surplus, int(Action.OVERSPILL), int(Action.WAIT))
     return PolicyTable(actions)
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    se: float
-
-
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    """Monte-Carlo moment estimates with standard errors."""
-
-    m_Z: MomentEstimate
-    var_Z: MomentEstimate
-    m_Q: MomentEstimate
-    var_Q: MomentEstimate
-    m_G: MomentEstimate
-    var_G: MomentEstimate
-    cov_ZQ: MomentEstimate
-    rho_Q: MomentEstimate
-    cov_ZG: MomentEstimate
-    rho_G: MomentEstimate
-
-
-def _is_degenerate(samples: np.ndarray) -> bool:
-    """True when the sample spread is pure floating-point roundoff.
-
-    Deterministic axes (for example the fuel level under a battery action)
-    accumulate spreads of order 1e-13 over many Euler substeps; genuinely
-    stochastic axes have standard deviations above 1e-2.  The relative
-    threshold separates the two regimes by several orders of magnitude.
-    """
-    return float(samples.std()) < 1e-9 * (1.0 + abs(float(samples.mean())))
-
-
-def _mean_est(samples: np.ndarray) -> MomentEstimate:
-    n = samples.size
-    if _is_degenerate(samples):
-        return MomentEstimate(float(samples.mean()), 0.0)
-    return MomentEstimate(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)))
-
-
-def _var_est(samples: np.ndarray) -> MomentEstimate:
-    n = samples.size
-    if _is_degenerate(samples):
-        return MomentEstimate(0.0, 0.0)
-    v = float(samples.var(ddof=1))
-    return MomentEstimate(v, v * math.sqrt(2.0 / (n - 1)))
-
-
-def _cov_est(a: np.ndarray, b: np.ndarray) -> MomentEstimate:
-    n = a.size
-    if _is_degenerate(a) or _is_degenerate(b):
-        return MomentEstimate(0.0, 0.0)
-    c = float(np.cov(a, b, ddof=1)[0, 1])
-    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
-    return MomentEstimate(c, math.sqrt((va * vb + c * c) / (n - 1)))
-
-
-def _corr_est(a: np.ndarray, b: np.ndarray) -> MomentEstimate:
-    n = a.size
-    if _is_degenerate(a) or _is_degenerate(b):
-        return MomentEstimate(0.0, 0.0)
-    r = float(np.corrcoef(a, b)[0, 1])
-    return MomentEstimate(r, (1.0 - r * r) / math.sqrt(n - 3))
-
-
-def euler_oracle(n: int, x: State, a: Action, paths: int, inner_step: float,
-                 cfg: ModelConfig, seed: int = 12345) -> EmpiricalMoments:
-    """Euler-Maruyama integration of the continuous dynamics over one step.
-
-    Integrates the coupled (Z, Q, G) equations with the seasonal mean and
-    the efficiency factor frozen at the step's left endpoint, exactly as
-    the closed-form laws assume, and returns empirical one-step moments.
-    This is a verification oracle, not a production sampler.
-    """
-    dt = cfg.dt
-    if inner_step > dt / 100.0:
-        raise ValueError("inner_step must be <= Delta/100 for a meaningful oracle")
-    p, bat, gen = cfg.demand, cfg.battery, cfg.generator
-    t0 = cfg.t_of(n)
-    mu = seasonality(t0, p)
-
-    from .dynamics import efficiency
-
-    eta = efficiency(t0, x.z, x.q, cfg)
-    battery_active = a in (Action.CHARGE, Action.DISCHARGE_FULL)
-    limited_batt = a is Action.DISCHARGE_LIMITED
-    fuel_active = a is Action.FUEL_FULL
-    limited_fuel = a is Action.FUEL_LIMITED
-    eta_lim = 1.0 / (bat.C0_D + bat.C1_D * x.q**bat.l_D * (1.0 - x.q) ** bat.m_D)
-
-    rng = np.random.default_rng(seed)
-    n_steps = int(round(dt / inner_step))
-    h = dt / n_steps
-    sqrt_h = math.sqrt(h)
-    z = np.full(paths, x.z)
-    q = np.full(paths, x.q)
-    g = np.full(paths, x.g)
-    for _ in range(n_steps):
-        dq = -bat.eta0 * q * h
-        if battery_active:
-            dq -= (eta / bat.capacity_CQ) * (mu + z) * h
-        elif limited_batt:
-            dq -= (eta_lim * bat.R_Q0 / bat.capacity_CQ) * h
-        if fuel_active:
-            g = g - (gen.c0 + gen.c1 * (mu + z)) / gen.capacity_CG * h
-        elif limited_fuel:
-            g = g - (gen.c0 + gen.c1 * gen.R_G0) / gen.capacity_CG * h
-        q = q + dq
-        z = z - p.beta_R * z * h + p.sigma_R * sqrt_h * rng.standard_normal(paths)
-
-    return EmpiricalMoments(
-        m_Z=_mean_est(z), var_Z=_var_est(z),
-        m_Q=_mean_est(q), var_Q=_var_est(q),
-        m_G=_mean_est(g), var_G=_var_est(g),
-        cov_ZQ=_cov_est(z, q), rho_Q=_corr_est(z, q),
-        cov_ZG=_cov_est(z, g), rho_G=_corr_est(z, g),
-    )

@@ -4,15 +4,18 @@ Each oracle re-derives a quantity the package computes, through a
 deliberately different route: pure-Python recursion from scalar
 quadrature rows for the solver, sampled path integrals for the expected
 stage cost, plain Monte Carlo for rectangle probabilities and cell
-frequencies, and a composite Simpson rule for the terminal integral. The
-full-lattice block forms evaluate the bivariate CDF on every edge of every
-source, tails as +-37: the reference for the kernel's closed-form tail
-edges and its one generator lattice per z source.
+frequencies, a composite Simpson rule for the terminal integral, and
+Euler-Maruyama integration of the continuous dynamics for the closed-form
+one-step moments. The full-lattice block forms evaluate the bivariate CDF
+on every edge of every source, tails as +-37: the reference for the
+kernel's closed-form tail edges and its one generator lattice per z
+source.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +25,13 @@ from microgrid_dp import (
     State,
     StateGrid,
     cell_of,
-    cross_moments,
+    efficiency,
     expected_stage_cost,
     feasible_actions,
     g_moments,
     seasonality,
     terminal_cost,
+    transition_moments,
     transition_operator,
     transition_row,
     z_moments,
@@ -216,13 +220,16 @@ def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.
     """Full-generator (Z, G) block with one CDF lattice per (z, g) source.
 
     Means and variances come from the scalar moment functions, one source
-    at a time, so neither the shared offset lattice nor the array laws
-    are involved. Shape (z src, g src, z cell, g cell), rows normalized.
+    at a time, so the shared offset lattice is not involved. The scalar
+    functions read the same array laws as the block, so this checks the
+    lattice, not the laws; the Euler oracle and the frozen constants in
+    test_dynamics check the laws. Shape (z src, g src, z cell, g cell),
+    rows normalized.
     """
     n_z, n_g = grid.z.n_points, grid.g.n_points
     std_z = np.empty((n_z, 1, grid.z.edges.size))
     std_g = np.empty((n_z, n_g, grid.g.edges.size))
-    rho = cross_moments(n, 0.0, 0.0, Action.FUEL_FULL, cfg)[3]
+    rho = transition_moments(n, State(0.0, 0.0, 0.0), Action.FUEL_FULL, cfg).rho_G
     for i, z in enumerate(grid.z.points):
         m_z, var_z = z_moments(n, float(z), cfg)
         std_z[i, 0] = (grid.z.edges - m_z) / math.sqrt(var_z)
@@ -232,3 +239,120 @@ def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.
     mass = full_lattice_rect_masses(np.clip(std_z, -_CLIP, _CLIP),
                                     np.clip(std_g, -_CLIP, _CLIP), rho)
     return _normalize_rows(mass, (-2, -1), f"reference generator block n={n}")
+
+
+@dataclass(frozen=True)
+class MomentEstimate:
+    value: float
+    se: float
+
+
+@dataclass(frozen=True)
+class EmpiricalMoments:
+    """Monte-Carlo moment estimates with standard errors."""
+
+    m_Z: MomentEstimate
+    var_Z: MomentEstimate
+    m_Q: MomentEstimate
+    var_Q: MomentEstimate
+    m_G: MomentEstimate
+    var_G: MomentEstimate
+    cov_ZQ: MomentEstimate
+    rho_Q: MomentEstimate
+    cov_ZG: MomentEstimate
+    rho_G: MomentEstimate
+
+
+def _is_degenerate(samples: np.ndarray) -> bool:
+    """True when the sample spread is pure floating-point roundoff.
+
+    Deterministic axes (for example the fuel level under a battery action)
+    accumulate spreads of order 1e-13 over many Euler substeps; genuinely
+    stochastic axes have standard deviations above 1e-2.  The relative
+    threshold separates the two regimes by several orders of magnitude.
+    """
+    return float(samples.std()) < 1e-9 * (1.0 + abs(float(samples.mean())))
+
+
+def _mean_est(samples: np.ndarray) -> MomentEstimate:
+    n = samples.size
+    if _is_degenerate(samples):
+        return MomentEstimate(float(samples.mean()), 0.0)
+    return MomentEstimate(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)))
+
+
+def _var_est(samples: np.ndarray) -> MomentEstimate:
+    n = samples.size
+    if _is_degenerate(samples):
+        return MomentEstimate(0.0, 0.0)
+    v = float(samples.var(ddof=1))
+    return MomentEstimate(v, v * math.sqrt(2.0 / (n - 1)))
+
+
+def _cov_est(a: np.ndarray, b: np.ndarray) -> MomentEstimate:
+    n = a.size
+    if _is_degenerate(a) or _is_degenerate(b):
+        return MomentEstimate(0.0, 0.0)
+    c = float(np.cov(a, b, ddof=1)[0, 1])
+    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    return MomentEstimate(c, math.sqrt((va * vb + c * c) / (n - 1)))
+
+
+def _corr_est(a: np.ndarray, b: np.ndarray) -> MomentEstimate:
+    n = a.size
+    if _is_degenerate(a) or _is_degenerate(b):
+        return MomentEstimate(0.0, 0.0)
+    r = float(np.corrcoef(a, b)[0, 1])
+    return MomentEstimate(r, (1.0 - r * r) / math.sqrt(n - 3))
+
+
+def euler_oracle(n: int, x: State, a: Action, paths: int, inner_step: float,
+                 cfg: ModelConfig, seed: int = 12345) -> EmpiricalMoments:
+    """Euler-Maruyama integration of the continuous dynamics over one step.
+
+    Integrates the coupled (Z, Q, G) equations with the seasonal mean and
+    the efficiency factor frozen at the step's left endpoint, exactly as
+    the closed-form laws assume, and returns empirical one-step moments.
+    This is a verification oracle, not a production sampler.
+    """
+    dt = cfg.dt
+    if inner_step > dt / 100.0:
+        raise ValueError("inner_step must be <= Delta/100 for a meaningful oracle")
+    p, bat, gen = cfg.demand, cfg.battery, cfg.generator
+    t0 = cfg.t_of(n)
+    mu = seasonality(t0, p)
+
+    eta = efficiency(t0, x.z, x.q, cfg)
+    battery_active = a in (Action.CHARGE, Action.DISCHARGE_FULL)
+    limited_batt = a is Action.DISCHARGE_LIMITED
+    fuel_active = a is Action.FUEL_FULL
+    limited_fuel = a is Action.FUEL_LIMITED
+    eta_lim = 1.0 / (bat.C0_D + bat.C1_D * x.q**bat.l_D * (1.0 - x.q) ** bat.m_D)
+
+    rng = np.random.default_rng(seed)
+    n_steps = int(round(dt / inner_step))
+    h = dt / n_steps
+    sqrt_h = math.sqrt(h)
+    z = np.full(paths, x.z)
+    q = np.full(paths, x.q)
+    g = np.full(paths, x.g)
+    for _ in range(n_steps):
+        dq = -bat.eta0 * q * h
+        if battery_active:
+            dq -= (eta / bat.capacity_CQ) * (mu + z) * h
+        elif limited_batt:
+            dq -= (eta_lim * bat.R_Q0 / bat.capacity_CQ) * h
+        if fuel_active:
+            g = g - (gen.c0 + gen.c1 * (mu + z)) / gen.capacity_CG * h
+        elif limited_fuel:
+            g = g - (gen.c0 + gen.c1 * gen.R_G0) / gen.capacity_CG * h
+        q = q + dq
+        z = z - p.beta_R * z * h + p.sigma_R * sqrt_h * rng.standard_normal(paths)
+
+    return EmpiricalMoments(
+        m_Z=_mean_est(z), var_Z=_var_est(z),
+        m_Q=_mean_est(q), var_Q=_var_est(q),
+        m_G=_mean_est(g), var_G=_var_est(g),
+        cov_ZQ=_cov_est(z, q), rho_Q=_corr_est(z, q),
+        cov_ZG=_cov_est(z, g), rho_G=_corr_est(z, g),
+    )

@@ -18,7 +18,7 @@ from microgrid_dp.config import BATTERY_ACTIONS, GENERATOR_ACTIONS
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.calibrate import self_discharge_rate
 from microgrid_dp import cli
-from oracles import brute_force_values, mc_stage_cost, operator_cell_counts
+from oracles import brute_force_values, euler_oracle, mc_stage_cost, operator_cell_counts
 
 MOMENT_FIELDS = ("m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
                  "cov_ZQ", "rho_Q", "cov_ZG", "rho_G")
@@ -40,8 +40,8 @@ def test_criterion_1_moment_oracle_sweep(cfg_table1):
     worst = 0.0
     for n, x in SWEEP_POINTS:
         for a in m.Action:
-            emp = m.euler_oracle(n, x, a, paths=100_000, inner_step=1e-3,
-                                 cfg=cfg_table1)
+            emp = euler_oracle(n, x, a, paths=100_000, inner_step=1e-3,
+                               cfg=cfg_table1)
             mom = m.transition_moments(n, x, a, cfg_table1)
             for field in MOMENT_FIELDS:
                 est = getattr(emp, field)

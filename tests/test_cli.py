@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_validate_ok(small_ini, cfg_small, capsys):
 
 def test_validate_rejects_bad_config(tmp_path, small_ini, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text(open(small_ini).read().replace("beta_R = 0.2", "beta_R = -1.0"))
+    bad.write_text(Path(small_ini).read_text().replace("beta_R = 0.2", "beta_R = -1.0"))
     assert cli.main(["validate", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -124,19 +125,18 @@ def test_solve_outputs(solve_dir, cfg_small, grid_small, small_solution, capsys)
     assert {"value_policy_step0000.csv", f"value_policy_step{steps_n - 1:04d}.csv",
             f"value_policy_step{steps_n:04d}.csv", "value_policy_meta.json",
             "tables.npz", "manifest.json"} <= names
-    meta = json.loads(open(os.path.join(solve_dir, "value_policy_meta.json")).read())
+    meta = json.loads(Path(solve_dir, "value_policy_meta.json").read_text())
     assert meta["config_hash"] == m.config_hash(cfg_small)
     assert meta["grid"]["q_points"] == [float(v) for v in grid_small.q.points]
 
     values, policy, _ = small_solution
-    lines = open(os.path.join(solve_dir, "value_policy_step0000.csv")).read().splitlines()
+    lines = Path(solve_dir, "value_policy_step0000.csv").read_text().splitlines()
     assert lines[0] == "i,j,k,z,r_mid,q,g,value_eur,action"
     assert len(lines) == 1 + grid_small.n_states
     first = lines[1].split(",")
     assert float(first[7]) == values.values[0, 0]
     assert first[8] == policy.action_at(0, 0).label
-    terminal = open(os.path.join(
-        solve_dir, f"value_policy_step{steps_n:04d}.csv")).read().splitlines()
+    terminal = Path(solve_dir, f"value_policy_step{steps_n:04d}.csv").read_text().splitlines()
     assert terminal[1].endswith(",")
 
     with np.load(os.path.join(solve_dir, "tables.npz")) as data:
@@ -166,6 +166,38 @@ def test_bad_export_steps_fail_before_solving(small_ini, tmp_path, monkeypatch, 
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "unused", "--scenario", "neutral", "--out", "x", "--seeds", "0"],
+    ["simulate", "--policy", "unused", "--scenario", "neutral", "--out", "x", "--seeds", "-3"],
+    ["simulate", "--policy", "unused", "--scenario", "neutral", "--out", "x", "--base-seed", "-1"],
+    ["paper-run", "--out", "x", "--seeds", "0"],
+    ["paper-run", "--out", "x", "--seeds", "-3"],
+    ["paper-run", "--out", "x", "--base-seed", "-1"],
+], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+def test_bad_seed_options_fail_before_any_work(small_ini, tmp_path, monkeypatch, argv, capsys):
+    def never(cfg, grid):
+        raise AssertionError("solve ran before the seed options were checked")
+
+    monkeypatch.setattr("microgrid_dp.cli.solve", never)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([argv[0], small_ini, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-2] in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("flag,value", [("--z", "nan"), ("--z", "inf"), ("--z", "-inf"),
+                                        ("--q", "1.7"), ("--q", "nan"), ("--g", "-3"),
+                                        ("--n", "999"), ("--n", "-1")])
+def test_moments_rejects_out_of_range_inputs(small_ini, flag, value, capsys):
+    options = {"--n": "0", "--z": "1.0", "--q": "0.8", "--g": "0.9", flag: value}
+    argv = ["moments", small_ini, *(f"{k}={v}" for k, v in options.items()), "--action", "charge"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
 def test_simulate_from_policy_dir(small_ini, solve_dir, cfg_small, grid_small,
                                   small_solution, tmp_path, capsys):
     out = str(tmp_path / "paths")
@@ -173,7 +205,7 @@ def test_simulate_from_policy_dir(small_ini, solve_dir, cfg_small, grid_small,
                      "neutral", "--seeds", "2", "--out", out]) == 0
     files = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
     assert files == ["path_neutral_seed000.csv", "path_neutral_seed001.csv"]
-    lines = open(os.path.join(out, files[0])).read().splitlines()
+    lines = Path(out, files[0]).read_text().splitlines()
     assert lines[0] == "step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur"
     assert len(lines) == 1 + cfg_small.discretization.steps_N
     _, policy, _ = small_solution
@@ -249,8 +281,13 @@ def _truncated_archive(path, tables):
     path.write_bytes(data[:len(data) // 2])
 
 
+def _bare_npy_array(path, tables):
+    with path.open("wb") as fh:
+        np.save(fh, tables["actions"])
+
+
 @pytest.mark.parametrize("corrupt", [_text_file, _no_actions, _actions_cut_short,
-                                     _unknown_action_code, _truncated_archive],
+                                     _unknown_action_code, _truncated_archive, _bare_npy_array],
                          ids=lambda f: f.__name__.strip("_"))
 def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, capsys, corrupt):
     policy = tmp_path / "policy"
@@ -273,7 +310,7 @@ def test_paper_run_pipeline(small_ini, tmp_path, capsys):
     for scenario in ("sunny-start", "overcast-break", "sunny-finish", "overcast-week"):
         assert f"path_{scenario}_seed000.csv" in names
     assert "tables.npz" in names and "manifest.json" in names
-    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["seed"] == 0
     assert sorted(manifest["outputs"]) == manifest["outputs"]
     capsys.readouterr()
@@ -286,8 +323,8 @@ def test_paper_run_repeatable_bytes(small_ini, tmp_path, capsys):
     csvs = sorted(f for f in os.listdir(out1) if f.endswith(".csv"))
     assert csvs == sorted(f for f in os.listdir(out2) if f.endswith(".csv"))
     for name in csvs:
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
     capsys.readouterr()
 

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
+from microgrid_dp.dynamics import _norm_cdf, battery_law
 
 
 def _with_eps(cfg, eps):
@@ -127,6 +128,31 @@ def test_feasible_sets_grow_with_epsilon(cfg_table1):
     loose = set(m.feasible_actions(0, nearly_full, cfgs[2]))
     assert m.Action.CHARGE not in tight
     assert m.Action.CHARGE in loose
+
+
+def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1):
+    """epsilon is set to the exact lower tail of one deficit state's full
+    discharge, at a state where the erfc-based _norm_cdf rounds that tail
+    lower than ndtr. The tail is not below epsilon, so the move is excluded,
+    and the scalar check and the mask must agree on it and on the whole step."""
+    grid = grid_table1
+    z, q = grid.z.points, grid.q.points
+    half = near_zero_halfwidth(cfg_table1)
+    n, i, j, tail = next(
+        (n, i, j, float(ndtr(x)))
+        for n in range(cfg_table1.discretization.steps_N)
+        for i, x_row in enumerate(-np.divide(*battery_law(n, z[:, None], q[None, :], cfg_table1)))
+        if m.seasonality(cfg_table1.t_of(n), cfg_table1.demand) + z[i] >= half
+        for j, x in enumerate(x_row.tolist())
+        if 1e-6 < ndtr(x) < 0.4 and _norm_cdf(x) < ndtr(x))
+    cfg = m.validate_config(_with_eps(cfg_table1, tail))
+    mask = m.feasibility_mask(n, grid, cfg)
+    x = m.State(float(z[i]), float(q[j]), 0.5)
+    assert m.Action.DISCHARGE_FULL not in m.feasible_actions(n, x, cfg)
+    assert not mask[m.Action.DISCHARGE_FULL, i, j].any()
+    for state in range(grid.n_states):
+        feas = m.feasible_actions(n, grid.state_of(state), cfg)
+        assert [a in feas for a in m.Action] == mask[(slice(None),) + grid.ijk(state)].tolist()
 
 
 def test_deterministic_moves_ignore_epsilon(cfg_table1):

@@ -8,7 +8,9 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp.config import eta_discharge
-from microgrid_dp.dynamics import NoiseVector
+from microgrid_dp.dynamics import (NoiseVector, battery_law, battery_rho, generator_law,
+                                   generator_rho, z_law)
+from oracles import euler_oracle
 
 STATE = m.State(1.0, 0.8, 0.9)
 FIELDS = ("m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
@@ -59,9 +61,10 @@ def test_charge_and_discharge_full_share_one_law(cfg_table1):
         a = m.q_moments(3, z, 0.45, m.Action.CHARGE, cfg_table1)
         b = m.q_moments(3, z, 0.45, m.Action.DISCHARGE_FULL, cfg_table1)
         assert a == b
-        ca = m.cross_moments(3, z, 0.45, m.Action.CHARGE, cfg_table1)
-        cb = m.cross_moments(3, z, 0.45, m.Action.DISCHARGE_FULL, cfg_table1)
-        assert ca == cb
+        ca = m.transition_moments(3, m.State(z, 0.45, 0.5), m.Action.CHARGE, cfg_table1)
+        cb = m.transition_moments(3, m.State(z, 0.45, 0.5), m.Action.DISCHARGE_FULL, cfg_table1)
+        assert ((ca.cov_ZQ, ca.rho_Q, ca.cov_ZG, ca.rho_G)
+                == (cb.cov_ZQ, cb.rho_Q, cb.cov_ZG, cb.rho_G))
 
 
 def test_discharge_limited_is_deterministic_drain(cfg_table1):
@@ -176,6 +179,59 @@ def test_transition_operator_reproduces_moments(cfg_table1):
     assert lifted.z == at_zero.z
 
 
+def test_transition_operator_is_the_law_closed_form(cfg_table1):
+    """With fixed noise the sampler is exactly m + sd (rho eps_Z + sqrt(1 - rho^2) eps)
+    of the array laws on the stochastic axes and the law mean on the others."""
+    cfg = cfg_table1
+    eps = NoiseVector(0.7, -1.3, 0.4)
+    rho_q, rho_g = battery_rho(cfg), generator_rho(cfg)
+    for n in (0, 5, 17, 100):
+        for x in (STATE, m.State(-1.5, 0.3, 1.0), m.State(0.2, 0.05, 0.6), m.State(2.2, 1.0, 0.0)):
+            m_z, sd_z = z_law(x.z, cfg)
+            m_q, sd_q = battery_law(n, x.z, x.q, cfg)
+            burn, sd_g = generator_law(n, x.z, cfg)
+            for a in m.Action:
+                got = m.transition_operator(n, x, a, eps, cfg)
+                assert got.z == m_z + sd_z * eps.eps_Z
+                if a in (m.Action.CHARGE, m.Action.DISCHARGE_FULL):
+                    assert got.q == m_q + sd_q * (rho_q * eps.eps_Z
+                                                  + math.sqrt(1.0 - rho_q**2) * eps.eps_Q)
+                else:
+                    assert got.q == m.q_moments(n, x.z, x.q, a, cfg)[0]
+                if a is m.Action.FUEL_FULL:
+                    assert got.g == (x.g - burn) + sd_g * (rho_g * eps.eps_Z
+                                                           + math.sqrt(1.0 - rho_g**2) * eps.eps_G)
+                else:
+                    assert got.g == m.g_moments(n, x.z, x.g, a, cfg)[0]
+
+
+def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):
+    """On every table1 step and every (z, q) and (z, g) lattice pair (so for
+    every grid state), the scalar means and square-rooted variances equal the
+    array laws' (mean, sd) and the correlations equal battery_rho /
+    generator_rho, without rounding slack."""
+    cfg, grid = cfg_table1, grid_table1
+    z, q, g = grid.z.points, grid.q.points, grid.g.points
+    rho_q, rho_g = battery_rho(cfg), generator_rho(cfg)
+    mismatches = 0
+    for n in range(cfg.discretization.steps_N):
+        m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
+        burn, sd_g = generator_law(n, z, cfg)
+        for i, zi in enumerate(z.tolist()):
+            for j, qj in enumerate(q.tolist()):
+                for a in (m.Action.CHARGE, m.Action.DISCHARGE_FULL):
+                    mean, var = m.q_moments(n, zi, qj, a, cfg)
+                    mismatches += (mean, math.sqrt(var)) != (m_q[i, j], sd_q[i, j])
+                mom = m.transition_moments(n, m.State(zi, qj, 0.5), m.Action.CHARGE, cfg)
+                mismatches += mom.rho_Q != rho_q
+            for k, gk in enumerate(g.tolist()):
+                mean, var = m.g_moments(n, zi, gk, m.Action.FUEL_FULL, cfg)
+                mismatches += (mean, math.sqrt(var)) != (gk - burn[i], sd_g)
+                mom = m.transition_moments(n, m.State(zi, 0.5, gk), m.Action.FUEL_FULL, cfg)
+                mismatches += mom.rho_G != rho_g
+    assert mismatches == 0
+
+
 def test_operator_sample_covariance_matches(cfg_table1):
     rng = np.random.default_rng(77)
     a = m.Action.DISCHARGE_FULL
@@ -200,8 +256,8 @@ def test_operator_sample_covariance_matches(cfg_table1):
     (m.Action.WAIT, m.State(0.0, 0.4, 0.2)),
 ])
 def test_moments_match_euler_monte_carlo(cfg_table1, action, state):
-    est = m.euler_oracle(0, state, action, paths=20_000, inner_step=1e-3,
-                         cfg=cfg_table1)
+    est = euler_oracle(0, state, action, paths=20_000, inner_step=1e-3,
+                       cfg=cfg_table1)
     mom = m.transition_moments(0, state, action, cfg_table1)
     for field in FIELDS:
         sample = getattr(est, field)
@@ -215,16 +271,16 @@ def test_moments_match_euler_monte_carlo(cfg_table1, action, state):
 def test_correlation_bias_shrinks_with_inner_step(cfg_table1):
     """The EM correlation estimate converges to the closed form as the
     integration step is refined; at 2.5e-4 h the bias is inside one SE."""
-    est = m.euler_oracle(0, STATE, m.Action.DISCHARGE_FULL, paths=20_000,
-                         inner_step=2.5e-4, cfg=cfg_table1)
+    est = euler_oracle(0, STATE, m.Action.DISCHARGE_FULL, paths=20_000,
+                       inner_step=2.5e-4, cfg=cfg_table1)
     mom = m.transition_moments(0, STATE, m.Action.DISCHARGE_FULL, cfg_table1)
     assert abs(mom.rho_Q - est.rho_Q.value) < 3.0 * est.rho_Q.se
 
 
 def test_euler_oracle_guards_inner_step(cfg_table1):
     with pytest.raises(ValueError):
-        m.euler_oracle(0, STATE, m.Action.WAIT, paths=10, inner_step=0.5,
-                       cfg=cfg_table1)
+        euler_oracle(0, STATE, m.Action.WAIT, paths=10, inner_step=0.5,
+                     cfg=cfg_table1)
 
 
 def test_noise_vector_fields():

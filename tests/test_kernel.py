@@ -195,23 +195,6 @@ def test_kernel_row_memoization(cfg_small, grid_small):
         r1.probs, m.transition_row(1, 5, m.Action.WAIT, grid_small, cfg_small).probs)
 
 
-def test_dump_rows_round_trip(cfg_small, grid_small, tmp_path):
-    kern = m.TransitionKernel(cfg_small, grid_small)
-    path = tmp_path / "rows.csv"
-    kern.dump_rows(0, m.Action.CHARGE, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "source,target,prob"
-    by_source = {}
-    for line in lines[1:]:
-        s, t, p = line.split(",")
-        by_source.setdefault(int(s), []).append((int(t), float(p)))
-    assert set(by_source) == set(range(grid_small.n_states))
-    for source, entries in by_source.items():
-        row = kern.row(0, source, m.Action.CHARGE)
-        assert [t for t, _ in entries] == list(row.targets)
-        np.testing.assert_array_equal(np.array([p for _, p in entries]), row.probs)
-
-
 def test_chain_matches_sampled_operator(cfg_table1, grid_table1):
     from oracles import operator_cell_counts
     n, a = 30, m.Action.CHARGE

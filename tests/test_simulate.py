@@ -8,6 +8,7 @@ import pytest
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.simulate import default_initial_state
+from oracles import euler_oracle
 
 STATE = m.State(1.0, 0.8, 0.9)
 
@@ -182,8 +183,8 @@ def test_adverse_week_burns_stored_energy(cfg_table1, grid_table1, table1_soluti
 
 
 def test_euler_oracle_flags_deterministic_axes(cfg_table1):
-    est = m.euler_oracle(0, STATE, m.Action.WAIT, paths=500,
-                         inner_step=cfg_table1.dt / 100.0, cfg=cfg_table1)
+    est = euler_oracle(0, STATE, m.Action.WAIT, paths=500,
+                       inner_step=cfg_table1.dt / 100.0, cfg=cfg_table1)
     assert est.var_Q.value == 0.0 and est.var_Q.se == 0.0
     assert est.m_G.se == 0.0
     assert est.rho_Q.value == 0.0 and est.rho_G.value == 0.0
@@ -191,8 +192,8 @@ def test_euler_oracle_flags_deterministic_axes(cfg_table1):
 
 
 def test_euler_oracle_matches_batt_law_cheaply(cfg_table1):
-    est = m.euler_oracle(0, STATE, m.Action.CHARGE, paths=4000,
-                         inner_step=cfg_table1.dt / 200.0, cfg=cfg_table1)
+    est = euler_oracle(0, STATE, m.Action.CHARGE, paths=4000,
+                       inner_step=cfg_table1.dt / 200.0, cfg=cfg_table1)
     mom = m.transition_moments(0, STATE, m.Action.CHARGE, cfg_table1)
     assert abs(est.m_Z.value - mom.m_Z) <= 3.0 * est.m_Z.se
     assert abs(est.m_Q.value - mom.m_Q) <= 3.0 * est.m_Q.se
