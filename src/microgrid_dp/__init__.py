@@ -13,33 +13,28 @@ from .config import (Action, BatteryParams, ConfigError, CostParams,
                      DiscretizationParams, GeneratorParams, ModelConfig,
                      SeasonalOUParams, State, config_hash, default_config,
                      dump_config, load_config, seasonality, validate_config)
-from .constraints import FeasibleSet, feasible_actions
+from .constraints import FeasibleSet, feasibility_mask, feasible_actions
 from .cost import (DiscountFactors, StageCost, discount_factors,
                    expected_stage_cost, running_cost, terminal_cost)
 from .dynamics import (NoiseVector, TransitionMoments, efficiency, g_moments,
                        q_moments, transition_moments, transition_operator,
                        z_moments)
 from .grid import Axis, StateGrid, build_grid, cell_of, neighborhood
-from .kernel import (NumericalError, TransitionKernel, TransitionRow,
-                     bvn_rect_prob, transition_row)
+from .kernel import NumericalError, TransitionKernel
 from .simulate import (SCENARIOS, PathRecord, Scenario, baseline_wait_policy,
-                       sample_transition, simulate_path)
-from .solver import (PolicyTable, ValueTable, bellman_backup, feasibility_mask,
-                     solve, step_q_values, terminal_values)
+                       simulate_path)
+from .solver import PolicyTable, ValueTable, solve
 
 __all__ = [
     "Action", "Axis", "BatteryParams", "ConfigError", "CostParams",
     "DiscountFactors", "DiscretizationParams", "FeasibleSet", "GeneratorParams",
     "ModelConfig", "NoiseVector", "NumericalError", "PathRecord", "PolicyTable",
     "SCENARIOS", "Scenario", "SeasonalOUParams", "StageCost", "State",
-    "StateGrid", "TransitionKernel", "TransitionMoments", "TransitionRow",
-    "ValueTable", "baseline_wait_policy", "bellman_backup", "build_grid",
-    "bvn_rect_prob", "cell_of", "config_hash",
+    "StateGrid", "TransitionKernel", "TransitionMoments", "ValueTable",
+    "baseline_wait_policy", "build_grid", "cell_of", "config_hash",
     "default_config", "discount_factors", "dump_config", "efficiency",
-    "expected_stage_cost", "feasibility_mask",
-    "feasible_actions", "g_moments", "load_config", "neighborhood", "q_moments",
-    "running_cost", "sample_transition", "seasonality", "simulate_path",
-    "solve", "step_q_values", "terminal_cost", "terminal_values",
-    "transition_moments", "transition_operator", "transition_row",
-    "validate_config", "z_moments",
+    "expected_stage_cost", "feasibility_mask", "feasible_actions", "g_moments",
+    "load_config", "neighborhood", "q_moments", "running_cost", "seasonality",
+    "simulate_path", "solve", "terminal_cost", "transition_moments",
+    "transition_operator", "validate_config", "z_moments",
 ]

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .calibrate import calibration_report
 from .config import (ACTION_BY_LABEL, Action, ConfigError, ModelConfig, State,
-                     config_hash, load_config, seasonality, validate_config)
+                     config_hash, load_config, seasonality)
 from .dynamics import transition_moments
 from .grid import StateGrid, build_grid
-from .kernel import NumericalError, TransitionKernel
+from .kernel import NumericalError
 from .simulate import SCENARIOS, simulate_path
 from .solver import PolicyTable, ValueTable, solve
 

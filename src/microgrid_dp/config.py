@@ -273,9 +273,19 @@ def _validate_discretization(p: DiscretizationParams, errors: list[str]) -> None
         errors.append("discretization.epsilon must lie in (0, 0.5)")
 
 
+def _validate_finite(cfg: ModelConfig, errors: list[str]) -> None:
+    for section, (attr, _) in _SECTIONS.items():
+        params = getattr(cfg, attr)
+        for f in dc_fields(params):
+            value = getattr(params, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                errors.append(f"{section}.{f.name} must be finite, got {value}")
+
+
 def validate_config(cfg: ModelConfig) -> ModelConfig:
     """Check every parameter invariant; raise ConfigError listing all violations."""
     errors: list[str] = []
+    _validate_finite(cfg, errors)
     _validate_demand(cfg.demand, errors)
     _validate_battery(cfg.battery, errors)
     _validate_generator(cfg.generator, errors)
@@ -305,16 +315,26 @@ def load_config(path: str) -> ModelConfig:
     """Read an INI-style config file; unknown sections or keys are errors.
 
     Missing keys keep their defaults, so a partial file is a valid override
-    of the published parameter set.
+    of the published parameter set. A file that is not UTF-8 or not valid
+    INI syntax is a ConfigError with a one-line message.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        # items() interpolates, so a stray '%' fails here, not in read_file
+        contents = [(section, parser.items(section)) for section in parser.sections()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path} is not UTF-8 text: {exc}"]) from None
+    except configparser.Error as exc:
+        raise ConfigError([f"cannot parse {path}: {' '.join(str(exc).split())}"]) from None
 
     errors: list[str] = []
+    if parser.defaults():  # [DEFAULT] keys would leak into every other section
+        errors.append(f"section [{parser.default_section}] is not supported")
     cfg = ModelConfig()
-    for section in parser.sections():
+    for section, items in contents:
         if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
@@ -322,7 +342,7 @@ def load_config(path: str) -> ModelConfig:
         known = {f.name for f in dc_fields(cls)}
         extras = _EXTRA_KEYS.get(section, set())
         overrides = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key in extras:
                 cfg = replace(cfg, bellman_discount_continuation=_parse_bool(raw, section, key, errors))
                 continue

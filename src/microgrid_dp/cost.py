@@ -9,7 +9,6 @@ has a closed form in the discount factors zeta_1..zeta_3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad

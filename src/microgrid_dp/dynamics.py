@@ -78,11 +78,6 @@ class TransitionMoments:
     rho_G: float
 
 
-def _norm_cdf(x: float) -> float:
-    """Standard normal CDF of a float; exactly 0 / 1 at -inf / +inf."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _phi(a: float, dt: float) -> float:
     """int_0^dt e^(-a s) ds, stable as a -> 0."""
     if abs(a) < 1e-14:

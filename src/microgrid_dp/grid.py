@@ -79,9 +79,6 @@ class StateGrid:
         i, j, k = self.ijk(m)
         return State(float(self.z.points[i]), float(self.q.points[j]), float(self.g.points[k]))
 
-    def axis(self, name: str) -> Axis:
-        return {"z": self.z, "q": self.q, "g": self.g}[name]
-
 
 def z_truncation(cfg: ModelConfig) -> float:
     """zbar = 3 sigma_R / sqrt(2 beta_R), the 3-sigma band of the stationary Z law."""
@@ -103,21 +100,12 @@ def build_grid(cfg: ModelConfig) -> StateGrid:
     )
 
 
-def _resolve_axis(axis: Axis | str, grid: StateGrid | None) -> Axis:
-    if isinstance(axis, Axis):
-        return axis
-    if grid is None:
-        raise TypeError("axis given by name requires the grid argument")
-    return grid.axis(axis)
-
-
-def neighborhood(axis: Axis | str, i: int, grid: StateGrid | None = None) -> tuple[float, float]:
-    """Half-open cell (lo, hi] owned by grid point i on the given axis."""
-    ax = _resolve_axis(axis, grid)
-    if not 0 <= i < ax.n_points:
-        raise IndexError(f"point index {i} out of range for axis {ax.name!r}")
-    lo = ax.lo if i == 0 else float(ax.edges[i - 1])
-    hi = ax.hi if i == ax.n_points - 1 else float(ax.edges[i])
+def neighborhood(axis: Axis, i: int) -> tuple[float, float]:
+    """Half-open cell (lo, hi] owned by grid point i on the axis."""
+    if not 0 <= i < axis.n_points:
+        raise IndexError(f"point index {i} out of range for axis {axis.name!r}")
+    lo = axis.lo if i == 0 else float(axis.edges[i - 1])
+    hi = axis.hi if i == axis.n_points - 1 else float(axis.edges[i])
     return lo, hi
 
 
@@ -126,14 +114,14 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def cell_of(value: float, axis: Axis | str, grid: StateGrid | None = None) -> int:
-    """Index of the cell containing value (right-closed ownership at boundaries).
+def cell_of(value: float, axis: Axis) -> int:
+    """Index of the cell of axis that contains value; cells are (lo, hi].
 
     On the q/g axes values below 0 map to index 0 and values above 1 map to
     the top index; the boundary cells represent the clamped physical states.
+    A NaN value raises ValueError.
     """
-    ax = _resolve_axis(axis, grid)
     if math.isnan(value):
-        raise ValueError(f"cannot locate NaN on axis {ax.name!r}")
+        raise ValueError(f"cannot locate NaN on axis {axis.name!r}")
     # first interior edge >= value owns it, since cells are (lo, hi]
-    return int(np.searchsorted(ax.edges, value, side="left"))
+    return int(np.searchsorted(axis.edges, value, side="left"))

@@ -1,4 +1,4 @@
-"""Transition probability rows of the discretized chain.
+"""Per-step transition probability blocks of the discretized chain.
 
 For each (step, source state, action) the next continuous state is
 Gaussian on the stochastic axes and deterministic (Dirac) on the others,
@@ -9,14 +9,12 @@ so the probability of landing in a grid cell is a normal rectangle mass:
 - limited modes, wait, overspill: univariate Z mass x two Diracs.
 
 Mass overshooting the physical q/g box accumulates in the boundary cells;
-the z boundary cells own the (-inf, .] and (., +inf) tails. Two
-independent evaluation routes are provided: a scalar per-row builder whose
-rectangle masses come from adaptive quadrature (transition_row /
-bvn_rect_prob), and vectorized per-step blocks using a Gauss-Legendre
-bivariate-normal algorithm (TransitionKernel.*_block) consumed by the
-solver. The Dirac axes need no probabilities: their target cells are
-step-free maps per source level, taken once per kernel from the
-deterministic branches of dynamics.q_moments/g_moments.
+the z boundary cells own the (-inf, .] and (., +inf) tails. The solver
+consumes whole blocks per backward step (TransitionKernel.*_block), whose
+bivariate masses come from a Gauss-Legendre bivariate-normal algorithm.
+The Dirac axes need no probabilities: their target cells are step-free
+maps per source level, taken once per kernel from the deterministic
+branches of dynamics.q_moments/g_moments.
 
 A block is the inclusion-exclusion of the bivariate CDF over the lattice
 of cell edges. The CDF is evaluated by Genz's scheme only on interior
@@ -31,76 +29,24 @@ serves all g sources, each reading its window at f - k.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .config import Action, ModelConfig
-from .dynamics import (_norm_cdf, battery_law, battery_rho, g_moments, generator_law,
-                       generator_rho, q_moments, transition_moments, z_law)
+from .dynamics import (battery_law, battery_rho, g_moments, generator_law, generator_rho,
+                       q_moments, z_law)
 from .grid import Axis, StateGrid, _clamp01, cell_of
 
-__all__ = ["NumericalError", "TransitionKernel", "TransitionRow", "bvn_rect_prob"]
+__all__ = ["NumericalError", "TransitionKernel"]
 
-# Row mass may deviate from 1 by quadrature dust up to this bound; it is
+# Row mass may deviate from 1 by CDF rounding dust up to this bound; it is
 # then renormalized once. Larger deviations indicate a logic bug.
 _ROW_SUM_TOL = 1e-6
 
 
 class NumericalError(RuntimeError):
     """A numerical invariant failed (non-normalizing row, non-finite value)."""
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    """Sparse probability row: aligned target ids and probabilities."""
-
-    targets: np.ndarray
-    probs: np.ndarray
-
-    def as_dense(self, n_states: int) -> np.ndarray:
-        dense = np.zeros(n_states)
-        dense[self.targets] = self.probs
-        return dense
-
-
-def bvn_rect_prob(mean2, cov2, rect) -> float:
-    """P((X, Y) in rect) for a bivariate normal, via a single adaptive integral.
-
-    The rectangle probability reduces to integrating, against the marginal
-    density of X, the conditional normal CDF difference of Y given X.
-    Absolute error <= 1e-7 (quadrature driven well below that).
-    """
-    m1, m2 = float(mean2[0]), float(mean2[1])
-    (v1, c12), (c21, v2) = cov2
-    v1, v2, c12, c21 = float(v1), float(v2), float(c12), float(c21)
-    if abs(c12 - c21) > 1e-12 * max(1.0, abs(c12)):
-        raise ValueError("covariance matrix must be symmetric")
-    if v1 <= 0.0 or v2 <= 0.0 or v1 * v2 - c12 * c12 < -1e-12 * v1 * v2:
-        raise ValueError("covariance matrix must be positive definite")
-    rho = c12 / math.sqrt(v1 * v2)
-    if abs(rho) >= 1.0:
-        raise ValueError("degenerate correlation; use a univariate mass instead")
-
-    (a1, b1), (a2, b2) = rect
-    s1, s2 = math.sqrt(v1), math.sqrt(v2)
-    lo1, hi1 = (a1 - m1) / s1, (b1 - m1) / s1
-    lo2, hi2 = (a2 - m2) / s2, (b2 - m2) / s2
-    if hi1 <= lo1 or hi2 <= lo2:
-        return 0.0
-    tail = math.sqrt(1.0 - rho * rho)
-
-    def integrand(x: float) -> float:
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        upper = _norm_cdf((hi2 - rho * x) / tail) if hi2 < math.inf else 1.0
-        lower = _norm_cdf((lo2 - rho * x) / tail) if lo2 > -math.inf else 0.0
-        return pdf * (upper - lower)
-
-    value, _ = quad(integrand, lo1, hi1, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return min(1.0, max(0.0, value))
 
 
 # Gauss-Legendre nodes/weights (half rules; mirrored around the midpoint).
@@ -257,20 +203,17 @@ def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
 
 
 class TransitionKernel:
-    """Lazy, memoized access to transition rows and vectorized step blocks.
+    """Vectorized transition blocks and Dirac target maps of one (config, grid).
 
-    Scalar rows are built on demand per (n, source, action) and cached
-    (the seasonal mean varies per step, so there is no single stationary
-    matrix). Blocks are recomputed per call; the solver uses them once per
-    backward step. The Dirac target maps of the deterministic moves are
-    step- and z-free and are computed once, here.
+    The battery and generator blocks depend on the step through the
+    seasonal mean, so they are recomputed per call; the solver asks for
+    each once per backward step. The z block and the Dirac target maps of
+    the deterministic moves are step-free and are computed once.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
         self.cfg = cfg
         self.grid = grid
-        self._rows: dict[tuple[int, int, Action], TransitionRow] = {}
-        self._lock = threading.Lock()
         self._z_block: np.ndarray | None = None
         # The deterministic branches of the moment laws ignore n and z.
         q, g = grid.q.points, grid.g.points
@@ -343,73 +286,3 @@ class TransitionKernel:
         cols[:, -1] = 2 * n_int + 1
         mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
         return _normalize_rows(mass, (-2, -1), f"generator block n={n}")
-
-    # -- Scalar reference route ----------------------------------------------
-
-    def row(self, n: int, source: int, a: Action) -> TransitionRow:
-        """Memoized transition row for (step, source state id, action)."""
-        key = (n, source, a)
-        with self._lock:
-            cached = self._rows.get(key)
-        if cached is not None:
-            return cached
-        fresh = transition_row(n, source, a, self.grid, self.cfg)
-        with self._lock:
-            return self._rows.setdefault(key, fresh)
-
-
-def _z_cell_masses_scalar(m: float, sd: float, grid: StateGrid) -> np.ndarray:
-    std = np.clip((_tail_edges(grid.z.edges) - m) / sd, -_CLIP, _CLIP)
-    return np.clip(np.diff(ndtr(std)), 0.0, None)
-
-
-def transition_row(n: int, source: int, a: Action, grid: StateGrid, cfg: ModelConfig,
-                   rect_prob=bvn_rect_prob) -> TransitionRow:
-    """Reference (scalar) transition row; rectangle masses by adaptive quadrature.
-
-    The feasibility of `a` at the source state is the caller's contract;
-    rows are well-defined Gaussian masses for any action.
-    """
-    x = grid.state_of(source)
-    _, j_src, k_src = grid.ijk(source)
-    mom = transition_moments(n, x, a, cfg)
-    sd_z = math.sqrt(mom.var_Z)
-
-    z_edges = _tail_edges(grid.z.edges)
-    n_z = grid.z.n_points
-
-    if a in (Action.CHARGE, Action.DISCHARGE_FULL) or a is Action.FUEL_FULL:
-        if a is Action.FUEL_FULL:
-            other_axis, mean_o, var_o, cov = grid.g, mom.m_G, mom.var_G, mom.cov_ZG
-            dirac = ("q", cell_of(_clamp01(mom.m_Q), grid.q))
-        else:
-            other_axis, mean_o, var_o, cov = grid.q, mom.m_Q, mom.var_Q, mom.cov_ZQ
-            dirac = ("g", k_src)
-        o_edges = _tail_edges(other_axis.edges)
-        mass = np.empty((n_z, other_axis.n_points))
-        cov2 = ((mom.var_Z, cov), (cov, var_o))
-        for zi in range(n_z):
-            for oi in range(other_axis.n_points):
-                rect = ((z_edges[zi], z_edges[zi + 1]), (o_edges[oi], o_edges[oi + 1]))
-                mass[zi, oi] = rect_prob((mom.m_Z, mean_o), cov2, rect)
-        mass = _normalize_rows(mass, (-2, -1), f"row n={n} src={source} a={a.label}")
-        targets = []
-        probs = []
-        for zi in range(n_z):
-            for oi in range(other_axis.n_points):
-                if mass[zi, oi] > 0.0:
-                    if dirac[0] == "q":
-                        targets.append(grid.lin(zi, dirac[1], oi))
-                    else:
-                        targets.append(grid.lin(zi, oi, dirac[1]))
-                    probs.append(mass[zi, oi])
-        return TransitionRow(np.array(targets, dtype=np.intp), np.array(probs))
-
-    # univariate Z times two Dirac axes
-    z_mass = _z_cell_masses_scalar(mom.m_Z, sd_z, grid)
-    z_mass = _normalize_rows(z_mass, (-1,), f"row n={n} src={source} a={a.label}")
-    j_tgt = cell_of(_clamp01(mom.m_Q), grid.q)
-    k_tgt = cell_of(_clamp01(mom.m_G), grid.g)
-    keep = z_mass > 0.0
-    targets = np.array([grid.lin(zi, j_tgt, k_tgt) for zi in range(n_z) if keep[zi]], dtype=np.intp)
-    return TransitionRow(targets, z_mass[keep])

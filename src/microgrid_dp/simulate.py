@@ -99,13 +99,12 @@ def default_initial_state(grid: StateGrid) -> State:
 
 def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                   grid: StateGrid, path_index: int = 0,
-                  initial_state: State | None = None,
-                  discrete: bool = False) -> list[PathRecord]:
+                  initial_state: State | None = None) -> list[PathRecord]:
     """Simulate one 0..N path under the policy; reproducible per (scenario, index).
 
-    The policy is read at the cell of the current continuous state. In
-    discrete mode the state snaps to its cell's grid point after every
-    transition, which turns the simulation into a path of the finite chain.
+    The path starts at initial_state (default: default_initial_state) and
+    moves by exact draws from the one-step laws, with q and g clamped to
+    [0, 1]. The policy is read at the cell of the current continuous state.
     """
     seq = np.random.SeedSequence(entropy=scenario.base_seed,
                                  spawn_key=(scenario.sid, path_index))
@@ -125,9 +124,6 @@ def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
         ))
         nxt = sample_transition(n, x, a, rng, cfg, z_offset=scenario.offset_at(t))
         x = State(nxt.z, _clamp01(nxt.q), _clamp01(nxt.g))
-        if discrete:
-            x = grid.state_of(grid.lin(
-                cell_of(x.z, grid.z), cell_of(x.q, grid.q), cell_of(x.g, grid.g)))
     return records
 
 

@@ -2,7 +2,7 @@
 
 Each backward step evaluates, for every grid state and feasible action,
 the closed-form expected discounted stage cost plus the discounted
-expected continuation value under the action's transition row, then takes
+expected continuation value under the action's transition law, then takes
 the canonical-order argmin. A step is array code throughout: the
 feasibility mask (constraints.feasibility_mask) is one broadcast over the
 lattice, the battery and generator probability blocks (TransitionKernel)
@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Action, ModelConfig, State
-from .constraints import feasibility_mask, feasible_actions
+from .constraints import feasibility_mask
+# Bound only so that perfbench/tracing.py can count its calls as solver.feasible_actions.
+from .constraints import feasible_actions  # noqa: F401
 from .cost import expected_stage_cost, terminal_cost
 from .grid import StateGrid
 from .kernel import NumericalError, TransitionKernel
@@ -28,8 +30,6 @@ from .kernel import NumericalError, TransitionKernel
 __all__ = [
     "PolicyTable",
     "ValueTable",
-    "bellman_backup",
-    "feasibility_mask",
     "solve",
     "step_q_values",
     "terminal_values",
@@ -57,6 +57,7 @@ class PolicyTable:
         return Action(int(self.actions[n, state]))
 
 
+# Kept because perfbench/run.py writes it into its provenance line.
 def worker_count() -> int:
     """Threads a solve runs on: always 1, since the backward step is serial array code."""
     return 1
@@ -107,29 +108,6 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     stage = _stage_cost_rows(n, grid, cfg)
     q_vals = stage[:, :, None, None] + disc * ev
     return np.where(mask, q_vals, np.inf)
-
-
-def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKernel,
-                   cfg: ModelConfig) -> tuple[float, Action]:
-    """Scalar reference backup at one state: (optimal value, argmin action).
-
-    Uses the memoized scalar transition rows; independent of the vectorized
-    block path used by solve().
-    """
-    grid = kernel.grid
-    x = grid.state_of(state)
-    feas = feasible_actions(n, x, cfg)
-    if len(feas) == 0:
-        raise NumericalError(f"empty feasible set at step {n}, state {state}")
-    disc = math.exp(-cfg.costs.rho * cfg.dt) if cfg.bellman_discount_continuation else 1.0
-    q_vals = []
-    for a in feas:
-        row = kernel.row(n, state, a)
-        q = expected_stage_cost(n, x, a, cfg) + disc * float(row.probs @ v_next[row.targets])
-        q_vals.append((q, a))
-    best = min(q for q, _ in q_vals)
-    action = next(a for q, a in q_vals if q <= best + _TIE_TOL)
-    return best, action
 
 
 def solve(cfg: ModelConfig, grid: StateGrid,

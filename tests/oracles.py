@@ -1,10 +1,12 @@
 """Independent verification oracles for the test suite.
 
 Each oracle re-derives a quantity the package computes, through a
-deliberately different route: pure-Python recursion from scalar
-quadrature rows for the solver, sampled path integrals for the expected
-stage cost, plain Monte Carlo for rectangle probabilities and cell
-frequencies, a composite Simpson rule for the terminal integral, and
+deliberately different route: scalar transition rows whose rectangle
+masses come from adaptive quadrature (transition_row / bvn_rect_prob)
+for the kernel blocks, a per-state Bellman backup over those rows and a
+pure-Python recursion for the solver, sampled path integrals for the
+expected stage cost, plain Monte Carlo for rectangle probabilities and
+cell frequencies, a composite Simpson rule for the terminal integral, and
 Euler-Maruyama integration of the continuous dynamics for the closed-form
 one-step moments. The full-lattice block forms evaluate the bivariate CDF
 on every edge of every source, tails as +-37: the reference for the
@@ -18,12 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from microgrid_dp import (
     Action,
     ModelConfig,
+    NumericalError,
     State,
     StateGrid,
+    TransitionKernel,
     cell_of,
     efficiency,
     expected_stage_cost,
@@ -33,11 +39,149 @@ from microgrid_dp import (
     terminal_cost,
     transition_moments,
     transition_operator,
-    transition_row,
     z_moments,
 )
 from microgrid_dp.dynamics import NoiseVector
-from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows
+from microgrid_dp.grid import _clamp01
+from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows, _tail_edges
+from microgrid_dp.solver import _TIE_TOL
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF of a float via erfc; exactly 0 / 1 at -inf / +inf."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def bvn_rect_prob(mean2, cov2, rect) -> float:
+    """P((X, Y) in rect) for a bivariate normal, via a single adaptive integral.
+
+    The rectangle probability reduces to integrating, against the marginal
+    density of X, the conditional normal CDF difference of Y given X.
+    Absolute error <= 1e-7 (quadrature driven well below that).
+    """
+    m1, m2 = float(mean2[0]), float(mean2[1])
+    (v1, c12), (c21, v2) = cov2
+    v1, v2, c12, c21 = float(v1), float(v2), float(c12), float(c21)
+    if abs(c12 - c21) > 1e-12 * max(1.0, abs(c12)):
+        raise ValueError("covariance matrix must be symmetric")
+    if v1 <= 0.0 or v2 <= 0.0 or v1 * v2 - c12 * c12 < -1e-12 * v1 * v2:
+        raise ValueError("covariance matrix must be positive definite")
+    rho = c12 / math.sqrt(v1 * v2)
+    if abs(rho) >= 1.0:
+        raise ValueError("degenerate correlation; use a univariate mass instead")
+
+    (a1, b1), (a2, b2) = rect
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    lo1, hi1 = (a1 - m1) / s1, (b1 - m1) / s1
+    lo2, hi2 = (a2 - m2) / s2, (b2 - m2) / s2
+    if hi1 <= lo1 or hi2 <= lo2:
+        return 0.0
+    tail = math.sqrt(1.0 - rho * rho)
+
+    def integrand(x: float) -> float:
+        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        upper = _norm_cdf((hi2 - rho * x) / tail) if hi2 < math.inf else 1.0
+        lower = _norm_cdf((lo2 - rho * x) / tail) if lo2 > -math.inf else 0.0
+        return pdf * (upper - lower)
+
+    value, _ = quad(integrand, lo1, hi1, epsabs=1e-10, epsrel=1e-10, limit=200)
+    return min(1.0, max(0.0, value))
+
+
+@dataclass(frozen=True)
+class TransitionRow:
+    """Sparse probability row: aligned target ids and probabilities."""
+
+    targets: np.ndarray
+    probs: np.ndarray
+
+    def as_dense(self, n_states: int) -> np.ndarray:
+        dense = np.zeros(n_states)
+        dense[self.targets] = self.probs
+        return dense
+
+
+def _z_cell_masses_scalar(m: float, sd: float, grid: StateGrid) -> np.ndarray:
+    std = np.clip((_tail_edges(grid.z.edges) - m) / sd, -_CLIP, _CLIP)
+    return np.clip(np.diff(ndtr(std)), 0.0, None)
+
+
+def transition_row(n: int, source: int, a: Action, grid: StateGrid,
+                   cfg: ModelConfig) -> TransitionRow:
+    """Scalar transition row of one (step, source state id, action).
+
+    Rectangle masses by adaptive quadrature (bvn_rect_prob), one cell at a
+    time, from the scalar moments of transition_moments. The feasibility
+    of `a` at the source state is the caller's contract; rows are
+    well-defined Gaussian masses for any action.
+    """
+    x = grid.state_of(source)
+    _, j_src, k_src = grid.ijk(source)
+    mom = transition_moments(n, x, a, cfg)
+    sd_z = math.sqrt(mom.var_Z)
+
+    z_edges = _tail_edges(grid.z.edges)
+    n_z = grid.z.n_points
+
+    if a in (Action.CHARGE, Action.DISCHARGE_FULL) or a is Action.FUEL_FULL:
+        if a is Action.FUEL_FULL:
+            other_axis, mean_o, var_o, cov = grid.g, mom.m_G, mom.var_G, mom.cov_ZG
+            dirac = ("q", cell_of(_clamp01(mom.m_Q), grid.q))
+        else:
+            other_axis, mean_o, var_o, cov = grid.q, mom.m_Q, mom.var_Q, mom.cov_ZQ
+            dirac = ("g", k_src)
+        o_edges = _tail_edges(other_axis.edges)
+        mass = np.empty((n_z, other_axis.n_points))
+        cov2 = ((mom.var_Z, cov), (cov, var_o))
+        for zi in range(n_z):
+            for oi in range(other_axis.n_points):
+                rect = ((z_edges[zi], z_edges[zi + 1]), (o_edges[oi], o_edges[oi + 1]))
+                mass[zi, oi] = bvn_rect_prob((mom.m_Z, mean_o), cov2, rect)
+        mass = _normalize_rows(mass, (-2, -1), f"row n={n} src={source} a={a.label}")
+        targets = []
+        probs = []
+        for zi in range(n_z):
+            for oi in range(other_axis.n_points):
+                if mass[zi, oi] > 0.0:
+                    if dirac[0] == "q":
+                        targets.append(grid.lin(zi, dirac[1], oi))
+                    else:
+                        targets.append(grid.lin(zi, oi, dirac[1]))
+                    probs.append(mass[zi, oi])
+        return TransitionRow(np.array(targets, dtype=np.intp), np.array(probs))
+
+    # univariate Z times two Dirac axes
+    z_mass = _z_cell_masses_scalar(mom.m_Z, sd_z, grid)
+    z_mass = _normalize_rows(z_mass, (-1,), f"row n={n} src={source} a={a.label}")
+    j_tgt = cell_of(_clamp01(mom.m_Q), grid.q)
+    k_tgt = cell_of(_clamp01(mom.m_G), grid.g)
+    keep = z_mass > 0.0
+    targets = np.array([grid.lin(zi, j_tgt, k_tgt) for zi in range(n_z) if keep[zi]], dtype=np.intp)
+    return TransitionRow(targets, z_mass[keep])
+
+
+def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKernel,
+                   cfg: ModelConfig) -> tuple[float, Action]:
+    """Scalar backup at one state: (optimal value, argmin action).
+
+    Q-values come from the scalar feasible set and the quadrature rows of
+    transition_row, so the vectorized blocks and mask of solve() are not
+    involved; ties within the solver's tolerance go to the canonical order.
+    """
+    grid = kernel.grid
+    x = grid.state_of(state)
+    feas = feasible_actions(n, x, cfg)
+    if len(feas) == 0:
+        raise NumericalError(f"empty feasible set at step {n}, state {state}")
+    disc = math.exp(-cfg.costs.rho * cfg.dt) if cfg.bellman_discount_continuation else 1.0
+    q_vals = []
+    for a in feas:
+        row = transition_row(n, state, a, grid, cfg)
+        q = expected_stage_cost(n, x, a, cfg) + disc * float(row.probs @ v_next[row.targets])
+        q_vals.append((q, a))
+    best = min(q for q, _ in q_vals)
+    action = next(a for q, a in q_vals if q <= best + _TIE_TOL)
+    return best, action
 
 
 def mc_bvn_rect(rho: float, rect, n_samples: int = 10**7, seed: int = 7771):
@@ -306,27 +450,29 @@ def _corr_est(a: np.ndarray, b: np.ndarray) -> MomentEstimate:
     return MomentEstimate(r, (1.0 - r * r) / math.sqrt(n - 3))
 
 
-def euler_oracle(n: int, x: State, a: Action, paths: int, inner_step: float,
-                 cfg: ModelConfig, seed: int = 12345) -> EmpiricalMoments:
+def euler_oracle(n: int, x: State, a, paths: int, inner_step: float,
+                 cfg: ModelConfig, seed: int = 12345):
     """Euler-Maruyama integration of the continuous dynamics over one step.
 
     Integrates the coupled (Z, Q, G) equations with the seasonal mean and
     the efficiency factor frozen at the step's left endpoint, exactly as
     the closed-form laws assume, and returns empirical one-step moments.
     This is a verification oracle, not a production sampler.
+
+    `a` is one action (returns its EmpiricalMoments) or a tuple of actions
+    (returns {action: EmpiricalMoments}). The Z path does not depend on
+    the action, so a tuple integrates all its actions over one shared Z
+    stream; each entry equals the one-action call with the same seed.
     """
     dt = cfg.dt
     if inner_step > dt / 100.0:
         raise ValueError("inner_step must be <= Delta/100 for a meaningful oracle")
+    actions = (a,) if isinstance(a, Action) else tuple(a)
     p, bat, gen = cfg.demand, cfg.battery, cfg.generator
     t0 = cfg.t_of(n)
     mu = seasonality(t0, p)
 
     eta = efficiency(t0, x.z, x.q, cfg)
-    battery_active = a in (Action.CHARGE, Action.DISCHARGE_FULL)
-    limited_batt = a is Action.DISCHARGE_LIMITED
-    fuel_active = a is Action.FUEL_FULL
-    limited_fuel = a is Action.FUEL_LIMITED
     eta_lim = 1.0 / (bat.C0_D + bat.C1_D * x.q**bat.l_D * (1.0 - x.q) ** bat.m_D)
 
     rng = np.random.default_rng(seed)
@@ -334,25 +480,30 @@ def euler_oracle(n: int, x: State, a: Action, paths: int, inner_step: float,
     h = dt / n_steps
     sqrt_h = math.sqrt(h)
     z = np.full(paths, x.z)
-    q = np.full(paths, x.q)
-    g = np.full(paths, x.g)
+    q = {b: np.full(paths, x.q) for b in actions}
+    g = {b: np.full(paths, x.g) for b in actions}
     for _ in range(n_steps):
-        dq = -bat.eta0 * q * h
-        if battery_active:
-            dq -= (eta / bat.capacity_CQ) * (mu + z) * h
-        elif limited_batt:
-            dq -= (eta_lim * bat.R_Q0 / bat.capacity_CQ) * h
-        if fuel_active:
-            g = g - (gen.c0 + gen.c1 * (mu + z)) / gen.capacity_CG * h
-        elif limited_fuel:
-            g = g - (gen.c0 + gen.c1 * gen.R_G0) / gen.capacity_CG * h
-        q = q + dq
+        for b in actions:
+            dq = -bat.eta0 * q[b] * h
+            if b in (Action.CHARGE, Action.DISCHARGE_FULL):
+                dq -= (eta / bat.capacity_CQ) * (mu + z) * h
+            elif b is Action.DISCHARGE_LIMITED:
+                dq -= (eta_lim * bat.R_Q0 / bat.capacity_CQ) * h
+            if b is Action.FUEL_FULL:
+                g[b] -= (gen.c0 + gen.c1 * (mu + z)) / gen.capacity_CG * h
+            elif b is Action.FUEL_LIMITED:
+                g[b] -= (gen.c0 + gen.c1 * gen.R_G0) / gen.capacity_CG * h
+            q[b] += dq
         z = z - p.beta_R * z * h + p.sigma_R * sqrt_h * rng.standard_normal(paths)
 
-    return EmpiricalMoments(
-        m_Z=_mean_est(z), var_Z=_var_est(z),
-        m_Q=_mean_est(q), var_Q=_var_est(q),
-        m_G=_mean_est(g), var_G=_var_est(g),
-        cov_ZQ=_cov_est(z, q), rho_Q=_corr_est(z, q),
-        cov_ZG=_cov_est(z, g), rho_G=_corr_est(z, g),
-    )
+    moments = {
+        b: EmpiricalMoments(
+            m_Z=_mean_est(z), var_Z=_var_est(z),
+            m_Q=_mean_est(q[b]), var_Q=_var_est(q[b]),
+            m_G=_mean_est(g[b]), var_G=_var_est(g[b]),
+            cov_ZQ=_cov_est(z, q[b]), rho_Q=_corr_est(z, q[b]),
+            cov_ZG=_cov_est(z, g[b]), rho_G=_corr_est(z, g[b]),
+        )
+        for b in actions
+    }
+    return moments[a] if isinstance(a, Action) else moments

@@ -48,6 +48,30 @@ def test_missing_config_is_io_error(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,expect", [
+    (b"beta_R = 0.2\n", "no section headers"),
+    (b"[demand]\nbeta_R = 0.2\n[demand]\nsigma_R = 0.4\n", "section 'demand' already exists"),
+    (b"[demand]\nbeta_R = 0.2\nbeta_R = 0.3\n", "option 'beta_R' in section 'demand' already exists"),
+    (b"[demand]\nbeta_R = 0.2%\n", "'%' must be followed"),
+    (b"[demand]\nbeta_R\n", "parsing errors"),
+    (b"[demand]\n; caf\xe9\nbeta_R = 0.2\n", "not UTF-8"),
+    (b"[DEFAULT]\nbeta_R = 0.3\n", "[DEFAULT] is not supported"),
+    (b"[discretization]\nhorizon_T = inf\n", "horizon_T must be finite"),
+    (b"[battery]\ncapacity_CQ = inf\n", "capacity_CQ must be finite"),
+    (b"[demand]\nsigma_R = inf\n", "sigma_R must be finite"),
+    (b"[costs]\nrho = nan\n", "rho must be finite"),
+], ids=["no-header", "dup-section", "dup-key", "stray-percent", "bare-key", "latin-1",
+        "default-section", "inf-horizon", "inf-capacity", "inf-sigma", "nan-rho"])
+def test_malformed_config_is_one_line_error(tmp_path, text, expect, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and expect in err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(small_ini, capsys):
     assert cli.main(["frobnicate", small_ini]) == 1
     assert cli.main(["solve", small_ini, "--bogus-flag"]) == 1

@@ -9,7 +9,8 @@ from scipy.special import ndtr
 
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.dynamics import _norm_cdf, battery_law
+from microgrid_dp.dynamics import battery_law
+from oracles import _norm_cdf
 
 
 def _with_eps(cfg, eps):

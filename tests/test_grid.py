@@ -59,14 +59,6 @@ def test_state_of_matches_axis_points(grid_table1):
         assert x.g == g.g.points[k]
 
 
-def test_axis_accessor(grid_table1):
-    assert grid_table1.axis("z") is grid_table1.z
-    assert grid_table1.axis("q") is grid_table1.q
-    assert grid_table1.axis("g") is grid_table1.g
-    with pytest.raises(KeyError):
-        grid_table1.axis("w")
-
-
 def test_neighborhood_boundary_cells(grid_table1):
     g = grid_table1
     lo, hi = m.neighborhood(g.z, 0)

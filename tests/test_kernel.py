@@ -9,8 +9,9 @@ from scipy.special import ndtr
 import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.grid import _clamp01, cell_of
-from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses, _z_cell_masses_scalar
-from oracles import full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect
+from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses
+from oracles import (_z_cell_masses_scalar, bvn_rect_prob, full_lattice_rect_masses,
+                     generator_block_per_source, mc_bvn_rect, transition_row)
 
 STD2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -24,13 +25,13 @@ def test_bvn_orthant_closed_form():
     for rho in (-0.9, -0.3, 0.0, 0.6, 0.95):
         want = 0.25 + math.asin(rho) / (2.0 * math.pi)
         rect = ((-np.inf, 0.0), (-np.inf, 0.0))
-        assert m.bvn_rect_prob((0.0, 0.0), _corr2(rho), rect) == pytest.approx(want, abs=1e-9)
+        assert bvn_rect_prob((0.0, 0.0), _corr2(rho), rect) == pytest.approx(want, abs=1e-9)
 
 
 def test_bvn_rect_against_monte_carlo():
     rect = ((-0.5, 1.2), (-1.0, 0.4))
-    p = m.bvn_rect_prob((0.1, -0.2), ((1.3, 0.6 * math.sqrt(1.3 * 0.8)),
-                                      (0.6 * math.sqrt(1.3 * 0.8), 0.8)), rect)
+    p = bvn_rect_prob((0.1, -0.2), ((1.3, 0.6 * math.sqrt(1.3 * 0.8)),
+                                    (0.6 * math.sqrt(1.3 * 0.8), 0.8)), rect)
     # standardized rect for the MC reference
     lo1, hi1 = (-0.5 - 0.1) / math.sqrt(1.3), (1.2 - 0.1) / math.sqrt(1.3)
     lo2, hi2 = (-1.0 + 0.2) / math.sqrt(0.8), (0.4 + 0.2) / math.sqrt(0.8)
@@ -51,7 +52,7 @@ def test_vectorized_cdf_matches_quadrature(rho):
     for x in pts:
         for y in pts:
             rect = ((-np.inf, float(x)), (-np.inf, float(y)))
-            ref = m.bvn_rect_prob((0.0, 0.0), _corr2(rho), rect)
+            ref = bvn_rect_prob((0.0, 0.0), _corr2(rho), rect)
             got = float(_bvn_cdf(np.array(x), np.array(y), rho))
             assert got == pytest.approx(ref, abs=2e-9)
 
@@ -59,15 +60,15 @@ def test_vectorized_cdf_matches_quadrature(rho):
 def test_bvn_rect_rejects_bad_covariance():
     rect = ((-1.0, 1.0), (-1.0, 1.0))
     with pytest.raises(ValueError):
-        m.bvn_rect_prob((0.0, 0.0), ((1.0, 0.5), (0.2, 1.0)), rect)
+        bvn_rect_prob((0.0, 0.0), ((1.0, 0.5), (0.2, 1.0)), rect)
     with pytest.raises(ValueError):
-        m.bvn_rect_prob((0.0, 0.0), ((1.0, 0.0), (0.0, -0.5)), rect)
+        bvn_rect_prob((0.0, 0.0), ((1.0, 0.0), (0.0, -0.5)), rect)
     with pytest.raises(ValueError):
-        m.bvn_rect_prob((0.0, 0.0), ((1.0, 1.0), (1.0, 1.0)), rect)
+        bvn_rect_prob((0.0, 0.0), ((1.0, 1.0), (1.0, 1.0)), rect)
 
 
 def test_empty_rectangle_has_zero_mass():
-    assert m.bvn_rect_prob((0.0, 0.0), STD2, ((1.0, -1.0), (0.0, 2.0))) == 0.0
+    assert bvn_rect_prob((0.0, 0.0), STD2, ((1.0, -1.0), (0.0, 2.0))) == 0.0
 
 
 def test_blocks_normalize_on_full_grid(cfg_table1, grid_table1):
@@ -94,7 +95,7 @@ def test_scalar_rows_normalize_small_grid(cfg_small, grid_small):
     for n in (0, 2, 3):
         for source in range(grid_small.n_states):
             for a in m.Action:
-                row = m.transition_row(n, source, a, grid_small, cfg_small)
+                row = transition_row(n, source, a, grid_small, cfg_small)
                 assert row.probs.sum() == pytest.approx(1.0, abs=1e-9)
                 assert (row.probs > 0.0).all()
                 assert len(np.unique(row.targets)) == len(row.targets)
@@ -117,7 +118,7 @@ def test_quad_and_gauss_legendre_routes_agree(cfg_table1, grid_table1):
     ]
     for a, source in cases:
         i, j, k = grid_table1.ijk(source)
-        dense = m.transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
+        dense = transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
             grid_table1.n_states).reshape(grid_table1.shape)
         if a in (m.Action.CHARGE, m.Action.DISCHARGE_FULL):
             block = np.zeros(grid_table1.shape)
@@ -149,7 +150,7 @@ def test_dirac_axes_are_single_cells(cfg_table1, grid_table1):
     source = grid_table1.lin(12, 7, 5)
     for a in (m.Action.WAIT, m.Action.OVERSPILL, m.Action.DISCHARGE_LIMITED,
               m.Action.FUEL_LIMITED):
-        row = m.transition_row(0, source, a, grid_table1, cfg_table1)
+        row = transition_row(0, source, a, grid_table1, cfg_table1)
         dense = row.as_dense(grid_table1.n_states).reshape(grid_table1.shape)
         assert (dense.sum(axis=(0, 2)) > 0).sum() == 1
         assert (dense.sum(axis=(0, 1)) > 0).sum() == 1
@@ -186,15 +187,6 @@ def test_target_maps_match_per_point_moments(cfg_table1, n_z, n_q, n_g):
         assert targets.tolist() == expected
 
 
-def test_kernel_row_memoization(cfg_small, grid_small):
-    kern = m.TransitionKernel(cfg_small, grid_small)
-    r1 = kern.row(1, 5, m.Action.WAIT)
-    r2 = kern.row(1, 5, m.Action.WAIT)
-    assert r1 is r2
-    np.testing.assert_array_equal(
-        r1.probs, m.transition_row(1, 5, m.Action.WAIT, grid_small, cfg_small).probs)
-
-
 def test_chain_matches_sampled_operator(cfg_table1, grid_table1):
     from oracles import operator_cell_counts
     n, a = 30, m.Action.CHARGE
@@ -202,7 +194,7 @@ def test_chain_matches_sampled_operator(cfg_table1, grid_table1):
     draws = 4000
     counts = operator_cell_counts(n, grid_table1.state_of(source), a, cfg_table1,
                                   grid_table1, draws, seed=99)
-    dense = m.transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
+    dense = transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
         grid_table1.n_states)
     expect = dense * draws
     tol = 3.0 * np.sqrt(np.maximum(expect * (1.0 - dense), 0.0)) + 3.0

@@ -7,7 +7,7 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.simulate import default_initial_state
+from microgrid_dp.simulate import default_initial_state, sample_transition
 from oracles import euler_oracle
 
 STATE = m.State(1.0, 0.8, 0.9)
@@ -55,7 +55,7 @@ def test_sample_transition_matches_closed_form_moments(cfg_table1):
     zs = np.empty(draws)
     qs = np.empty(draws)
     for i in range(draws):
-        nxt = m.sample_transition(n, STATE, a, rng, cfg_table1)
+        nxt = sample_transition(n, STATE, a, rng, cfg_table1)
         zs[i], qs[i] = nxt.z, nxt.q
     nsr = math.sqrt(draws)
     assert abs(zs.mean() - mom.m_Z) <= 3.0 * zs.std(ddof=1) / nsr
@@ -70,17 +70,17 @@ def test_wait_transition_is_deterministic_off_z(cfg_table1):
     rng = np.random.default_rng(7)
     mom = m.transition_moments(0, STATE, m.Action.WAIT, cfg_table1)
     for _ in range(50):
-        nxt = m.sample_transition(0, STATE, m.Action.WAIT, rng, cfg_table1)
+        nxt = sample_transition(0, STATE, m.Action.WAIT, rng, cfg_table1)
         assert nxt.q == mom.m_Q
         assert nxt.g == STATE.g
 
 
 def test_z_offset_shifts_by_one_innovation_sd(cfg_table1):
     m_z, var_z = m.z_moments(0, STATE.z, cfg_table1)
-    base = m.sample_transition(0, STATE, m.Action.WAIT,
-                               np.random.default_rng(11), cfg_table1)
-    tilt = m.sample_transition(0, STATE, m.Action.WAIT,
-                               np.random.default_rng(11), cfg_table1, z_offset=0.5)
+    base = sample_transition(0, STATE, m.Action.WAIT,
+                             np.random.default_rng(11), cfg_table1)
+    tilt = sample_transition(0, STATE, m.Action.WAIT,
+                             np.random.default_rng(11), cfg_table1, z_offset=0.5)
     assert tilt.z - base.z == pytest.approx(0.5 * math.sqrt(var_z), abs=1e-12)
 
 
@@ -114,20 +114,6 @@ def test_path_records_consistent(cfg_small, grid_small, small_solution):
             last_g = rec.g
             cum += math.exp(-cfg_small.costs.rho * rec.time_h) * rec.stage_cost_eur
             assert rec.cum_cost_eur == pytest.approx(cum, abs=1e-12)
-
-
-def test_discrete_mode_stays_on_lattice(cfg_small, grid_small, small_solution):
-    _, policy, _ = small_solution
-    x0 = grid_small.state_of(grid_small.lin(2, 1, 2))
-    path = m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small, grid_small,
-                           path_index=1, initial_state=x0, discrete=True)
-    z_pts = set(float(v) for v in grid_small.z.points)
-    q_pts = set(float(v) for v in grid_small.q.points)
-    g_pts = set(float(v) for v in grid_small.g.points)
-    for rec in path:
-        assert rec.z in z_pts
-        assert rec.q in q_pts
-        assert rec.g in g_pts
 
 
 def test_default_initial_state(grid_table1):

@@ -8,8 +8,8 @@ import pytest
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp.solver import _stage_cost_rows
-from oracles import brute_force_values
+from microgrid_dp.solver import _stage_cost_rows, step_q_values, terminal_values
+from oracles import bellman_backup, brute_force_values
 
 
 def _zero_cost_config(cfg):
@@ -20,7 +20,7 @@ def _zero_cost_config(cfg):
 
 
 def test_terminal_values_match_scalar_costs(cfg_table1, grid_table1):
-    v_n = m.terminal_values(cfg_table1, grid_table1)
+    v_n = terminal_values(cfg_table1, grid_table1)
     for state in range(0, grid_table1.n_states, 37):
         x = grid_table1.state_of(state)
         assert v_n[state] == pytest.approx(m.terminal_cost(x, cfg_table1), abs=1e-12)
@@ -83,7 +83,7 @@ def test_scalar_backup_matches_vectorized_solve(cfg_small, grid_small, small_sol
     kern = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
         for state in range(grid_small.n_states):
-            v, a = m.bellman_backup(n, state, values.values[n + 1], kern, cfg_small)
+            v, a = bellman_backup(n, state, values.values[n + 1], kern, cfg_small)
             assert abs(v - values.values[n, state]) <= 1e-12
             assert a == policy.action_at(n, state)
 
@@ -98,7 +98,7 @@ def test_values_never_exceed_wait_q_value(cfg_small, grid_small, small_solution)
     values, _, _ = small_solution
     kern = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = m.step_q_values(n, values.values[n + 1], kern)
+        q_vals = step_q_values(n, values.values[n + 1], kern)
         wait = q_vals[m.Action.WAIT].reshape(-1)
         ok = np.isfinite(wait)
         assert (values.values[n][ok] <= wait[ok] + 1e-12).all()
@@ -108,7 +108,7 @@ def test_bellman_residual_zero_on_refresh(cfg_small, grid_small, small_solution)
     values, _, _ = small_solution
     fresh = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = m.step_q_values(n, values.values[n + 1], fresh)
+        q_vals = step_q_values(n, values.values[n + 1], fresh)
         resid = np.abs(q_vals.min(axis=0).reshape(-1) - values.values[n]).max()
         assert resid <= 1e-12
 
