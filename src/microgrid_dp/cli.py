@@ -152,32 +152,40 @@ def _check_options(args, cfg: ModelConfig) -> None:
         raise ConfigError(errors)
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+_LABELS = [a.label for a in Action]  # action label by its int8 policy code
 
 
 def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
                         steps: list[int], out_dir: str, cfg: ModelConfig) -> list[str]:
-    """Write one CSV per step (i,j,k,z,r_mid,q,g,value_eur,action) plus metadata."""
+    """Write one CSV per step (i,j,k,z,r_mid,q,g,value_eur,action) plus metadata.
+
+    Floats are written as repr of Python floats (shortest round trip). The
+    step-free 'i,j,k,z,' and ',q,g,' parts of every row are formatted once
+    per call; each step formats only its r_mid per z point, one value per
+    state and the action labels (empty at the terminal step N), and writes
+    its file in one call.
+    """
     values, policy = tables
     n_steps = cfg.discretization.steps_N
+    z_points = grid.z.points.tolist()
+    rows = [(f"{i},{j},{k},{z!r},", i, f",{q!r},{g!r},")
+            for i, z in enumerate(z_points)
+            for j, q in enumerate(grid.q.points.tolist())
+            for k, g in enumerate(grid.g.points.tolist())]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for n in steps:
         if not 0 <= n <= n_steps:
             raise ConfigError([f"export step {n} outside 0..{n_steps}"])
         mu = seasonality(cfg.t_of(n), cfg.demand)
+        r_mid = [repr(mu + z) for z in z_points]
+        labels = ([""] * len(rows) if n == n_steps
+                  else [_LABELS[a] for a in policy.actions[n].tolist()])
+        body = "".join(f"{head}{r_mid[i]}{qg}{v!r},{label}\n"
+                       for (head, i, qg), v, label in zip(rows, values.values[n].tolist(), labels))
         path = os.path.join(out_dir, f"value_policy_step{n:04d}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("i,j,k,z,r_mid,q,g,value_eur,action\n")
-            for m in range(grid.n_states):
-                i, j, k = grid.ijk(m)
-                z = float(grid.z.points[i])
-                label = "" if n == n_steps else policy.action_at(n, m).label
-                fh.write(
-                    f"{i},{j},{k},{_fmt(z)},{_fmt(mu + z)},{_fmt(grid.q.points[j])},"
-                    f"{_fmt(grid.g.points[k])},{_fmt(values.values[n, m])},{label}\n"
-                )
+            fh.write("i,j,k,z,r_mid,q,g,value_eur,action\n" + body)
         written.append(path)
     meta = {
         "config_hash": config_hash(cfg),
@@ -228,14 +236,14 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
     return PolicyTable(actions)
 
 
-def _write_paths_csv(records, path: str) -> None:
+def _write_paths_csv(records, step_prefixes: list[str], path: str) -> None:
+    """One path's records as CSV; step_prefixes[n] is the 'step,time_h,' of step n."""
+    body = "".join(
+        f"{head}{rec.z!r},{rec.r!r},{rec.q!r},{rec.g!r},{rec.action.label},"
+        f"{rec.stage_cost_eur!r},{rec.cum_cost_eur!r}\n"
+        for head, rec in zip(step_prefixes, records))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n")
-        for rec in records:
-            fh.write(
-                f"{rec.step},{_fmt(rec.time_h)},{_fmt(rec.z)},{_fmt(rec.r)},{_fmt(rec.q)},"
-                f"{_fmt(rec.g)},{rec.action.label},{_fmt(rec.stage_cost_eur)},{_fmt(rec.cum_cost_eur)}\n"
-            )
+        fh.write("step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n" + body)
 
 
 def _write_manifest(out_dir: str, cfg: ModelConfig, seed, outputs: list[str]) -> None:
@@ -258,11 +266,13 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
 
 def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
+    # the step and time_h columns are the same for every path
+    step_prefixes = [f"{n},{cfg.t_of(n)!r}," for n in range(cfg.discretization.steps_N)]
     written = []
     for idx in range(seeds):
         records = simulate_path(policy, scenario, cfg, grid, path_index=idx)
         path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
-        _write_paths_csv(records, path)
+        _write_paths_csv(records, step_prefixes, path)
         written.append(path)
     return written
 

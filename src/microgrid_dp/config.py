@@ -273,24 +273,34 @@ def _validate_discretization(p: DiscretizationParams, errors: list[str]) -> None
         errors.append("discretization.epsilon must lie in (0, 0.5)")
 
 
-def _validate_finite(cfg: ModelConfig, errors: list[str]) -> None:
+def _finite_or_default(cfg: ModelConfig, errors: list[str]) -> ModelConfig:
+    """Report each non-finite float field; return cfg with those fields at their defaults.
+
+    The range checks run on the returned config, so a field reported here
+    is not reported a second time by a range check.
+    """
     for section, (attr, _) in _SECTIONS.items():
         params = getattr(cfg, attr)
+        defaults = {}
         for f in dc_fields(params):
             value = getattr(params, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 errors.append(f"{section}.{f.name} must be finite, got {value}")
+                defaults[f.name] = f.default
+        if defaults:
+            cfg = replace(cfg, **{attr: replace(params, **defaults)})
+    return cfg
 
 
 def validate_config(cfg: ModelConfig) -> ModelConfig:
     """Check every parameter invariant; raise ConfigError listing all violations."""
     errors: list[str] = []
-    _validate_finite(cfg, errors)
-    _validate_demand(cfg.demand, errors)
-    _validate_battery(cfg.battery, errors)
-    _validate_generator(cfg.generator, errors)
-    _validate_costs(cfg.costs, errors)
-    _validate_discretization(cfg.discretization, errors)
+    checked = _finite_or_default(cfg, errors)
+    _validate_demand(checked.demand, errors)
+    _validate_battery(checked.battery, errors)
+    _validate_generator(checked.generator, errors)
+    _validate_costs(checked.costs, errors)
+    _validate_discretization(checked.discretization, errors)
     if errors:
         raise ConfigError(errors)
     return cfg

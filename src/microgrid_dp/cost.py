@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
-from .dynamics import _phi
+from .dynamics import StepConstants, step_constants
 
 __all__ = [
     "DiscountFactors",
@@ -49,13 +49,8 @@ class StageCost:
 
 
 def discount_factors(cfg: ModelConfig) -> DiscountFactors:
-    rho, beta = cfg.costs.rho, cfg.demand.beta_R
-    dt = cfg.dt
-    return DiscountFactors(
-        zeta1=_phi(rho, dt),
-        zeta2=_phi(rho + beta, dt),
-        zeta3=_phi(rho + 2.0 * beta, dt),
-    )
+    sc = step_constants(cfg)
+    return DiscountFactors(zeta1=sc.zeta1, zeta2=sc.zeta2, zeta3=sc.zeta3)
 
 
 def running_cost(t: float, x: State, a: Action, cfg: ModelConfig) -> StageCost:
@@ -94,33 +89,35 @@ def expected_stage_cost(k: int, x: State, a: Action, cfg: ModelConfig) -> float:
     The closed form is plain arithmetic in z, so x.z may also be a numpy
     array; the result then has its shape (a float for overspill).
     """
-    c, p = cfg.costs, cfg.demand
-    z = x.z
-    mu = seasonality(cfg.t_of(k), p)
-    zf = discount_factors(cfg)
-    s2 = p.sigma_R**2 / (2.0 * p.beta_R)  # stationary variance of Z
+    return _expected_stage_cost(seasonality(cfg.t_of(k), cfg.demand), x.z, a, cfg,
+                                step_constants(cfg))
+
+
+def _expected_stage_cost(mu: float, z, a: Action, cfg: ModelConfig, sc: StepConstants):
+    """expected_stage_cost at seasonal mean mu, from the config's step-free constants."""
+    c = cfg.costs
 
     def quad_around(r0: float) -> float:
         # E int e^(-rho s) k0 (R(s) - r0)^2 ds
         return c.k0 * (
-            ((mu - r0) ** 2 + s2) * zf.zeta1
-            + 2.0 * (mu - r0) * z * zf.zeta2
-            + (z * z - s2) * zf.zeta3
+            ((mu - r0) ** 2 + sc.var_z) * sc.zeta1
+            + 2.0 * (mu - r0) * z * sc.zeta2
+            + (z * z - sc.var_z) * sc.zeta3
         )
 
     if a is Action.FUEL_FULL:
         g = cfg.generator
-        return c.fuel_price_F0 * ((g.c0 + g.c1 * mu) * zf.zeta1 + g.c1 * z * zf.zeta2)
+        return c.fuel_price_F0 * ((g.c0 + g.c1 * mu) * sc.zeta1 + g.c1 * z * sc.zeta2)
     if a is Action.FUEL_LIMITED:
         g = cfg.generator
-        return c.fuel_price_F0 * (g.c0 + g.c1 * g.R_G0) * zf.zeta1 + quad_around(g.R_G0)
+        return c.fuel_price_F0 * (g.c0 + g.c1 * g.R_G0) * sc.zeta1 + quad_around(g.R_G0)
     if a is Action.DISCHARGE_FULL:
-        return c.gamma_deg * (mu * zf.zeta1 + z * zf.zeta2)
+        return c.gamma_deg * (mu * sc.zeta1 + z * sc.zeta2)
     if a is Action.DISCHARGE_LIMITED:
-        return c.gamma_deg * cfg.battery.R_Q0 * zf.zeta1 + quad_around(cfg.battery.R_Q0)
+        return c.gamma_deg * cfg.battery.R_Q0 * sc.zeta1 + quad_around(cfg.battery.R_Q0)
     if a is Action.CHARGE:
         # feasible only under surplus (r < 0), where |r| = -r
-        return -c.gamma_deg * (mu * zf.zeta1 + z * zf.zeta2)
+        return -c.gamma_deg * (mu * sc.zeta1 + z * sc.zeta2)
     if a is Action.WAIT:
         return quad_around(0.0)
     if a is Action.OVERSPILL:

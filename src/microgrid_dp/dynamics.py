@@ -18,6 +18,15 @@ them over whole lattices. The scalar API (z/q/g_moments,
 transition_moments) and the path sampler transition_operator read them at
 a point: a variance is sd * sd, whose square root is sd again exactly in
 binary64, so every route sees the same (mean, sd) and the same rho.
+
+What depends on the config only (the expm1 integrals, the decay factors,
+both correlations, the stage cost's discount factors) lives in
+StepConstants, computed by step_constants. Every public law takes the
+config and the step index, derives the constants and the seasonal mean
+mu_R(t_n), and calls its private form (_z_law, _battery_law, ...), which
+takes them as arguments; the path simulator computes the constants once
+per path and calls the private forms directly, so both run the same
+formula code.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seaso
 
 __all__ = [
     "NoiseVector",
+    "StepConstants",
     "TransitionMoments",
     "battery_law",
     "battery_rho",
@@ -40,6 +50,7 @@ __all__ = [
     "generator_law",
     "generator_rho",
     "q_moments",
+    "step_constants",
     "transition_moments",
     "transition_operator",
     "z_law",
@@ -122,6 +133,63 @@ def _jg(beta: float, dt: float) -> float:
     return (-math.expm1(-beta * dt)) ** 2 / (2.0 * beta * beta)
 
 
+class StepConstants(NamedTuple):
+    """Config-only constants of the one-step laws and of the stage cost.
+
+    The public laws below and cost.expected_stage_cost derive them on
+    every call; a caller that keeps one instance (the path simulator)
+    passes it to their private forms and pays for the integrals once.
+    """
+
+    z_decay: float     # e^(-beta_R dt): E[Z'] = z z_decay
+    sd_z: float        # sd of Z'
+    q_decay: float     # e^(-eta0 dt): self-discharge of Q over one step
+    q_psi: float       # psi(eta0, beta_R, dt): weight of z in the battery drift
+    q_phi: float       # phi(eta0, dt): weight of mu_R in the battery drift
+    q_noise: float     # sigma_R / C_Q
+    q_sqrt_iq: float   # sqrt(I_Q); sd of Q' is (eta q_noise) q_sqrt_iq
+    g_phi: float       # phi(beta_R, dt): weight of z in the generator burn
+    sd_g: float        # sd of G' under the full generator mode
+    rho_q: float       # corr(Z', Q') under charge / full discharge
+    rho_g: float       # corr(Z', G') under the full generator mode
+    zeta1: float       # discount factors int_0^dt e^(-(rho + (i-1) beta_R) s) ds
+    zeta2: float
+    zeta3: float
+    var_z: float       # stationary variance sigma_R^2 / (2 beta_R) of Z
+
+
+def step_constants(cfg: ModelConfig) -> StepConstants:
+    """The step-free constants of cfg's laws and stage cost."""
+    p, bat, gen = cfg.demand, cfg.battery, cfg.generator
+    beta, eta0, rho = p.beta_R, bat.eta0, cfg.costs.rho
+    dt = cfg.dt
+    phi_2b = _phi(2.0 * beta, dt)
+    iq = _iq(eta0, beta, dt)
+    ig = _ig(beta, dt)
+    return StepConstants(
+        z_decay=math.exp(-beta * dt),
+        sd_z=math.sqrt(p.sigma_R**2 * phi_2b),
+        q_decay=math.exp(-eta0 * dt),
+        q_psi=_psi(eta0, beta, dt),
+        q_phi=_phi(eta0, dt),
+        q_noise=p.sigma_R / bat.capacity_CQ,
+        q_sqrt_iq=math.sqrt(iq),
+        g_phi=_phi(beta, dt),
+        sd_g=(gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(ig),
+        rho_q=-_jq(eta0, beta, dt) / math.sqrt(phi_2b * iq),
+        rho_g=-_jg(beta, dt) / math.sqrt(phi_2b * ig),
+        zeta1=_phi(rho, dt),
+        zeta2=_phi(rho + beta, dt),
+        zeta3=_phi(rho + 2.0 * beta, dt),
+        var_z=p.sigma_R**2 / (2.0 * beta),
+    )
+
+
+def _seasonal_mean(n: int, cfg: ModelConfig) -> float:
+    """mu_R(t_n), the seasonal mean frozen over step n."""
+    return seasonality(cfg.t_of(n), cfg.demand)
+
+
 def z_moments(n: int, z: float, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Z_{n+1} given Z_n = z."""
     m_Z, sd_Z = z_law(z, cfg)
@@ -135,41 +203,57 @@ def efficiency(t: float, z, q, cfg: ModelConfig):
     stored surplus; discharging applies 1 / eta_E^D(q) to the served demand.
     Broadcasts over z and q; a scalar for float arguments.
     """
+    return _efficiency(seasonality(t, cfg.demand), z, q, cfg)
+
+
+def _efficiency(mu: float, z, q, cfg: ModelConfig):
     bat = cfg.battery
-    return np.where(seasonality(t, cfg.demand) + z <= 0.0,
-                    eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
+    return np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 
 
 def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Q_{n+1} given state and action."""
+    return _q_moments(_seasonal_mean(n, cfg), z, q, a, cfg, step_constants(cfg))
+
+
+def _q_moments(mu: float, z: float, q: float, a: Action, cfg: ModelConfig,
+               sc: StepConstants) -> tuple[float, float]:
     if a in _GAUSSIAN_Q_ACTIONS:
-        m_Q, sd_Q = battery_law(n, z, q, cfg)
+        m_Q, sd_Q = _battery_law(mu, z, q, cfg, sc)
         return m_Q, sd_Q * sd_Q
     if a is Action.DISCHARGE_LIMITED:
-        return discharge_limited_mean(q, cfg), 0.0
-    if a in Action:
-        return q * math.exp(-cfg.battery.eta0 * cfg.dt), 0.0
+        return _discharge_limited_mean(q, cfg, sc), 0.0
+    if isinstance(a, Action):
+        return q * sc.q_decay, 0.0
     raise ValueError(f"unknown action: {a!r}")
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of G_{n+1} given state and action."""
+    return _g_moments(_seasonal_mean(n, cfg), z, g, a, cfg, step_constants(cfg))
+
+
+def _g_moments(mu: float, z: float, g: float, a: Action, cfg: ModelConfig,
+               sc: StepConstants) -> tuple[float, float]:
     if a is Action.FUEL_FULL:
-        burn, sd_G = generator_law(n, z, cfg)
+        burn, sd_G = _generator_law(mu, z, cfg, sc)
         return g - burn, sd_G * sd_G
     if a is Action.FUEL_LIMITED:
         return fuel_limited_mean(g, cfg), 0.0
-    if a in Action:
+    if isinstance(a, Action):
         return g, 0.0
     raise ValueError(f"unknown action: {a!r}")
 
 
 def discharge_limited_mean(q, cfg: ModelConfig):
     """Deterministic Q_{n+1} under limited discharge; q a float or an array."""
+    return _discharge_limited_mean(q, cfg, step_constants(cfg))
+
+
+def _discharge_limited_mean(q, cfg: ModelConfig, sc: StepConstants):
     bat = cfg.battery
-    dt = cfg.dt
     eta = 1.0 / eta_discharge(q, bat)
-    return q * math.exp(-bat.eta0 * dt) - (eta * bat.R_Q0 / bat.capacity_CQ) * _phi(bat.eta0, dt)
+    return q * sc.q_decay - (eta * bat.R_Q0 / bat.capacity_CQ) * sc.q_phi
 
 
 def fuel_limited_mean(g, cfg: ModelConfig):
@@ -180,8 +264,11 @@ def fuel_limited_mean(g, cfg: ModelConfig):
 
 def z_law(z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     """(mean, standard deviation) of Z_{n+1} over a float or an array of z; step-free."""
-    p = cfg.demand
-    return z * math.exp(-p.beta_R * cfg.dt), math.sqrt(p.sigma_R**2 * _phi(2.0 * p.beta_R, cfg.dt))
+    return _z_law(z, step_constants(cfg))
+
+
+def _z_law(z, sc: StepConstants):
+    return z * sc.z_decay, sc.sd_z
 
 
 def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +277,15 @@ def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]
     Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
     scalars for float z and q.
     """
-    bat, p = cfg.battery, cfg.demand
-    dt = cfg.dt
-    t = cfg.t_of(n)
-    eta = efficiency(t, z, q, cfg)
-    h = z * _psi(bat.eta0, p.beta_R, dt) + seasonality(t, p) * _phi(bat.eta0, dt)
-    m_q = q * math.exp(-bat.eta0 * dt) - (eta / bat.capacity_CQ) * h
-    sd_q = eta * (p.sigma_R / bat.capacity_CQ) * math.sqrt(_iq(bat.eta0, p.beta_R, dt))
+    return _battery_law(_seasonal_mean(n, cfg), z, q, cfg, step_constants(cfg))
+
+
+def _battery_law(mu: float, z, q, cfg: ModelConfig, sc: StepConstants):
+    eta = _efficiency(mu, z, q, cfg)
+    h = z * sc.q_psi + mu * sc.q_phi
+    m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * h
+    # evaluated left to right, (eta * q_noise) * q_sqrt_iq; regrouping changes the last bit
+    sd_q = eta * sc.q_noise * sc.q_sqrt_iq
     return m_q, sd_q
 
 
@@ -206,26 +295,24 @@ def generator_law(n: int, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     The burn depends on z only and the standard deviation on no state at
     all; the generator block exploits exactly this structure.
     """
-    gen, p = cfg.generator, cfg.demand
+    return _generator_law(_seasonal_mean(n, cfg), z, cfg, step_constants(cfg))
+
+
+def _generator_law(mu: float, z, cfg: ModelConfig, sc: StepConstants):
+    gen = cfg.generator
     dt = cfg.dt
-    mu = seasonality(cfg.t_of(n), p)
-    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * _phi(p.beta_R, dt))) / gen.capacity_CG
-    sd_g = (gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(_ig(p.beta_R, dt))
-    return burn, sd_g
+    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG
+    return burn, sc.sd_g
 
 
 def battery_rho(cfg: ModelConfig) -> float:
     """State-free corr(Z', Q') under charge / full discharge."""
-    bat, p = cfg.battery, cfg.demand
-    dt = cfg.dt
-    return -_jq(bat.eta0, p.beta_R, dt) / math.sqrt(_phi(2.0 * p.beta_R, dt) * _iq(bat.eta0, p.beta_R, dt))
+    return step_constants(cfg).rho_q
 
 
 def generator_rho(cfg: ModelConfig) -> float:
     """State-free corr(Z', G') under the full generator mode."""
-    beta = cfg.demand.beta_R
-    dt = cfg.dt
-    return -_jg(beta, dt) / math.sqrt(_phi(2.0 * beta, dt) * _ig(beta, dt))
+    return step_constants(cfg).rho_g
 
 
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
@@ -257,15 +344,20 @@ def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: Mode
     not clamped to [0, 1]; callers that need physical trajectories clamp
     (the boundary states represent all overshooting levels).
     """
-    m_Z, sd_Z = z_law(x.z, cfg)
+    return _transition(_seasonal_mean(n, cfg), x, a, eps, cfg, step_constants(cfg))
+
+
+def _transition(mu: float, x: State, a: Action, eps: NoiseVector, cfg: ModelConfig,
+                sc: StepConstants) -> State:
+    m_Z, sd_Z = _z_law(x.z, sc)
     if a in _GAUSSIAN_Q_ACTIONS:
-        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
-        q_next = _correlated(m_Q, sd_Q, battery_rho(cfg), eps.eps_Z, eps.eps_Q)
+        m_Q, sd_Q = _battery_law(mu, x.z, x.q, cfg, sc)
+        q_next = _correlated(m_Q, sd_Q, sc.rho_q, eps.eps_Z, eps.eps_Q)
     else:
-        q_next = q_moments(n, x.z, x.q, a, cfg)[0]
+        q_next = _q_moments(mu, x.z, x.q, a, cfg, sc)[0]
     if a is Action.FUEL_FULL:
-        burn, sd_G = generator_law(n, x.z, cfg)
-        g_next = _correlated(x.g - burn, sd_G, generator_rho(cfg), eps.eps_Z, eps.eps_G)
+        burn, sd_G = _generator_law(mu, x.z, cfg, sc)
+        g_next = _correlated(x.g - burn, sd_G, sc.rho_g, eps.eps_Z, eps.eps_G)
     else:
-        g_next = g_moments(n, x.z, x.g, a, cfg)[0]
+        g_next = _g_moments(mu, x.z, x.g, a, cfg, sc)[0]
     return State(m_Z + sd_Z * eps.eps_Z, q_next, g_next)

@@ -11,14 +11,19 @@ path index))).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Action, ModelConfig, State, seasonality
 from .constraints import feasibility_mask
-from .cost import expected_stage_cost
-from .dynamics import NoiseVector, transition_operator
+# expected_stage_cost and transition_operator are unused here; kept because
+# perfbench/tracing.py patches simulate.expected_stage_cost and
+# simulate.transition_operator.
+from .cost import _expected_stage_cost, expected_stage_cost
+from .dynamics import NoiseVector, _transition, step_constants, transition_operator
 from .grid import StateGrid, _clamp01, cell_of
 from .solver import PolicyTable
 
@@ -27,7 +32,6 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "baseline_wait_policy",
-    "sample_transition",
     "simulate_path",
 ]
 
@@ -69,8 +73,7 @@ SCENARIOS = {
 }
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One simulated step: state seen, action taken, and its cost."""
 
     step: int
@@ -82,14 +85,6 @@ class PathRecord:
     action: Action
     stage_cost_eur: float  # conditional expected discounted cost of this step
     cum_cost_eur: float    # running total, discounted to time 0
-
-
-def sample_transition(n: int, x: State, a: Action, rng: np.random.Generator,
-                      cfg: ModelConfig, z_offset: float = 0.0) -> State:
-    """Draw one exact-distribution transition; z_offset tilts the Z innovation mean."""
-    draws = rng.standard_normal(3)
-    eps = NoiseVector(float(draws[0]) + z_offset, float(draws[1]), float(draws[2]))
-    return transition_operator(n, x, a, eps, cfg)
 
 
 def default_initial_state(grid: StateGrid) -> State:
@@ -105,24 +100,45 @@ def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     The path starts at initial_state (default: default_initial_state) and
     moves by exact draws from the one-step laws, with q and g clamped to
     [0, 1]. The policy is read at the cell of the current continuous state.
+
+    The path's 3N standard normal draws come from one call (the same
+    stream as N calls of three) and the laws' step-free constants from one
+    step_constants call. Each step then runs the private forms of the
+    laws (dynamics._transition, cost._expected_stage_cost) on floats and
+    finds the cell by bisection of the axis edges, which is
+    searchsorted(side="left") of cell_of. A NaN level raises cell_of's
+    ValueError naming its axis.
     """
     seq = np.random.SeedSequence(entropy=scenario.base_seed,
                                  spawn_key=(scenario.sid, path_index))
-    rng = np.random.default_rng(seq)
+    n_steps = cfg.discretization.steps_N
+    draws = np.random.default_rng(seq).standard_normal(3 * n_steps).tolist()
+    sc = step_constants(cfg)
+    axes = (grid.z, grid.q, grid.g)
+    z_edges, q_edges, g_edges = (axis.edges.tolist() for axis in axes)
+    _, nj, nk = grid.shape
+    demand, rho = cfg.demand, cfg.costs.rho
     x = initial_state if initial_state is not None else default_initial_state(grid)
     records: list[PathRecord] = []
     cum = 0.0
-    for n in range(cfg.discretization.steps_N):
-        cell = grid.lin(cell_of(x.z, grid.z), cell_of(x.q, grid.q), cell_of(x.g, grid.g))
+    for n in range(n_steps):
+        if math.isnan(x.z) or math.isnan(x.q) or math.isnan(x.g):
+            for value, axis in zip(x, axes):
+                cell_of(value, axis)  # raises for the first NaN axis
+        # grid.lin of the three cells, row-major
+        cell = ((bisect_left(z_edges, x.z) * nj + bisect_left(q_edges, x.q)) * nk
+                + bisect_left(g_edges, x.g))
         a = policy.action_at(n, cell)
         t = cfg.t_of(n)
-        stage = expected_stage_cost(n, x, a, cfg)
-        cum += math.exp(-cfg.costs.rho * t) * stage
+        mu = seasonality(t, demand)
+        stage = _expected_stage_cost(mu, x.z, a, cfg, sc)
+        cum += math.exp(-rho * t) * stage
         records.append(PathRecord(
-            step=n, time_h=t, z=x.z, r=seasonality(t, cfg.demand) + x.z,
+            step=n, time_h=t, z=x.z, r=mu + x.z,
             q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
         ))
-        nxt = sample_transition(n, x, a, rng, cfg, z_offset=scenario.offset_at(t))
+        eps = NoiseVector(draws[3 * n] + scenario.offset_at(t), draws[3 * n + 1], draws[3 * n + 2])
+        nxt = _transition(mu, x, a, eps, cfg, sc)
         x = State(nxt.z, _clamp01(nxt.q), _clamp01(nxt.g))
     return records
 

@@ -8,7 +8,11 @@ pure-Python recursion for the solver, sampled path integrals for the
 expected stage cost, plain Monte Carlo for rectangle probabilities and
 cell frequencies, a composite Simpson rule for the terminal integral, and
 Euler-Maruyama integration of the continuous dynamics for the closed-form
-one-step moments. The full-lattice block forms evaluate the bivariate CDF
+one-step moments. The path simulator is checked against reference_path,
+its per-step loop over the public scalar API (one standard_normal(3)
+draw, three cell_of lookups, expected_stage_cost and transition_operator
+per step), and the CSV writers against the row-at-a-time f-string
+writers. The full-lattice block forms evaluate the bivariate CDF
 on every edge of every source, tails as +-37: the reference for the
 kernel's closed-form tail edges and its one generator lattice per z
 source.
@@ -27,9 +31,13 @@ from microgrid_dp import (
     Action,
     ModelConfig,
     NumericalError,
+    PathRecord,
+    PolicyTable,
+    Scenario,
     State,
     StateGrid,
     TransitionKernel,
+    ValueTable,
     cell_of,
     efficiency,
     expected_stage_cost,
@@ -43,6 +51,7 @@ from microgrid_dp import (
 )
 from microgrid_dp.dynamics import NoiseVector
 from microgrid_dp.grid import _clamp01
+from microgrid_dp.simulate import default_initial_state
 from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows, _tail_edges
 from microgrid_dp.solver import _TIE_TOL
 
@@ -297,6 +306,78 @@ def operator_cell_counts(n: int, x: State, a: Action, cfg: ModelConfig,
                      cell_of(nxt.g, grid.g))
         counts[m] += 1
     return counts
+
+
+def sample_transition(n: int, x: State, a: Action, rng: np.random.Generator,
+                      cfg: ModelConfig, z_offset: float = 0.0) -> State:
+    """Draw one exact-distribution transition; z_offset tilts the Z innovation mean."""
+    draws = rng.standard_normal(3)
+    eps = NoiseVector(float(draws[0]) + z_offset, float(draws[1]), float(draws[2]))
+    return transition_operator(n, x, a, eps, cfg)
+
+
+def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
+                   grid: StateGrid, path_index: int = 0,
+                   initial_state: State | None = None) -> list[PathRecord]:
+    """simulate_path as a per-step loop over the public scalar API.
+
+    Each step draws its three normals with one standard_normal(3) call,
+    locates the cell with three cell_of calls and evaluates
+    expected_stage_cost and transition_operator from the config; the
+    package's simulator must reproduce these records bit for bit.
+    """
+    seq = np.random.SeedSequence(entropy=scenario.base_seed,
+                                 spawn_key=(scenario.sid, path_index))
+    rng = np.random.default_rng(seq)
+    x = initial_state if initial_state is not None else default_initial_state(grid)
+    records: list[PathRecord] = []
+    cum = 0.0
+    for n in range(cfg.discretization.steps_N):
+        cell = grid.lin(cell_of(x.z, grid.z), cell_of(x.q, grid.q), cell_of(x.g, grid.g))
+        a = policy.action_at(n, cell)
+        t = cfg.t_of(n)
+        stage = expected_stage_cost(n, x, a, cfg)
+        cum += math.exp(-cfg.costs.rho * t) * stage
+        records.append(PathRecord(
+            step=n, time_h=t, z=x.z, r=seasonality(t, cfg.demand) + x.z,
+            q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
+        ))
+        nxt = sample_transition(n, x, a, rng, cfg, z_offset=scenario.offset_at(t))
+        x = State(nxt.z, _clamp01(nxt.q), _clamp01(nxt.g))
+    return records
+
+
+def _fmt(value) -> str:
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def write_step_csv_reference(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
+                             n: int, path: str, cfg: ModelConfig) -> None:
+    """The value/policy CSV of step n, written one f-string row at a time."""
+    values, policy = tables
+    n_steps = cfg.discretization.steps_N
+    mu = seasonality(cfg.t_of(n), cfg.demand)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("i,j,k,z,r_mid,q,g,value_eur,action\n")
+        for m in range(grid.n_states):
+            i, j, k = grid.ijk(m)
+            z = float(grid.z.points[i])
+            label = "" if n == n_steps else policy.action_at(n, m).label
+            fh.write(
+                f"{i},{j},{k},{_fmt(z)},{_fmt(mu + z)},{_fmt(grid.q.points[j])},"
+                f"{_fmt(grid.g.points[k])},{_fmt(values.values[n, m])},{label}\n"
+            )
+
+
+def write_paths_csv_reference(records, path: str) -> None:
+    """A path's records as CSV, written one f-string row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n")
+        for rec in records:
+            fh.write(
+                f"{rec.step},{_fmt(rec.time_h)},{_fmt(rec.z)},{_fmt(rec.r)},{_fmt(rec.q)},"
+                f"{_fmt(rec.g)},{rec.action.label},{_fmt(rec.stage_cost_eur)},{_fmt(rec.cum_cost_eur)}\n"
+            )
 
 
 def brute_force_values(cfg: ModelConfig, grid: StateGrid,

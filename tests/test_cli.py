@@ -13,6 +13,7 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp import cli
+from oracles import write_paths_csv_reference, write_step_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,16 @@ def test_malformed_config_is_one_line_error(tmp_path, text, expect, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and expect in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [("demand", "sigma_R"), ("battery", "capacity_CQ"),
+                                         ("battery", "C1_C")])
+def test_non_finite_field_is_reported_once(tmp_path, section, key, value, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {float(value)}\n"
 
 
 def test_usage_errors_exit_1(small_ini, capsys):
@@ -239,6 +250,32 @@ def test_simulate_from_policy_dir(small_ini, solve_dir, cfg_small, grid_small,
     assert float(first[2]) == records[0].z
     assert first[6] == records[0].action.label
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem", ["small", "table1"])
+def test_step_csvs_match_row_writer(problem, request, tmp_path):
+    cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
+    values, policy, _ = request.getfixturevalue(f"{problem}_solution")
+    n_steps = cfg.discretization.steps_N
+    steps = list(range(n_steps + 1)) if problem == "small" else [0, 85, 167, n_steps]
+    written = cli.export_value_policy((values, policy), grid, steps, str(tmp_path / "out"), cfg)
+    for n, path in zip(steps, written):
+        ref = tmp_path / f"ref{n:04d}.csv"
+        write_step_csv_reference((values, policy), grid, n, str(ref), cfg)
+        assert Path(path).read_bytes() == ref.read_bytes(), n
+
+
+@pytest.mark.parametrize("problem", ["small", "table1"])
+def test_path_csvs_match_row_writer(problem, request, tmp_path):
+    cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
+    _, policy, _ = request.getfixturevalue(f"{problem}_solution")
+    scenario = m.SCENARIOS["overcast-break"].with_seed(3)
+    written = cli._simulate_scenario(cfg, grid, policy, scenario, 3, str(tmp_path / "out"))
+    for idx, path in enumerate(written):
+        records = m.simulate_path(policy, scenario, cfg, grid, path_index=idx)
+        ref = tmp_path / f"ref{idx}.csv"
+        write_paths_csv_reference(records, str(ref))
+        assert Path(path).read_bytes() == ref.read_bytes(), idx
 
 
 def test_simulate_missing_policy_dir(small_ini, tmp_path, capsys):

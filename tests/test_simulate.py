@@ -7,8 +7,8 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.simulate import default_initial_state, sample_transition
-from oracles import euler_oracle
+from microgrid_dp.simulate import default_initial_state
+from oracles import euler_oracle, reference_path, sample_transition
 
 STATE = m.State(1.0, 0.8, 0.9)
 
@@ -114,6 +114,36 @@ def test_path_records_consistent(cfg_small, grid_small, small_solution):
             last_g = rec.g
             cum += math.exp(-cfg_small.costs.rho * rec.time_h) * rec.stage_cost_eur
             assert rec.cum_cost_eur == pytest.approx(cum, abs=1e-12)
+
+
+def _bits(records):
+    # repr of a float is its shortest round trip, so equal reprs are equal bits
+    return [repr(rec) for rec in records]
+
+
+@pytest.mark.parametrize("problem", ["table1", "small"])
+def test_simulate_path_matches_reference_loop(problem, request):
+    cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
+    _, policy, _ = request.getfixturevalue(f"{problem}_solution")
+    for scenario in m.SCENARIOS.values():
+        for idx in (0, 1, 7, 199):
+            got = m.simulate_path(policy, scenario, cfg, grid, path_index=idx)
+            want = reference_path(policy, scenario, cfg, grid, path_index=idx)
+            assert _bits(got) == _bits(want), (scenario.name, idx)
+    x0 = m.State(-0.4, 0.35, 0.6)
+    scenario = m.SCENARIOS["sunny-start"].with_seed(5)
+    got = m.simulate_path(policy, scenario, cfg, grid, path_index=3, initial_state=x0)
+    want = reference_path(policy, scenario, cfg, grid, path_index=3, initial_state=x0)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("axis", ["z", "q", "g"])
+def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solution):
+    _, policy, _ = small_solution
+    x0 = default_initial_state(grid_small)._replace(**{axis: float("nan")})
+    with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
+        m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small, grid_small,
+                        initial_state=x0)
 
 
 def test_default_initial_state(grid_table1):
