@@ -14,8 +14,7 @@ from .config import (Action, BatteryParams, ConfigError, CostParams,
                      SeasonalOUParams, State, config_hash, default_config,
                      dump_config, load_config, seasonality, validate_config)
 from .constraints import FeasibleSet, feasibility_mask, feasible_actions
-from .cost import (DiscountFactors, StageCost, discount_factors,
-                   expected_stage_cost, running_cost, terminal_cost)
+from .cost import StageCost, expected_stage_cost, running_cost, terminal_cost
 from .dynamics import (NoiseVector, TransitionMoments, efficiency, g_moments,
                        q_moments, transition_moments, transition_operator,
                        z_moments)
@@ -27,12 +26,12 @@ from .solver import PolicyTable, ValueTable, solve
 
 __all__ = [
     "Action", "Axis", "BatteryParams", "ConfigError", "CostParams",
-    "DiscountFactors", "DiscretizationParams", "FeasibleSet", "GeneratorParams",
+    "DiscretizationParams", "FeasibleSet", "GeneratorParams",
     "ModelConfig", "NoiseVector", "NumericalError", "PathRecord", "PolicyTable",
     "SCENARIOS", "Scenario", "SeasonalOUParams", "StageCost", "State",
     "StateGrid", "TransitionKernel", "TransitionMoments", "ValueTable",
     "baseline_wait_policy", "build_grid", "cell_of", "config_hash",
-    "default_config", "discount_factors", "dump_config", "efficiency",
+    "default_config", "dump_config", "efficiency",
     "expected_stage_cost", "feasibility_mask", "feasible_actions", "g_moments",
     "load_config", "neighborhood", "q_moments", "running_cost", "seasonality",
     "simulate_path", "solve", "terminal_cost", "transition_moments",

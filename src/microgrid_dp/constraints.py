@@ -10,26 +10,26 @@ ends of the box, discharging and fuel burning guard depletion below 0, so
 a full battery may still serve demand. Near zero residual demand (within
 half a grid cell of 0) the only feasible control is to wait.
 
-Two routes decide the same sets from the same numbers. feasible_actions
-works on one state, with a reason for every excluded action;
-feasibility_mask decides all states of a step at once as broadcast numpy
-over the (z, q, g) lattice and is what the solver calls. Both take the
-means and standard deviations from the dynamics laws (the scalar moments
-read them at a point) and compare the one tail helper _box_tails with
-epsilon, so they agree even where a tail probability sits exactly at
-epsilon.
+One rule decides every set: _exclusions codes, for each action and each
+state of a (z, q, g) lattice, the first test that excludes the action,
+with the means and standard deviations of the dynamics' array laws.
+feasibility_mask reads it over the grid axes for the solver;
+feasible_actions reads it at one state and names the reason for every
+excluded action.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
 from .config import Action, ModelConfig, State, seasonality
-from .dynamics import (battery_law, discharge_limited_mean, fuel_limited_mean, g_moments,
-                       generator_law, q_moments)
+from .dynamics import battery_law, discharge_limited_mean, fuel_limited_mean, generator_law
+# Bound only so that perfbench/tracing.py can count calls of constraints.q_moments/g_moments.
+from .dynamics import g_moments, q_moments  # noqa: F401
 from .grid import StateGrid, z_truncation
 
 __all__ = ["FeasibleSet", "feasibility_mask", "feasible_actions", "near_zero_halfwidth"]
@@ -62,102 +62,81 @@ def _box_tails(m, sd):
     return ndtr(-m / sd), ndtr((m - 1.0) / sd)
 
 
-def _box_chance(m: float, var: float, eps: float, check_upper: bool) -> str | None:
-    """None if the next level stays in [0, 1] with chance >= 1 - eps, else the reason."""
-    if var > 0.0:
-        below, above = _box_tails(m, np.sqrt(var))
-        if below >= eps:
-            return f"P(next level < 0) >= {eps}"
-        if check_upper and above >= eps:
-            return f"P(next level > 1) >= {eps}"
-        return None
-    if m < 0.0:
-        return "deterministic next level < 0"
-    if check_upper and m > 1.0:
-        return "deterministic next level > 1"
-    return None
+# Exclusion codes of _exclusions, in the order the rules are tested; 0 is feasible.
+_BAND, _SURPLUS, _DEFICIT, _THRESHOLD, _BELOW, _ABOVE, _NEGATIVE = range(1, 8)
+_REASONS = {
+    _BAND: "near-zero residual demand band",
+    _SURPLUS: "surplus production (r < 0)",
+    _DEFICIT: "positive residual demand (r >= 0)",
+    _THRESHOLD: "residual demand below threshold {threshold}",
+    _BELOW: "P(next level < 0) >= {eps}",
+    _ABOVE: "P(next level > 1) >= {eps}",
+    _NEGATIVE: "deterministic next level < 0",
+}
+
+
+def _exclusions(n: int, z: np.ndarray, q: np.ndarray, g: np.ndarray,
+                cfg: ModelConfig) -> np.ndarray:
+    """Exclusion code per (action, i, j, k) over the axes z, q, g; 0 where feasible.
+
+    A nonzero code names the first rule that excludes the action. The
+    regime rules depend on z only, the battery rules on (z, q) and the
+    fuel rules on (z, g).
+    """
+    eps = cfg.discretization.epsilon
+    r = seasonality(cfg.t_of(n), cfg.demand) + z
+    band = (np.abs(r) < near_zero_halfwidth(cfg))[:, None, None]
+    surplus = (r < 0.0)[:, None, None]
+    q_below, q_above = (tail[:, :, None] >= eps
+                        for tail in _box_tails(*battery_law(n, z[:, None], q[None, :], cfg)))
+    burn, sd_g = generator_law(n, z, cfg)
+    g_below = (_box_tails(g[None, :] - burn[:, None], sd_g)[0] >= eps)[:, None, :]
+    q_negative = (discharge_limited_mean(q, cfg) < 0.0)[None, :, None]
+    g_negative = (fuel_limited_mean(g, cfg) < 0.0)[None, None, :]
+
+    code = np.zeros((len(Action), z.size, q.size, g.size), dtype=np.int8)
+
+    def rules(a: Action, *tests) -> None:
+        # the last test first, so that the first one that holds is the code left
+        out = 0
+        for reason, holds in reversed(tests):
+            out = np.where(holds, reason, out)
+        code[a] = out
+
+    rules(Action.OVERSPILL, (_BAND, band), (_DEFICIT, ~surplus))
+    rules(Action.CHARGE, (_BAND, band), (_DEFICIT, ~surplus), (_BELOW, q_below),
+          (_ABOVE, q_above))
+    rules(Action.WAIT, (_SURPLUS, ~band & surplus))
+    rules(Action.DISCHARGE_LIMITED, (_BAND, band), (_SURPLUS, surplus),
+          (_THRESHOLD, (r < cfg.battery.R_Q0)[:, None, None]), (_NEGATIVE, q_negative))
+    rules(Action.DISCHARGE_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, q_below))
+    rules(Action.FUEL_LIMITED, (_BAND, band), (_SURPLUS, surplus),
+          (_THRESHOLD, (r < cfg.generator.R_G0)[:, None, None]), (_NEGATIVE, g_negative))
+    rules(Action.FUEL_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, g_below))
+    return code
 
 
 def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
-    """Feasible action set U(n, x); never empty."""
-    eps = cfg.discretization.epsilon
-    r = seasonality(cfg.t_of(n), cfg.demand) + x.z
-
-    if abs(r) < near_zero_halfwidth(cfg):
-        reason = "near-zero residual demand band"
-        return FeasibleSet(
-            actions=(Action.WAIT,),
-            excluded={a: reason for a in Action if a is not Action.WAIT},
-        )
-
-    feasible: list[Action] = []
-    excluded: dict[Action, str] = {}
-
-    def consider(a: Action, reason: str | None) -> None:
-        if reason is None:
-            feasible.append(a)
-        else:
-            excluded[a] = reason
-
-    if r < 0.0:
-        consider(Action.OVERSPILL, None)
-        m, var = q_moments(n, x.z, x.q, Action.CHARGE, cfg)
-        consider(Action.CHARGE, _box_chance(m, var, eps, check_upper=True))
-        for a in (Action.WAIT, Action.DISCHARGE_LIMITED, Action.DISCHARGE_FULL,
-                  Action.FUEL_LIMITED, Action.FUEL_FULL):
-            excluded[a] = "surplus production (r < 0)"
-    else:
-        excluded[Action.OVERSPILL] = "positive residual demand (r >= 0)"
-        excluded[Action.CHARGE] = "positive residual demand (r >= 0)"
-        consider(Action.WAIT, None)
-
-        if r >= cfg.battery.R_Q0:
-            m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_LIMITED, cfg)
-            consider(Action.DISCHARGE_LIMITED, _box_chance(m, var, eps, check_upper=False))
-        else:
-            excluded[Action.DISCHARGE_LIMITED] = f"residual demand below threshold R_Q0 = {cfg.battery.R_Q0}"
-        m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_FULL, cfg)
-        consider(Action.DISCHARGE_FULL, _box_chance(m, var, eps, check_upper=False))
-
-        if r >= cfg.generator.R_G0:
-            m, var = g_moments(n, x.z, x.g, Action.FUEL_LIMITED, cfg)
-            consider(Action.FUEL_LIMITED, _box_chance(m, var, eps, check_upper=False))
-        else:
-            excluded[Action.FUEL_LIMITED] = f"residual demand below threshold R_G0 = {cfg.generator.R_G0}"
-        m, var = g_moments(n, x.z, x.g, Action.FUEL_FULL, cfg)
-        consider(Action.FUEL_FULL, _box_chance(m, var, eps, check_upper=False))
-
-    feasible.sort()
-    return FeasibleSet(actions=tuple(feasible), excluded=excluded)
+    """Feasible action set U(n, x); never empty. A non-finite x raises ValueError."""
+    for axis, value in zip("zqg", x):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite state on axis {axis!r}: {value}")
+    axes = (np.array([value], dtype=float) for value in x)
+    codes = _exclusions(n, *axes, cfg)[:, 0, 0, 0].tolist()
+    thresholds = {Action.DISCHARGE_LIMITED: f"R_Q0 = {cfg.battery.R_Q0}",
+                  Action.FUEL_LIMITED: f"R_G0 = {cfg.generator.R_G0}"}
+    return FeasibleSet(
+        actions=tuple(a for a in Action if codes[a] == 0),
+        excluded={a: _REASONS[codes[a]].format(eps=cfg.discretization.epsilon,
+                                               threshold=thresholds.get(a))
+                  for a in Action if codes[a]},
+    )
 
 
 def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Boolean mask (action, i, j, k): True where the action is feasible.
 
-    The same decisions as feasible_actions at every grid state, taken for
-    the whole lattice at once: the residual-demand regime depends on z
-    only, the battery checks on (z, q) and the fuel checks on (z, g).
+    _exclusions over the grid axes: the rule of feasible_actions at every
+    grid state, taken for the whole lattice at once.
     """
-    eps = cfg.discretization.epsilon
-    z, q, g = grid.z.points, grid.q.points, grid.g.points
-    r = seasonality(cfg.t_of(n), cfg.demand) + z
-    band = np.abs(r) < near_zero_halfwidth(cfg)
-    surplus = ~band & (r < 0.0)
-    deficit = ~band & (r >= 0.0)
-    q_below, q_above = _box_tails(*battery_law(n, z[:, None], q[None, :], cfg))
-    burn, sd_g = generator_law(n, z, cfg)
-    g_below, _ = _box_tails(g[None, :] - burn[:, None], sd_g)
-
-    mask = np.zeros((len(Action),) + grid.shape, dtype=bool)
-    mask[Action.OVERSPILL] = surplus[:, None, None]
-    mask[Action.CHARGE] = (surplus[:, None] & (q_below < eps) & (q_above < eps))[:, :, None]
-    mask[Action.WAIT] = ~surplus[:, None, None]
-    q_lim_ok = ~(discharge_limited_mean(q, cfg) < 0.0)
-    mask[Action.DISCHARGE_LIMITED] = ((deficit & (r >= cfg.battery.R_Q0))[:, None]
-                                      & q_lim_ok[None, :])[:, :, None]
-    mask[Action.DISCHARGE_FULL] = (deficit[:, None] & (q_below < eps))[:, :, None]
-    g_lim_ok = ~(fuel_limited_mean(g, cfg) < 0.0)
-    mask[Action.FUEL_LIMITED] = ((deficit & (r >= cfg.generator.R_G0))[:, None]
-                                 & g_lim_ok[None, :])[:, None, :]
-    mask[Action.FUEL_FULL] = (deficit[:, None] & (g_below < eps))[:, None, :]
-    return mask
+    return _exclusions(n, grid.z.points, grid.q.points, grid.g.points, cfg) == 0

@@ -17,22 +17,11 @@ from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seaso
 from .dynamics import StepConstants, step_constants
 
 __all__ = [
-    "DiscountFactors",
     "StageCost",
-    "discount_factors",
     "expected_stage_cost",
     "running_cost",
     "terminal_cost",
 ]
-
-
-@dataclass(frozen=True)
-class DiscountFactors:
-    """zeta_i = int_0^Delta e^(-(rho + (i-1) beta_R) s) ds for i = 1, 2, 3."""
-
-    zeta1: float
-    zeta2: float
-    zeta3: float
 
 
 @dataclass(frozen=True)
@@ -46,11 +35,6 @@ class StageCost:
     @property
     def value(self) -> float:
         return self.fuel + self.degradation + self.discomfort
-
-
-def discount_factors(cfg: ModelConfig) -> DiscountFactors:
-    sc = step_constants(cfg)
-    return DiscountFactors(zeta1=sc.zeta1, zeta2=sc.zeta2, zeta3=sc.zeta3)
 
 
 def running_cost(t: float, x: State, a: Action, cfg: ModelConfig) -> StageCost:

@@ -110,11 +110,9 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     return np.where(mask, q_vals, np.inf)
 
 
-def solve(cfg: ModelConfig, grid: StateGrid,
-          kernel: TransitionKernel | None = None) -> tuple[ValueTable, PolicyTable]:
+def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
     """Backward recursion over all steps; deterministic for a fixed config."""
-    if kernel is None:
-        kernel = TransitionKernel(cfg, grid)
+    kernel = TransitionKernel(cfg, grid)
     steps = cfg.discretization.steps_N
     n_states = grid.n_states
     values = np.empty((steps + 1, n_states))

@@ -4,18 +4,20 @@ Each oracle re-derives a quantity the package computes, through a
 deliberately different route: scalar transition rows whose rectangle
 masses come from adaptive quadrature (transition_row / bvn_rect_prob)
 for the kernel blocks, a per-state Bellman backup over those rows and a
-pure-Python recursion for the solver, sampled path integrals for the
-expected stage cost, plain Monte Carlo for rectangle probabilities and
-cell frequencies, a composite Simpson rule for the terminal integral, and
-Euler-Maruyama integration of the continuous dynamics for the closed-form
-one-step moments. The path simulator is checked against reference_path,
-its per-step loop over the public scalar API (one standard_normal(3)
-draw, three cell_of lookups, expected_stage_cost and transition_operator
-per step), and the CSV writers against the row-at-a-time f-string
-writers. The full-lattice block forms evaluate the bivariate CDF
-on every edge of every source, tails as +-37: the reference for the
-kernel's closed-form tail edges and its one generator lattice per z
-source.
+pure-Python recursion for the solver, a scalar if-tree over the scalar
+moments (feasible_actions_reference) for the coded feasibility rule that
+feasibility_mask and feasible_actions read, sampled path integrals for
+the expected stage cost, plain Monte Carlo for rectangle probabilities
+and cell frequencies, a composite Simpson rule for the terminal
+integral, and Euler-Maruyama integration of the continuous dynamics for
+the closed-form one-step moments. The path simulator is checked against
+reference_path, its per-step loop over the public scalar API (one
+standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
+transition_operator per step), and the CSV writers against the
+row-at-a-time f-string writers. The full-lattice block forms evaluate
+the bivariate CDF on every edge of every source, tails as +-37: the
+reference for the kernel's closed-form tail edges and its one generator
+lattice per z source.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from scipy.special import ndtr
 
 from microgrid_dp import (
     Action,
+    FeasibleSet,
     ModelConfig,
     NumericalError,
     PathRecord,
@@ -41,14 +44,15 @@ from microgrid_dp import (
     cell_of,
     efficiency,
     expected_stage_cost,
-    feasible_actions,
     g_moments,
+    q_moments,
     seasonality,
     terminal_cost,
     transition_moments,
     transition_operator,
     z_moments,
 )
+from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import NoiseVector
 from microgrid_dp.grid import _clamp01
 from microgrid_dp.simulate import default_initial_state
@@ -169,6 +173,84 @@ def transition_row(n: int, source: int, a: Action, grid: StateGrid,
     return TransitionRow(targets, z_mass[keep])
 
 
+def _box_tails(m, sd):
+    """(P(next level < 0), P(next level > 1)) for N(m, sd^2), sd > 0; floats or arrays."""
+    return ndtr(-m / sd), ndtr((m - 1.0) / sd)
+
+
+def _box_chance(m: float, var: float, eps: float, check_upper: bool) -> str | None:
+    """None if the next level stays in [0, 1] with chance >= 1 - eps, else the reason."""
+    if var > 0.0:
+        below, above = _box_tails(m, np.sqrt(var))
+        if below >= eps:
+            return f"P(next level < 0) >= {eps}"
+        if check_upper and above >= eps:
+            return f"P(next level > 1) >= {eps}"
+        return None
+    if m < 0.0:
+        return "deterministic next level < 0"
+    if check_upper and m > 1.0:
+        return "deterministic next level > 1"
+    return None
+
+
+def feasible_actions_reference(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
+    """Feasible action set U(n, x) as a scalar if-tree over the scalar moments.
+
+    The reference for constraints._exclusions, which feasibility_mask and
+    feasible_actions both read: same actions, same reason strings.
+    """
+    eps = cfg.discretization.epsilon
+    r = seasonality(cfg.t_of(n), cfg.demand) + x.z
+
+    if abs(r) < near_zero_halfwidth(cfg):
+        reason = "near-zero residual demand band"
+        return FeasibleSet(
+            actions=(Action.WAIT,),
+            excluded={a: reason for a in Action if a is not Action.WAIT},
+        )
+
+    feasible: list[Action] = []
+    excluded: dict[Action, str] = {}
+
+    def consider(a: Action, reason: str | None) -> None:
+        if reason is None:
+            feasible.append(a)
+        else:
+            excluded[a] = reason
+
+    if r < 0.0:
+        consider(Action.OVERSPILL, None)
+        m, var = q_moments(n, x.z, x.q, Action.CHARGE, cfg)
+        consider(Action.CHARGE, _box_chance(m, var, eps, check_upper=True))
+        for a in (Action.WAIT, Action.DISCHARGE_LIMITED, Action.DISCHARGE_FULL,
+                  Action.FUEL_LIMITED, Action.FUEL_FULL):
+            excluded[a] = "surplus production (r < 0)"
+    else:
+        excluded[Action.OVERSPILL] = "positive residual demand (r >= 0)"
+        excluded[Action.CHARGE] = "positive residual demand (r >= 0)"
+        consider(Action.WAIT, None)
+
+        if r >= cfg.battery.R_Q0:
+            m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_LIMITED, cfg)
+            consider(Action.DISCHARGE_LIMITED, _box_chance(m, var, eps, check_upper=False))
+        else:
+            excluded[Action.DISCHARGE_LIMITED] = f"residual demand below threshold R_Q0 = {cfg.battery.R_Q0}"
+        m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_FULL, cfg)
+        consider(Action.DISCHARGE_FULL, _box_chance(m, var, eps, check_upper=False))
+
+        if r >= cfg.generator.R_G0:
+            m, var = g_moments(n, x.z, x.g, Action.FUEL_LIMITED, cfg)
+            consider(Action.FUEL_LIMITED, _box_chance(m, var, eps, check_upper=False))
+        else:
+            excluded[Action.FUEL_LIMITED] = f"residual demand below threshold R_G0 = {cfg.generator.R_G0}"
+        m, var = g_moments(n, x.z, x.g, Action.FUEL_FULL, cfg)
+        consider(Action.FUEL_FULL, _box_chance(m, var, eps, check_upper=False))
+
+    feasible.sort()
+    return FeasibleSet(actions=tuple(feasible), excluded=excluded)
+
+
 def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKernel,
                    cfg: ModelConfig) -> tuple[float, Action]:
     """Scalar backup at one state: (optimal value, argmin action).
@@ -179,7 +261,7 @@ def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKer
     """
     grid = kernel.grid
     x = grid.state_of(state)
-    feas = feasible_actions(n, x, cfg)
+    feas = feasible_actions_reference(n, x, cfg)
     if len(feas) == 0:
         raise NumericalError(f"empty feasible set at step {n}, state {state}")
     disc = math.exp(-cfg.costs.rho * cfg.dt) if cfg.bellman_discount_continuation else 1.0
@@ -397,7 +479,7 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
     for n in range(n_steps):
         for m in range(n_states):
             x = grid.state_of(m)
-            acts = tuple(feasible_actions(n, x, cfg))
+            acts = tuple(feasible_actions_reference(n, x, cfg))
             feas[n, m] = acts
             for a in acts:
                 row = transition_row(n, m, a, grid, cfg)

@@ -1,6 +1,7 @@
 """End-to-end CLI checks on a small instance: subcommands, files, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp import cli
+from conftest import small_discretization
 from oracles import write_paths_csv_reference, write_step_csv_reference
 
 
@@ -387,6 +389,50 @@ def test_paper_run_repeatable_bytes(small_ini, tmp_path, capsys):
         b1 = Path(out1, name).read_bytes()
         b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
+    capsys.readouterr()
+
+
+# SHA-256 of every CSV that `paper-run --seeds 2` writes for 24 steps on the
+# 6x7x4 grid, as earlier versions wrote them. A change that moves any of these
+# bytes, even by the last bit of one float, must name and bound the drift.
+# (On 6x4x4 a last-bit change of the battery sd moves no byte; here it moves
+# the step CSVs and a sunny-finish path.)
+PAPER_RUN_DIGESTS = {
+    "path_overcast-break_seed000.csv":
+        "4ba388998144f92a008f8f1bd9656088e3960db5b2ddf1c79d5f3fb868804f18",
+    "path_overcast-break_seed001.csv":
+        "9870450a45ec6f990b4b1cef3c4fc260476d8f73defb05683af0e1b328c3549f",
+    "path_overcast-week_seed000.csv":
+        "b7931568bfdc08366d5b41a9bd5d7b1bb4ba0e5977c3bdbd2e4719c1930f1f6e",
+    "path_overcast-week_seed001.csv":
+        "4d0e8e8c1f70e9f9fb7d56371e5aebb755707ecc21814ecdc68a2355f9fd1369",
+    "path_sunny-finish_seed000.csv":
+        "3cf007060f918823f6aaa96d04774cb19921e8eb47ff66e132ae15aa18ed181a",
+    "path_sunny-finish_seed001.csv":
+        "23949d29b3a540316a4f865b12c03bea85d09f1c2837bd1f7c4ff2528b9b0e27",
+    "path_sunny-start_seed000.csv":
+        "a9a526725c44e1545d4239802459b1b747413e18b3f4f9e39a9ae8a1c6cd3a10",
+    "path_sunny-start_seed001.csv":
+        "79f6dcde0b1efe311c6cf2b62c67d9736c2a31689dcc83c54ed0cdf6570a2afb",
+    "value_policy_step0000.csv":
+        "fbeca961892fb0d22de63909cea5e1ab0c0f2863d3f9688d5f5249b8cd15d97f",
+    "value_policy_step0012.csv":
+        "2ea8c13f8590ebadba822ec044520f87b1b7d21ba819c583afac0b0616f6fd9b",
+    "value_policy_step0023.csv":
+        "2284a98ed9aeb28fd74b4fa4229adc44cf607cb3aa2d9e31cb2d49a8ed078a57",
+    "value_policy_step0024.csv":
+        "650370c959277d015d75b592deaac5e062aac826dc0fa2d15ca1b8a5898d48a2",
+}
+
+
+def test_paper_run_bytes_match_earlier_versions(cfg_table1, tmp_path, capsys):
+    ini = _ini_for(small_discretization(cfg_table1, steps=24, n_q=6), tmp_path,
+                  "small24.ini")
+    out = tmp_path / "pipe"
+    assert cli.main(["paper-run", ini, "--out", str(out), "--seeds", "2"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.glob("*.csv"))}
+    assert digests == PAPER_RUN_DIGESTS
     capsys.readouterr()
 
 

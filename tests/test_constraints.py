@@ -8,9 +8,10 @@ import pytest
 from scipy.special import ndtr
 
 import microgrid_dp as m
+from conftest import small_discretization
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import battery_law
-from oracles import _norm_cdf
+from oracles import _norm_cdf, feasible_actions_reference
 
 
 def _with_eps(cfg, eps):
@@ -109,6 +110,8 @@ def test_feasible_set_never_empty_random_states(cfg_table1):
                     float(rng.uniform(0, 1)))
         n = int(rng.integers(0, cfg_table1.discretization.steps_N))
         fs = m.feasible_actions(n, x, cfg_table1)
+        ref = feasible_actions_reference(n, x, cfg_table1)
+        assert (fs.actions, fs.excluded) == (ref.actions, ref.excluded)
         assert len(fs) >= 1
         assert set(fs.actions) | set(fs.excluded) == set(m.Action)
         assert not set(fs.actions) & set(fs.excluded)
@@ -135,7 +138,8 @@ def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1
     """epsilon is set to the exact lower tail of one deficit state's full
     discharge, at a state where the erfc-based _norm_cdf rounds that tail
     lower than ndtr. The tail is not below epsilon, so the move is excluded,
-    and the scalar check and the mask must agree on it and on the whole step."""
+    and feasible_actions, the scalar reference and the mask must agree on it
+    and on the whole step."""
     grid = grid_table1
     z, q = grid.z.points, grid.q.points
     half = near_zero_halfwidth(cfg_table1)
@@ -152,8 +156,10 @@ def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1
     assert m.Action.DISCHARGE_FULL not in m.feasible_actions(n, x, cfg)
     assert not mask[m.Action.DISCHARGE_FULL, i, j].any()
     for state in range(grid.n_states):
-        feas = m.feasible_actions(n, grid.state_of(state), cfg)
-        assert [a in feas for a in m.Action] == mask[(slice(None),) + grid.ijk(state)].tolist()
+        expect = mask[(slice(None),) + grid.ijk(state)].tolist()
+        for route in (m.feasible_actions, feasible_actions_reference):
+            feas = route(n, grid.state_of(state), cfg)
+            assert [a in feas for a in m.Action] == expect
 
 
 def test_deterministic_moves_ignore_epsilon(cfg_table1):
@@ -177,3 +183,27 @@ def test_feasible_set_container_protocol(cfg_table1):
     assert m.Action.OVERSPILL not in fs
     assert len(fs) == len(tuple(fs))
     assert isinstance(fs.excluded[m.Action.OVERSPILL], str)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.05, 0.49])
+def test_feasible_actions_match_reference_every_state(cfg_table1, eps):
+    cfg = small_discretization(cfg_table1, steps=24)
+    cfg = m.validate_config(_with_eps(cfg, eps))
+    grid = m.build_grid(cfg)
+    reasons = set()
+    for n in range(cfg.discretization.steps_N):
+        for state in range(grid.n_states):
+            x = grid.state_of(state)
+            got, ref = m.feasible_actions(n, x, cfg), feasible_actions_reference(n, x, cfg)
+            assert (got.actions, got.excluded) == (ref.actions, ref.excluded), (n, state)
+            reasons.update(ref.excluded.values())
+    # every exclusion rule fired somewhere, the two thresholds separately
+    assert len(reasons) == 8
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("axis", ["z", "q", "g"])
+def test_non_finite_state_is_rejected(cfg_table1, axis, value):
+    x = m.State(1.0, 0.5, 0.5)._replace(**{axis: value})
+    with pytest.raises(ValueError, match=f"axis '{axis}'"):
+        m.feasible_actions(3, x, cfg_table1)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import microgrid_dp as m
-from microgrid_dp.cost import discount_factors
+from microgrid_dp.dynamics import step_constants
 
 import oracles
 
@@ -17,7 +17,7 @@ def _state_with_r(r, cfg, q=0.5, g=0.5):
 
 
 def test_discount_factors_frozen(cfg_table1):
-    d = discount_factors(cfg_table1)
+    d = step_constants(cfg_table1)
     assert d.zeta1 == pytest.approx(0.985148881716394, abs=1e-12)
     assert d.zeta2 == pytest.approx(0.8933321630289827, abs=1e-12)
     assert d.zeta3 == pytest.approx(0.8127695471550778, abs=1e-12)
@@ -26,7 +26,7 @@ def test_discount_factors_frozen(cfg_table1):
 def test_discount_factors_match_quadrature(cfg_table1):
     rho = cfg_table1.costs.rho
     beta = cfg_table1.demand.beta_R
-    d = discount_factors(cfg_table1)
+    d = step_constants(cfg_table1)
     for zeta, rate in ((d.zeta1, rho), (d.zeta2, rho + beta),
                        (d.zeta3, rho + 2.0 * beta)):
         ref, err = quad(lambda s, r=rate: math.exp(-r * s), 0.0, 1.0,
@@ -86,7 +86,7 @@ def test_discomfort_vanishes_at_thresholds(cfg_table1):
 def test_expected_wait_cost_closed_form_identity(cfg_table1):
     cfg = cfg_table1
     p, c = cfg.demand, cfg.costs
-    d = discount_factors(cfg)
+    d = step_constants(cfg)
     s2 = p.sigma_R**2 / (2.0 * p.beta_R)
     mu = m.seasonality(0.0, p)
     expect = c.k0 * ((mu * mu + s2) * d.zeta1 - s2 * d.zeta3)

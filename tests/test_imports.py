@@ -15,6 +15,10 @@ EXEMPT = {
     # the path simulator no longer calls (it runs their private forms).
     ("simulate", "expected_stage_cost"),
     ("simulate", "transition_operator"),
+    # ... and constraints.q_moments, which the feasibility rule no longer calls.
+    ("constraints", "q_moments"),
+    # ... and constraints.g_moments, likewise.
+    ("constraints", "g_moments"),
 }
 
 

@@ -2,7 +2,9 @@
 
 perfbench/tracing.py patches package attributes by name; a renamed or
 deleted name makes install() raise here, in well under a second, instead
-of inside the benchmark's smoke run.
+of inside the benchmark's smoke run. Each import that test_imports.EXEMPT
+keeps for the benchmark must be one that install() patches, so that an
+exemption goes stale here as soon as the benchmark stops reading it.
 """
 
 import importlib.util
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 from microgrid_dp import cli, config, constraints, grid, kernel, simulate, solver
+from test_imports import EXEMPT
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 OWNERS = (cli, config, constraints, grid, kernel, simulate, solver, kernel.TransitionKernel)
@@ -29,7 +32,8 @@ def _attributes():
             for owner in OWNERS for name, value in vars(owner).items()}
 
 
-def test_install_then_uninstall_restores_every_attribute(monkeypatch):
+def _patched(monkeypatch):
+    """(attributes before, attributes after) install-then-uninstall, and the patched keys."""
     tracing = _load_tracing(monkeypatch)
     before = _attributes()
     tracer = tracing.install()
@@ -37,8 +41,18 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
         during = _attributes()
     finally:
         tracer.uninstall()
-    after = _attributes()
     patched = {key for key, value in during.items() if value is not before.get(key)}
+    return before, _attributes(), patched
+
+
+def test_install_then_uninstall_restores_every_attribute(monkeypatch):
+    before, after, patched = _patched(monkeypatch)
     assert patched
     assert set(after) == set(before)
     assert all(after[key] is before[key] for key in before)
+
+
+def test_every_exempt_import_is_patched_by_install(monkeypatch):
+    _, _, patched = _patched(monkeypatch)
+    exempt = {(f"microgrid_dp.{module}", name) for module, name in EXEMPT}
+    assert exempt <= patched, sorted(exempt - patched)
