@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .calibrate import calibration_report
 from .config import (ACTION_BY_LABEL, Action, ConfigError, ModelConfig, State,
-                     config_hash, load_config, seasonality)
+                     config_hash, load_config)
 from .dynamics import transition_moments
 from .grid import StateGrid, build_grid
 from .kernel import NumericalError
@@ -97,6 +97,8 @@ def _parse_window(raw: str) -> tuple[float, float]:
         start, end = (float(part) for part in raw.split(","))
     except ValueError:
         raise ConfigError([f"window must be 'start,end' hours, got {raw!r}"]) from None
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigError([f"window hours must be finite, got {raw!r}"])
     return start, end
 
 
@@ -131,17 +133,20 @@ def _check_policy_config(policy_dir: str, cfg: ModelConfig) -> None:
 
 
 def _check_options(args, cfg: ModelConfig) -> None:
-    """Range checks of the numeric options, before any work: one usage error each."""
-    errors = []
+    """Range checks of the numeric options, before any work: one usage error each.
+
+    Every float option must be finite; the ranges below apply on top.
+    """
+    errors = [f"--{name.replace('_', '-')} must be finite, got {value}"
+              for name, value in vars(args).items()
+              if isinstance(value, float) and not math.isfinite(value)]
     if args.command == "moments":
         n_steps = cfg.discretization.steps_N
         if not 0 <= args.n < n_steps:
             errors.append(f"--n {args.n} outside 0..{n_steps - 1}")
-        if not math.isfinite(args.z):
-            errors.append(f"--z must be finite, got {args.z}")
         for name in ("q", "g"):
             value = getattr(args, name)
-            if not 0.0 <= value <= 1.0:
+            if math.isfinite(value) and not 0.0 <= value <= 1.0:
                 errors.append(f"--{name} must lie in [0, 1], got {value}")
     if args.command in ("simulate", "paper-run"):
         if args.seeds < 1:
@@ -168,6 +173,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     values, policy = tables
     n_steps = cfg.discretization.steps_N
     z_points = grid.z.points.tolist()
+    mu = cfg.constants.mu
     rows = [(f"{i},{j},{k},{z!r},", i, f",{q!r},{g!r},")
             for i, z in enumerate(z_points)
             for j, q in enumerate(grid.q.points.tolist())
@@ -177,8 +183,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     for n in steps:
         if not 0 <= n <= n_steps:
             raise ConfigError([f"export step {n} outside 0..{n_steps}"])
-        mu = seasonality(cfg.t_of(n), cfg.demand)
-        r_mid = [repr(mu + z) for z in z_points]
+        r_mid = [repr(mu[n] + z) for z in z_points]
         labels = ([""] * len(rows) if n == n_steps
                   else [_LABELS[a] for a in policy.actions[n].tolist()])
         body = "".join(f"{head}{r_mid[i]}{qg}{v!r},{label}\n"

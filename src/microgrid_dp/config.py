@@ -14,7 +14,11 @@ import io
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from enum import IntEnum
-from typing import NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .dynamics import StepConstants
 
 __all__ = [
     "Action",
@@ -184,6 +188,16 @@ class ModelConfig:
     def t_of(self, n: int) -> float:
         """Time [h] of step index n."""
         return n * self.dt
+
+    @cached_property
+    def constants(self) -> StepConstants:
+        """The one-step laws' config-only constants, derived on first use and kept.
+
+        dynamics.step_constants(self), computed once per config object; a
+        dataclasses.replace copy derives its own.
+        """
+        from .dynamics import step_constants  # here, not at the top: dynamics imports config
+        return step_constants(self)
 
 
 def default_config() -> ModelConfig:

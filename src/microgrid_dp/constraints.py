@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .config import Action, ModelConfig, State, seasonality
+from .config import Action, ModelConfig, State
 from .dynamics import battery_law, discharge_limited_mean, fuel_limited_mean, generator_law
 # Bound only so that perfbench/tracing.py can count calls of constraints.q_moments/g_moments.
 from .dynamics import g_moments, q_moments  # noqa: F401
@@ -84,7 +84,7 @@ def _exclusions(n: int, z: np.ndarray, q: np.ndarray, g: np.ndarray,
     fuel rules on (z, g).
     """
     eps = cfg.discretization.epsilon
-    r = seasonality(cfg.t_of(n), cfg.demand) + z
+    r = cfg.constants.mu[n] + z
     band = (np.abs(r) < near_zero_halfwidth(cfg))[:, None, None]
     surplus = (r < 0.0)[:, None, None]
     q_below, q_above = (tail[:, :, None] >= eps

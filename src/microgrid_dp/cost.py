@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
-from .dynamics import StepConstants, step_constants
 
 __all__ = [
     "StageCost",
@@ -71,15 +70,12 @@ def expected_stage_cost(k: int, x: State, a: Action, cfg: ModelConfig) -> float:
     E[Z(s)|z] = z e^(-beta s) and Var[Z(s)] = sigma^2/(2 beta) (1 - e^(-2 beta s)),
     so every branch reduces to a combination of zeta_1, zeta_2, zeta_3.
     The closed form is plain arithmetic in z, so x.z may also be a numpy
-    array; the result then has its shape (a float for overspill).
+    array; the result then has its shape (a float for overspill). The
+    discount factors, the stationary variance and mu_{R,k} come from
+    cfg.constants; a step k outside 0..N raises KeyError.
     """
-    return _expected_stage_cost(seasonality(cfg.t_of(k), cfg.demand), x.z, a, cfg,
-                                step_constants(cfg))
-
-
-def _expected_stage_cost(mu: float, z, a: Action, cfg: ModelConfig, sc: StepConstants):
-    """expected_stage_cost at seasonal mean mu, from the config's step-free constants."""
-    c = cfg.costs
+    c, sc = cfg.costs, cfg.constants
+    mu, z = sc.mu[k], x.z
 
     def quad_around(r0: float) -> float:
         # E int e^(-rho s) k0 (R(s) - r0)^2 ds

@@ -4,8 +4,9 @@ Within one step of length Delta the seasonal mean and the battery
 efficiency are frozen at the left endpoint (piecewise-constant model
 parameters), which makes the joint one-step law Gaussian with the
 closed-form moments implemented here. All integral kernels are written
-with expm1-based helpers so they stay stable for small rates and handle
-the removable singularity at eta0 = beta_R.
+with expm1-based helpers; where a closed form is a difference quotient
+that cancels (a rate gap such as eta0 - beta_R, or beta_R itself, small
+against 1 / Delta), the integral is taken by quadrature instead.
 
 Each law has one implementation, written for numpy arrays and read at a
 single state by passing floats: z_law (mean and sd of Z'), battery_law
@@ -14,19 +15,17 @@ rule efficiency), generator_law (burn and sd of G' under the full
 generator mode), the state-free correlations battery_rho and
 generator_rho, and the deterministic means discharge_limited_mean and
 fuel_limited_mean. The feasibility mask and the transition blocks read
-them over whole lattices. The scalar API (z/q/g_moments,
-transition_moments) and the path sampler transition_operator read them at
-a point: a variance is sd * sd, whose square root is sd again exactly in
-binary64, so every route sees the same (mean, sd) and the same rho.
+them over whole lattices; the scalar API (z/q/g_moments,
+transition_moments), the path sampler transition_operator and the path
+simulator read them at a point. A variance is sd * sd, whose square root
+is sd again exactly in binary64, so every route sees the same (mean, sd)
+and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
-both correlations, the stage cost's discount factors) lives in
-StepConstants, computed by step_constants. Every public law takes the
-config and the step index, derives the constants and the seasonal mean
-mu_R(t_n), and calls its private form (_z_law, _battery_law, ...), which
-takes them as arguments; the path simulator computes the constants once
-per path and calls the private forms directly, so both run the same
-formula code.
+both correlations, the stage cost's discount factors and the seasonal
+mean mu_R(t_n) of every step) is a StepConstants record, built by
+step_constants and kept on the config as cfg.constants, so it is derived
+once per config object. Every law reads it from there.
 """
 
 from __future__ import annotations
@@ -36,11 +35,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import quad
 
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
 
 __all__ = [
     "NoiseVector",
+    "NumericalError",
     "StepConstants",
     "TransitionMoments",
     "battery_law",
@@ -57,12 +58,18 @@ __all__ = [
     "z_moments",
 ]
 
-# Below this gap, (eta0 - beta_R) expressions switch to their analytic limits.
-_SINGULAR_TOL = 1e-9
+# Below this |rate gap| * dt, the difference quotients of _phi lose more
+# than about 1e-13 relative to cancellation; the kernels switch to forms
+# that do not cancel.
+_CANCELLING_GAP = 0.1
 
 # The actions under which Q' is Gaussian (one shared law; costs and
 # feasibility differ, the transition does not).
 _GAUSSIAN_Q_ACTIONS = (Action.CHARGE, Action.DISCHARGE_FULL)
+
+
+class NumericalError(RuntimeError):
+    """A numerical invariant failed (non-normalizing row, non-finite value)."""
 
 
 class NoiseVector(NamedTuple):
@@ -98,33 +105,44 @@ def _phi(a: float, dt: float) -> float:
 
 def _psi(a: float, b: float, dt: float) -> float:
     """int_0^dt e^(-a (dt - s)) e^(-b s) ds = (e^(-b dt) - e^(-a dt)) / (a - b)."""
-    if abs(a - b) < _SINGULAR_TOL:
-        return dt * math.exp(-b * dt)
+    if abs(a - b) * dt < _CANCELLING_GAP:
+        return math.exp(-b * dt) * _phi(a - b, dt)
     return (math.exp(-b * dt) - math.exp(-a * dt)) / (a - b)
 
 
-def _iq(eta0: float, beta: float, dt: float) -> float:
-    """int_0^dt psi(eta0, beta, s)'s squared kernel: int (e^(-beta v) - e^(-eta0 v))^2-type term.
+def _kernel_quad(w: float, delta: float, dt: float, power: int) -> float:
+    """int_0^dt e^(-w v) phi(delta, v)^power dv by adaptive quadrature.
 
-    Equals int_0^dt ((e^(-beta v) - e^(-eta0 v)) / (eta0 - beta))^2 dv with the
-    analytic limit int_0^dt v^2 e^(-2 beta v) dv when eta0 = beta.
+    The integrand is smooth and nonnegative, so this stays accurate to
+    rounding where the closed forms below cancel.
     """
-    if abs(eta0 - beta) < _SINGULAR_TOL:
-        bd = beta * dt
-        return (2.0 - math.exp(-2.0 * bd) * (4.0 * bd * bd + 4.0 * bd + 2.0)) / (8.0 * beta**3)
+    value, _ = quad(lambda v: math.exp(-w * v) * _phi(delta, v) ** power, 0.0, dt,
+                    epsabs=0.0, epsrel=1e-13)
+    return value
+
+
+def _iq(eta0: float, beta: float, dt: float) -> float:
+    """I_Q = int_0^dt ((e^(-beta v) - e^(-eta0 v)) / (eta0 - beta))^2 dv.
+
+    The integrand is e^(-2 beta v) phi(eta0 - beta, v)^2, with the limit
+    v^2 e^(-2 beta v) at eta0 = beta.
+    """
+    if abs(eta0 - beta) * dt < _CANCELLING_GAP:
+        return _kernel_quad(2.0 * beta, eta0 - beta, dt, 2)
     return (_phi(2.0 * beta, dt) - 2.0 * _phi(beta + eta0, dt) + _phi(2.0 * eta0, dt)) / (eta0 - beta) ** 2
 
 
 def _jq(eta0: float, beta: float, dt: float) -> float:
-    """int_0^dt e^(-beta v) (e^(-beta v) - e^(-eta0 v)) / (eta0 - beta) dv."""
-    if abs(eta0 - beta) < _SINGULAR_TOL:
-        bd = beta * dt
-        return (1.0 - math.exp(-2.0 * bd) * (1.0 + 2.0 * bd)) / (4.0 * beta * beta)
+    """J_Q = int_0^dt e^(-beta v) (e^(-beta v) - e^(-eta0 v)) / (eta0 - beta) dv."""
+    if abs(eta0 - beta) * dt < _CANCELLING_GAP:
+        return _kernel_quad(2.0 * beta, eta0 - beta, dt, 1)
     return (_phi(2.0 * beta, dt) - _phi(beta + eta0, dt)) / (eta0 - beta)
 
 
 def _ig(beta: float, dt: float) -> float:
-    """int_0^dt ((1 - e^(-beta v)) / beta)^2 dv."""
+    """I_G = int_0^dt ((1 - e^(-beta v)) / beta)^2 dv = int_0^dt phi(beta, v)^2 dv."""
+    if beta * dt < _CANCELLING_GAP:
+        return _kernel_quad(0.0, beta, dt, 2)
     return (dt - 2.0 * _phi(beta, dt) + _phi(2.0 * beta, dt)) / (beta * beta)
 
 
@@ -136,9 +154,10 @@ def _jg(beta: float, dt: float) -> float:
 class StepConstants(NamedTuple):
     """Config-only constants of the one-step laws and of the stage cost.
 
-    The public laws below and cost.expected_stage_cost derive them on
-    every call; a caller that keeps one instance (the path simulator)
-    passes it to their private forms and pays for the integrals once.
+    Built by step_constants and read as cfg.constants, which derives them
+    once per config object. mu holds the seasonal mean of every step
+    n = 0..N; looking up any other step raises KeyError, so a law called
+    with a step outside the horizon fails instead of wrapping around.
     """
 
     z_decay: float     # e^(-beta_R dt): E[Z'] = z z_decay
@@ -156,38 +175,49 @@ class StepConstants(NamedTuple):
     zeta2: float
     zeta3: float
     var_z: float       # stationary variance sigma_R^2 / (2 beta_R) of Z
+    mu: dict[int, float]  # mu_R(t_n), the seasonal mean frozen over step n, for n = 0..N
 
 
 def step_constants(cfg: ModelConfig) -> StepConstants:
-    """The step-free constants of cfg's laws and stage cost."""
+    """The step-free constants of cfg's laws and stage cost, and mu_R(t_n) per step.
+
+    Raises NumericalError if a constant is not finite or a correlation
+    does not lie strictly inside (-1, 1).
+    """
     p, bat, gen = cfg.demand, cfg.battery, cfg.generator
     beta, eta0, rho = p.beta_R, bat.eta0, cfg.costs.rho
     dt = cfg.dt
-    phi_2b = _phi(2.0 * beta, dt)
-    iq = _iq(eta0, beta, dt)
-    ig = _ig(beta, dt)
-    return StepConstants(
-        z_decay=math.exp(-beta * dt),
-        sd_z=math.sqrt(p.sigma_R**2 * phi_2b),
-        q_decay=math.exp(-eta0 * dt),
-        q_psi=_psi(eta0, beta, dt),
-        q_phi=_phi(eta0, dt),
-        q_noise=p.sigma_R / bat.capacity_CQ,
-        q_sqrt_iq=math.sqrt(iq),
-        g_phi=_phi(beta, dt),
-        sd_g=(gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(ig),
-        rho_q=-_jq(eta0, beta, dt) / math.sqrt(phi_2b * iq),
-        rho_g=-_jg(beta, dt) / math.sqrt(phi_2b * ig),
-        zeta1=_phi(rho, dt),
-        zeta2=_phi(rho + beta, dt),
-        zeta3=_phi(rho + 2.0 * beta, dt),
-        var_z=p.sigma_R**2 / (2.0 * beta),
-    )
-
-
-def _seasonal_mean(n: int, cfg: ModelConfig) -> float:
-    """mu_R(t_n), the seasonal mean frozen over step n."""
-    return seasonality(cfg.t_of(n), cfg.demand)
+    try:
+        phi_2b = _phi(2.0 * beta, dt)
+        iq = _iq(eta0, beta, dt)
+        ig = _ig(beta, dt)
+        sc = StepConstants(
+            z_decay=math.exp(-beta * dt),
+            sd_z=math.sqrt(p.sigma_R**2 * phi_2b),
+            q_decay=math.exp(-eta0 * dt),
+            q_psi=_psi(eta0, beta, dt),
+            q_phi=_phi(eta0, dt),
+            q_noise=p.sigma_R / bat.capacity_CQ,
+            q_sqrt_iq=math.sqrt(iq),
+            g_phi=_phi(beta, dt),
+            sd_g=(gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(ig),
+            rho_q=-_jq(eta0, beta, dt) / math.sqrt(phi_2b * iq),
+            rho_g=-_jg(beta, dt) / math.sqrt(phi_2b * ig),
+            zeta1=_phi(rho, dt),
+            zeta2=_phi(rho + beta, dt),
+            zeta3=_phi(rho + 2.0 * beta, dt),
+            var_z=p.sigma_R**2 / (2.0 * beta),
+            mu={n: seasonality(cfg.t_of(n), p) for n in range(cfg.discretization.steps_N + 1)},
+        )
+    except (ArithmeticError, ValueError) as exc:  # overflow, 0 / 0, sqrt of a negative
+        raise NumericalError(f"one-step law constants: {exc}") from None
+    # every field but mu, the last one, is a float
+    bad = [name for name, value in zip(sc._fields, sc[:-1]) if not math.isfinite(value)]
+    bad += [name for name in ("rho_q", "rho_g") if not abs(getattr(sc, name)) < 1.0]
+    if bad:
+        raise NumericalError("one-step law constants out of range: "
+                             + ", ".join(f"{name} = {getattr(sc, name)}" for name in bad))
+    return sc
 
 
 def z_moments(n: int, z: float, cfg: ModelConfig) -> tuple[float, float]:
@@ -207,36 +237,27 @@ def efficiency(t: float, z, q, cfg: ModelConfig):
 
 
 def _efficiency(mu: float, z, q, cfg: ModelConfig):
+    """efficiency at the seasonal mean mu: the one regime rule."""
     bat = cfg.battery
     return np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 
 
 def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Q_{n+1} given state and action."""
-    return _q_moments(_seasonal_mean(n, cfg), z, q, a, cfg, step_constants(cfg))
-
-
-def _q_moments(mu: float, z: float, q: float, a: Action, cfg: ModelConfig,
-               sc: StepConstants) -> tuple[float, float]:
     if a in _GAUSSIAN_Q_ACTIONS:
-        m_Q, sd_Q = _battery_law(mu, z, q, cfg, sc)
+        m_Q, sd_Q = battery_law(n, z, q, cfg)
         return m_Q, sd_Q * sd_Q
     if a is Action.DISCHARGE_LIMITED:
-        return _discharge_limited_mean(q, cfg, sc), 0.0
+        return discharge_limited_mean(q, cfg), 0.0
     if isinstance(a, Action):
-        return q * sc.q_decay, 0.0
+        return q * cfg.constants.q_decay, 0.0
     raise ValueError(f"unknown action: {a!r}")
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of G_{n+1} given state and action."""
-    return _g_moments(_seasonal_mean(n, cfg), z, g, a, cfg, step_constants(cfg))
-
-
-def _g_moments(mu: float, z: float, g: float, a: Action, cfg: ModelConfig,
-               sc: StepConstants) -> tuple[float, float]:
     if a is Action.FUEL_FULL:
-        burn, sd_G = _generator_law(mu, z, cfg, sc)
+        burn, sd_G = generator_law(n, z, cfg)
         return g - burn, sd_G * sd_G
     if a is Action.FUEL_LIMITED:
         return fuel_limited_mean(g, cfg), 0.0
@@ -247,11 +268,7 @@ def _g_moments(mu: float, z: float, g: float, a: Action, cfg: ModelConfig,
 
 def discharge_limited_mean(q, cfg: ModelConfig):
     """Deterministic Q_{n+1} under limited discharge; q a float or an array."""
-    return _discharge_limited_mean(q, cfg, step_constants(cfg))
-
-
-def _discharge_limited_mean(q, cfg: ModelConfig, sc: StepConstants):
-    bat = cfg.battery
+    bat, sc = cfg.battery, cfg.constants
     eta = 1.0 / eta_discharge(q, bat)
     return q * sc.q_decay - (eta * bat.R_Q0 / bat.capacity_CQ) * sc.q_phi
 
@@ -264,10 +281,7 @@ def fuel_limited_mean(g, cfg: ModelConfig):
 
 def z_law(z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     """(mean, standard deviation) of Z_{n+1} over a float or an array of z; step-free."""
-    return _z_law(z, step_constants(cfg))
-
-
-def _z_law(z, sc: StepConstants):
+    sc = cfg.constants
     return z * sc.z_decay, sc.sd_z
 
 
@@ -277,10 +291,8 @@ def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]
     Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
     scalars for float z and q.
     """
-    return _battery_law(_seasonal_mean(n, cfg), z, q, cfg, step_constants(cfg))
-
-
-def _battery_law(mu: float, z, q, cfg: ModelConfig, sc: StepConstants):
+    sc = cfg.constants
+    mu = sc.mu[n]
     eta = _efficiency(mu, z, q, cfg)
     h = z * sc.q_psi + mu * sc.q_phi
     m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * h
@@ -295,24 +307,20 @@ def generator_law(n: int, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     The burn depends on z only and the standard deviation on no state at
     all; the generator block exploits exactly this structure.
     """
-    return _generator_law(_seasonal_mean(n, cfg), z, cfg, step_constants(cfg))
-
-
-def _generator_law(mu: float, z, cfg: ModelConfig, sc: StepConstants):
-    gen = cfg.generator
+    gen, sc = cfg.generator, cfg.constants
     dt = cfg.dt
-    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG
+    burn = (gen.c0 * dt + gen.c1 * (sc.mu[n] * dt + z * sc.g_phi)) / gen.capacity_CG
     return burn, sc.sd_g
 
 
 def battery_rho(cfg: ModelConfig) -> float:
     """State-free corr(Z', Q') under charge / full discharge."""
-    return step_constants(cfg).rho_q
+    return cfg.constants.rho_q
 
 
 def generator_rho(cfg: ModelConfig) -> float:
     """State-free corr(Z', G') under the full generator mode."""
-    return step_constants(cfg).rho_g
+    return cfg.constants.rho_g
 
 
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
@@ -344,20 +352,16 @@ def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: Mode
     not clamped to [0, 1]; callers that need physical trajectories clamp
     (the boundary states represent all overshooting levels).
     """
-    return _transition(_seasonal_mean(n, cfg), x, a, eps, cfg, step_constants(cfg))
-
-
-def _transition(mu: float, x: State, a: Action, eps: NoiseVector, cfg: ModelConfig,
-                sc: StepConstants) -> State:
-    m_Z, sd_Z = _z_law(x.z, sc)
+    sc = cfg.constants
+    m_Z, sd_Z = z_law(x.z, cfg)
     if a in _GAUSSIAN_Q_ACTIONS:
-        m_Q, sd_Q = _battery_law(mu, x.z, x.q, cfg, sc)
+        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
         q_next = _correlated(m_Q, sd_Q, sc.rho_q, eps.eps_Z, eps.eps_Q)
     else:
-        q_next = _q_moments(mu, x.z, x.q, a, cfg, sc)[0]
+        q_next = q_moments(n, x.z, x.q, a, cfg)[0]
     if a is Action.FUEL_FULL:
-        burn, sd_G = _generator_law(mu, x.z, cfg, sc)
+        burn, sd_G = generator_law(n, x.z, cfg)
         g_next = _correlated(x.g - burn, sd_G, sc.rho_g, eps.eps_Z, eps.eps_G)
     else:
-        g_next = _g_moments(mu, x.z, x.g, a, cfg, sc)[0]
+        g_next = g_moments(n, x.z, x.g, a, cfg)[0]
     return State(m_Z + sd_Z * eps.eps_Z, q_next, g_next)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ModelConfig, State
 
-__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "neighborhood", "z_truncation"]
+__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "clamp01", "neighborhood", "z_truncation"]
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def neighborhood(axis: Axis, i: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _clamp01(v: float) -> float:
+def clamp01(v: float) -> float:
     """A q or g level clamped to its physical box [0, 1]."""
     return min(1.0, max(0.0, v))
 

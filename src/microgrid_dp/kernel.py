@@ -34,19 +34,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from .config import Action, ModelConfig
-from .dynamics import (battery_law, battery_rho, g_moments, generator_law, generator_rho,
-                       q_moments, z_law)
-from .grid import Axis, StateGrid, _clamp01, cell_of
+from .dynamics import (NumericalError, battery_law, battery_rho, g_moments, generator_law,
+                       generator_rho, q_moments, z_law)
+from .grid import Axis, StateGrid, cell_of, clamp01
 
 __all__ = ["NumericalError", "TransitionKernel"]
 
 # Row mass may deviate from 1 by CDF rounding dust up to this bound; it is
 # then renormalized once. Larger deviations indicate a logic bug.
 _ROW_SUM_TOL = 1e-6
-
-
-class NumericalError(RuntimeError):
-    """A numerical invariant failed (non-normalizing row, non-finite value)."""
 
 
 # Gauss-Legendre nodes/weights (half rules; mirrored around the midpoint).
@@ -199,7 +195,7 @@ def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.nd
 
 def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
     """Cell index of each level, clamped to the physical box first."""
-    return np.array([cell_of(_clamp01(float(v)), axis) for v in levels])
+    return np.array([cell_of(clamp01(float(v)), axis) for v in levels])
 
 
 class TransitionKernel:

@@ -17,14 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Action, ModelConfig, State, seasonality
+from .config import Action, ModelConfig, State
 from .constraints import feasibility_mask
-# expected_stage_cost and transition_operator are unused here; kept because
-# perfbench/tracing.py patches simulate.expected_stage_cost and
-# simulate.transition_operator.
-from .cost import _expected_stage_cost, expected_stage_cost
-from .dynamics import NoiseVector, _transition, step_constants, transition_operator
-from .grid import StateGrid, _clamp01, cell_of
+from .cost import expected_stage_cost
+from .dynamics import NoiseVector, transition_operator
+from .grid import StateGrid, cell_of, clamp01
 from .solver import PolicyTable
 
 __all__ = [
@@ -102,22 +99,22 @@ def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     [0, 1]. The policy is read at the cell of the current continuous state.
 
     The path's 3N standard normal draws come from one call (the same
-    stream as N calls of three) and the laws' step-free constants from one
-    step_constants call. Each step then runs the private forms of the
-    laws (dynamics._transition, cost._expected_stage_cost) on floats and
-    finds the cell by bisection of the axis edges, which is
-    searchsorted(side="left") of cell_of. A NaN level raises cell_of's
-    ValueError naming its axis.
+    stream as N calls of three). Each step calls the public laws,
+    expected_stage_cost and transition_operator, on floats; they and the
+    recorded residual demand read the config's constants (cfg.constants,
+    derived once per config). The cell is found by bisection of the axis
+    edges, which is searchsorted(side="left") of cell_of. A NaN level
+    raises cell_of's ValueError naming its axis.
     """
     seq = np.random.SeedSequence(entropy=scenario.base_seed,
                                  spawn_key=(scenario.sid, path_index))
     n_steps = cfg.discretization.steps_N
     draws = np.random.default_rng(seq).standard_normal(3 * n_steps).tolist()
-    sc = step_constants(cfg)
+    mu = cfg.constants.mu
     axes = (grid.z, grid.q, grid.g)
     z_edges, q_edges, g_edges = (axis.edges.tolist() for axis in axes)
     _, nj, nk = grid.shape
-    demand, rho = cfg.demand, cfg.costs.rho
+    rho = cfg.costs.rho
     x = initial_state if initial_state is not None else default_initial_state(grid)
     records: list[PathRecord] = []
     cum = 0.0
@@ -130,16 +127,15 @@ def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                 + bisect_left(g_edges, x.g))
         a = policy.action_at(n, cell)
         t = cfg.t_of(n)
-        mu = seasonality(t, demand)
-        stage = _expected_stage_cost(mu, x.z, a, cfg, sc)
+        stage = expected_stage_cost(n, x, a, cfg)
         cum += math.exp(-rho * t) * stage
         records.append(PathRecord(
-            step=n, time_h=t, z=x.z, r=mu + x.z,
+            step=n, time_h=t, z=x.z, r=mu[n] + x.z,
             q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
         ))
         eps = NoiseVector(draws[3 * n] + scenario.offset_at(t), draws[3 * n + 1], draws[3 * n + 2])
-        nxt = _transition(mu, x, a, eps, cfg, sc)
-        x = State(nxt.z, _clamp01(nxt.q), _clamp01(nxt.g))
+        nxt = transition_operator(n, x, a, eps, cfg)
+        x = State(nxt.z, clamp01(nxt.q), clamp01(nxt.g))
     return records
 
 

@@ -9,8 +9,10 @@ moments (feasible_actions_reference) for the coded feasibility rule that
 feasibility_mask and feasible_actions read, sampled path integrals for
 the expected stage cost, plain Monte Carlo for rectangle probabilities
 and cell frequencies, a composite Simpson rule for the terminal
-integral, and Euler-Maruyama integration of the continuous dynamics for
-the closed-form one-step moments. The path simulator is checked against
+integral, Euler-Maruyama integration of the continuous dynamics for
+the closed-form one-step moments, and nested quadrature of the defining
+convolution for the noise integrals I_Q and J_Q, whose closed forms
+cancel near eta0 = beta_R. The path simulator is checked against
 reference_path, its per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
@@ -54,7 +56,7 @@ from microgrid_dp import (
 )
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import NoiseVector
-from microgrid_dp.grid import _clamp01
+from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
 from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows, _tail_edges
 from microgrid_dp.solver import _TIE_TOL
@@ -139,7 +141,7 @@ def transition_row(n: int, source: int, a: Action, grid: StateGrid,
     if a in (Action.CHARGE, Action.DISCHARGE_FULL) or a is Action.FUEL_FULL:
         if a is Action.FUEL_FULL:
             other_axis, mean_o, var_o, cov = grid.g, mom.m_G, mom.var_G, mom.cov_ZG
-            dirac = ("q", cell_of(_clamp01(mom.m_Q), grid.q))
+            dirac = ("q", cell_of(clamp01(mom.m_Q), grid.q))
         else:
             other_axis, mean_o, var_o, cov = grid.q, mom.m_Q, mom.var_Q, mom.cov_ZQ
             dirac = ("g", k_src)
@@ -166,8 +168,8 @@ def transition_row(n: int, source: int, a: Action, grid: StateGrid,
     # univariate Z times two Dirac axes
     z_mass = _z_cell_masses_scalar(mom.m_Z, sd_z, grid)
     z_mass = _normalize_rows(z_mass, (-1,), f"row n={n} src={source} a={a.label}")
-    j_tgt = cell_of(_clamp01(mom.m_Q), grid.q)
-    k_tgt = cell_of(_clamp01(mom.m_G), grid.g)
+    j_tgt = cell_of(clamp01(mom.m_Q), grid.q)
+    k_tgt = cell_of(clamp01(mom.m_G), grid.g)
     keep = z_mass > 0.0
     targets = np.array([grid.lin(zi, j_tgt, k_tgt) for zi in range(n_z) if keep[zi]], dtype=np.intp)
     return TransitionRow(targets, z_mass[keep])
@@ -376,6 +378,32 @@ def simpson_terminal_battery(x_q: float, cfg: ModelConfig, nodes: int = 20_001) 
     return scale * float(h / 3.0 * np.dot(weights, integrand))
 
 
+def battery_noise_reference(eta0: float, beta: float,
+                            dt: float) -> tuple[float, float, float]:
+    """(sqrt(I_Q), corr(Z', Q'), psi) by nested quadrature, with no difference quotient.
+
+    The battery's noise kernel is the convolution
+    k(v) = int_0^v e^(-beta (v - s)) e^(-eta0 s) ds, a positive integral for
+    every eta0, so I_Q = int_0^dt k(v)^2 dv and J_Q = int_0^dt e^(-beta v) k(v) dv
+    need no limit at eta0 = beta. The correlation is
+    -J_Q / sqrt(I_Q int_0^dt e^(-2 beta v) dv), and psi = k(dt) weighs z in
+    the battery drift. At eta0 = 0 the kernel is the generator's,
+    (1 - e^(-beta v)) / beta, so the first two entries are sqrt(I_G) and
+    corr(Z', G').
+    """
+    def kernel(v: float) -> float:
+        return quad(lambda s: math.exp(-beta * (v - s) - eta0 * s), 0.0, v,
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    def integral(f) -> float:
+        return quad(f, 0.0, dt, epsabs=0.0, epsrel=1e-13)[0]
+
+    i_q = integral(lambda v: kernel(v) ** 2)
+    j_q = integral(lambda v: math.exp(-beta * v) * kernel(v))
+    z_var = integral(lambda v: math.exp(-2.0 * beta * v))
+    return math.sqrt(i_q), -j_q / math.sqrt(i_q * z_var), kernel(dt)
+
+
 def operator_cell_counts(n: int, x: State, a: Action, cfg: ModelConfig,
                          grid: StateGrid, draws: int, seed: int) -> np.ndarray:
     """Cell-visit counts of the sampled one-step operator, shape (n_states,)."""
@@ -425,7 +453,7 @@ def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
             q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
         ))
         nxt = sample_transition(n, x, a, rng, cfg, z_offset=scenario.offset_at(t))
-        x = State(nxt.z, _clamp01(nxt.q), _clamp01(nxt.g))
+        x = State(nxt.z, clamp01(nxt.q), clamp01(nxt.g))
     return records
 
 

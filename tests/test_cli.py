@@ -141,6 +141,24 @@ def test_calibrate_bad_inputs_are_one_line_usage_errors(small_ini, argv, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-abs-r", "nan", "--battery-price", "6000", "--battery-life", "20000"],
+    ["--z1", "inf"],
+    ["--battery-price", "inf"],
+    ["--battery-price", "6000", "--battery-life", "nan"],
+    ["--q-star-hours", "inf"],
+    ["--q-star=nan"],
+    ["--confidence=-inf"],
+    ["--charge-window", "6,inf"],
+    ["--discharge-window", "nan,30"],
+], ids=lambda argv: " ".join(argv))
+def test_calibrate_rejects_non_finite_options(small_ini, argv, capsys):
+    assert cli.main(["calibrate", small_ini, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+
 @pytest.mark.parametrize("args", [["validate"], ["solve", "--out", "unused", "--export-steps", "0,x"]])
 def test_module_entry_points_run_the_cli(small_ini, args, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(m.__file__)))

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
 from microgrid_dp.dynamics import (NoiseVector, battery_law, battery_rho, generator_law,
-                                   generator_rho, z_law)
-from oracles import euler_oracle
+                                   generator_rho, step_constants, z_law)
+from conftest import small_discretization
+from oracles import battery_noise_reference, euler_oracle
 
 STATE = m.State(1.0, 0.8, 0.9)
 FIELDS = ("m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
@@ -286,3 +288,106 @@ def test_euler_oracle_guards_inner_step(cfg_table1):
 def test_noise_vector_fields():
     eps = NoiseVector(0.1, -0.2, 0.3)
     assert (eps.eps_Z, eps.eps_Q, eps.eps_G) == (0.1, -0.2, 0.3)
+
+
+def _with_eta0(cfg, eta0):
+    return dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, eta0=eta0))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12, 1e-9, 2e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1e-1])
+def test_battery_noise_constants_across_the_singular_gap(cfg_table1, gap):
+    """sqrt(I_Q), corr(Z', Q') and psi stay accurate as eta0 approaches beta_R,
+    where the closed forms are difference quotients that cancel."""
+    cfg = _with_eta0(cfg_table1, cfg_table1.demand.beta_R + gap)
+    sc = step_constants(cfg)
+    sqrt_iq, rho_q, psi = battery_noise_reference(cfg.battery.eta0, cfg.demand.beta_R, cfg.dt)
+    assert sc.q_sqrt_iq == pytest.approx(sqrt_iq, rel=1e-10, abs=0.0)
+    assert sc.rho_q == pytest.approx(rho_q, rel=1e-10, abs=0.0)
+    assert sc.q_psi == pytest.approx(psi, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [4e-8, 1e-5, 1e-3, 0.05])
+def test_generator_noise_constants_at_small_beta(cfg_table1, beta):
+    """sd and corr(Z', G') stay accurate as beta_R dt -> 0, where
+    (dt - 2 phi(beta) + phi(2 beta)) / beta^2 cancels."""
+    cfg = dataclasses.replace(cfg_table1,
+                              demand=dataclasses.replace(cfg_table1.demand, beta_R=beta))
+    gen, sc = cfg.generator, step_constants(cfg)
+    sqrt_ig, rho_g, _ = battery_noise_reference(0.0, beta, cfg.dt)
+    assert sc.sd_g == pytest.approx(gen.c1 * cfg.demand.sigma_R / gen.capacity_CG * sqrt_ig,
+                                    rel=1e-10, abs=0.0)
+    assert sc.rho_g == pytest.approx(rho_g, rel=1e-10, abs=0.0)
+
+
+def test_table1_constants_keep_the_closed_forms(cfg_table1):
+    """table1's gaps (eta0 - beta_R and beta_R, times dt) are about 0.2, so its
+    constants come from the closed forms, bit for bit as first recorded."""
+    sc = step_constants(cfg_table1)
+    assert tuple(sc)[:-1] == (
+        0.8187307530779818, 0.4085345477367338, 0.9997895821409437, 0.9062476991438486,
+        0.9998947873804439, 0.025, 0.5363201026307736, 0.9063462346100907,
+        0.004223859538960886, -0.8435046872971608, -0.8434961293293082, 0.985148881716394,
+        0.8933321630289827, 0.8127695471550778, 0.50625)
+    sqrt_iq, rho_q, psi = battery_noise_reference(cfg_table1.battery.eta0,
+                                                  cfg_table1.demand.beta_R, cfg_table1.dt)
+    assert sc.q_sqrt_iq == pytest.approx(sqrt_iq, rel=1e-13, abs=0.0)
+    assert sc.rho_q == pytest.approx(rho_q, rel=1e-13, abs=0.0)
+    assert sc.q_psi == pytest.approx(psi, rel=1e-13, abs=0.0)
+
+
+def test_constants_out_of_range_are_numerical_errors(cfg_table1, monkeypatch):
+    with pytest.raises(m.NumericalError, match="one-step law constants"):
+        step_constants(_with_eta0(cfg_table1, 1e200))
+    monkeypatch.setattr(dynamics, "_jg", lambda beta, dt: 1e3)
+    with pytest.raises(m.NumericalError, match="rho_g"):
+        step_constants(cfg_table1)
+
+
+def test_config_derives_its_constants_once(cfg_table1, monkeypatch):
+    """One solve and 200 simulated paths on one config build its constants once."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return step_constants(cfg)
+
+    monkeypatch.setattr(dynamics, "step_constants", counted)
+    cfg = small_discretization(cfg_table1)
+    grid = m.build_grid(cfg)
+    _, policy = m.solve(cfg, grid)
+    for idx in range(200):
+        m.simulate_path(policy, m.SCENARIOS["overcast-week"], cfg, grid, path_index=idx)
+    assert calls == [cfg]
+
+
+def test_replaced_config_gets_fresh_constants(cfg_table1):
+    cfg = small_discretization(cfg_table1)
+    sc = cfg.constants
+    assert cfg.constants is sc
+    other = _with_eta0(cfg, 0.01)
+    assert other.constants is not sc
+    assert other.constants.q_decay == math.exp(-0.01 * other.dt) != sc.q_decay
+    longer = small_discretization(cfg, steps=6)
+    assert sorted(longer.constants.mu) == list(range(7))
+    assert sorted(sc.mu) == list(range(5))
+
+
+def test_laws_reject_steps_outside_the_horizon(cfg_table1):
+    cfg = small_discretization(cfg_table1)
+    n_steps = cfg.discretization.steps_N
+    x, eps = m.State(0.5, 0.5, 0.5), NoiseVector(0.1, 0.2, 0.3)
+    for n in (0, n_steps):
+        battery_law(n, x.z, x.q, cfg)
+        m.expected_stage_cost(n, x, m.Action.WAIT, cfg)
+    for n in (-1, n_steps + 1):
+        laws = [lambda: battery_law(n, x.z, x.q, cfg),
+                lambda: generator_law(n, x.z, cfg),
+                lambda: m.q_moments(n, x.z, x.q, m.Action.CHARGE, cfg),
+                lambda: m.g_moments(n, x.z, x.g, m.Action.FUEL_FULL, cfg),
+                lambda: m.transition_moments(n, x, m.Action.DISCHARGE_FULL, cfg),
+                lambda: m.transition_operator(n, x, m.Action.FUEL_FULL, eps, cfg),
+                lambda: m.feasible_actions(n, x, cfg)]
+        laws += [lambda a=a: m.expected_stage_cost(n, x, a, cfg) for a in m.Action]
+        for law in laws:
+            with pytest.raises(KeyError):
+                law()

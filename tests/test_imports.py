@@ -1,4 +1,5 @@
-"""Static check of the package sources: every imported name is used."""
+"""Static checks of the package sources: every imported name is used, and no
+module imports another package module's private (underscore) name."""
 
 import ast
 from pathlib import Path
@@ -11,10 +12,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "microgrid_dp"
 EXEMPT = {
     # perfbench/tracing.py wraps solver.feasible_actions to count its calls.
     ("solver", "feasible_actions"),
-    # ... and simulate.expected_stage_cost / simulate.transition_operator, which
-    # the path simulator no longer calls (it runs their private forms).
-    ("simulate", "expected_stage_cost"),
-    ("simulate", "transition_operator"),
     # ... and constraints.q_moments, which the feasibility rule no longer calls.
     ("constraints", "q_moments"),
     # ... and constraints.g_moments, likewise.
@@ -49,3 +46,21 @@ def test_every_imported_name_is_used(path):
     assert exempt <= imported, f"stale exemption in {path.name}: {sorted(exempt - imported)}"
     unused = imported - _used(tree) - exempt
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
+
+
+def _private_package_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from a package module (relative or absolute)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("microgrid_dp")):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = _private_package_imports(tree)
+    assert not private, f"{path.name} imports private names: {private}"

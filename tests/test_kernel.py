@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp.grid import _clamp01, cell_of
+from microgrid_dp.grid import clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses
 from oracles import (_z_cell_masses_scalar, bvn_rect_prob, full_lattice_rect_masses,
                      generator_block_per_source, mc_bvn_rect, transition_row)
@@ -182,7 +182,7 @@ def test_target_maps_match_per_point_moments(cfg_table1, n_z, n_q, n_g):
             (kern.q_idle_targets(), m.q_moments, grid.q, m.Action.WAIT),
             (kern.q_limited_targets(), m.q_moments, grid.q, m.Action.DISCHARGE_LIMITED),
             (kern.g_limited_targets(), m.g_moments, grid.g, m.Action.FUEL_LIMITED)):
-        expected = [cell_of(_clamp01(moments(0, 0.7, float(v), a, cfg)[0]), axis)
+        expected = [cell_of(clamp01(moments(0, 0.7, float(v), a, cfg)[0]), axis)
                     for v in axis.points]
         assert targets.tolist() == expected
 

@@ -1,0 +1,104 @@
+"""Odd but valid configs solve to finite values or fail cleanly.
+
+A small seeded sweep over the edges of the model: eta0 at and near beta_R
+(where the battery's noise integrals have a removable singularity), a
+battery correlation beyond the Genz high-|rho| switch at 0.925, epsilon
+near 0 and 0.5, the coarsest grids and a one-step horizon. Each case must
+either solve to finite values (the kernel's row check runs inside solve)
+or raise NumericalError / ConfigError, and the CLI must exit 0, 3 or 1
+accordingly with a one-line message.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import microgrid_dp as m
+from microgrid_dp import cli
+from conftest import small_discretization
+
+BETA_R = m.default_config().demand.beta_R
+GAPS = (0.0, 1e-12, -1e-12, 1e-9, 2e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1e-1)
+
+
+def _case(battery=None, demand=None, steps=3, **grid) -> m.ModelConfig:
+    """table1 on a small grid (default 3 steps, 6x4x4) with some fields replaced."""
+    cfg = small_discretization(m.default_config(), steps=steps, **grid)
+    if battery:
+        cfg = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, **battery))
+    if demand:
+        cfg = dataclasses.replace(cfg, demand=dataclasses.replace(cfg.demand, **demand))
+    return cfg
+
+
+def _with_epsilon(cfg: m.ModelConfig, epsilon: float) -> m.ModelConfig:
+    disc = dataclasses.replace(cfg.discretization, epsilon=epsilon)
+    return dataclasses.replace(cfg, discretization=disc)
+
+
+def _seeded_cases(count: int, seed: int = 20261018) -> dict[str, m.ModelConfig]:
+    """Random combinations of the edges below, reproducible from the seed."""
+    rng = np.random.default_rng(seed)
+    cases = {}
+    for idx in range(count):
+        cfg = _case(battery={"eta0": BETA_R + float(rng.choice(GAPS))},
+                    steps=int(rng.integers(1, 4)), n_z=int(rng.choice((3, 5))),
+                    n_q=int(rng.integers(2, 4)), n_g=int(rng.integers(2, 4)))
+        cases[f"seeded-{idx}"] = _with_epsilon(cfg, float(rng.uniform(1e-4, 0.4999)))
+    return cases
+
+
+CASES = {
+    **{f"eta0=beta_R{gap:+g}": _case(battery={"eta0": BETA_R + gap}) for gap in GAPS},
+    "eta0=20 (rho_q about -0.985)": _case(battery={"eta0": 20.0}),
+    "beta_R=4e-8": _case(demand={"beta_R": 4e-8}),
+    "epsilon=1e-4": _with_epsilon(_case(), 1e-4),
+    "epsilon=0.4999": _with_epsilon(_case(), 0.4999),
+    "N_Z=3 N_Q=N_G=2": _case(n_z=3, n_q=2, n_g=2),
+    "steps_N=1": _case(steps=1),
+    "eta0=1e200 (constants overflow)": _case(battery={"eta0": 1e200}),
+    "epsilon=0.5 (invalid)": _with_epsilon(_case(), 0.5),
+    **_seeded_cases(6),
+}
+
+EXIT_CODES = {None: 0, m.NumericalError: 3, m.ConfigError: 1}
+
+
+def _library_outcome(cfg: m.ModelConfig):
+    """None after a finite solve, else the class of the clean failure."""
+    try:
+        m.validate_config(cfg)
+        values, policy = m.solve(cfg, m.build_grid(cfg))
+    except (m.NumericalError, m.ConfigError) as exc:
+        return type(exc)
+    assert np.isfinite(values.values).all()
+    assert np.isin(policy.actions, list(m.Action)).all()
+    return None
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_edge_config_solves_or_fails_cleanly(name, tmp_path, capsys):
+    cfg = CASES[name]
+    outcome = _library_outcome(cfg)
+    ini = tmp_path / "case.ini"
+    ini.write_text(m.dump_config(cfg))
+    code = cli.main(["solve", str(ini), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CODES[outcome], err
+    if outcome is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_only_the_broken_cases_fail():
+    """Every valid edge solves, the singular gaps and beta_R * dt = 4e-8 included;
+    only the overflowing and the invalid config fail, each with its own error."""
+    failing = {"eta0=1e200 (constants overflow)": m.NumericalError,
+               "epsilon=0.5 (invalid)": m.ConfigError}
+    for name, cfg in CASES.items():
+        assert _library_outcome(cfg) is failing.get(name), name
+    assert abs(CASES["eta0=20 (rho_q about -0.985)"].constants.rho_q) > 0.925
