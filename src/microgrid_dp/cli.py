@@ -287,6 +287,7 @@ def _run(args) -> int:
     _check_options(args, cfg)
 
     if args.command == "validate":
+        cfg.constants  # a config whose one-step constants cannot be formed exits 3
         print(f"configuration valid (hash {config_hash(cfg)[:16]})")
         return 0
 

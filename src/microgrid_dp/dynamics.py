@@ -12,10 +12,10 @@ Each law has one implementation, written for numpy arrays and read at a
 single state by passing floats: z_law (mean and sd of Z'), battery_law
 (mean and sd of Q' under charge / full discharge, through the one regime
 rule efficiency), generator_law (burn and sd of G' under the full
-generator mode), the state-free correlations battery_rho and
-generator_rho, and the deterministic means discharge_limited_mean and
-fuel_limited_mean. The feasibility mask and the transition blocks read
-them over whole lattices; the scalar API (z/q/g_moments,
+generator mode), and the deterministic means discharge_limited_mean and
+fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
+and rho_g. The feasibility mask and the transition blocks read them
+over whole lattices; the scalar API (z/q/g_moments,
 transition_moments), the path sampler transition_operator and the path
 simulator read them at a point. A variance is sd * sd, whose square root
 is sd again exactly in binary64, so every route sees the same (mean, sd)
@@ -45,11 +45,9 @@ __all__ = [
     "StepConstants",
     "TransitionMoments",
     "battery_law",
-    "battery_rho",
     "efficiency",
     "g_moments",
     "generator_law",
-    "generator_rho",
     "q_moments",
     "step_constants",
     "transition_moments",
@@ -222,6 +220,7 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
 
 def z_moments(n: int, z: float, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Z_{n+1} given Z_n = z."""
+    cfg.constants.mu[n]  # a step outside 0..N raises KeyError, as in every law
     m_Z, sd_Z = z_law(z, cfg)
     return m_Z, sd_Z * sd_Z
 
@@ -244,6 +243,7 @@ def _efficiency(mu: float, z, q, cfg: ModelConfig):
 
 def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of Q_{n+1} given state and action."""
+    cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
     if a in _GAUSSIAN_Q_ACTIONS:
         m_Q, sd_Q = battery_law(n, z, q, cfg)
         return m_Q, sd_Q * sd_Q
@@ -256,6 +256,7 @@ def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of G_{n+1} given state and action."""
+    cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
     if a is Action.FUEL_FULL:
         burn, sd_G = generator_law(n, z, cfg)
         return g - burn, sd_G * sd_G
@@ -313,16 +314,6 @@ def generator_law(n: int, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     return burn, sc.sd_g
 
 
-def battery_rho(cfg: ModelConfig) -> float:
-    """State-free corr(Z', Q') under charge / full discharge."""
-    return cfg.constants.rho_q
-
-
-def generator_rho(cfg: ModelConfig) -> float:
-    """State-free corr(Z', G') under the full generator mode."""
-    return cfg.constants.rho_g
-
-
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
     """All first and second conditional moments of (Z', Q', G') in one record.
 
@@ -330,11 +321,12 @@ def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> Transit
     the stochastic axis. At most one of them is nonzero because the battery
     and the generator are never simultaneously stochastic.
     """
+    sc = cfg.constants
     m_Z, sd_Z = z_law(x.z, cfg)
     m_Q, var_Q = q_moments(n, x.z, x.q, a, cfg)
     m_G, var_G = g_moments(n, x.z, x.g, a, cfg)
-    rho_Q = battery_rho(cfg) if a in _GAUSSIAN_Q_ACTIONS else 0.0
-    rho_G = generator_rho(cfg) if a is Action.FUEL_FULL else 0.0
+    rho_Q = sc.rho_q if a in _GAUSSIAN_Q_ACTIONS else 0.0
+    rho_G = sc.rho_g if a is Action.FUEL_FULL else 0.0
     return TransitionMoments(m_Z, sd_Z * sd_Z, m_Q, var_Q, m_G, var_G,
                              rho_Q * sd_Z * math.sqrt(var_Q), rho_Q,
                              rho_G * sd_Z * math.sqrt(var_G), rho_G)

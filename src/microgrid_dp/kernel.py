@@ -10,11 +10,17 @@ so the probability of landing in a grid cell is a normal rectangle mass:
 
 Mass overshooting the physical q/g box accumulates in the boundary cells;
 the z boundary cells own the (-inf, .] and (., +inf) tails. The solver
-consumes whole blocks per backward step (TransitionKernel.*_block), whose
-bivariate masses come from a Gauss-Legendre bivariate-normal algorithm.
-The Dirac axes need no probabilities: their target cells are step-free
-maps per source level, taken once per kernel from the deterministic
-branches of dynamics.q_moments/g_moments.
+consumes whole blocks per backward step (TransitionKernel: z_block,
+battery_block(n), generator_block(n)). The Dirac axes need no
+probabilities: their target cells are step-free maps per source level,
+taken once per kernel from the deterministic branches of
+dynamics.q_moments/g_moments.
+
+The bivariate masses come from Genz's bivariate-normal scheme (Genz 2004,
+Stat. Comput. 14:251) with one Gauss-Legendre rule, his 20-point one, at
+every correlation: his 6- and 12-point rules only save time at |rho| <
+0.75, a band the paper's correlations (-0.84) do not reach, and the
+20-point rule is as accurate there.
 
 A block is the inclusion-exclusion of the bivariate CDF over the lattice
 of cell edges. The CDF is evaluated by Genz's scheme only on interior
@@ -34,8 +40,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .config import Action, ModelConfig
-from .dynamics import (NumericalError, battery_law, battery_rho, g_moments, generator_law,
-                       generator_rho, q_moments, z_law)
+from .dynamics import NumericalError, battery_law, g_moments, generator_law, q_moments, z_law
 from .grid import Axis, StateGrid, cell_of, clamp01
 
 __all__ = ["NumericalError", "TransitionKernel"]
@@ -45,53 +50,39 @@ __all__ = ["NumericalError", "TransitionKernel"]
 _ROW_SUM_TOL = 1e-6
 
 
-# Gauss-Legendre nodes/weights (half rules; mirrored around the midpoint).
-_GL_RULES = (
-    (0.3, np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970]),
-     np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904])),
-    (0.75, np.array([0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-                     0.5873179542866171, 0.3678314989981802, 0.1252334085114692]),
-     np.array([0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-               0.2031674267230659, 0.2334925365383547, 0.2491470458134029])),
-    (1.0, np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-                    0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-                    0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-                    0.07652652113349733]),
-     np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-               0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-               0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-               0.1527533871307259])),
-)
+# Genz's 20-point Gauss-Legendre rule, nodes on [0, 2] and weights summing
+# to 2: his half rule mirrored around the midpoint.
+_GL_HALF_X = np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+                       0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+                       0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+                       0.07652652113349733])
+_GL_HALF_W = np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+                       0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+                       0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+                       0.1527533871307259])
+_GL_X = np.concatenate((1.0 - _GL_HALF_X, 1.0 + _GL_HALF_X))
+_GL_W = np.concatenate((_GL_HALF_W, _GL_HALF_W))
 
 
-def _gl_rule(abs_rho: float) -> tuple[np.ndarray, np.ndarray]:
-    for bound, x_half, w_half in _GL_RULES:
-        if abs_rho < bound or bound == 1.0:
-            x = np.concatenate((1.0 - x_half, 1.0 + x_half))
-            w = np.concatenate((w_half, w_half))
-            return x, w
-    raise AssertionError("unreachable")
+def _bvn_cdf(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """P(X <= x, Y <= y) for standard bivariate normals with scalar correlation.
 
-
-def _bvn_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
-    """P(X > h, Y > k) for standard bivariate normals with scalar correlation.
-
-    Vectorized port of the Drezner-Wesolowsky / Genz Gauss-Legendre scheme
-    (6/12/20 nodes by correlation band, with the high-|rho| tail expansion).
-    Inputs must be finite; callers clip +-inf bounds to +-37 beforehand.
+    Vectorized port of the Drezner-Wesolowsky / Genz scheme, which works
+    with the upper orthant P(X > h, Y > k) at h = -x, k = -y: one 20-point
+    Gauss-Legendre rule in the asin form for |rho| < 0.925, and the same
+    rule in the high-|rho| tail expansion above. At rho = 0 the asin term
+    is exactly 0 and the result is ndtr(x) * ndtr(y). Inputs must be
+    finite; callers clip +-inf bounds to +-37 beforehand.
     """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if rho == 0.0:
-        return ndtr(-h) * ndtr(-k)
+    h = -np.asarray(x, dtype=float)
+    k = -np.asarray(y, dtype=float)
     twopi = 2.0 * math.pi
-    x, w = _gl_rule(abs(rho))
 
     if abs(rho) < 0.925:
         hk = h * k
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(rho)
-        sn = np.sin(asr * x)  # (nodes,)
+        sn = np.sin(asr * _GL_X)  # (nodes,)
         expo = np.multiply.outer(hk, sn)
         expo -= hs[..., None]
         expo /= 1.0 - sn**2
@@ -99,7 +90,7 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
         # through subnormals (many times slower). Terms below e^-700 move
         # the result by < 1e-300, so clamp them there.
         np.maximum(expo, -700.0, out=expo)
-        bvn = np.exp(expo, out=expo) @ w
+        bvn = np.exp(expo, out=expo) @ _GL_W
         return np.clip(bvn * asr / twopi + ndtr(-h) * ndtr(-k), 0.0, 1.0)
 
     # high-correlation branch
@@ -123,24 +114,19 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     exp_hk = np.exp(np.where(hk_ok, -0.5 * hk, 0.0))
     bvn = bvn - np.where(hk_ok, exp_hk * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0)
     a_half = 0.5 * a
-    xs = (a_half * x) ** 2  # (nodes,)
+    xs = (a_half * _GL_X) ** 2  # (nodes,)
     asr1 = -0.5 * (bs[..., None] / xs + hk[..., None])
     sp1 = 1.0 + c[..., None] * xs * (1.0 + 5.0 * d[..., None] * xs)
     rs = np.sqrt(1.0 - xs)
     ep = np.exp(-0.5 * hk[..., None] * xs / (1.0 + rs) ** 2) / rs
     terms = np.where(asr1 > -100.0, np.exp(asr1) * (sp1 - ep), 0.0)
-    bvn = (a_half * (terms @ w) - bvn) / twopi
+    bvn = (a_half * (terms @ _GL_W) - bvn) / twopi
     if rho > 0.0:
         bvn = bvn + ndtr(-np.maximum(h, k))
     else:
         low_mass = np.where(h < 0.0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k))
         bvn = np.where(h >= k, -bvn, low_mass - bvn)
     return np.clip(bvn, 0.0, 1.0)
-
-
-def _bvn_cdf(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """P(X <= x, Y <= y) for standard bivariate normals, scalar correlation."""
-    return _bvn_upper(-x, -y, rho)
 
 
 _CLIP = 37.0  # |z| beyond which the standard normal CDF is exactly 0/1 in float64
@@ -177,14 +163,6 @@ def _lattice_masses(cdf: np.ndarray) -> np.ndarray:
     return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
 
 
-def _rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
-    """Cell masses (..., NA + 1, NB + 1) from standardized interior edges (..., NA), (..., NB).
-
-    The outer cells of both axes reach to -inf / +inf.
-    """
-    return _lattice_masses(_cdf_lattice(std_a, std_b, rho))
-
-
 def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
     total = mass.sum(axis=axes, keepdims=True)
     worst = float(np.abs(1.0 - total).max())
@@ -201,46 +179,26 @@ def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
 class TransitionKernel:
     """Vectorized transition blocks and Dirac target maps of one (config, grid).
 
-    The battery and generator blocks depend on the step through the
-    seasonal mean, so they are recomputed per call; the solver asks for
-    each once per backward step. The z block and the Dirac target maps of
-    the deterministic moves are step-free and are computed once.
+    The step-free parts are attributes computed once: z_block, the Z cell
+    masses (z source, z cell), and the target cell per source level of the
+    deterministic moves, q_idle (self-discharge only), q_limited (limited
+    discharge) and g_limited (limited generator mode). The battery and
+    generator blocks depend on the step through the seasonal mean; the
+    solver asks for each once per backward step.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
         self.cfg = cfg
         self.grid = grid
-        self._z_block: np.ndarray | None = None
-        # The deterministic branches of the moment laws ignore n and z.
+        m, sd = z_law(grid.z.points, cfg)
+        std = _std_edges(_tail_edges(grid.z.edges), m, sd)
+        mass = np.clip(np.diff(ndtr(std), axis=-1), 0.0, None)
+        self.z_block = _normalize_rows(mass, (-1,), "z rows")
+        # The deterministic branches of the moment laws ignore z; n = 0 is any step.
         q, g = grid.q.points, grid.g.points
-        self._q_idle = _cells(q_moments(0, 0.0, q, Action.WAIT, cfg)[0], grid.q)
-        self._q_limited = _cells(q_moments(0, 0.0, q, Action.DISCHARGE_LIMITED, cfg)[0], grid.q)
-        self._g_limited = _cells(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
-
-    # -- Dirac target maps (step-independent) --------------------------------
-
-    def q_idle_targets(self) -> np.ndarray:
-        """Target q-cell for the self-discharge-only move, per source q index."""
-        return self._q_idle
-
-    def q_limited_targets(self) -> np.ndarray:
-        """Target q-cell under limited discharge, per source q index."""
-        return self._q_limited
-
-    def g_limited_targets(self) -> np.ndarray:
-        """Target g-cell under the limited generator mode, per source g index."""
-        return self._g_limited
-
-    # -- Vectorized blocks ----------------------------------------------------
-
-    def z_block(self) -> np.ndarray:
-        """Univariate Z cell masses, shape (z sources, z cells); step-free."""
-        if self._z_block is None:
-            m, sd = z_law(self.grid.z.points, self.cfg)
-            std = _std_edges(_tail_edges(self.grid.z.edges), m, sd)
-            mass = np.clip(np.diff(ndtr(std), axis=-1), 0.0, None)
-            self._z_block = _normalize_rows(mass, (-1,), "z rows")
-        return self._z_block
+        self.q_idle = _cells(q_moments(0, 0.0, q, Action.WAIT, cfg)[0], grid.q)
+        self.q_limited = _cells(q_moments(0, 0.0, q, Action.DISCHARGE_LIMITED, cfg)[0], grid.q)
+        self.g_limited = _cells(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
@@ -254,7 +212,7 @@ class TransitionKernel:
         m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
         std_z = _std_edges(grid.z.edges, m_z, sd_z)[:, None, :]
         std_q = _std_edges(grid.q.edges, m_q, sd_q)
-        mass = _rect_masses(std_z, std_q, battery_rho(self.cfg))
+        mass = _lattice_masses(_cdf_lattice(std_z, std_q, self.cfg.constants.rho_q))
         return _normalize_rows(mass, (-2, -1), f"battery block n={n}")
 
     def generator_block(self, n: int) -> np.ndarray:
@@ -274,7 +232,7 @@ class TransitionKernel:
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
         std_z = _std_edges(grid.z.edges, m_z, sd_z)
         std_g = _std_edges(offsets, -burn, sd_g)
-        cdf = _cdf_lattice(std_z, std_g, generator_rho(self.cfg))  # (z src, z edge, offset)
+        cdf = _cdf_lattice(std_z, std_g, self.cfg.constants.rho_g)  # (z src, z edge, offset)
         # Padded column of interior edge f (column f + 1) for source k is
         # f - k + N_G + 1; the two tail columns are shared by every source.
         cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int

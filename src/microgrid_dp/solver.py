@@ -84,13 +84,9 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k)."""
     cfg, grid = kernel.cfg, kernel.grid
     v1 = v_next.reshape(grid.shape)
-    pz = kernel.z_block()
+    pz, q_idle, q_lim, g_lim = kernel.z_block, kernel.q_idle, kernel.q_limited, kernel.g_limited
     b_block, g_block = kernel.battery_block(n), kernel.generator_block(n)
     mask = feasibility_mask(n, grid, cfg)
-
-    q_idle = kernel.q_idle_targets()
-    q_lim = kernel.q_limited_targets()
-    g_lim = kernel.g_limited_targets()
 
     ev = np.empty((len(Action),) + grid.shape)
     ev_idle = np.tensordot(pz, v1[:, q_idle, :], axes=1)

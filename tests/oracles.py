@@ -10,9 +10,10 @@ feasibility_mask and feasible_actions read, sampled path integrals for
 the expected stage cost, plain Monte Carlo for rectangle probabilities
 and cell frequencies, a composite Simpson rule for the terminal
 integral, Euler-Maruyama integration of the continuous dynamics for
-the closed-form one-step moments, and nested quadrature of the defining
-convolution for the noise integrals I_Q and J_Q, whose closed forms
-cancel near eta0 = beta_R. The path simulator is checked against
+the closed-form one-step moments, Owen's T function for the bivariate
+normal CDF that the kernel's Gauss-Legendre scheme evaluates, and
+nested quadrature of the defining convolution for the noise integrals
+I_Q and J_Q, whose closed forms cancel near eta0 = beta_R. The path simulator is checked against
 reference_path, its per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from microgrid_dp import (
     Action,
@@ -534,6 +535,18 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
         return best
 
     return np.array([value(0, m) for m in range(n_states)])
+
+
+def bvn_cdf_owens_t(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """P(X <= x, Y <= y) for standard bivariate normals, via Owen's T function.
+
+    Phi2(x, y; rho) = Phi(x) / 2 + Phi(y) / 2 - T(x, a_x) - T(y, a_y) - beta
+    with a_x = (y - rho x) / (x sqrt(1 - rho^2)), a_y likewise, and
+    beta = 1/2 where x y < 0, else 0 (Owen 1956). x and y must be nonzero.
+    """
+    s = math.sqrt(1.0 - rho * rho)
+    t = owens_t(x, (y - rho * x) / (x * s)) + owens_t(y, (x - rho * y) / (y * s))
+    return 0.5 * ndtr(x) + 0.5 * ndtr(y) - t - np.where(x * y < 0.0, 0.5, 0.0)
 
 
 def full_lattice_rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_criterion_2_stage_cost_oracle(cfg_table1):
 def test_criterion_3_kernel_normalization(cfg_table1, grid_table1):
     kern = m.TransitionKernel(cfg_table1, grid_table1)
     steps = cfg_table1.discretization.steps_N
-    worst = float(np.abs(kern.z_block().sum(axis=-1) - 1.0).max())
+    worst = float(np.abs(kern.z_block.sum(axis=-1) - 1.0).max())
     for n in range(steps):
         b = kern.battery_block(n).sum(axis=(-2, -1))
         g = kern.generator_block(n).sum(axis=(-2, -1))

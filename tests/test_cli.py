@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -44,6 +45,21 @@ def test_validate_rejects_bad_config(tmp_path, small_ini, capsys):
     bad.write_text(Path(small_ini).read_text().replace("beta_R = 0.2", "beta_R = -1.0"))
     assert cli.main(["validate", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_validate_rejects_config_whose_constants_overflow(tmp_path, small_ini, capsys):
+    """validate builds the one-step constants, so it fails where moments and solve fail."""
+    bad = tmp_path / "overflow.ini"
+    bad.write_text(re.sub(r"^eta0 = .*$", "eta0 = 1e200", Path(small_ini).read_text(), flags=re.M))
+    errors = []
+    for argv in (["validate", str(bad)],
+                 ["moments", str(bad), "--n", "0", "--z", "0", "--q", "0.5", "--g", "0.5",
+                  "--action", m.Action.WAIT.label],
+                 ["solve", str(bad), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("numerical error: one-step law constants: ")
+    assert errors[0].count("\n") == 1 and errors == [errors[0]] * 3
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -9,8 +9,7 @@ import pytest
 import microgrid_dp as m
 from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
-from microgrid_dp.dynamics import (NoiseVector, battery_law, battery_rho, generator_law,
-                                   generator_rho, step_constants, z_law)
+from microgrid_dp.dynamics import NoiseVector, battery_law, generator_law, step_constants, z_law
 from conftest import small_discretization
 from oracles import battery_noise_reference, euler_oracle
 
@@ -186,7 +185,7 @@ def test_transition_operator_is_the_law_closed_form(cfg_table1):
     of the array laws on the stochastic axes and the law mean on the others."""
     cfg = cfg_table1
     eps = NoiseVector(0.7, -1.3, 0.4)
-    rho_q, rho_g = battery_rho(cfg), generator_rho(cfg)
+    rho_q, rho_g = cfg.constants.rho_q, cfg.constants.rho_g
     for n in (0, 5, 17, 100):
         for x in (STATE, m.State(-1.5, 0.3, 1.0), m.State(0.2, 0.05, 0.6), m.State(2.2, 1.0, 0.0)):
             m_z, sd_z = z_law(x.z, cfg)
@@ -210,11 +209,11 @@ def test_transition_operator_is_the_law_closed_form(cfg_table1):
 def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):
     """On every table1 step and every (z, q) and (z, g) lattice pair (so for
     every grid state), the scalar means and square-rooted variances equal the
-    array laws' (mean, sd) and the correlations equal battery_rho /
-    generator_rho, without rounding slack."""
+    array laws' (mean, sd) and the correlations equal cfg.constants.rho_q /
+    rho_g, without rounding slack."""
     cfg, grid = cfg_table1, grid_table1
     z, q, g = grid.z.points, grid.q.points, grid.g.points
-    rho_q, rho_g = battery_rho(cfg), generator_rho(cfg)
+    rho_q, rho_g = cfg.constants.rho_q, cfg.constants.rho_g
     mismatches = 0
     for n in range(cfg.discretization.steps_N):
         m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
@@ -382,12 +381,15 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
     for n in (-1, n_steps + 1):
         laws = [lambda: battery_law(n, x.z, x.q, cfg),
                 lambda: generator_law(n, x.z, cfg),
-                lambda: m.q_moments(n, x.z, x.q, m.Action.CHARGE, cfg),
-                lambda: m.g_moments(n, x.z, x.g, m.Action.FUEL_FULL, cfg),
-                lambda: m.transition_moments(n, x, m.Action.DISCHARGE_FULL, cfg),
-                lambda: m.transition_operator(n, x, m.Action.FUEL_FULL, eps, cfg),
+                lambda: m.z_moments(n, x.z, cfg),
                 lambda: m.feasible_actions(n, x, cfg)]
-        laws += [lambda a=a: m.expected_stage_cost(n, x, a, cfg) for a in m.Action]
+        # every action, the step-free deterministic moves included
+        for a in m.Action:
+            laws += [lambda a=a: m.q_moments(n, x.z, x.q, a, cfg),
+                     lambda a=a: m.g_moments(n, x.z, x.g, a, cfg),
+                     lambda a=a: m.transition_moments(n, x, a, cfg),
+                     lambda a=a: m.transition_operator(n, x, a, eps, cfg),
+                     lambda a=a: m.expected_stage_cost(n, x, a, cfg)]
         for law in laws:
             with pytest.raises(KeyError):
                 law()

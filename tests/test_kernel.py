@@ -9,9 +9,10 @@ from scipy.special import ndtr
 import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.grid import clamp01, cell_of
-from microgrid_dp.kernel import _bvn_cdf, _normalize_rows, _rect_masses
-from oracles import (_z_cell_masses_scalar, bvn_rect_prob, full_lattice_rect_masses,
-                     generator_block_per_source, mc_bvn_rect, transition_row)
+from microgrid_dp.kernel import _bvn_cdf, _cdf_lattice, _lattice_masses, _normalize_rows
+from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob,
+                     full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect,
+                     transition_row)
 
 STD2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -57,6 +58,18 @@ def test_vectorized_cdf_matches_quadrature(rho):
             assert got == pytest.approx(ref, abs=2e-9)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.05, -0.05, -0.3, 0.5, -0.74,
+                                 m.default_config().constants.rho_q,
+                                 0.93, -0.95, 0.99, -0.999])
+def test_bvn_cdf_matches_owens_t_closed_form(rho):
+    """The one 20-point rule is exact to rounding at every |rho|: the bands
+    Genz serves with 6 and 12 points, table1's rho_q, and both branches
+    (|rho| < / >= 0.925), against Owen's T, an independent closed form."""
+    xs, ys = np.random.default_rng(2024).uniform(-5.0, 5.0, size=(2, 2000))
+    got = _bvn_cdf(xs, ys, rho)
+    assert np.abs(got - bvn_cdf_owens_t(xs, ys, rho)).max() <= 1e-15
+
+
 def test_bvn_rect_rejects_bad_covariance():
     rect = ((-1.0, 1.0), (-1.0, 1.0))
     with pytest.raises(ValueError):
@@ -73,7 +86,7 @@ def test_empty_rectangle_has_zero_mass():
 
 def test_blocks_normalize_on_full_grid(cfg_table1, grid_table1):
     kern = m.TransitionKernel(cfg_table1, grid_table1)
-    z_sums = kern.z_block().sum(axis=-1)
+    z_sums = kern.z_block.sum(axis=-1)
     np.testing.assert_allclose(z_sums, 1.0, atol=1e-12)
     for n in (0, 83, 167):
         b = kern.battery_block(n).sum(axis=(-2, -1))
@@ -87,8 +100,8 @@ def test_block_rhos_match_moment_route(cfg_table1, grid_table1):
     x = m.State(1.0, 0.8, 0.9)
     bat = m.transition_moments(0, x, m.Action.CHARGE, cfg_table1)
     gen = m.transition_moments(0, x, m.Action.FUEL_FULL, cfg_table1)
-    assert m.dynamics.battery_rho(cfg_table1) == pytest.approx(bat.rho_Q, abs=1e-14)
-    assert m.dynamics.generator_rho(cfg_table1) == pytest.approx(gen.rho_G, abs=1e-14)
+    assert cfg_table1.constants.rho_q == pytest.approx(bat.rho_Q, abs=1e-14)
+    assert cfg_table1.constants.rho_g == pytest.approx(gen.rho_G, abs=1e-14)
 
 
 def test_scalar_rows_normalize_small_grid(cfg_small, grid_small):
@@ -106,7 +119,7 @@ def test_quad_and_gauss_legendre_routes_agree(cfg_table1, grid_table1):
     n = 7
     bat_block = kern.battery_block(n)
     gen_block = kern.generator_block(n)
-    z_block = kern.z_block()
+    z_block = kern.z_block
     cases = [
         (m.Action.CHARGE, grid_table1.lin(2, 8, 4)),
         (m.Action.DISCHARGE_FULL, grid_table1.lin(14, 3, 9)),
@@ -137,7 +150,7 @@ def test_quad_and_gauss_legendre_routes_agree(cfg_table1, grid_table1):
 
 def test_z_marginal_shared_across_actions(cfg_table1, grid_table1):
     kern = m.TransitionKernel(cfg_table1, grid_table1)
-    z_block = kern.z_block()
+    z_block = kern.z_block
     bat = kern.battery_block(42)
     gen = kern.generator_block(42)
     np.testing.assert_allclose(bat.sum(axis=-1), np.broadcast_to(
@@ -158,9 +171,9 @@ def test_dirac_axes_are_single_cells(cfg_table1, grid_table1):
 
 def test_limited_targets_match_moments(cfg_table1, grid_table1):
     kern = m.TransitionKernel(cfg_table1, grid_table1)
-    q_idle = kern.q_idle_targets()
-    q_lim = kern.q_limited_targets()
-    g_lim = kern.g_limited_targets()
+    q_idle = kern.q_idle
+    q_lim = kern.q_limited
+    g_lim = kern.g_limited
     for j, q in enumerate(grid_table1.q.points):
         for k, g in enumerate(grid_table1.g.points):
             x = m.State(1.6, float(q), float(g))
@@ -179,9 +192,9 @@ def test_target_maps_match_per_point_moments(cfg_table1, n_z, n_q, n_g):
     grid = m.build_grid(cfg)
     kern = m.TransitionKernel(cfg, grid)
     for targets, moments, axis, a in (
-            (kern.q_idle_targets(), m.q_moments, grid.q, m.Action.WAIT),
-            (kern.q_limited_targets(), m.q_moments, grid.q, m.Action.DISCHARGE_LIMITED),
-            (kern.g_limited_targets(), m.g_moments, grid.g, m.Action.FUEL_LIMITED)):
+            (kern.q_idle, m.q_moments, grid.q, m.Action.WAIT),
+            (kern.q_limited, m.q_moments, grid.q, m.Action.DISCHARGE_LIMITED),
+            (kern.g_limited, m.g_moments, grid.g, m.Action.FUEL_LIMITED)):
         expected = [cell_of(clamp01(moments(0, 0.7, float(v), a, cfg)[0]), axis)
                     for v in axis.points]
         assert targets.tolist() == expected
@@ -209,7 +222,7 @@ def test_normalize_rows_raises_on_mass_leak():
 
 def test_scalar_z_masses_match_block(cfg_table1, grid_table1):
     kern = m.TransitionKernel(cfg_table1, grid_table1)
-    block = kern.z_block()
+    block = kern.z_block
     p = cfg_table1.demand
     for i, z in enumerate(grid_table1.z.points):
         mom = m.z_moments(0, float(z), cfg_table1)
@@ -219,7 +232,7 @@ def test_scalar_z_masses_match_block(cfg_table1, grid_table1):
 
 @pytest.mark.parametrize("rho", [0.0, 0.3, -0.84, 0.95, -0.999])
 def test_rect_masses_tail_closed_forms_match_full_lattice(rho):
-    # Both Genz branches (|rho| < / >= 0.925) and the independent shortcut;
+    # Both Genz branches (|rho| < / >= 0.925), rho = 0 included;
     # the q-like axis has a small sd so that far edges hit the +-37 clip.
     rng = np.random.default_rng(11)
     z_edges = np.linspace(-2.0, 2.0, 9)
@@ -228,7 +241,7 @@ def test_rect_masses_tail_closed_forms_match_full_lattice(rho):
     means = rng.uniform(-0.2, 1.2, size=(6, 4, 1))
     sds = np.array([0.02, 0.3, 1.0, 4.0])[None, :, None]
     std_b = np.clip((q_edges - means) / sds, -37.0, 37.0)
-    got = _rect_masses(std_a, std_b, rho)
+    got = _lattice_masses(_cdf_lattice(std_a, std_b, rho))
     ref = full_lattice_rect_masses(std_a, std_b, rho)
     assert got.shape == ref.shape == (6, 4, 10, 11)
     assert np.abs(got - ref).max() <= 1e-15
