@@ -14,11 +14,10 @@ from .config import (Action, BatteryParams, ConfigError, CostParams,
                      SeasonalOUParams, State, config_hash, default_config,
                      dump_config, load_config, seasonality, validate_config)
 from .constraints import FeasibleSet, feasibility_mask, feasible_actions
-from .cost import StageCost, expected_stage_cost, running_cost, terminal_cost
-from .dynamics import (NoiseVector, TransitionMoments, efficiency, g_moments,
-                       q_moments, transition_moments, transition_operator,
-                       z_moments)
-from .grid import Axis, StateGrid, build_grid, cell_of, neighborhood
+from .cost import expected_stage_cost, terminal_cost
+from .dynamics import (NoiseVector, TransitionMoments, g_moments, q_moments,
+                       transition_moments, transition_operator)
+from .grid import Axis, StateGrid, build_grid, cell_of
 from .kernel import NumericalError, TransitionKernel
 from .simulate import (SCENARIOS, PathRecord, Scenario, baseline_wait_policy,
                        simulate_path)
@@ -28,12 +27,11 @@ __all__ = [
     "Action", "Axis", "BatteryParams", "ConfigError", "CostParams",
     "DiscretizationParams", "FeasibleSet", "GeneratorParams",
     "ModelConfig", "NoiseVector", "NumericalError", "PathRecord", "PolicyTable",
-    "SCENARIOS", "Scenario", "SeasonalOUParams", "StageCost", "State",
+    "SCENARIOS", "Scenario", "SeasonalOUParams", "State",
     "StateGrid", "TransitionKernel", "TransitionMoments", "ValueTable",
     "baseline_wait_policy", "build_grid", "cell_of", "config_hash",
-    "default_config", "dump_config", "efficiency",
-    "expected_stage_cost", "feasibility_mask", "feasible_actions", "g_moments",
-    "load_config", "neighborhood", "q_moments", "running_cost", "seasonality",
-    "simulate_path", "solve", "terminal_cost", "transition_moments",
-    "transition_operator", "validate_config", "z_moments",
+    "default_config", "dump_config", "expected_stage_cost",
+    "feasibility_mask", "feasible_actions", "g_moments", "load_config",
+    "q_moments", "seasonality", "simulate_path", "solve", "terminal_cost",
+    "transition_moments", "transition_operator", "validate_config",
 ]

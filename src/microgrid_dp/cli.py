@@ -10,6 +10,7 @@ microgrid_dp` or `python -m microgrid_dp.cli`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -311,9 +312,7 @@ def _run(args) -> int:
     if args.command == "moments":
         mom = transition_moments(args.n, State(args.z, args.q, args.g),
                                  ACTION_BY_LABEL[args.action], cfg)
-        print(json.dumps({k: getattr(mom, k) for k in (
-            "m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
-            "cov_ZQ", "rho_Q", "cov_ZG", "rho_G")}, indent=2))
+        print(json.dumps(dataclasses.asdict(mom), indent=2))
         return 0
 
     grid = build_grid(cfg)
@@ -361,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # no size limit on N_Z/N_Q/N_G: the blocks may not fit
+        print(f"numerical error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -77,9 +77,6 @@ _ACTION_LABELS = {
 
 ACTION_BY_LABEL = {label: a for a, label in _ACTION_LABELS.items()}
 
-BATTERY_ACTIONS = (Action.CHARGE, Action.DISCHARGE_LIMITED, Action.DISCHARGE_FULL)
-GENERATOR_ACTIONS = (Action.FUEL_LIMITED, Action.FUEL_FULL)
-
 
 class State(NamedTuple):
     """Continuous state: deseasonalized demand, state of charge, fuel level."""
@@ -293,8 +290,8 @@ def _finite_or_default(cfg: ModelConfig, errors: list[str]) -> ModelConfig:
     The range checks run on the returned config, so a field reported here
     is not reported a second time by a range check.
     """
-    for section, (attr, _) in _SECTIONS.items():
-        params = getattr(cfg, attr)
+    for section in _SECTIONS:
+        params = getattr(cfg, section)
         defaults = {}
         for f in dc_fields(params):
             value = getattr(params, f.name)
@@ -302,7 +299,7 @@ def _finite_or_default(cfg: ModelConfig, errors: list[str]) -> ModelConfig:
                 errors.append(f"{section}.{f.name} must be finite, got {value}")
                 defaults[f.name] = f.default
         if defaults:
-            cfg = replace(cfg, **{attr: replace(params, **defaults)})
+            cfg = replace(cfg, **{section: replace(params, **defaults)})
     return cfg
 
 
@@ -320,19 +317,14 @@ def validate_config(cfg: ModelConfig) -> ModelConfig:
     return cfg
 
 
-# Config file sections and the parameter dataclass each one maps to.
+# Config file sections, each named after the ModelConfig field it sets.
 _SECTIONS = {
-    "demand": ("demand", SeasonalOUParams),
-    "battery": ("battery", BatteryParams),
-    "generator": ("generator", GeneratorParams),
-    "costs": ("costs", CostParams),
-    "discretization": ("discretization", DiscretizationParams),
+    "demand": SeasonalOUParams,
+    "battery": BatteryParams,
+    "generator": GeneratorParams,
+    "costs": CostParams,
+    "discretization": DiscretizationParams,
 }
-
-# Optional switch accepted in [discretization] beyond the dataclass fields.
-_EXTRA_KEYS = {"discretization": {"bellman_discount_continuation"}}
-
-_INT_FIELDS = {"steps_N"} | {"N_Z", "N_Q", "N_G"}
 
 
 def load_config(path: str) -> ModelConfig:
@@ -362,23 +354,23 @@ def load_config(path: str) -> ModelConfig:
         if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
-        attr, cls = _SECTIONS[section]
-        known = {f.name for f in dc_fields(cls)}
-        extras = _EXTRA_KEYS.get(section, set())
+        # declared types, as strings under `from __future__ import annotations`
+        types = {f.name: f.type for f in dc_fields(_SECTIONS[section])}
         overrides = {}
         for key, raw in items:
-            if key in extras:
+            # the one switch beyond the dataclass fields
+            if section == "discretization" and key == "bellman_discount_continuation":
                 cfg = replace(cfg, bellman_discount_continuation=_parse_bool(raw, section, key, errors))
                 continue
-            if key not in known:
+            if key not in types:
                 errors.append(f"unknown key '{key}' in section [{section}]")
                 continue
             try:
-                overrides[key] = int(raw) if key in _INT_FIELDS else float(raw)
+                overrides[key] = int(raw) if types[key] == "int" else float(raw)
             except ValueError:
                 errors.append(f"key '{key}' in section [{section}] is not a number: {raw!r}")
         if overrides:
-            cfg = replace(cfg, **{attr: replace(getattr(cfg, attr), **overrides)})
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **overrides)})
     if errors:
         raise ConfigError(errors)
     return validate_config(cfg)
@@ -400,10 +392,10 @@ def dump_config(cfg: ModelConfig) -> str:
     Floats use shortest round-trip formatting, so dump -> load is exact.
     """
     out = io.StringIO()
-    for section, (attr, cls) in _SECTIONS.items():
+    for section in _SECTIONS:
         out.write(f"[{section}]\n")
-        params = getattr(cfg, attr)
-        for f in dc_fields(cls):
+        params = getattr(cfg, section)
+        for f in dc_fields(params):
             value = getattr(params, f.name)
             out.write(f"{f.name} = {value!r}\n")
         if section == "discretization":

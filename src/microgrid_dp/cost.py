@@ -1,66 +1,20 @@
-"""Running cost, closed-form expected discounted stage cost, terminal cost.
+"""Closed-form expected discounted stage cost and terminal cost.
 
-The instantaneous cost is piecewise in the action: fuel expenditure for
-generator modes, battery degradation proportional to throughput, and a
-quadratic discomfort penalty on unserved (or over-limit) residual demand.
-Its discounted one-step expectation along the frozen-coefficient dynamics
-has a closed form in the discount factors zeta_1..zeta_3.
+The instantaneous cost rate is piecewise in the action: fuel expenditure
+for generator modes, battery degradation proportional to throughput, and
+a quadratic discomfort penalty on unserved (or over-limit) residual
+demand. Only its discounted one-step expectation along the
+frozen-coefficient dynamics is coded; it has a closed form in the
+discount factors zeta_1..zeta_3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from scipy.integrate import quad
 
-from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
+from .config import Action, ModelConfig, State, eta_charge, eta_discharge
 
-__all__ = [
-    "StageCost",
-    "expected_stage_cost",
-    "running_cost",
-    "terminal_cost",
-]
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Instantaneous cost rate [EUR/h] split into its three sources."""
-
-    fuel: float
-    degradation: float
-    discomfort: float
-
-    @property
-    def value(self) -> float:
-        return self.fuel + self.degradation + self.discomfort
-
-
-def running_cost(t: float, x: State, a: Action, cfg: ModelConfig) -> StageCost:
-    """Instantaneous cost at time t in state x under action a."""
-    c = cfg.costs
-    r = seasonality(t, cfg.demand) + x.z
-    if a is Action.FUEL_FULL:
-        return StageCost(c.fuel_price_F0 * (cfg.generator.c0 + cfg.generator.c1 * r), 0.0, 0.0)
-    if a is Action.FUEL_LIMITED:
-        r0 = cfg.generator.R_G0
-        return StageCost(
-            c.fuel_price_F0 * (cfg.generator.c0 + cfg.generator.c1 * r0),
-            0.0,
-            c.k0 * (r - r0) ** 2,
-        )
-    if a is Action.DISCHARGE_FULL:
-        return StageCost(0.0, c.gamma_deg * r, 0.0)
-    if a is Action.DISCHARGE_LIMITED:
-        r0 = cfg.battery.R_Q0
-        return StageCost(0.0, c.gamma_deg * r0, c.k0 * (r - r0) ** 2)
-    if a is Action.CHARGE:
-        return StageCost(0.0, c.gamma_deg * abs(r), 0.0)
-    if a is Action.WAIT:
-        return StageCost(0.0, 0.0, c.k0 * r**2)
-    if a is Action.OVERSPILL:
-        return StageCost(0.0, 0.0, 0.0)
-    raise ValueError(f"unknown action: {a!r}")
+__all__ = ["expected_stage_cost", "terminal_cost"]
 
 
 def expected_stage_cost(k: int, x: State, a: Action, cfg: ModelConfig) -> float:

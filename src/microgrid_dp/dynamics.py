@@ -11,11 +11,11 @@ against 1 / Delta), the integral is taken by quadrature instead.
 Each law has one implementation, written for numpy arrays and read at a
 single state by passing floats: z_law (mean and sd of Z'), battery_law
 (mean and sd of Q' under charge / full discharge, through the one regime
-rule efficiency), generator_law (burn and sd of G' under the full
+rule _efficiency), generator_law (burn and sd of G' under the full
 generator mode), and the deterministic means discharge_limited_mean and
 fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
 and rho_g. The feasibility mask and the transition blocks read them
-over whole lattices; the scalar API (z/q/g_moments,
+over whole lattices; the scalar API (q_moments, g_moments,
 transition_moments), the path sampler transition_operator and the path
 simulator read them at a point. A variance is sd * sd, whose square root
 is sd again exactly in binary64, so every route sees the same (mean, sd)
@@ -45,7 +45,6 @@ __all__ = [
     "StepConstants",
     "TransitionMoments",
     "battery_law",
-    "efficiency",
     "g_moments",
     "generator_law",
     "q_moments",
@@ -53,7 +52,6 @@ __all__ = [
     "transition_moments",
     "transition_operator",
     "z_law",
-    "z_moments",
 ]
 
 # Below this |rate gap| * dt, the difference quotients of _phi lose more
@@ -218,25 +216,13 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
     return sc
 
 
-def z_moments(n: int, z: float, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of Z_{n+1} given Z_n = z."""
-    cfg.constants.mu[n]  # a step outside 0..N raises KeyError, as in every law
-    m_Z, sd_Z = z_law(z, cfg)
-    return m_Z, sd_Z * sd_Z
-
-
-def efficiency(t: float, z, q, cfg: ModelConfig):
-    """Energy-conversion factor eta_E frozen at (t, z, q); z and q floats or arrays.
-
-    Charging (residual demand mu_R(t) + z <= 0) applies eta_E^C(q) to the
-    stored surplus; discharging applies 1 / eta_E^D(q) to the served demand.
-    Broadcasts over z and q; a scalar for float arguments.
-    """
-    return _efficiency(seasonality(t, cfg.demand), z, q, cfg)
-
-
 def _efficiency(mu: float, z, q, cfg: ModelConfig):
-    """efficiency at the seasonal mean mu: the one regime rule."""
+    """Energy-conversion factor eta_E frozen at the seasonal mean mu and (z, q).
+
+    The one regime rule: charging (residual demand mu + z <= 0) applies
+    eta_E^C(q) to the stored surplus; discharging applies 1 / eta_E^D(q)
+    to the served demand. Broadcasts over z and q; a scalar for floats.
+    """
     bat = cfg.battery
     return np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 

@@ -1,4 +1,4 @@
-"""Truncated, discretized state space and cell (neighborhood) geometry.
+"""Truncated, discretized state space and cell lookup.
 
 Each axis carries N+1 equidistant grid points; every point owns a half-open
 cell (left-open, right-closed] bounded by the midpoints to its neighbors.
@@ -14,35 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, State
+from .config import ModelConfig
 
-__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "clamp01", "neighborhood", "z_truncation"]
+__all__ = ["Axis", "StateGrid", "build_grid", "cell_of", "clamp01", "z_truncation"]
 
 
 @dataclass(frozen=True)
 class Axis:
-    """One grid axis: points, interior cell boundaries, and outer bounds."""
+    """One grid axis: points and the interior cell boundaries between them."""
 
     name: str
     points: np.ndarray  # shape (n_points,), strictly increasing, equidistant
     edges: np.ndarray   # shape (n_points - 1,), midpoints between adjacent points
-    lo: float           # lower bound of the bottom cell (-inf on z, 0.0 on q/g)
-    hi: float           # upper bound of the top cell (+inf on z, 1.0 on q/g)
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
-    @property
-    def step(self) -> float:
-        return float(self.points[1] - self.points[0])
 
-
-def _make_axis(name: str, lo_point: float, hi_point: float, n_intervals: int,
-               lo: float, hi: float) -> Axis:
+def _make_axis(name: str, lo_point: float, hi_point: float, n_intervals: int) -> Axis:
     points = np.linspace(lo_point, hi_point, n_intervals + 1)
-    edges = 0.5 * (points[:-1] + points[1:])
-    return Axis(name=name, points=points, edges=edges, lo=lo, hi=hi)
+    return Axis(name=name, points=points, edges=0.5 * (points[:-1] + points[1:]))
 
 
 @dataclass(frozen=True)
@@ -67,18 +59,6 @@ class StateGrid:
         _, nj, nk = self.shape
         return (i * nj + j) * nk + k
 
-    def ijk(self, m: int) -> tuple[int, int, int]:
-        """Multi-index of linear state id m."""
-        _, nj, nk = self.shape
-        i, rem = divmod(m, nj * nk)
-        j, k = divmod(rem, nk)
-        return i, j, k
-
-    def state_of(self, m: int) -> State:
-        """Continuous representative (grid point) of linear state id m."""
-        i, j, k = self.ijk(m)
-        return State(float(self.z.points[i]), float(self.q.points[j]), float(self.g.points[k]))
-
 
 def z_truncation(cfg: ModelConfig) -> float:
     """zbar = 3 sigma_R / sqrt(2 beta_R), the 3-sigma band of the stationary Z law."""
@@ -94,19 +74,10 @@ def build_grid(cfg: ModelConfig) -> StateGrid:
     d = cfg.discretization
     zbar = z_truncation(cfg)
     return StateGrid(
-        z=_make_axis("z", -zbar, zbar, d.N_Z, -math.inf, math.inf),
-        q=_make_axis("q", 0.0, 1.0, d.N_Q, 0.0, 1.0),
-        g=_make_axis("g", 0.0, 1.0, d.N_G, 0.0, 1.0),
+        z=_make_axis("z", -zbar, zbar, d.N_Z),
+        q=_make_axis("q", 0.0, 1.0, d.N_Q),
+        g=_make_axis("g", 0.0, 1.0, d.N_G),
     )
-
-
-def neighborhood(axis: Axis, i: int) -> tuple[float, float]:
-    """Half-open cell (lo, hi] owned by grid point i on the axis."""
-    if not 0 <= i < axis.n_points:
-        raise IndexError(f"point index {i} out of range for axis {axis.name!r}")
-    lo = axis.lo if i == 0 else float(axis.edges[i - 1])
-    hi = axis.hi if i == axis.n_points - 1 else float(axis.edges[i])
-    return lo, hi
 
 
 def clamp01(v: float) -> float:

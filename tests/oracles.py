@@ -20,7 +20,9 @@ transition_operator per step), and the CSV writers against the
 row-at-a-time f-string writers. The full-lattice block forms evaluate
 the bivariate CDF on every edge of every source, tails as +-37: the
 reference for the kernel's closed-form tail edges and its one generator
-lattice per z source.
+lattice per z source. neighborhood gives the (lo, hi] cell of a grid
+point, the reference for cell_of, and state_of(grid, m) the grid-point
+state of a linear state id, the inverse of grid.lin.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from microgrid_dp import (
     TransitionKernel,
     ValueTable,
     cell_of,
-    efficiency,
     expected_stage_cost,
     g_moments,
     q_moments,
@@ -53,14 +54,33 @@ from microgrid_dp import (
     terminal_cost,
     transition_moments,
     transition_operator,
-    z_moments,
 )
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.dynamics import NoiseVector
+from microgrid_dp.dynamics import NoiseVector, _efficiency, z_law
 from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
 from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows, _tail_edges
 from microgrid_dp.solver import _TIE_TOL
+
+
+def state_of(grid: StateGrid, m: int) -> State:
+    """Grid-point state of linear state id m, the inverse of grid.lin."""
+    i, j, k = np.unravel_index(m, grid.shape)
+    return State(float(grid.z.points[i]), float(grid.q.points[j]), float(grid.g.points[k]))
+
+
+# Outer bounds of the bottom and the top cell: z is unbounded, q and g clamp at 0 and 1.
+_OUTER_BOUNDS = {"z": (-math.inf, math.inf), "q": (0.0, 1.0), "g": (0.0, 1.0)}
+
+
+def neighborhood(axis, i: int) -> tuple[float, float]:
+    """Half-open cell (lo, hi] owned by grid point i of the axis: the cell_of reference."""
+    lo, hi = _OUTER_BOUNDS[axis.name]
+    if i > 0:
+        lo = float(axis.edges[i - 1])
+    if i < axis.n_points - 1:
+        hi = float(axis.edges[i])
+    return lo, hi
 
 
 def _norm_cdf(x: float) -> float:
@@ -131,8 +151,8 @@ def transition_row(n: int, source: int, a: Action, grid: StateGrid,
     of `a` at the source state is the caller's contract; rows are
     well-defined Gaussian masses for any action.
     """
-    x = grid.state_of(source)
-    _, j_src, k_src = grid.ijk(source)
+    x = state_of(grid, source)
+    _, j_src, k_src = np.unravel_index(source, grid.shape)
     mom = transition_moments(n, x, a, cfg)
     sd_z = math.sqrt(mom.var_Z)
 
@@ -263,7 +283,7 @@ def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKer
     involved; ties within the solver's tolerance go to the canonical order.
     """
     grid = kernel.grid
-    x = grid.state_of(state)
+    x = state_of(grid, state)
     feas = feasible_actions_reference(n, x, cfg)
     if len(feas) == 0:
         raise NumericalError(f"empty feasible set at step {n}, state {state}")
@@ -470,8 +490,7 @@ def write_step_csv_reference(tables: tuple[ValueTable, PolicyTable], grid: State
     mu = seasonality(cfg.t_of(n), cfg.demand)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("i,j,k,z,r_mid,q,g,value_eur,action\n")
-        for m in range(grid.n_states):
-            i, j, k = grid.ijk(m)
+        for m, (i, j, k) in enumerate(np.ndindex(grid.shape)):
             z = float(grid.z.points[i])
             label = "" if n == n_steps else policy.action_at(n, m).label
             fh.write(
@@ -507,7 +526,7 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
     stage: dict[tuple[int, int, Action], float] = {}
     for n in range(n_steps):
         for m in range(n_states):
-            x = grid.state_of(m)
+            x = state_of(grid, m)
             acts = tuple(feasible_actions_reference(n, x, cfg))
             feas[n, m] = acts
             for a in acts:
@@ -517,7 +536,7 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
                     for t, p in zip(row.targets, row.probs) if p >= prune
                 ]
                 stage[n, m, a] = expected_stage_cost(n, x, a, cfg)
-    term = [terminal_cost(grid.state_of(m), cfg) for m in range(n_states)]
+    term = [terminal_cost(state_of(grid, m), cfg) for m in range(n_states)]
     disc = (math.exp(-cfg.costs.rho * cfg.dt)
             if cfg.bellman_discount_continuation else 1.0)
 
@@ -579,8 +598,8 @@ def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.
     std_g = np.empty((n_z, n_g, grid.g.edges.size))
     rho = transition_moments(n, State(0.0, 0.0, 0.0), Action.FUEL_FULL, cfg).rho_G
     for i, z in enumerate(grid.z.points):
-        m_z, var_z = z_moments(n, float(z), cfg)
-        std_z[i, 0] = (grid.z.edges - m_z) / math.sqrt(var_z)
+        m_z, sd_z = z_law(float(z), cfg)
+        std_z[i, 0] = (grid.z.edges - m_z) / sd_z
         for k, g in enumerate(grid.g.points):
             m_g, var_g = g_moments(n, float(z), float(g), Action.FUEL_FULL, cfg)
             std_g[i, k] = (grid.g.edges - m_g) / math.sqrt(var_g)
@@ -673,10 +692,9 @@ def euler_oracle(n: int, x: State, a, paths: int, inner_step: float,
         raise ValueError("inner_step must be <= Delta/100 for a meaningful oracle")
     actions = (a,) if isinstance(a, Action) else tuple(a)
     p, bat, gen = cfg.demand, cfg.battery, cfg.generator
-    t0 = cfg.t_of(n)
-    mu = seasonality(t0, p)
+    mu = seasonality(cfg.t_of(n), p)
 
-    eta = efficiency(t0, x.z, x.q, cfg)
+    eta = _efficiency(mu, x.z, x.q, cfg)
     eta_lim = 1.0 / (bat.C0_D + bat.C1_D * x.q**bat.l_D * (1.0 - x.q) ** bat.m_D)
 
     rng = np.random.default_rng(seed)

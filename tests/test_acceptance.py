@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
-from microgrid_dp.config import BATTERY_ACTIONS, GENERATOR_ACTIONS
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.calibrate import self_discharge_rate
 from microgrid_dp import cli
 from microgrid_dp.solver import step_q_values
 from oracles import (brute_force_values, euler_oracle, mc_stage_cost, operator_cell_counts,
-                     transition_row)
+                     state_of, transition_row)
+
+# the actions that move the battery, and those that burn fuel
+BATTERY_ACTIONS = (m.Action.CHARGE, m.Action.DISCHARGE_LIMITED, m.Action.DISCHARGE_FULL)
+GENERATOR_ACTIONS = (m.Action.FUEL_LIMITED, m.Action.FUEL_FULL)
 
 MOMENT_FIELDS = ("m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
                  "cov_ZQ", "rho_Q", "cov_ZG", "rho_G")
@@ -102,7 +105,7 @@ def test_criterion_3_kernel_normalization(cfg_table1, grid_table1):
         row = transition_row(n, source, a, grid_table1, cfg_table1)
         assert abs(row.probs.sum() - 1.0) <= 1e-9
         dense = row.as_dense(grid_table1.n_states)
-        counts = operator_cell_counts(n, grid_table1.state_of(source), a,
+        counts = operator_cell_counts(n, state_of(grid_table1, source), a,
                                       cfg_table1, grid_table1, draws,
                                       seed=int(rng.integers(2**31)))
         expect = dense * draws

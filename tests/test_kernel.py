@@ -12,7 +12,7 @@ from microgrid_dp.grid import clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _cdf_lattice, _lattice_masses, _normalize_rows
 from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob,
                      full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect,
-                     transition_row)
+                     state_of, transition_row)
 
 STD2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -130,7 +130,7 @@ def test_quad_and_gauss_legendre_routes_agree(cfg_table1, grid_table1):
         (m.Action.OVERSPILL, grid_table1.lin(1, 6, 3)),
     ]
     for a, source in cases:
-        i, j, k = grid_table1.ijk(source)
+        i, j, k = np.unravel_index(source, grid_table1.shape)
         dense = transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
             grid_table1.n_states).reshape(grid_table1.shape)
         if a in (m.Action.CHARGE, m.Action.DISCHARGE_FULL):
@@ -205,7 +205,7 @@ def test_chain_matches_sampled_operator(cfg_table1, grid_table1):
     n, a = 30, m.Action.CHARGE
     source = grid_table1.lin(3, 5, 8)
     draws = 4000
-    counts = operator_cell_counts(n, grid_table1.state_of(source), a, cfg_table1,
+    counts = operator_cell_counts(n, state_of(grid_table1, source), a, cfg_table1,
                                   grid_table1, draws, seed=99)
     dense = transition_row(n, source, a, grid_table1, cfg_table1).as_dense(
         grid_table1.n_states)
@@ -225,8 +225,8 @@ def test_scalar_z_masses_match_block(cfg_table1, grid_table1):
     block = kern.z_block
     p = cfg_table1.demand
     for i, z in enumerate(grid_table1.z.points):
-        mom = m.z_moments(0, float(z), cfg_table1)
-        mass = _z_cell_masses_scalar(mom[0], math.sqrt(mom[1]), grid_table1)
+        mom = m.transition_moments(0, m.State(float(z), 0.5, 0.5), m.Action.WAIT, cfg_table1)
+        mass = _z_cell_masses_scalar(mom.m_Z, math.sqrt(mom.var_Z), grid_table1)
         np.testing.assert_allclose(mass / mass.sum(), block[i], atol=1e-12)
 
 

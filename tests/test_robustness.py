@@ -3,7 +3,11 @@
 A small seeded sweep over the edges of the model: eta0 at and near beta_R
 (where the battery's noise integrals have a removable singularity), a
 battery correlation beyond the Genz high-|rho| switch at 0.925, epsilon
-near 0 and 0.5, the coarsest grids and a one-step horizon. Each case must
+near 0 and 0.5, the coarsest grids and a one-step horizon, and the cost
+and efficiency parameters at their edges: each cost coefficient and the
+discount rate at 0, q_ref at 0 and 1, no idle fuel burn, no
+self-discharge, and non-integer efficiency exponents (where the
+terminal cost's quadrature does the work). Each case must
 either solve to finite values (the kernel's row check runs inside solve)
 or raise NumericalError / ConfigError, and the CLI must exit 0, 3 or 1
 accordingly with a one-line message.
@@ -24,13 +28,13 @@ BETA_R = m.default_config().demand.beta_R
 GAPS = (0.0, 1e-12, -1e-12, 1e-9, 2e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1e-1)
 
 
-def _case(battery=None, demand=None, steps=3, **grid) -> m.ModelConfig:
-    """table1 on a small grid (default 3 steps, 6x4x4) with some fields replaced."""
-    cfg = small_discretization(m.default_config(), steps=steps, **grid)
-    if battery:
-        cfg = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, **battery))
-    if demand:
-        cfg = dataclasses.replace(cfg, demand=dataclasses.replace(cfg.demand, **demand))
+def _case(steps=3, n_z=5, n_q=3, n_g=3, **sections) -> m.ModelConfig:
+    """table1 on a small grid (default 3 steps, 6x4x4) with some fields replaced,
+    given per section: _case(battery={"eta0": 0.0})."""
+    cfg = small_discretization(m.default_config(), steps, n_z, n_q, n_g)
+    for section, fields in sections.items():
+        params = dataclasses.replace(getattr(cfg, section), **fields)
+        cfg = dataclasses.replace(cfg, **{section: params})
     return cfg
 
 
@@ -59,6 +63,15 @@ CASES = {
     "epsilon=0.4999": _with_epsilon(_case(), 0.4999),
     "N_Z=3 N_Q=N_G=2": _case(n_z=3, n_q=2, n_g=2),
     "steps_N=1": _case(steps=1),
+    **{f"{name}=0": _case(costs={name: 0.0}) for name in (
+        "gamma_deg", "gamma_pen_Q", "gamma_liq_G", "k0", "fuel_price_F0", "rho")},
+    "gamma_liq_Q=0.5": _case(costs={"gamma_liq_Q": 0.5}),
+    "q_ref=0": _case(costs={"q_ref": 0.0}),
+    "q_ref=1": _case(costs={"q_ref": 1.0}),
+    "c0=0": _case(generator={"c0": 0.0}),
+    "eta0=0": _case(battery={"eta0": 0.0}),
+    "l_C=1.5": _case(battery={"l_C": 1.5}),
+    "m_D=1.01": _case(battery={"m_D": 1.01}),
     "eta0=1e200 (constants overflow)": _case(battery={"eta0": 1e200}),
     "epsilon=0.5 (invalid)": _with_epsilon(_case(), 0.5),
     **_seeded_cases(6),

@@ -7,6 +7,7 @@ import pytest
 
 import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
+from microgrid_dp.dynamics import z_law
 from microgrid_dp.simulate import default_initial_state
 from oracles import euler_oracle, reference_path, sample_transition
 
@@ -76,12 +77,12 @@ def test_wait_transition_is_deterministic_off_z(cfg_table1):
 
 
 def test_z_offset_shifts_by_one_innovation_sd(cfg_table1):
-    m_z, var_z = m.z_moments(0, STATE.z, cfg_table1)
+    sd_z = z_law(STATE.z, cfg_table1)[1]
     base = sample_transition(0, STATE, m.Action.WAIT,
                              np.random.default_rng(11), cfg_table1)
     tilt = sample_transition(0, STATE, m.Action.WAIT,
                              np.random.default_rng(11), cfg_table1, z_offset=0.5)
-    assert tilt.z - base.z == pytest.approx(0.5 * math.sqrt(var_z), abs=1e-12)
+    assert tilt.z - base.z == pytest.approx(0.5 * sd_z, abs=1e-12)
 
 
 def test_simulate_path_reproducible(cfg_small, grid_small, small_solution):

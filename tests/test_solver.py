@@ -9,7 +9,7 @@ import pytest
 import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.solver import _stage_cost_rows, step_q_values, terminal_values
-from oracles import bellman_backup, brute_force_values, feasible_actions_reference
+from oracles import bellman_backup, brute_force_values, feasible_actions_reference, state_of
 
 
 def _zero_cost_config(cfg):
@@ -22,7 +22,7 @@ def _zero_cost_config(cfg):
 def test_terminal_values_match_scalar_costs(cfg_table1, grid_table1):
     v_n = terminal_values(cfg_table1, grid_table1)
     for state in range(0, grid_table1.n_states, 37):
-        x = grid_table1.state_of(state)
+        x = state_of(grid_table1, state)
         assert v_n[state] == pytest.approx(m.terminal_cost(x, cfg_table1), abs=1e-12)
     table = v_n.reshape(grid_table1.shape)
     assert (table == table[0]).all()
@@ -33,8 +33,8 @@ def test_feasibility_mask_matches_scalar_route(cfg_table1, grid_table1):
     assert mask.shape == (7,) + grid_table1.shape
     rng = np.random.default_rng(3)
     for state in rng.choice(grid_table1.n_states, size=60, replace=False):
-        i, j, k = grid_table1.ijk(int(state))
-        feas = feasible_actions_reference(11, grid_table1.state_of(int(state)), cfg_table1)
+        i, j, k = np.unravel_index(int(state), grid_table1.shape)
+        feas = feasible_actions_reference(11, state_of(grid_table1, int(state)), cfg_table1)
         for a in m.Action:
             assert mask[a, i, j, k] == (a in feas)
 
@@ -42,7 +42,7 @@ def test_feasibility_mask_matches_scalar_route(cfg_table1, grid_table1):
 def _scalar_mask(n, grid, cfg):
     mask = np.zeros((len(m.Action), grid.n_states), dtype=bool)
     for state in range(grid.n_states):
-        for a in feasible_actions_reference(n, grid.state_of(state), cfg):
+        for a in feasible_actions_reference(n, state_of(grid, state), cfg):
             mask[a, state] = True
     return mask.reshape((len(m.Action),) + grid.shape)
 
@@ -74,7 +74,7 @@ def test_zero_cost_model_solves_to_zero(cfg_small, grid_small):
     assert np.abs(values.values).max() == 0.0
     for n in range(cfg.discretization.steps_N):
         for state in range(grid_small.n_states):
-            feas = m.feasible_actions(n, grid_small.state_of(state), cfg)
+            feas = m.feasible_actions(n, state_of(grid_small, state), cfg)
             assert policy.action_at(n, state) == tuple(feas)[0]
 
 
