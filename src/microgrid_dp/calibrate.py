@@ -7,19 +7,19 @@ integral is Gaussian with closed-form mean and variance, so the required
 capacity is a quantile expression. Window bounds, confidence level, and
 the reference SoC for the efficiency factor are declared constants tuned
 once to reproduce the published 18 kWh figure, then frozen.
+calibration_report returns the dict that the `calibrate` command prints,
+and its signature holds the one copy of the command's defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from scipy.special import ndtri
 
 from .config import ModelConfig, SeasonalOUParams, eta_charge, eta_discharge
 
 __all__ = [
-    "CalibrationReport",
     "DEFAULT_CHARGE_WINDOW",
     "DEFAULT_CONFIDENCE",
     "DEFAULT_DISCHARGE_WINDOW",
@@ -124,32 +124,6 @@ def check_generator_params(c0: float, c1: float) -> list[str]:
     return warnings
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Calibration outputs plus the inputs they were derived from."""
-
-    eta0: float
-    C_Q_charge: float
-    C_Q_discharge: float
-    C_Q: float
-    gamma_deg: float
-    gamma_deg_source: str  # "degradation_cost" or "config"
-    generator_warnings: list[str]
-    inputs: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "eta0_per_h": self.eta0,
-            "C_Q_charge_kwh": self.C_Q_charge,
-            "C_Q_discharge_kwh": self.C_Q_discharge,
-            "C_Q_kwh": self.C_Q,
-            "gamma_deg_eur_per_kwh": self.gamma_deg,
-            "gamma_deg_source": self.gamma_deg_source,
-            "generator_warnings": self.generator_warnings,
-            "inputs": self.inputs,
-        }
-
-
 def calibration_report(cfg: ModelConfig,
                        q_star: float = 0.98, q_star_hours: float = 96.0,
                        window_charge: tuple[float, float] = DEFAULT_CHARGE_WINDOW,
@@ -157,9 +131,10 @@ def calibration_report(cfg: ModelConfig,
                        p: float = DEFAULT_CONFIDENCE, z1: float = 0.0,
                        battery_price: float | None = None,
                        battery_life_h: float | None = None,
-                       max_abs_R: float = 3.0) -> CalibrationReport:
-    """Run every calibration; gamma_deg falls back to the configured value
-    unless both a battery price and a replacement horizon are supplied."""
+                       max_abs_R: float = 3.0) -> dict:
+    """Every calibration output and its inputs, as the dict `calibrate` prints; gamma_deg
+    falls back to the configured value (gamma_deg_source "config") unless both a
+    battery price and a replacement horizon are supplied."""
     eta0 = self_discharge_rate(q_star, q_star_hours)
     c_charge, c_discharge, c_q = battery_capacity(window_charge, window_discharge, p, z1, cfg)
     if battery_price is not None and battery_life_h is not None:
@@ -168,15 +143,15 @@ def calibration_report(cfg: ModelConfig,
     else:
         gamma = cfg.costs.gamma_deg
         gamma_source = "config"
-    return CalibrationReport(
-        eta0=eta0,
-        C_Q_charge=c_charge,
-        C_Q_discharge=c_discharge,
-        C_Q=c_q,
-        gamma_deg=gamma,
-        gamma_deg_source=gamma_source,
-        generator_warnings=check_generator_params(cfg.generator.c0, cfg.generator.c1),
-        inputs={
+    return {
+        "eta0_per_h": eta0,
+        "C_Q_charge_kwh": c_charge,
+        "C_Q_discharge_kwh": c_discharge,
+        "C_Q_kwh": c_q,
+        "gamma_deg_eur_per_kwh": gamma,
+        "gamma_deg_source": gamma_source,
+        "generator_warnings": check_generator_params(cfg.generator.c0, cfg.generator.c1),
+        "inputs": {
             "q_star": q_star,
             "q_star_hours": q_star_hours,
             "window_charge_h": list(window_charge),
@@ -187,4 +162,4 @@ def calibration_report(cfg: ModelConfig,
             "battery_life_h": battery_life_h,
             "max_abs_R_kw": max_abs_R,
         },
-    )
+    }

@@ -30,7 +30,7 @@ from .kernel import NumericalError
 from .simulate import SCENARIOS, simulate_path
 from .solver import PolicyTable, ValueTable, solve
 
-__all__ = ["cli", "export_value_policy", "main"]
+__all__ = ["export_value_policy", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,17 +51,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate", help="check a config file")
     p.add_argument("config")
 
+    # No defaults here: an option left out keeps calibration_report's default.
     p = sub.add_parser("calibrate", help="derive battery/generator parameters")
     p.add_argument("config")
-    p.add_argument("--q-star", type=float, default=0.98)
-    p.add_argument("--q-star-hours", type=float, default=96.0)
-    p.add_argument("--charge-window", type=str, default="6,18", metavar="T1,T2")
-    p.add_argument("--discharge-window", type=str, default="18,30", metavar="T1,T2")
-    p.add_argument("--confidence", type=float, default=0.92)
-    p.add_argument("--z1", type=float, default=0.0)
-    p.add_argument("--battery-price", type=float, default=None)
-    p.add_argument("--battery-life", type=float, default=None, help="hours until replacement")
-    p.add_argument("--max-abs-r", type=float, default=3.0)
+    p.add_argument("--q-star", type=float)
+    p.add_argument("--q-star-hours", type=float)
+    p.add_argument("--charge-window", metavar="T1,T2")
+    p.add_argument("--discharge-window", metavar="T1,T2")
+    p.add_argument("--confidence", type=float)
+    p.add_argument("--z1", type=float)
+    p.add_argument("--battery-price", type=float)
+    p.add_argument("--battery-life", type=float, help="hours until replacement")
+    p.add_argument("--max-abs-r", type=float)
 
     p = sub.add_parser("moments", help="one-step conditional moments at a state")
     p.add_argument("config")
@@ -93,7 +94,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_window(raw: str) -> tuple[float, float]:
+def _parse_window(raw: str | None) -> tuple[float, float] | None:
+    if raw is None:
+        return None
     try:
         start, end = (float(part) for part in raw.split(","))
     except ValueError:
@@ -158,7 +161,7 @@ def _check_options(args, cfg: ModelConfig) -> None:
         raise ConfigError(errors)
 
 
-_LABELS = [a.label for a in Action]  # action label by its int8 policy code
+_LABELS = [a.label for a in Action]  # by action code: a per-row list index in both CSV writers
 
 
 def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
@@ -245,7 +248,7 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
 def _write_paths_csv(records, step_prefixes: list[str], path: str) -> None:
     """One path's records as CSV; step_prefixes[n] is the 'step,time_h,' of step n."""
     body = "".join(
-        f"{head}{rec.z!r},{rec.r!r},{rec.q!r},{rec.g!r},{rec.action.label},"
+        f"{head}{rec.z!r},{rec.r!r},{rec.q!r},{rec.g!r},{_LABELS[rec.action]},"
         f"{rec.stage_cost_eur!r},{rec.cum_cost_eur!r}\n"
         for head, rec in zip(step_prefixes, records))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -293,20 +296,19 @@ def _run(args) -> int:
         return 0
 
     if args.command == "calibrate":
-        window_charge = _parse_window(args.charge_window)
-        window_discharge = _parse_window(args.discharge_window)
+        options = {
+            "q_star": args.q_star, "q_star_hours": args.q_star_hours,
+            "window_charge": _parse_window(args.charge_window),
+            "window_discharge": _parse_window(args.discharge_window),
+            "p": args.confidence, "z1": args.z1,
+            "battery_price": args.battery_price, "battery_life_h": args.battery_life,
+            "max_abs_R": args.max_abs_r,
+        }
         try:
-            report = calibration_report(
-                cfg,
-                q_star=args.q_star, q_star_hours=args.q_star_hours,
-                window_charge=window_charge, window_discharge=window_discharge,
-                p=args.confidence, z1=args.z1,
-                battery_price=args.battery_price, battery_life_h=args.battery_life,
-                max_abs_R=args.max_abs_r,
-            )
+            report = calibration_report(cfg, **{k: v for k, v in options.items() if v is not None})
         except ValueError as exc:  # out-of-range calibration inputs
             raise ConfigError([str(exc)]) from None
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
 
     if args.command == "moments":
@@ -364,9 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # no size limit on N_Z/N_Q/N_G: the blocks may not fit
         print(f"numerical error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
-
-
-cli = main
+    except OverflowError as exc:  # scalar float arithmetic on huge but finite parameters
+        print(f"numerical error: float overflow: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

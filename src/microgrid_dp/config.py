@@ -3,7 +3,9 @@
 All quantities use a single time unit (hours). The default configuration
 reproduces the published experiment: a 7-day horizon with hourly steps,
 an 18 kWh battery, a 20 l fuel tank, and the seasonal demand pattern
-with annual (8760 h) and daily (24 h) cosine components.
+with annual (8760 h) and daily (24 h) cosine components. The Bellman
+recursion always discounts the continuation value, so the config files'
+[discretization] key `bellman_discount_continuation` reads and writes only true.
 """
 
 from __future__ import annotations
@@ -62,20 +64,11 @@ class Action(IntEnum):
 
     @property
     def label(self) -> str:
-        return _ACTION_LABELS[self]
+        """The name in lower case, as written in CSVs and read by `moments --action`."""
+        return self.name.lower()
 
 
-_ACTION_LABELS = {
-    Action.OVERSPILL: "overspill",
-    Action.CHARGE: "charge",
-    Action.WAIT: "wait",
-    Action.DISCHARGE_LIMITED: "discharge_limited",
-    Action.DISCHARGE_FULL: "discharge_full",
-    Action.FUEL_LIMITED: "fuel_limited",
-    Action.FUEL_FULL: "fuel_full",
-}
-
-ACTION_BY_LABEL = {label: a for a, label in _ACTION_LABELS.items()}
+ACTION_BY_LABEL = {a.label: a for a in Action}
 
 
 class State(NamedTuple):
@@ -173,9 +166,6 @@ class ModelConfig:
     generator: GeneratorParams = field(default_factory=GeneratorParams)
     costs: CostParams = field(default_factory=CostParams)
     discretization: DiscretizationParams = field(default_factory=DiscretizationParams)
-    # Discount the continuation value by e^(-rho*Delta_N) inside the Bellman
-    # backup so the recursion matches the discounted performance criterion.
-    bellman_discount_continuation: bool = True
 
     @property
     def dt(self) -> float:
@@ -243,12 +233,13 @@ def _validate_battery(p: BatteryParams, errors: list[str]) -> None:
     for name, value in (("l_C", p.l_C), ("m_C", p.m_C), ("l_D", p.l_D), ("m_D", p.m_D)):
         if not value >= 1:
             errors.append(f"battery.{name} must be >= 1")
-    # efficiency curves must stay in (0, 1] over the whole SoC range
-    qs = [i / 100.0 for i in range(101)]
-    if not all(0.0 < eta_charge(q, p) <= 1.0 for q in qs):
-        errors.append("battery charging efficiency must lie in (0, 1] for all q in [0, 1]")
-    if not all(0.0 < eta_discharge(q, p) <= 1.0 for q in qs):
-        errors.append("battery discharging efficiency must lie in (0, 1] for all q in [0, 1]")
+    # For exponents >= 1 each curve is C0 at q = 0 and 1 with its one interior
+    # extreme at q* = l / (l + m): it lies in (0, 1] when C0 and eta(q*) do.
+    if min(p.l_C, p.m_C, p.l_D, p.m_D) >= 1:
+        if not 0.0 < eta_charge(p.l_C / (p.l_C + p.m_C), p) <= 1.0:
+            errors.append("battery charging efficiency must lie in (0, 1] for all q in [0, 1]")
+        if not 0.0 < eta_discharge(p.l_D / (p.l_D + p.m_D), p) <= 1.0:
+            errors.append("battery discharging efficiency must lie in (0, 1] for all q in [0, 1]")
 
 
 def _validate_generator(p: GeneratorParams, errors: list[str]) -> None:
@@ -358,9 +349,11 @@ def load_config(path: str) -> ModelConfig:
         types = {f.name: f.type for f in dc_fields(_SECTIONS[section])}
         overrides = {}
         for key, raw in items:
-            # the one switch beyond the dataclass fields
+            # the one key beyond the dataclass fields, kept readable for existing files
             if section == "discretization" and key == "bellman_discount_continuation":
-                cfg = replace(cfg, bellman_discount_continuation=_parse_bool(raw, section, key, errors))
+                if raw.strip().lower() not in ("true", "1", "yes", "on"):
+                    errors.append(f"key '{key}' in section [{section}] must be true, got {raw!r}: "
+                                  "the continuation value is always discounted")
                 continue
             if key not in types:
                 errors.append(f"unknown key '{key}' in section [{section}]")
@@ -376,16 +369,6 @@ def load_config(path: str) -> ModelConfig:
     return validate_config(cfg)
 
 
-def _parse_bool(raw: str, section: str, key: str, errors: list[str]) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    errors.append(f"key '{key}' in section [{section}] is not a boolean: {raw!r}")
-    return True
-
-
 def dump_config(cfg: ModelConfig) -> str:
     """Serialize a config to the INI format accepted by load_config.
 
@@ -399,7 +382,7 @@ def dump_config(cfg: ModelConfig) -> str:
             value = getattr(params, f.name)
             out.write(f"{f.name} = {value!r}\n")
         if section == "discretization":
-            out.write(f"bellman_discount_continuation = {str(cfg.bellman_discount_continuation).lower()}\n")
+            out.write("bellman_discount_continuation = true\n")  # fixed; keeps config_hash
         out.write("\n")
     return out.getvalue()
 

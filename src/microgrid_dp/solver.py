@@ -1,15 +1,15 @@
 """Finite-horizon Bellman backward recursion over the discretized chain.
 
 Each backward step evaluates, for every grid state and feasible action,
-the closed-form expected discounted stage cost plus the discounted
-expected continuation value under the action's transition law, then takes
-the canonical-order argmin. A step is array code throughout: the
-feasibility mask (constraints.feasibility_mask) is one broadcast over the
-lattice, the battery and generator probability blocks (TransitionKernel)
-contract against the next value table with einsum, the stage costs are
-one closed-form call per action over the z axis, and infeasible
-(state, action) pairs are masked to +inf. The steps run one after another
-on one thread.
+the closed-form expected discounted stage cost plus the expected
+continuation value under the action's transition law, discounted by
+e^(-rho*Delta_N), then takes the canonical-order argmin. A step is array
+code throughout: the feasibility mask (constraints.feasibility_mask) is
+one broadcast over the lattice, the battery and generator probability
+blocks (TransitionKernel) contract against the next value table with
+einsum, the stage costs are one closed-form call per action over the z
+axis, and infeasible (state, action) pairs are masked to +inf. The steps
+run one after another on one thread.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     gen_t = np.einsum("ikIK,IJK->ikJ", g_block, v1)
     ev[Action.FUEL_FULL] = np.transpose(gen_t[:, :, q_idle], (0, 2, 1))
 
-    disc = math.exp(-cfg.costs.rho * cfg.dt) if cfg.bellman_discount_continuation else 1.0
+    disc = math.exp(-cfg.costs.rho * cfg.dt)
     stage = _stage_cost_rows(n, grid, cfg)
     q_vals = stage[:, :, None, None] + disc * ev
     return np.where(mask, q_vals, np.inf)

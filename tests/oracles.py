@@ -287,7 +287,7 @@ def bellman_backup(n: int, state: int, v_next: np.ndarray, kernel: TransitionKer
     feas = feasible_actions_reference(n, x, cfg)
     if len(feas) == 0:
         raise NumericalError(f"empty feasible set at step {n}, state {state}")
-    disc = math.exp(-cfg.costs.rho * cfg.dt) if cfg.bellman_discount_continuation else 1.0
+    disc = math.exp(-cfg.costs.rho * cfg.dt)
     q_vals = []
     for a in feas:
         row = transition_row(n, state, a, grid, cfg)
@@ -537,8 +537,7 @@ def brute_force_values(cfg: ModelConfig, grid: StateGrid,
                 ]
                 stage[n, m, a] = expected_stage_cost(n, x, a, cfg)
     term = [terminal_cost(state_of(grid, m), cfg) for m in range(n_states)]
-    disc = (math.exp(-cfg.costs.rho * cfg.dt)
-            if cfg.bellman_discount_continuation else 1.0)
+    disc = math.exp(-cfg.costs.rho * cfg.dt)
 
     def value(n: int, m: int) -> float:
         if n == n_steps:

@@ -111,8 +111,7 @@ def test_generator_param_ranges():
 
 
 def test_calibration_report_defaults(cfg_table1):
-    rep = calibration_report(cfg_table1)
-    d = rep.as_dict()
+    d = calibration_report(cfg_table1)
     assert set(d) == {"eta0_per_h", "C_Q_charge_kwh", "C_Q_discharge_kwh",
                       "C_Q_kwh", "gamma_deg_eur_per_kwh", "gamma_deg_source",
                       "generator_warnings", "inputs"}
@@ -125,9 +124,9 @@ def test_calibration_report_defaults(cfg_table1):
 
 
 def test_calibration_report_priced_battery(cfg_table1):
-    rep = calibration_report(cfg_table1, battery_price=6000.0,
-                             battery_life_h=20_000.0, max_abs_R=3.0)
-    assert rep.gamma_deg_source == "degradation_cost"
+    d = calibration_report(cfg_table1, battery_price=6000.0,
+                           battery_life_h=20_000.0, max_abs_R=3.0)
+    assert d["gamma_deg_source"] == "degradation_cost"
     want = degradation_cost(6000.0, 20_000.0, cfg_table1.costs.rho, 3.0)
-    assert rep.gamma_deg == pytest.approx(want, rel=1e-15)
-    assert rep.inputs["battery_price_eur"] == 6000.0
+    assert d["gamma_deg_eur_per_kwh"] == pytest.approx(want, rel=1e-15)
+    assert d["inputs"]["battery_price_eur"] == 6000.0

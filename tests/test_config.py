@@ -98,6 +98,8 @@ def test_efficiency_curves_in_unit_interval():
     ("battery", "C0_C", 0.0),
     ("battery", "C0_C", 1.5),
     ("battery", "l_C", 0.5),
+    ("battery", "l_C", -1.0),   # a negative exponent, before the efficiency check
+    ("battery", "l_D", -1.0),
     ("generator", "capacity_CG", -20.0),
     ("generator", "c1", 0.0),
     ("costs", "q_ref", 1.5),
@@ -136,6 +138,24 @@ def test_efficiency_invariant_checked_on_validation():
     bat = dataclasses.replace(cfg.battery, C0_C=0.9, C1_C=0.9)
     with pytest.raises(m.ConfigError):
         m.validate_config(dataclasses.replace(cfg, battery=bat))
+
+
+@pytest.mark.parametrize("fields,valid", [
+    ({"C1_C": 1.35}, True),         # max eta_C = 0.8 + 1.35 * 4/27 = 1 exactly, at q = 1/3
+    ({"C1_C": 1.3500001}, False),   # max 1 + 1.5e-8 at q = 1/3, off every q = k/100
+    ({"C1_D": 1.35}, True),
+    ({"C1_D": 1.3500001}, False),   # max at q = 2/3
+    ({"C1_D": -5.39}, True),        # min eta_D = 0.8 + C1_D * 4/27 > 0 at q = 2/3
+    ({"C1_D": -5.41}, False),
+])
+def test_efficiency_checked_at_its_extreme(fields, valid):
+    cfg = m.default_config()
+    broken = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, **fields))
+    if valid:
+        m.validate_config(broken)
+    else:
+        with pytest.raises(m.ConfigError, match="efficiency"):
+            m.validate_config(broken)
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -202,9 +222,17 @@ def test_config_hash_distinguishes_configs():
     assert len(m.config_hash(cfg)) == 64
 
 
-def test_discount_continuation_flag_round_trip(tmp_path):
-    cfg = dataclasses.replace(m.default_config(),
-                              bellman_discount_continuation=False)
-    path = tmp_path / "flag.ini"
-    path.write_text(m.dump_config(cfg))
-    assert m.load_config(str(path)).bellman_discount_continuation is False
+def test_discount_continuation_key_reads_only_true(tmp_path):
+    """The continuation is always discounted: the key's true spellings load the
+    default config, and every other value, false included, is refused."""
+    path = tmp_path / "key.ini"
+    for raw in ("true", "1", "yes", "on", " True ", "ON"):
+        path.write_text(f"[discretization]\nbellman_discount_continuation = {raw}\n")
+        assert m.load_config(str(path)) == m.default_config()
+    for raw in ("false", "0", "no", "off", "maybe", ""):
+        path.write_text(f"[discretization]\nbellman_discount_continuation = {raw}\n")
+        with pytest.raises(m.ConfigError) as info:
+            m.load_config(str(path))
+        (error,) = info.value.errors
+        assert "bellman_discount_continuation" in error and "always discounted" in error
+    assert "bellman_discount_continuation = true\n" in m.dump_config(m.default_config())

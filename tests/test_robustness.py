@@ -6,11 +6,14 @@ battery correlation beyond the Genz high-|rho| switch at 0.925, epsilon
 near 0 and 0.5, the coarsest grids and a one-step horizon, and the cost
 and efficiency parameters at their edges: each cost coefficient and the
 discount rate at 0, q_ref at 0 and 1, no idle fuel burn, no
-self-discharge, and non-integer efficiency exponents (where the
-terminal cost's quadrature does the work). Each case must
-either solve to finite values (the kernel's row check runs inside solve)
-or raise NumericalError / ConfigError, and the CLI must exit 0, 3 or 1
-accordingly with a one-line message.
+self-discharge, non-integer efficiency exponents (where the
+terminal cost's quadrature does the work), a charging efficiency whose
+maximum is exactly 1, and, as invalid inputs, efficiencies just above 1,
+negative exponents and a demand level whose squared stage-cost term
+overflows. Each case must either solve to finite values (the kernel's
+row check runs inside solve) or raise NumericalError / OverflowError /
+ConfigError, and the CLI must exit 0, 3, 3 or 1 accordingly with a
+one-line message.
 """
 
 from __future__ import annotations
@@ -72,12 +75,17 @@ CASES = {
     "eta0=0": _case(battery={"eta0": 0.0}),
     "l_C=1.5": _case(battery={"l_C": 1.5}),
     "m_D=1.01": _case(battery={"m_D": 1.01}),
+    "C1_C=1.35 (max eta_C = 1)": _case(battery={"C1_C": 1.35}),
+    "C1_C=1.3500001 (invalid)": _case(battery={"C1_C": 1.3500001}),
+    "l_C=-1 (invalid)": _case(battery={"l_C": -1.0}),
+    "l_D=-1 (invalid)": _case(battery={"l_D": -1.0}),
+    "mu0_R=1e300 (stage cost overflow)": _case(demand={"mu0_R": 1e300}),
     "eta0=1e200 (constants overflow)": _case(battery={"eta0": 1e200}),
     "epsilon=0.5 (invalid)": _with_epsilon(_case(), 0.5),
     **_seeded_cases(6),
 }
 
-EXIT_CODES = {None: 0, m.NumericalError: 3, m.ConfigError: 1}
+EXIT_CODES = {None: 0, m.NumericalError: 3, OverflowError: 3, m.ConfigError: 1}
 
 
 def _library_outcome(cfg: m.ModelConfig):
@@ -85,7 +93,7 @@ def _library_outcome(cfg: m.ModelConfig):
     try:
         m.validate_config(cfg)
         values, policy = m.solve(cfg, m.build_grid(cfg))
-    except (m.NumericalError, m.ConfigError) as exc:
+    except (m.NumericalError, OverflowError, m.ConfigError) as exc:
         return type(exc)
     assert np.isfinite(values.values).all()
     assert np.isin(policy.actions, list(m.Action)).all()
@@ -109,9 +117,19 @@ def test_edge_config_solves_or_fails_cleanly(name, tmp_path, capsys):
 
 def test_only_the_broken_cases_fail():
     """Every valid edge solves, the singular gaps and beta_R * dt = 4e-8 included;
-    only the overflowing and the invalid config fail, each with its own error."""
+    only the overflowing and the invalid configs fail, each with its own error."""
     failing = {"eta0=1e200 (constants overflow)": m.NumericalError,
-               "epsilon=0.5 (invalid)": m.ConfigError}
+               "mu0_R=1e300 (stage cost overflow)": OverflowError,
+               "epsilon=0.5 (invalid)": m.ConfigError,
+               "C1_C=1.3500001 (invalid)": m.ConfigError,
+               "l_C=-1 (invalid)": m.ConfigError,
+               "l_D=-1 (invalid)": m.ConfigError}
     for name, cfg in CASES.items():
         assert _library_outcome(cfg) is failing.get(name), name
     assert abs(CASES["eta0=20 (rho_q about -0.985)"].constants.rho_q) > 0.925
+
+
+@pytest.mark.parametrize("n_q", [3, 6, 10, 12, 15])
+def test_efficiency_at_its_bound_solves_on_refined_soc_grids(n_q):
+    """C1_C = 1.35 puts max eta_C = 1 exactly on q = 1/3, a grid point when 3 | N_Q."""
+    assert _library_outcome(_case(steps=24, n_q=n_q, battery={"C1_C": 1.35})) is None

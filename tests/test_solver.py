@@ -1,7 +1,6 @@
 """Bellman recursion: terminal layer, masks, backups, and full solves."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -129,20 +128,6 @@ def test_table_shapes_and_action_type(cfg_small, grid_small, small_solution):
     assert policy.actions.shape == (steps, grid_small.n_states)
     a = policy.action_at(0, 0)
     assert isinstance(a, m.Action)
-
-
-def test_discount_flag_changes_values(cfg_small, grid_small, small_solution):
-    values, _, _ = small_solution
-    flag_off = dataclasses.replace(cfg_small, bellman_discount_continuation=False)
-    undiscounted, _ = m.solve(flag_off, grid_small)
-    assert np.abs(undiscounted.values[0] - values.values[0]).max() > 1e-3
-    rho0_costs = dataclasses.replace(cfg_small.costs, rho=0.0)
-    rho0_on = dataclasses.replace(cfg_small, costs=rho0_costs)
-    rho0_off = dataclasses.replace(flag_off, costs=rho0_costs)
-    v_on, _ = m.solve(rho0_on, grid_small)
-    v_off, _ = m.solve(rho0_off, grid_small)
-    np.testing.assert_allclose(v_on.values, v_off.values, atol=1e-12)
-    assert math.exp(-cfg_small.costs.rho * cfg_small.dt) < 1.0
 
 
 def test_stage_cost_rows_match_scalar_cost_bit_for_bit(cfg_table1, grid_table1):
