@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 configuration/usage failure, 2 I/O failure,
 3 numerical failure, each with a one-line message on stderr. All numeric
 exports use shortest round-trip float formatting so identical inputs
-yield byte-identical CSV files. Run as `microgrid-dp`, `python -m
+yield byte-identical CSV files. `simulate` and `paper-run` simulate the
+paths of a scenario in batches of _PATHS_PER_BATCH (simulate_paths) and
+write each path CSV a column at a time. Run as `microgrid-dp`, `python -m
 microgrid_dp` or `python -m microgrid_dp.cli`.
 """
 
@@ -27,8 +29,9 @@ from .config import (ACTION_BY_LABEL, Action, ConfigError, ModelConfig, State,
 from .dynamics import transition_moments
 from .grid import StateGrid, build_grid
 from .kernel import NumericalError
-from .simulate import SCENARIOS, simulate_path
-from .solver import PolicyTable, ValueTable, solve
+# The batch simulator under the name perfbench/tracing.py times (cli.simulate_path).
+from .simulate import SCENARIOS, simulate_paths as simulate_path
+from .solver import PolicyTable, ValueTable, solve, stage_cost_rows
 
 __all__ = ["export_value_policy", "main"]
 
@@ -245,16 +248,6 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
     return PolicyTable(actions)
 
 
-def _write_paths_csv(records, step_prefixes: list[str], path: str) -> None:
-    """One path's records as CSV; step_prefixes[n] is the 'step,time_h,' of step n."""
-    body = "".join(
-        f"{head}{rec.z!r},{rec.r!r},{rec.q!r},{rec.g!r},{_LABELS[rec.action]},"
-        f"{rec.stage_cost_eur!r},{rec.cum_cost_eur!r}\n"
-        for head, rec in zip(step_prefixes, records))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n" + body)
-
-
 def _write_manifest(out_dir: str, cfg: ModelConfig, seed, outputs: list[str]) -> None:
     manifest = {
         "config_hash": config_hash(cfg),
@@ -273,16 +266,37 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
     return sorted({0, max(0, n - 12), max(0, n - 1), n})
 
 
+# Paths simulated and written per batch: memory is O(_PATHS_PER_BATCH * N) at any --seeds.
+_PATHS_PER_BATCH = 256
+
+
+def _column(values: np.ndarray) -> list[str]:
+    """repr of every float of a 1-D array, from one list repr (a float repr holds no comma)."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) -> list[str]:
+    """Simulate paths 0..seeds-1 in batches and write one CSV per path.
+
+    Floats are written as repr of Python floats (shortest round trip).
+    Each path's columns are formatted once each and its file is written in
+    one call; the step and time_h columns are formatted once per call.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    # the step and time_h columns are the same for every path
-    step_prefixes = [f"{n},{cfg.t_of(n)!r}," for n in range(cfg.discretization.steps_N)]
+    steps = [f"{n},{cfg.t_of(n)!r}" for n in range(cfg.discretization.steps_N)]
     written = []
-    for idx in range(seeds):
-        records = simulate_path(policy, scenario, cfg, grid, path_index=idx)
-        path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
-        _write_paths_csv(records, step_prefixes, path)
-        written.append(path)
+    for start in range(0, seeds, _PATHS_PER_BATCH):
+        indices = range(start, min(start + _PATHS_PER_BATCH, seeds))
+        batch = simulate_path(policy, scenario, cfg, grid, indices)
+        for row, idx in enumerate(indices):
+            z, r, q, g, stage, cum = (_column(field[row]) for field in (
+                batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur, batch.cum_cost_eur))
+            labels = [_LABELS[a] for a in batch.action[row].tolist()]
+            body = "\n".join(map(",".join, zip(steps, z, r, q, g, labels, stage, cum)))
+            path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(f"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n{body}\n")
+            written.append(path)
     return written
 
 
@@ -291,7 +305,12 @@ def _run(args) -> int:
     _check_options(args, cfg)
 
     if args.command == "validate":
-        cfg.constants  # a config whose one-step constants cannot be formed exits 3
+        # Exit 3 where solve would: constants that cannot be formed, or a
+        # stage cost that overflows or is not finite.
+        grid = build_grid(cfg)
+        for n in range(cfg.discretization.steps_N):
+            if not np.isfinite(stage_cost_rows(n, grid, cfg)).all():
+                raise NumericalError(f"stage cost at step {n} is not finite")
         print(f"configuration valid (hash {config_hash(cfg)[:16]})")
         return 0
 

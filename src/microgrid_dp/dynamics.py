@@ -16,10 +16,10 @@ generator mode), and the deterministic means discharge_limited_mean and
 fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
 and rho_g. The feasibility mask and the transition blocks read them
 over whole lattices; the scalar API (q_moments, g_moments,
-transition_moments), the path sampler transition_operator and the path
-simulator read them at a point. A variance is sd * sd, whose square root
-is sd again exactly in binary64, so every route sees the same (mean, sd)
-and the same rho.
+transition_moments) reads them at a point, and the path sampler
+transition_operator at a point or over a batch of paths. A variance is
+sd * sd, whose square root is sd again exactly in binary64, so every
+route sees the same (mean, sd) and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
@@ -318,9 +318,9 @@ def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> Transit
                              rho_G * sd_Z * math.sqrt(var_G), rho_G)
 
 
-def _correlated(m: float, sd: float, rho: float, eps_Z: float, eps: float) -> float:
-    """m + sd * (rho eps_Z + sqrt(1 - rho^2) eps): one axis correlated with Z'."""
-    return float(m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps))
+def _correlated(m, sd, rho: float, eps_Z, eps):
+    """m + sd * (rho eps_Z + sqrt(1 - rho^2) eps): one axis correlated with Z'; broadcasts."""
+    return m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps)
 
 
 def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: ModelConfig) -> State:
@@ -328,7 +328,10 @@ def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: Mode
 
     Feasibility of the action is not checked here. The returned levels are
     not clamped to [0, 1]; callers that need physical trajectories clamp
-    (the boundary states represent all overshooting levels).
+    (the boundary states represent all overshooting levels). The fields of
+    x and eps may be floats or arrays of one shape, such as one entry per
+    simulated path; every law broadcasts, so each entry gets the bits of
+    the scalar call.
     """
     sc = cfg.constants
     m_Z, sd_Z = z_law(x.z, cfg)

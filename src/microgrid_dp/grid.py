@@ -80,9 +80,14 @@ def build_grid(cfg: ModelConfig) -> StateGrid:
     )
 
 
-def clamp01(v: float) -> float:
-    """A q or g level clamped to its physical box [0, 1]."""
-    return min(1.0, max(0.0, v))
+def clamp01(v):
+    """A q or g level, or an array of them, clamped to its physical box [0, 1].
+
+    A NaN level stays NaN, so the next cell_of call refuses it. On a tie
+    np.maximum returns its second argument: -0.0 clamps to +0.0, the bits
+    a path CSV has always shown.
+    """
+    return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
 def cell_of(value: float, axis: Axis) -> int:

@@ -173,7 +173,7 @@ def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.nd
 
 def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
     """Cell index of each level, clamped to the physical box first."""
-    return np.array([cell_of(clamp01(float(v)), axis) for v in levels])
+    return np.array([cell_of(v, axis) for v in clamp01(levels).tolist()])
 
 
 class TransitionKernel:

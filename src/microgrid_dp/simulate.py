@@ -6,12 +6,15 @@ the mean of the Z innovation (negative = favorable surplus, positive =
 adverse demand). Every path owns an independent, reproducible generator
 stream: default_rng(SeedSequence(entropy=base_seed, spawn_key=(scenario id,
 path index))).
+
+simulate_paths is the one simulator: it advances a batch of paths
+together, one array step per time step, and returns their columns as a
+PathBatch. simulate_path is its one-path case as a list of PathRecords.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -25,11 +28,13 @@ from .grid import StateGrid, cell_of, clamp01
 from .solver import PolicyTable
 
 __all__ = [
+    "PathBatch",
     "PathRecord",
     "SCENARIOS",
     "Scenario",
     "baseline_wait_policy",
     "simulate_path",
+    "simulate_paths",
 ]
 
 _MAX_OFFSET = 1.5  # bound on |per-day innovation-mean offset|
@@ -89,54 +94,95 @@ def default_initial_state(grid: StateGrid) -> State:
     return State(float(grid.z.points[-1]), 0.8, 1.0)
 
 
+class PathBatch(NamedTuple):
+    """Simulated paths, one row per path and one column per step n = 0..N-1.
+
+    Each field holds what the PathRecord of (path, step) holds: the state
+    seen, the residual demand mu_R(t_n) + z, the action code taken and the
+    step's cost.
+    """
+
+    z: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    g: np.ndarray
+    action: np.ndarray          # int8 Action codes
+    stage_cost_eur: np.ndarray
+    cum_cost_eur: np.ndarray
+
+
+def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
+                   grid: StateGrid, path_indices,
+                   initial_state: State | None = None) -> PathBatch:
+    """Simulate the 0..N paths of path_indices together, one array step per time step.
+
+    Every path starts at initial_state (default: default_initial_state)
+    and moves by exact draws from the one-step laws, with q and g clamped
+    to [0, 1]. The policy is read at the cell of the current continuous
+    state. Path idx draws its 3N standard normals from its own stream,
+    default_rng(SeedSequence(base_seed, spawn_key=(scenario id, idx))), so
+    a path is the same in any batch.
+
+    At each step the cell of every path is searchsorted(side="left") of
+    the axis edges, which is cell_of; a NaN level raises cell_of's
+    ValueError naming its axis. The public laws run once per action
+    present at the step, over that action's paths: expected_stage_cost
+    and transition_operator, on arrays, read the config's constants
+    (cfg.constants). The running cost adds exp(-rho t_n) * stage step by
+    step, in the order of a one-path loop, so every path has the bits of
+    a per-step loop over the scalar laws. Memory is O(paths * N); callers
+    with many paths pass them in chunks.
+    """
+    n_steps = cfg.discretization.steps_N
+    streams = [np.random.default_rng(np.random.SeedSequence(
+        entropy=scenario.base_seed, spawn_key=(scenario.sid, idx))).standard_normal(3 * n_steps)
+        for idx in path_indices]
+    n_paths = len(streams)
+    # draws[n, k] is the k-th normal of step n for every path, contiguous
+    draws = np.stack(streams).reshape(n_paths, n_steps, 3).transpose(1, 2, 0).copy()
+    out = PathBatch(*(np.empty((n_paths, n_steps), dtype=np.int8 if name == "action" else float)
+                      for name in PathBatch._fields))
+    mu = cfg.constants.mu
+    axes = (grid.z, grid.q, grid.g)
+    _, nj, nk = grid.shape
+    rho = cfg.costs.rho
+    x0 = initial_state if initial_state is not None else default_initial_state(grid)
+    z, q, g = (np.full(n_paths, float(level)) for level in x0)
+    cum = np.zeros(n_paths)
+    for n in range(n_steps):
+        for level, axis in zip((z, q, g), axes):
+            if np.isnan(level).any():
+                cell_of(math.nan, axis)  # raises for the first axis holding a NaN
+        # grid.lin of the three cells, row-major
+        cell = ((np.searchsorted(grid.z.edges, z) * nj + np.searchsorted(grid.q.edges, q)) * nk
+                + np.searchsorted(grid.g.edges, g))
+        codes = policy.actions[n, cell]
+        t = cfg.t_of(n)
+        eps_z = draws[n, 0] + scenario.offset_at(t)
+        stage = np.empty(n_paths)
+        z_next, q_next, g_next = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+        for code in np.unique(codes).tolist():
+            a = Action(code)
+            sel = np.flatnonzero(codes == code)
+            x = State(z[sel], q[sel], g[sel])
+            stage[sel] = expected_stage_cost(n, x, a, cfg)
+            eps = NoiseVector(eps_z[sel], draws[n, 1, sel], draws[n, 2, sel])
+            z_next[sel], q_next[sel], g_next[sel] = transition_operator(n, x, a, eps, cfg)
+        cum = cum + math.exp(-rho * t) * stage
+        for field, column in zip(out, (z, mu[n] + z, q, g, codes, stage, cum)):
+            field[:, n] = column
+        z, q, g = z_next, clamp01(q_next), clamp01(g_next)
+    return out
+
+
 def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                   grid: StateGrid, path_index: int = 0,
                   initial_state: State | None = None) -> list[PathRecord]:
-    """Simulate one 0..N path under the policy; reproducible per (scenario, index).
-
-    The path starts at initial_state (default: default_initial_state) and
-    moves by exact draws from the one-step laws, with q and g clamped to
-    [0, 1]. The policy is read at the cell of the current continuous state.
-
-    The path's 3N standard normal draws come from one call (the same
-    stream as N calls of three). Each step calls the public laws,
-    expected_stage_cost and transition_operator, on floats; they and the
-    recorded residual demand read the config's constants (cfg.constants,
-    derived once per config). The cell is found by bisection of the axis
-    edges, which is searchsorted(side="left") of cell_of. A NaN level
-    raises cell_of's ValueError naming its axis.
-    """
-    seq = np.random.SeedSequence(entropy=scenario.base_seed,
-                                 spawn_key=(scenario.sid, path_index))
-    n_steps = cfg.discretization.steps_N
-    draws = np.random.default_rng(seq).standard_normal(3 * n_steps).tolist()
-    mu = cfg.constants.mu
-    axes = (grid.z, grid.q, grid.g)
-    z_edges, q_edges, g_edges = (axis.edges.tolist() for axis in axes)
-    _, nj, nk = grid.shape
-    rho = cfg.costs.rho
-    x = initial_state if initial_state is not None else default_initial_state(grid)
-    records: list[PathRecord] = []
-    cum = 0.0
-    for n in range(n_steps):
-        if math.isnan(x.z) or math.isnan(x.q) or math.isnan(x.g):
-            for value, axis in zip(x, axes):
-                cell_of(value, axis)  # raises for the first NaN axis
-        # grid.lin of the three cells, row-major
-        cell = ((bisect_left(z_edges, x.z) * nj + bisect_left(q_edges, x.q)) * nk
-                + bisect_left(g_edges, x.g))
-        a = policy.action_at(n, cell)
-        t = cfg.t_of(n)
-        stage = expected_stage_cost(n, x, a, cfg)
-        cum += math.exp(-rho * t) * stage
-        records.append(PathRecord(
-            step=n, time_h=t, z=x.z, r=mu[n] + x.z,
-            q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
-        ))
-        eps = NoiseVector(draws[3 * n] + scenario.offset_at(t), draws[3 * n + 1], draws[3 * n + 2])
-        nxt = transition_operator(n, x, a, eps, cfg)
-        x = State(nxt.z, clamp01(nxt.q), clamp01(nxt.g))
-    return records
+    """One path as PathRecords: the one-path batch of simulate_paths."""
+    batch = simulate_paths(policy, scenario, cfg, grid, [path_index], initial_state)
+    return [PathRecord(n, cfg.t_of(n), z, r, q, g, Action(a), stage, cum)
+            for n, (z, r, q, g, a, stage, cum)
+            in enumerate(zip(*(field[0].tolist() for field in batch)))]
 
 
 def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:

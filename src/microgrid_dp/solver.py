@@ -31,6 +31,7 @@ __all__ = [
     "PolicyTable",
     "ValueTable",
     "solve",
+    "stage_cost_rows",
     "step_q_values",
     "terminal_values",
     "worker_count",
@@ -72,7 +73,7 @@ def terminal_values(cfg: ModelConfig, grid: StateGrid) -> np.ndarray:
     return np.broadcast_to(per_qg, grid.shape).reshape(-1).copy()
 
 
-def _stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
+def stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Expected stage cost per (action, z index); independent of q and g."""
     out = np.empty((len(Action), grid.z.n_points))
     for a in Action:
@@ -101,7 +102,7 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     ev[Action.FUEL_FULL] = np.transpose(gen_t[:, :, q_idle], (0, 2, 1))
 
     disc = math.exp(-cfg.costs.rho * cfg.dt)
-    stage = _stage_cost_rows(n, grid, cfg)
+    stage = stage_cost_rows(n, grid, cfg)
     q_vals = stage[:, :, None, None] + disc * ev
     return np.where(mask, q_vals, np.inf)
 

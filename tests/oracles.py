@@ -474,7 +474,8 @@ def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
             q=x.q, g=x.g, action=a, stage_cost_eur=stage, cum_cost_eur=cum,
         ))
         nxt = sample_transition(n, x, a, rng, cfg, z_offset=scenario.offset_at(t))
-        x = State(nxt.z, clamp01(nxt.q), clamp01(nxt.g))
+        # clamp01 returns a numpy scalar; the records hold Python floats (same bits)
+        x = State(nxt.z, float(clamp01(nxt.q)), float(clamp01(nxt.g)))
     return records
 
 

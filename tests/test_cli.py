@@ -16,7 +16,7 @@ import pytest
 import microgrid_dp as m
 from microgrid_dp import cli
 from conftest import small_discretization
-from oracles import write_paths_csv_reference, write_step_csv_reference
+from oracles import reference_path, write_paths_csv_reference, write_step_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +312,44 @@ def test_path_csvs_match_row_writer(problem, request, tmp_path):
         ref = tmp_path / f"ref{idx}.csv"
         write_paths_csv_reference(records, str(ref))
         assert Path(path).read_bytes() == ref.read_bytes(), idx
+
+
+def test_path_csvs_across_batches_match_reference_loop(cfg_small, grid_small, small_solution,
+                                                       tmp_path, monkeypatch):
+    """Seven paths written three at a time (batches 0-2, 3-5, 6) are the
+    reference loop's paths byte for byte."""
+    _, policy, _ = small_solution
+    monkeypatch.setattr(cli, "_PATHS_PER_BATCH", 3)
+    scenario = m.SCENARIOS["sunny-finish"].with_seed(2)
+    written = cli._simulate_scenario(cfg_small, grid_small, policy, scenario, 7,
+                                     str(tmp_path / "out"))
+    assert [Path(p).name for p in written] == [f"path_sunny-finish_seed{idx:03d}.csv"
+                                               for idx in range(7)]
+    for idx, path in enumerate(written):
+        ref = tmp_path / f"ref{idx}.csv"
+        write_paths_csv_reference(
+            reference_path(policy, scenario, cfg_small, grid_small, path_index=idx), str(ref))
+        assert Path(path).read_bytes() == ref.read_bytes(), idx
+
+
+# sha256 over the sha256 of each of the 1000 table1 path CSVs (five scenarios
+# x 200 seeds at base seed 0, the benchmark's paths), in file name order.
+TABLE1_PATHS_DIGEST = "f645595cfb9e99aa1baade4386a8e6c2499d9b5ae050e39b7b3c47e1a8f8a6c2"
+
+
+def test_table1_path_bytes_match_earlier_versions(cfg_table1, grid_table1, table1_solution,
+                                                  tmp_path):
+    _, policy, _ = table1_solution
+    out = tmp_path / "paths"
+    for name in sorted(m.SCENARIOS):
+        cli._simulate_scenario(cfg_table1, grid_table1, policy,
+                               m.SCENARIOS[name].with_seed(0), 200, str(out))
+    files = sorted(out.iterdir())
+    assert len(files) == 1000
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    assert digest.hexdigest() == TABLE1_PATHS_DIGEST
 
 
 def test_simulate_missing_policy_dir(small_ini, tmp_path, capsys):

@@ -207,6 +207,26 @@ def test_transition_operator_is_the_law_closed_form(cfg_table1):
                     assert got.g == m.g_moments(n, x.z, x.g, a, cfg)[0]
 
 
+def test_transition_operator_on_arrays_is_the_scalar_call(cfg_table1):
+    """Over arrays of states and noise (one entry per simulated path) every
+    entry equals the scalar call's bits, under each of the seven actions."""
+    cfg = cfg_table1
+    rng = np.random.default_rng(5)
+    size = 64
+    z = rng.uniform(-2.5, 2.5, size)
+    q = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)))
+    g = np.concatenate(([1.0, 0.0], rng.uniform(0.0, 1.0, size - 2)))
+    eps = rng.standard_normal((3, size))
+    for n in (0, 17, 100, 167):
+        for a in m.Action:
+            got = m.transition_operator(n, m.State(z, q, g), a, NoiseVector(*eps), cfg)
+            assert all(field.shape == (size,) for field in got), a
+            want = [m.transition_operator(n, m.State(*x), a, NoiseVector(*e), cfg)
+                    for x, e in zip(zip(z.tolist(), q.tolist(), g.tolist()), eps.T.tolist())]
+            for axis, column in zip("zqg", got):
+                assert column.tolist() == [float(getattr(w, axis)) for w in want], (n, a, axis)
+
+
 def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):
     """On every table1 step and every (z, q) and (z, g) lattice pair (so for
     every grid state), the scalar means and square-rooted variances equal the

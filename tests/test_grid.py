@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from microgrid_dp.grid import clamp01
 from oracles import neighborhood, state_of
 
 
@@ -125,6 +126,32 @@ def test_cell_of_edge_tie_is_right_closed(grid_table1):
 def test_cell_of_rejects_nan(grid_table1):
     with pytest.raises(ValueError):
         m.cell_of(float("nan"), grid_table1.q)
+
+
+CLAMPS = [(-0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.25, 0.25), (-1e-17, 0.0),
+          (-3.0, 0.0), (1.0 + 2e-16, 1.0), (7.5, 1.0), (-math.inf, 0.0), (math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("value,clamped", CLAMPS)
+def test_clamp01_on_a_float(value, clamped):
+    got = clamp01(value)
+    # repr tells +0.0 from -0.0: a clamped level is never written as -0.0
+    assert repr(float(got)) == repr(clamped)
+
+
+def test_clamp01_on_arrays_is_the_float_rule_entry_by_entry():
+    values = np.array([v for v, _ in CLAMPS] * 5)
+    got = clamp01(values)
+    assert got.shape == values.shape
+    assert [repr(v) for v in got.tolist()] == [repr(c) for _, c in CLAMPS] * 5
+
+
+def test_clamp01_keeps_nan_for_cell_of_to_refuse(grid_table1):
+    assert math.isnan(clamp01(math.nan))
+    got = clamp01(np.array([0.5, math.nan, -1.0]))
+    assert got[0] == 0.5 and math.isnan(got[1]) and got[2] == 0.0
+    with pytest.raises(ValueError, match="NaN on axis 'q'"):
+        m.cell_of(float(clamp01(math.nan)), grid_table1.q)
 
 
 def test_small_grid_shape(cfg_small, grid_small):

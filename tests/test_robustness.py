@@ -9,11 +9,11 @@ discount rate at 0, q_ref at 0 and 1, no idle fuel burn, no
 self-discharge, non-integer efficiency exponents (where the
 terminal cost's quadrature does the work), a charging efficiency whose
 maximum is exactly 1, and, as invalid inputs, efficiencies just above 1,
-negative exponents and a demand level whose squared stage-cost term
-overflows. Each case must either solve to finite values (the kernel's
-row check runs inside solve) or raise NumericalError / OverflowError /
-ConfigError, and the CLI must exit 0, 3, 3 or 1 accordingly with a
-one-line message.
+negative exponents, and demand levels and limited-mode thresholds whose
+squared stage-cost term overflows. Each case must either solve to finite
+values (the kernel's row check runs inside solve) or raise
+NumericalError / OverflowError / ConfigError, and both CLI `validate`
+and `solve` must exit 0, 3, 3 or 1 accordingly with a one-line message.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ CASES = {
     "C1_C=1.3500001 (invalid)": _case(battery={"C1_C": 1.3500001}),
     "l_C=-1 (invalid)": _case(battery={"l_C": -1.0}),
     "l_D=-1 (invalid)": _case(battery={"l_D": -1.0}),
-    "mu0_R=1e300 (stage cost overflow)": _case(demand={"mu0_R": 1e300}),
+    **{f"{name}=1e300 (stage cost overflow)": _case(**{section: {name: 1e300}})
+       for section, name in (("demand", "mu0_R"), ("demand", "kappa1_R"),
+                             ("demand", "kappa2_R"), ("battery", "R_Q0"),
+                             ("generator", "R_G0"))},
     "eta0=1e200 (constants overflow)": _case(battery={"eta0": 1e200}),
     "epsilon=0.5 (invalid)": _with_epsilon(_case(), 0.5),
     **_seeded_cases(6),
@@ -106,20 +109,22 @@ def test_edge_config_solves_or_fails_cleanly(name, tmp_path, capsys):
     outcome = _library_outcome(cfg)
     ini = tmp_path / "case.ini"
     ini.write_text(m.dump_config(cfg))
-    code = cli.main(["solve", str(ini), "--out", str(tmp_path / "out")])
-    out, err = capsys.readouterr()
-    assert code == EXIT_CODES[outcome], err
-    if outcome is None:
-        assert err == ""
-    else:
-        assert err.count("\n") == 1 and "Traceback" not in err
+    for argv in (["validate", str(ini)], ["solve", str(ini), "--out", str(tmp_path / "out")]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_CODES[outcome], (argv[0], err)
+        if outcome is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_only_the_broken_cases_fail():
     """Every valid edge solves, the singular gaps and beta_R * dt = 4e-8 included;
     only the overflowing and the invalid configs fail, each with its own error."""
     failing = {"eta0=1e200 (constants overflow)": m.NumericalError,
-               "mu0_R=1e300 (stage cost overflow)": OverflowError,
+               **{f"{name}=1e300 (stage cost overflow)": OverflowError
+                  for name in ("mu0_R", "kappa1_R", "kappa2_R", "R_Q0", "R_G0")},
                "epsilon=0.5 (invalid)": m.ConfigError,
                "C1_C=1.3500001 (invalid)": m.ConfigError,
                "l_C=-1 (invalid)": m.ConfigError,

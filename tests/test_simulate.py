@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
+from microgrid_dp import simulate
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import z_law
 from microgrid_dp.simulate import default_initial_state
@@ -138,6 +139,30 @@ def test_simulate_path_matches_reference_loop(problem, request):
     assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("problem", ["table1", "small"])
+def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
+    """A batch, its indices out of order and with gaps, holds every path's
+    reference records bit for bit: each path keeps its own stream."""
+    cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
+    _, policy, _ = request.getfixturevalue(f"{problem}_solution")
+    indices = [7, 0, 199, 1, 42]
+    cases = [(m.SCENARIOS[name].with_seed(seed), x0)
+             for name, seed, x0 in (("overcast-week", 0, None), ("sunny-start", 5, None),
+                                    ("overcast-break", 11, m.State(-0.4, 0.35, 0.6)),
+                                    ("sunny-finish", 0, m.State(0.9, 0.0, 0.05)))]
+    for scenario, x0 in cases:
+        batch = m.simulate_paths(policy, scenario, cfg, grid, indices, initial_state=x0)
+        assert batch.action.dtype == np.int8
+        for row, idx in enumerate(indices):
+            got = list(zip(*(field[row].tolist() for field in batch)))
+            want = [(rec.z, rec.r, rec.q, rec.g, int(rec.action), rec.stage_cost_eur,
+                     rec.cum_cost_eur)
+                    for rec in reference_path(policy, scenario, cfg, grid, path_index=idx,
+                                              initial_state=x0)]
+            # repr of a float is its shortest round trip, so equal reprs are equal bits
+            assert repr(got) == repr(want), (scenario.name, idx)
+
+
 @pytest.mark.parametrize("axis", ["z", "q", "g"])
 def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solution):
     _, policy, _ = small_solution
@@ -145,6 +170,28 @@ def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solu
     with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
         m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small, grid_small,
                         initial_state=x0)
+    with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
+        m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(5),
+                         initial_state=x0)
+
+
+@pytest.mark.parametrize("axis", ["z", "q", "g"])
+def test_simulate_paths_rejects_a_nan_level_reached_mid_path(
+        axis, cfg_small, grid_small, small_solution, monkeypatch):
+    """A law that returns NaN for one path of a batch stops the batch at the
+    next step with the ValueError of the axis, not a silent clamp to 0."""
+    _, policy, _ = small_solution
+    law = simulate.transition_operator
+
+    def nan_in_one_path(n, x, a, eps, cfg):
+        nxt = law(n, x, a, eps, cfg)
+        level = getattr(nxt, axis).copy()
+        level[0] = np.nan  # the first path that takes action a
+        return nxt._replace(**{axis: level})
+
+    monkeypatch.setattr(simulate, "transition_operator", nan_in_one_path)
+    with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
+        m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(3))
 
 
 def test_default_initial_state(grid_table1):

@@ -7,7 +7,7 @@ import pytest
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp.solver import _stage_cost_rows, step_q_values, terminal_values
+from microgrid_dp.solver import stage_cost_rows, step_q_values, terminal_values
 from oracles import bellman_backup, brute_force_values, feasible_actions_reference, state_of
 
 
@@ -133,7 +133,7 @@ def test_table_shapes_and_action_type(cfg_small, grid_small, small_solution):
 def test_stage_cost_rows_match_scalar_cost_bit_for_bit(cfg_table1, grid_table1):
     mismatches = 0
     for n in range(cfg_table1.discretization.steps_N):
-        rows = _stage_cost_rows(n, grid_table1, cfg_table1)
+        rows = stage_cost_rows(n, grid_table1, cfg_table1)
         scalar = np.array([[m.expected_stage_cost(n, m.State(float(z), 0.0, 0.0), a, cfg_table1)
                             for z in grid_table1.z.points] for a in m.Action])
         mismatches += int((rows != scalar).sum())
