@@ -23,13 +23,22 @@ every correlation: his 6- and 12-point rules only save time at |rho| <
 20-point rule is as accurate there.
 
 A block is the inclusion-exclusion of the bivariate CDF over the lattice
-of cell edges. The CDF is evaluated by Genz's scheme only on interior
-edges; the rows and columns of the infinite tail edges take their closed
-forms (0, the univariate CDF, 1). The generator block also uses an exact
-structure of its law, G' ~ N(g - burn(z), sd^2) with a state-free sd on
-an equidistant g axis: every standardized g edge is a shared offset
-(edge_f - point_k) shifted by burn(z_i), so one CDF lattice per z source
-serves all g sources, each reading its window at f - k.
+of cell edges. The chain's transitions are local (Kushner & Dupuis 2001),
+so most standardized edges lie far out in a tail: on table1, 78-79 % of
+the battery's q edges and 95-97 % of the generator's g offsets lie beyond
+|9|. Genz's scheme therefore runs only at lattice points whose two
+standardized edges both lie in the band |std| < T = 9 (_BAND). Outside it
+the CDF takes its closed form: the univariate CDF of one coordinate where
+the other edge is >= T, else 0. Each is off by at most Phi(-9) = 1.1e-19,
+below half an ulp of 1 (2^-53 = 1.1e-16), so the band costs less than the
+rounding of the scheme itself. The rows and columns of the infinite tail
+edges take their exact closed forms (0, the univariate CDF, 1).
+
+The generator block also uses an exact structure of its law,
+G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
+every standardized g edge is a shared offset (edge_f - point_k) shifted by
+burn(z_i), so one CDF lattice per z source serves all g sources, each
+reading its window at f - k.
 """
 
 from __future__ import annotations
@@ -130,6 +139,9 @@ def _bvn_cdf(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
 
 
 _CLIP = 37.0  # |z| beyond which the standard normal CDF is exactly 0/1 in float64
+# |std| beyond which an edge takes its closed form: Phi(-9) = 1.1e-19 is
+# below half an ulp of 1 (1.1e-16), so the CDF moves by less than that.
+_BAND = 9.0
 
 
 def _tail_edges(axis_edges: np.ndarray) -> np.ndarray:
@@ -145,15 +157,26 @@ def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
 def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
     """Bivariate CDF over the edge lattice, tails included: shape (..., NA + 2, NB + 2).
 
-    std_a (..., NA) and std_b (..., NB) are standardized interior edges;
-    only there is the bivariate CDF evaluated. A -inf edge gives 0, a +inf
-    edge the univariate CDF of the other coordinate, (+inf, +inf) gives 1.
+    std_a (..., NA) and std_b (..., NB) are standardized interior edges.
+    Genz's scheme runs only at lattice points where both edges lie inside
+    the band |std| < _BAND; elsewhere the CDF takes its closed form to
+    within Phi(-_BAND): ndtr(std_b) where std_a >= _BAND, else ndtr(std_a)
+    where std_b >= _BAND, else 0 (an edge is <= -_BAND). The closed forms
+    are taken on the edge arrays and broadcast. The tail edges are exact: a
+    -inf edge gives 0, a +inf edge the univariate CDF of the other
+    coordinate, (+inf, +inf) gives 1.
     """
-    inner = _bvn_cdf(std_a[..., :, None], std_b[..., None, :], rho)
+    a, b = std_a[..., :, None], std_b[..., None, :]
+    ndtr_a, ndtr_b = ndtr(std_a), ndtr(std_b)
+    inner = np.where(a >= _BAND, ndtr_b[..., None, :],
+                     np.where(b >= _BAND, ndtr_a[..., :, None], 0.0))
+    band = (np.abs(a) < _BAND) & (np.abs(b) < _BAND)
+    a, b = np.broadcast_arrays(a, b)
+    inner[band] = _bvn_cdf(a[band], b[band], rho)
     cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
     cdf[..., 1:-1, 1:-1] = inner
-    cdf[..., 1:-1, -1] = ndtr(std_a)
-    cdf[..., -1, 1:-1] = ndtr(std_b)
+    cdf[..., 1:-1, -1] = ndtr_a
+    cdf[..., -1, 1:-1] = ndtr_b
     cdf[..., -1, -1] = 1.0
     return cdf
 

@@ -6,10 +6,12 @@ continuation value under the action's transition law, discounted by
 e^(-rho*Delta_N), then takes the canonical-order argmin. A step is array
 code throughout: the feasibility mask (constraints.feasibility_mask) is
 one broadcast over the lattice, the battery and generator probability
-blocks (TransitionKernel) contract against the next value table with
-einsum, the stage costs are one closed-form call per action over the z
-axis, and infeasible (state, action) pairs are masked to +inf. The steps
-run one after another on one thread.
+blocks (TransitionKernel) contract against the next value table as one
+matrix product each, the block reshaped to (z src * q src, z cell * q
+cell) (likewise with g) times the value table reshaped to (z * q, g), the
+stage costs are one closed-form call per action over the z axis, and
+infeasible (state, action) pairs are masked to +inf. The steps run one
+after another on one thread.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.nd
     ev_idle = np.tensordot(pz, v1[:, q_idle, :], axes=1)
     ev[Action.OVERSPILL] = ev_idle
     ev[Action.WAIT] = ev_idle
-    ev_batt = np.einsum("ijIJ,IJk->ijk", b_block, v1)
+    n_z, n_q, n_g = grid.shape
+    ev_batt = (b_block.reshape(n_z * n_q, -1) @ v1.reshape(n_z * n_q, n_g)).reshape(grid.shape)
     ev[Action.CHARGE] = ev_batt
     ev[Action.DISCHARGE_FULL] = ev_batt
     ev[Action.DISCHARGE_LIMITED] = np.tensordot(pz, v1[:, q_lim, :], axes=1)
     ev[Action.FUEL_LIMITED] = np.tensordot(pz, v1[:, q_idle, :][:, :, g_lim], axes=1)
-    gen_t = np.einsum("ikIK,IJK->ikJ", g_block, v1)
+    v1_zgq = v1.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
+    gen_t = (g_block.reshape(n_z * n_g, -1) @ v1_zgq).reshape(n_z, n_g, n_q)
     ev[Action.FUEL_FULL] = np.transpose(gen_t[:, :, q_idle], (0, 2, 1))
 
     disc = math.exp(-cfg.costs.rho * cfg.dt)

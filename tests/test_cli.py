@@ -487,11 +487,11 @@ PAPER_RUN_DIGESTS = {
     "path_sunny-start_seed001.csv":
         "79f6dcde0b1efe311c6cf2b62c67d9736c2a31689dcc83c54ed0cdf6570a2afb",
     "value_policy_step0000.csv":
-        "fbeca961892fb0d22de63909cea5e1ab0c0f2863d3f9688d5f5249b8cd15d97f",
+        "f3b68fead3d3647b03a1764e83c88dd33057a0b6246abc8194e90c32c91efe21",
     "value_policy_step0012.csv":
-        "2ea8c13f8590ebadba822ec044520f87b1b7d21ba819c583afac0b0616f6fd9b",
+        "b4a07746838491618ddfb1263d65a7cc2dee5a4cc1b77a441858795e707b6b27",
     "value_policy_step0023.csv":
-        "2284a98ed9aeb28fd74b4fa4229adc44cf607cb3aa2d9e31cb2d49a8ed078a57",
+        "41281be2552a95f8291a12061d942a51c37966f5960c67aa307e213595ea9049",
     "value_policy_step0024.csv":
         "650370c959277d015d75b592deaac5e062aac826dc0fa2d15ca1b8a5898d48a2",
 }

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 import microgrid_dp as m
 from conftest import small_discretization
+from microgrid_dp import kernel
 from microgrid_dp.grid import clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _cdf_lattice, _lattice_masses, _normalize_rows
 from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob,
@@ -256,3 +257,51 @@ def test_generator_block_matches_per_source_lattices(cfg_table1, grid_table1):
         worst = max(worst, float(np.abs(kern.generator_block(n) - ref).max()))
     print(f"generator block vs per-source lattices: max |diff| {worst:.2e}")
     assert worst <= 1e-14
+
+
+_EPS9 = 9.0 - 1e-9
+_BAND_EDGES_A = np.array([
+    [-37.0, -9.0, -_EPS9, 0.0, _EPS9, 9.0, 37.0],
+    [-37.0, -30.0, -20.0, -15.0, -12.0, -10.0, -9.0],
+    [9.0, 9.0 + 1e-9, 10.0, 12.0, 20.0, 30.0, 37.0],
+    [-9.0, -3.0, -1.0, 0.0, 1.0, 3.0, 9.0],
+])
+_BAND_EDGES_B = np.array([
+    [-37.0, -9.0, -_EPS9, _EPS9, 9.0, 37.0],
+    [9.0, 10.0, 15.0, 20.0, 30.0, 37.0],
+    [-37.0, -25.0, -15.0, -11.0, -10.0, -9.0],
+    [-9.0, -2.0, 0.3, 2.0, _EPS9, 9.0],
+])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, -0.84, 0.95, -0.985, -0.999])
+def test_banded_lattice_matches_full_lattice_at_band_edges(rho):
+    """Edges exactly at +-9, just inside it, at the +-37 clip, and every
+    pairing of the all-low / all-high / straddling edge rows (a <= -9 with
+    b >= 9 included), in both Genz branches: the closed forms outside the
+    band match the CDF evaluated on every edge."""
+    std_a = _BAND_EDGES_A[:, None, :]
+    std_b = np.broadcast_to(_BAND_EDGES_B, (4, 4, 6))
+    got = _lattice_masses(_cdf_lattice(std_a, std_b, rho))
+    ref = full_lattice_rect_masses(std_a, std_b, rho)
+    assert got.shape == ref.shape == (4, 4, 8, 7)
+    assert np.abs(got - ref).max() <= 1e-15
+
+
+def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):
+    """Genz's scheme runs at under a quarter of the battery block's interior
+    lattice points and under a tenth of the generator block's."""
+    seen = []
+
+    def counting(x, y, rho):
+        seen.append(np.broadcast(x, y).size)
+        return _bvn_cdf(x, y, rho)
+
+    monkeypatch.setattr(kernel, "_bvn_cdf", counting)
+    kern = m.TransitionKernel(cfg_table1, grid_table1)
+    n_z, n_q, n_g = grid_table1.shape
+    kern.battery_block(0)
+    assert 0 < sum(seen) <= 0.25 * n_z * n_q * (n_z - 1) * (n_q - 1)
+    seen.clear()
+    kern.generator_block(0)
+    assert 0 < sum(seen) <= 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)

@@ -7,6 +7,7 @@ import pytest
 
 import microgrid_dp as m
 from conftest import small_discretization
+from microgrid_dp import kernel
 from microgrid_dp.solver import stage_cost_rows, step_q_values, terminal_values
 from oracles import bellman_backup, brute_force_values, feasible_actions_reference, state_of
 
@@ -138,3 +139,21 @@ def test_stage_cost_rows_match_scalar_cost_bit_for_bit(cfg_table1, grid_table1):
                             for z in grid_table1.z.points] for a in m.Action])
         mismatches += int((rows != scalar).sum())
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("eta0, n_z, n_qg", [
+    (20.0, 17, 10),     # rho_q = -0.985: Genz's high-correlation branch
+    (None, 35, 20),     # a refined grid: narrower cells, wider band in cells
+])
+def test_band_reproduces_unbanded_lattice(cfg_table1, monkeypatch, eta0, n_z, n_qg):
+    """The closed forms outside |std| < _BAND change no value beyond 1e-12
+    and no action, against Genz's scheme at every lattice point."""
+    cfg = small_discretization(cfg_table1, steps=4, n_z=n_z, n_q=n_qg, n_g=n_qg)
+    if eta0 is not None:
+        cfg = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, eta0=eta0))
+    grid = m.build_grid(cfg)
+    values, policy = m.solve(cfg, grid)
+    monkeypatch.setattr(kernel, "_BAND", np.inf)
+    ref_values, ref_policy = m.solve(cfg, grid)
+    assert np.abs(values.values - ref_values.values).max() <= 1e-12
+    np.testing.assert_array_equal(policy.actions, ref_policy.actions)
