@@ -3,10 +3,15 @@
 Exit codes: 0 success, 1 configuration/usage failure, 2 I/O failure,
 3 numerical failure, each with a one-line message on stderr. All numeric
 exports use shortest round-trip float formatting so identical inputs
-yield byte-identical CSV files. `simulate` and `paper-run` simulate the
-paths of a scenario in batches of _PATHS_PER_BATCH (simulate_paths) and
-write each path CSV a column at a time. Run as `microgrid-dp`, `python -m
-microgrid_dp` or `python -m microgrid_dp.cli`.
+yield byte-identical CSV files: both CSV writers format every float with
+floatfmt.reprs, whose bytes are those of repr of the Python float. Its
+array fast path covers 1e-4 <= |x| < 1e15; +-0.0 is written directly and
+every other value goes to repr itself. `simulate` and `paper-run`
+simulate the paths of a scenario in batches of _PATHS_PER_BATCH
+(simulate_paths) and format each column of _PATHS_PER_FORMAT paths in
+one call; the step export formats _STEPS_PER_FORMAT steps per call. Run
+as `microgrid-dp`, `python -m microgrid_dp` or `python -m
+microgrid_dp.cli`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .calibrate import calibration_report
 from .config import (ACTION_BY_LABEL, Action, ConfigError, ModelConfig, State,
                      config_hash, load_config)
 from .dynamics import transition_moments
+from .floatfmt import reprs
 from .grid import StateGrid, build_grid
 from .kernel import NumericalError
 # The batch simulator under the name perfbench/tracing.py times (cli.simulate_path).
@@ -164,41 +170,56 @@ def _check_options(args, cfg: ModelConfig) -> None:
         raise ConfigError(errors)
 
 
-_LABELS = [a.label for a in Action]  # by action code: a per-row list index in both CSV writers
+# By action code: the action column of both CSV writers.
+_LABELS = [a.label.encode() for a in Action]
+
+# Steps formatted per reprs call in export_value_policy (4 x 2178 values on
+# table1): enough to amortise reprs' per-call cost while its temporaries
+# stay near those of a path sub-batch.
+_STEPS_PER_FORMAT = 4
 
 
 def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
                         steps: list[int], out_dir: str, cfg: ModelConfig) -> list[str]:
     """Write one CSV per step (i,j,k,z,r_mid,q,g,value_eur,action) plus metadata.
 
-    Floats are written as repr of Python floats (shortest round trip). The
-    step-free 'i,j,k,z,' and ',q,g,' parts of every row are formatted once
-    per call; each step formats only its r_mid per z point, one value per
-    state and the action labels (empty at the terminal step N), and writes
-    its file in one call.
+    Every step is range-checked before the first file is written. Floats
+    are written by floatfmt.reprs, so each is the repr of a Python float
+    (shortest round trip): the grid points once per call, and the values
+    and r_mid of up to _STEPS_PER_FORMAT steps per reprs call. A file is
+    one bytes.join of a list of row parts whose step-free 'i,j,k,z,' and
+    ',q,g,' parts are set once per call; each step sets its r_mid, value
+    and ',action' parts (empty labels at the terminal step N).
     """
     values, policy = tables
     n_steps = cfg.discretization.steps_N
-    z_points = grid.z.points.tolist()
-    mu = cfg.constants.mu
-    rows = [(f"{i},{j},{k},{z!r},", i, f",{q!r},{g!r},")
-            for i, z in enumerate(z_points)
-            for j, q in enumerate(grid.q.points.tolist())
-            for k, g in enumerate(grid.g.points.tolist())]
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     for n in steps:
         if not 0 <= n <= n_steps:
             raise ConfigError([f"export step {n} outside 0..{n_steps}"])
-        r_mid = [repr(mu[n] + z) for z in z_points]
-        labels = ([""] * len(rows) if n == n_steps
-                  else [_LABELS[a] for a in policy.actions[n].tolist()])
-        body = "".join(f"{head}{r_mid[i]}{qg}{v!r},{label}\n"
-                       for (head, i, qg), v, label in zip(rows, values.values[n].tolist(), labels))
-        path = os.path.join(out_dir, f"value_policy_step{n:04d}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("i,j,k,z,r_mid,q,g,value_eur,action\n" + body)
-        written.append(path)
+    z, q, g = (reprs(axis.points).tolist() for axis in (grid.z, grid.q, grid.g))
+    cells = list(np.ndindex(grid.shape))
+    # header, then five parts per row: 'i,j,k,z,' r_mid ',q,g,' value ',action\n'
+    parts = [b"i,j,k,z,r_mid,q,g,value_eur,action\n"] + [b""] * (5 * len(cells))
+    parts[1::5] = [b"%d,%d,%d,%s," % (i, j, k, z[i]) for i, j, k in cells]
+    parts[3::5] = [b",%s,%s," % (q[j], g[k]) for _, j, k in cells]
+    ends = [b",%s\n" % label for label in _LABELS]
+    mu = cfg.constants.mu
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for first in range(0, len(steps), _STEPS_PER_FORMAT):
+        chunk = steps[first:first + _STEPS_PER_FORMAT]
+        value_strs = reprs(values.values[chunk].ravel()).reshape(len(chunk), -1)
+        r_mid = np.array([mu[n] for n in chunk])[:, None] + grid.z.points
+        r_mid_strs = reprs(r_mid.ravel()).reshape(len(chunk), -1)
+        for n, vals, r_mids in zip(chunk, value_strs, r_mid_strs):
+            parts[2::5] = np.repeat(r_mids, len(cells) // grid.shape[0]).tolist()  # row-major
+            parts[4::5] = vals.tolist()
+            parts[5::5] = ([b",\n"] * len(cells) if n == n_steps
+                           else [ends[a] for a in policy.actions[n].tolist()])
+            path = os.path.join(out_dir, f"value_policy_step{n:04d}.csv")
+            with open(path, "wb") as fh:
+                fh.write(b"".join(parts))
+            written.append(path)
     meta = {
         "config_hash": config_hash(cfg),
         "version": __version__,
@@ -268,35 +289,41 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
 
 # Paths simulated and written per batch: memory is O(_PATHS_PER_BATCH * N) at any --seeds.
 _PATHS_PER_BATCH = 256
-
-
-def _column(values: np.ndarray) -> list[str]:
-    """repr of every float of a 1-D array, from one list repr (a float repr holds no comma)."""
-    return repr(values.tolist())[1:-1].split(", ")
+# Paths formatted per reprs call in a batch (64 x 168 values per column on
+# table1): large enough to amortise reprs' per-call cost, small enough that
+# the formatted columns of a sub-batch stay a few MB.
+_PATHS_PER_FORMAT = 64
 
 
 def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) -> list[str]:
     """Simulate paths 0..seeds-1 in batches and write one CSV per path.
 
-    Floats are written as repr of Python floats (shortest round trip).
-    Each path's columns are formatted once each and its file is written in
-    one call; the step and time_h columns are formatted once per call.
+    Floats are written by floatfmt.reprs, which yields the bytes of repr of
+    each Python float (shortest round trip): one reprs call per column of
+    up to _PATHS_PER_FORMAT paths, and one for the time_h column per call.
+    Each path's file is written in one call.
     """
     os.makedirs(out_dir, exist_ok=True)
-    steps = [f"{n},{cfg.t_of(n)!r}" for n in range(cfg.discretization.steps_N)]
+    n_steps = cfg.discretization.steps_N
+    times = reprs(np.array([cfg.t_of(n) for n in range(n_steps)])).tolist()
+    steps = [b"%d,%s" % (n, t) for n, t in enumerate(times)]
     written = []
     for start in range(0, seeds, _PATHS_PER_BATCH):
         indices = range(start, min(start + _PATHS_PER_BATCH, seeds))
         batch = simulate_path(policy, scenario, cfg, grid, indices)
-        for row, idx in enumerate(indices):
-            z, r, q, g, stage, cum = (_column(field[row]) for field in (
-                batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur, batch.cum_cost_eur))
-            labels = [_LABELS[a] for a in batch.action[row].tolist()]
-            body = "\n".join(map(",".join, zip(steps, z, r, q, g, labels, stage, cum)))
-            path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(f"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n{body}\n")
-            written.append(path)
+        for sub in range(0, len(indices), _PATHS_PER_FORMAT):
+            rows = slice(sub, sub + _PATHS_PER_FORMAT)
+            columns = [reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
+                batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur, batch.cum_cost_eur)]
+            for row, idx in enumerate(indices[rows]):
+                z, r, q, g, stage, cum = (column[row].tolist() for column in columns)
+                labels = [_LABELS[a] for a in batch.action[sub + row].tolist()]
+                body = b"\n".join(map(b",".join, zip(steps, z, r, q, g, labels, stage, cum)))
+                path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
+                with open(path, "wb") as fh:
+                    fh.write(b"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n"
+                             + body + b"\n")
+                written.append(path)
     return written
 
 

@@ -332,6 +332,36 @@ def test_path_csvs_across_batches_match_reference_loop(cfg_small, grid_small, sm
         assert Path(path).read_bytes() == ref.read_bytes(), idx
 
 
+def test_csvs_across_format_chunks_match_defaults(cfg_small, grid_small, small_solution,
+                                                  tmp_path, monkeypatch):
+    """Formatting three paths or three steps per reprs call (paths 0-2, 3-5, 6;
+    steps 0-2, 3-4) writes the bytes of the default chunks."""
+    values, policy, _ = small_solution
+    scenario = m.SCENARIOS["overcast-week"].with_seed(5)
+    steps = list(range(cfg_small.discretization.steps_N + 1))
+
+    def write(out):
+        paths = cli._simulate_scenario(cfg_small, grid_small, policy, scenario, 7, str(out))
+        tables = cli.export_value_policy((values, policy), grid_small, steps, str(out), cfg_small)
+        return {Path(p).name: Path(p).read_bytes() for p in paths + tables}
+
+    default = write(tmp_path / "default")
+    monkeypatch.setattr(cli, "_PATHS_PER_FORMAT", 3)
+    monkeypatch.setattr(cli, "_STEPS_PER_FORMAT", 3)
+    assert write(tmp_path / "chunked") == default
+    assert len(default) == 7 + len(steps) + 1
+
+
+def test_export_checks_every_step_before_writing(cfg_small, grid_small, small_solution,
+                                                 tmp_path):
+    values, policy, _ = small_solution
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(m.ConfigError, match="export step 99 outside 0..4"):
+        cli.export_value_policy((values, policy), grid_small, [0, 1, 99], str(out), cfg_small)
+    assert list(out.iterdir()) == []
+
+
 # sha256 over the sha256 of each of the 1000 table1 path CSVs (five scenarios
 # x 200 seeds at base seed 0, the benchmark's paths), in file name order.
 TABLE1_PATHS_DIGEST = "f645595cfb9e99aa1baade4386a8e6c2499d9b5ae050e39b7b3c47e1a8f8a6c2"
