@@ -249,21 +249,46 @@ def _solve_and_export(cfg: ModelConfig, grid: StateGrid, steps: list[int],
     return policy, outputs
 
 
+def _npy_shape(archive: zipfile.ZipFile, name: str) -> tuple[int, ...]:
+    """The shape of the .npy member name, read from its header alone.
+
+    The member's size must be the header's plus shape x itemsize, so a
+    truncated or padded body is refused without reading it.
+    """
+    info = archive.getinfo(name)
+    with archive.open(info) as fh:
+        version = np.lib.format.read_magic(fh)
+        if version == (1, 0):
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        elif version == (2, 0):
+            shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+        else:
+            raise ValueError(f"{name} has unsupported .npy format version {version}")
+        expected = fh.tell() + math.prod(shape) * dtype.itemsize
+    if info.file_size != expected:
+        raise ValueError(f"{name} holds {info.file_size} bytes, expected {expected}")
+    return shape
+
+
 def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
-    """The policy in policy_dir/tables.npz; unreadable or misshapen tables are I/O errors."""
+    """The policy in policy_dir/tables.npz; unreadable or misshapen tables are I/O errors.
+
+    Only the header of the values table is read, to check its shape.
+    """
     path = os.path.join(policy_dir, "tables.npz")
     try:
-        with open(path, "rb") as fh, np.load(fh) as data:
-            values, actions = data["values"], data["actions"]
-    except (ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as exc:
-        # TypeError: a bare .npy array, which is no archive (no context manager)
+        with zipfile.ZipFile(path) as archive:
+            values_shape = _npy_shape(archive, "values.npy")
+            with archive.open("actions.npy") as fh:
+                actions = np.lib.format.read_array(fh)
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise OSError(f"unreadable policy tables {path}: {exc}") from None
     n_steps = cfg.discretization.steps_N
-    for name, table, shape in (("values", values, (n_steps + 1, grid.n_states)),
-                               ("actions", actions, (n_steps, grid.n_states))):
-        if table.shape != shape:
-            raise OSError(f"policy tables {path}: {name} has shape {table.shape}, "
-                          f"expected {shape}")
+    for name, shape, expected in (("values", values_shape, (n_steps + 1, grid.n_states)),
+                                  ("actions", actions.shape, (n_steps, grid.n_states))):
+        if shape != expected:
+            raise OSError(f"policy tables {path}: {name} has shape {shape}, "
+                          f"expected {expected}")
     if not np.isin(actions, list(Action)).all():
         raise OSError(f"policy tables {path}: actions holds codes outside 0..{len(Action) - 1}")
     return PolicyTable(actions)

@@ -10,9 +10,10 @@ discount factors zeta_1..zeta_3.
 
 from __future__ import annotations
 
-from scipy.integrate import quad
+import numpy as np
 
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge
+from .dynamics import tanh_sinh
 
 __all__ = ["expected_stage_cost", "terminal_cost"]
 
@@ -64,16 +65,20 @@ def terminal_cost(x: State, cfg: ModelConfig) -> float:
 
     Recharging the battery up to the contractual level q_ref is penalized
     at gamma_pen_Q per kWh of grid-side energy (accounting for charging
-    losses); SoC above q_ref and leftover fuel are liquidated.
+    losses); SoC above q_ref and leftover fuel are liquidated. x.q and x.g
+    may be floats or arrays that broadcast: the battery part takes one
+    tanh-sinh integral per q, all in one call of the rule, and the fuel
+    part is linear in g. A float for float q and g.
     """
     c, bat = cfg.costs, cfg.battery
-    q = x.q
-    cost = 0.0
-    if q < c.q_ref and c.gamma_pen_Q > 0.0:
-        shortfall, _ = quad(lambda v: 1.0 / eta_charge(v, bat), q, c.q_ref, epsabs=1e-12, epsrel=1e-12)
+    q = np.asarray(x.q, dtype=float)
+    cost = np.zeros(q.shape)
+    # an empty interval integrates to 0: no shortfall above q_ref, no surplus below it
+    if c.gamma_pen_Q > 0.0:
+        shortfall = tanh_sinh(lambda v: 1.0 / eta_charge(v, bat), np.minimum(q, c.q_ref), c.q_ref)
         cost += c.gamma_pen_Q * bat.capacity_CQ * shortfall
-    if q > c.q_ref and c.gamma_liq_Q > 0.0:
-        surplus, _ = quad(lambda v: eta_discharge(v, bat), c.q_ref, q, epsabs=1e-12, epsrel=1e-12)
+    if c.gamma_liq_Q > 0.0:
+        surplus = tanh_sinh(lambda v: eta_discharge(v, bat), c.q_ref, np.maximum(q, c.q_ref))
         cost -= c.gamma_liq_Q * bat.capacity_CQ * surplus
-    cost -= c.gamma_liq_G * cfg.generator.capacity_CG * x.g
-    return cost
+    cost = cost - c.gamma_liq_G * cfg.generator.capacity_CG * np.asarray(x.g, dtype=float)
+    return cost if cost.ndim else float(cost)

@@ -68,10 +68,7 @@ def worker_count() -> int:
 
 def terminal_values(cfg: ModelConfig, grid: StateGrid) -> np.ndarray:
     """V(N, .) over linear state ids; constant across the z axis."""
-    per_qg = np.array([
-        [terminal_cost(State(0.0, float(q), float(g)), cfg) for g in grid.g.points]
-        for q in grid.q.points
-    ])
+    per_qg = terminal_cost(State(0.0, grid.q.points[:, None], grid.g.points[None, :]), cfg)
     return np.broadcast_to(per_qg, grid.shape).reshape(-1).copy()
 
 

@@ -13,7 +13,9 @@ integral, Euler-Maruyama integration of the continuous dynamics for
 the closed-form one-step moments, Owen's T function for the bivariate
 normal CDF that the kernel's Gauss-Legendre scheme evaluates, and
 nested quadrature of the defining convolution for the noise integrals
-I_Q and J_Q, whose closed forms cancel near eta0 = beta_R. The path simulator is checked against
+I_Q and J_Q, whose closed forms cancel near eta0 = beta_R, and scipy's
+adaptive quad over the package's own integrands (quad_terminal_battery,
+quad_noise_integrals) for its fixed tanh-sinh rule. The path simulator is checked against
 reference_path, its per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
@@ -397,6 +399,45 @@ def simpson_terminal_battery(x_q: float, cfg: ModelConfig, nodes: int = 20_001) 
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return scale * float(h / 3.0 * np.dot(weights, integrand))
+
+
+def _quad(f, a: float, b: float) -> float:
+    """int_a^b f by scipy's adaptive quad, to 1e-13 relative (its roundoff check
+    warns on some of these integrands at a tighter tolerance)."""
+    return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def quad_terminal_battery(x_q: float, cfg: ModelConfig) -> float:
+    """The battery part of the terminal cost by adaptive quadrature.
+
+    The shortfall below q_ref integrates 1 / eta_C, the surplus above it
+    eta_D: the integrands of cost.terminal_cost, taken by quad.
+    """
+    c, bat = cfg.costs, cfg.battery
+    if x_q < c.q_ref:
+        return c.gamma_pen_Q * bat.capacity_CQ * _quad(
+            lambda v: 1.0 / (bat.C0_C + bat.C1_C * v**bat.l_C * (1.0 - v) ** bat.m_C),
+            x_q, c.q_ref)
+    if x_q > c.q_ref:
+        return -c.gamma_liq_Q * bat.capacity_CQ * _quad(
+            lambda v: bat.C0_D + bat.C1_D * v**bat.l_D * (1.0 - v) ** bat.m_D, c.q_ref, x_q)
+    return 0.0
+
+
+def quad_noise_integrals(eta0: float, beta: float, dt: float) -> tuple[float, float, float]:
+    """(I_Q, J_Q, I_G) by adaptive quadrature of their integrands.
+
+    I_Q = int_0^dt e^(-2 beta v) phi(d, v)^2 dv and J_Q the same with the
+    first power, d = eta0 - beta; I_G = int_0^dt phi(beta, v)^2 dv; where
+    phi(a, v) = (1 - e^(-a v)) / a, or v at a = 0.
+    """
+    def phi(a: float, v: float) -> float:
+        return v if a == 0.0 else -math.expm1(-a * v) / a
+
+    d = eta0 - beta
+    return (_quad(lambda v: math.exp(-2.0 * beta * v) * phi(d, v) ** 2, 0.0, dt),
+            _quad(lambda v: math.exp(-2.0 * beta * v) * phi(d, v), 0.0, dt),
+            _quad(lambda v: phi(beta, v) ** 2, 0.0, dt))
 
 
 def battery_noise_reference(eta0: float, beta: float,

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +443,20 @@ def _unknown_action_code(path, tables):
     np.savez(path, values=tables["values"], actions=actions)
 
 
+def _values_cut_short(path, tables):
+    np.savez(path, values=tables["values"][:-1], actions=tables["actions"])
+
+
+def _values_body_cut_short(path, tables):
+    """A well-formed archive whose values.npy keeps its header but loses its last 8 bytes."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, table in tables.items():
+            buf = io.BytesIO()
+            np.save(buf, table)
+            data = buf.getvalue()
+            archive.writestr(f"{name}.npy", data[:-8] if name == "values" else data)
+
+
 def _truncated_archive(path, tables):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
@@ -452,7 +468,8 @@ def _bare_npy_array(path, tables):
 
 
 @pytest.mark.parametrize("corrupt", [_text_file, _no_actions, _actions_cut_short,
-                                     _unknown_action_code, _truncated_archive, _bare_npy_array],
+                                     _unknown_action_code, _values_cut_short,
+                                     _values_body_cut_short, _truncated_archive, _bare_npy_array],
                          ids=lambda f: f.__name__.strip("_"))
 def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, capsys, corrupt):
     policy = tmp_path / "policy"
@@ -517,13 +534,13 @@ PAPER_RUN_DIGESTS = {
     "path_sunny-start_seed001.csv":
         "79f6dcde0b1efe311c6cf2b62c67d9736c2a31689dcc83c54ed0cdf6570a2afb",
     "value_policy_step0000.csv":
-        "f3b68fead3d3647b03a1764e83c88dd33057a0b6246abc8194e90c32c91efe21",
+        "65110afecfe65aac03591524bd9b302ecada0e720036ffc82b07251d78e8867c",
     "value_policy_step0012.csv":
-        "b4a07746838491618ddfb1263d65a7cc2dee5a4cc1b77a441858795e707b6b27",
+        "d4c4e54f660a5b143546df8aed1669d9d7b53bf91de0cc879768b7ed46f01cd9",
     "value_policy_step0023.csv":
-        "41281be2552a95f8291a12061d942a51c37966f5960c67aa307e213595ea9049",
+        "3bc848a5b89b4c377ed54349acce1109aba828b7877cc738c7c3e28530a18475",
     "value_policy_step0024.csv":
-        "650370c959277d015d75b592deaac5e062aac826dc0fa2d15ca1b8a5898d48a2",
+        "9a23cd30a14e1181a4598f02bd481d12823a5a3fb6e5e65fbbd580aa73f5b1a7",
 }
 
 

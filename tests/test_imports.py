@@ -1,7 +1,12 @@
-"""Static checks of the package sources: every imported name is used, and no
-module imports another package module's private (underscore) name."""
+"""Checks of the package's imports: every imported name is used, no module
+imports another package module's private (underscore) name, and neither an
+import nor a solve loads scipy beyond scipy.special."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -64,3 +69,29 @@ def test_no_private_names_cross_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     private = _private_package_imports(tree)
     assert not private, f"{path.name} imports private names: {private}"
+
+
+# A fresh interpreter imports the package and its CLI, then solves a tiny
+# grid with eta0 = beta_R, whose noise integrals take the quadrature branch.
+_FRESH_SOLVE = textwrap.dedent("""
+    import dataclasses, sys
+    import microgrid_dp as m
+    import microgrid_dp.cli
+    cfg = m.default_config()
+    cfg = dataclasses.replace(
+        cfg, battery=dataclasses.replace(cfg.battery, eta0=cfg.demand.beta_R),
+        discretization=dataclasses.replace(cfg.discretization, horizon_T=2.0, steps_N=2,
+                                           N_Z=3, N_Q=2, N_G=2))
+    m.solve(m.validate_config(cfg), m.build_grid(cfg))
+    print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy."))))
+""")
+
+
+def test_import_and_solve_leave_heavy_scipy_modules_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SOLVE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert "scipy.special" in loaded
+    for name in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
+        assert name not in loaded, f"{name} was imported"
