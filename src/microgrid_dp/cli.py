@@ -9,8 +9,11 @@ array fast path covers 1e-4 <= |x| < 1e15; +-0.0 is written directly and
 every other value goes to repr itself. `simulate` and `paper-run`
 simulate the paths of a scenario in batches of _PATHS_PER_BATCH
 (simulate_paths) and format each column of _PATHS_PER_FORMAT paths in
-one call; the step export formats _STEPS_PER_FORMAT steps per call. Run
-as `microgrid-dp`, `python -m microgrid_dp` or `python -m
+one call; the step export formats _STEPS_PER_FORMAT steps per call.
+Every output file is written by _write_bytes, which overwrites an
+existing file in place and then truncates it to the new length; a write
+that fails still exits 2 and leaves that file invalid. Run as
+`microgrid-dp`, `python -m microgrid_dp` or `python -m
 microgrid_dp.cli`.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import io
 import json
 import math
 import os
@@ -170,6 +174,26 @@ def _check_options(args, cfg: ModelConfig) -> None:
         raise ConfigError(errors)
 
 
+def _write_bytes(path: str, data) -> None:
+    """Make data the whole content of path, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC and truncated after the write. On
+    ext4, truncating a non-empty file to zero makes close() force writeback
+    of the new data (auto_da_alloc), which costs several times the write
+    itself; a temp file renamed over the old one pays it too. The buffered
+    file object retries a write that a signal cuts short. Every file the CLI
+    writes goes through here.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
+def _write_json(path: str, obj) -> None:
+    _write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
 # By action code: the action column of both CSV writers.
 _LABELS = [a.label.encode() for a in Action]
 
@@ -217,8 +241,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
             parts[5::5] = ([b",\n"] * len(cells) if n == n_steps
                            else [ends[a] for a in policy.actions[n].tolist()])
             path = os.path.join(out_dir, f"value_policy_step{n:04d}.csv")
-            with open(path, "wb") as fh:
-                fh.write(b"".join(parts))
+            _write_bytes(path, b"".join(parts))
             written.append(path)
     meta = {
         "config_hash": config_hash(cfg),
@@ -231,9 +254,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
         },
     }
     meta_path = os.path.join(out_dir, "value_policy_meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, meta)
     written.append(meta_path)
     return written
 
@@ -244,7 +265,9 @@ def _solve_and_export(cfg: ModelConfig, grid: StateGrid, steps: list[int],
     values, policy = solve(cfg, grid)
     outputs = export_value_policy((values, policy), grid, steps, out_dir, cfg)
     path = os.path.join(out_dir, "tables.npz")
-    np.savez(path, values=values.values, actions=policy.actions)
+    archive = io.BytesIO()
+    np.savez(archive, values=values.values, actions=policy.actions)
+    _write_bytes(path, archive.getbuffer())
     outputs.append(path)
     return policy, outputs
 
@@ -289,7 +312,12 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
         if shape != expected:
             raise OSError(f"policy tables {path}: {name} has shape {shape}, "
                           f"expected {expected}")
-    if not np.isin(actions, list(Action)).all():
+    # A range test on integer codes needs no transient the size of the table.
+    if np.issubdtype(actions.dtype, np.integer):
+        valid = actions.min() >= 0 and actions.max() < len(Action)
+    else:
+        valid = np.isin(actions, list(Action)).all()
+    if not valid:
         raise OSError(f"policy tables {path}: actions holds codes outside 0..{len(Action) - 1}")
     return PolicyTable(actions)
 
@@ -302,9 +330,7 @@ def _write_manifest(out_dir: str, cfg: ModelConfig, seed, outputs: list[str]) ->
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(os.path.relpath(p, out_dir) for p in outputs),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _default_export_steps(cfg: ModelConfig) -> list[int]:
@@ -345,9 +371,8 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) ->
                 labels = [_LABELS[a] for a in batch.action[sub + row].tolist()]
                 body = b"\n".join(map(b",".join, zip(steps, z, r, q, g, labels, stage, cum)))
                 path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
-                with open(path, "wb") as fh:
-                    fh.write(b"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n"
-                             + body + b"\n")
+                _write_bytes(path, b"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n"
+                                   + body + b"\n")
                 written.append(path)
     return written
 

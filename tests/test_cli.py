@@ -438,8 +438,20 @@ def _actions_cut_short(path, tables):
 
 
 def _unknown_action_code(path, tables):
-    actions = tables["actions"].copy()
+    actions = tables["actions"].astype(np.int8)
     actions[0, 0] = len(m.Action)
+    np.savez(path, values=tables["values"], actions=actions)
+
+
+def _negative_action_code(path, tables):
+    actions = tables["actions"].astype(np.int8)
+    actions[-1, -1] = -1
+    np.savez(path, values=tables["values"], actions=actions)
+
+
+def _fractional_action_code(path, tables):
+    actions = tables["actions"].astype(np.float64)
+    actions[0, 1] = 1.5
     np.savez(path, values=tables["values"], actions=actions)
 
 
@@ -468,7 +480,8 @@ def _bare_npy_array(path, tables):
 
 
 @pytest.mark.parametrize("corrupt", [_text_file, _no_actions, _actions_cut_short,
-                                     _unknown_action_code, _values_cut_short,
+                                     _unknown_action_code, _negative_action_code,
+                                     _fractional_action_code, _values_cut_short,
                                      _values_body_cut_short, _truncated_archive, _bare_npy_array],
                          ids=lambda f: f.__name__.strip("_"))
 def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, capsys, corrupt):
@@ -509,6 +522,66 @@ def test_paper_run_repeatable_bytes(small_ini, tmp_path, capsys):
         b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
     capsys.readouterr()
+
+
+def _outputs(out):
+    """Every file in out by name: bytes, with the run-dependent parts replaced.
+
+    The manifest's creation time is dropped; tables.npz keeps its length
+    and each member's bytes, since the zip entries carry their write time.
+    """
+    files = {}
+    for path in sorted(Path(out).iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = json.loads(data)
+            del data["created_utc"]
+        elif path.name == "tables.npz":
+            with zipfile.ZipFile(path) as archive:
+                data = (len(data), {name: archive.read(name) for name in archive.namelist()})
+        files[path.name] = data
+    return files
+
+
+def _rerun_commands(small_ini, solve_dir):
+    return {
+        "solve": ["solve", small_ini, "--export-steps", "0,1,4"],
+        "simulate": ["simulate", small_ini, "--policy", solve_dir, "--scenario", "neutral",
+                     "--seeds", "3"],
+        "paper-run": ["paper-run", small_ini, "--seeds", "2"],
+    }
+
+
+@pytest.mark.parametrize("junk", ["longer", "one-byte"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "paper-run"])
+def test_rerun_into_used_directory_matches_fresh_run(small_ini, solve_dir, tmp_path, command,
+                                                     junk, capsys):
+    """Files written over longer junk or over 1-byte files are those of a
+    run into a fresh directory, and the manifest lists the same outputs."""
+    argv = _rerun_commands(small_ini, solve_dir)[command]
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    used.mkdir()
+    for path in fresh.iterdir():
+        size = path.stat().st_size
+        (used / path.name).write_bytes(b"\xff" * (2 * size + 4096) if junk == "longer" else b"x")
+    assert cli.main([*argv, "--out", str(used)]) == 0
+    assert _outputs(used) == _outputs(fresh)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,name", [("solve", "value_policy_step0001.csv"),
+                                          ("solve", "tables.npz"),
+                                          ("simulate", "path_neutral_seed002.csv"),
+                                          ("paper-run", "manifest.json")])
+def test_output_name_that_is_a_directory_is_io_error(small_ini, solve_dir, tmp_path, command,
+                                                     name, capsys):
+    argv = _rerun_commands(small_ini, solve_dir)[command]
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1 and name in err
+    assert "Traceback" not in err
 
 
 # SHA-256 of every CSV that `paper-run --seeds 2` writes for 24 steps on the
