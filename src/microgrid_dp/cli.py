@@ -10,19 +10,22 @@ every other value goes to repr itself. `simulate` and `paper-run`
 simulate the paths of a scenario in batches of _PATHS_PER_BATCH
 (simulate_paths) and format each column of _PATHS_PER_FORMAT paths in
 one call; the step export formats _STEPS_PER_FORMAT steps per call.
-Every output file is written by _write_bytes, which overwrites an
-existing file in place and then truncates it to the new length; a write
-that fails still exits 2 and leaves that file invalid. Run as
-`microgrid-dp`, `python -m microgrid_dp` or `python -m
-microgrid_dp.cli`.
+Every output file is opened by _overwrite, which overwrites an existing
+file in place and then truncates it to the new length. A write that
+fails still exits 2 and leaves that file invalid. A re-run into a used
+directory that stops early (killed, or a crash or power loss before the
+data reach the disk) can leave files that mix this run's bytes with the
+previous run's and still parse, beside the previous run's manifest.json;
+use a fresh --out where that matters. Run as `microgrid-dp`, `python -m
+microgrid_dp` or `python -m microgrid_dp.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
-import io
 import json
 import math
 import os
@@ -174,20 +177,27 @@ def _check_options(args, cfg: ModelConfig) -> None:
         raise ConfigError(errors)
 
 
-def _write_bytes(path: str, data) -> None:
-    """Make data the whole content of path, overwriting an existing file in place.
+@contextlib.contextmanager
+def _overwrite(path: str):
+    """A binary file object whose writes become the whole content of path.
 
-    The file is opened without O_TRUNC and truncated after the write. On
-    ext4, truncating a non-empty file to zero makes close() force writeback
-    of the new data (auto_da_alloc), which costs several times the write
-    itself; a temp file renamed over the old one pays it too. The buffered
-    file object retries a write that a signal cuts short. Every file the CLI
-    writes goes through here.
+    The file is opened without O_TRUNC, overwritten in place from its start
+    and truncated to the written length at the end. On ext4, truncating a
+    non-empty file to zero makes close() force writeback of the new data
+    (auto_da_alloc), which costs several times the write itself; a temp
+    file renamed over the old one pays it too. The buffered file object
+    retries a write that a signal cuts short. Every file the CLI writes is
+    opened here.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
-        fh.write(data)
+        yield fh
         fh.truncate()
+
+
+def _write_bytes(path: str, data) -> None:
+    with _overwrite(path) as fh:
+        fh.write(data)
 
 
 def _write_json(path: str, obj) -> None:
@@ -265,9 +275,8 @@ def _solve_and_export(cfg: ModelConfig, grid: StateGrid, steps: list[int],
     values, policy = solve(cfg, grid)
     outputs = export_value_policy((values, policy), grid, steps, out_dir, cfg)
     path = os.path.join(out_dir, "tables.npz")
-    archive = io.BytesIO()
-    np.savez(archive, values=values.values, actions=policy.actions)
-    _write_bytes(path, archive.getbuffer())
+    with _overwrite(path) as fh:
+        np.savez(fh, values=values.values, actions=policy.actions)
     outputs.append(path)
     return policy, outputs
 

@@ -1,8 +1,8 @@
-"""The package writes files in one place: cli._write_bytes.
+"""The package opens files for writing in one place: cli._overwrite.
 
 Opening an existing file with truncation (open(path, "wb"), np.savez(path))
 makes ext4 flush the new data at close, so every writer goes through the
-in-place overwrite of cli._write_bytes. This AST check fails when a module
+in-place overwrite of cli._overwrite. This AST check fails when a module
 opens a file for writing anywhere else.
 """
 
@@ -15,7 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "microgrid_dp"
 
 # The one function allowed to open a file for writing, as (module, function).
-WRITER = ("cli", "_write_bytes")
+WRITER = ("cli", "_overwrite")
 
 _WRITE_MODE = re.compile(r"[rwxabt+]*[wxa+][rwxabt+]*")
 _NUMPY_SAVERS = {"save", "savez", "savez_compressed", "savetxt"}
@@ -23,12 +23,18 @@ _PATH_WRITERS = {"write_text", "write_bytes", "tofile"}
 
 
 def _buffers(func: ast.AST) -> set[str]:
-    """Names assigned an io.BytesIO() in func: np.save* into them writes no file."""
+    """Names in func that np.save* may write into: an io.BytesIO(), which
+    writes no file, or `with _overwrite(...) as name`, a file opened by the
+    one writer."""
     names = set()
     for node in ast.walk(func):
         if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                 and ast.unparse(node.value.func) in ("io.BytesIO", "BytesIO")):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.withitem) and isinstance(node.optional_vars, ast.Name) \
+                and isinstance(node.context_expr, ast.Call) \
+                and ast.unparse(node.context_expr.func) == WRITER[1]:
+            names.add(node.optional_vars.id)
     return names
 
 
@@ -66,7 +72,7 @@ def test_only_the_one_writer_opens_files_for_writing(path):
     if path.stem == WRITER[0]:
         assert {func for func, _, _ in writes} == {WRITER[1]}, writes
         writes = [w for w in writes if w[0] != WRITER[1]]
-    assert not writes, f"{path.name} writes files outside cli._write_bytes: {writes}"
+    assert not writes, f"{path.name} writes files outside cli._overwrite: {writes}"
 
 
 @pytest.mark.parametrize("source,flagged", [
@@ -81,6 +87,8 @@ def test_only_the_one_writer_opens_files_for_writing(path):
     ("np.save(p, a)", True),
     ("np.savez(os.path.join(d, 'tables.npz'), values=v)", True),
     ("def f():\n    buf = io.BytesIO()\n    np.savez(buf, values=v)", False),
+    ("def f():\n    with _overwrite(p) as fh:\n        np.savez(fh, values=v)", False),
+    ("def f():\n    with open(p, 'rb') as fh:\n        np.savez(fh, values=v)", True),
     ("open(p, encoding='utf-8')", False),
     ("open(p, 'rb')", False),
     ("archive.open('actions.npy')", False),
