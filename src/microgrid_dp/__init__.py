@@ -19,19 +19,18 @@ from .dynamics import (NoiseVector, TransitionMoments, g_moments, q_moments,
                        transition_moments, transition_operator)
 from .grid import Axis, StateGrid, build_grid, cell_of
 from .kernel import NumericalError, TransitionKernel
-from .simulate import (SCENARIOS, PathBatch, PathRecord, Scenario,
-                       baseline_wait_policy, simulate_path, simulate_paths)
+from .simulate import SCENARIOS, PathBatch, Scenario, baseline_wait_policy, simulate_paths
 from .solver import PolicyTable, ValueTable, solve
 
 __all__ = [
     "Action", "Axis", "BatteryParams", "ConfigError", "CostParams",
     "DiscretizationParams", "FeasibleSet", "GeneratorParams",
-    "ModelConfig", "NoiseVector", "NumericalError", "PathBatch", "PathRecord",
+    "ModelConfig", "NoiseVector", "NumericalError", "PathBatch",
     "PolicyTable", "SCENARIOS", "Scenario", "SeasonalOUParams", "State",
     "StateGrid", "TransitionKernel", "TransitionMoments", "ValueTable",
     "baseline_wait_policy", "build_grid", "cell_of", "config_hash",
     "default_config", "dump_config", "expected_stage_cost",
     "feasibility_mask", "feasible_actions", "g_moments", "load_config",
-    "q_moments", "seasonality", "simulate_path", "simulate_paths", "solve",
+    "q_moments", "seasonality", "simulate_paths", "solve",
     "terminal_cost", "transition_moments", "transition_operator", "validate_config",
 ]

@@ -321,12 +321,11 @@ def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTa
         if shape != expected:
             raise OSError(f"policy tables {path}: {name} has shape {shape}, "
                           f"expected {expected}")
-    # A range test on integer codes needs no transient the size of the table.
-    if np.issubdtype(actions.dtype, np.integer):
-        valid = actions.min() >= 0 and actions.max() < len(Action)
-    else:
-        valid = np.isin(actions, list(Action)).all()
-    if not valid:
+    # solve writes int8 codes; a range test on them needs no transient the size of the table
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise OSError(f"policy tables {path}: actions has dtype {actions.dtype}, "
+                      "expected integer action codes")
+    if actions.min() < 0 or actions.max() >= len(Action):
         raise OSError(f"policy tables {path}: actions holds codes outside 0..{len(Action) - 1}")
     return PolicyTable(actions)
 
@@ -435,7 +434,6 @@ def _run(args) -> int:
         _check_policy_config(args.policy, cfg)
         policy = _load_tables(args.policy, cfg, grid)
         scenario = SCENARIOS[args.scenario].with_seed(args.base_seed)
-        os.makedirs(args.out, exist_ok=True)
         outputs = _simulate_scenario(cfg, grid, policy, scenario, args.seeds, args.out)
         _write_manifest(args.out, cfg, args.base_seed, outputs)
         print(f"wrote {len(outputs)} path file(s) -> {args.out}")

@@ -54,8 +54,8 @@ class StateGrid:
         ni, nj, nk = self.shape
         return ni * nj * nk
 
-    def lin(self, i: int, j: int, k: int) -> int:
-        """Linear state id of multi-index (i, j, k)."""
+    def lin(self, i, j, k):
+        """Row-major linear state id of (i, j, k): ints, or integer arrays that broadcast."""
         _, nj, nk = self.shape
         return (i * nj + j) * nk + k
 

@@ -9,7 +9,7 @@ path index))).
 
 simulate_paths is the one simulator: it advances a batch of paths
 together, one array step per time step, and returns their columns as a
-PathBatch. simulate_path is its one-path case as a list of PathRecords.
+PathBatch; one path is the batch of one index.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from .solver import PolicyTable
 
 __all__ = [
     "PathBatch",
-    "PathRecord",
     "SCENARIOS",
     "Scenario",
     "baseline_wait_policy",
-    "simulate_path",
     "simulate_paths",
 ]
 
@@ -75,20 +73,6 @@ SCENARIOS = {
 }
 
 
-class PathRecord(NamedTuple):
-    """One simulated step: state seen, action taken, and its cost."""
-
-    step: int
-    time_h: float
-    z: float
-    r: float
-    q: float
-    g: float
-    action: Action
-    stage_cost_eur: float  # conditional expected discounted cost of this step
-    cum_cost_eur: float    # running total, discounted to time 0
-
-
 def default_initial_state(grid: StateGrid) -> State:
     """Full tank, 80% charge, demand residual at the grid maximum."""
     return State(float(grid.z.points[-1]), 0.8, 1.0)
@@ -97,9 +81,9 @@ def default_initial_state(grid: StateGrid) -> State:
 class PathBatch(NamedTuple):
     """Simulated paths, one row per path and one column per step n = 0..N-1.
 
-    Each field holds what the PathRecord of (path, step) holds: the state
-    seen, the residual demand mu_R(t_n) + z, the action code taken and the
-    step's cost.
+    Entry [p, n] is path p at step n: the state seen, the residual demand
+    mu_R(t_n) + z, the action code taken, the step's conditional expected
+    discounted cost and the running total of those costs.
     """
 
     z: np.ndarray
@@ -123,15 +107,16 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     default_rng(SeedSequence(base_seed, spawn_key=(scenario id, idx))), so
     a path is the same in any batch.
 
-    At each step the cell of every path is searchsorted(side="left") of
-    the axis edges, which is cell_of; a NaN level raises cell_of's
-    ValueError naming its axis. The public laws run once per action
-    present at the step, over that action's paths: expected_stage_cost
-    and transition_operator, on arrays, read the config's constants
-    (cfg.constants). The running cost adds exp(-rho t_n) * stage step by
-    step, in the order of a one-path loop, so every path has the bits of
-    a per-step loop over the scalar laws. Memory is O(paths * N); callers
-    with many paths pass them in chunks.
+    At each step the cell of every path is grid.lin of its three
+    searchsorted(side="left") indices into the axis edges, which are
+    cell_of's; a NaN level raises cell_of's ValueError naming its axis.
+    The public laws run once per action present at the step, over that
+    action's paths: expected_stage_cost and transition_operator, on
+    arrays, read the config's constants (cfg.constants). The running cost
+    adds exp(-rho t_n) * stage step by step, in the order of a one-path
+    loop, so every path has the bits of a per-step loop over the scalar
+    laws. Memory is O(paths * N); callers with many paths pass them in
+    chunks.
     """
     n_steps = cfg.discretization.steps_N
     streams = [np.random.default_rng(np.random.SeedSequence(
@@ -144,7 +129,6 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                       for name in PathBatch._fields))
     mu = cfg.constants.mu
     axes = (grid.z, grid.q, grid.g)
-    _, nj, nk = grid.shape
     rho = cfg.costs.rho
     x0 = initial_state if initial_state is not None else default_initial_state(grid)
     z, q, g = (np.full(n_paths, float(level)) for level in x0)
@@ -153,9 +137,8 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
         for level, axis in zip((z, q, g), axes):
             if np.isnan(level).any():
                 cell_of(math.nan, axis)  # raises for the first axis holding a NaN
-        # grid.lin of the three cells, row-major
-        cell = ((np.searchsorted(grid.z.edges, z) * nj + np.searchsorted(grid.q.edges, q)) * nk
-                + np.searchsorted(grid.g.edges, g))
+        cell = grid.lin(*(np.searchsorted(axis.edges, level)
+                          for level, axis in zip((z, q, g), axes)))
         codes = policy.actions[n, cell]
         t = cfg.t_of(n)
         eps_z = draws[n, 0] + scenario.offset_at(t)
@@ -173,16 +156,6 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
             field[:, n] = column
         z, q, g = z_next, clamp01(q_next), clamp01(g_next)
     return out
-
-
-def simulate_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
-                  grid: StateGrid, path_index: int = 0,
-                  initial_state: State | None = None) -> list[PathRecord]:
-    """One path as PathRecords: the one-path batch of simulate_paths."""
-    batch = simulate_paths(policy, scenario, cfg, grid, [path_index], initial_state)
-    return [PathRecord(n, cfg.t_of(n), z, r, q, g, Action(a), stage, cum)
-            for n, (z, r, q, g, a, stage, cum)
-            in enumerate(zip(*(field[0].tolist() for field in batch)))]
 
 
 def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:

@@ -15,8 +15,9 @@ normal CDF that the kernel's Gauss-Legendre scheme evaluates, and
 nested quadrature of the defining convolution for the noise integrals
 I_Q and J_Q, whose closed forms cancel near eta0 = beta_R, and scipy's
 adaptive quad over the package's own integrands (quad_terminal_battery,
-quad_noise_integrals) for its fixed tanh-sinh rule. The path simulator is checked against
-reference_path, its per-step loop over the public scalar API (one
+quad_noise_integrals) for its fixed tanh-sinh rule. Every row of a
+simulate_paths batch is checked against the PathRecords of
+reference_path, a per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
 row-at-a-time f-string writers. The full-lattice block forms evaluate
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,7 +43,6 @@ from microgrid_dp import (
     FeasibleSet,
     ModelConfig,
     NumericalError,
-    PathRecord,
     PolicyTable,
     Scenario,
     State,
@@ -392,7 +393,8 @@ def simpson_terminal_battery(x_q: float, cfg: ModelConfig, nodes: int = 20_001) 
         scale = c.gamma_pen_Q * bat.capacity_CQ
     else:
         qs = np.linspace(q_ref, x_q, nodes)
-        integrand = 1.0 / (bat.C0_D + bat.C1_D * qs**bat.l_D * (1.0 - qs) ** bat.m_D)
+        # energy delivered per unit stored: the eta_D of battery_law and terminal_cost
+        integrand = bat.C0_D + bat.C1_D * qs**bat.l_D * (1.0 - qs) ** bat.m_D
         scale = -c.gamma_liq_Q * bat.capacity_CQ
     h = (qs[-1] - qs[0]) / (nodes - 1)
     weights = np.ones(nodes)
@@ -488,15 +490,31 @@ def sample_transition(n: int, x: State, a: Action, rng: np.random.Generator,
     return transition_operator(n, x, a, eps, cfg)
 
 
+class PathRecord(NamedTuple):
+    """One simulated step: state seen, action taken, and its cost."""
+
+    step: int
+    time_h: float
+    z: float
+    r: float
+    q: float
+    g: float
+    action: Action
+    stage_cost_eur: float  # conditional expected discounted cost of this step
+    cum_cost_eur: float    # running total, discounted to time 0
+
+
 def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                    grid: StateGrid, path_index: int = 0,
                    initial_state: State | None = None) -> list[PathRecord]:
-    """simulate_path as a per-step loop over the public scalar API.
+    """Path path_index of simulate_paths as a per-step loop over the public scalar API.
 
     Each step draws its three normals with one standard_normal(3) call,
     locates the cell with three cell_of calls and evaluates
-    expected_stage_cost and transition_operator from the config; the
-    package's simulator must reproduce these records bit for bit.
+    expected_stage_cost and transition_operator from the config. Every
+    row of a simulate_paths batch must reproduce the records of its path
+    index bit for bit: record n's z, r, q, g, action code, stage and
+    cumulative cost are column n of the row.
     """
     seq = np.random.SeedSequence(entropy=scenario.base_seed,
                                  spawn_key=(scenario.sid, path_index))
@@ -542,13 +560,17 @@ def write_step_csv_reference(tables: tuple[ValueTable, PolicyTable], grid: State
 
 
 def write_paths_csv_reference(records, path: str) -> None:
-    """A path's records as CSV, written one f-string row at a time."""
+    """A path as CSV, written one f-string row at a time.
+
+    Each record is a PathRecord or a tuple in its field order, the action
+    an Action or its integer code.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n")
-        for rec in records:
+        for step, time_h, z, r, q, g, action, stage, cum in records:
             fh.write(
-                f"{rec.step},{_fmt(rec.time_h)},{_fmt(rec.z)},{_fmt(rec.r)},{_fmt(rec.q)},"
-                f"{_fmt(rec.g)},{rec.action.label},{_fmt(rec.stage_cost_eur)},{_fmt(rec.cum_cost_eur)}\n"
+                f"{step},{_fmt(time_h)},{_fmt(z)},{_fmt(r)},{_fmt(q)},"
+                f"{_fmt(g)},{Action(action).label},{_fmt(stage)},{_fmt(cum)}\n"
             )
 
 

@@ -282,11 +282,10 @@ def test_simulate_from_policy_dir(small_ini, solve_dir, cfg_small, grid_small,
     assert lines[0] == "step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur"
     assert len(lines) == 1 + cfg_small.discretization.steps_N
     _, policy, _ = small_solution
-    records = m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small,
-                              grid_small, path_index=0)
+    batch = m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, [0])
     first = lines[1].split(",")
-    assert float(first[2]) == records[0].z
-    assert first[6] == records[0].action.label
+    assert float(first[2]) == batch.z[0, 0]
+    assert first[6] == m.Action(batch.action[0, 0]).label
     capsys.readouterr()
 
 
@@ -309,10 +308,12 @@ def test_path_csvs_match_row_writer(problem, request, tmp_path):
     _, policy, _ = request.getfixturevalue(f"{problem}_solution")
     scenario = m.SCENARIOS["overcast-break"].with_seed(3)
     written = cli._simulate_scenario(cfg, grid, policy, scenario, 3, str(tmp_path / "out"))
+    batch = m.simulate_paths(policy, scenario, cfg, grid, range(3))
+    steps = range(cfg.discretization.steps_N)
     for idx, path in enumerate(written):
-        records = m.simulate_path(policy, scenario, cfg, grid, path_index=idx)
         ref = tmp_path / f"ref{idx}.csv"
-        write_paths_csv_reference(records, str(ref))
+        write_paths_csv_reference(zip(steps, map(cfg.t_of, steps),
+                                      *(field[idx].tolist() for field in batch)), str(ref))
         assert Path(path).read_bytes() == ref.read_bytes(), idx
 
 
@@ -455,18 +456,32 @@ def _fractional_action_code(path, tables):
     np.savez(path, values=tables["values"], actions=actions)
 
 
+def _whole_float_action_codes(path, tables):
+    np.savez(path, values=tables["values"], actions=tables["actions"].astype(np.float64))
+
+
+def _write_members(path, tables, version=(1, 0), edit=lambda name, data: data):
+    """tables as an archive of .npy members in format version, each passed through edit."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, table in tables.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, table, version=version)
+            archive.writestr(f"{name}.npy", edit(name, buf.getvalue()))
+
+
+def _unknown_npy_version(path, tables):
+    """values.npy whose magic carries version bytes (9, 9), which numpy never wrote."""
+    _write_members(path, tables, edit=lambda name, data: (
+        data[:6] + bytes((9, 9)) + data[8:] if name == "values" else data))
+
+
 def _values_cut_short(path, tables):
     np.savez(path, values=tables["values"][:-1], actions=tables["actions"])
 
 
 def _values_body_cut_short(path, tables):
     """A well-formed archive whose values.npy keeps its header but loses its last 8 bytes."""
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, table in tables.items():
-            buf = io.BytesIO()
-            np.save(buf, table)
-            data = buf.getvalue()
-            archive.writestr(f"{name}.npy", data[:-8] if name == "values" else data)
+    _write_members(path, tables, edit=lambda name, data: data[:-8] if name == "values" else data)
 
 
 def _truncated_archive(path, tables):
@@ -481,7 +496,8 @@ def _bare_npy_array(path, tables):
 
 @pytest.mark.parametrize("corrupt", [_text_file, _no_actions, _actions_cut_short,
                                      _unknown_action_code, _negative_action_code,
-                                     _fractional_action_code, _values_cut_short,
+                                     _fractional_action_code, _whole_float_action_codes,
+                                     _unknown_npy_version, _values_cut_short,
                                      _values_body_cut_short, _truncated_archive, _bare_npy_array],
                          ids=lambda f: f.__name__.strip("_"))
 def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, capsys, corrupt):
@@ -496,6 +512,25 @@ def test_simulate_with_bad_tables_is_io_error(small_ini, solve_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("I/O error: ") and err.count("\n") == 1 and "tables.npz" in err
     assert not out.exists()
+
+
+def test_simulate_reads_version_2_values_header(small_ini, solve_dir, tmp_path, capsys):
+    """A values.npy in .npy format 2.0 is accepted and gives the paths of a 1.0 table."""
+    policy = tmp_path / "policy"
+    shutil.copytree(solve_dir, policy)
+    with np.load(policy / "tables.npz") as data:
+        tables = {k: data[k] for k in data.files}
+    _write_members(policy / "tables.npz", tables, version=(2, 0))
+    with zipfile.ZipFile(policy / "tables.npz") as archive:
+        assert archive.read("values.npy")[6:8] == bytes((2, 0))
+    outputs = {}
+    for name, source in (("v1", solve_dir), ("v2", str(policy))):
+        out = tmp_path / name
+        assert cli.main(["simulate", small_ini, "--policy", source, "--scenario", "sunny-start",
+                         "--seeds", "3", "--out", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.glob("path_*.csv")}
+    assert len(outputs["v1"]) == 3 and outputs["v2"] == outputs["v1"]
+    capsys.readouterr()
 
 
 def test_paper_run_pipeline(small_ini, tmp_path, capsys):

@@ -105,11 +105,14 @@ def test_terminal_cost_frozen_values(cfg_table1):
 
 
 def test_terminal_cost_matches_simpson_oracle(cfg_table1):
-    cfg = cfg_table1
-    for q in (0.0, 0.25, 0.6, 0.8, 0.95, 1.0):
-        expect = oracles.simpson_terminal_battery(q, cfg) - 25.0 * 0.3
-        assert m.terminal_cost(m.State(0.7, q, 0.3), cfg) == pytest.approx(
-            expect, abs=1e-9)
+    # gamma_liq_Q = 0.4 prices the liquidation branch above q_ref, which table1 zeroes
+    paying = dataclasses.replace(
+        cfg_table1, costs=dataclasses.replace(cfg_table1.costs, gamma_liq_Q=0.4))
+    for cfg, qs in ((cfg_table1, (0.0, 0.25, 0.6, 0.8, 0.95, 1.0)), (paying, (0.9, 1.0))):
+        for q in qs:
+            expect = oracles.simpson_terminal_battery(q, cfg) - 25.0 * 0.3
+            assert m.terminal_cost(m.State(0.7, q, 0.3), cfg) == pytest.approx(
+                expect, abs=1e-9), (cfg.costs.gamma_liq_Q, q)
 
 
 def test_terminal_cost_z_independent(cfg_table1):

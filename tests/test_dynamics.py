@@ -376,7 +376,7 @@ def test_config_derives_its_constants_once(cfg_table1, monkeypatch):
     grid = m.build_grid(cfg)
     _, policy = m.solve(cfg, grid)
     for idx in range(200):
-        m.simulate_path(policy, m.SCENARIOS["overcast-week"], cfg, grid, path_index=idx)
+        m.simulate_paths(policy, m.SCENARIOS["overcast-week"], cfg, grid, [idx])
     assert calls == [cfg]
 
 

@@ -86,70 +86,52 @@ def test_z_offset_shifts_by_one_innovation_sd(cfg_table1):
     assert tilt.z - base.z == pytest.approx(0.5 * sd_z, abs=1e-12)
 
 
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_simulate_path_reproducible(cfg_small, grid_small, small_solution):
     _, policy, _ = small_solution
     s = m.SCENARIOS["overcast-week"]
-    p1 = m.simulate_path(policy, s, cfg_small, grid_small, path_index=3)
-    p2 = m.simulate_path(policy, s, cfg_small, grid_small, path_index=3)
-    assert p1 == p2
-    p3 = m.simulate_path(policy, s, cfg_small, grid_small, path_index=4)
-    assert p1 != p3
-    p4 = m.simulate_path(policy, s.with_seed(1), cfg_small, grid_small, path_index=3)
-    assert p1 != p4
+    p1 = m.simulate_paths(policy, s, cfg_small, grid_small, [3])
+    p2 = m.simulate_paths(policy, s, cfg_small, grid_small, [3])
+    assert _same(p1, p2)
+    p3 = m.simulate_paths(policy, s, cfg_small, grid_small, [4])
+    assert not _same(p1, p3)
+    p4 = m.simulate_paths(policy, s.with_seed(1), cfg_small, grid_small, [3])
+    assert not _same(p1, p4)
 
 
 def test_path_records_consistent(cfg_small, grid_small, small_solution):
     _, policy, _ = small_solution
     steps = cfg_small.discretization.steps_N
-    for idx in range(4):
-        path = m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small,
-                               grid_small, path_index=idx)
-        assert len(path) == steps
-        cum = 0.0
-        last_g = 1.0 + 1e-15
-        for rec in path:
-            assert rec.time_h == cfg_small.t_of(rec.step)
-            assert rec.r == pytest.approx(
-                m.seasonality(rec.time_h, cfg_small.demand) + rec.z, abs=1e-12)
-            assert 0.0 <= rec.q <= 1.0
-            assert 0.0 <= rec.g <= last_g
-            last_g = rec.g
-            cum += math.exp(-cfg_small.costs.rho * rec.time_h) * rec.stage_cost_eur
-            assert rec.cum_cost_eur == pytest.approx(cum, abs=1e-12)
-
-
-def _bits(records):
-    # repr of a float is its shortest round trip, so equal reprs are equal bits
-    return [repr(rec) for rec in records]
-
-
-@pytest.mark.parametrize("problem", ["table1", "small"])
-def test_simulate_path_matches_reference_loop(problem, request):
-    cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
-    _, policy, _ = request.getfixturevalue(f"{problem}_solution")
-    for scenario in m.SCENARIOS.values():
-        for idx in (0, 1, 7, 199):
-            got = m.simulate_path(policy, scenario, cfg, grid, path_index=idx)
-            want = reference_path(policy, scenario, cfg, grid, path_index=idx)
-            assert _bits(got) == _bits(want), (scenario.name, idx)
-    x0 = m.State(-0.4, 0.35, 0.6)
-    scenario = m.SCENARIOS["sunny-start"].with_seed(5)
-    got = m.simulate_path(policy, scenario, cfg, grid, path_index=3, initial_state=x0)
-    want = reference_path(policy, scenario, cfg, grid, path_index=3, initial_state=x0)
-    assert _bits(got) == _bits(want)
+    batch = m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(4))
+    assert all(field.shape == (4, steps) for field in batch)
+    times = np.array([cfg_small.t_of(n) for n in range(steps)])
+    mu = np.array([m.seasonality(t, cfg_small.demand) for t in times])
+    np.testing.assert_allclose(batch.r, mu + batch.z, rtol=0.0, atol=1e-12)
+    assert ((0.0 <= batch.q) & (batch.q <= 1.0)).all()
+    assert ((0.0 <= batch.g) & (batch.g <= 1.0)).all()
+    assert (np.diff(batch.g, axis=1) <= 1e-15).all()
+    cum = np.cumsum(np.exp(-cfg_small.costs.rho * times) * batch.stage_cost_eur, axis=1)
+    np.testing.assert_allclose(batch.cum_cost_eur, cum, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("problem", ["table1", "small"])
 def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
     """A batch, its indices out of order and with gaps, holds every path's
-    reference records bit for bit: each path keeps its own stream."""
+    reference records bit for bit: each path keeps its own stream. The
+    cases are every scenario from the default start and four reseeded
+    ones, three of them from inner states."""
     cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
     _, policy, _ = request.getfixturevalue(f"{problem}_solution")
-    indices = [7, 0, 199, 1, 42]
-    cases = [(m.SCENARIOS[name].with_seed(seed), x0)
-             for name, seed, x0 in (("overcast-week", 0, None), ("sunny-start", 5, None),
-                                    ("overcast-break", 11, m.State(-0.4, 0.35, 0.6)),
-                                    ("sunny-finish", 0, m.State(0.9, 0.0, 0.05)))]
+    indices = [7, 0, 199, 3, 1, 42]
+    cases = [(scenario, None) for scenario in m.SCENARIOS.values()]
+    cases += [(m.SCENARIOS[name].with_seed(seed), x0)
+              for name, seed, x0 in (("sunny-start", 5, None),
+                                     ("sunny-start", 5, m.State(-0.4, 0.35, 0.6)),
+                                     ("overcast-break", 11, m.State(-0.4, 0.35, 0.6)),
+                                     ("sunny-finish", 0, m.State(0.9, 0.0, 0.05)))]
     for scenario, x0 in cases:
         batch = m.simulate_paths(policy, scenario, cfg, grid, indices, initial_state=x0)
         assert batch.action.dtype == np.int8
@@ -160,7 +142,7 @@ def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
                     for rec in reference_path(policy, scenario, cfg, grid, path_index=idx,
                                               initial_state=x0)]
             # repr of a float is its shortest round trip, so equal reprs are equal bits
-            assert repr(got) == repr(want), (scenario.name, idx)
+            assert repr(got) == repr(want), (scenario.name, scenario.base_seed, x0, idx)
 
 
 @pytest.mark.parametrize("axis", ["z", "q", "g"])
@@ -168,8 +150,8 @@ def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solu
     _, policy, _ = small_solution
     x0 = default_initial_state(grid_small)._replace(**{axis: float("nan")})
     with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
-        m.simulate_path(policy, m.SCENARIOS["neutral"], cfg_small, grid_small,
-                        initial_state=x0)
+        m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, [0],
+                         initial_state=x0)
     with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
         m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(5),
                          initial_state=x0)
@@ -233,17 +215,11 @@ def test_baseline_policy_matches_surplus_rule(cfg_table1, grid_table1, cfg_small
 
 def test_adverse_week_burns_stored_energy(cfg_table1, grid_table1, table1_solution):
     _, policy, _ = table1_solution
-    discharge_seen = False
-    for idx in range(5):
-        path = m.simulate_path(policy, m.SCENARIOS["overcast-week"], cfg_table1,
-                               grid_table1, path_index=idx)
-        fuels = [rec.g for rec in path]
-        assert all(b <= a + 1e-15 for a, b in zip(fuels, fuels[1:]))
-        discharge_seen = discharge_seen or any(
-            rec.action in (m.Action.DISCHARGE_FULL, m.Action.DISCHARGE_LIMITED,
-                           m.Action.FUEL_FULL, m.Action.FUEL_LIMITED)
-            for rec in path)
-    assert discharge_seen
+    batch = m.simulate_paths(policy, m.SCENARIOS["overcast-week"], cfg_table1, grid_table1,
+                             range(5))
+    assert (np.diff(batch.g, axis=1) <= 1e-15).all()
+    assert np.isin(batch.action, [m.Action.DISCHARGE_FULL, m.Action.DISCHARGE_LIMITED,
+                                  m.Action.FUEL_FULL, m.Action.FUEL_LIMITED]).any()
 
 
 def test_euler_oracle_flags_deterministic_axes(cfg_table1):
