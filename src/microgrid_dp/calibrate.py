@@ -14,8 +14,7 @@ and its signature holds the one copy of the command's defaults.
 from __future__ import annotations
 
 import math
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 from .config import ModelConfig, SeasonalOUParams, eta_charge, eta_discharge
 
@@ -92,7 +91,7 @@ def battery_capacity(window_charge: tuple[float, float],
     """
     if not 0.5 < p < 1.0:
         raise ValueError("confidence p must lie in (0.5, 1)")
-    z_p = float(ndtri(p))
+    z_p = NormalDist().inv_cdf(p)
     bat = cfg.battery
     eta_c = eta_charge(_ETA_REFERENCE_SOC, bat)
     eta_d = eta_discharge(_ETA_REFERENCE_SOC, bat)

@@ -16,6 +16,10 @@ with the means and standard deviations of the dynamics' array laws.
 feasibility_mask reads it over the grid axes for the solver;
 feasible_actions reads it at one state and names the reason for every
 excluded action.
+
+The box tails are dynamics.ndtr of the standardized box bounds. ndtr is
+exactly 0 beyond 9 standard deviations (Phi(-9) = 1.1e-19), so a bound
+that far out never excludes an action, whatever epsilon.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import Action, ModelConfig, State
-from .dynamics import battery_law, discharge_limited_mean, fuel_limited_mean, generator_law
+from .dynamics import battery_law, discharge_limited_mean, fuel_limited_mean, generator_law, ndtr
 # Bound only so that perfbench/tracing.py can count calls of constraints.q_moments/g_moments.
 from .dynamics import g_moments, q_moments  # noqa: F401
 from .grid import StateGrid, z_truncation

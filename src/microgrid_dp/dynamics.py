@@ -14,8 +14,14 @@ efficiency, use one fixed rule: tanh_sinh, the double-exponential
 nodes built once at import. It integrates a smooth integrand, or one
 with algebraic endpoint singularities such as q^l (1 - q)^m for a
 non-integer l or m, to within a few units in the last place, and it
-takes an array of intervals in one evaluation of the integrand. So the
-package needs no scipy.integrate.
+takes an array of intervals in one evaluation of the integrand.
+
+The standard normal CDF of the package is ndtr: the standard library's
+erfc, exact to about an ulp, applied inside |x| < NDTR_BAND, and exactly
+0 or 1 beyond it. The transition kernel and the chance constraints read
+it. With tanh_sinh here and the standard library's normal quantile in
+calibrate, the package needs nothing beyond numpy and the standard
+library.
 
 Each law has one implementation, written for numpy arrays and read at a
 single state by passing floats: z_law (mean and sd of Z'), battery_law
@@ -55,6 +61,7 @@ __all__ = [
     "battery_law",
     "g_moments",
     "generator_law",
+    "ndtr",
     "q_moments",
     "step_constants",
     "transition_moments",
@@ -101,6 +108,27 @@ def tanh_sinh(f, a, b):
     span = b - a
     v = np.where(_TS_LEFT_HALF, a + span * _TS_FROM_A, b - span * _TS_FROM_B)
     return (f(v) * _TS_WEIGHT).sum(axis=-1) * span[..., 0]
+
+
+# |x| at and beyond which ndtr returns exactly 0 or 1. The error there is at
+# most Phi(-9) = 1.1e-19, below half an ulp of 1 (2^-53 = 1.1e-16). The
+# transition kernel runs Genz's bivariate scheme inside the same band.
+NDTR_BAND = 9.0
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def ndtr(x):
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt 2) / 2 of a float or an array.
+
+    erfc is the standard library's, called only where |x| < NDTR_BAND;
+    beyond the band the result is exactly 0 or 1, and NaN stays NaN. A
+    float or a 0-d array gives a float, an array an array of its shape.
+    """
+    x = np.asarray(x, dtype=float)
+    band = np.abs(x) < NDTR_BAND
+    cdf = np.where(band, 0.0, np.heaviside(x, 0.5))
+    cdf[band] = 0.5 * _ERFC(-x[band] / math.sqrt(2.0)).astype(float)
+    return cdf[()]
 
 
 class NumericalError(RuntimeError):

@@ -27,12 +27,20 @@ of cell edges. The chain's transitions are local (Kushner & Dupuis 2001),
 so most standardized edges lie far out in a tail: on table1, 78-79 % of
 the battery's q edges and 95-97 % of the generator's g offsets lie beyond
 |9|. Genz's scheme therefore runs only at lattice points whose two
-standardized edges both lie in the band |std| < T = 9 (_BAND). Outside it
-the CDF takes its closed form: the univariate CDF of one coordinate where
-the other edge is >= T, else 0. Each is off by at most Phi(-9) = 1.1e-19,
-below half an ulp of 1 (2^-53 = 1.1e-16), so the band costs less than the
-rounding of the scheme itself. The rows and columns of the infinite tail
-edges take their exact closed forms (0, the univariate CDF, 1).
+standardized edges both lie in the band |std| < T = 9 (_BAND, the band of
+dynamics.ndtr, outside which the univariate CDF is exactly 0 or 1).
+Outside it the CDF takes its closed form: the univariate CDF of one
+coordinate where the other edge is >= T, else 0. Each is off by at most
+Phi(-9) = 1.1e-19, below half an ulp of 1 (2^-53 = 1.1e-16), so the band
+costs less than the rounding of the scheme itself. The rows and columns
+of the infinite tail edges take their exact closed forms (0, the
+univariate CDF, 1).
+
+The univariate CDFs of the edges are computed once per edge and read
+everywhere: by the closed forms, by the tail rows and columns, and by
+Genz's scheme, whose univariate terms at an edge are the same values.
+The standardized z edges and their CDFs do not depend on the step, so
+each kernel computes them once for the z block and both bivariate blocks.
 
 The generator block also uses an exact structure of its law,
 G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
@@ -46,10 +54,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import Action, ModelConfig
-from .dynamics import NumericalError, battery_law, g_moments, generator_law, q_moments, z_law
+from .dynamics import NDTR_BAND as _BAND
+from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
+                       z_law)
 from .grid import Axis, StateGrid, cell_of, clamp01
 
 __all__ = ["NumericalError", "TransitionKernel"]
@@ -73,38 +82,60 @@ _GL_X = np.concatenate((1.0 - _GL_HALF_X, 1.0 + _GL_HALF_X))
 _GL_W = np.concatenate((_GL_HALF_W, _GL_HALF_W))
 
 
-def _bvn_cdf(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """sum_i w_i terms[i] of a (nodes, points) array, adding the nodes in order.
+
+    terms is overwritten. A reduction over a short axis may add pairwise,
+    and numpy takes that route when the points axis has length 1; adding
+    the rows one by one gives every point the same bits however many
+    points share the array.
+    """
+    terms *= _GL_W[:, None]
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
     """P(X <= x, Y <= y) for standard bivariate normals with scalar correlation.
 
     Vectorized port of the Drezner-Wesolowsky / Genz scheme, which works
     with the upper orthant P(X > h, Y > k) at h = -x, k = -y: one 20-point
     Gauss-Legendre rule in the asin form for |rho| < 0.925, and the same
-    rule in the high-|rho| tail expansion above. At rho = 0 the asin term
-    is exactly 0 and the result is ndtr(x) * ndtr(y). Inputs must be
-    finite; callers clip +-inf bounds to +-37 beforehand.
+    rule in the high-|rho| tail expansion above. cdf_x and cdf_y are the
+    marginals ndtr(x) and ndtr(y), which the caller holds already; the
+    scheme's univariate terms at the same arguments read them. At rho = 0
+    the asin term is exactly 0 and the result is cdf_x * cdf_y. All four
+    inputs broadcast; x and y must be finite (callers clip +-inf bounds to
+    +-37 beforehand). The exponents are laid out as (nodes, points) and
+    summed node by node, so a point's value does not depend on the other
+    points evaluated with it.
     """
-    h = -np.asarray(x, dtype=float)
-    k = -np.asarray(y, dtype=float)
+    x, y, cdf_x, cdf_y = np.broadcast_arrays(x, y, cdf_x, cdf_y)
+    shape = x.shape
+    x, y, cdf_x, cdf_y = (np.ravel(v) for v in (x, y, cdf_x, cdf_y))
+    h, k = -x, -y
     twopi = 2.0 * math.pi
 
     if abs(rho) < 0.925:
         hk = h * k
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(rho)
-        sn = np.sin(asr * _GL_X)  # (nodes,)
-        expo = np.multiply.outer(hk, sn)
-        expo -= hs[..., None]
+        sn = np.sin(asr * _GL_X)[:, None]  # (nodes, 1)
+        expo = sn * hk
+        expo -= hs
         expo /= 1.0 - sn**2
         # Far cells drive exponents to -1e3 and below, where exp underflows
         # through subnormals (many times slower). Terms below e^-700 move
         # the result by < 1e-300, so clamp them there.
         np.maximum(expo, -700.0, out=expo)
-        bvn = np.exp(expo, out=expo) @ _GL_W
-        return np.clip(bvn * asr / twopi + ndtr(-h) * ndtr(-k), 0.0, 1.0)
+        bvn = _node_sum(np.exp(expo, out=expo))
+        return np.clip(bvn * asr / twopi + cdf_x * cdf_y, 0.0, 1.0).reshape(shape)
 
     # high-correlation branch
     if rho < 0.0:
-        k = -k
+        k = -k  # = y, so ndtr(k) is cdf_y
     hk = h * k
     ass = 1.0 - rho * rho
     a = math.sqrt(ass)
@@ -123,30 +154,26 @@ def _bvn_cdf(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     exp_hk = np.exp(np.where(hk_ok, -0.5 * hk, 0.0))
     bvn = bvn - np.where(hk_ok, exp_hk * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0)
     a_half = 0.5 * a
-    xs = (a_half * _GL_X) ** 2  # (nodes,)
-    asr1 = -0.5 * (bs[..., None] / xs + hk[..., None])
-    sp1 = 1.0 + c[..., None] * xs * (1.0 + 5.0 * d[..., None] * xs)
+    xs = ((a_half * _GL_X) ** 2)[:, None]  # (nodes, 1)
+    asr1 = -0.5 * (bs / xs + hk)
+    sp1 = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
     rs = np.sqrt(1.0 - xs)
-    ep = np.exp(-0.5 * hk[..., None] * xs / (1.0 + rs) ** 2) / rs
+    ep = np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
     terms = np.where(asr1 > -100.0, np.exp(asr1) * (sp1 - ep), 0.0)
-    bvn = (a_half * (terms @ _GL_W) - bvn) / twopi
+    bvn = (a_half * _node_sum(terms) - bvn) / twopi
     if rho > 0.0:
-        bvn = bvn + ndtr(-np.maximum(h, k))
+        # ndtr(-max(h, k)) = ndtr(min(x, y))
+        bvn = bvn + np.where(x <= y, cdf_x, cdf_y)
     else:
-        low_mass = np.where(h < 0.0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k))
+        # ndtr(k) - ndtr(h) where h < 0, else ndtr(-h) - ndtr(-k)
+        low = h < 0.0
+        low_mass = np.where(low, cdf_y, cdf_x) - ndtr(np.where(low, h, -k))
         bvn = np.where(h >= k, -bvn, low_mass - bvn)
-    return np.clip(bvn, 0.0, 1.0)
+    return np.clip(bvn, 0.0, 1.0).reshape(shape)
 
 
-_CLIP = 37.0  # |z| beyond which the standard normal CDF is exactly 0/1 in float64
-# |std| beyond which an edge takes its closed form: Phi(-9) = 1.1e-19 is
-# below half an ulp of 1 (1.1e-16), so the CDF moves by less than that.
-_BAND = 9.0
-
-
-def _tail_edges(axis_edges: np.ndarray) -> np.ndarray:
-    """Interior cell edges extended with infinite tails (boundary absorption)."""
-    return np.concatenate(([-np.inf], axis_edges, [np.inf]))
+# Finite stand-in for an infinite standardized edge, which Genz's scheme cannot take.
+_CLIP = 37.0
 
 
 def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
@@ -154,29 +181,32 @@ def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
     return np.clip((edges - np.asarray(mean)[..., None]) / np.asarray(sd)[..., None], -_CLIP, _CLIP)
 
 
-def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float) -> np.ndarray:
+def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
+                 cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
     """Bivariate CDF over the edge lattice, tails included: shape (..., NA + 2, NB + 2).
 
-    std_a (..., NA) and std_b (..., NB) are standardized interior edges.
+    std_a (..., NA) and std_b (..., NB) are standardized interior edges,
+    and cdf_a, cdf_b their univariate CDFs ndtr(std_a), ndtr(std_b).
     Genz's scheme runs only at lattice points where both edges lie inside
-    the band |std| < _BAND; elsewhere the CDF takes its closed form to
-    within Phi(-_BAND): ndtr(std_b) where std_a >= _BAND, else ndtr(std_a)
-    where std_b >= _BAND, else 0 (an edge is <= -_BAND). The closed forms
-    are taken on the edge arrays and broadcast. The tail edges are exact: a
-    -inf edge gives 0, a +inf edge the univariate CDF of the other
-    coordinate, (+inf, +inf) gives 1.
+    the band |std| < _BAND, and reads the CDFs gathered there; elsewhere
+    the CDF takes its closed form to within Phi(-_BAND): cdf_b where
+    std_a >= _BAND, else cdf_a where std_b >= _BAND, else 0 (an edge is
+    <= -_BAND). The closed forms are taken on the edge arrays and
+    broadcast. The tail edges are exact: a -inf edge gives 0, a +inf edge
+    the univariate CDF of the other coordinate, (+inf, +inf) gives 1.
     """
     a, b = std_a[..., :, None], std_b[..., None, :]
-    ndtr_a, ndtr_b = ndtr(std_a), ndtr(std_b)
-    inner = np.where(a >= _BAND, ndtr_b[..., None, :],
-                     np.where(b >= _BAND, ndtr_a[..., :, None], 0.0))
+    ca, cb = cdf_a[..., :, None], cdf_b[..., None, :]
+    inner = np.where(a >= _BAND, cb, np.where(b >= _BAND, ca, 0.0))
     band = (np.abs(a) < _BAND) & (np.abs(b) < _BAND)
-    a, b = np.broadcast_arrays(a, b)
-    inner[band] = _bvn_cdf(a[band], b[band], rho)
+    # A narrow law can leave the band empty; the scheme costs up to 0.2 ms even then.
+    if band.any():
+        a, b, ca, cb = np.broadcast_arrays(a, b, ca, cb)
+        inner[band] = _bvn_cdf(a[band], b[band], rho, ca[band], cb[band])
     cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
     cdf[..., 1:-1, 1:-1] = inner
-    cdf[..., 1:-1, -1] = ndtr_a
-    cdf[..., -1, 1:-1] = ndtr_b
+    cdf[..., 1:-1, -1] = cdf_a
+    cdf[..., -1, 1:-1] = cdf_b
     cdf[..., -1, -1] = 1.0
     return cdf
 
@@ -189,7 +219,7 @@ def _lattice_masses(cdf: np.ndarray) -> np.ndarray:
 def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
     total = mass.sum(axis=axes, keepdims=True)
     worst = float(np.abs(1.0 - total).max())
-    if worst > _ROW_SUM_TOL:
+    if not worst <= _ROW_SUM_TOL:  # a NaN row fails this test too
         raise NumericalError(f"{what}: row mass deviates from 1 by {worst:.3e} (> {_ROW_SUM_TOL})")
     return mass / total
 
@@ -213,9 +243,12 @@ class TransitionKernel:
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
         self.cfg = cfg
         self.grid = grid
+        # The standardized z edges (z source, interior edge) and their CDFs
+        # are step-free; the z block and both bivariate blocks read them.
         m, sd = z_law(grid.z.points, cfg)
-        std = _std_edges(_tail_edges(grid.z.edges), m, sd)
-        mass = np.clip(np.diff(ndtr(std), axis=-1), 0.0, None)
+        self._z_std = _std_edges(grid.z.edges, m, sd)
+        self._z_cdf = ndtr(self._z_std)
+        mass = np.clip(np.diff(self._z_cdf, axis=-1, prepend=0.0, append=1.0), 0.0, None)
         self.z_block = _normalize_rows(mass, (-1,), "z rows")
         # The deterministic branches of the moment laws ignore z; n = 0 is any step.
         q, g = grid.q.points, grid.g.points
@@ -231,11 +264,11 @@ class TransitionKernel:
         differ, the transition does not).
         """
         grid = self.grid
-        m_z, sd_z = z_law(grid.z.points, self.cfg)
         m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
-        std_z = _std_edges(grid.z.edges, m_z, sd_z)[:, None, :]
         std_q = _std_edges(grid.q.edges, m_q, sd_q)
-        mass = _lattice_masses(_cdf_lattice(std_z, std_q, self.cfg.constants.rho_q))
+        cdf = _cdf_lattice(self._z_std[:, None, :], std_q, self.cfg.constants.rho_q,
+                           self._z_cdf[:, None, :], ndtr(std_q))
+        mass = _lattice_masses(cdf)
         return _normalize_rows(mass, (-2, -1), f"battery block n={n}")
 
     def generator_block(self, n: int) -> np.ndarray:
@@ -250,12 +283,11 @@ class TransitionKernel:
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
-        m_z, sd_z = z_law(grid.z.points, self.cfg)
         burn, sd_g = generator_law(n, grid.z.points, self.cfg)
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
-        std_z = _std_edges(grid.z.edges, m_z, sd_z)
         std_g = _std_edges(offsets, -burn, sd_g)
-        cdf = _cdf_lattice(std_z, std_g, self.cfg.constants.rho_g)  # (z src, z edge, offset)
+        # (z src, z edge, offset)
+        cdf = _cdf_lattice(self._z_std, std_g, self.cfg.constants.rho_g, self._z_cdf, ndtr(std_g))
         # Padded column of interior edge f (column f + 1) for source k is
         # f - k + N_G + 1; the two tail columns are shared by every source.
         cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int

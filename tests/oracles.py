@@ -21,11 +21,12 @@ reference_path, a per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
 row-at-a-time f-string writers. The full-lattice block forms evaluate
-the bivariate CDF on every edge of every source, tails as +-37: the
-reference for the kernel's closed-form tail edges and its one generator
-lattice per z source. neighborhood gives the (lo, hi] cell of a grid
-point, the reference for cell_of, and state_of(grid, m) the grid-point
-state of a linear state id, the inverse of grid.lin.
+the bivariate CDF on every edge of every source, tails as +-37, with
+scipy's ndtr for the marginals: the reference for the kernel's
+closed-form tail edges and its one generator lattice per z source.
+neighborhood gives the (lo, hi] cell of a grid point, the reference for
+cell_of, and state_of(grid, m) the grid-point state of a linear state
+id, the inverse of grid.lin.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import NoiseVector, _efficiency, z_law
 from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
-from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows, _tail_edges
+from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows
 from microgrid_dp.solver import _TIE_TOL
 
 
@@ -138,6 +139,11 @@ class TransitionRow:
         dense = np.zeros(n_states)
         dense[self.targets] = self.probs
         return dense
+
+
+def _tail_edges(axis_edges: np.ndarray) -> np.ndarray:
+    """Interior cell edges extended with infinite tails (boundary absorption)."""
+    return np.concatenate(([-np.inf], axis_edges, [np.inf]))
 
 
 def _z_cell_masses_scalar(m: float, sd: float, grid: StateGrid) -> np.ndarray:
@@ -635,14 +641,16 @@ def full_lattice_rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -
     """Cell masses with the bivariate CDF evaluated on every lattice edge.
 
     std_a (..., NA) and std_b (..., NB) are standardized interior edges;
-    the -inf / +inf tails enter as -37 / +37 like any other edge.
+    the -inf / +inf tails enter as -37 / +37 like any other edge. The
+    marginals Genz's scheme reads are scipy's ndtr of the edges.
     Returns shape (..., NA + 1, NB + 1).
     """
     def padded(std):
         lo = np.full(std.shape[:-1] + (1,), -_CLIP)
         return np.concatenate((lo, std, -lo), axis=-1)
 
-    cdf = _bvn_cdf(padded(std_a)[..., :, None], padded(std_b)[..., None, :], rho)
+    a, b = padded(std_a)[..., :, None], padded(std_b)[..., None, :]
+    cdf = _bvn_cdf(a, b, rho, ndtr(a), ndtr(b))
     return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
 
 

@@ -1,9 +1,12 @@
 """Calibration helpers: self-discharge, battery sizing, degradation pricing."""
 
 import math
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 import microgrid_dp as m
 from microgrid_dp.calibrate import (DEFAULT_CHARGE_WINDOW, DEFAULT_CONFIDENCE,
@@ -130,3 +133,15 @@ def test_calibration_report_priced_battery(cfg_table1):
     want = degradation_cost(6000.0, 20_000.0, cfg_table1.costs.rho, 3.0)
     assert d["gamma_deg_eur_per_kwh"] == pytest.approx(want, rel=1e-15)
     assert d["inputs"]["battery_price_eur"] == 6000.0
+
+
+def test_confidence_quantile_matches_ndtri():
+    """The standard library's normal quantile, which battery_capacity uses,
+    against scipy's ndtri over (0.5, 1): within 2e-15 per unit of
+    max(1, |z|) (2.7e-15 at z = 4.5 measured, 3 ulps there)."""
+    p = np.concatenate((np.linspace(0.5, 1.0, 20_001)[1:-1],
+                        0.5 + np.logspace(-16.0, -1.0, 100), 1.0 - np.logspace(-16.0, -1.0, 100)))
+    p = p[(p > 0.5) & (p < 1.0)]
+    want = ndtri(p)
+    got = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    assert (np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))).all()

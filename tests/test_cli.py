@@ -642,11 +642,11 @@ PAPER_RUN_DIGESTS = {
     "path_sunny-start_seed001.csv":
         "79f6dcde0b1efe311c6cf2b62c67d9736c2a31689dcc83c54ed0cdf6570a2afb",
     "value_policy_step0000.csv":
-        "65110afecfe65aac03591524bd9b302ecada0e720036ffc82b07251d78e8867c",
+        "3573beb198d222e43e2186c14557aefb469527f25d9163f94aa76939254bd482",
     "value_policy_step0012.csv":
-        "d4c4e54f660a5b143546df8aed1669d9d7b53bf91de0cc879768b7ed46f01cd9",
+        "cef0758a00b5e06a16f0d366c07befd437f9ca3873e26dcaf3a25371717a34ef",
     "value_policy_step0023.csv":
-        "3bc848a5b89b4c377ed54349acce1109aba828b7877cc738c7c3e28530a18475",
+        "0dfb6786ec1b73a1e21393599cd05857dba5c63cce750e438112593b7e67c299",
     "value_policy_step0024.csv":
         "9a23cd30a14e1181a4598f02bd481d12823a5a3fb6e5e65fbbd580aa73f5b1a7",
 }

@@ -10,8 +10,8 @@ from scipy.special import ndtr
 import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.dynamics import battery_law
-from oracles import _norm_cdf, feasible_actions_reference, state_of
+from microgrid_dp.dynamics import battery_law, ndtr as pkg_ndtr
+from oracles import feasible_actions_reference, state_of
 
 
 def _with_eps(cfg, eps):
@@ -136,21 +136,21 @@ def test_feasible_sets_grow_with_epsilon(cfg_table1):
 
 
 def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1):
-    """epsilon is set to the exact lower tail of one deficit state's full
-    discharge, at a state where the erfc-based _norm_cdf rounds that tail
-    lower than ndtr. The tail is not below epsilon, so the move is excluded,
-    and feasible_actions, the scalar reference and the mask must agree on it
-    and on the whole step."""
+    """epsilon is set to the package's own lower tail (dynamics.ndtr) of one
+    deficit state's full discharge, at a state where scipy's ndtr, which
+    the scalar reference reads, rounds that tail higher. The tail is not
+    below epsilon, so the move is excluded, and feasible_actions, the
+    scalar reference and the mask must agree on it and on the whole step."""
     grid = grid_table1
     z, q = grid.z.points, grid.q.points
     half = near_zero_halfwidth(cfg_table1)
     n, i, j, tail = next(
-        (n, i, j, float(ndtr(x)))
+        (n, i, j, float(pkg_ndtr(x)))
         for n in range(cfg_table1.discretization.steps_N)
         for i, x_row in enumerate(-np.divide(*battery_law(n, z[:, None], q[None, :], cfg_table1)))
         if m.seasonality(cfg_table1.t_of(n), cfg_table1.demand) + z[i] >= half
         for j, x in enumerate(x_row.tolist())
-        if 1e-6 < ndtr(x) < 0.4 and _norm_cdf(x) < ndtr(x))
+        if 1e-6 < pkg_ndtr(x) < 0.4 and pkg_ndtr(x) < ndtr(x))
     cfg = m.validate_config(_with_eps(cfg_table1, tail))
     mask = m.feasibility_mask(n, grid, cfg)
     x = m.State(float(z[i]), float(q[j]), 0.5)

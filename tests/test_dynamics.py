@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr as scipy_ndtr
 
 import microgrid_dp as m
 from microgrid_dp import dynamics
@@ -413,3 +414,36 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
         for law in laws:
             with pytest.raises(KeyError):
                 law()
+
+
+# Edges of ndtr's band, points just inside them, the kernel's +-37 clip and
+# both zeros, besides a dense grid over [-40, 40].
+_NDTR_POINTS = np.concatenate((
+    np.linspace(-40.0, 40.0, 400_001),
+    [-9.0, 9.0, np.nextafter(-9.0, 0.0), np.nextafter(9.0, 0.0), -9.0 + 1e-9, 9.0 - 1e-9,
+     -37.0, 37.0, 0.0, -0.0],
+))
+
+
+def test_ndtr_matches_scipy():
+    """Within the band |x| < 9 ndtr is erfc's, within 2.3e-16 of scipy's
+    ndtr (2.2e-16 measured); beyond it exactly 0 or 1, within Phi(-9) =
+    1.1e-19."""
+    x = _NDTR_POINTS
+    got, want = dynamics.ndtr(x), scipy_ndtr(x)
+    band = np.abs(x) < dynamics.NDTR_BAND
+    assert np.abs(got - want)[band].max() <= 2.3e-16
+    assert np.abs(got - want)[~band].max() <= 1.2e-19
+    np.testing.assert_array_equal(got[~band], (x[~band] > 0.0).astype(float))
+    assert dynamics.ndtr(0.0) == dynamics.ndtr(-0.0) == 0.5
+
+
+def test_ndtr_keeps_nan_and_the_input_shape():
+    assert math.isnan(dynamics.ndtr(math.nan))
+    for x in (0.3, -12.0, np.float64(2.0), np.array(0.3)):
+        assert isinstance(dynamics.ndtr(x), float)
+    got = dynamics.ndtr(np.array([[math.nan, -math.inf], [math.inf, 1.0]]))
+    assert got.shape == (2, 2)
+    assert math.isnan(got[0, 0]) and got[0, 1] == 0.0 and got[1, 0] == 1.0
+    assert got[1, 1] == 0.5 * math.erfc(-1.0 / math.sqrt(2.0))
+    assert dynamics.ndtr(np.array([])).shape == (0,)

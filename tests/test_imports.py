@@ -1,6 +1,6 @@
 """Checks of the package's imports: every imported name is used, no module
-imports another package module's private (underscore) name, and neither an
-import nor a solve loads scipy beyond scipy.special."""
+imports another package module's private (underscore) name, and the
+package runs without scipy, which only the tests use."""
 
 import ast
 import os
@@ -71,27 +71,40 @@ def test_no_private_names_cross_modules(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
-# A fresh interpreter imports the package and its CLI, then solves a tiny
-# grid with eta0 = beta_R, whose noise integrals take the quadrature branch.
-_FRESH_SOLVE = textwrap.dedent("""
+# A fresh interpreter whose import system refuses scipy imports the package
+# and its CLI, solves a tiny grid with eta0 = beta_R (whose noise integrals
+# take the quadrature branch), and runs calibrate and a tiny paper-run.
+_SCIPY_FREE_RUN = textwrap.dedent("""
     import dataclasses, sys
+
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ModuleNotFoundError(f"{name} is refused")
+            return None
+
+    sys.meta_path.insert(0, RefuseScipy())
     import microgrid_dp as m
     import microgrid_dp.cli
     cfg = m.default_config()
-    cfg = dataclasses.replace(
-        cfg, battery=dataclasses.replace(cfg.battery, eta0=cfg.demand.beta_R),
-        discretization=dataclasses.replace(cfg.discretization, horizon_T=2.0, steps_N=2,
-                                           N_Z=3, N_Q=2, N_G=2))
-    m.solve(m.validate_config(cfg), m.build_grid(cfg))
-    print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy."))))
+    tiny = dataclasses.replace(cfg.discretization, horizon_T=2.0, steps_N=2, N_Z=3, N_Q=2, N_G=2)
+    cfg = dataclasses.replace(cfg, discretization=tiny)
+    singular = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery,
+                                                                    eta0=cfg.demand.beta_R))
+    m.solve(m.validate_config(singular), m.build_grid(singular))
+    ini = sys.argv[1] + "/tiny.ini"
+    with open(ini, "w", encoding="utf-8") as f:
+        f.write(m.dump_config(cfg))
+    assert microgrid_dp.cli.main(["calibrate", ini]) == 0
+    assert microgrid_dp.cli.main(["paper-run", ini, "--out", sys.argv[1] + "/run",
+                                  "--seeds", "1"]) == 0
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, loaded
 """)
 
 
-def test_import_and_solve_leave_heavy_scipy_modules_unloaded():
+def test_package_and_cli_run_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_SOLVE], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(proc.stdout.split())
-    assert "scipy.special" in loaded
-    for name in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
-        assert name not in loaded, f"{name} was imported"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,8 @@ from scipy.special import ndtr
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp import kernel
+from microgrid_dp import dynamics, kernel
+from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from microgrid_dp.grid import clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _cdf_lattice, _lattice_masses, _normalize_rows
 from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob,
@@ -20,6 +21,16 @@ STD2 = ((1.0, 0.0), (0.0, 1.0))
 
 def _corr2(rho):
     return ((1.0, rho), (rho, 1.0))
+
+
+def _genz(x, y, rho):
+    """_bvn_cdf with the package's marginals of x and y, as the kernel calls it."""
+    return _bvn_cdf(x, y, rho, pkg_ndtr(x), pkg_ndtr(y))
+
+
+def _lattice(std_a, std_b, rho):
+    """_cdf_lattice with the package's CDFs of the edges, as the kernel calls it."""
+    return _cdf_lattice(std_a, std_b, rho, pkg_ndtr(std_a), pkg_ndtr(std_b))
 
 
 def test_bvn_orthant_closed_form():
@@ -44,7 +55,7 @@ def test_bvn_rect_against_monte_carlo():
 def test_bvn_independent_factorizes():
     xs = np.array([-2.0, -0.3, 0.0, 0.7, 1.9])
     ys = np.array([-1.1, 0.0, 0.4, 2.2, -0.6])
-    got = _bvn_cdf(xs, ys, 0.0)
+    got = _genz(xs, ys, 0.0)
     np.testing.assert_allclose(got, ndtr(xs) * ndtr(ys), atol=1e-14)
 
 
@@ -55,7 +66,7 @@ def test_vectorized_cdf_matches_quadrature(rho):
         for y in pts:
             rect = ((-np.inf, float(x)), (-np.inf, float(y)))
             ref = bvn_rect_prob((0.0, 0.0), _corr2(rho), rect)
-            got = float(_bvn_cdf(np.array(x), np.array(y), rho))
+            got = float(_genz(np.array(x), np.array(y), rho))
             assert got == pytest.approx(ref, abs=2e-9)
 
 
@@ -67,7 +78,7 @@ def test_bvn_cdf_matches_owens_t_closed_form(rho):
     Genz serves with 6 and 12 points, table1's rho_q, and both branches
     (|rho| < / >= 0.925), against Owen's T, an independent closed form."""
     xs, ys = np.random.default_rng(2024).uniform(-5.0, 5.0, size=(2, 2000))
-    got = _bvn_cdf(xs, ys, rho)
+    got = _genz(xs, ys, rho)
     assert np.abs(got - bvn_cdf_owens_t(xs, ys, rho)).max() <= 1e-15
 
 
@@ -242,7 +253,7 @@ def test_rect_masses_tail_closed_forms_match_full_lattice(rho):
     means = rng.uniform(-0.2, 1.2, size=(6, 4, 1))
     sds = np.array([0.02, 0.3, 1.0, 4.0])[None, :, None]
     std_b = np.clip((q_edges - means) / sds, -37.0, 37.0)
-    got = _lattice_masses(_cdf_lattice(std_a, std_b, rho))
+    got = _lattice_masses(_lattice(std_a, std_b, rho))
     ref = full_lattice_rect_masses(std_a, std_b, rho)
     assert got.shape == ref.shape == (6, 4, 10, 11)
     assert np.abs(got - ref).max() <= 1e-15
@@ -282,7 +293,7 @@ def test_banded_lattice_matches_full_lattice_at_band_edges(rho):
     band match the CDF evaluated on every edge."""
     std_a = _BAND_EDGES_A[:, None, :]
     std_b = np.broadcast_to(_BAND_EDGES_B, (4, 4, 6))
-    got = _lattice_masses(_cdf_lattice(std_a, std_b, rho))
+    got = _lattice_masses(_lattice(std_a, std_b, rho))
     ref = full_lattice_rect_masses(std_a, std_b, rho)
     assert got.shape == ref.shape == (4, 4, 8, 7)
     assert np.abs(got - ref).max() <= 1e-15
@@ -293,9 +304,9 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     lattice points and under a tenth of the generator block's."""
     seen = []
 
-    def counting(x, y, rho):
+    def counting(x, y, rho, cdf_x, cdf_y):
         seen.append(np.broadcast(x, y).size)
-        return _bvn_cdf(x, y, rho)
+        return _bvn_cdf(x, y, rho, cdf_x, cdf_y)
 
     monkeypatch.setattr(kernel, "_bvn_cdf", counting)
     kern = m.TransitionKernel(cfg_table1, grid_table1)
@@ -305,3 +316,49 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     seen.clear()
     kern.generator_block(0)
     assert 0 < sum(seen) <= 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
+
+
+def test_table1_solve_sends_few_points_to_erfc(cfg_table1, grid_table1, monkeypatch):
+    """Genz's scheme reads the edge CDFs that the lattice already holds, and
+    the z edges' CDFs are computed once per kernel, so a table1 solve
+    evaluates erfc at no more than 100,000 in-band points (88,207 measured)."""
+    seen = []
+    erfc = dynamics._ERFC
+
+    def counting(x):
+        seen.append(x.size)
+        return erfc(x)
+
+    monkeypatch.setattr(dynamics, "_ERFC", counting)
+    m.solve(cfg_table1, grid_table1)
+    assert 0 < sum(seen) <= 100_000
+
+
+@pytest.mark.parametrize("rho", [m.default_config().constants.rho_q, 0.5, 0.95, -0.985])
+def test_bvn_cdf_bits_do_not_depend_on_the_batch(rho):
+    """Genz's scheme sums its nodes in one fixed order, so a point gets the
+    same bits whether the lattice is evaluated whole, in chunks of any size
+    (one point and a 0-d point included) or permuted, in both branches
+    (|rho| < / >= 0.925)."""
+    edges = np.linspace(-8.5, 8.5, 23)
+    x, y = np.meshgrid(edges, 0.7 * edges[::-1], indexing="ij")
+    whole = _genz(x, y, rho).ravel()
+    x, y = x.ravel(), y.ravel()
+    for size in (1, 2, 7, 100):
+        parts = [_genz(x[i:i + size], y[i:i + size], rho) for i in range(0, x.size, size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+    assert float(_genz(x[5], y[5], rho)) == whole[5]
+    perm = np.random.default_rng(5).permutation(x.size)
+    permuted = np.empty_like(whole)
+    permuted[perm] = _genz(x[perm], y[perm], rho)
+    np.testing.assert_array_equal(permuted, whole)
+
+
+def test_nan_standardized_edge_fails_the_row_mass_check():
+    """A NaN edge makes its rows' mass NaN. The row check raises on it
+    instead of letting it pass (NaN > tolerance is False)."""
+    std_a = np.array([[-1.0, 0.0, 1.0]])
+    std_b = np.array([[-0.5, math.nan, 0.5]])
+    mass = _lattice_masses(_lattice(std_a, std_b, m.default_config().constants.rho_q))
+    with pytest.raises(m.NumericalError, match="row mass deviates from 1 by nan"):
+        _normalize_rows(mass, (-2, -1), "battery block n=0")
