@@ -3,10 +3,13 @@
 Battery sizing works on the integrated residual demand over a fixed daily
 window: the battery must absorb (charge window) or supply (discharge
 window) the integral of R with confidence p. Under the OU residual the
-integral is Gaussian with closed-form mean and variance, so the required
-capacity is a quantile expression. Window bounds, confidence level, and
-the reference SoC for the efficiency factor are declared constants tuned
-once to reproduce the published 18 kWh figure, then frozen.
+integral is Gaussian with a closed-form mean and the variance
+sigma_R^2 I_G(beta_R, tau) over a window of length tau: the generator's
+noise integral, which dynamics.noise_integral takes by its one route. The
+required capacity is then a quantile expression. Window bounds,
+confidence level, and the reference SoC for the efficiency factor are
+declared constants tuned once to reproduce the published 18 kWh figure,
+then frozen.
 calibration_report returns the dict that the `calibrate` command prints,
 and its signature holds the one copy of the command's defaults.
 """
@@ -17,6 +20,7 @@ import math
 from statistics import NormalDist
 
 from .config import ModelConfig, SeasonalOUParams, eta_charge, eta_discharge
+from .dynamics import noise_integral
 
 __all__ = [
     "DEFAULT_CHARGE_WINDOW",
@@ -71,13 +75,8 @@ def _integrated_residual_moments(window: tuple[float, float], z1: float,
     tau = t2 - t1
     beta, sigma = p.beta_R, p.sigma_R
     mean = _seasonal_integral(t1, t2, p) + z1 * (-math.expm1(-beta * tau)) / beta
-    u = beta * tau
-    if u < 0.01:
-        # 2u - 3 + 4e^(-u) - e^(-2u) cancels to O(u^3); use its series there
-        bracket = u**3 * (2.0 / 3.0 - u / 2.0 + 7.0 * u * u / 30.0 - u**3 / 12.0)
-    else:
-        bracket = 2.0 * u - 3.0 + 4.0 * math.exp(-u) - math.exp(-2.0 * u)
-    var = sigma**2 / (2.0 * beta**3) * bracket
+    # int_0^tau ((1 - e^(-beta v)) / beta)^2 dv, the I_G of a step of length tau
+    var = sigma**2 * noise_integral(0.0, beta, tau, 2)
     return mean, math.sqrt(var)
 
 

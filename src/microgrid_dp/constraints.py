@@ -60,11 +60,6 @@ def near_zero_halfwidth(cfg: ModelConfig) -> float:
     return z_truncation(cfg) / cfg.discretization.N_Z
 
 
-def _box_tails(m, sd):
-    """(P(next level < 0), P(next level > 1)) for N(m, sd^2), sd > 0; floats or arrays."""
-    return ndtr(-m / sd), ndtr((m - 1.0) / sd)
-
-
 # Exclusion codes of _exclusions, in the order the rules are tested; 0 is feasible.
 _BAND, _SURPLUS, _DEFICIT, _THRESHOLD, _BELOW, _ABOVE, _NEGATIVE = range(1, 8)
 _REASONS = {
@@ -90,10 +85,11 @@ def _exclusions(n: int, z: np.ndarray, q: np.ndarray, g: np.ndarray,
     r = cfg.constants.mu[n] + z
     band = (np.abs(r) < near_zero_halfwidth(cfg))[:, None, None]
     surplus = (r < 0.0)[:, None, None]
-    q_below, q_above = (tail[:, :, None] >= eps
-                        for tail in _box_tails(*battery_law(n, z[:, None], q[None, :], cfg)))
+    # P(Q' < 0) and P(Q' > 1) in one ndtr call, and P(G' < 0) under the full mode
+    m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
+    q_below, q_above = ndtr(np.stack((-m_q / sd_q, (m_q - 1.0) / sd_q)))[..., None] >= eps
     burn, sd_g = generator_law(n, z, cfg)
-    g_below = (_box_tails(g[None, :] - burn[:, None], sd_g)[0] >= eps)[:, None, :]
+    g_below = (ndtr((burn[:, None] - g[None, :]) / sd_g) >= eps)[:, None, :]
     q_negative = (discharge_limited_mean(q, cfg) < 0.0)[None, :, None]
     g_negative = (fuel_limited_mean(g, cfg) < 0.0)[None, None, :]
 

@@ -3,10 +3,12 @@
 Within one step of length Delta the seasonal mean and the battery
 efficiency are frozen at the left endpoint (piecewise-constant model
 parameters), which makes the joint one-step law Gaussian with the
-closed-form moments implemented here. All integral kernels are written
-with expm1-based helpers; where a closed form is a difference quotient
-that cancels (a rate gap such as eta0 - beta_R, or beta_R itself, small
-against 1 / Delta), the integral is taken by quadrature instead.
+closed-form moments implemented here. The exponential integrals are
+written with expm1-based helpers. The noise integrals I_Q, J_Q and I_G
+have one route, noise_integral, which integrates their nonnegative
+integrands by quadrature: their closed forms are difference quotients
+that cancel when a rate gap such as eta0 - beta_R, or beta_R itself, is
+small against 1 / Delta, and lose a few digits even where it is not.
 
 That quadrature, and the terminal cost's integrals of the battery
 efficiency, use one fixed rule: tanh_sinh, the double-exponential
@@ -62,17 +64,13 @@ __all__ = [
     "g_moments",
     "generator_law",
     "ndtr",
+    "noise_integral",
     "q_moments",
     "step_constants",
     "transition_moments",
     "transition_operator",
     "z_law",
 ]
-
-# Below this |rate gap| * dt, the difference quotients of _phi lose more
-# than about 1e-13 relative to cancellation; the kernels switch to forms
-# that do not cancel.
-_CANCELLING_GAP = 0.1
 
 # The actions under which Q' is Gaussian (one shared law; costs and
 # feasibility differ, the transition does not).
@@ -160,55 +158,35 @@ class TransitionMoments:
 
 
 def _phi(a: float, dt: float) -> float:
-    """int_0^dt e^(-a s) ds, stable as a -> 0."""
-    if abs(a) < 1e-14:
+    """int_0^dt e^(-a s) ds, stable as a -> 0.
+
+    Below |a dt| = 1e-17 it is dt to within 5e-18 relative; above, a dt is
+    never subnormal and the expm1 quotient keeps its precision.
+    """
+    if abs(a * dt) < 1e-17:
         return dt
     return -math.expm1(-a * dt) / a
 
 
 def _psi(a: float, b: float, dt: float) -> float:
-    """int_0^dt e^(-a (dt - s)) e^(-b s) ds = (e^(-b dt) - e^(-a dt)) / (a - b)."""
-    if abs(a - b) * dt < _CANCELLING_GAP:
-        return math.exp(-b * dt) * _phi(a - b, dt)
-    return (math.exp(-b * dt) - math.exp(-a * dt)) / (a - b)
+    """int_0^dt e^(-a (dt - s)) e^(-b s) ds = (e^(-b dt) - e^(-a dt)) / (a - b),
+    taken as e^(-min(a, b) dt) phi(|a - b|, dt), which does not cancel."""
+    return math.exp(-min(a, b) * dt) * _phi(abs(a - b), dt)
 
 
-def _kernel_quad(w: float, delta: float, dt: float, power: int) -> float:
+def noise_integral(w: float, delta: float, dt: float, power: int) -> float:
     """int_0^dt e^(-w v) phi(delta, v)^power dv by the tanh-sinh rule.
 
-    The integrand is smooth and nonnegative, so the rule stays accurate to
-    a few units in the last place where the closed forms below cancel.
+    phi(delta, v) = (1 - e^(-delta v)) / delta, or v at delta = 0. For
+    w, delta >= 0 the integrand is smooth, nonnegative and bounded by
+    v^power, so the rule is accurate to a few units in the last place
+    and nothing overflows; step_constants passes its arguments so.
     """
     def integrand(v):
-        phi = v if abs(delta) < 1e-14 else -np.expm1(-delta * v) / delta
+        phi = v if abs(delta * dt) < 1e-17 else -np.expm1(-delta * v) / delta  # as in _phi
         return np.exp(-w * v) * phi**power
 
     return float(tanh_sinh(integrand, 0.0, dt))
-
-
-def _iq(eta0: float, beta: float, dt: float) -> float:
-    """I_Q = int_0^dt ((e^(-beta v) - e^(-eta0 v)) / (eta0 - beta))^2 dv.
-
-    The integrand is e^(-2 beta v) phi(eta0 - beta, v)^2, with the limit
-    v^2 e^(-2 beta v) at eta0 = beta.
-    """
-    if abs(eta0 - beta) * dt < _CANCELLING_GAP:
-        return _kernel_quad(2.0 * beta, eta0 - beta, dt, 2)
-    return (_phi(2.0 * beta, dt) - 2.0 * _phi(beta + eta0, dt) + _phi(2.0 * eta0, dt)) / (eta0 - beta) ** 2
-
-
-def _jq(eta0: float, beta: float, dt: float) -> float:
-    """J_Q = int_0^dt e^(-beta v) (e^(-beta v) - e^(-eta0 v)) / (eta0 - beta) dv."""
-    if abs(eta0 - beta) * dt < _CANCELLING_GAP:
-        return _kernel_quad(2.0 * beta, eta0 - beta, dt, 1)
-    return (_phi(2.0 * beta, dt) - _phi(beta + eta0, dt)) / (eta0 - beta)
-
-
-def _ig(beta: float, dt: float) -> float:
-    """I_G = int_0^dt ((1 - e^(-beta v)) / beta)^2 dv = int_0^dt phi(beta, v)^2 dv."""
-    if beta * dt < _CANCELLING_GAP:
-        return _kernel_quad(0.0, beta, dt, 2)
-    return (dt - 2.0 * _phi(beta, dt) + _phi(2.0 * beta, dt)) / (beta * beta)
 
 
 def _jg(beta: float, dt: float) -> float:
@@ -254,8 +232,11 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
     dt = cfg.dt
     try:
         phi_2b = _phi(2.0 * beta, dt)
-        iq = _iq(eta0, beta, dt)
-        ig = _ig(beta, dt)
+        # I_Q = int e^(-2 beta v) phi(eta0 - beta, v)^2 dv and J_Q the same with the
+        # first power; phi(-d, v) = e^(d v) phi(d, v) moves the gap's sign into w
+        low, gap = min(eta0, beta), abs(eta0 - beta)
+        iq = noise_integral(2.0 * low, gap, dt, 2)
+        ig = noise_integral(0.0, beta, dt, 2)
         sc = StepConstants(
             z_decay=math.exp(-beta * dt),
             sd_z=math.sqrt(p.sigma_R**2 * phi_2b),
@@ -266,7 +247,7 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
             q_sqrt_iq=math.sqrt(iq),
             g_phi=_phi(beta, dt),
             sd_g=(gen.c1 * p.sigma_R / gen.capacity_CG) * math.sqrt(ig),
-            rho_q=-_jq(eta0, beta, dt) / math.sqrt(phi_2b * iq),
+            rho_q=-noise_integral(beta + low, gap, dt, 1) / math.sqrt(phi_2b * iq),
             rho_g=-_jg(beta, dt) / math.sqrt(phi_2b * ig),
             zeta1=_phi(rho, dt),
             zeta2=_phi(rho + beta, dt),
@@ -297,29 +278,29 @@ def _efficiency(mu: float, z, q, cfg: ModelConfig):
 
 
 def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of Q_{n+1} given state and action."""
+    """Conditional mean and variance of Q_{n+1}; an a that is not an Action raises ValueError."""
+    if not isinstance(a, Action):
+        raise ValueError(f"unknown action: {a!r}")
     cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
     if a in _GAUSSIAN_Q_ACTIONS:
         m_Q, sd_Q = battery_law(n, z, q, cfg)
         return m_Q, sd_Q * sd_Q
     if a is Action.DISCHARGE_LIMITED:
         return discharge_limited_mean(q, cfg), 0.0
-    if isinstance(a, Action):
-        return q * cfg.constants.q_decay, 0.0
-    raise ValueError(f"unknown action: {a!r}")
+    return q * cfg.constants.q_decay, 0.0
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of G_{n+1} given state and action."""
+    """Conditional mean and variance of G_{n+1}; an a that is not an Action raises ValueError."""
+    if not isinstance(a, Action):
+        raise ValueError(f"unknown action: {a!r}")
     cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
     if a is Action.FUEL_FULL:
         burn, sd_G = generator_law(n, z, cfg)
         return g - burn, sd_G * sd_G
     if a is Action.FUEL_LIMITED:
         return fuel_limited_mean(g, cfg), 0.0
-    if isinstance(a, Action):
-        return g, 0.0
-    raise ValueError(f"unknown action: {a!r}")
+    return g, 0.0
 
 
 def discharge_limited_mean(q, cfg: ModelConfig):

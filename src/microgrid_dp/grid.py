@@ -90,14 +90,18 @@ def clamp01(v):
     return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
-def cell_of(value: float, axis: Axis) -> int:
+def cell_of(value, axis: Axis):
     """Index of the cell of axis that contains value; cells are (lo, hi].
 
-    On the q/g axes values below 0 map to index 0 and values above 1 map to
-    the top index; the boundary cells represent the clamped physical states.
-    A NaN value raises ValueError.
+    value is a float, for which the index is an int, or an array of levels,
+    for which it is an integer array of the same shape. On the q/g axes
+    values below 0 map to index 0 and values above 1 map to the top index;
+    the boundary cells represent the clamped physical states. A NaN
+    anywhere in value raises ValueError naming the axis.
     """
-    if math.isnan(value):
+    levels = np.asarray(value, dtype=float)
+    if np.isnan(levels).any():
         raise ValueError(f"cannot locate NaN on axis {axis.name!r}")
     # first interior edge >= value owns it, since cells are (lo, hi]
-    return int(np.searchsorted(axis.edges, value, side="left"))
+    cells = np.searchsorted(axis.edges, levels, side="left")
+    return cells if cells.ndim else int(cells)

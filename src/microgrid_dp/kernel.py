@@ -59,7 +59,7 @@ from .config import Action, ModelConfig
 from .dynamics import NDTR_BAND as _BAND
 from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
                        z_law)
-from .grid import Axis, StateGrid, cell_of, clamp01
+from .grid import StateGrid, cell_of, clamp01
 
 __all__ = ["NumericalError", "TransitionKernel"]
 
@@ -224,11 +224,6 @@ def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.nd
     return mass / total
 
 
-def _cells(levels: np.ndarray, axis: Axis) -> np.ndarray:
-    """Cell index of each level, clamped to the physical box first."""
-    return np.array([cell_of(v, axis) for v in clamp01(levels).tolist()])
-
-
 class TransitionKernel:
     """Vectorized transition blocks and Dirac target maps of one (config, grid).
 
@@ -251,10 +246,13 @@ class TransitionKernel:
         mass = np.clip(np.diff(self._z_cdf, axis=-1, prepend=0.0, append=1.0), 0.0, None)
         self.z_block = _normalize_rows(mass, (-1,), "z rows")
         # The deterministic branches of the moment laws ignore z; n = 0 is any step.
+        # A target is the cell of the next level clamped to the physical box.
         q, g = grid.q.points, grid.g.points
-        self.q_idle = _cells(q_moments(0, 0.0, q, Action.WAIT, cfg)[0], grid.q)
-        self.q_limited = _cells(q_moments(0, 0.0, q, Action.DISCHARGE_LIMITED, cfg)[0], grid.q)
-        self.g_limited = _cells(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
+        idle, limited = (q_moments(0, 0.0, q, a, cfg)[0]
+                         for a in (Action.WAIT, Action.DISCHARGE_LIMITED))
+        self.q_idle = cell_of(clamp01(idle), grid.q)
+        self.q_limited = cell_of(clamp01(limited), grid.q)
+        self.g_limited = cell_of(clamp01(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0]), grid.g)
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.

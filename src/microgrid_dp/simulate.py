@@ -107,9 +107,9 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     default_rng(SeedSequence(base_seed, spawn_key=(scenario id, idx))), so
     a path is the same in any batch.
 
-    At each step the cell of every path is grid.lin of its three
-    searchsorted(side="left") indices into the axis edges, which are
-    cell_of's; a NaN level raises cell_of's ValueError naming its axis.
+    At each step the cell of every path is grid.lin of its three cell_of
+    indices, one array call per axis; a NaN level raises cell_of's
+    ValueError naming its axis.
     The public laws run once per action present at the step, over that
     action's paths: expected_stage_cost and transition_operator, on
     arrays, read the config's constants (cfg.constants). The running cost
@@ -134,11 +134,8 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     z, q, g = (np.full(n_paths, float(level)) for level in x0)
     cum = np.zeros(n_paths)
     for n in range(n_steps):
-        for level, axis in zip((z, q, g), axes):
-            if np.isnan(level).any():
-                cell_of(math.nan, axis)  # raises for the first axis holding a NaN
-        cell = grid.lin(*(np.searchsorted(axis.edges, level)
-                          for level, axis in zip((z, q, g), axes)))
+        # z, q, g in order, so a NaN raises for the first axis holding one
+        cell = grid.lin(*(cell_of(level, axis) for level, axis in zip((z, q, g), axes)))
         codes = policy.actions[n, cell]
         t = cfg.t_of(n)
         eps_z = draws[n, 0] + scenario.offset_at(t)

@@ -15,9 +15,11 @@ normal CDF that the kernel's Gauss-Legendre scheme evaluates, and
 nested quadrature of the defining convolution for the noise integrals
 I_Q and J_Q, whose closed forms cancel near eta0 = beta_R, and scipy's
 adaptive quad over the package's own integrands (quad_terminal_battery,
-quad_noise_integrals) for its fixed tanh-sinh rule. Every row of a
-simulate_paths batch is checked against the PathRecords of
-reference_path, a per-step loop over the public scalar API (one
+quad_noise_integrals) for its fixed tanh-sinh rule, and the closed forms
+of I_Q, J_Q, I_G and psi in 50-digit decimal arithmetic
+(decimal_noise_integrals), where their cancellation costs no float
+digits. Every row of a simulate_paths batch is checked against the
+PathRecords of reference_path, a per-step loop over the public scalar API (one
 standard_normal(3) draw, three cell_of lookups, expected_stage_cost and
 transition_operator per step), and the CSV writers against the
 row-at-a-time f-string writers. The full-lattice block forms evaluate
@@ -31,6 +33,7 @@ id, the inverse of grid.lin.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -446,6 +449,56 @@ def quad_noise_integrals(eta0: float, beta: float, dt: float) -> tuple[float, fl
     return (_quad(lambda v: math.exp(-2.0 * beta * v) * phi(d, v) ** 2, 0.0, dt),
             _quad(lambda v: math.exp(-2.0 * beta * v) * phi(d, v), 0.0, dt),
             _quad(lambda v: phi(beta, v) ** 2, 0.0, dt))
+
+
+class NoiseIntegrals(NamedTuple):
+    """The noise integrals of one (eta0, beta_R, dt), rounded to floats."""
+
+    i_q: float
+    j_q: float
+    i_g: float
+    psi: float
+
+
+def decimal_noise_integrals(eta0: float, beta: float, dt: float,
+                            digits: int = 50) -> NoiseIntegrals:
+    """I_Q, J_Q, I_G and psi(eta0, beta, dt) from their closed forms, at 50 digits by default.
+
+    The float inputs are taken exactly. The closed forms are difference
+    quotients: I_Q and J_Q in d = eta0 - beta, which cancel about
+    2 log10(1 / (|d| dt)) digits, and I_G in beta, which cancels about
+    3 log10(1 / (beta dt)) with those of 1 - e^(-beta dt). So at 50 digits
+    they round to the correct float for |d| dt >= 1e-14 and beta dt >= 1e-6
+    (checked against 120 digits), but not for beta dt near 1e-14; smaller
+    gaps need more digits. At d = 0 (and beta = 0 for I_G) the limits take
+    their own closed forms.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        eta0, beta, dt = D(eta0), D(beta), D(dt)
+
+        def phi(a):
+            # int_0^dt e^(-a s) ds
+            return dt if a == 0 else (1 - (-a * dt).exp()) / a
+
+        d = eta0 - beta
+        c = 2 * beta
+        if d == 0:
+            if c == 0:
+                i_q, j_q = dt**3 / 3, dt**2 / 2
+            else:
+                # int_0^dt v^2 e^(-c v) dv and int_0^dt v e^(-c v) dv
+                x, e = c * dt, (-c * dt).exp()
+                i_q = 2 * (1 - e * (1 + x + x * x / 2)) / c**3
+                j_q = (1 - e * (1 + x)) / c**2
+            psi = dt * (-eta0 * dt).exp()
+        else:
+            i_q = (phi(2 * beta) - 2 * phi(beta + eta0) + phi(2 * eta0)) / (d * d)
+            j_q = (phi(2 * beta) - phi(beta + eta0)) / d
+            psi = ((-beta * dt).exp() - (-eta0 * dt).exp()) / d
+        i_g = dt**3 / 3 if beta == 0 else (dt - 2 * phi(beta) + phi(2 * beta)) / (beta * beta)
+        return NoiseIntegrals(*(float(v) for v in (i_q, j_q, i_g, psi)))
 
 
 def battery_noise_reference(eta0: float, beta: float,

@@ -15,6 +15,7 @@ from microgrid_dp.calibrate import (DEFAULT_CHARGE_WINDOW, DEFAULT_CONFIDENCE,
                                     battery_capacity, calibration_report,
                                     check_generator_params, degradation_cost,
                                     self_discharge_rate)
+from oracles import decimal_noise_integrals
 
 
 def test_self_discharge_rate_value():
@@ -57,6 +58,19 @@ def test_integrated_variance_small_beta_limit():
     _, sd = _integrated_residual_moments((0.0, tau), 0.0, p)
     # as beta -> 0 the OU integral variance approaches sigma^2 tau^3 / 3
     assert sd**2 == pytest.approx(p.sigma_R**2 * tau**3 / 3.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("u", [1e-4, 0.0012, 0.012, 0.1, 2.4, 200.0])
+def test_integrated_variance_matches_the_decimal_closed_form(cfg_table1, u):
+    """The variance sigma_R^2 I_G(beta_R, tau) at u = beta_R tau is within
+    1e-15 relative of the closed form 2 u - 3 + 4 e^(-u) - e^(-2 u) (over
+    2 beta_R^3) taken at 50 digits, on both sides of u = 0.01, where a
+    series once took over."""
+    p = cfg_table1.demand
+    tau = u / p.beta_R
+    _, sd = _integrated_residual_moments((0.0, tau), 0.0, p)
+    want = p.sigma_R**2 * decimal_noise_integrals(0.0, p.beta_R, tau).i_g
+    assert abs(sd * sd - want) <= 1e-15 * want
 
 
 def test_integrated_moments_rejects_bad_window(cfg_table1):

@@ -367,7 +367,7 @@ def test_export_checks_every_step_before_writing(cfg_small, grid_small, small_so
 
 # sha256 over the sha256 of each of the 1000 table1 path CSVs (five scenarios
 # x 200 seeds at base seed 0, the benchmark's paths), in file name order.
-TABLE1_PATHS_DIGEST = "f645595cfb9e99aa1baade4386a8e6c2499d9b5ae050e39b7b3c47e1a8f8a6c2"
+TABLE1_PATHS_DIGEST = "f81482801177b7bdf14d61a12dce86d936dee786c4ec4b661ec3fe2f7c0ed162"
 
 
 def test_table1_path_bytes_match_earlier_versions(cfg_table1, grid_table1, table1_solution,
@@ -626,27 +626,27 @@ def test_output_name_that_is_a_directory_is_io_error(small_ini, solve_dir, tmp_p
 # the step CSVs and a sunny-finish path.)
 PAPER_RUN_DIGESTS = {
     "path_overcast-break_seed000.csv":
-        "4ba388998144f92a008f8f1bd9656088e3960db5b2ddf1c79d5f3fb868804f18",
+        "1cb325fb890852fc54bc6c8913977f21b074268035c26ccaf09321e1e6e98a03",
     "path_overcast-break_seed001.csv":
-        "9870450a45ec6f990b4b1cef3c4fc260476d8f73defb05683af0e1b328c3549f",
+        "8b19eed5a2dd6edc50e2b44561d3abb3f1e3f4fd9b7ee02f7f0e17dd08858d89",
     "path_overcast-week_seed000.csv":
-        "b7931568bfdc08366d5b41a9bd5d7b1bb4ba0e5977c3bdbd2e4719c1930f1f6e",
+        "331529d0f158561b594c784bca437bc85222cd90b638e4ab620f2ec94dc7029a",
     "path_overcast-week_seed001.csv":
-        "4d0e8e8c1f70e9f9fb7d56371e5aebb755707ecc21814ecdc68a2355f9fd1369",
+        "78325fce3ce43ac5e54b24fb1cb7157dbb75b95cc8835da100d80fe08b14da6c",
     "path_sunny-finish_seed000.csv":
-        "3cf007060f918823f6aaa96d04774cb19921e8eb47ff66e132ae15aa18ed181a",
+        "58c2a05f5237a842e032479469bda32e420182b05ee2dce3a549939bd4869597",
     "path_sunny-finish_seed001.csv":
-        "23949d29b3a540316a4f865b12c03bea85d09f1c2837bd1f7c4ff2528b9b0e27",
+        "9e6438acada5e58f1cfc1931d7c3f7344bf6057938e930f86024e08676c8b79f",
     "path_sunny-start_seed000.csv":
-        "a9a526725c44e1545d4239802459b1b747413e18b3f4f9e39a9ae8a1c6cd3a10",
+        "b75183544718888913fd9636f0c8bfa00a75339fb23caed618f0f955d68b2714",
     "path_sunny-start_seed001.csv":
-        "79f6dcde0b1efe311c6cf2b62c67d9736c2a31689dcc83c54ed0cdf6570a2afb",
+        "4624f623b496ca78e967c0970ed176f455856fb9bdc3b08d6e682e66ca0acc70",
     "value_policy_step0000.csv":
-        "3573beb198d222e43e2186c14557aefb469527f25d9163f94aa76939254bd482",
+        "2962b3e5f6a4b9d03f58e5b40c067108af12e01af95bb9720139a7bd6feacffa",
     "value_policy_step0012.csv":
-        "cef0758a00b5e06a16f0d366c07befd437f9ca3873e26dcaf3a25371717a34ef",
+        "8f2c22c0c96da557e4a4fe6c11b4bb2663c2f3d185e86925d7ed0f8049445e65",
     "value_policy_step0023.csv":
-        "0dfb6786ec1b73a1e21393599cd05857dba5c63cce750e438112593b7e67c299",
+        "beb257b2cc761f91746cea3c99ca9c9b3c33893dd3fab881dadf6118748b65d2",
     "value_policy_step0024.csv":
         "9a23cd30a14e1181a4598f02bd481d12823a5a3fb6e5e65fbbd580aa73f5b1a7",
 }

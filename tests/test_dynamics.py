@@ -12,7 +12,7 @@ from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
 from microgrid_dp.dynamics import NoiseVector, battery_law, generator_law, step_constants, z_law
 from conftest import small_discretization
-from oracles import battery_noise_reference, euler_oracle
+from oracles import battery_noise_reference, decimal_noise_integrals, euler_oracle
 
 STATE = m.State(1.0, 0.8, 0.9)
 FIELDS = ("m_Z", "var_Z", "m_Q", "var_Q", "m_G", "var_G",
@@ -340,14 +340,87 @@ def test_generator_noise_constants_at_small_beta(cfg_table1, beta):
     assert sc.rho_g == pytest.approx(rho_g, rel=1e-10, abs=0.0)
 
 
-def test_table1_constants_keep_the_closed_forms(cfg_table1):
-    """table1's gaps (eta0 - beta_R and beta_R, times dt) are about 0.2, so its
-    constants come from the closed forms, bit for bit as first recorded."""
+# (eta0, beta_R, dt) sweep of the decimal accuracy test: table1, gaps
+# eta0 - beta_R from 0 and 1e-12 up to both sides of the 0.1 / dt where the
+# closed forms once took over, the same two sides for beta_R, at steps from
+# 0.01 to 168 h. beta_R dt stays >= 1e-6, where the 50-digit oracle holds.
+_ETA0_TABLE1 = m.default_config().battery.eta0
+_GAPS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+_NOISE_SWEEP = [(_ETA0_TABLE1, 0.2, 1.0)] + [
+    (eta0, beta, dt)
+    for dt in (0.01, 1.0, 24.0, 168.0)
+    for beta in (1e-4, 0.09 / dt, 0.11 / dt, 0.2, 5.0)
+    for eta0 in sorted({beta + sign * gap for gap in _GAPS + (0.09 / dt, 0.11 / dt, 1.0 / dt)
+                        for sign in (1.0, -1.0)} | {0.0, _ETA0_TABLE1, 20.0})
+    if eta0 >= 0.0
+]
+
+
+def _rel(got: float, want: float) -> float:
+    return 0.0 if got == want else abs(got - want) / abs(want)
+
+
+def test_noise_integrals_match_the_decimal_closed_forms():
+    """I_Q, J_Q and I_G are within 1e-15 relative of their closed forms taken
+    at 50 digits, and psi within 1e-15 (1 + min(eta0, beta_R) dt), the
+    rounding of the exponent of e^(-min dt); the sign-normalised arguments
+    below are those of step_constants."""
+    worst = {}
+    for eta0, beta, dt in _NOISE_SWEEP:
+        ref = decimal_noise_integrals(eta0, beta, dt)
+        low, gap = min(eta0, beta), abs(eta0 - beta)
+        errors = {
+            "i_q": _rel(dynamics.noise_integral(2.0 * low, gap, dt, 2), ref.i_q),
+            "j_q": _rel(dynamics.noise_integral(beta + low, gap, dt, 1), ref.j_q),
+            "i_g": _rel(dynamics.noise_integral(0.0, beta, dt, 2), ref.i_g),
+            "psi": _rel(dynamics._psi(eta0, beta, dt), ref.psi) / (1.0 + low * dt),
+        }
+        for name, err in errors.items():
+            worst[name] = max(worst.get(name, (0.0,)), (err, eta0, beta, dt))
+    assert all(err <= 1e-15 for err, *_ in worst.values()), worst
+
+
+@pytest.mark.parametrize("dt", [0.01, 1.0, 168.0])
+@pytest.mark.parametrize("gap", [5e-16, 2e-15, 5e-15, 9e-15])
+def test_noise_integrals_at_gaps_below_1e_14(gap, dt):
+    """A gap eta0 - beta_R below 1e-14 is not taken as 0: at 168 h that would
+    be off by gap dt / 2, up to 7.6e-13 in psi. The closed forms need 80
+    digits here."""
+    eta0, beta = 0.2 + gap, 0.2
+    ref = decimal_noise_integrals(eta0, beta, dt, digits=80)
+    gap = eta0 - beta
+    assert _rel(dynamics.noise_integral(2.0 * beta, gap, dt, 2), ref.i_q) <= 1e-15
+    assert _rel(dynamics.noise_integral(2.0 * beta, gap, dt, 1), ref.j_q) <= 1e-15
+    assert _rel(dynamics._psi(eta0, beta, dt), ref.psi) <= 1e-15 * (1.0 + beta * dt)
+
+
+@pytest.mark.parametrize("eta0, beta, dt", [
+    (_ETA0_TABLE1, 0.2, 1.0), (0.2, 0.2, 1.0), (0.2 + 1e-12, 0.2, 1.0), (0.11, 0.2, 1.0),
+    (0.0, 5.0, 168.0), (20.0, 1e-4, 0.01)])
+def test_step_constants_read_the_one_route(cfg_table1, eta0, beta, dt):
+    """step_constants passes non-negative rate arguments to noise_integral:
+    eta0 = 0, beta_R = 5 over 168 h would overflow to NaN otherwise."""
+    cfg = _with_dt(cfg_table1, dt)
+    cfg = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, eta0=eta0),
+                              demand=dataclasses.replace(cfg.demand, beta_R=beta))
+    sc, ref = step_constants(cfg), decimal_noise_integrals(eta0, beta, dt)
+    gen, sigma = cfg.generator, cfg.demand.sigma_R
+    z_var = -math.expm1(-2.0 * beta * dt) / (2.0 * beta)
+    assert _rel(sc.q_sqrt_iq, math.sqrt(ref.i_q)) <= 1e-15
+    assert _rel(sc.sd_g, gen.c1 * sigma / gen.capacity_CG * math.sqrt(ref.i_g)) <= 1e-15
+    assert _rel(sc.rho_q, -ref.j_q / math.sqrt(z_var * ref.i_q)) <= 2e-15
+    assert _rel(sc.q_psi, ref.psi) <= 1e-15 * (1.0 + min(eta0, beta) * dt)
+
+
+def test_table1_constants_take_the_one_route(cfg_table1):
+    """table1's noise integrals take the one tanh-sinh route and psi its
+    non-cancelling form, bit for bit as recorded when that route became the
+    only one."""
     sc = step_constants(cfg_table1)
     assert tuple(sc)[:-1] == (
-        0.8187307530779818, 0.4085345477367338, 0.9997895821409437, 0.9062476991438486,
-        0.9998947873804439, 0.025, 0.5363201026307736, 0.9063462346100907,
-        0.004223859538960886, -0.8435046872971608, -0.8434961293293082, 0.985148881716394,
+        0.8187307530779818, 0.4085345477367338, 0.9997895821409437, 0.9062476991438482,
+        0.9998947873804439, 0.025, 0.5363201026307692, 0.9063462346100907,
+        0.004223859538960866, -0.8435046872971687, -0.8434961293293123, 0.985148881716394,
         0.8933321630289827, 0.8127695471550778, 0.50625)
     sqrt_iq, rho_q, psi = battery_noise_reference(cfg_table1.battery.eta0,
                                                   cfg_table1.demand.beta_R, cfg_table1.dt)
@@ -414,6 +487,21 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
         for law in laws:
             with pytest.raises(KeyError):
                 law()
+
+
+@pytest.mark.parametrize("code", range(len(m.Action)))
+def test_plain_int_actions_are_refused(cfg_table1, code):
+    """Every law takes an Action: a plain int raises ValueError, also one
+    whose value is that of an Action under which Q' is Gaussian."""
+    x, eps = m.State(0.5, 0.5, 0.5), NoiseVector(0.1, 0.2, 0.3)
+    laws = [lambda: m.q_moments(0, x.z, x.q, code, cfg_table1),
+            lambda: m.g_moments(0, x.z, x.g, code, cfg_table1),
+            lambda: m.expected_stage_cost(0, x, code, cfg_table1),
+            lambda: m.transition_moments(0, x, code, cfg_table1),
+            lambda: m.transition_operator(0, x, code, eps, cfg_table1)]
+    for law in laws:
+        with pytest.raises(ValueError, match="unknown action"):
+            law()
 
 
 # Edges of ndtr's band, points just inside them, the kernel's +-37 clip and

@@ -128,6 +128,21 @@ def test_cell_of_rejects_nan(grid_table1):
         m.cell_of(float("nan"), grid_table1.q)
 
 
+def test_cell_of_an_array_is_the_float_rule_entry_by_entry(grid_table1):
+    for ax in (grid_table1.z, grid_table1.q, grid_table1.g):
+        levels = np.concatenate((ax.points, ax.edges, ax.edges + 1e-12, [-50.0, 50.0]))
+        got = m.cell_of(levels.reshape(3, -1), ax)
+        assert got.shape == (3, levels.size // 3)
+        assert got.ravel().tolist() == [m.cell_of(float(v), ax) for v in levels]
+    assert type(m.cell_of(0.3, grid_table1.q)) is int
+    assert m.cell_of(np.array([]), grid_table1.q).shape == (0,)
+
+
+def test_cell_of_an_array_with_a_nan_names_the_axis(grid_table1):
+    with pytest.raises(ValueError, match="NaN on axis 'g'"):
+        m.cell_of(np.array([0.5, 0.2, math.nan]), grid_table1.g)
+
+
 CLAMPS = [(-0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.25, 0.25), (-1e-17, 0.0),
           (-3.0, 0.0), (1.0 + 2e-16, 1.0), (7.5, 1.0), (-math.inf, 0.0), (math.inf, 1.0)]
 

@@ -72,8 +72,9 @@ def test_no_private_names_cross_modules(path):
 
 
 # A fresh interpreter whose import system refuses scipy imports the package
-# and its CLI, solves a tiny grid with eta0 = beta_R (whose noise integrals
-# take the quadrature branch), and runs calibrate and a tiny paper-run.
+# and its CLI, solves a tiny grid with eta0 = beta_R (where the closed forms
+# of the noise integrals would cancel; the one tanh-sinh route takes them),
+# and runs calibrate and a tiny paper-run.
 _SCIPY_FREE_RUN = textwrap.dedent("""
     import dataclasses, sys
 

@@ -1,9 +1,9 @@
 """The fixed tanh-sinh rule of dynamics.tanh_sinh against scipy's adaptive quad.
 
 The package integrates the battery efficiency in the terminal cost, and
-the noise integrals I_Q, J_Q and I_G where their closed forms cancel,
-with one 449-node tanh-sinh rule. Each quantity here must agree with the
-quad oracle of tests/oracles.py to 1e-13 relative.
+the noise integrals I_Q, J_Q and I_G (dynamics.noise_integral, their one
+route), with one 449-node tanh-sinh rule. Each quantity here must agree
+with the quad oracle of tests/oracles.py to 1e-13 relative.
 """
 
 import dataclasses
