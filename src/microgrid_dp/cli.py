@@ -8,8 +8,8 @@ floatfmt.reprs, whose bytes are those of repr of the Python float. Its
 array fast path covers 1e-4 <= |x| < 1e15; +-0.0 is written directly and
 every other value goes to repr itself. `simulate` and `paper-run`
 simulate the paths of a scenario in batches of _PATHS_PER_BATCH
-(simulate_paths) and format each column of _PATHS_PER_FORMAT paths in
-one call; the step export formats _STEPS_PER_FORMAT steps per call.
+(simulate_paths). Both writers format about _FLOATS_PER_FORMAT floats per
+call: the paths of a column, or the steps of the value export.
 Every output file is opened by _overwrite, which overwrites an existing
 file in place and then truncates it to the new length. A write that
 fails still exits 2 and leaves that file invalid. A re-run into a used
@@ -207,10 +207,11 @@ def _write_json(path: str, obj) -> None:
 # By action code: the action column of both CSV writers.
 _LABELS = [a.label.encode() for a in Action]
 
-# Steps formatted per reprs call in export_value_policy (4 x 2178 values on
-# table1): enough to amortise reprs' per-call cost while its temporaries
-# stay near those of a path sub-batch.
-_STEPS_PER_FORMAT = 4
+# Floats per reprs call, rounded down to whole steps or paths (at least
+# one): enough to amortise reprs' per-call cost, few enough that the
+# formatted strings stay a few MB. On table1, 4 steps of 2178 values or
+# 64 paths of 168.
+_FLOATS_PER_FORMAT = 10_752
 
 
 def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
@@ -220,10 +221,10 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     Every step is range-checked before the first file is written. Floats
     are written by floatfmt.reprs, so each is the repr of a Python float
     (shortest round trip): the grid points once per call, and the values
-    and r_mid of up to _STEPS_PER_FORMAT steps per reprs call. A file is
-    one bytes.join of a list of row parts whose step-free 'i,j,k,z,' and
-    ',q,g,' parts are set once per call; each step sets its r_mid, value
-    and ',action' parts (empty labels at the terminal step N).
+    and r_mid of as many steps per reprs call as _FLOATS_PER_FORMAT
+    holds. A file is one bytes.join of a list of row parts whose step-free
+    'i,j,k,z,' and ',q,g,' parts are set once per call; each step sets its
+    r_mid, value and ',action' parts (empty labels at the terminal step N).
     """
     values, policy = tables
     n_steps = cfg.discretization.steps_N
@@ -240,8 +241,9 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     mu = cfg.constants.mu
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for first in range(0, len(steps), _STEPS_PER_FORMAT):
-        chunk = steps[first:first + _STEPS_PER_FORMAT]
+    per_call = max(1, _FLOATS_PER_FORMAT // grid.n_states)
+    for first in range(0, len(steps), per_call):
+        chunk = steps[first:first + per_call]
         value_strs = reprs(values.values[chunk].ravel()).reshape(len(chunk), -1)
         r_mid = np.array([mu[n] for n in chunk])[:, None] + grid.z.points
         r_mid_strs = reprs(r_mid.ravel()).reshape(len(chunk), -1)
@@ -348,10 +350,6 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
 
 # Paths simulated and written per batch: memory is O(_PATHS_PER_BATCH * N) at any --seeds.
 _PATHS_PER_BATCH = 256
-# Paths formatted per reprs call in a batch (64 x 168 values per column on
-# table1): large enough to amortise reprs' per-call cost, small enough that
-# the formatted columns of a sub-batch stay a few MB.
-_PATHS_PER_FORMAT = 64
 
 
 def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) -> list[str]:
@@ -359,19 +357,20 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) ->
 
     Floats are written by floatfmt.reprs, which yields the bytes of repr of
     each Python float (shortest round trip): one reprs call per column of
-    up to _PATHS_PER_FORMAT paths, and one for the time_h column per call.
+    as many paths as _FLOATS_PER_FORMAT holds, and one for the time_h column.
     Each path's file is written in one call.
     """
     os.makedirs(out_dir, exist_ok=True)
     n_steps = cfg.discretization.steps_N
     times = reprs(np.array([cfg.t_of(n) for n in range(n_steps)])).tolist()
     steps = [b"%d,%s" % (n, t) for n, t in enumerate(times)]
+    per_call = max(1, _FLOATS_PER_FORMAT // n_steps)
     written = []
     for start in range(0, seeds, _PATHS_PER_BATCH):
         indices = range(start, min(start + _PATHS_PER_BATCH, seeds))
         batch = simulate_path(policy, scenario, cfg, grid, indices)
-        for sub in range(0, len(indices), _PATHS_PER_FORMAT):
-            rows = slice(sub, sub + _PATHS_PER_FORMAT)
+        for sub in range(0, len(indices), per_call):
+            rows = slice(sub, sub + per_call)
             columns = [reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
                 batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur, batch.cum_cost_eur)]
             for row, idx in enumerate(indices[rows]):

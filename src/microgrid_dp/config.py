@@ -358,10 +358,11 @@ def load_config(path: str) -> ModelConfig:
             if key not in types:
                 errors.append(f"unknown key '{key}' in section [{section}]")
                 continue
+            kind, what = (int, "an integer") if types[key] == "int" else (float, "a number")
             try:
-                overrides[key] = int(raw) if types[key] == "int" else float(raw)
+                overrides[key] = kind(raw)
             except ValueError:
-                errors.append(f"key '{key}' in section [{section}] is not a number: {raw!r}")
+                errors.append(f"key '{key}' in section [{section}] is not {what}: {raw!r}")
         if overrides:
             cfg = replace(cfg, **{section: replace(getattr(cfg, section), **overrides)})
     if errors:

@@ -9,12 +9,18 @@ so the probability of landing in a grid cell is a normal rectangle mass:
 - limited modes, wait, overspill: univariate Z mass x two Diracs.
 
 Mass overshooting the physical q/g box accumulates in the boundary cells;
-the z boundary cells own the (-inf, .] and (., +inf) tails. The solver
-consumes whole blocks per backward step (TransitionKernel: z_block,
-battery_block(n), generator_block(n)). The Dirac axes need no
-probabilities: their target cells are step-free maps per source level,
-taken once per kernel from the deterministic branches of
+the z boundary cells own the (-inf, .] and (., +inf) tails. The Dirac
+axes need no probabilities: their target cells are step-free maps per
+source level, taken once per kernel from the deterministic branches of
 dynamics.q_moments/g_moments.
+
+TransitionKernel.expected_next(n, v) applies the chain to a value table v:
+one np.tensordot per gathered table, the z block (z src, z cell) against v
+at the idle, limited-discharge or idle-then-limited-generator targets, the
+battery block (z src, q src, z cell, q cell) against v over (z, q), the
+generator block (z src, g src, z cell, g cell) over (z, g). Contracting z
+once and gathering afterwards would add in another order and move the
+last bits, so each gathered table has its own contraction.
 
 The bivariate masses come from Genz's bivariate-normal scheme (Genz 2004,
 Stat. Comput. 14:251) with one Gauss-Legendre rule, his 20-point one, at
@@ -107,10 +113,10 @@ def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
     marginals ndtr(x) and ndtr(y), which the caller holds already; the
     scheme's univariate terms at the same arguments read them. At rho = 0
     the asin term is exactly 0 and the result is cdf_x * cdf_y. All four
-    inputs broadcast; x and y must be finite (callers clip +-inf bounds to
-    +-37 beforehand). The exponents are laid out as (nodes, points) and
-    summed node by node, so a point's value does not depend on the other
-    points evaluated with it.
+    inputs broadcast; x and y must be finite (_cdf_lattice passes only
+    points inside the band |std| < _BAND). The exponents are laid out as
+    (nodes, points) and summed node by node, so a point's value does not
+    depend on the other points evaluated with it.
     """
     x, y, cdf_x, cdf_y = np.broadcast_arrays(x, y, cdf_x, cdf_y)
     shape = x.shape
@@ -172,13 +178,9 @@ def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
     return np.clip(bvn, 0.0, 1.0).reshape(shape)
 
 
-# Finite stand-in for an infinite standardized edge, which Genz's scheme cannot take.
-_CLIP = 37.0
-
-
 def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
-    """Standardize cell edges against broadcast means/sds, clipped to +-_CLIP."""
-    return np.clip((edges - np.asarray(mean)[..., None]) / np.asarray(sd)[..., None], -_CLIP, _CLIP)
+    """Standardize cell edges against broadcast means/sds."""
+    return (edges - np.asarray(mean)[..., None]) / np.asarray(sd)[..., None]
 
 
 def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
@@ -231,8 +233,8 @@ class TransitionKernel:
     masses (z source, z cell), and the target cell per source level of the
     deterministic moves, q_idle (self-discharge only), q_limited (limited
     discharge) and g_limited (limited generator mode). The battery and
-    generator blocks depend on the step through the seasonal mean; the
-    solver asks for each once per backward step.
+    generator blocks depend on the step through the seasonal mean;
+    expected_next builds each once per call.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
@@ -293,3 +295,22 @@ class TransitionKernel:
         cols[:, -1] = 2 * n_int + 1
         mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
         return _normalize_rows(mass, (-2, -1), f"generator block n={n}")
+
+    def expected_next(self, n: int, v_next: np.ndarray) -> np.ndarray:
+        """E[v_next(X') | x, a] at step n for every state and action; shape (action, i, j, k).
+
+        v_next is the next value table over linear state ids. Actions with
+        one law share its contraction: overspill and wait, charge and full discharge.
+        """
+        v = v_next.reshape(self.grid.shape)
+        v_idle = v[:, self.q_idle, :]
+        ev = np.empty((len(Action),) + self.grid.shape)
+        ev[[Action.OVERSPILL, Action.WAIT]] = np.tensordot(self.z_block, v_idle, axes=1)
+        ev[Action.DISCHARGE_LIMITED] = np.tensordot(self.z_block, v[:, self.q_limited, :], axes=1)
+        ev[Action.FUEL_LIMITED] = np.tensordot(self.z_block, v_idle[:, :, self.g_limited], axes=1)
+        ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.tensordot(
+            self.battery_block(n), v, axes=([2, 3], [0, 1]))
+        # (z src, g src, q) -> the idle q target of each q source
+        ev_gen = np.tensordot(self.generator_block(n), v, axes=([2, 3], [0, 2]))
+        ev[Action.FUEL_FULL] = ev_gen[:, :, self.q_idle].transpose(0, 2, 1)
+        return ev

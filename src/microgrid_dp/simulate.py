@@ -124,7 +124,7 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
         for idx in path_indices]
     n_paths = len(streams)
     # draws[n, k] is the k-th normal of step n for every path, contiguous
-    draws = np.stack(streams).reshape(n_paths, n_steps, 3).transpose(1, 2, 0).copy()
+    draws = np.array(streams).reshape(n_paths, n_steps, 3).transpose(1, 2, 0).copy()
     out = PathBatch(*(np.empty((n_paths, n_steps), dtype=np.int8 if name == "action" else float)
                       for name in PathBatch._fields))
     mu = cfg.constants.mu

@@ -4,14 +4,11 @@ Each backward step evaluates, for every grid state and feasible action,
 the closed-form expected discounted stage cost plus the expected
 continuation value under the action's transition law, discounted by
 e^(-rho*Delta_N), then takes the canonical-order argmin. A step is array
-code throughout: the feasibility mask (constraints.feasibility_mask) is
-one broadcast over the lattice, the battery and generator probability
-blocks (TransitionKernel) contract against the next value table as one
-matrix product each, the block reshaped to (z src * q src, z cell * q
-cell) (likewise with g) times the value table reshaped to (z * q, g), the
-stage costs are one closed-form call per action over the z axis, and
-infeasible (state, action) pairs are masked to +inf. The steps run one
-after another on one thread.
+code throughout: the stage costs are one closed-form call per action over
+the z axis, the continuation is TransitionKernel.expected_next of the
+next value table, and the feasibility mask (constraints.feasibility_mask)
+is one broadcast over the lattice that sets infeasible (state, action)
+pairs to +inf. The steps run one after another on one thread.
 """
 
 from __future__ import annotations
@@ -83,29 +80,10 @@ def stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
 def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
     """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k)."""
     cfg, grid = kernel.cfg, kernel.grid
-    v1 = v_next.reshape(grid.shape)
-    pz, q_idle, q_lim, g_lim = kernel.z_block, kernel.q_idle, kernel.q_limited, kernel.g_limited
-    b_block, g_block = kernel.battery_block(n), kernel.generator_block(n)
-    mask = feasibility_mask(n, grid, cfg)
-
-    ev = np.empty((len(Action),) + grid.shape)
-    ev_idle = np.tensordot(pz, v1[:, q_idle, :], axes=1)
-    ev[Action.OVERSPILL] = ev_idle
-    ev[Action.WAIT] = ev_idle
-    n_z, n_q, n_g = grid.shape
-    ev_batt = (b_block.reshape(n_z * n_q, -1) @ v1.reshape(n_z * n_q, n_g)).reshape(grid.shape)
-    ev[Action.CHARGE] = ev_batt
-    ev[Action.DISCHARGE_FULL] = ev_batt
-    ev[Action.DISCHARGE_LIMITED] = np.tensordot(pz, v1[:, q_lim, :], axes=1)
-    ev[Action.FUEL_LIMITED] = np.tensordot(pz, v1[:, q_idle, :][:, :, g_lim], axes=1)
-    v1_zgq = v1.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
-    gen_t = (g_block.reshape(n_z * n_g, -1) @ v1_zgq).reshape(n_z, n_g, n_q)
-    ev[Action.FUEL_FULL] = np.transpose(gen_t[:, :, q_idle], (0, 2, 1))
-
     disc = math.exp(-cfg.costs.rho * cfg.dt)
-    stage = stage_cost_rows(n, grid, cfg)
-    q_vals = stage[:, :, None, None] + disc * ev
-    return np.where(mask, q_vals, np.inf)
+    stage = stage_cost_rows(n, grid, cfg)[:, :, None, None]
+    q_vals = stage + disc * kernel.expected_next(n, v_next)
+    return np.where(feasibility_mask(n, grid, cfg), q_vals, np.inf)
 
 
 def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:

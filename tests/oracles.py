@@ -66,7 +66,7 @@ from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.dynamics import NoiseVector, _efficiency, z_law
 from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
-from microgrid_dp.kernel import _CLIP, _bvn_cdf, _normalize_rows
+from microgrid_dp.kernel import _bvn_cdf, _normalize_rows
 from microgrid_dp.solver import _TIE_TOL
 
 
@@ -75,6 +75,10 @@ def state_of(grid: StateGrid, m: int) -> State:
     i, j, k = np.unravel_index(m, grid.shape)
     return State(float(grid.z.points[i]), float(grid.q.points[j]), float(grid.g.points[k]))
 
+
+# Finite stand-in for an infinite standardized edge: the full-lattice
+# references below run Genz's scheme on every edge, and it cannot take +-inf.
+_CLIP = 37.0
 
 # Outer bounds of the bottom and the top cell: z is unbounded, q and g clamp at 0 and 1.
 _OUTER_BOUNDS = {"z": (-math.inf, math.inf), "q": (0.0, 1.0), "g": (0.0, 1.0)}

@@ -337,8 +337,8 @@ def test_path_csvs_across_batches_match_reference_loop(cfg_small, grid_small, sm
 
 def test_csvs_across_format_chunks_match_defaults(cfg_small, grid_small, small_solution,
                                                   tmp_path, monkeypatch):
-    """Formatting three paths or three steps per reprs call (paths 0-2, 3-5, 6;
-    steps 0-2, 3-4) writes the bytes of the default chunks."""
+    """Formatting three paths (0-2, 3-5, 6), three steps (0-2, 3-4) or one
+    step or path per reprs call writes the bytes of the default chunks."""
     values, policy, _ = small_solution
     scenario = m.SCENARIOS["overcast-week"].with_seed(5)
     steps = list(range(cfg_small.discretization.steps_N + 1))
@@ -349,9 +349,9 @@ def test_csvs_across_format_chunks_match_defaults(cfg_small, grid_small, small_s
         return {Path(p).name: Path(p).read_bytes() for p in paths + tables}
 
     default = write(tmp_path / "default")
-    monkeypatch.setattr(cli, "_PATHS_PER_FORMAT", 3)
-    monkeypatch.setattr(cli, "_STEPS_PER_FORMAT", 3)
-    assert write(tmp_path / "chunked") == default
+    for budget in (3 * cfg_small.discretization.steps_N, 3 * grid_small.n_states, 1):
+        monkeypatch.setattr(cli, "_FLOATS_PER_FORMAT", budget)
+        assert write(tmp_path / f"chunked{budget}") == default, budget
     assert len(default) == 7 + len(steps) + 1
 
 

@@ -206,6 +206,17 @@ def test_load_rejects_bad_value_type(tmp_path):
         m.load_config(str(path))
 
 
+def test_load_names_an_integer_key_that_is_not_an_integer(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[discretization]\nsteps_N = 168.0\n")
+    want = r"key 'steps_N' in section \[discretization\] is not an integer: '168.0'"
+    with pytest.raises(m.ConfigError, match=want):
+        m.load_config(str(path))
+    path.write_text("[discretization]\nhorizon_T = 1 week\n")
+    with pytest.raises(m.ConfigError, match="is not a number: '1 week'"):
+        m.load_config(str(path))
+
+
 def test_load_validates_invariants(tmp_path):
     path = tmp_path / "d.ini"
     path.write_text("[discretization]\nN_Z = 16\n")

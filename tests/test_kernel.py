@@ -365,3 +365,31 @@ def test_nan_standardized_edge_fails_the_row_mass_check():
     mass = _lattice_masses(_lattice(std_a, std_b, m.default_config().constants.rho_q))
     with pytest.raises(m.NumericalError, match="row mass deviates from 1 by nan"):
         _normalize_rows(mass, (-2, -1), "battery block n=0")
+
+
+@pytest.mark.parametrize("shape", [(17, 10, 10), (35, 20, 20)])
+def test_expected_next_keeps_a_constant(cfg_table1, shape):
+    """Every row is a probability distribution, so E[c | x, a] = c in every (action, state)."""
+    n_z, n_q, n_g = shape
+    cfg = small_discretization(cfg_table1, steps=168, n_z=n_z, n_q=n_q, n_g=n_g)
+    kern = m.TransitionKernel(cfg, m.build_grid(cfg))
+    const = 123.456
+    for n in (0, 83, 167):
+        ev = kern.expected_next(n, np.full(kern.grid.n_states, const))
+        assert ev.shape == (len(m.Action),) + kern.grid.shape
+        np.testing.assert_allclose(ev, const, rtol=1e-14, atol=0.0)
+
+
+def test_expected_next_matches_the_scalar_rows(cfg_small, grid_small):
+    """E[v(X') | x, a] of a random table against the quadrature row of each action."""
+    kern = m.TransitionKernel(cfg_small, grid_small)
+    v = np.random.default_rng(21).uniform(0.0, 100.0, grid_small.n_states)
+    sources = [grid_small.lin(*idx) for idx in ((0, 0, 0), (2, 1, 2), (3, 2, 1), (5, 3, 3))]
+    for n in (0, 3):
+        ev = kern.expected_next(n, v)
+        for a in m.Action:
+            for source in sources:
+                dense = transition_row(n, source, a, grid_small, cfg_small).as_dense(
+                    grid_small.n_states)
+                got = ev[(a,) + np.unravel_index(source, grid_small.shape)]
+                assert got == pytest.approx(dense @ v, rel=0.0, abs=1e-7), (n, a, source)

@@ -117,6 +117,14 @@ def test_path_records_consistent(cfg_small, grid_small, small_solution):
     np.testing.assert_allclose(batch.cum_cost_eur, cum, rtol=0.0, atol=1e-12)
 
 
+def test_simulate_paths_of_an_empty_batch(cfg_small, grid_small, small_solution):
+    _, policy, _ = small_solution
+    batch = m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, [])
+    assert all(field.shape == (0, cfg_small.discretization.steps_N) for field in batch)
+    assert batch.action.dtype == np.int8
+    assert batch.z.dtype == np.float64
+
+
 @pytest.mark.parametrize("problem", ["table1", "small"])
 def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
     """A batch, its indices out of order and with gaps, holds every path's
