@@ -131,11 +131,13 @@ def calibration_report(cfg: ModelConfig,
                        battery_life_h: float | None = None,
                        max_abs_R: float = 3.0) -> dict:
     """Every calibration output and its inputs, as the dict `calibrate` prints; gamma_deg
-    falls back to the configured value (gamma_deg_source "config") unless both a
-    battery price and a replacement horizon are supplied."""
+    is degradation_cost's given a battery price and a replacement horizon, the configured
+    value (gamma_deg_source "config") given neither; one alone is a ValueError."""
+    if (battery_price is None) != (battery_life_h is None):
+        raise ValueError("battery price and battery life go together: give both or neither")
     eta0 = self_discharge_rate(q_star, q_star_hours)
     c_charge, c_discharge, c_q = battery_capacity(window_charge, window_discharge, p, z1, cfg)
-    if battery_price is not None and battery_life_h is not None:
+    if battery_price is not None:
         gamma = degradation_cost(battery_price, battery_life_h, cfg.costs.rho, max_abs_R)
         gamma_source = "degradation_cost"
     else:

@@ -168,6 +168,9 @@ def _check_options(args, cfg: ModelConfig) -> None:
             value = getattr(args, name)
             if math.isfinite(value) and not 0.0 <= value <= 1.0:
                 errors.append(f"--{name} must lie in [0, 1], got {value}")
+    if args.command == "calibrate" and args.max_abs_r is not None and None in (
+            args.battery_price, args.battery_life):
+        errors.append("--max-abs-r needs --battery-price and --battery-life")
     if args.command in ("simulate", "paper-run"):
         if args.seeds < 1:
             errors.append(f"--seeds must be >= 1, got {args.seeds}")
@@ -352,8 +355,9 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
 _PATHS_PER_BATCH = 256
 
 
-def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) -> list[str]:
-    """Simulate paths 0..seeds-1 in batches and write one CSV per path.
+def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str,
+                       base_seed: int) -> list[str]:
+    """Simulate paths 0..seeds-1 of base_seed in batches and write one CSV per path.
 
     Floats are written by floatfmt.reprs, which yields the bytes of repr of
     each Python float (shortest round trip): one reprs call per column of
@@ -368,7 +372,7 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str) ->
     written = []
     for start in range(0, seeds, _PATHS_PER_BATCH):
         indices = range(start, min(start + _PATHS_PER_BATCH, seeds))
-        batch = simulate_path(policy, scenario, cfg, grid, indices)
+        batch = simulate_path(policy, scenario, cfg, grid, indices, base_seed)
         for sub in range(0, len(indices), per_call):
             rows = slice(sub, sub + per_call)
             columns = [reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
@@ -432,8 +436,8 @@ def _run(args) -> int:
     if args.command == "simulate":
         _check_policy_config(args.policy, cfg)
         policy = _load_tables(args.policy, cfg, grid)
-        scenario = SCENARIOS[args.scenario].with_seed(args.base_seed)
-        outputs = _simulate_scenario(cfg, grid, policy, scenario, args.seeds, args.out)
+        outputs = _simulate_scenario(cfg, grid, policy, SCENARIOS[args.scenario], args.seeds,
+                                     args.out, args.base_seed)
         _write_manifest(args.out, cfg, args.base_seed, outputs)
         print(f"wrote {len(outputs)} path file(s) -> {args.out}")
         return 0
@@ -441,9 +445,8 @@ def _run(args) -> int:
     if args.command == "paper-run":
         policy, outputs = _solve_and_export(cfg, grid, _default_export_steps(cfg), args.out)
         for name in ("sunny-start", "overcast-break", "sunny-finish", "overcast-week"):
-            scenario = SCENARIOS[name].with_seed(args.base_seed)
-            outputs.extend(_simulate_scenario(cfg, grid, policy, scenario,
-                                              args.seeds, args.out))
+            outputs.extend(_simulate_scenario(cfg, grid, policy, SCENARIOS[name],
+                                              args.seeds, args.out, args.base_seed))
         _write_manifest(args.out, cfg, args.base_seed, outputs)
         print(f"pipeline complete: {len(outputs)} file(s) -> {args.out}")
         return 0

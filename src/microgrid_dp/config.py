@@ -328,7 +328,7 @@ def load_config(path: str) -> ModelConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         # items() interpolates, so a stray '%' fails here, not in read_file
         contents = [(section, parser.items(section)) for section in parser.sections()]

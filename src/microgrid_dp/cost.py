@@ -66,19 +66,18 @@ def terminal_cost(x: State, cfg: ModelConfig) -> float:
     Recharging the battery up to the contractual level q_ref is penalized
     at gamma_pen_Q per kWh of grid-side energy (accounting for charging
     losses); SoC above q_ref and leftover fuel are liquidated. x.q and x.g
-    may be floats or arrays that broadcast: the battery part takes one
-    tanh-sinh integral per q, all in one call of the rule, and the fuel
-    part is linear in g. A float for float q and g.
+    may be floats or arrays that broadcast: each battery integral is one
+    call of the tanh-sinh rule over all q, and the fuel part is linear in
+    g. A float for float q and g. Both integrals always run (a zero
+    coefficient adds +0.0). q must lie in [0, 1], as on the grid: above 1,
+    a non-integer m_D makes the liquidation integrand NaN.
     """
     c, bat = cfg.costs, cfg.battery
     q = np.asarray(x.q, dtype=float)
-    cost = np.zeros(q.shape)
     # an empty interval integrates to 0: no shortfall above q_ref, no surplus below it
-    if c.gamma_pen_Q > 0.0:
-        shortfall = tanh_sinh(lambda v: 1.0 / eta_charge(v, bat), np.minimum(q, c.q_ref), c.q_ref)
-        cost += c.gamma_pen_Q * bat.capacity_CQ * shortfall
-    if c.gamma_liq_Q > 0.0:
-        surplus = tanh_sinh(lambda v: eta_discharge(v, bat), c.q_ref, np.maximum(q, c.q_ref))
-        cost -= c.gamma_liq_Q * bat.capacity_CQ * surplus
-    cost = cost - c.gamma_liq_G * cfg.generator.capacity_CG * np.asarray(x.g, dtype=float)
+    shortfall = tanh_sinh(lambda v: 1.0 / eta_charge(v, bat), np.minimum(q, c.q_ref), c.q_ref)
+    surplus = tanh_sinh(lambda v: eta_discharge(v, bat), c.q_ref, np.maximum(q, c.q_ref))
+    cost = (c.gamma_pen_Q * bat.capacity_CQ * shortfall
+            - c.gamma_liq_Q * bat.capacity_CQ * surplus
+            - c.gamma_liq_G * cfg.generator.capacity_CG * np.asarray(x.g, dtype=float))
     return cost if cost.ndim else float(cost)

@@ -107,9 +107,8 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fix = ((p < 1e16) | ((p == 1e16) & (e < 0))).astype(np.int64) \
         - ((p > 1e17) | ((p == 1e17) & (e >= 0)))
     off = np.flatnonzero(fix)
-    if off.size:
-        k[off] += fix[off]
-        p[off], e[off] = _scaled(x[off], k[off])
+    k[off] += fix[off]
+    p[off], e[off] = _scaled(x[off], k[off])
     r = np.rint(e)
     f = e - r
     d17 = p.astype(np.int64) + r.astype(np.int64)

@@ -5,7 +5,7 @@ error); scenarios tilt the weather by adding a bounded per-day offset to
 the mean of the Z innovation (negative = favorable surplus, positive =
 adverse demand). Every path owns an independent, reproducible generator
 stream: default_rng(SeedSequence(entropy=base_seed, spawn_key=(scenario id,
-path index))).
+path index))); all three are arguments of simulate_paths.
 
 simulate_paths is the one simulator: it advances a batch of paths
 together, one array step per time step, and returns their columns as a
@@ -15,7 +15,7 @@ PathBatch; one path is the batch of one index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,6 @@ class Scenario:
     name: str
     sid: int
     day_offsets: tuple[float, ...]
-    base_seed: int = 0
 
     def __post_init__(self):
         if any(not math.isfinite(o) or abs(o) > _MAX_OFFSET for o in self.day_offsets):
@@ -56,9 +55,6 @@ class Scenario:
             return 0.0
         day = min(int(t_hours // 24.0), len(self.day_offsets) - 1)
         return self.day_offsets[day]
-
-    def with_seed(self, base_seed: int) -> "Scenario":
-        return replace(self, base_seed=base_seed)
 
 
 SCENARIOS = {
@@ -96,7 +92,7 @@ class PathBatch(NamedTuple):
 
 
 def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
-                   grid: StateGrid, path_indices,
+                   grid: StateGrid, path_indices, base_seed: int = 0,
                    initial_state: State | None = None) -> PathBatch:
     """Simulate the 0..N paths of path_indices together, one array step per time step.
 
@@ -120,7 +116,7 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     """
     n_steps = cfg.discretization.steps_N
     streams = [np.random.default_rng(np.random.SeedSequence(
-        entropy=scenario.base_seed, spawn_key=(scenario.sid, idx))).standard_normal(3 * n_steps)
+        entropy=base_seed, spawn_key=(scenario.sid, idx))).standard_normal(3 * n_steps)
         for idx in path_indices]
     n_paths = len(streams)
     # draws[n, k] is the k-th normal of step n for every path, contiguous

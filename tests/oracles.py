@@ -568,7 +568,7 @@ class PathRecord(NamedTuple):
 
 
 def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
-                   grid: StateGrid, path_index: int = 0,
+                   grid: StateGrid, path_index: int = 0, base_seed: int = 0,
                    initial_state: State | None = None) -> list[PathRecord]:
     """Path path_index of simulate_paths as a per-step loop over the public scalar API.
 
@@ -579,8 +579,7 @@ def reference_path(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     index bit for bit: record n's z, r, q, g, action code, stage and
     cumulative cost are column n of the row.
     """
-    seq = np.random.SeedSequence(entropy=scenario.base_seed,
-                                 spawn_key=(scenario.sid, path_index))
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(scenario.sid, path_index))
     rng = np.random.default_rng(seq)
     x = initial_state if initial_state is not None else default_initial_state(grid)
     records: list[PathRecord] = []

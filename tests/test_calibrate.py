@@ -149,6 +149,14 @@ def test_calibration_report_priced_battery(cfg_table1):
     assert d["inputs"]["battery_price_eur"] == 6000.0
 
 
+@pytest.mark.parametrize("given", [{"battery_price": 6000.0}, {"battery_life_h": 20_000.0}])
+def test_calibration_report_refuses_half_a_priced_battery(cfg_table1, given):
+    """A price without a horizon (or the reverse) cannot price the battery;
+    it is an error, not a silent fall-back to the configured gamma_deg."""
+    with pytest.raises(ValueError, match="go together: give both or neither"):
+        calibration_report(cfg_table1, **given)
+
+
 def test_confidence_quantile_matches_ndtri():
     """The standard library's normal quantile, which battery_capacity uses,
     against scipy's ndtri over (0.5, 1): within 2e-15 per unit of

@@ -152,10 +152,17 @@ def test_calibrate_bad_window(small_ini, capsys):
     ["--discharge-window", "18,x"],
     ["--charge-window", "6,6"],
     ["--q-star", "2"],
+    # the degradation options price the battery only together: alone they
+    # are refused, not ignored with gamma_deg taken from the config
+    ["--battery-price", "5000"],
+    ["--battery-life", "20000"],
+    ["--max-abs-r", "2"],
+    ["--max-abs-r", "2", "--battery-price", "5000"],
 ])
 def test_calibrate_bad_inputs_are_one_line_usage_errors(small_ini, argv, capsys):
     assert cli.main(["calibrate", small_ini, *argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -306,9 +313,10 @@ def test_step_csvs_match_row_writer(problem, request, tmp_path):
 def test_path_csvs_match_row_writer(problem, request, tmp_path):
     cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
     _, policy, _ = request.getfixturevalue(f"{problem}_solution")
-    scenario = m.SCENARIOS["overcast-break"].with_seed(3)
-    written = cli._simulate_scenario(cfg, grid, policy, scenario, 3, str(tmp_path / "out"))
-    batch = m.simulate_paths(policy, scenario, cfg, grid, range(3))
+    scenario = m.SCENARIOS["overcast-break"]
+    written = cli._simulate_scenario(cfg, grid, policy, scenario, 3, str(tmp_path / "out"),
+                                     base_seed=3)
+    batch = m.simulate_paths(policy, scenario, cfg, grid, range(3), base_seed=3)
     steps = range(cfg.discretization.steps_N)
     for idx, path in enumerate(written):
         ref = tmp_path / f"ref{idx}.csv"
@@ -323,15 +331,16 @@ def test_path_csvs_across_batches_match_reference_loop(cfg_small, grid_small, sm
     reference loop's paths byte for byte."""
     _, policy, _ = small_solution
     monkeypatch.setattr(cli, "_PATHS_PER_BATCH", 3)
-    scenario = m.SCENARIOS["sunny-finish"].with_seed(2)
+    scenario = m.SCENARIOS["sunny-finish"]
     written = cli._simulate_scenario(cfg_small, grid_small, policy, scenario, 7,
-                                     str(tmp_path / "out"))
+                                     str(tmp_path / "out"), base_seed=2)
     assert [Path(p).name for p in written] == [f"path_sunny-finish_seed{idx:03d}.csv"
                                                for idx in range(7)]
     for idx, path in enumerate(written):
         ref = tmp_path / f"ref{idx}.csv"
         write_paths_csv_reference(
-            reference_path(policy, scenario, cfg_small, grid_small, path_index=idx), str(ref))
+            reference_path(policy, scenario, cfg_small, grid_small, path_index=idx, base_seed=2),
+            str(ref))
         assert Path(path).read_bytes() == ref.read_bytes(), idx
 
 
@@ -340,11 +349,12 @@ def test_csvs_across_format_chunks_match_defaults(cfg_small, grid_small, small_s
     """Formatting three paths (0-2, 3-5, 6), three steps (0-2, 3-4) or one
     step or path per reprs call writes the bytes of the default chunks."""
     values, policy, _ = small_solution
-    scenario = m.SCENARIOS["overcast-week"].with_seed(5)
+    scenario = m.SCENARIOS["overcast-week"]
     steps = list(range(cfg_small.discretization.steps_N + 1))
 
     def write(out):
-        paths = cli._simulate_scenario(cfg_small, grid_small, policy, scenario, 7, str(out))
+        paths = cli._simulate_scenario(cfg_small, grid_small, policy, scenario, 7, str(out),
+                                       base_seed=5)
         tables = cli.export_value_policy((values, policy), grid_small, steps, str(out), cfg_small)
         return {Path(p).name: Path(p).read_bytes() for p in paths + tables}
 
@@ -375,8 +385,8 @@ def test_table1_path_bytes_match_earlier_versions(cfg_table1, grid_table1, table
     _, policy, _ = table1_solution
     out = tmp_path / "paths"
     for name in sorted(m.SCENARIOS):
-        cli._simulate_scenario(cfg_table1, grid_table1, policy,
-                               m.SCENARIOS[name].with_seed(0), 200, str(out))
+        cli._simulate_scenario(cfg_table1, grid_table1, policy, m.SCENARIOS[name], 200,
+                               str(out), base_seed=0)
     files = sorted(out.iterdir())
     assert len(files) == 1000
     digest = hashlib.sha256()

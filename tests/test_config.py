@@ -179,6 +179,15 @@ def test_bundled_table1_config_matches_defaults():
     assert loaded == m.default_config()
 
 
+def test_load_skips_a_utf8_byte_order_mark(tmp_path, cfg_small):
+    """A config saved with a leading BOM (as some Windows editors write it)
+    loads as the same config as the file without it."""
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(m.dump_config(cfg_small), encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert m.load_config(str(bom)) == m.load_config(str(plain)) == cfg_small
+
+
 def test_load_partial_file_fills_defaults(tmp_path):
     path = tmp_path / "partial.ini"
     path.write_text("[discretization]\nsteps_N = 12\nhorizon_T = 12.0\n")

@@ -1,6 +1,7 @@
 """Transition kernel: rectangle masses, blocks, scalar rows, and route agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,24 @@ def test_banded_lattice_matches_full_lattice_at_band_edges(rho):
     ref = full_lattice_rect_masses(std_a, std_b, rho)
     assert got.shape == ref.shape == (4, 4, 8, 7)
     assert np.abs(got - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.84, 0.95, -0.985])
+def test_lattice_without_band_points_takes_the_closed_forms(rho):
+    """No lattice point has both edges inside |std| < 9: every point is 0,
+    the univariate CDF of one edge, or 1, exactly, and Genz's scheme runs
+    on an empty batch without a warning."""
+    std_a = np.array([-30.0, -9.0, 2.0, 9.0, 12.0])
+    std_b = np.array([-12.0, 9.0, 40.0])
+    cdf_a, cdf_b = pkg_ndtr(std_a), pkg_ndtr(std_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _cdf_lattice(std_a, std_b, rho, cdf_a, cdf_b)
+    want = np.zeros((7, 5))
+    want[1:-1, 2:4] = cdf_a[:, None]  # b >= 9: P(X <= a)
+    want[4:6, 1:-1] = cdf_b           # a >= 9: P(Y <= b), taken first
+    want[1:-1, -1], want[-1, 1:-1], want[-1, -1] = cdf_a, cdf_b, 1.0
+    assert np.array_equal(got, want)
 
 
 def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):

@@ -33,13 +33,6 @@ def test_scenario_offset_day_mapping():
     assert m.Scenario("empty", 9, ()).offset_at(5.0) == 0.0
 
 
-def test_scenario_with_seed():
-    s = m.SCENARIOS["neutral"]
-    s2 = s.with_seed(42)
-    assert s2.base_seed == 42 and s.base_seed == 0
-    assert s2.name == s.name and s2.sid == s.sid
-
-
 def test_named_scenarios_catalog():
     assert set(m.SCENARIOS) == {"neutral", "sunny-start", "overcast-break",
                                 "sunny-finish", "overcast-week"}
@@ -98,7 +91,7 @@ def test_simulate_path_reproducible(cfg_small, grid_small, small_solution):
     assert _same(p1, p2)
     p3 = m.simulate_paths(policy, s, cfg_small, grid_small, [4])
     assert not _same(p1, p3)
-    p4 = m.simulate_paths(policy, s.with_seed(1), cfg_small, grid_small, [3])
+    p4 = m.simulate_paths(policy, s, cfg_small, grid_small, [3], base_seed=1)
     assert not _same(p1, p4)
 
 
@@ -134,23 +127,24 @@ def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
     cfg, grid = (request.getfixturevalue(f"{name}_{problem}") for name in ("cfg", "grid"))
     _, policy, _ = request.getfixturevalue(f"{problem}_solution")
     indices = [7, 0, 199, 3, 1, 42]
-    cases = [(scenario, None) for scenario in m.SCENARIOS.values()]
-    cases += [(m.SCENARIOS[name].with_seed(seed), x0)
+    cases = [(scenario, 0, None) for scenario in m.SCENARIOS.values()]
+    cases += [(m.SCENARIOS[name], seed, x0)
               for name, seed, x0 in (("sunny-start", 5, None),
                                      ("sunny-start", 5, m.State(-0.4, 0.35, 0.6)),
                                      ("overcast-break", 11, m.State(-0.4, 0.35, 0.6)),
                                      ("sunny-finish", 0, m.State(0.9, 0.0, 0.05)))]
-    for scenario, x0 in cases:
-        batch = m.simulate_paths(policy, scenario, cfg, grid, indices, initial_state=x0)
+    for scenario, seed, x0 in cases:
+        batch = m.simulate_paths(policy, scenario, cfg, grid, indices, base_seed=seed,
+                                 initial_state=x0)
         assert batch.action.dtype == np.int8
         for row, idx in enumerate(indices):
             got = list(zip(*(field[row].tolist() for field in batch)))
             want = [(rec.z, rec.r, rec.q, rec.g, int(rec.action), rec.stage_cost_eur,
                      rec.cum_cost_eur)
                     for rec in reference_path(policy, scenario, cfg, grid, path_index=idx,
-                                              initial_state=x0)]
+                                              base_seed=seed, initial_state=x0)]
             # repr of a float is its shortest round trip, so equal reprs are equal bits
-            assert repr(got) == repr(want), (scenario.name, scenario.base_seed, x0, idx)
+            assert repr(got) == repr(want), (scenario.name, seed, x0, idx)
 
 
 @pytest.mark.parametrize("axis", ["z", "q", "g"])
