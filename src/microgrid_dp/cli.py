@@ -1,15 +1,20 @@
 """Command-line surface: validate, calibrate, moments, solve, simulate, paper-run.
 
 Exit codes: 0 success, 1 configuration/usage failure, 2 I/O failure,
-3 numerical failure, each with a one-line message on stderr. All numeric
-exports use shortest round-trip float formatting so identical inputs
-yield byte-identical CSV files: both CSV writers format every float with
-floatfmt.reprs, whose bytes are those of repr of the Python float. Its
-array fast path covers 1e-4 <= |x| < 1e15; +-0.0 is written directly and
-every other value goes to repr itself. `simulate` and `paper-run`
-simulate the paths of a scenario in batches of _PATHS_PER_BATCH
-(simulate_paths). Both writers format about _FLOATS_PER_FORMAT floats per
-call: the paths of a column, or the steps of the value export.
+3 numerical failure. main prints the one stderr line of every failure:
+argparse errors raise ConfigError (no usage text), numpy's floating-point
+warnings are silenced while a command runs, and a non-finite field of the
+moments or calibrate JSON is a NumericalError.
+
+All numeric exports use shortest round-trip float formatting so
+identical inputs yield byte-identical CSV files: both CSV writers format
+every float with floatfmt.reprs, whose bytes are those of repr of the
+Python float. Its array fast path covers 1e-4 <= |x| < 1e15; +-0.0 is
+written directly and every other value goes to repr itself. `simulate`
+and `paper-run` simulate the paths of a scenario in batches of
+_PATHS_PER_BATCH (simulate_paths). Both writers format about
+_FLOATS_PER_FORMAT floats per call: the paths of a column, or the steps
+of the value export.
 Every output file is opened by _overwrite, which overwrites an existing
 file in place and then truncates it to the new length. A write that
 fails still exits 2 and leaves that file invalid. A re-run into a used
@@ -44,16 +49,15 @@ from .grid import StateGrid, build_grid
 from .kernel import NumericalError
 # The batch simulator under the name perfbench/tracing.py times (cli.simulate_path).
 from .simulate import SCENARIOS, simulate_paths as simulate_path
-from .solver import PolicyTable, ValueTable, solve, stage_cost_rows
+from .solver import PolicyTable, ValueTable, solve, stage_cost_rows, terminal_values
 
 __all__ = ["export_value_policy", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are usage/validation failures: exit 1, not argparse's 2."""
+    """Argument errors are usage failures: main's one line and exit 1, not argparse's 2."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         raise ConfigError([message])
 
 
@@ -388,17 +392,27 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str,
     return written
 
 
+def _print_json(command: str, report: dict, sort_keys: bool = False) -> None:
+    """Print report as indented JSON; a non-finite field is a numerical failure."""
+    bad = [k for k, v in report.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NumericalError(f"{command}: non-finite {', '.join(bad)}")
+    print(json.dumps(report, indent=2, sort_keys=sort_keys, allow_nan=False))
+
+
 def _run(args) -> int:
     cfg = load_config(args.config)
     _check_options(args, cfg)
 
     if args.command == "validate":
         # Exit 3 where solve would: constants that cannot be formed, or a
-        # stage cost that overflows or is not finite.
+        # stage cost or terminal value that overflows or is not finite.
         grid = build_grid(cfg)
         for n in range(cfg.discretization.steps_N):
             if not np.isfinite(stage_cost_rows(n, grid, cfg)).all():
                 raise NumericalError(f"stage cost at step {n} is not finite")
+        if not np.isfinite(terminal_values(cfg, grid)).all():
+            raise NumericalError("terminal value is not finite")
         print(f"configuration valid (hash {config_hash(cfg)[:16]})")
         return 0
 
@@ -415,13 +429,13 @@ def _run(args) -> int:
             report = calibration_report(cfg, **{k: v for k, v in options.items() if v is not None})
         except ValueError as exc:  # out-of-range calibration inputs
             raise ConfigError([str(exc)]) from None
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json("calibrate", report, sort_keys=True)
         return 0
 
     if args.command == "moments":
         mom = transition_moments(args.n, State(args.z, args.q, args.g),
                                  ACTION_BY_LABEL[args.action], cfg)
-        print(json.dumps(dataclasses.asdict(mom), indent=2))
+        _print_json("moments", dataclasses.asdict(mom))
         return 0
 
     grid = build_grid(cfg)
@@ -457,23 +471,20 @@ def _run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        with np.errstate(all="ignore"):  # a failure reports once, below, not as a warning
+            return _run(parser.parse_args(argv))
     except ConfigError as exc:
-        print(f"error: {'; '.join(exc.errors)}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {'; '.join(exc.errors)}"
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"I/O error: {exc}"
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numerical error: {exc}"
     except MemoryError as exc:  # no size limit on N_Z/N_Q/N_G: the blocks may not fit
-        print(f"numerical error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numerical error: out of memory: {str(exc) or 'allocation failed'}"
     except OverflowError as exc:  # scalar float arithmetic on huge but finite parameters
-        print(f"numerical error: float overflow: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numerical error: float overflow: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ so the probability of landing in a grid cell is a normal rectangle mass:
 Mass overshooting the physical q/g box accumulates in the boundary cells;
 the z boundary cells own the (-inf, .] and (., +inf) tails. The Dirac
 axes need no probabilities: their target cells are step-free maps per
-source level, taken once per kernel from the deterministic branches of
-dynamics.q_moments/g_moments.
+source level, taken once per kernel: grid.cell_of of the next levels
+that the deterministic branches of dynamics.q_moments/g_moments give.
+cell_of puts a level below 0 or above 1 in its boundary cell.
 
 TransitionKernel.expected_next(n, v) applies the chain to a value table v:
 one np.tensordot per gathered table, the z block (z src, z cell) against v
@@ -65,7 +66,7 @@ from .config import Action, ModelConfig
 from .dynamics import NDTR_BAND as _BAND
 from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
                        z_law)
-from .grid import StateGrid, cell_of, clamp01
+from .grid import StateGrid, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel"]
 
@@ -247,13 +248,13 @@ class TransitionKernel:
         mass = np.clip(np.diff(self._z_cdf, axis=-1, prepend=0.0, append=1.0), 0.0, None)
         self.z_block = _normalize_rows(mass, (-1,), "z rows")
         # The deterministic branches of the moment laws ignore z; n = 0 is any step.
-        # A target is the cell of the next level clamped to the physical box.
+        # cell_of puts a next level below 0 or above 1 in its boundary cell.
         q, g = grid.q.points, grid.g.points
         idle, limited = (q_moments(0, 0.0, q, a, cfg)[0]
                          for a in (Action.WAIT, Action.DISCHARGE_LIMITED))
-        self.q_idle = cell_of(clamp01(idle), grid.q)
-        self.q_limited = cell_of(clamp01(limited), grid.q)
-        self.g_limited = cell_of(clamp01(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0]), grid.g)
+        self.q_idle = cell_of(idle, grid.q)
+        self.q_limited = cell_of(limited, grid.q)
+        self.g_limited = cell_of(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.

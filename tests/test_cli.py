@@ -103,13 +103,48 @@ def test_non_finite_field_is_reported_once(tmp_path, section, key, value, capsys
     assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {float(value)}\n"
 
 
-def test_usage_errors_exit_1(small_ini, capsys):
-    assert cli.main(["frobnicate", small_ini]) == 1
-    assert cli.main(["solve", small_ini, "--bogus-flag"]) == 1
-    assert cli.main([]) == 1
-    assert cli.main(["simulate", small_ini, "--policy", "x", "--scenario",
-                     "martian-dust", "--out", "y"]) == 1
-    capsys.readouterr()
+# (argv, config override, exit code) per CLI failure: CFG is the small
+# config with the override's one key replaced, OUT a fresh output directory.
+_FAILURES = {
+    "no-arguments": ([], None, 1),
+    "unknown-subcommand": (["frobnicate", "CFG"], None, 1),
+    "unknown-flag": (["solve", "CFG", "--bogus-flag"], None, 1),
+    "simulate-without-policy": (["simulate", "CFG", "--scenario", "neutral", "--out", "OUT"],
+                                None, 1),
+    "unknown-scenario": (["simulate", "CFG", "--policy", "x", "--scenario", "martian-dust",
+                          "--out", "OUT"], None, 1),
+    "seeds-not-an-int": (["simulate", "CFG", "--policy", "x", "--scenario", "neutral",
+                          "--seeds", "x", "--out", "OUT"], None, 1),
+    "confidence-not-a-float": (["calibrate", "CFG", "--confidence", "abc"], None, 1),
+    "validate-stage-cost-overflow": (["validate", "CFG"], ("k0", "1e308"), 3),
+    "solve-stage-cost-overflow": (["solve", "CFG", "--out", "OUT"], ("k0", "1e308"), 3),
+    "moments-infinite-variance": (["moments", "CFG", "--n", "0", "--z", "0", "--q", "0.5",
+                                   "--g", "0.5", "--action", "charge"],
+                                  ("capacity_CQ", "1e-300"), 3),
+    "calibrate-infinite-capacity": (["calibrate", "CFG", "--z1", "1e308"], None, 3),
+    "calibrate-infinite-eta0": (["calibrate", "CFG", "--q-star-hours", "1e-320"], None, 3),
+    "validate-terminal-battery-overflow": (["validate", "CFG"], ("gamma_pen_Q", "1e308"), 3),
+    "validate-terminal-fuel-overflow": (["validate", "CFG"], ("gamma_liq_G", "1e308"), 3),
+}
+
+
+@pytest.mark.parametrize("argv,override,code", list(_FAILURES.values()), ids=list(_FAILURES))
+def test_usage_errors_exit_1(tmp_path, small_ini, argv, override, code, capsys):
+    """Every failure exits with its code and one stderr line: no usage text, no warning."""
+    ini = small_ini
+    if override is not None:
+        key, value = override
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", Path(small_ini).read_text(),
+                              flags=re.M)
+        assert count == 1
+        ini = tmp_path / "override.ini"
+        ini.write_text(text)
+    argv = [{"CFG": str(ini), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith({1: "error: ", 3: "numerical error: "}[code]) and err.count("\n") == 1
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_version_flag(capsys):
