@@ -35,13 +35,13 @@ so most standardized edges lie far out in a tail: on table1, 78-79 % of
 the battery's q edges and 95-97 % of the generator's g offsets lie beyond
 |9|. Genz's scheme therefore runs only at lattice points whose two
 standardized edges both lie in the band |std| < T = 9 (_BAND, the band of
-dynamics.ndtr, outside which the univariate CDF is exactly 0 or 1).
-Outside it the CDF takes its closed form: the univariate CDF of one
+dynamics.ndtr, outside which the univariate CDF is exactly 0 or 1), as one
+dense slab whose rows are the columns of the in-band edges of the second
+axis. Outside it the CDF takes its closed form: the univariate CDF of one
 coordinate where the other edge is >= T, else 0. Each is off by at most
 Phi(-9) = 1.1e-19, below half an ulp of 1 (2^-53 = 1.1e-16), so the band
-costs less than the rounding of the scheme itself. The rows and columns
-of the infinite tail edges take their exact closed forms (0, the
-univariate CDF, 1).
+costs less than the rounding of the scheme itself. The infinite tail edges
+take their exact closed forms (0, the univariate CDF, 1).
 
 The univariate CDFs of the edges are computed once per edge and read
 everywhere: by the closed forms, by the tail rows and columns, and by
@@ -52,8 +52,9 @@ each kernel computes them once for the z block and both bivariate blocks.
 The generator block also uses an exact structure of its law,
 G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
 every standardized g edge is a shared offset (edge_f - point_k) shifted by
-burn(z_i), so one CDF lattice per z source serves all g sources, each
-reading its window at f - k.
+burn(z_i), so one CDF lattice per z source serves all g sources. Its g
+differences (lower tail, consecutive offsets, upper tail) are stacked and
+z-differenced once, and each g source reads its window of them at f - k.
 """
 
 from __future__ import annotations
@@ -191,22 +192,28 @@ def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
     std_a (..., NA) and std_b (..., NB) are standardized interior edges,
     and cdf_a, cdf_b their univariate CDFs ndtr(std_a), ndtr(std_b).
     Genz's scheme runs only at lattice points where both edges lie inside
-    the band |std| < _BAND, and reads the CDFs gathered there; elsewhere
-    the CDF takes its closed form to within Phi(-_BAND): cdf_b where
-    std_a >= _BAND, else cdf_a where std_b >= _BAND, else 0 (an edge is
-    <= -_BAND). The closed forms are taken on the edge arrays and
-    broadcast; a lattice with no point in the band passes the scheme an
-    empty batch. The tail edges are exact: a -inf edge gives 0, a +inf edge
-    the univariate CDF of the other coordinate, (+inf, +inf) gives 1.
+    the band |std| < _BAND; elsewhere the CDF takes its closed form to
+    within Phi(-_BAND): cdf_b where std_a >= _BAND, else cdf_a where
+    std_b >= _BAND, else 0. At an out-of-band b edge that is the b axis's
+    form alone (cdf_b is then 0 or 1, as cdf_a is at std_a >= _BAND), which
+    fills the interior. Each in-band b edge's column over the NA a edges is
+    a row of one dense (columns, NA) slab: Genz at in-band a, cdf_b at
+    a >= _BAND, else 0. The tail edges are exact: -inf gives 0, +inf the
+    other coordinate's CDF, (+inf, +inf) gives 1.
     """
-    a, b = std_a[..., :, None], std_b[..., None, :]
-    ca, cb = cdf_a[..., :, None], cdf_b[..., None, :]
-    inner = np.where(a >= _BAND, cb, np.where(b >= _BAND, ca, 0.0))
-    band = (np.abs(a) < _BAND) & (np.abs(b) < _BAND)
-    a, b, ca, cb = np.broadcast_arrays(a, b, ca, cb)
-    inner[band] = _bvn_cdf(a[band], b[band], rho, ca[band], cb[band])
-    cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
-    cdf[..., 1:-1, 1:-1] = inner
+    lead = np.broadcast_shapes(std_a.shape[:-1], std_b.shape[:-1])
+    n_a, n_b = std_a.shape[-1], std_b.shape[-1]
+    a, ca, b, cb = (np.broadcast_to(v, lead + v.shape[-1:]).reshape(-1, v.shape[-1])  # per source
+                    for v in (std_a, cdf_a, std_b, cdf_b))
+    src, col = np.nonzero(np.abs(b) < _BAND)
+    a, ca, b, cb = a[src], ca[src], b[src, col], cb[src, col]
+    slab = np.where(a >= _BAND, cb[:, None], 0.0)
+    band = np.flatnonzero(np.abs(a) < _BAND)
+    row = band // n_a
+    slab.ravel()[band] = _bvn_cdf(a.ravel()[band], b[row], rho, ca.ravel()[band], cb[row])
+    cdf = np.zeros(lead + (n_a + 2, n_b + 2))
+    np.copyto(cdf[..., 1:-1, 1:-1], cdf_a[..., :, None], where=std_b[..., None, :] >= _BAND)
+    cdf.reshape(-1, n_a + 2, n_b + 2)[src, 1:-1, col + 1] = slab
     cdf[..., 1:-1, -1] = cdf_a
     cdf[..., -1, 1:-1] = cdf_b
     cdf[..., -1, -1] = 1.0
@@ -255,6 +262,10 @@ class TransitionKernel:
         self.q_idle = cell_of(idle, grid.q)
         self.q_limited = cell_of(limited, grid.q)
         self.g_limited = cell_of(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
+        # Window of g source k into generator_block's stacked g differences
+        # at padded offset p: lower tail p - 1, consecutive N_G + p, upper tail 2 N_G + p.
+        n_g = grid.g.edges.size
+        self._g_window = np.r_[n_g, 2 * n_g + np.arange(1, n_g), 4 * n_g] - np.arange(n_g + 1)[:, None]
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
@@ -278,7 +289,9 @@ class TransitionKernel:
         two axes. The standardized g edge f of source (i, k) is
         (edge_f - point_k + burn_i) / sd_g, and edge_f - point_k depends on
         f - k only, so each z source needs one CDF lattice over the 2 N_G
-        shared offsets; g source k reads the window of offsets f - k.
+        shared offsets. Each g difference of a source is a lower tail, two
+        consecutive offsets or an upper tail of that lattice; all three kinds
+        are z-differenced once, and source k reads its window via _g_window.
         """
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
@@ -288,13 +301,10 @@ class TransitionKernel:
         std_g = _std_edges(offsets, -burn, sd_g)
         # (z src, z edge, offset)
         cdf = _cdf_lattice(self._z_std, std_g, self.cfg.constants.rho_g, self._z_cdf, ndtr(std_g))
-        # Padded column of interior edge f (column f + 1) for source k is
-        # f - k + N_G + 1; the two tail columns are shared by every source.
-        cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int
-        cols[:, 0] = 0
-        cols[:, -1] = 2 * n_int + 1
-        mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
-        return _normalize_rows(mass, (-2, -1), f"generator block n={n}")
+        diffs = np.concatenate((cdf[..., 1:n_int + 2] - cdf[..., :1], np.diff(cdf[..., 1:-1]),
+                                cdf[..., -1:] - cdf[..., n_int:-1]), axis=-1)
+        mass = np.clip(np.diff(diffs, axis=-2), 0.0, None)[:, :, self._g_window]
+        return _normalize_rows(mass.transpose(0, 2, 1, 3), (-2, -1), f"generator block n={n}")
 
     def expected_next(self, n: int, v_next: np.ndarray) -> np.ndarray:
         """E[v_next(X') | x, a] at step n for every state and action; shape (action, i, j, k).

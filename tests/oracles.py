@@ -26,6 +26,12 @@ row-at-a-time f-string writers. The full-lattice block forms evaluate
 the bivariate CDF on every edge of every source, tails as +-37, with
 scipy's ndtr for the marginals: the reference for the kernel's
 closed-form tail edges and its one generator lattice per z source.
+dense_cdf_lattice evaluates the kernel's banded CDF lattice through one
+boolean band mask over the whole broadcast lattice, and dense_battery_block
+and dense_generator_block build both blocks on it, the generator block by
+gathering and differencing each g source's window of the offset lattice:
+the references, bit for bit, for the kernel's column slabs and its
+differences of the offset lattice.
 neighborhood gives the (lo, hi] cell of a grid point, the reference for
 cell_of, and state_of(grid, m) the grid-point state of a linear state
 id, the inverse of grid.lin.
@@ -63,10 +69,12 @@ from microgrid_dp import (
     transition_operator,
 )
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.dynamics import NoiseVector, _efficiency, z_law
+from microgrid_dp.dynamics import (NDTR_BAND, NoiseVector, _efficiency, battery_law, generator_law,
+                                   z_law)
+from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
-from microgrid_dp.kernel import _bvn_cdf, _normalize_rows
+from microgrid_dp.kernel import _bvn_cdf, _lattice_masses, _normalize_rows, _std_edges
 from microgrid_dp.solver import _TIE_TOL
 
 
@@ -733,6 +741,63 @@ def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.
     mass = full_lattice_rect_masses(np.clip(std_z, -_CLIP, _CLIP),
                                     np.clip(std_g, -_CLIP, _CLIP), rho)
     return _normalize_rows(mass, (-2, -1), f"reference generator block n={n}")
+
+
+def dense_cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
+                      cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
+    """kernel._cdf_lattice's contract on a dense boolean band mask: shape (..., NA + 2, NB + 2).
+
+    The closed forms (cdf_b where std_a >= NDTR_BAND, else cdf_a where
+    std_b >= NDTR_BAND, else 0) are taken on the whole (..., NA, NB)
+    lattice; Genz's scheme then overwrites every point whose two edges both
+    lie in the band, gathered through one mask over the broadcast lattice.
+    """
+    a, b = std_a[..., :, None], std_b[..., None, :]
+    ca, cb = cdf_a[..., :, None], cdf_b[..., None, :]
+    inner = np.where(a >= NDTR_BAND, cb, np.where(b >= NDTR_BAND, ca, 0.0))
+    band = (np.abs(a) < NDTR_BAND) & (np.abs(b) < NDTR_BAND)
+    a, b, ca, cb = np.broadcast_arrays(a, b, ca, cb)
+    inner[band] = _bvn_cdf(a[band], b[band], rho, ca[band], cb[band])
+    cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
+    cdf[..., 1:-1, 1:-1] = inner
+    cdf[..., 1:-1, -1] = cdf_a
+    cdf[..., -1, 1:-1] = cdf_b
+    cdf[..., -1, -1] = 1.0
+    return cdf
+
+
+def dense_battery_block(kern: TransitionKernel, n: int) -> np.ndarray:
+    """TransitionKernel.battery_block over dense_cdf_lattice, from the kernel's z edges."""
+    grid, cfg = kern.grid, kern.cfg
+    m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], cfg)
+    std_q = _std_edges(grid.q.edges, m_q, sd_q)
+    cdf = dense_cdf_lattice(kern._z_std[:, None, :], std_q, cfg.constants.rho_q,
+                            kern._z_cdf[:, None, :], pkg_ndtr(std_q))
+    return _normalize_rows(_lattice_masses(cdf), (-2, -1), f"dense battery block n={n}")
+
+
+def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
+    """TransitionKernel.generator_block over dense_cdf_lattice, differencing windows.
+
+    Each g source gathers its window of the (z src, z edge, offset)
+    lattice, tail edges included, and the whole gathered (z src, z edge,
+    g src, g edge) array is differenced along g and z: the shared offset
+    lattice, but none of the kernel's differencing of it.
+    """
+    grid, cfg = kern.grid, kern.cfg
+    pts, edges = grid.g.points, grid.g.edges
+    n_int = edges.size
+    burn, sd_g = generator_law(n, grid.z.points, cfg)
+    offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
+    std_g = _std_edges(offsets, -burn, sd_g)
+    cdf = dense_cdf_lattice(kern._z_std, std_g, cfg.constants.rho_g, kern._z_cdf, pkg_ndtr(std_g))
+    # Padded column of interior edge f (column f + 1) for source k is
+    # f - k + N_G + 1; the two tail columns are shared by every source.
+    cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int
+    cols[:, 0] = 0
+    cols[:, -1] = 2 * n_int + 1
+    mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
+    return _normalize_rows(mass, (-2, -1), f"dense generator block n={n}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Transition kernel: rectangle masses, blocks, scalar rows, and route agreement."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import microgrid_dp as m
@@ -13,9 +15,9 @@ from microgrid_dp import dynamics, kernel
 from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from microgrid_dp.grid import clamp01, cell_of
 from microgrid_dp.kernel import _bvn_cdf, _cdf_lattice, _lattice_masses, _normalize_rows
-from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob,
-                     full_lattice_rect_masses, generator_block_per_source, mc_bvn_rect,
-                     state_of, transition_row)
+from oracles import (_z_cell_masses_scalar, bvn_cdf_owens_t, bvn_rect_prob, dense_battery_block,
+                     dense_cdf_lattice, dense_generator_block, full_lattice_rect_masses,
+                     generator_block_per_source, mc_bvn_rect, state_of, transition_row)
 
 STD2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -323,7 +325,11 @@ def test_lattice_without_band_points_takes_the_closed_forms(rho):
 
 def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):
     """Genz's scheme runs at under a quarter of the battery block's interior
-    lattice points and under a tenth of the generator block's."""
+    lattice points and under a tenth of the generator block's. Over a
+    table1 solve's 168 steps it runs at exactly the lattice points whose two
+    edges lie in the band: 1,204,621 battery and 39,508 generator points. A
+    column slab that sent its out-of-band a edges to the scheme would
+    count more."""
     seen = []
 
     def counting(x, y, rho, cdf_x, cdf_y):
@@ -338,6 +344,110 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     seen.clear()
     kern.generator_block(0)
     assert 0 < sum(seen) <= 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
+    steps = range(cfg_table1.discretization.steps_N)
+    for block, total in ((kern.battery_block, 1_204_621), (kern.generator_block, 39_508)):
+        seen.clear()
+        for n in steps:
+            block(n)
+        assert sum(seen) == total, block.__name__
+
+
+_DENSE_RHOS = [0.0, 0.3, -0.84, 0.95, -0.985]
+
+
+def _assert_lattice_is_dense(std_a, std_b, rho):
+    """The column-slab lattice equals the dense band-mask oracle, bit for bit."""
+    cdf_a, cdf_b = pkg_ndtr(std_a), pkg_ndtr(std_b)
+    got = _cdf_lattice(std_a, std_b, rho, cdf_a, cdf_b)
+    want = dense_cdf_lattice(std_a, std_b, rho, cdf_a, cdf_b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _random_lattice_edges():
+    # the shapes and edges of test_rect_masses_tail_closed_forms_match_full_lattice
+    rng = np.random.default_rng(11)
+    std_a = np.clip(np.linspace(-2.0, 2.0, 9) - rng.uniform(-3.0, 3.0, size=(6, 1, 1)),
+                    -37.0, 37.0)
+    means = rng.uniform(-0.2, 1.2, size=(6, 4, 1))
+    sds = np.array([0.02, 0.3, 1.0, 4.0])[None, :, None]
+    return std_a, np.clip((np.linspace(0.05, 0.95, 10) - means) / sds, -37.0, 37.0)
+
+
+_DENSE_CASES = {
+    "band-edges": lambda: (_BAND_EDGES_A[:, None, :], np.broadcast_to(_BAND_EDGES_B, (4, 4, 6))),
+    "band-edges-swapped": lambda: (_BAND_EDGES_B[None, :, :], _BAND_EDGES_A[:, None, :]),
+    "random-shapes": _random_lattice_edges,
+    "1-d": lambda: (np.linspace(-10.0, 10.0, 7), np.array([-9.0, -3.5, 0.2, 8.9, 9.0, 11.0])),
+    "no-band-point": lambda: (np.array([-30.0, -9.0, 2.0, 9.0, 12.0]),
+                              np.array([-12.0, 9.0, 40.0])),
+}
+
+
+@pytest.mark.parametrize("case", _DENSE_CASES.values(), ids=_DENSE_CASES.keys())
+@pytest.mark.parametrize("rho", _DENSE_RHOS)
+def test_lattice_matches_dense_oracle(case, rho):
+    """One column per in-band b edge gives the dense lattice's bits: edges
+    at and just inside +-9, the random shapes of the tail test, 1-D inputs,
+    a broadcast view and a lattice with no band point, in both Genz branches."""
+    _assert_lattice_is_dense(*case(), rho)
+
+
+_EDGE_VALUES = st.one_of(st.sampled_from([-37.0, -9.0 - 1e-9, -9.0, -_EPS9, 0.0, _EPS9, 9.0,
+                                          9.0 + 1e-9, 37.0]),
+                         st.floats(-40.0, 40.0, allow_subnormal=False))
+
+
+@st.composite
+def _broadcast_edges(draw):
+    """Sorted edge arrays (..., NA) and (..., NB) whose leading shapes
+    broadcast: each keeps or collapses to 1 every axis of a common shape
+    and may drop leading axes, and either may be a stride-0 broadcast view."""
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    arrays = []
+    for _ in range(2):
+        dims = tuple(d if draw(st.booleans()) else 1 for d in lead)
+        shape = dims[draw(st.integers(0, len(dims))):] + (draw(st.integers(1, 6)),)
+        size = math.prod(shape)
+        edges = np.sort(np.array(draw(st.lists(_EDGE_VALUES, min_size=size, max_size=size)))
+                        .reshape(shape), axis=-1)
+        if draw(st.booleans()):
+            edges = np.broadcast_to(edges, tuple(lead) + shape[-1:])
+        arrays.append(edges)
+    return arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=_broadcast_edges(), rho=st.sampled_from(_DENSE_RHOS))
+def test_lattice_matches_dense_oracle_on_drawn_edges(edges, rho):
+    _assert_lattice_is_dense(*edges, rho)
+
+
+def _with(cfg, section, **fields):
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section),
+                                                                    **fields)})
+
+
+_TABLE1_STEPS = sorted({0, 83, 167, *range(0, 168, 7)})
+_DENSE_BLOCK_CASES = {
+    "table1": (lambda cfg: cfg, _TABLE1_STEPS),
+    "eta0=20": (lambda cfg: _with(cfg, "battery", eta0=20.0), (0, 83, 167)),
+    "sigma_R=1e-9": (lambda cfg: _with(cfg, "demand", sigma_R=1e-9), (0, 83, 167)),
+    "36x21x21": (lambda cfg: small_discretization(cfg, steps=168, n_z=35, n_q=20, n_g=20),
+                 (0, 83, 167)),
+}
+
+
+@pytest.mark.parametrize("make, steps", _DENSE_BLOCK_CASES.values(), ids=_DENSE_BLOCK_CASES.keys())
+def test_blocks_match_dense_route(cfg_table1, make, steps):
+    """Both blocks equal, bit for bit, the dense lattice with the generator's
+    gathered windows: table1, the high-|rho| battery (eta0 = 20), a lattice
+    with no band point (sigma_R = 1e-9) and a refined grid."""
+    cfg = make(cfg_table1)
+    kern = m.TransitionKernel(cfg, m.build_grid(cfg))
+    for n in steps:
+        assert np.array_equal(kern.battery_block(n), dense_battery_block(kern, n)), n
+        assert np.array_equal(kern.generator_block(n), dense_generator_block(kern, n)), n
 
 
 def test_table1_solve_sends_few_points_to_erfc(cfg_table1, grid_table1, monkeypatch):
