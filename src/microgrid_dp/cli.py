@@ -252,7 +252,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     for first in range(0, len(steps), per_call):
         chunk = steps[first:first + per_call]
         value_strs = reprs(values.values[chunk].ravel()).reshape(len(chunk), -1)
-        r_mid = np.array([mu[n] for n in chunk])[:, None] + grid.z.points
+        r_mid = mu[chunk][:, None] + grid.z.points
         r_mid_strs = reprs(r_mid.ravel()).reshape(len(chunk), -1)
         for n, vals, r_mids in zip(chunk, value_strs, r_mid_strs):
             parts[2::5] = np.repeat(r_mids, len(cells) // grid.shape[0]).tolist()  # row-major
@@ -408,9 +408,10 @@ def _run(args) -> int:
         # Exit 3 where solve would: constants that cannot be formed, or a
         # stage cost or terminal value that overflows or is not finite.
         grid = build_grid(cfg)
-        for n in range(cfg.discretization.steps_N):
-            if not np.isfinite(stage_cost_rows(n, grid, cfg)).all():
-                raise NumericalError(f"stage cost at step {n} is not finite")
+        finite = np.isfinite(stage_cost_rows(np.arange(cfg.discretization.steps_N), grid, cfg))
+        if not finite.all():
+            n = int(np.argmin(finite.all(axis=(1, 2))))
+            raise NumericalError(f"stage cost at step {n} is not finite")
         if not np.isfinite(terminal_values(cfg, grid)).all():
             raise NumericalError("terminal value is not finite")
         print(f"configuration valid (hash {config_hash(cfg)[:16]})")

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Action, ModelConfig, State
-from .dynamics import battery_law, discharge_limited_mean, fuel_limited_mean, generator_law, ndtr
+from .dynamics import (battery_law, discharge_limited_mean, fuel_limited_mean, generator_law, ndtr,
+                       seasonal_mean)
 # Bound only so that perfbench/tracing.py can count calls of constraints.q_moments/g_moments.
 from .dynamics import g_moments, q_moments  # noqa: F401
 from .grid import StateGrid, z_truncation
@@ -73,44 +74,44 @@ _REASONS = {
 }
 
 
-def _exclusions(n: int, z: np.ndarray, q: np.ndarray, g: np.ndarray,
+def _exclusions(n, z: np.ndarray, q: np.ndarray, g: np.ndarray,
                 cfg: ModelConfig) -> np.ndarray:
     """Exclusion code per (action, i, j, k) over the axes z, q, g; 0 where feasible.
 
     A nonzero code names the first rule that excludes the action. The
     regime rules depend on z only, the battery rules on (z, q) and the
-    fuel rules on (z, g).
+    fuel rules on (z, g). A 1-D step array n adds a leading step axis.
     """
     eps = cfg.discretization.epsilon
-    r = cfg.constants.mu[n] + z
-    band = (np.abs(r) < near_zero_halfwidth(cfg))[:, None, None]
-    surplus = (r < 0.0)[:, None, None]
+    r = seasonal_mean(n, cfg, z) + z
+    band = (np.abs(r) < near_zero_halfwidth(cfg))[..., None, None]
+    surplus = (r < 0.0)[..., None, None]
     # P(Q' < 0) and P(Q' > 1) in one ndtr call, and P(G' < 0) under the full mode
     m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
     q_below, q_above = ndtr(np.stack((-m_q / sd_q, (m_q - 1.0) / sd_q)))[..., None] >= eps
     burn, sd_g = generator_law(n, z, cfg)
-    g_below = (ndtr((burn[:, None] - g[None, :]) / sd_g) >= eps)[:, None, :]
-    q_negative = (discharge_limited_mean(q, cfg) < 0.0)[None, :, None]
-    g_negative = (fuel_limited_mean(g, cfg) < 0.0)[None, None, :]
+    g_below = (ndtr((burn[..., None] - g) / sd_g) >= eps)[..., None, :]
+    q_negative = (discharge_limited_mean(q, cfg) < 0.0)[:, None]
+    g_negative = fuel_limited_mean(g, cfg) < 0.0
 
-    code = np.zeros((len(Action), z.size, q.size, g.size), dtype=np.int8)
+    code = np.zeros(np.shape(n) + (len(Action), z.size, q.size, g.size), dtype=np.int8)
 
     def rules(a: Action, *tests) -> None:
         # the last test first, so that the first one that holds is the code left
-        out = 0
+        out = np.int8(0)
         for reason, holds in reversed(tests):
-            out = np.where(holds, reason, out)
-        code[a] = out
+            out = np.where(holds, np.int8(reason), out)
+        code[..., a, :, :, :] = out
 
     rules(Action.OVERSPILL, (_BAND, band), (_DEFICIT, ~surplus))
     rules(Action.CHARGE, (_BAND, band), (_DEFICIT, ~surplus), (_BELOW, q_below),
           (_ABOVE, q_above))
     rules(Action.WAIT, (_SURPLUS, ~band & surplus))
     rules(Action.DISCHARGE_LIMITED, (_BAND, band), (_SURPLUS, surplus),
-          (_THRESHOLD, (r < cfg.battery.R_Q0)[:, None, None]), (_NEGATIVE, q_negative))
+          (_THRESHOLD, (r < cfg.battery.R_Q0)[..., None, None]), (_NEGATIVE, q_negative))
     rules(Action.DISCHARGE_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, q_below))
     rules(Action.FUEL_LIMITED, (_BAND, band), (_SURPLUS, surplus),
-          (_THRESHOLD, (r < cfg.generator.R_G0)[:, None, None]), (_NEGATIVE, g_negative))
+          (_THRESHOLD, (r < cfg.generator.R_G0)[..., None, None]), (_NEGATIVE, g_negative))
     rules(Action.FUEL_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, g_below))
     return code
 
@@ -132,10 +133,11 @@ def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
     )
 
 
-def feasibility_mask(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
+def feasibility_mask(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Boolean mask (action, i, j, k): True where the action is feasible.
 
     _exclusions over the grid axes: the rule of feasible_actions at every
-    grid state, taken for the whole lattice at once.
+    grid state, taken for the whole lattice at once. For a 1-D step array
+    n the mask is (step, action, i, j, k), one step's mask per slice.
     """
     return _exclusions(n, grid.z.points, grid.q.points, grid.g.points, cfg) == 0

@@ -13,30 +13,38 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge
-from .dynamics import tanh_sinh
+from .dynamics import seasonal_mean, tanh_sinh
 
 __all__ = ["expected_stage_cost", "terminal_cost"]
 
+# A Python float's d ** 2 for each entry of an array: libm's pow, whose last
+# bit can differ from d * d, and an OverflowError where it overflows, as in
+# the float route of an int step.
+_SQUARE = np.frompyfunc(lambda d: d ** 2, 1, 1)
 
-def expected_stage_cost(k: int, x: State, a: Action, cfg: ModelConfig) -> float:
+
+def expected_stage_cost(k, x: State, a: Action, cfg: ModelConfig) -> float:
     """Closed-form discounted expected cost of step k: E int_0^Delta e^(-rho s) psi ds.
 
     Along one step the residual demand is R(s) = mu_{R,k} + Z(s) with
     E[Z(s)|z] = z e^(-beta s) and Var[Z(s)] = sigma^2/(2 beta) (1 - e^(-2 beta s)),
     so every branch reduces to a combination of zeta_1, zeta_2, zeta_3.
     The closed form is plain arithmetic in z, so x.z may also be a numpy
-    array; the result then has its shape (a float for overspill). The
-    discount factors, the stationary variance and mu_{R,k} come from
-    cfg.constants; a step k outside 0..N raises KeyError.
+    array; the result then has its shape (a float for overspill). k may be
+    a 1-D array of steps, which adds a leading step axis with each step's
+    bits. The discount factors, the stationary variance and mu_{R,k} come
+    from cfg.constants; a step k outside 0..N raises KeyError.
     """
     c, sc = cfg.costs, cfg.constants
-    mu, z = sc.mu[k], x.z
+    mu, z = seasonal_mean(k, cfg, x.z), x.z
 
     def quad_around(r0: float) -> float:
         # E int e^(-rho s) k0 (R(s) - r0)^2 ds
+        dev = mu - r0
         return c.k0 * (
-            ((mu - r0) ** 2 + sc.var_z) * sc.zeta1
-            + 2.0 * (mu - r0) * z * sc.zeta2
+            ((dev ** 2 if isinstance(dev, float) else _SQUARE(dev).astype(float))
+             + sc.var_z) * sc.zeta1
+            + 2.0 * dev * z * sc.zeta2
             + (z * z - sc.var_z) * sc.zeta3
         )
 

@@ -42,7 +42,15 @@ What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
 mean mu_R(t_n) of every step) is a StepConstants record, built by
 step_constants and kept on the config as cfg.constants, so it is derived
-once per config object. Every law reads it from there.
+once per config object. Every law reads it from there. Its mu is a
+read-only array over n = 0..N, read through seasonal_mean, which raises
+KeyError for a step outside 0..N (a -1 does not wrap round to step N).
+
+A law that takes a step n (battery_law, generator_law and the stage
+cost, and through them the blocks and the feasibility mask) also takes a
+1-D array of steps: mu_R(t_n) then enters as a leading axis in front of
+the broadcast state axes, and each step's slice has the bits of the int
+call, since every entry goes through the same elementwise arithmetic.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ __all__ = [
     "ndtr",
     "noise_integral",
     "q_moments",
+    "seasonal_mean",
     "step_constants",
     "transition_moments",
     "transition_operator",
@@ -198,9 +207,10 @@ class StepConstants(NamedTuple):
     """Config-only constants of the one-step laws and of the stage cost.
 
     Built by step_constants and read as cfg.constants, which derives them
-    once per config object. mu holds the seasonal mean of every step
-    n = 0..N; looking up any other step raises KeyError, so a law called
-    with a step outside the horizon fails instead of wrapping around.
+    once per config object. mu is a read-only array of the seasonal mean
+    of every step n = 0..N; the laws read it through seasonal_mean, so a
+    law called with a step outside the horizon raises KeyError instead of
+    wrapping around.
     """
 
     z_decay: float     # e^(-beta_R dt): E[Z'] = z z_decay
@@ -218,7 +228,7 @@ class StepConstants(NamedTuple):
     zeta2: float
     zeta3: float
     var_z: float       # stationary variance sigma_R^2 / (2 beta_R) of Z
-    mu: dict[int, float]  # mu_R(t_n), the seasonal mean frozen over step n, for n = 0..N
+    mu: np.ndarray     # mu_R(t_n), the seasonal mean frozen over step n, for n = 0..N
 
 
 def step_constants(cfg: ModelConfig) -> StepConstants:
@@ -253,7 +263,8 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
             zeta2=_phi(rho + beta, dt),
             zeta3=_phi(rho + 2.0 * beta, dt),
             var_z=p.sigma_R**2 / (2.0 * beta),
-            mu={n: seasonality(cfg.t_of(n), p) for n in range(cfg.discretization.steps_N + 1)},
+            mu=np.array([seasonality(cfg.t_of(n), p)
+                         for n in range(cfg.discretization.steps_N + 1)]),
         )
     except (ArithmeticError, ValueError) as exc:  # overflow, 0 / 0, sqrt of a negative
         raise NumericalError(f"one-step law constants: {exc}") from None
@@ -263,7 +274,26 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
     if bad:
         raise NumericalError("one-step law constants out of range: "
                              + ", ".join(f"{name} = {getattr(sc, name)}" for name in bad))
+    sc.mu.flags.writeable = False
     return sc
+
+
+def seasonal_mean(n, cfg: ModelConfig, *state):
+    """mu_R(t_n) of step n as a float, or of each step of a 1-D step array.
+
+    For an array the steps form a leading axis, followed by as many axes
+    of length 1 as the state arrays have, so that the result broadcasts
+    over them. A step outside 0..N, or one that is not an integer, raises
+    KeyError; an array raises if any of its steps does.
+    """
+    mu = cfg.constants.mu
+    if (type(n) is int or isinstance(n, np.integer)) and 0 <= n < mu.size:
+        return mu.item(n)
+    steps = np.asarray(n)
+    inside = steps.dtype.kind in "iu" and ((steps >= 0) & (steps < mu.size)).all()
+    if steps.ndim == 0 or not inside:
+        raise KeyError(f"step {n!r} outside 0..{mu.size - 1}")
+    return mu[steps].reshape(steps.shape + (1,) * max(map(np.ndim, state), default=0))
 
 
 def _efficiency(mu: float, z, q, cfg: ModelConfig):
@@ -281,7 +311,7 @@ def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[
     """Conditional mean and variance of Q_{n+1}; an a that is not an Action raises ValueError."""
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
-    cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
+    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
     if a in _GAUSSIAN_Q_ACTIONS:
         m_Q, sd_Q = battery_law(n, z, q, cfg)
         return m_Q, sd_Q * sd_Q
@@ -294,7 +324,7 @@ def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[
     """Conditional mean and variance of G_{n+1}; an a that is not an Action raises ValueError."""
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
-    cfg.constants.mu[n]  # KeyError for a step outside 0..N, also on the step-free branches
+    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
     if a is Action.FUEL_FULL:
         burn, sd_G = generator_law(n, z, cfg)
         return g - burn, sd_G * sd_G
@@ -322,14 +352,15 @@ def z_law(z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     return z * sc.z_decay, sc.sd_z
 
 
-def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
 
     Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
-    scalars for float z and q.
+    scalars for an int n and float z and q. A 1-D step array n adds a
+    leading step axis.
     """
     sc = cfg.constants
-    mu = sc.mu[n]
+    mu = seasonal_mean(n, cfg, z, q)
     eta = _efficiency(mu, z, q, cfg)
     h = z * sc.q_psi + mu * sc.q_phi
     m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * h
@@ -338,15 +369,17 @@ def battery_law(n: int, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]
     return m_q, sd_q
 
 
-def generator_law(n: int, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
+def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     """(burn, sd) of the full generator mode for a float or array z: G_{n+1} ~ N(g - burn, sd^2).
 
     The burn depends on z only and the standard deviation on no state at
-    all; the generator block exploits exactly this structure.
+    all; the generator block exploits exactly this structure. A 1-D step
+    array n adds a leading step axis to the burn.
     """
     gen, sc = cfg.generator, cfg.constants
     dt = cfg.dt
-    burn = (gen.c0 * dt + gen.c1 * (sc.mu[n] * dt + z * sc.g_phi)) / gen.capacity_CG
+    mu = seasonal_mean(n, cfg, z)
+    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG
     return burn, sc.sd_g
 
 

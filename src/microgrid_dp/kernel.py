@@ -49,6 +49,21 @@ Genz's scheme, whose univariate terms at an edge are the same values.
 The standardized z edges and their CDFs do not depend on the step, so
 each kernel computes them once for the z block and both bivariate blocks.
 
+The battery and generator blocks depend on the step only through the
+seasonal mean mu_R(t_n), and their laws take a 1-D array of steps, so
+both are built for a chunk of steps in one pass: the laws, the lattice
+and the differencing gain a leading step axis, and each step's slice has
+the bits of a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
+step's battery CDF lattice) steps, at least one: four on table1 and one
+from 26 x 16 x 16 up, so a big grid holds no more than one step's arrays.
+The chunks cut the horizon from step N - 1 down (chunk_of), the order in
+which the solver walks it; the kernel keeps the last chunk of each block
+and battery_block(n) / generator_block(n) return step n's view of it,
+building the chunk that holds n on a miss. Genz's scheme runs on at most
+_GENZ_BATCH points per call, which keeps its (20 nodes x points)
+temporary near 1.3 MB at any chunk length; a point's bits do not depend
+on its batch.
+
 The generator block also uses an exact structure of its law,
 G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
 every standardized g edge is a shared offset (edge_f - point_k) shifted by
@@ -66,7 +81,7 @@ import numpy as np
 from .config import Action, ModelConfig
 from .dynamics import NDTR_BAND as _BAND
 from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
-                       z_law)
+                       seasonal_mean, z_law)
 from .grid import StateGrid, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel"]
@@ -74,6 +89,20 @@ __all__ = ["NumericalError", "TransitionKernel"]
 # Row mass may deviate from 1 by CDF rounding dust up to this bound; it is
 # then renormalized once. Larger deviations indicate a logic bug.
 _ROW_SUM_TOL = 1e-6
+
+# Bytes of battery CDF lattices built in one pass; the chunk of steps whose
+# blocks are built together is as long as this holds (at least one step).
+# 1.5 MiB holds four steps on table1 (0.36 MB each) and one from 26 x 16 x 16
+# up (1.5 MB; 4.9 MB on 36 x 21 x 21), so a big grid holds no more than
+# one step's arrays. On table1 four steps took less solve time than two or
+# three. Their transient arrays are large enough for glibc to trim the heap
+# top and fault it back in from chunk to chunk: a fresh process's first
+# solve takes 5,000 to 19,000 minor page faults, by allocation layout,
+# against about 2,200 with one or two steps per chunk.
+_CHUNK_BYTES = 3 << 19
+
+# Points per call of _bvn_cdf; its (20 nodes x points) temporary is then at most 1.3 MB.
+_GENZ_BATCH = 8192
 
 
 # Genz's 20-point Gauss-Legendre rule, nodes on [0, 2] and weights summing
@@ -209,8 +238,11 @@ def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
     a, ca, b, cb = a[src], ca[src], b[src, col], cb[src, col]
     slab = np.where(a >= _BAND, cb[:, None], 0.0)
     band = np.flatnonzero(np.abs(a) < _BAND)
-    row = band // n_a
-    slab.ravel()[band] = _bvn_cdf(a.ravel()[band], b[row], rho, ca.ravel()[band], cb[row])
+    a, ca, flat = a.ravel(), ca.ravel(), slab.ravel()
+    for first in range(0, band.size, _GENZ_BATCH):
+        at = band[first:first + _GENZ_BATCH]
+        row = at // n_a
+        flat[at] = _bvn_cdf(a[at], b[row], rho, ca[at], cb[row])
     cdf = np.zeros(lead + (n_a + 2, n_b + 2))
     np.copyto(cdf[..., 1:-1, 1:-1], cdf_a[..., :, None], where=std_b[..., None, :] >= _BAND)
     cdf.reshape(-1, n_a + 2, n_b + 2)[src, 1:-1, col + 1] = slab
@@ -222,15 +254,23 @@ def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
 
 def _lattice_masses(cdf: np.ndarray) -> np.ndarray:
     """Cell masses (..., NA + 1, NB + 1) by inclusion-exclusion over a CDF lattice."""
-    return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
+    mass = np.diff(np.diff(cdf, axis=-1), axis=-2)
+    return np.clip(mass, 0.0, None, out=mass)
+
+
+def _span(steps: np.ndarray) -> str:
+    """'n' for one step, 'first..last' for a run of steps."""
+    return f"{steps[0]}" if steps.size == 1 else f"{steps[0]}..{steps[-1]}"
 
 
 def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
+    """mass divided by its sum over axes, in place; raises if a sum is not within _ROW_SUM_TOL of 1."""
     total = mass.sum(axis=axes, keepdims=True)
     worst = float(np.abs(1.0 - total).max())
     if not worst <= _ROW_SUM_TOL:  # a NaN row fails this test too
         raise NumericalError(f"{what}: row mass deviates from 1 by {worst:.3e} (> {_ROW_SUM_TOL})")
-    return mass / total
+    mass /= total
+    return mass
 
 
 class TransitionKernel:
@@ -240,8 +280,9 @@ class TransitionKernel:
     masses (z source, z cell), and the target cell per source level of the
     deterministic moves, q_idle (self-discharge only), q_limited (limited
     discharge) and g_limited (limited generator mode). The battery and
-    generator blocks depend on the step through the seasonal mean;
-    expected_next builds each once per call.
+    generator blocks depend on the step through the seasonal mean; each is
+    built for a chunk of chunk_steps steps (chunk_of) and the last chunk
+    of each is kept, so expected_next over the steps of a chunk builds it once.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
@@ -266,45 +307,81 @@ class TransitionKernel:
         # at padded offset p: lower tail p - 1, consecutive N_G + p, upper tail 2 N_G + p.
         n_g = grid.g.edges.size
         self._g_window = np.r_[n_g, 2 * n_g + np.arange(1, n_g), 4 * n_g] - np.arange(n_g + 1)[:, None]
+        lattice = q.size * (grid.q.edges.size + 2) * grid.z.n_points * (grid.z.edges.size + 2)
+        self.chunk_steps = max(1, _CHUNK_BYTES // (8 * lattice))
+        # (first step, stacked blocks) of the chunk each block holds
+        self._held = {"battery": (0, ()), "generator": (0, ())}
+
+    def chunk_of(self, n: int) -> np.ndarray:
+        """The steps whose blocks are built with step n's, in increasing order.
+
+        The horizon is cut into runs of chunk_steps steps from step N - 1
+        down, so the last run to reach step 0 may be shorter; step N forms
+        a run of its own. A step outside 0..N raises KeyError.
+        """
+        steps = self.cfg.discretization.steps_N
+        seasonal_mean(n, self.cfg)  # KeyError outside 0..N
+        stop = steps - (steps - 1 - n) // self.chunk_steps * self.chunk_steps
+        return np.arange(max(0, stop - self.chunk_steps), min(stop, steps + 1))
+
+    def _held_view(self, kind: str, n: int, build) -> np.ndarray:
+        """Step n's block from the held chunk of kind, built by build(chunk_of(n)) on a miss."""
+        first, blocks = self._held[kind]
+        if not first <= n < first + len(blocks):
+            steps = self.chunk_of(n)
+            first, blocks = self._held[kind] = int(steps[0]), build(steps)
+        return blocks[n - first]
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
 
         Shape (z src, q src, z cell, q cell); rows sum to 1 over the last
         two axes. The law is shared by both actions (costs and feasibility
-        differ, the transition does not).
+        differ, the transition does not). A view of the held chunk.
         """
-        grid = self.grid
-        m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
-        std_q = _std_edges(grid.q.edges, m_q, sd_q)
-        cdf = _cdf_lattice(self._z_std[:, None, :], std_q, self.cfg.constants.rho_q,
-                           self._z_cdf[:, None, :], ndtr(std_q))
-        mass = _lattice_masses(cdf)
-        return _normalize_rows(mass, (-2, -1), f"battery block n={n}")
+        return self._held_view("battery", n, self._battery_chunk)
 
     def generator_block(self, n: int) -> np.ndarray:
         """Joint (Z, G) cell masses for the full generator mode at step n.
 
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
-        two axes. The standardized g edge f of source (i, k) is
+        two axes. A view of the held chunk.
+        """
+        return self._held_view("generator", n, self._generator_chunk)
+
+    def _battery_chunk(self, steps: np.ndarray) -> np.ndarray:
+        """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell)."""
+        grid = self.grid
+        m_q, sd_q = battery_law(steps, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
+        std_q = _std_edges(grid.q.edges, m_q, sd_q)
+        mass = _lattice_masses(_cdf_lattice(self._z_std[:, None, :], std_q, self.cfg.constants.rho_q,
+                                            self._z_cdf[:, None, :], ndtr(std_q)))
+        return _normalize_rows(mass, (-2, -1), f"battery block n={_span(steps)}")
+
+    def _generator_chunk(self, steps: np.ndarray) -> np.ndarray:
+        """generator_block of each step of a 1-D step array: (step, z src, g src, z cell, g cell).
+
+        The standardized g edge f of source (i, k) is
         (edge_f - point_k + burn_i) / sd_g, and edge_f - point_k depends on
-        f - k only, so each z source needs one CDF lattice over the 2 N_G
-        shared offsets. Each g difference of a source is a lower tail, two
-        consecutive offsets or an upper tail of that lattice; all three kinds
-        are z-differenced once, and source k reads its window via _g_window.
+        f - k only, so each (step, z source) needs one CDF lattice over the
+        2 N_G shared offsets. Each g difference of a source is a lower tail,
+        two consecutive offsets or an upper tail of that lattice; all three
+        kinds are z-differenced once, and source k reads its window via _g_window.
         """
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
-        burn, sd_g = generator_law(n, grid.z.points, self.cfg)
+        burn, sd_g = generator_law(steps, grid.z.points, self.cfg)
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
         std_g = _std_edges(offsets, -burn, sd_g)
-        # (z src, z edge, offset)
+        # (step, z src, z edge, offset)
         cdf = _cdf_lattice(self._z_std, std_g, self.cfg.constants.rho_g, self._z_cdf, ndtr(std_g))
         diffs = np.concatenate((cdf[..., 1:n_int + 2] - cdf[..., :1], np.diff(cdf[..., 1:-1]),
                                 cdf[..., -1:] - cdf[..., n_int:-1]), axis=-1)
-        mass = np.clip(np.diff(diffs, axis=-2), 0.0, None)[:, :, self._g_window]
-        return _normalize_rows(mass.transpose(0, 2, 1, 3), (-2, -1), f"generator block n={n}")
+        mass = np.diff(diffs, axis=-2)
+        mass = np.clip(mass, 0.0, None, out=mass)[..., self._g_window]
+        return _normalize_rows(mass.swapaxes(-3, -2), (-2, -1),
+                               f"generator block n={_span(steps)}")
 
     def expected_next(self, n: int, v_next: np.ndarray) -> np.ndarray:
         """E[v_next(X') | x, a] at step n for every state and action; shape (action, i, j, k).

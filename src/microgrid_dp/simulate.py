@@ -153,8 +153,6 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
 
 def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
     """Do-nothing reference policy: overspill under surplus, wait otherwise."""
-    actions = np.empty((cfg.discretization.steps_N, grid.n_states), dtype=np.int8)
-    for n in range(actions.shape[0]):
-        surplus = feasibility_mask(n, grid, cfg)[Action.OVERSPILL].reshape(-1)
-        actions[n] = np.where(surplus, int(Action.OVERSPILL), int(Action.WAIT))
-    return PolicyTable(actions)
+    steps = np.arange(cfg.discretization.steps_N)
+    surplus = feasibility_mask(steps, grid, cfg)[:, Action.OVERSPILL].reshape(steps.size, -1)
+    return PolicyTable(np.where(surplus, np.int8(Action.OVERSPILL), np.int8(Action.WAIT)))

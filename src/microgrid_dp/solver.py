@@ -9,6 +9,14 @@ the z axis, the continuation is TransitionKernel.expected_next of the
 next value table, and the feasibility mask (constraints.feasibility_mask)
 is one broadcast over the lattice that sets infeasible (state, action)
 pairs to +inf. The steps run one after another on one thread.
+
+Everything but the contraction with V_{n+1} depends on the step only
+through mu_R(t_n), and every layer takes a 1-D array of steps. solve
+therefore walks the horizon backwards in the kernel's chunks of steps
+(TransitionKernel.chunk_of, sized by its byte budget): per chunk it builds
+the stage rows in one call and the mask in another, and the kernel builds
+both bivariate blocks in one pass each; then step_q_values, the one
+Bellman line, runs once per step of the chunk on that step's slices.
 """
 
 from __future__ import annotations
@@ -69,21 +77,27 @@ def terminal_values(cfg: ModelConfig, grid: StateGrid) -> np.ndarray:
     return np.broadcast_to(per_qg, grid.shape).reshape(-1).copy()
 
 
-def stage_cost_rows(n: int, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
-    """Expected stage cost per (action, z index); independent of q and g."""
-    out = np.empty((len(Action), grid.z.n_points))
+def stage_cost_rows(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
+    """Expected stage cost per (action, z index); independent of q and g.
+
+    A 1-D step array n gives (step, action, z index), one step's rows per slice.
+    """
+    out = np.empty(np.shape(n) + (len(Action), grid.z.n_points))
     for a in Action:
-        out[a] = expected_stage_cost(n, State(grid.z.points, 0.0, 0.0), a, cfg)
+        out[..., a, :] = expected_stage_cost(n, State(grid.z.points, 0.0, 0.0), a, cfg)
     return out
 
 
-def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
-    """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k)."""
-    cfg, grid = kernel.cfg, kernel.grid
+def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel, stage: np.ndarray,
+                  mask: np.ndarray) -> np.ndarray:
+    """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k).
+
+    stage and mask are step n's stage_cost_rows and feasibility_mask.
+    """
+    cfg = kernel.cfg
     disc = math.exp(-cfg.costs.rho * cfg.dt)
-    stage = stage_cost_rows(n, grid, cfg)[:, :, None, None]
-    q_vals = stage + disc * kernel.expected_next(n, v_next)
-    return np.where(feasibility_mask(n, grid, cfg), q_vals, np.inf)
+    q_vals = stage[:, :, None, None] + disc * kernel.expected_next(n, v_next)
+    return np.where(mask, q_vals, np.inf)
 
 
 def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
@@ -95,12 +109,17 @@ def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
     actions = np.empty((steps, n_states), dtype=np.int8)
     values[steps] = terminal_values(cfg, grid)
 
-    for n in range(steps - 1, -1, -1):
-        q_vals = step_q_values(n, values[n + 1], kernel)
-        v_n = q_vals.min(axis=0)
-        if not np.isfinite(v_n).all():
-            raise NumericalError(f"non-finite value at step {n}")
-        values[n] = v_n.reshape(-1)
-        tied = q_vals <= v_n[None] + _TIE_TOL
-        actions[n] = np.argmax(tied, axis=0).reshape(-1)
+    for stop in range(steps, 0, -kernel.chunk_steps):
+        chunk = kernel.chunk_of(stop - 1)
+        stage = stage_cost_rows(chunk, grid, cfg)
+        mask = feasibility_mask(chunk, grid, cfg)
+        for s in range(chunk.size - 1, -1, -1):
+            n = int(chunk[s])
+            q_vals = step_q_values(n, values[n + 1], kernel, stage[s], mask[s])
+            v_n = q_vals.min(axis=0)
+            if not np.isfinite(v_n).all():
+                raise NumericalError(f"non-finite value at step {n}")
+            values[n] = v_n.reshape(-1)
+            tied = q_vals <= v_n[None] + _TIE_TOL
+            actions[n] = np.argmax(tied, axis=0).reshape(-1)
     return ValueTable(values), PolicyTable(actions)

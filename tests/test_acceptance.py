@@ -17,7 +17,7 @@ import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.calibrate import self_discharge_rate
 from microgrid_dp import cli
-from microgrid_dp.solver import step_q_values
+from microgrid_dp.solver import stage_cost_rows, step_q_values
 from oracles import (brute_force_values, euler_oracle, mc_stage_cost, operator_cell_counts,
                      state_of, transition_row)
 
@@ -158,9 +158,12 @@ def test_criterion_6_full_scale_solve(cfg_table1, grid_table1, table1_solution):
     assert elapsed <= 600.0
     assert np.isfinite(values.values).all()
     kern = m.TransitionKernel(cfg_table1, grid_table1)
+    steps = np.arange(cfg_table1.discretization.steps_N)
+    stage = stage_cost_rows(steps, grid_table1, cfg_table1)
+    mask = m.feasibility_mask(steps, grid_table1, cfg_table1)
     resid = 0.0
-    for n in range(cfg_table1.discretization.steps_N):
-        q_vals = step_q_values(n, values.values[n + 1], kern)
+    for n in steps.tolist():
+        q_vals = step_q_values(n, values.values[n + 1], kern, stage[n], mask[n])
         resid = max(resid, float(np.abs(
             q_vals.min(axis=0).reshape(-1) - values.values[n]).max()))
     assert resid <= 1e-10

@@ -11,6 +11,7 @@ import microgrid_dp as m
 from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
 from microgrid_dp.dynamics import NoiseVector, battery_law, generator_law, step_constants, z_law
+from microgrid_dp.solver import stage_cost_rows
 from conftest import small_discretization
 from oracles import battery_noise_reference, decimal_noise_integrals, euler_oracle
 
@@ -462,8 +463,8 @@ def test_replaced_config_gets_fresh_constants(cfg_table1):
     assert other.constants is not sc
     assert other.constants.q_decay == math.exp(-0.01 * other.dt) != sc.q_decay
     longer = small_discretization(cfg, steps=6)
-    assert sorted(longer.constants.mu) == list(range(7))
-    assert sorted(sc.mu) == list(range(5))
+    assert longer.constants.mu.shape == (7,)
+    assert sc.mu.shape == (5,)
 
 
 def test_laws_reject_steps_outside_the_horizon(cfg_table1):
@@ -484,6 +485,25 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
                      lambda a=a: m.transition_moments(n, x, a, cfg),
                      lambda a=a: m.transition_operator(n, x, a, eps, cfg),
                      lambda a=a: m.expected_stage_cost(n, x, a, cfg)]
+        for law in laws:
+            with pytest.raises(KeyError):
+                law()
+    # a step array raises the same KeyError if any of its steps lies outside 0..N;
+    # -1 must not wrap round to step N
+    grid = m.build_grid(cfg)
+    kern = m.TransitionKernel(cfg, grid)
+    for bad in (-1, n_steps + 1):
+        steps = np.array([0, bad, n_steps])
+        laws = [lambda: battery_law(steps, x.z, x.q, cfg),
+                lambda: generator_law(steps, grid.z.points, cfg),
+                lambda: stage_cost_rows(steps, grid, cfg),
+                lambda: m.feasibility_mask(steps, grid, cfg),
+                lambda: kern._battery_chunk(steps),
+                lambda: kern._generator_chunk(steps),
+                lambda: kern.battery_block(bad),
+                lambda: kern.generator_block(bad),
+                lambda: kern.chunk_of(bad)]
+        laws += [lambda a=a: m.expected_stage_cost(steps, x, a, cfg) for a in m.Action]
         for law in laws:
             with pytest.raises(KeyError):
                 law()

@@ -325,10 +325,11 @@ def test_lattice_without_band_points_takes_the_closed_forms(rho):
 
 def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):
     """Genz's scheme runs at under a quarter of the battery block's interior
-    lattice points and under a tenth of the generator block's. Over a
-    table1 solve's 168 steps it runs at exactly the lattice points whose two
-    edges lie in the band: 1,204,621 battery and 39,508 generator points. A
-    column slab that sent its out-of-band a edges to the scheme would
+    lattice points and under a tenth of the generator block's, per step of
+    the chunk that the first call builds. Over a table1 solve's 168 steps
+    it runs at exactly the lattice points whose two edges lie in the band:
+    1,204,621 battery and 39,508 generator points, each chunk built once.
+    A column slab that sent its out-of-band a edges to the scheme would
     count more."""
     seen = []
 
@@ -339,17 +340,21 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     monkeypatch.setattr(kernel, "_bvn_cdf", counting)
     kern = m.TransitionKernel(cfg_table1, grid_table1)
     n_z, n_q, n_g = grid_table1.shape
+    chunk = kern.chunk_of(0).size
+    assert kern.chunk_steps == chunk == 4
     kern.battery_block(0)
-    assert 0 < sum(seen) <= 0.25 * n_z * n_q * (n_z - 1) * (n_q - 1)
+    assert 0 < sum(seen) <= chunk * 0.25 * n_z * n_q * (n_z - 1) * (n_q - 1)
     seen.clear()
     kern.generator_block(0)
-    assert 0 < sum(seen) <= 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
+    assert 0 < sum(seen) <= chunk * 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
     steps = range(cfg_table1.discretization.steps_N)
-    for block, total in ((kern.battery_block, 1_204_621), (kern.generator_block, 39_508)):
+    fresh = m.TransitionKernel(cfg_table1, grid_table1)
+    for block, total in ((fresh.battery_block, 1_204_621), (fresh.generator_block, 39_508)):
         seen.clear()
         for n in steps:
             block(n)
         assert sum(seen) == total, block.__name__
+        assert max(seen) <= kernel._GENZ_BATCH
 
 
 _DENSE_RHOS = [0.0, 0.3, -0.84, 0.95, -0.985]

@@ -7,7 +7,7 @@ import pytest
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp import kernel
+from microgrid_dp import kernel, solver
 from microgrid_dp.solver import stage_cost_rows, step_q_values, terminal_values
 from oracles import bellman_backup, brute_force_values, feasible_actions_reference, state_of
 
@@ -94,11 +94,16 @@ def test_small_solution_matches_brute_force(cfg_small, grid_small, small_solutio
     assert np.abs(values.values[0] - ref).max() <= 1e-9
 
 
+def _step_layers(n, kern):
+    """Step n's stage rows and feasibility mask, as solve hands them to step_q_values."""
+    return stage_cost_rows(n, kern.grid, kern.cfg), m.feasibility_mask(n, kern.grid, kern.cfg)
+
+
 def test_values_never_exceed_wait_q_value(cfg_small, grid_small, small_solution):
     values, _, _ = small_solution
     kern = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = step_q_values(n, values.values[n + 1], kern)
+        q_vals = step_q_values(n, values.values[n + 1], kern, *_step_layers(n, kern))
         wait = q_vals[m.Action.WAIT].reshape(-1)
         ok = np.isfinite(wait)
         assert (values.values[n][ok] <= wait[ok] + 1e-12).all()
@@ -108,7 +113,7 @@ def test_bellman_residual_zero_on_refresh(cfg_small, grid_small, small_solution)
     values, _, _ = small_solution
     fresh = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = step_q_values(n, values.values[n + 1], fresh)
+        q_vals = step_q_values(n, values.values[n + 1], fresh, *_step_layers(n, fresh))
         resid = np.abs(q_vals.min(axis=0).reshape(-1) - values.values[n]).max()
         assert resid <= 1e-12
 
@@ -157,3 +162,51 @@ def test_band_reproduces_unbanded_lattice(cfg_table1, monkeypatch, eta0, n_z, n_
     ref_values, ref_policy = m.solve(cfg, grid)
     assert np.abs(values.values - ref_values.values).max() <= 1e-12
     np.testing.assert_array_equal(policy.actions, ref_policy.actions)
+
+
+@pytest.mark.parametrize("budget", ["one step", "default", "whole horizon"])
+@pytest.mark.parametrize("steps", [5, 24])
+def test_solve_bits_do_not_depend_on_the_chunk_length(cfg_table1, monkeypatch, budget, steps):
+    """On the table1 lattice over 5 steps (a last partial chunk at four steps
+    per chunk) and over 24 steps, against the one-step solve."""
+    cfg = small_discretization(cfg_table1, steps=steps, n_z=17, n_q=10, n_g=10)
+    grid = m.build_grid(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_CHUNK_BYTES", 1)
+        want_values, want_policy = m.solve(cfg, grid)
+    budgets = {"one step": 1, "default": kernel._CHUNK_BYTES, "whole horizon": 1 << 40}
+    monkeypatch.setattr(kernel, "_CHUNK_BYTES", budgets[budget])
+    values, policy = m.solve(cfg, grid)
+    assert np.array_equal(values.values, want_values.values)
+    assert np.array_equal(policy.actions, want_policy.actions)
+
+
+def test_table1_solve_bits_do_not_depend_on_the_chunk_length(cfg_table1, grid_table1,
+                                                            table1_solution, monkeypatch):
+    values, policy, _ = table1_solution
+    monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1)
+    one_values, one_policy = m.solve(cfg_table1, grid_table1)
+    assert np.array_equal(values.values, one_values.values)
+    assert np.array_equal(policy.actions, one_policy.actions)
+
+
+def test_solve_builds_each_chunk_once(cfg_table1, grid_table1, monkeypatch):
+    """One stage-row call, one mask call and one build of each block per
+    chunk, and one step_q_values call per step: 42 chunks of 4 on table1."""
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((solver, "stage_cost_rows"), (solver, "feasibility_mask"),
+                        (solver, "step_q_values"), (kernel.TransitionKernel, "_battery_chunk"),
+                        (kernel.TransitionKernel, "_generator_chunk")):
+        counted(owner, name)
+    m.solve(cfg_table1, grid_table1)
+    assert calls == {"stage_cost_rows": 42, "feasibility_mask": 42, "step_q_values": 168,
+                     "_battery_chunk": 42, "_generator_chunk": 42}
