@@ -14,7 +14,9 @@ written directly and every other value goes to repr itself. `simulate`
 and `paper-run` simulate the paths of a scenario in batches of
 _PATHS_PER_BATCH (simulate_paths). Both writers format about
 _FLOATS_PER_FORMAT floats per call: the paths of a column, or the steps
-of the value export.
+of the value export. The path writer formats its fuel column one run of
+repeated bits at a time (_reprs_by_run). main parses with one parser per
+process (_build_parser is cached; parse_args keeps no state on it).
 Every output file is opened by _overwrite, which overwrites an existing
 file in place and then truncates it to the new length. A write that
 fails still exits 2 and leaves that file invalid. A re-run into a used
@@ -31,6 +33,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -61,7 +64,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args keeps no state on it."""
     parser = _Parser(prog="microgrid-dp",
                      description="Stochastic control of a standalone solar microgrid "
                                  "with battery and backup generator.")
@@ -355,6 +360,25 @@ def _default_export_steps(cfg: ModelConfig) -> list[int]:
     return sorted({0, max(0, n - 12), max(0, n - 1), n})
 
 
+def _reprs_by_run(values: np.ndarray) -> np.ndarray:
+    """reprs of every entry of a C-contiguous (paths, N) float array, in its shape.
+
+    Each run of entries with the same bits along a path is formatted once
+    and repeated. Runs compare bits, not values, so 0.0 and -0.0 never
+    share one, and each path starts a run of its own. The path writer
+    formats its fuel column so: the level holds still while the generator
+    is off, so on table1 about one entry in eleven starts a run. On the
+    other columns most entries start one, and finding the runs costs more
+    than it saves.
+    """
+    bits = values.view(np.int64)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    first = starts.ravel().nonzero()[0]
+    return np.repeat(reprs(values.ravel()[first]),
+                     np.diff(first, append=values.size)).reshape(values.shape)
+
+
 # Paths simulated and written per batch: memory is O(_PATHS_PER_BATCH * N) at any --seeds.
 _PATHS_PER_BATCH = 256
 
@@ -366,7 +390,8 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str,
     Floats are written by floatfmt.reprs, which yields the bytes of repr of
     each Python float (shortest round trip): one reprs call per column of
     as many paths as _FLOATS_PER_FORMAT holds, and one for the time_h column.
-    Each path's file is written in one call.
+    The fuel column formats only the first entry of each run of repeats
+    (_reprs_by_run). Each path's file is written in one call.
     """
     os.makedirs(out_dir, exist_ok=True)
     n_steps = cfg.discretization.steps_N
@@ -379,8 +404,10 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str,
         batch = simulate_path(policy, scenario, cfg, grid, indices, base_seed)
         for sub in range(0, len(indices), per_call):
             rows = slice(sub, sub + per_call)
-            columns = [reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
-                batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur, batch.cum_cost_eur)]
+            columns = [_reprs_by_run(field[rows]) if field is batch.g
+                       else reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
+                           batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur,
+                           batch.cum_cost_eur)]
             for row, idx in enumerate(indices[rows]):
                 z, r, q, g, stage, cum = (column[row].tolist() for column in columns)
                 labels = [_LABELS[a] for a in batch.action[sub + row].tolist()]

@@ -34,7 +34,9 @@ fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
 and rho_g. The feasibility mask and the transition blocks read them
 over whole lattices; the scalar API (q_moments, g_moments,
 transition_moments) reads them at a point, and the path sampler
-transition_operator at a point or over a batch of paths. A variance is
+transition_operator at a point or over a batch of paths, under one
+action or one action code per path. z_next is the one draw of Z'. Which
+law moves Q' and G' under each action is one map, _LAWS. A variance is
 sd * sd, whose square root is sd again exactly in binary64, so every
 route sees the same (mean, sd) and the same rho.
 
@@ -79,11 +81,26 @@ __all__ = [
     "transition_moments",
     "transition_operator",
     "z_law",
+    "z_next",
 ]
 
-# The actions under which Q' is Gaussian (one shared law; costs and
-# feasibility differ, the transition does not).
-_GAUSSIAN_Q_ACTIONS = (Action.CHARGE, Action.DISCHARGE_FULL)
+# The law that moves Q' and the one that moves G' under each action: the one
+# map from actions to laws. _GAUSSIAN is battery_law / generator_law,
+# correlated with Z'; _LIMITED is discharge_limited_mean / fuel_limited_mean;
+# _IDLE is self-discharge alone for Q' and no change for G'. Charge and full
+# discharge share one law of Q' (their costs and feasibility differ).
+_GAUSSIAN, _LIMITED, _IDLE = range(3)
+_LAWS = {  # action: (law of Q', law of G')
+    Action.OVERSPILL: (_IDLE, _IDLE),
+    Action.CHARGE: (_GAUSSIAN, _IDLE),
+    Action.WAIT: (_IDLE, _IDLE),
+    Action.DISCHARGE_LIMITED: (_LIMITED, _IDLE),
+    Action.DISCHARGE_FULL: (_GAUSSIAN, _IDLE),
+    Action.FUEL_LIMITED: (_IDLE, _LIMITED),
+    Action.FUEL_FULL: (_IDLE, _GAUSSIAN),
+}
+# The same map by action code, for arrays of codes.
+_Q_LAW_OF_CODE, _G_LAW_OF_CODE = np.array([_LAWS[a] for a in Action]).T.copy()
 
 
 # Nodes t_k = k h, |k| <= 224, of the tanh-sinh rule on [-1, 1]: x_k = tanh(u_k)
@@ -312,12 +329,11 @@ def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
     seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
-    if a in _GAUSSIAN_Q_ACTIONS:
+    law = _LAWS[a][0]
+    if law == _GAUSSIAN:
         m_Q, sd_Q = battery_law(n, z, q, cfg)
         return m_Q, sd_Q * sd_Q
-    if a is Action.DISCHARGE_LIMITED:
-        return discharge_limited_mean(q, cfg), 0.0
-    return q * cfg.constants.q_decay, 0.0
+    return _move_q(law, n, State(z, q, None), None, cfg), 0.0
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
@@ -325,12 +341,11 @@ def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
     seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
-    if a is Action.FUEL_FULL:
+    law = _LAWS[a][1]
+    if law == _GAUSSIAN:
         burn, sd_G = generator_law(n, z, cfg)
         return g - burn, sd_G * sd_G
-    if a is Action.FUEL_LIMITED:
-        return fuel_limited_mean(g, cfg), 0.0
-    return g, 0.0
+    return _move_g(law, n, State(z, None, g), None, cfg), 0.0
 
 
 def discharge_limited_mean(q, cfg: ModelConfig):
@@ -350,6 +365,18 @@ def z_law(z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     """(mean, standard deviation) of Z_{n+1} over a float or an array of z; step-free."""
     sc = cfg.constants
     return z * sc.z_decay, sc.sd_z
+
+
+def z_next(z, eps_Z, cfg: ModelConfig):
+    """Z_{n+1} = m_Z + sd_Z eps_Z of z_law, driven by the standard normal eps_Z.
+
+    The one draw of Z': transition_operator and the path simulator both
+    make it here. Z' takes no action and no step, so a simulator can run a
+    whole z path ahead of the actions. z and eps_Z are floats or arrays
+    that broadcast.
+    """
+    m_Z, sd_Z = z_law(z, cfg)
+    return m_Z + sd_Z * eps_Z
 
 
 def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -394,8 +421,9 @@ def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> Transit
     m_Z, sd_Z = z_law(x.z, cfg)
     m_Q, var_Q = q_moments(n, x.z, x.q, a, cfg)
     m_G, var_G = g_moments(n, x.z, x.g, a, cfg)
-    rho_Q = sc.rho_q if a in _GAUSSIAN_Q_ACTIONS else 0.0
-    rho_G = sc.rho_g if a is Action.FUEL_FULL else 0.0
+    q_law, g_law = _LAWS[a]
+    rho_Q = sc.rho_q if q_law == _GAUSSIAN else 0.0
+    rho_G = sc.rho_g if g_law == _GAUSSIAN else 0.0
     return TransitionMoments(m_Z, sd_Z * sd_Z, m_Q, var_Q, m_G, var_G,
                              rho_Q * sd_Z * math.sqrt(var_Q), rho_Q,
                              rho_G * sd_Z * math.sqrt(var_G), rho_G)
@@ -406,7 +434,43 @@ def _correlated(m, sd, rho: float, eps_Z, eps):
     return m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps)
 
 
-def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: ModelConfig) -> State:
+def _move_q(law: int, n, x: State, eps: NoiseVector | None, cfg: ModelConfig):
+    """Q_{n+1} of x under one law of Q'; eps is read by the Gaussian law only."""
+    sc = cfg.constants
+    if law == _GAUSSIAN:
+        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
+        return _correlated(m_Q, sd_Q, sc.rho_q, eps.eps_Z, eps.eps_Q)
+    if law == _LIMITED:
+        return discharge_limited_mean(x.q, cfg)
+    return x.q * sc.q_decay
+
+
+def _move_g(law: int, n, x: State, eps: NoiseVector | None, cfg: ModelConfig):
+    """G_{n+1} of x under one law of G'; eps is read by the Gaussian law only."""
+    if law == _GAUSSIAN:
+        burn, sd_G = generator_law(n, x.z, cfg)
+        return _correlated(x.g - burn, sd_G, cfg.constants.rho_g, eps.eps_Z, eps.eps_G)
+    if law == _LIMITED:
+        return fuel_limited_mean(x.g, cfg)
+    return x.g
+
+
+def _move_by_law(move, laws: np.ndarray, n, x: State, eps: NoiseVector, cfg: ModelConfig):
+    """One axis's next levels where entry p moves under law laws[p]: each law
+    present runs once, over its entries alone (all of them, ungathered, when
+    it is the only law)."""
+    present = np.bincount(laws, minlength=3).nonzero()[0].tolist()
+    if len(present) == 1:
+        return move(present[0], n, x, eps, cfg)
+    level = np.empty(laws.shape)
+    for law in present:
+        sel = (laws == law).nonzero()[0]
+        level[sel] = move(law, n, State(x.z[sel], x.q[sel], x.g[sel]),
+                          NoiseVector(eps.eps_Z[sel], eps.eps_Q[sel], eps.eps_G[sel]), cfg)
+    return level
+
+
+def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig) -> State:
     """One exact-in-distribution step driven by three independent N(0,1) draws.
 
     Feasibility of the action is not checked here. The returned levels are
@@ -415,17 +479,24 @@ def transition_operator(n: int, x: State, a: Action, eps: NoiseVector, cfg: Mode
     x and eps may be floats or arrays of one shape, such as one entry per
     simulated path; every law broadcasts, so each entry gets the bits of
     the scalar call.
+
+    a is an Action, or a 1-D integer array of Action codes with one code
+    per entry of 1-D fields of x and eps (any other a raises ValueError).
+    With codes, each law of Q' and of G' runs once, over the entries whose
+    action moves that axis under it, and every entry has the bits of the
+    call with its own Action.
     """
-    sc = cfg.constants
-    m_Z, sd_Z = z_law(x.z, cfg)
-    if a in _GAUSSIAN_Q_ACTIONS:
-        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
-        q_next = _correlated(m_Q, sd_Q, sc.rho_q, eps.eps_Z, eps.eps_Q)
-    else:
-        q_next = q_moments(n, x.z, x.q, a, cfg)[0]
-    if a is Action.FUEL_FULL:
-        burn, sd_G = generator_law(n, x.z, cfg)
-        g_next = _correlated(x.g - burn, sd_G, sc.rho_g, eps.eps_Z, eps.eps_G)
-    else:
-        g_next = g_moments(n, x.z, x.g, a, cfg)[0]
-    return State(m_Z + sd_Z * eps.eps_Z, q_next, g_next)
+    if isinstance(a, np.ndarray):
+        if (a.ndim != 1 or a.dtype.kind not in "iu"
+                or a.size and not 0 <= a.min() <= a.max() < len(Action)):
+            raise ValueError(f"unknown action codes: {a!r}")
+        seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, whatever the laws
+        return State(z_next(x.z, eps.eps_Z, cfg),
+                     _move_by_law(_move_q, _Q_LAW_OF_CODE[a], n, x, eps, cfg),
+                     _move_by_law(_move_g, _G_LAW_OF_CODE[a], n, x, eps, cfg))
+    if not isinstance(a, Action):
+        raise ValueError(f"unknown action: {a!r}")
+    seasonal_mean(n, cfg)
+    q_law, g_law = _LAWS[a]
+    return State(z_next(x.z, eps.eps_Z, cfg), _move_q(q_law, n, x, eps, cfg),
+                 _move_g(g_law, n, x, eps, cfg))

@@ -103,5 +103,5 @@ def cell_of(value, axis: Axis):
     if np.isnan(levels).any():
         raise ValueError(f"cannot locate NaN on axis {axis.name!r}")
     # first interior edge >= value owns it, since cells are (lo, hi]
-    cells = np.searchsorted(axis.edges, levels, side="left")
+    cells = axis.edges.searchsorted(levels, side="left")
     return cells if cells.ndim else int(cells)

@@ -9,7 +9,11 @@ path index))); all three are arguments of simulate_paths.
 
 simulate_paths is the one simulator: it advances a batch of paths
 together, one array step per time step, and returns their columns as a
-PathBatch; one path is the batch of one index.
+PathBatch; one path is the batch of one index. Z' takes no action, so
+the batch's z paths, their cells and r = mu_R(t_n) + z come first; a
+step then locates q and g, reads the policy, evaluates the stage cost
+once per action present and calls transition_operator once with every
+path's action code, which runs each law of Q' and of G' once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .config import Action, ModelConfig, State
 from .constraints import feasibility_mask
 from .cost import expected_stage_cost
-from .dynamics import NoiseVector, transition_operator
+from .dynamics import NoiseVector, transition_operator, z_next
 from .grid import StateGrid, cell_of, clamp01
 from .solver import PolicyTable
 
@@ -103,16 +107,19 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     default_rng(SeedSequence(base_seed, spawn_key=(scenario id, idx))), so
     a path is the same in any batch.
 
-    At each step the cell of every path is grid.lin of its three cell_of
-    indices, one array call per axis; a NaN level raises cell_of's
-    ValueError naming its axis.
-    The public laws run once per action present at the step, over that
-    action's paths: expected_stage_cost and transition_operator, on
-    arrays, read the config's constants (cfg.constants). The running cost
-    adds exp(-rho t_n) * stage step by step, in the order of a one-path
-    loop, so every path has the bits of a per-step loop over the scalar
-    laws. Memory is O(paths * N); callers with many paths pass them in
-    chunks.
+    Z' takes no action, so every z path is drawn first (z_next), with its
+    z cells in one cell_of call and r = mu_R(t_n) + z in one sum; a NaN
+    anywhere on a z path raises cell_of's ValueError naming 'z' before any
+    step runs. Each step then locates q and g with one cell_of call per
+    axis (a NaN raises for that axis) and reads the policy's action codes.
+    expected_stage_cost runs once per action present, over all paths, and
+    each path keeps the cost of its own action; transition_operator takes
+    the codes and runs each law of Q' and of G' once, over the paths that
+    use it. All of them read the config's constants (cfg.constants). The
+    running cost adds exp(-rho t_n) * stage in step order, as a one-path
+    loop does, so every path has the bits of a per-step loop over the
+    scalar laws. Memory is O(paths * N); callers with many paths pass them
+    in chunks.
     """
     n_steps = cfg.discretization.steps_N
     streams = [np.random.default_rng(np.random.SeedSequence(
@@ -121,34 +128,36 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     n_paths = len(streams)
     # draws[n, k] is the k-th normal of step n for every path, contiguous
     draws = np.array(streams).reshape(n_paths, n_steps, 3).transpose(1, 2, 0).copy()
-    out = PathBatch(*(np.empty((n_paths, n_steps), dtype=np.int8 if name == "action" else float)
-                      for name in PathBatch._fields))
-    mu = cfg.constants.mu
-    axes = (grid.z, grid.q, grid.g)
-    rho = cfg.costs.rho
+    times = [cfg.t_of(n) for n in range(n_steps)]
+    eps_z = draws[:, 0] + np.array([scenario.offset_at(t) for t in times])[:, None]
     x0 = initial_state if initial_state is not None else default_initial_state(grid)
-    z, q, g = (np.full(n_paths, float(level)) for level in x0)
-    cum = np.zeros(n_paths)
+    # Rows are steps and columns paths; the batch is their transpose.
+    z = np.empty((n_steps, n_paths))
+    z[0] = x0.z
+    for n in range(n_steps - 1):
+        z[n + 1] = z_next(z[n], eps_z[n], cfg)
+    z_cells = cell_of(z, grid.z)
+    q_steps, g_steps, stage = (np.empty((n_steps, n_paths)) for _ in range(3))
+    codes = np.empty((n_steps, n_paths), dtype=np.int8)
+    # by_action[a] holds the stage cost of action a at the step, for every path
+    by_action, paths = np.empty((len(Action), n_paths)), np.arange(n_paths)
+    q, g = np.full(n_paths, float(x0.q)), np.full(n_paths, float(x0.g))
     for n in range(n_steps):
-        # z, q, g in order, so a NaN raises for the first axis holding one
-        cell = grid.lin(*(cell_of(level, axis) for level, axis in zip((z, q, g), axes)))
-        codes = policy.actions[n, cell]
-        t = cfg.t_of(n)
-        eps_z = draws[n, 0] + scenario.offset_at(t)
-        stage = np.empty(n_paths)
-        z_next, q_next, g_next = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-        for code in np.unique(codes).tolist():
-            a = Action(code)
-            sel = np.flatnonzero(codes == code)
-            x = State(z[sel], q[sel], g[sel])
-            stage[sel] = expected_stage_cost(n, x, a, cfg)
-            eps = NoiseVector(eps_z[sel], draws[n, 1, sel], draws[n, 2, sel])
-            z_next[sel], q_next[sel], g_next[sel] = transition_operator(n, x, a, eps, cfg)
-        cum = cum + math.exp(-rho * t) * stage
-        for field, column in zip(out, (z, mu[n] + z, q, g, codes, stage, cum)):
-            field[:, n] = column
-        z, q, g = z_next, clamp01(q_next), clamp01(g_next)
-    return out
+        q_steps[n], g_steps[n] = q, g
+        codes[n] = policy.actions[n, grid.lin(z_cells[n], cell_of(q, grid.q), cell_of(g, grid.g))]
+        x = State(z[n], q, g)
+        for code in np.bincount(codes[n], minlength=1).nonzero()[0].tolist():
+            by_action[code] = expected_stage_cost(n, x, Action(code), cfg)
+        stage[n] = by_action[codes[n], paths]
+        # its z' is z[n + 1], drawn above by the same z_next
+        nxt = transition_operator(n, x, codes[n], NoiseVector(eps_z[n], *draws[n, 1:]), cfg)
+        q, g = clamp01(nxt.q), clamp01(nxt.g)
+    discount = np.array([math.exp(-cfg.costs.rho * t) for t in times])
+    # a zero row first, so step 0 sums 0.0 + cost as a step-by-step sum does (-0.0 becomes 0.0)
+    cum = np.cumsum(np.vstack((np.zeros(n_paths), discount[:, None] * stage)), axis=0)[1:]
+    r = cfg.constants.mu[:n_steps, None] + z
+    return PathBatch(*(np.ascontiguousarray(rows.T)
+                       for rows in (z, r, q_steps, g_steps, codes, stage, cum)))
 
 
 def baseline_wait_policy(cfg: ModelConfig, grid: StateGrid) -> PolicyTable:

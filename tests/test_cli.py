@@ -154,6 +154,33 @@ def test_version_flag(capsys):
     assert m.__version__ in capsys.readouterr().out
 
 
+def test_one_parser_per_process_keeps_no_parsed_state(small_ini, tmp_path, monkeypatch, capsys):
+    """main parses every argv with the one cached parser. A call sees none of
+    the options of an earlier call, of another subcommand or of the same one,
+    and --version and an argparse error still end as without the cache."""
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(["calibrate", small_ini, "--q-star", "0.7", "--z1", "2.0"]) == 0
+    assert cli.main(["moments", small_ini, "--n", "0", "--z", "1.0", "--q", "0.8", "--g", "0.9",
+                     "--action", "wait"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"microgrid-dp {m.__version__}\n"
+    assert cli.main(["simulate", small_ini, "--scenario", "neutral",
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert cli.main(["calibrate", small_ini]) == 0
+    assert [args["command"] for args in seen] == ["calibrate", "moments", "calibrate"]
+    first, moments, last = seen
+    assert (first["q_star"], first["z1"]) == (0.7, 2.0)
+    assert set(moments) == {"command", "config", "n", "z", "q", "g", "action"}
+    assert set(last) == set(first) and all(last[k] is None for k in last
+                                           if k not in ("command", "config"))
+
+
 def test_moments_json(small_ini, cfg_small, capsys):
     assert cli.main(["moments", small_ini, "--n", "0", "--z", "1.0", "--q", "0.8",
                      "--g", "0.9", "--action", "discharge_full"]) == 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
 import microgrid_dp as m
@@ -227,6 +229,41 @@ def test_transition_operator_on_arrays_is_the_scalar_call(cfg_table1):
                     for x, e in zip(zip(z.tolist(), q.tolist(), g.tolist()), eps.T.tolist())]
             for axis, column in zip("zqg", got):
                 assert column.tolist() == [float(getattr(w, axis)) for w in want], (n, a, axis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.lists(st.integers(0, len(m.Action) - 1), max_size=48),
+       n=st.integers(0, 167), seed=st.integers(0, 2**32 - 1))
+def test_transition_operator_on_action_codes_is_the_per_action_call(cfg_table1, codes, n, seed):
+    """With one action code per path, each path's next state has the bits of
+    the call with its own Action over the paths that take it, for all seven
+    actions, whichever mix of laws of Q' and G' the codes hold."""
+    cfg = cfg_table1
+    codes = np.array(codes, dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    x = m.State(rng.uniform(-2.5, 2.5, codes.size), rng.uniform(0.0, 1.0, codes.size),
+                rng.uniform(0.0, 1.0, codes.size))
+    eps = NoiseVector(*rng.standard_normal((3, codes.size)))
+    got = m.transition_operator(n, x, codes, eps, cfg)
+    assert all(field.shape == codes.shape for field in got)
+    for a in m.Action:
+        sel = np.flatnonzero(codes == a)
+        want = m.transition_operator(n, m.State(*(f[sel] for f in x)), a,
+                                     NoiseVector(*(e[sel] for e in eps)), cfg)
+        for axis, column, w in zip("zqg", got, want):
+            # repr of a float is its shortest round trip, so equal reprs are equal bits
+            assert repr(column[sel].tolist()) == repr(np.broadcast_to(w, sel.shape).tolist()), \
+                (a, axis)
+
+
+@pytest.mark.parametrize("codes", [np.array([1, 7], dtype=np.int8), np.array([-1, 2]),
+                                   np.array([1.0, 2.0]), np.array([[1, 2]])],
+                         ids=["above", "negative", "float", "2-d"])
+def test_action_code_arrays_outside_the_alphabet_are_refused(cfg_table1, codes):
+    x = m.State(np.zeros(2), np.full(2, 0.5), np.full(2, 0.5))
+    eps = NoiseVector(*np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="unknown action"):
+        m.transition_operator(0, x, codes, eps, cfg_table1)
 
 
 def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):
@@ -477,7 +514,11 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
     for n in (-1, n_steps + 1):
         laws = [lambda: battery_law(n, x.z, x.q, cfg),
                 lambda: generator_law(n, x.z, cfg),
-                lambda: m.feasible_actions(n, x, cfg)]
+                lambda: m.feasible_actions(n, x, cfg),
+                # one path per action code, the step-free moves included
+                lambda: m.transition_operator(
+                    n, m.State(*(np.full(len(m.Action), v) for v in x)), np.arange(len(m.Action)),
+                    NoiseVector(*(np.full(len(m.Action), e) for e in eps)), cfg)]
         # every action, the step-free deterministic moves included
         for a in m.Action:
             laws += [lambda a=a: m.q_moments(n, x.z, x.q, a, cfg),

@@ -1,10 +1,12 @@
-"""floatfmt.reprs against CPython's repr, byte for byte."""
+"""floatfmt.reprs against CPython's repr, byte for byte, also where the path
+writer formats each run of repeated values once."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microgrid_dp import cli
 from microgrid_dp.floatfmt import reprs
 
 
@@ -72,3 +74,42 @@ def test_reprs_takes_lists_and_strided_views_and_refuses_2d():
                 max_size=40))
 def test_reprs_matches_repr_on_any_floats(values):
     assert_matches_repr(np.array(values, dtype=np.float64))
+
+
+# Runs of one value, up to twice a path's length, so that many cross from
+# one path's last step into the next path's first; 0.0 and -0.0 and the
+# NaNs and infinities are drawn often.
+_RUN_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-5, 5e-324, np.nan, -np.inf]) | st.floats(
+    allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def _path_columns(draw):
+    paths, steps = draw(st.integers(0, 5)), draw(st.integers(1, 40))
+    values = []
+    while len(values) < paths * steps:
+        values += [draw(_RUN_VALUES)] * draw(st.integers(1, 2 * steps))
+    return np.array(values[:paths * steps], dtype=np.float64).reshape(paths, steps)
+
+
+def _assert_runs_match_reprs(values: np.ndarray) -> None:
+    got = cli._reprs_by_run(values)
+    assert got.shape == values.shape
+    assert got.ravel().tolist() == reprs(values.ravel()).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_path_columns())
+def test_reprs_by_run_is_reprs_of_every_entry(values):
+    _assert_runs_match_reprs(values)
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros((0, 168)),                                  # no paths
+    np.array([[0.5], [0.5], [-0.0], [0.0]]),             # one step: every path a run of one
+    np.array([[0.0, -0.0, -0.0, 0.0], [0.0, 0.0, -0.0, -0.0]]),  # zeros of both signs
+    np.full((3, 168), 0.25),                             # one value across three paths
+    np.repeat([[1.0, 2.0], [2.0, 3.0]], 84, axis=1),     # 84-step runs; path 1 starts on 2.0
+], ids=["no-paths", "one-step", "signed-zeros", "one-value", "long-runs"])
+def test_reprs_by_run_edge_cases(values):
+    _assert_runs_match_reprs(values)

@@ -162,18 +162,21 @@ def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solu
 @pytest.mark.parametrize("axis", ["z", "q", "g"])
 def test_simulate_paths_rejects_a_nan_level_reached_mid_path(
         axis, cfg_small, grid_small, small_solution, monkeypatch):
-    """A law that returns NaN for one path of a batch stops the batch at the
-    next step with the ValueError of the axis, not a silent clamp to 0."""
+    """A law that returns NaN for one path of a batch stops the batch with the
+    ValueError of the axis, not a silent clamp to 0. The NaN comes from the
+    law the simulator calls for the axis: z_next, which draws the z paths
+    ahead of the steps, or transition_operator, which moves q and g."""
     _, policy, _ = small_solution
-    law = simulate.transition_operator
+    name = "z_next" if axis == "z" else "transition_operator"
+    law = getattr(simulate, name)
 
-    def nan_in_one_path(n, x, a, eps, cfg):
-        nxt = law(n, x, a, eps, cfg)
-        level = getattr(nxt, axis).copy()
-        level[0] = np.nan  # the first path that takes action a
-        return nxt._replace(**{axis: level})
+    def nan_in_one_path(*args):
+        nxt = law(*args)
+        level = (nxt if axis == "z" else getattr(nxt, axis)).copy()
+        level[0] = np.nan
+        return level if axis == "z" else nxt._replace(**{axis: level})
 
-    monkeypatch.setattr(simulate, "transition_operator", nan_in_one_path)
+    monkeypatch.setattr(simulate, name, nan_in_one_path)
     with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
         m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(3))
 
