@@ -350,7 +350,7 @@ def _write_manifest(out_dir: str, cfg: ModelConfig, seed, outputs: list[str]) ->
         "version": __version__,
         "seed": seed,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(os.path.relpath(p, out_dir) for p in outputs),
+        "outputs": sorted(os.path.basename(p) for p in outputs),
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 

@@ -11,11 +11,11 @@ a full battery may still serve demand. Near zero residual demand (within
 half a grid cell of 0) the only feasible control is to wait.
 
 One rule decides every set: _exclusions codes, for each action and each
-state of a (z, q, g) lattice, the first test that excludes the action,
-with the means and standard deviations of the dynamics' array laws.
-feasibility_mask reads it over the grid axes for the solver;
-feasible_actions reads it at one state and names the reason for every
-excluded action.
+state, the first test that excludes the action, with the means and
+standard deviations of the dynamics' laws. Like them it takes floats or
+broadcast arrays of states: feasibility_mask passes the grid axes as an
+open lattice (np.ix_) for the solver, and feasible_actions passes its
+one state's floats and names the reason for every excluded action.
 
 The box tails are dynamics.ndtr of the standardized box bounds. ndtr is
 exactly 0 beyond 9 standard deviations (Phi(-9) = 1.1e-19), so a bound
@@ -74,44 +74,48 @@ _REASONS = {
 }
 
 
-def _exclusions(n, z: np.ndarray, q: np.ndarray, g: np.ndarray,
-                cfg: ModelConfig) -> np.ndarray:
-    """Exclusion code per (action, i, j, k) over the axes z, q, g; 0 where feasible.
+def _exclusions(n, z, q, g, cfg: ModelConfig) -> np.ndarray:
+    """Exclusion code per action and state; 0 where the action is feasible.
+
+    z, q and g are floats, or arrays with one number of axes that
+    broadcast, as in battery_law and generator_law. The action axis comes
+    first, followed by their broadcast shape; a 1-D step array n adds a
+    step axis between the two.
 
     A nonzero code names the first rule that excludes the action. The
     regime rules depend on z only, the battery rules on (z, q) and the
-    fuel rules on (z, g). A 1-D step array n adds a leading step axis.
+    fuel rules on (z, g).
     """
     eps = cfg.discretization.epsilon
     r = seasonal_mean(n, cfg, z) + z
-    band = (np.abs(r) < near_zero_halfwidth(cfg))[..., None, None]
-    surplus = (r < 0.0)[..., None, None]
+    band = np.abs(r) < near_zero_halfwidth(cfg)
+    surplus = np.less(r, 0.0)  # a numpy bool even for floats, so that ~ is a logical not
     # P(Q' < 0) and P(Q' > 1) in one ndtr call, and P(G' < 0) under the full mode
-    m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
-    q_below, q_above = ndtr(np.stack((-m_q / sd_q, (m_q - 1.0) / sd_q)))[..., None] >= eps
+    m_q, sd_q = battery_law(n, z, q, cfg)
+    q_below, q_above = ndtr(np.stack((-m_q / sd_q, (m_q - 1.0) / sd_q))) >= eps
     burn, sd_g = generator_law(n, z, cfg)
-    g_below = (ndtr((burn[..., None] - g) / sd_g) >= eps)[..., None, :]
-    q_negative = (discharge_limited_mean(q, cfg) < 0.0)[:, None]
+    g_below = ndtr((burn - g) / sd_g) >= eps
+    q_negative = discharge_limited_mean(q, cfg) < 0.0
     g_negative = fuel_limited_mean(g, cfg) < 0.0
 
-    code = np.zeros(np.shape(n) + (len(Action), z.size, q.size, g.size), dtype=np.int8)
+    code = np.zeros((len(Action),) + np.broadcast(r, q, g).shape, dtype=np.int8)
 
     def rules(a: Action, *tests) -> None:
         # the last test first, so that the first one that holds is the code left
         out = np.int8(0)
         for reason, holds in reversed(tests):
             out = np.where(holds, np.int8(reason), out)
-        code[..., a, :, :, :] = out
+        code[a] = out
 
     rules(Action.OVERSPILL, (_BAND, band), (_DEFICIT, ~surplus))
     rules(Action.CHARGE, (_BAND, band), (_DEFICIT, ~surplus), (_BELOW, q_below),
           (_ABOVE, q_above))
     rules(Action.WAIT, (_SURPLUS, ~band & surplus))
     rules(Action.DISCHARGE_LIMITED, (_BAND, band), (_SURPLUS, surplus),
-          (_THRESHOLD, (r < cfg.battery.R_Q0)[..., None, None]), (_NEGATIVE, q_negative))
+          (_THRESHOLD, r < cfg.battery.R_Q0), (_NEGATIVE, q_negative))
     rules(Action.DISCHARGE_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, q_below))
     rules(Action.FUEL_LIMITED, (_BAND, band), (_SURPLUS, surplus),
-          (_THRESHOLD, (r < cfg.generator.R_G0)[..., None, None]), (_NEGATIVE, g_negative))
+          (_THRESHOLD, r < cfg.generator.R_G0), (_NEGATIVE, g_negative))
     rules(Action.FUEL_FULL, (_BAND, band), (_SURPLUS, surplus), (_BELOW, g_below))
     return code
 
@@ -121,8 +125,7 @@ def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
     for axis, value in zip("zqg", x):
         if not math.isfinite(value):
             raise ValueError(f"non-finite state on axis {axis!r}: {value}")
-    axes = (np.array([value], dtype=float) for value in x)
-    codes = _exclusions(n, *axes, cfg)[:, 0, 0, 0].tolist()
+    codes = _exclusions(n, *x, cfg).tolist()
     thresholds = {Action.DISCHARGE_LIMITED: f"R_Q0 = {cfg.battery.R_Q0}",
                   Action.FUEL_LIMITED: f"R_G0 = {cfg.generator.R_G0}"}
     return FeasibleSet(
@@ -136,8 +139,10 @@ def feasible_actions(n: int, x: State, cfg: ModelConfig) -> FeasibleSet:
 def feasibility_mask(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     """Boolean mask (action, i, j, k): True where the action is feasible.
 
-    _exclusions over the grid axes: the rule of feasible_actions at every
-    grid state, taken for the whole lattice at once. For a 1-D step array
-    n the mask is (step, action, i, j, k), one step's mask per slice.
+    _exclusions over the open lattice of the grid axes: the rule of
+    feasible_actions at every grid state, taken for the whole lattice at
+    once. For a 1-D step array n the mask is (step, action, i, j, k), one
+    step's mask per slice.
     """
-    return _exclusions(n, grid.z.points, grid.q.points, grid.g.points, cfg) == 0
+    code = _exclusions(n, *np.ix_(grid.z.points, grid.q.points, grid.g.points), cfg)
+    return np.moveaxis(code, 0, np.ndim(n)) == 0

@@ -34,11 +34,13 @@ fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
 and rho_g. The feasibility mask and the transition blocks read them
 over whole lattices; the scalar API (q_moments, g_moments,
 transition_moments) reads them at a point, and the path sampler
-transition_operator at a point or over a batch of paths, under one
-action or one action code per path. z_next is the one draw of Z'. Which
-law moves Q' and G' under each action is one map, _LAWS. A variance is
-sd * sd, whose square root is sd again exactly in binary64, so every
-route sees the same (mean, sd) and the same rho.
+transition_operator at a point or over a batch of paths. z_next is the
+one draw of Z'. Which law moves Q' and G' under each action is one map,
+_LAWS. transition_operator takes an Action or one action code per path
+and has one route for both: each law that moves an axis runs once over
+the whole batch, and each entry keeps its own action's level. A
+variance is sd * sd, whose square root is sd again exactly in binary64,
+so every route sees the same (mean, sd) and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
@@ -457,16 +459,14 @@ def _move_g(law: int, n, x: State, eps: NoiseVector | None, cfg: ModelConfig):
 
 def _move_by_law(move, laws: np.ndarray, n, x: State, eps: NoiseVector, cfg: ModelConfig):
     """One axis's next levels where entry p moves under law laws[p]: each law
-    present runs once, over its entries alone (all of them, ungathered, when
-    it is the only law)."""
+    present runs once, over the whole batch, and each entry keeps the level
+    of its own law (a lone law's levels are returned as they come)."""
     present = np.bincount(laws, minlength=3).nonzero()[0].tolist()
     if len(present) == 1:
         return move(present[0], n, x, eps, cfg)
     level = np.empty(laws.shape)
     for law in present:
-        sel = (laws == law).nonzero()[0]
-        level[sel] = move(law, n, State(x.z[sel], x.q[sel], x.g[sel]),
-                          NoiseVector(eps.eps_Z[sel], eps.eps_Q[sel], eps.eps_G[sel]), cfg)
+        np.copyto(level, move(law, n, x, eps, cfg), where=laws == law)
     return level
 
 
@@ -482,21 +482,18 @@ def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig)
 
     a is an Action, or a 1-D integer array of Action codes with one code
     per entry of 1-D fields of x and eps (any other a raises ValueError).
-    With codes, each law of Q' and of G' runs once, over the entries whose
-    action moves that axis under it, and every entry has the bits of the
-    call with its own Action.
+    Each law of Q' and of G' that the codes name runs once, over every
+    entry, and each entry keeps the level of its own action's law, so it
+    has the bits of the call with its own Action. An Action is the case
+    of one law per axis.
     """
-    if isinstance(a, np.ndarray):
-        if (a.ndim != 1 or a.dtype.kind not in "iu"
-                or a.size and not 0 <= a.min() <= a.max() < len(Action)):
-            raise ValueError(f"unknown action codes: {a!r}")
-        seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, whatever the laws
-        return State(z_next(x.z, eps.eps_Z, cfg),
-                     _move_by_law(_move_q, _Q_LAW_OF_CODE[a], n, x, eps, cfg),
-                     _move_by_law(_move_g, _G_LAW_OF_CODE[a], n, x, eps, cfg))
-    if not isinstance(a, Action):
+    if isinstance(a, Action):
+        q_laws, g_laws = np.array([_LAWS[a]]).T
+    elif (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+          and (a.size == 0 or 0 <= a.min() <= a.max() < len(Action))):
+        q_laws, g_laws = _Q_LAW_OF_CODE[a], _G_LAW_OF_CODE[a]
+    else:
         raise ValueError(f"unknown action: {a!r}")
-    seasonal_mean(n, cfg)
-    q_law, g_law = _LAWS[a]
-    return State(z_next(x.z, eps.eps_Z, cfg), _move_q(q_law, n, x, eps, cfg),
-                 _move_g(g_law, n, x, eps, cfg))
+    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, whatever the laws
+    return State(z_next(x.z, eps.eps_Z, cfg), _move_by_law(_move_q, q_laws, n, x, eps, cfg),
+                 _move_by_law(_move_g, g_laws, n, x, eps, cfg))

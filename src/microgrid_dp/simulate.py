@@ -12,8 +12,9 @@ together, one array step per time step, and returns their columns as a
 PathBatch; one path is the batch of one index. Z' takes no action, so
 the batch's z paths, their cells and r = mu_R(t_n) + z come first; a
 step then locates q and g, reads the policy, evaluates the stage cost
-once per action present and calls transition_operator once with every
-path's action code, which runs each law of Q' and of G' once.
+once per action present over all paths, each path keeping its own
+action's cost, and calls transition_operator once with every path's
+action code, which runs each law of Q' and of G' once.
 """
 
 from __future__ import annotations
@@ -114,12 +115,12 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     axis (a NaN raises for that axis) and reads the policy's action codes.
     expected_stage_cost runs once per action present, over all paths, and
     each path keeps the cost of its own action; transition_operator takes
-    the codes and runs each law of Q' and of G' once, over the paths that
-    use it. All of them read the config's constants (cfg.constants). The
-    running cost adds exp(-rho t_n) * stage in step order, as a one-path
-    loop does, so every path has the bits of a per-step loop over the
-    scalar laws. Memory is O(paths * N); callers with many paths pass them
-    in chunks.
+    the codes and runs each law of Q' and of G' present once, over all
+    paths, each path keeping its own law's level. All of them read the
+    config's constants (cfg.constants). The running cost adds
+    exp(-rho t_n) * stage in step order, as a one-path loop does, so every
+    path has the bits of a per-step loop over the scalar laws. Memory is
+    O(paths * N); callers with many paths pass them in chunks.
     """
     n_steps = cfg.discretization.steps_N
     streams = [np.random.default_rng(np.random.SeedSequence(
@@ -139,16 +140,14 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     z_cells = cell_of(z, grid.z)
     q_steps, g_steps, stage = (np.empty((n_steps, n_paths)) for _ in range(3))
     codes = np.empty((n_steps, n_paths), dtype=np.int8)
-    # by_action[a] holds the stage cost of action a at the step, for every path
-    by_action, paths = np.empty((len(Action), n_paths)), np.arange(n_paths)
     q, g = np.full(n_paths, float(x0.q)), np.full(n_paths, float(x0.g))
     for n in range(n_steps):
         q_steps[n], g_steps[n] = q, g
         codes[n] = policy.actions[n, grid.lin(z_cells[n], cell_of(q, grid.q), cell_of(g, grid.g))]
         x = State(z[n], q, g)
         for code in np.bincount(codes[n], minlength=1).nonzero()[0].tolist():
-            by_action[code] = expected_stage_cost(n, x, Action(code), cfg)
-        stage[n] = by_action[codes[n], paths]
+            np.copyto(stage[n], expected_stage_cost(n, x, Action(code), cfg),
+                      where=codes[n] == code)
         # its z' is z[n + 1], drawn above by the same z_next
         nxt = transition_operator(n, x, codes[n], NoiseVector(eps_z[n], *draws[n, 1:]), cfg)
         q, g = clamp01(nxt.q), clamp01(nxt.g)

@@ -618,6 +618,20 @@ def test_paper_run_pipeline(small_ini, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("form", ["./out/", "out", "absolute"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_manifest_lists_output_names_however_out_is_spelled(small_ini, solve_dir, tmp_path,
+                                                           monkeypatch, command, form, capsys):
+    """Every output is a direct child of --out, so the manifest lists its
+    file names, the same for ./out/, out and an absolute path."""
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out") if form == "absolute" else form
+    assert cli.main([*_rerun_commands(small_ini, solve_dir)[command], "--out", out]) == 0
+    manifest = json.loads(Path(tmp_path, "out", "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(set(os.listdir(tmp_path / "out")) - {"manifest.json"})
+    capsys.readouterr()
+
+
 def test_paper_run_repeatable_bytes(small_ini, tmp_path, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["paper-run", small_ini, "--out", out1, "--seeds", "2"]) == 0

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import microgrid_dp as m
 from conftest import small_discretization
-from microgrid_dp.constraints import near_zero_halfwidth
+from microgrid_dp.constraints import _REASONS, _exclusions, near_zero_halfwidth
 from microgrid_dp.dynamics import battery_law, ndtr as pkg_ndtr
 from oracles import feasible_actions_reference, state_of
 
@@ -208,3 +210,60 @@ def test_non_finite_state_is_rejected(cfg_table1, axis, value):
     x = m.State(1.0, 0.5, 0.5)._replace(**{axis: value})
     with pytest.raises(ValueError, match=f"axis '{axis}'"):
         m.feasible_actions(3, x, cfg_table1)
+
+
+def _z_at(r, mu):
+    """A z with mu + z == r in floating point where one lies within a few
+    ulps of r - mu, else one of those few z (mu + z then misses r by an ulp)."""
+    z = r - mu
+    for _ in range(4):
+        if mu + z == r:
+            break
+        z = math.nextafter(z, math.inf if mu + z < r else -math.inf)
+    return z
+
+
+# The residual demands at which a rule changes its verdict: both edges of the
+# near-zero band, zero and the two thresholds.
+_EDGES = ["band", "-band", "zero", "R_Q0", "R_G0"]
+_LEVELS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# (edge or None, ulps off it, index of the step whose mu_R places it, free z, q, g);
+# the steps are table1's 0..N
+_POINTS = st.tuples(st.one_of(st.none(), st.sampled_from(_EDGES)), st.integers(-1, 1),
+                    st.integers(0, 3), st.floats(-3.0, 3.0), _LEVELS, _LEVELS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.integers(0, 168), min_size=1, max_size=4), as_array=st.booleans(),
+       points=st.lists(_POINTS, min_size=1, max_size=8))
+def test_exclusions_on_state_batches_are_feasible_actions(cfg_table1, steps, as_array, points):
+    """_exclusions over 1-D batches of states, at an int step or over a step
+    array, gives each entry the codes of feasible_actions at that point:
+    the same first excluding rule for every action. The states sit on the
+    band edges, at r = 0, at R_Q0 and R_G0 (or one ulp off them) or
+    anywhere, with q and g at 0, at 1 or inside."""
+    cfg = cfg_table1
+    mu = cfg.constants.mu
+    half = near_zero_halfwidth(cfg)
+    edge = {"band": half, "-band": -half, "zero": 0.0,
+            "R_Q0": cfg.battery.R_Q0, "R_G0": cfg.generator.R_G0}
+    z = []
+    for kind, ulps, anchor, free, _, _ in points:
+        if kind is None:
+            z.append(free)
+            continue
+        r = edge[kind] if ulps == 0 else math.nextafter(edge[kind], ulps * math.inf)
+        z.append(_z_at(r, mu[steps[anchor % len(steps)]]))
+    z, q, g = np.array(z), np.array([p[4] for p in points]), np.array([p[5] for p in points])
+    n = np.array(steps) if as_array else steps[0]
+    codes = _exclusions(n, z, q, g, cfg)
+    assert codes.shape == (len(m.Action),) + np.shape(n) + z.shape
+    eps = cfg.discretization.epsilon
+    code_of = {text.format(eps=eps, threshold=threshold): code
+               for code, text in _REASONS.items()
+               for threshold in (f"R_Q0 = {cfg.battery.R_Q0}", f"R_G0 = {cfg.generator.R_G0}")}
+    for s, step in enumerate(np.atleast_1d(n).tolist()):
+        for p, x in enumerate(zip(z.tolist(), q.tolist(), g.tolist())):
+            fs = m.feasible_actions(step, m.State(*x), cfg)
+            want = [0 if a in fs else code_of[fs.excluded[a]] for a in m.Action]
+            assert codes.reshape(len(m.Action), -1, z.size)[:, s, p].tolist() == want, (step, x)

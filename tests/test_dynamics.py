@@ -256,9 +256,27 @@ def test_transition_operator_on_action_codes_is_the_per_action_call(cfg_table1, 
                 (a, axis)
 
 
+@pytest.mark.parametrize("n", [0, 17, 167])
+@pytest.mark.parametrize("a", list(m.Action))
+def test_an_action_over_arrays_is_its_code_repeated(cfg_table1, a, n):
+    """An Action is the one-law case of the code route: over arrays of states
+    and noise it gives the bits of the same code repeated for every entry."""
+    rng = np.random.default_rng(11)
+    size = 40
+    x = m.State(rng.uniform(-2.5, 2.5, size), np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 38))),
+                np.concatenate(([1.0, 0.0], rng.uniform(0, 1, 38))))
+    eps = NoiseVector(*rng.standard_normal((3, size)))
+    by_action = m.transition_operator(n, x, a, eps, cfg_table1)
+    by_code = m.transition_operator(n, x, np.full(size, a, dtype=np.int8), eps, cfg_table1)
+    for axis, got, want in zip("zqg", by_action, by_code):
+        assert np.shape(got) == np.shape(want) == (size,), axis
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), axis
+
+
 @pytest.mark.parametrize("codes", [np.array([1, 7], dtype=np.int8), np.array([-1, 2]),
-                                   np.array([1.0, 2.0]), np.array([[1, 2]])],
-                         ids=["above", "negative", "float", "2-d"])
+                                   np.array([1.0, 2.0]), np.array([[1, 2]]), np.array(1),
+                                   np.array([True, False])],
+                         ids=["above", "negative", "float", "2-d", "0-d", "bool"])
 def test_action_code_arrays_outside_the_alphabet_are_refused(cfg_table1, codes):
     x = m.State(np.zeros(2), np.full(2, 0.5), np.full(2, 0.5))
     eps = NoiseVector(*np.zeros((3, 2)))
