@@ -77,16 +77,20 @@ _REASONS = {
 def _exclusions(n, z, q, g, cfg: ModelConfig) -> np.ndarray:
     """Exclusion code per action and state; 0 where the action is feasible.
 
-    z, q and g are floats, or arrays with one number of axes that
-    broadcast, as in battery_law and generator_law. The action axis comes
-    first, followed by their broadcast shape; a 1-D step array n adds a
-    step axis between the two.
+    z, q and g are floats or arrays that broadcast. Length-1 axes are
+    prepended so that all three have one number of axes before any law
+    sees them, which places a step axis in front of every state axis. The
+    action axis comes first, followed by their broadcast shape; a 1-D
+    step array n adds a step axis between the two.
 
     A nonzero code names the first rule that excludes the action. The
     regime rules depend on z only, the battery rules on (z, q) and the
     fuel rules on (z, g).
     """
     eps = cfg.discretization.epsilon
+    dims = max(map(np.ndim, (z, q, g)))
+    z, q, g = (np.reshape(v, (1,) * (dims - np.ndim(v)) + np.shape(v)) if np.ndim(v) < dims
+               else v for v in (z, q, g))
     r = seasonal_mean(n, cfg, z) + z
     band = np.abs(r) < near_zero_halfwidth(cfg)
     surplus = np.less(r, 0.0)  # a numpy bool even for floats, so that ~ is a logical not

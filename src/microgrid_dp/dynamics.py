@@ -51,10 +51,10 @@ read-only array over n = 0..N, read through seasonal_mean, which raises
 KeyError for a step outside 0..N (a -1 does not wrap round to step N).
 
 A law that takes a step n (battery_law, generator_law and the stage
-cost, and through them the blocks and the feasibility mask) also takes a
-1-D array of steps: mu_R(t_n) then enters as a leading axis in front of
-the broadcast state axes, and each step's slice has the bits of the int
-call, since every entry goes through the same elementwise arithmetic.
+cost, and through them the blocks, the feasibility mask and the path
+simulator) also takes an array of steps, placed against the states by
+the one rule of seasonal_mean. Each step's entries have the bits of the
+int call, since every entry goes through the same elementwise arithmetic.
 """
 
 from __future__ import annotations
@@ -298,12 +298,16 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
 
 
 def seasonal_mean(n, cfg: ModelConfig, *state):
-    """mu_R(t_n) of step n as a float, or of each step of a 1-D step array.
+    """mu_R(t_n) of step n as a float, or of each step of an array of steps.
 
-    For an array the steps form a leading axis, followed by as many axes
-    of length 1 as the state arrays have, so that the result broadcasts
-    over them. A step outside 0..N, or one that is not an integer, raises
-    KeyError; an array raises if any of its steps does.
+    The one rule for step arrays, which every law that takes a step
+    follows: a 1-D array of steps forms a leading axis, followed by as
+    many axes of length 1 as the state arrays have, so that the result
+    broadcasts over them. An array with two or more axes keeps its shape
+    and broadcasts against the states as it is, such as
+    np.arange(N)[:, None] against a (step, path) table of states. A step
+    outside 0..N, or one that is not an integer, raises KeyError; an
+    array raises if any of its steps does.
     """
     mu = cfg.constants.mu
     if (type(n) is int or isinstance(n, np.integer)) and 0 <= n < mu.size:
@@ -312,6 +316,8 @@ def seasonal_mean(n, cfg: ModelConfig, *state):
     inside = steps.dtype.kind in "iu" and ((steps >= 0) & (steps < mu.size)).all()
     if steps.ndim == 0 or not inside:
         raise KeyError(f"step {n!r} outside 0..{mu.size - 1}")
+    if steps.ndim > 1:
+        return mu[steps]
     return mu[steps].reshape(steps.shape + (1,) * max(map(np.ndim, state), default=0))
 
 
@@ -385,8 +391,8 @@ def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
 
     Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
-    scalars for an int n and float z and q. A 1-D step array n adds a
-    leading step axis.
+    scalars for an int n and float z and q. A step array n is placed by
+    the rule of seasonal_mean.
     """
     sc = cfg.constants
     mu = seasonal_mean(n, cfg, z, q)
@@ -402,8 +408,8 @@ def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     """(burn, sd) of the full generator mode for a float or array z: G_{n+1} ~ N(g - burn, sd^2).
 
     The burn depends on z only and the standard deviation on no state at
-    all; the generator block exploits exactly this structure. A 1-D step
-    array n adds a leading step axis to the burn.
+    all; the generator block exploits exactly this structure. A step
+    array n enters the burn by the rule of seasonal_mean.
     """
     gen, sc = cfg.generator, cfg.constants
     dt = cfg.dt

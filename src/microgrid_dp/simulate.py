@@ -10,11 +10,13 @@ path index))); all three are arguments of simulate_paths.
 simulate_paths is the one simulator: it advances a batch of paths
 together, one array step per time step, and returns their columns as a
 PathBatch; one path is the batch of one index. Z' takes no action, so
-the batch's z paths, their cells and r = mu_R(t_n) + z come first; a
-step then locates q and g, reads the policy, evaluates the stage cost
-once per action present over all paths, each path keeping its own
-action's cost, and calls transition_operator once with every path's
-action code, which runs each law of Q' and of G' once.
+the batch's z paths, their cells, each path's offset into the policy at
+every step and r = mu_R(t_n) + z come first. The step loop carries only
+the q/g recursion: it locates q and g, reads the policy and calls
+transition_operator once with every path's action code, which runs each
+law of Q' and of G' once. The stage cost depends on (step, z, action)
+alone, so it runs after the loop, once per action present over the
+whole (step, path) table, each entry keeping its own action's cost.
 """
 
 from __future__ import annotations
@@ -109,26 +111,29 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     a path is the same in any batch.
 
     Z' takes no action, so every z path is drawn first (z_next), with its
-    z cells in one cell_of call and r = mu_R(t_n) + z in one sum; a NaN
+    z cells in one cell_of call, each path's index of (step, z cell) into
+    the flat policy table and r = mu_R(t_n) + z in one sum each; a NaN
     anywhere on a z path raises cell_of's ValueError naming 'z' before any
-    step runs. Each step then locates q and g with one cell_of call per
-    axis (a NaN raises for that axis) and reads the policy's action codes.
-    expected_stage_cost runs once per action present, over all paths, and
-    each path keeps the cost of its own action; transition_operator takes
-    the codes and runs each law of Q' and of G' present once, over all
-    paths, each path keeping its own law's level. All of them read the
-    config's constants (cfg.constants). The running cost adds
-    exp(-rho t_n) * stage in step order, as a one-path loop does, so every
-    path has the bits of a per-step loop over the scalar laws. Memory is
-    O(paths * N); callers with many paths pass them in chunks.
+    step runs. The step loop carries only the q/g recursion: each step
+    locates q and g with one cell_of call per axis (a NaN raises for that
+    axis), adds their cell to the offsets to read the policy's action
+    codes, and passes the codes to transition_operator, which runs each
+    law of Q' and of G' present once, over all paths, each path keeping
+    its own law's level; the clamped levels are the next step's state.
+    After the loop, expected_stage_cost runs once per action present over
+    the whole (step, path) table (steps np.arange(N)[:, None]), and each
+    entry keeps the cost of its own action. All of them read the config's
+    constants (cfg.constants). The running cost adds exp(-rho t_n) * stage
+    in step order, as a one-path loop does, so every path has the bits of
+    a per-step loop over the scalar laws. Memory is O(paths * N); callers
+    with many paths pass them in chunks.
     """
     n_steps = cfg.discretization.steps_N
-    streams = [np.random.default_rng(np.random.SeedSequence(
-        entropy=base_seed, spawn_key=(scenario.sid, idx))).standard_normal(3 * n_steps)
-        for idx in path_indices]
-    n_paths = len(streams)
     # draws[n, k] is the k-th normal of step n for every path, contiguous
-    draws = np.array(streams).reshape(n_paths, n_steps, 3).transpose(1, 2, 0).copy()
+    draws = np.array([np.random.default_rng(np.random.SeedSequence(
+        entropy=base_seed, spawn_key=(scenario.sid, idx))).standard_normal(3 * n_steps)
+        for idx in path_indices]).reshape(-1, n_steps, 3).transpose(1, 2, 0).copy()
+    n_paths = draws.shape[2]
     times = [cfg.t_of(n) for n in range(n_steps)]
     eps_z = draws[:, 0] + np.array([scenario.offset_at(t) for t in times])[:, None]
     x0 = initial_state if initial_state is not None else default_initial_state(grid)
@@ -138,19 +143,25 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     for n in range(n_steps - 1):
         z[n + 1] = z_next(z[n], eps_z[n], cfg)
     z_cells = cell_of(z, grid.z)
+    # each path's index into the flat policy at its step and z cell; a step adds its (q, g) cell
+    offsets = grid.lin(z_cells, 0, 0) + np.arange(n_steps)[:, None] * grid.n_states
     q_steps, g_steps, stage = (np.empty((n_steps, n_paths)) for _ in range(3))
     codes = np.empty((n_steps, n_paths), dtype=np.int8)
     q, g = np.full(n_paths, float(x0.q)), np.full(n_paths, float(x0.g))
     for n in range(n_steps):
         q_steps[n], g_steps[n] = q, g
-        codes[n] = policy.actions[n, grid.lin(z_cells[n], cell_of(q, grid.q), cell_of(g, grid.g))]
-        x = State(z[n], q, g)
-        for code in np.bincount(codes[n], minlength=1).nonzero()[0].tolist():
-            np.copyto(stage[n], expected_stage_cost(n, x, Action(code), cfg),
-                      where=codes[n] == code)
+        codes[n] = policy.actions.take(offsets[n] + grid.lin(0, cell_of(q, grid.q),
+                                                             cell_of(g, grid.g)))
         # its z' is z[n + 1], drawn above by the same z_next
-        nxt = transition_operator(n, x, codes[n], NoiseVector(eps_z[n], *draws[n, 1:]), cfg)
+        nxt = transition_operator(n, State(z[n], q, g), codes[n],
+                                  NoiseVector(eps_z[n], *draws[n, 1:]), cfg)
         q, g = clamp01(nxt.q), clamp01(nxt.g)
+    # The stage cost depends on (step, z, action) alone: one call per action present over
+    # the whole (step, path) table, each entry keeping its own action's cost.
+    x = State(z, q_steps, g_steps)
+    for code in np.bincount(codes.ravel(), minlength=1).nonzero()[0].tolist():
+        np.copyto(stage, expected_stage_cost(np.arange(n_steps)[:, None], x, Action(code), cfg),
+                  where=codes == code)
     discount = np.array([math.exp(-cfg.costs.rho * t) for t in times])
     # a zero row first, so step 0 sums 0.0 + cost as a step-by-step sum does (-0.0 becomes 0.0)
     cum = np.cumsum(np.vstack((np.zeros(n_paths), discount[:, None] * stage)), axis=0)[1:]

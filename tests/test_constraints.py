@@ -223,6 +223,25 @@ def _z_at(r, mu):
     return z
 
 
+def _assert_codes_of_feasible_actions(codes, n, z, q, g, cfg):
+    """codes = _exclusions(n, z, q, g, cfg) has the (action, step, state)
+    shape, and each (step, state) holds the code of feasible_actions there:
+    the same first excluding rule for every action."""
+    eps = cfg.discretization.epsilon
+    code_of = {text.format(eps=eps, threshold=threshold): code
+               for code, text in _REASONS.items()
+               for threshold in (f"R_Q0 = {cfg.battery.R_Q0}", f"R_G0 = {cfg.generator.R_G0}")}
+    shape = np.broadcast(z, q, g).shape
+    assert codes.shape == (len(m.Action),) + np.shape(n) + shape
+    points = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (z, q, g)))
+    for p, x in enumerate(points):
+        for s, step in enumerate(np.atleast_1d(n).tolist()):
+            fs = m.feasible_actions(step, m.State(*x), cfg)
+            want = [0 if a in fs else code_of[fs.excluded[a]] for a in m.Action]
+            got = codes.reshape(len(m.Action), -1, math.prod(shape))[:, s, p]
+            assert got.tolist() == want, (step, x)
+
+
 # The residual demands at which a rule changes its verdict: both edges of the
 # near-zero band, zero and the two thresholds.
 _EDGES = ["band", "-band", "zero", "R_Q0", "R_G0"]
@@ -256,14 +275,22 @@ def test_exclusions_on_state_batches_are_feasible_actions(cfg_table1, steps, as_
         z.append(_z_at(r, mu[steps[anchor % len(steps)]]))
     z, q, g = np.array(z), np.array([p[4] for p in points]), np.array([p[5] for p in points])
     n = np.array(steps) if as_array else steps[0]
-    codes = _exclusions(n, z, q, g, cfg)
-    assert codes.shape == (len(m.Action),) + np.shape(n) + z.shape
-    eps = cfg.discretization.epsilon
-    code_of = {text.format(eps=eps, threshold=threshold): code
-               for code, text in _REASONS.items()
-               for threshold in (f"R_Q0 = {cfg.battery.R_Q0}", f"R_G0 = {cfg.generator.R_G0}")}
-    for s, step in enumerate(np.atleast_1d(n).tolist()):
-        for p, x in enumerate(zip(z.tolist(), q.tolist(), g.tolist())):
-            fs = m.feasible_actions(step, m.State(*x), cfg)
-            want = [0 if a in fs else code_of[fs.excluded[a]] for a in m.Action]
-            assert codes.reshape(len(m.Action), -1, z.size)[:, s, p].tolist() == want, (step, x)
+    _assert_codes_of_feasible_actions(_exclusions(n, z, q, g, cfg), n, z, q, g, cfg)
+
+
+@pytest.mark.parametrize("n", [3, np.array([0, 1, 2]), np.array([168, 40])])
+def test_exclusions_align_states_of_unequal_ndim(cfg_table1, grid_table1, n):
+    """A float z against 3-entry q and g, a float q or g among arrays, and a
+    (z, 1) column against a row of q: length-1 axes are prepended, so every
+    (step, entry) code is the code of feasible_actions at that point, and
+    the lattice mask keeps the bits of the full-size states."""
+    cfg = cfg_table1
+    levels = np.array([0.0, 0.5, 1.0])
+    cases = [(0.5, levels, levels[::-1]), (np.array([-2.5, 0.3, 2.0]), 0.0, levels),
+             (np.array([[-2.5], [1.2]]), levels, 0.3)]
+    for z, q, g in cases:
+        _assert_codes_of_feasible_actions(_exclusions(n, z, q, g, cfg), n, z, q, g, cfg)
+    full = np.broadcast_arrays(*np.ix_(grid_table1.z.points, grid_table1.q.points,
+                                       grid_table1.g.points))
+    mask = m.feasibility_mask(n, grid_table1, cfg)
+    assert np.array_equal(mask, np.moveaxis(_exclusions(n, *full, cfg), 0, np.ndim(n)) == 0)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -94,6 +95,40 @@ def test_expected_cost_independent_of_q_g(cfg_table1):
     ref = m.expected_stage_cost(0, m.State(0.5, 0.1, 0.1), a, cfg_table1)
     for q, g in ((0.9, 0.2), (0.0, 1.0)):
         assert m.expected_stage_cost(0, m.State(0.5, q, g), a, cfg_table1) == ref
+
+
+@pytest.mark.parametrize("problem", ["table1", "small", "mu0_R=0.2"])
+def test_stage_cost_on_a_step_column_equals_the_int_calls(problem, cfg_table1, cfg_small):
+    """np.arange(N + 1)[:, None] against a (step, path) table of z, as the
+    simulator passes it: every entry has the bits of the int call at its
+    step, for every action. mu0_R = 0.2 has a step where libm's pow squares
+    mu - R_G0 to another last bit than the product."""
+    cfg = {"table1": cfg_table1, "small": cfg_small,
+           "mu0_R=0.2": dataclasses.replace(
+               cfg_table1, demand=dataclasses.replace(cfg_table1.demand, mu0_R=0.2))}[problem]
+    steps = np.arange(cfg.discretization.steps_N + 1)[:, None]
+    z = np.random.default_rng(28).normal(0.0, 1.5, (steps.size, 5))
+    z[:, 0] = cfg.generator.R_G0 - cfg.constants.mu  # r = R_G0 at every step
+    for a in m.Action:
+        got = np.broadcast_to(m.expected_stage_cost(steps, m.State(z, 0.5, 0.5), a, cfg), z.shape)
+        for n in range(steps.size):
+            want = m.expected_stage_cost(n, m.State(z[n], 0.5, 0.5), a, cfg)
+            assert got[n].tobytes() == np.broadcast_to(want, z[n].shape).tobytes(), (a, n)
+
+
+def test_stage_cost_step_arrays_place_their_axes(cfg_table1):
+    """A 2-D step array outside 0..N raises KeyError; a 1-D one still adds a
+    leading step axis in front of the states."""
+    n_steps = cfg_table1.discretization.steps_N
+    x = m.State(np.zeros((2, 4)), 0.5, 0.5)
+    for steps in ([[0], [n_steps + 1]], [[-1], [0]]):
+        with pytest.raises(KeyError):
+            m.expected_stage_cost(np.array(steps), x, m.Action.WAIT, cfg_table1)
+    cost = m.expected_stage_cost(np.arange(3), m.State(np.zeros(4), 0.5, 0.5), m.Action.WAIT,
+                                 cfg_table1)
+    assert cost.shape == (3, 4)
+    assert np.array_equal(cost[2], m.expected_stage_cost(2, m.State(np.zeros(4), 0.5, 0.5),
+                                                         m.Action.WAIT, cfg_table1))
 
 
 def test_terminal_cost_frozen_values(cfg_table1):

@@ -147,6 +147,29 @@ def test_simulate_paths_matches_reference_loop_path_by_path(problem, request):
             assert repr(got) == repr(want), (scenario.name, seed, x0, idx)
 
 
+def test_simulate_paths_runs_the_stage_cost_once_per_action_present(
+        cfg_table1, grid_table1, table1_solution, monkeypatch):
+    """The stage cost runs after the step loop: one expected_stage_cost call
+    per action a batch takes, over all its steps and paths, and none for an
+    empty batch; a per-step call would make one per step and action."""
+    _, policy, _ = table1_solution
+    cost = simulate.expected_stage_cost
+    calls = []
+
+    def counted(k, x, a, cfg):
+        calls.append(a)
+        return cost(k, x, a, cfg)
+
+    monkeypatch.setattr(simulate, "expected_stage_cost", counted)
+    # 20 paths of this week, and one of them alone, take every action
+    for indices, n_actions in ((range(20), len(m.Action)), ([3], len(m.Action)), ([], 0)):
+        calls.clear()
+        batch = m.simulate_paths(policy, m.SCENARIOS["overcast-week"], cfg_table1,
+                                 grid_table1, indices)
+        present = [m.Action(code) for code in np.unique(batch.action).tolist()]
+        assert sorted(calls) == present and len(present) == n_actions, indices
+
+
 @pytest.mark.parametrize("axis", ["z", "q", "g"])
 def test_simulate_path_rejects_nan_state(axis, cfg_small, grid_small, small_solution):
     _, policy, _ = small_solution
