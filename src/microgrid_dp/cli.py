@@ -111,7 +111,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("paper-run", help="full pipeline: solve plus all scenario path sets")
+    p = sub.add_parser("paper-run", help="full pipeline: solve plus every non-neutral "
+                                         "scenario's path set")
     p.add_argument("config")
     p.add_argument("--out", default="paper-run-out")
     p.add_argument("--seeds", type=int, default=3)
@@ -131,6 +132,15 @@ def _parse_window(raw: str | None) -> tuple[float, float] | None:
     return start, end
 
 
+def _check_export_steps(steps: list[int], cfg: ModelConfig) -> list[int]:
+    """steps, each range-checked against 0..N in the order given; the first outside is refused."""
+    n_steps = cfg.discretization.steps_N
+    for n in steps:
+        if not 0 <= n <= n_steps:
+            raise ConfigError([f"export step {n} outside 0..{n_steps}"])
+    return steps
+
+
 def _parse_export_steps(raw: str | None, cfg: ModelConfig) -> list[int]:
     """Sorted unique export steps from '--export-steps', range-checked against 0..N."""
     if raw is None:
@@ -139,26 +149,7 @@ def _parse_export_steps(raw: str | None, cfg: ModelConfig) -> list[int]:
         steps = sorted({int(s) for s in raw.split(",")})
     except ValueError:
         raise ConfigError([f"--export-steps must be comma-separated step indices, got {raw!r}"]) from None
-    n_steps = cfg.discretization.steps_N
-    for n in steps:
-        if not 0 <= n <= n_steps:
-            raise ConfigError([f"export step {n} outside 0..{n_steps}"])
-    return steps
-
-
-def _check_policy_config(policy_dir: str, cfg: ModelConfig) -> None:
-    """Refuse a policy directory solved for another config (value_policy_meta.json hash)."""
-    path = os.path.join(policy_dir, "value_policy_meta.json")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:
-            raise OSError(f"unreadable policy metadata {path}: {exc}") from None
-    recorded = meta.get("config_hash") if isinstance(meta, dict) else None
-    expected = config_hash(cfg)
-    if recorded != expected:
-        raise ConfigError([f"policy in {policy_dir} was solved for config hash "
-                           f"{str(recorded)[:16]}, not this config's {expected[:16]}"])
+    return _check_export_steps(steps, cfg)
 
 
 def _check_options(args, cfg: ModelConfig) -> None:
@@ -239,10 +230,8 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     r_mid, value and ',action' parts (empty labels at the terminal step N).
     """
     values, policy = tables
+    _check_export_steps(steps, cfg)
     n_steps = cfg.discretization.steps_N
-    for n in steps:
-        if not 0 <= n <= n_steps:
-            raise ConfigError([f"export step {n} outside 0..{n_steps}"])
     z, q, g = (reprs(axis.points).tolist() for axis in (grid.z, grid.q, grid.g))
     cells = list(np.ndindex(grid.shape))
     # header, then five parts per row: 'i,j,k,z,' r_mid ',q,g,' value ',action\n'
@@ -271,11 +260,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
         "config_hash": config_hash(cfg),
         "version": __version__,
         "steps": list(steps),
-        "grid": {
-            "z_points": [float(v) for v in grid.z.points],
-            "q_points": [float(v) for v in grid.q.points],
-            "g_points": [float(v) for v in grid.g.points],
-        },
+        "grid": {f"{axis.name}_points": axis.points.tolist() for axis in (grid.z, grid.q, grid.g)},
     }
     meta_path = os.path.join(out_dir, "value_policy_meta.json")
     _write_json(meta_path, meta)
@@ -316,11 +301,28 @@ def _npy_shape(archive: zipfile.ZipFile, name: str) -> tuple[int, ...]:
     return shape
 
 
-def _load_tables(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
-    """The policy in policy_dir/tables.npz; unreadable or misshapen tables are I/O errors.
+def _load_policy(policy_dir: str, cfg: ModelConfig, grid: StateGrid) -> PolicyTable:
+    """The policy that solve wrote to policy_dir, for cfg on grid.
 
-    Only the header of the values table is read, to check its shape.
+    First value_policy_meta.json: metadata that does not parse, or is not
+    an object with a string config_hash, is an I/O error, and a policy
+    solved for another config (another hash) a config error. Then
+    tables.npz: unreadable or misshapen tables are I/O errors. Only the
+    header of the values table is read, to check its shape.
     """
+    path = os.path.join(policy_dir, "value_policy_meta.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise OSError(f"unreadable policy metadata {path}: {exc}") from None
+    recorded = meta.get("config_hash") if isinstance(meta, dict) else None
+    if not isinstance(recorded, str):
+        raise OSError(f"unreadable policy metadata {path}: not an object with a string config_hash")
+    expected = config_hash(cfg)
+    if recorded != expected:
+        raise ConfigError([f"policy in {policy_dir} was solved for config hash "
+                           f"{recorded[:16]}, not this config's {expected[:16]}"])
     path = os.path.join(policy_dir, "tables.npz")
     try:
         with zipfile.ZipFile(path) as archive:
@@ -476,8 +478,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simulate":
-        _check_policy_config(args.policy, cfg)
-        policy = _load_tables(args.policy, cfg, grid)
+        policy = _load_policy(args.policy, cfg, grid)
         outputs = _simulate_scenario(cfg, grid, policy, SCENARIOS[args.scenario], args.seeds,
                                      args.out, args.base_seed)
         _write_manifest(args.out, cfg, args.base_seed, outputs)
@@ -486,8 +487,8 @@ def _run(args) -> int:
 
     if args.command == "paper-run":
         policy, outputs = _solve_and_export(cfg, grid, _default_export_steps(cfg), args.out)
-        for name in ("sunny-start", "overcast-break", "sunny-finish", "overcast-week"):
-            outputs.extend(_simulate_scenario(cfg, grid, policy, SCENARIOS[name],
+        for scenario in (s for name, s in SCENARIOS.items() if name != "neutral"):
+            outputs.extend(_simulate_scenario(cfg, grid, policy, scenario,
                                               args.seeds, args.out, args.base_seed))
         _write_manifest(args.out, cfg, args.base_seed, outputs)
         print(f"pipeline complete: {len(outputs)} file(s) -> {args.out}")

@@ -187,6 +187,11 @@ class ModelConfig:
         return step_constants(self)
 
 
+# The config file's sections, one per ModelConfig field in its order, each with the class of
+# its parameters: load_config, dump_config and config_hash cover exactly these.
+_SECTIONS = {f.name: f.default_factory for f in dc_fields(ModelConfig)}
+
+
 def default_config() -> ModelConfig:
     """The published parameter set."""
     return ModelConfig()
@@ -308,22 +313,13 @@ def validate_config(cfg: ModelConfig) -> ModelConfig:
     return cfg
 
 
-# Config file sections, each named after the ModelConfig field it sets.
-_SECTIONS = {
-    "demand": SeasonalOUParams,
-    "battery": BatteryParams,
-    "generator": GeneratorParams,
-    "costs": CostParams,
-    "discretization": DiscretizationParams,
-}
-
-
 def load_config(path: str) -> ModelConfig:
     """Read an INI-style config file; unknown sections or keys are errors.
 
-    Missing keys keep their defaults, so a partial file is a valid override
-    of the published parameter set. A file that is not UTF-8 or not valid
-    INI syntax is a ConfigError with a one-line message.
+    Its sections are ModelConfig's fields (_SECTIONS). Missing keys keep
+    their defaults, so a partial file is a valid override of the published
+    parameter set. A file that is not UTF-8 or not valid INI syntax is a
+    ConfigError with a one-line message.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
@@ -373,7 +369,9 @@ def load_config(path: str) -> ModelConfig:
 def dump_config(cfg: ModelConfig) -> str:
     """Serialize a config to the INI format accepted by load_config.
 
-    Floats use shortest round-trip formatting, so dump -> load is exact.
+    Every section of ModelConfig is written, in its field order, with every
+    field of the section in its declared order. Floats use shortest
+    round-trip formatting, so dump -> load is exact.
     """
     out = io.StringIO()
     for section in _SECTIONS:
@@ -389,5 +387,5 @@ def dump_config(cfg: ModelConfig) -> str:
 
 
 def config_hash(cfg: ModelConfig) -> str:
-    """SHA-256 of the canonical serialized config."""
+    """SHA-256 of the canonical serialized config (dump_config): every field of every section."""
     return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()

@@ -101,7 +101,7 @@ class PathBatch(NamedTuple):
 def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
                    grid: StateGrid, path_indices, base_seed: int = 0,
                    initial_state: State | None = None) -> PathBatch:
-    """Simulate the 0..N paths of path_indices together, one array step per time step.
+    """Simulate steps 0..N-1 of every path in path_indices together, one array step per time step.
 
     Every path starts at initial_state (default: default_initial_state)
     and moves by exact draws from the one-step laws, with q and g clamped

@@ -485,17 +485,26 @@ def test_simulate_refuses_policy_of_another_config(solve_dir, cfg_small, tmp_pat
 
 
 def test_simulate_without_policy_meta_is_io_error(small_ini, solve_dir, tmp_path, capsys):
+    """Metadata that does not parse, is missing, or parses to anything but an
+    object with a string config_hash is unreadable: exit 2, one line naming the file."""
     policy = tmp_path / "policy"
     shutil.copytree(solve_dir, policy)
     meta = policy / "value_policy_meta.json"
+    argv = ["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
+            "--out", str(tmp_path / "o")]
     meta.write_text("{not json")
-    assert cli.main(["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
-                     "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(argv) == 2
     meta.unlink()
-    assert cli.main(["simulate", small_ini, "--policy", str(policy), "--scenario", "neutral",
-                     "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "value_policy_meta.json" in err
+    for text in ("[]", "{}", "null", '{"config_hash": 5}'):
+        meta.write_text(text)
+        assert cli.main(argv) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.count("\n") == 1, text
+        assert str(meta) in err, text
+    assert not (tmp_path / "o").exists()
 
 
 def _text_file(path, tables):

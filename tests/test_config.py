@@ -242,6 +242,21 @@ def test_config_hash_distinguishes_configs():
     assert len(m.config_hash(cfg)) == 64
 
 
+def test_every_field_of_every_section_reaches_config_hash():
+    """Replacing any one field of any ModelConfig section with another value
+    changes the hash, so a policy solved for other parameters is refused."""
+    cfg = m.default_config()
+    base = m.config_hash(cfg)
+    for section in dataclasses.fields(m.ModelConfig):
+        params = getattr(cfg, section.name)
+        for f in dataclasses.fields(params):
+            value = getattr(params, f.name)
+            changed = dataclasses.replace(params, **{
+                f.name: value + 1 if isinstance(value, int) else 1.5 * value + 0.25})
+            other = dataclasses.replace(cfg, **{section.name: changed})
+            assert m.config_hash(other) != base, f"{section.name}.{f.name}"
+
+
 def test_discount_continuation_key_reads_only_true(tmp_path):
     """The continuation is always discounted: the key's true spellings load the
     default config, and every other value, false included, is refused."""

@@ -14,17 +14,30 @@ squared stage-cost term overflows. Each case must either solve to finite
 values (the kernel's row check runs inside solve) or raise
 NumericalError / OverflowError / ConfigError, and both CLI `validate`
 and `solve` must exit 0, 3, 3 or 1 accordingly with a one-line message.
+
+A hypothesis strategy (valid_configs) draws from the same edges of the
+validated domain: eta0 at beta_R or far beyond it, epsilon near 0 or 0.5,
+1 to 6 steps on grids up to 6 x 4 x 4. Each example solves to finite
+values or fails cleanly, with the same bits in one-step chunks as in the
+default ones, and simulates 4 paths at finite cost; a few examples also
+run `validate`, `solve` and `simulate` through the CLI.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microgrid_dp as m
-from microgrid_dp import cli
+from microgrid_dp import cli, kernel
 from conftest import small_discretization
 
 BETA_R = m.default_config().demand.beta_R
@@ -138,3 +151,73 @@ def test_only_the_broken_cases_fail():
 def test_efficiency_at_its_bound_solves_on_refined_soc_grids(n_q):
     """C1_C = 1.35 puts max eta_C = 1 exactly on q = 1/3, a grid point when 3 | N_Q."""
     assert _library_outcome(_case(steps=24, n_q=n_q, battery={"C1_C": 1.35})) is None
+
+
+# At 1 h steps, eta0 >= 6 puts the battery correlation rho_q beyond -0.95,
+# past the Genz high-|rho| switch at 0.925.
+HIGH_RHO_ETA0 = 6.0
+
+
+@st.composite
+def valid_configs(draw) -> m.ModelConfig:
+    """table1 at the edges of the validated domain: 1 to 6 one-hour steps on
+    grids up to 6 x 4 x 4, eta0 at beta_R plus one of GAPS, within 1e-6 of
+    beta_R or large enough for |rho_q| > 0.95, and epsilon near 0 or 0.5."""
+    eta0 = draw(st.one_of(st.sampled_from(GAPS).map(lambda gap: BETA_R + gap),
+                          st.floats(-1e-6, 1e-6).map(lambda gap: BETA_R + gap),
+                          st.floats(HIGH_RHO_ETA0, 1e3)))
+    epsilon = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(0.499, 0.5, exclude_max=True)))
+    cfg = _case(steps=draw(st.integers(1, 6)), n_z=draw(st.sampled_from((3, 5))),
+                n_q=draw(st.integers(2, 3)), n_g=draw(st.integers(2, 3)),
+                battery={"eta0": eta0})
+    return _with_epsilon(cfg, epsilon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs(), scenario=st.sampled_from(list(m.SCENARIOS.values())))
+def test_valid_configs_solve_alike_in_any_chunk_and_simulate(cfg, scenario):
+    """A valid config solves to finite values or fails cleanly; a solve in
+    one-step chunks has the bits of the default chunks; 4 paths cost finite sums."""
+    if cfg.battery.eta0 >= HIGH_RHO_ETA0:
+        assert abs(cfg.constants.rho_q) > 0.95
+    grid = m.build_grid(cfg)
+    try:
+        m.validate_config(cfg)
+        values, policy = m.solve(cfg, grid)
+    except (m.NumericalError, m.ConfigError):
+        return
+    assert np.isfinite(values.values).all()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_CHUNK_BYTES", 1)
+        one_values, one_policy = m.solve(cfg, grid)
+    assert np.array_equal(values.values, one_values.values)
+    assert np.array_equal(policy.actions, one_policy.actions)
+    batch = m.simulate_paths(policy, scenario, cfg, grid, range(4))
+    assert np.isfinite(batch.stage_cost_eur).all() and np.isfinite(batch.cum_cost_eur).all()
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=valid_configs())
+def test_valid_configs_through_the_cli(cfg):
+    """validate, solve and simulate exit 0 or the documented code of the
+    library's outcome, each failure with one stderr line. simulate finds no
+    policy (exit 2) after a failed solve."""
+    outcome = _library_outcome(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, policy = os.path.join(tmp, "case.ini"), os.path.join(tmp, "policy")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write(m.dump_config(cfg))
+        simulate = ["simulate", ini, "--policy", policy, "--scenario", "neutral",
+                    "--seeds", "2", "--out", os.path.join(tmp, "paths")]
+        for argv, codes in (
+                (["validate", ini], {0, EXIT_CODES[outcome]}),
+                (["solve", ini, "--out", policy], {EXIT_CODES[outcome]}),
+                (simulate, {0} if outcome is None else {1} if outcome is m.ConfigError else {2})):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in codes, (argv[0], err.getvalue())
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
