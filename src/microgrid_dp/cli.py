@@ -23,7 +23,10 @@ fails still exits 2 and leaves that file invalid. A re-run into a used
 directory that stops early (killed, or a crash or power loss before the
 data reach the disk) can leave files that mix this run's bytes with the
 previous run's and still parse, beside the previous run's manifest.json;
-use a fresh --out where that matters. Run as `microgrid-dp`, `python -m
+use a fresh --out where that matters. `solve` and `paper-run` create
+--out before they solve, so an --out that is a file, or lies under one,
+exits 2 at once; a run that then fails in the solve (exit 3) leaves an
+empty --out behind. Run as `microgrid-dp`, `python -m
 microgrid_dp` or `python -m microgrid_dp.cli`.
 """
 
@@ -270,7 +273,12 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
 
 def _solve_and_export(cfg: ModelConfig, grid: StateGrid, steps: list[int],
                       out_dir: str) -> tuple[PolicyTable, list[str]]:
-    """Solve, then write the value/policy CSVs of `steps`, their metadata and tables.npz."""
+    """Solve, then write the value/policy CSVs of `steps`, their metadata and tables.npz.
+
+    out_dir is created first, so an --out that cannot be a directory fails
+    before the solve runs.
+    """
+    os.makedirs(out_dir, exist_ok=True)
     values, policy = solve(cfg, grid)
     outputs = export_value_policy((values, policy), grid, steps, out_dir, cfg)
     path = os.path.join(out_dir, "tables.npz")

@@ -13,9 +13,11 @@ half a grid cell of 0) the only feasible control is to wait.
 One rule decides every set: _exclusions codes, for each action and each
 state, the first test that excludes the action, with the means and
 standard deviations of the dynamics' laws. Like them it takes floats or
-broadcast arrays of states: feasibility_mask passes the grid axes as an
-open lattice (np.ix_) for the solver, and feasible_actions passes its
-one state's floats and names the reason for every excluded action.
+broadcast arrays of states, and a step array broadcasts against the
+states as numpy broadcasts any argument: feasibility_mask passes the
+grid axes as an open lattice (np.ix_) for the solver, and
+feasible_actions passes its one state's floats and names the reason for
+every excluded action.
 
 The box tails are dynamics.ndtr of the standardized box bounds. ndtr is
 exactly 0 beyond 9 standard deviations (Phi(-9) = 1.1e-19), so a bound
@@ -77,21 +79,18 @@ _REASONS = {
 def _exclusions(n, z, q, g, cfg: ModelConfig) -> np.ndarray:
     """Exclusion code per action and state; 0 where the action is feasible.
 
-    z, q and g are floats or arrays that broadcast. Length-1 axes are
-    prepended so that all three have one number of axes before any law
-    sees them, which places a step axis in front of every state axis. The
-    action axis comes first, followed by their broadcast shape; a 1-D
-    step array n adds a step axis between the two.
+    n is a step or an array of steps, and z, q and g are floats or
+    arrays; a step array broadcasts against the states as numpy
+    broadcasts any argument. The action axis comes first, followed by the
+    broadcast shape of n, z, q and g: np.arange(N)[:, None] against a
+    (step, path) table of states gives each entry its own step's codes.
 
     A nonzero code names the first rule that excludes the action. The
     regime rules depend on z only, the battery rules on (z, q) and the
     fuel rules on (z, g).
     """
     eps = cfg.discretization.epsilon
-    dims = max(map(np.ndim, (z, q, g)))
-    z, q, g = (np.reshape(v, (1,) * (dims - np.ndim(v)) + np.shape(v)) if np.ndim(v) < dims
-               else v for v in (z, q, g))
-    r = seasonal_mean(n, cfg, z) + z
+    r = seasonal_mean(n, cfg) + z
     band = np.abs(r) < near_zero_halfwidth(cfg)
     surplus = np.less(r, 0.0)  # a numpy bool even for floats, so that ~ is a logical not
     # P(Q' < 0) and P(Q' > 1) in one ndtr call, and P(G' < 0) under the full mode
@@ -148,5 +147,6 @@ def feasibility_mask(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     once. For a 1-D step array n the mask is (step, action, i, j, k), one
     step's mask per slice.
     """
-    code = _exclusions(n, *np.ix_(grid.z.points, grid.q.points, grid.g.points), cfg)
+    steps = np.reshape(n, np.shape(n) + (1, 1, 1))
+    code = _exclusions(steps, *np.ix_(grid.z.points, grid.q.points, grid.g.points), cfg)
     return np.moveaxis(code, 0, np.ndim(n)) == 0

@@ -31,15 +31,15 @@ def expected_stage_cost(k, x: State, a: Action, cfg: ModelConfig) -> float:
     so every branch reduces to a combination of zeta_1, zeta_2, zeta_3.
     The closed form is plain arithmetic in z, so x.z may also be a numpy
     array; the result then has its shape (a float for overspill). k may be
-    an array of steps, placed against z by the rule of seasonal_mean: a
-    1-D array adds a leading step axis, and np.arange(N)[:, None] against
-    a (step, path) table of z gives each entry its own step's cost. Every
-    entry has the bits of the int call at its step. The discount factors,
-    the stationary variance and mu_{R,k} come from cfg.constants; a step k
-    outside 0..N raises KeyError.
+    an array of steps: a step array broadcasts against the states as numpy
+    broadcasts any argument, so np.arange(N)[:, None] against a (step,
+    path) table of z gives each entry its own step's cost, and a 1-D one
+    pairs with a 1-D z entry by entry. Every entry has the bits of the int
+    call at its step. The discount factors, the stationary variance and
+    mu_{R,k} come from cfg.constants; a step k outside 0..N raises KeyError.
     """
     c, sc = cfg.costs, cfg.constants
-    mu, z = seasonal_mean(k, cfg, x.z), x.z
+    mu, z = seasonal_mean(k, cfg), x.z
 
     def quad_around(r0: float) -> float:
         # E int e^(-rho s) k0 (R(s) - r0)^2 ds

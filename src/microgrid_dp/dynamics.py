@@ -35,12 +35,15 @@ and rho_g. The feasibility mask and the transition blocks read them
 over whole lattices; the scalar API (q_moments, g_moments,
 transition_moments) reads them at a point, and the path sampler
 transition_operator at a point or over a batch of paths. z_next is the
-one draw of Z'. Which law moves Q' and G' under each action is one map,
-_LAWS. transition_operator takes an Action or one action code per path
-and has one route for both: each law that moves an axis runs once over
-the whole batch, and each entry keeps its own action's level. A
-variance is sd * sd, whose square root is sd again exactly in binary64,
-so every route sees the same (mean, sd) and the same rho.
+one draw of Z'. Which law moves Q' and G' under each action is one
+(action, axis) table, _LAWS, and each axis has one function that gives
+the (mean, sd) of its next level under a law: _q_law and _g_law, with sd
+None for a deterministic law. q_moments and g_moments read them at a
+point, and transition_operator, which takes an Action or one action code
+per path, over a batch: each law that moves an axis runs once over the
+whole batch, and each entry keeps its own action's level. A variance is
+sd * sd, whose square root is sd again exactly in binary64, so every
+route sees the same (mean, sd) and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
@@ -52,9 +55,10 @@ KeyError for a step outside 0..N (a -1 does not wrap round to step N).
 
 A law that takes a step n (battery_law, generator_law and the stage
 cost, and through them the blocks, the feasibility mask and the path
-simulator) also takes an array of steps, placed against the states by
-the one rule of seasonal_mean. Each step's entries have the bits of the
-int call, since every entry goes through the same elementwise arithmetic.
+simulator) also takes an array of steps: a step array broadcasts against
+the states as numpy broadcasts any argument. Each step's entries have the
+bits of the int call, since every entry goes through the same elementwise
+arithmetic.
 """
 
 from __future__ import annotations
@@ -87,22 +91,23 @@ __all__ = [
 ]
 
 # The law that moves Q' and the one that moves G' under each action: the one
-# map from actions to laws. _GAUSSIAN is battery_law / generator_law,
-# correlated with Z'; _LIMITED is discharge_limited_mean / fuel_limited_mean;
-# _IDLE is self-discharge alone for Q' and no change for G'. Charge and full
-# discharge share one law of Q' (their costs and feasibility differ).
+# map from actions to laws, a read-only (action, axis) table indexed by an
+# Action or by an array of action codes. _GAUSSIAN is battery_law /
+# generator_law, correlated with Z'; _LIMITED is discharge_limited_mean /
+# fuel_limited_mean; _IDLE is self-discharge alone for Q' and no change for
+# G'. Charge and full discharge share one law of Q' (their costs and
+# feasibility differ).
 _GAUSSIAN, _LIMITED, _IDLE = range(3)
-_LAWS = {  # action: (law of Q', law of G')
-    Action.OVERSPILL: (_IDLE, _IDLE),
-    Action.CHARGE: (_GAUSSIAN, _IDLE),
-    Action.WAIT: (_IDLE, _IDLE),
-    Action.DISCHARGE_LIMITED: (_LIMITED, _IDLE),
-    Action.DISCHARGE_FULL: (_GAUSSIAN, _IDLE),
-    Action.FUEL_LIMITED: (_IDLE, _LIMITED),
-    Action.FUEL_FULL: (_IDLE, _GAUSSIAN),
-}
-# The same map by action code, for arrays of codes.
-_Q_LAW_OF_CODE, _G_LAW_OF_CODE = np.array([_LAWS[a] for a in Action]).T.copy()
+_LAWS = np.array([  # action: (law of Q', law of G')
+    (_IDLE, _IDLE),          # OVERSPILL
+    (_GAUSSIAN, _IDLE),      # CHARGE
+    (_IDLE, _IDLE),          # WAIT
+    (_LIMITED, _IDLE),       # DISCHARGE_LIMITED
+    (_GAUSSIAN, _IDLE),      # DISCHARGE_FULL
+    (_IDLE, _LIMITED),       # FUEL_LIMITED
+    (_IDLE, _GAUSSIAN),      # FUEL_FULL
+])
+_LAWS.flags.writeable = False
 
 
 # Nodes t_k = k h, |k| <= 224, of the tanh-sinh rule on [-1, 1]: x_k = tanh(u_k)
@@ -297,17 +302,13 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
     return sc
 
 
-def seasonal_mean(n, cfg: ModelConfig, *state):
-    """mu_R(t_n) of step n as a float, or of each step of an array of steps.
+def seasonal_mean(n, cfg: ModelConfig):
+    """mu_R(t_n) of step n as a float, or of each step of an array of steps in its shape.
 
-    The one rule for step arrays, which every law that takes a step
-    follows: a 1-D array of steps forms a leading axis, followed by as
-    many axes of length 1 as the state arrays have, so that the result
-    broadcasts over them. An array with two or more axes keeps its shape
-    and broadcasts against the states as it is, such as
-    np.arange(N)[:, None] against a (step, path) table of states. A step
-    outside 0..N, or one that is not an integer, raises KeyError; an
-    array raises if any of its steps does.
+    Every law that takes a step reads mu_R here, and a step array
+    broadcasts against the states as numpy broadcasts any argument. A step
+    outside 0..N, or one that is not an integer, raises KeyError; an array
+    raises if any of its steps does.
     """
     mu = cfg.constants.mu
     if (type(n) is int or isinstance(n, np.integer)) and 0 <= n < mu.size:
@@ -316,9 +317,7 @@ def seasonal_mean(n, cfg: ModelConfig, *state):
     inside = steps.dtype.kind in "iu" and ((steps >= 0) & (steps < mu.size)).all()
     if steps.ndim == 0 or not inside:
         raise KeyError(f"step {n!r} outside 0..{mu.size - 1}")
-    if steps.ndim > 1:
-        return mu[steps]
-    return mu[steps].reshape(steps.shape + (1,) * max(map(np.ndim, state), default=0))
+    return mu[steps]
 
 
 def _efficiency(mu: float, z, q, cfg: ModelConfig):
@@ -332,28 +331,28 @@ def _efficiency(mu: float, z, q, cfg: ModelConfig):
     return np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 
 
-def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of Q_{n+1}; an a that is not an Action raises ValueError."""
+def _moments(axis_law, axis: int, n, z, level, a: Action, cfg: ModelConfig):
+    """Mean and variance of one axis of the next state under Action a, by axis_law.
+
+    The one Action check and step guard of q_moments and g_moments: a
+    that is not an Action raises ValueError, and a step outside 0..N
+    raises KeyError also where the axis's law is step-free.
+    """
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
-    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
-    law = _LAWS[a][0]
-    if law == _GAUSSIAN:
-        m_Q, sd_Q = battery_law(n, z, q, cfg)
-        return m_Q, sd_Q * sd_Q
-    return _move_q(law, n, State(z, q, None), None, cfg), 0.0
+    seasonal_mean(n, cfg)
+    mean, sd = axis_law(_LAWS[a, axis], n, z, level, cfg)
+    return mean, 0.0 if sd is None else sd * sd
+
+
+def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
+    """Conditional mean and variance of Q_{n+1}; an a that is not an Action raises ValueError."""
+    return _moments(_q_law, 0, n, z, q, a, cfg)
 
 
 def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
     """Conditional mean and variance of G_{n+1}; an a that is not an Action raises ValueError."""
-    if not isinstance(a, Action):
-        raise ValueError(f"unknown action: {a!r}")
-    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, also on the step-free branches
-    law = _LAWS[a][1]
-    if law == _GAUSSIAN:
-        burn, sd_G = generator_law(n, z, cfg)
-        return g - burn, sd_G * sd_G
-    return _move_g(law, n, State(z, None, g), None, cfg), 0.0
+    return _moments(_g_law, 1, n, z, g, a, cfg)
 
 
 def discharge_limited_mean(q, cfg: ModelConfig):
@@ -391,11 +390,13 @@ def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
 
     Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
-    scalars for an int n and float z and q. A step array n is placed by
-    the rule of seasonal_mean.
+    scalars for an int n and float z and q. A step array n broadcasts
+    against z and q as numpy broadcasts any argument, so a 1-D one pairs
+    with 1-D states entry by entry; a leading step axis takes
+    steps[:, None, None] against (z, 1) and (1, q) axes.
     """
     sc = cfg.constants
-    mu = seasonal_mean(n, cfg, z, q)
+    mu = seasonal_mean(n, cfg)
     eta = _efficiency(mu, z, q, cfg)
     h = z * sc.q_psi + mu * sc.q_phi
     m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * h
@@ -409,11 +410,11 @@ def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
 
     The burn depends on z only and the standard deviation on no state at
     all; the generator block exploits exactly this structure. A step
-    array n enters the burn by the rule of seasonal_mean.
+    array n broadcasts against z as numpy broadcasts any argument.
     """
     gen, sc = cfg.generator, cfg.constants
     dt = cfg.dt
-    mu = seasonal_mean(n, cfg, z)
+    mu = seasonal_mean(n, cfg)
     burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG
     return burn, sc.sd_g
 
@@ -442,38 +443,41 @@ def _correlated(m, sd, rho: float, eps_Z, eps):
     return m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps)
 
 
-def _move_q(law: int, n, x: State, eps: NoiseVector | None, cfg: ModelConfig):
-    """Q_{n+1} of x under one law of Q'; eps is read by the Gaussian law only."""
-    sc = cfg.constants
+def _q_law(law: int, n, z, q, cfg: ModelConfig):
+    """(mean, sd) of Q_{n+1} under one law of Q'; sd is None for a deterministic law."""
     if law == _GAUSSIAN:
-        m_Q, sd_Q = battery_law(n, x.z, x.q, cfg)
-        return _correlated(m_Q, sd_Q, sc.rho_q, eps.eps_Z, eps.eps_Q)
+        return battery_law(n, z, q, cfg)
     if law == _LIMITED:
-        return discharge_limited_mean(x.q, cfg)
-    return x.q * sc.q_decay
+        return discharge_limited_mean(q, cfg), None
+    return q * cfg.constants.q_decay, None
 
 
-def _move_g(law: int, n, x: State, eps: NoiseVector | None, cfg: ModelConfig):
-    """G_{n+1} of x under one law of G'; eps is read by the Gaussian law only."""
+def _g_law(law: int, n, z, g, cfg: ModelConfig):
+    """(mean, sd) of G_{n+1} under one law of G'; sd is None for a deterministic law."""
     if law == _GAUSSIAN:
-        burn, sd_G = generator_law(n, x.z, cfg)
-        return _correlated(x.g - burn, sd_G, cfg.constants.rho_g, eps.eps_Z, eps.eps_G)
+        burn, sd_g = generator_law(n, z, cfg)
+        return g - burn, sd_g
     if law == _LIMITED:
-        return fuel_limited_mean(x.g, cfg)
-    return x.g
+        return fuel_limited_mean(g, cfg), None
+    return g, None
 
 
-def _move_by_law(move, laws: np.ndarray, n, x: State, eps: NoiseVector, cfg: ModelConfig):
+def _move(axis_law, laws: np.ndarray, n, z, level, rho: float, eps_Z, eps, cfg: ModelConfig):
     """One axis's next levels where entry p moves under law laws[p]: each law
     present runs once, over the whole batch, and each entry keeps the level
-    of its own law (a lone law's levels are returned as they come)."""
+    of its own law (a lone law's levels are returned as they come). A
+    Gaussian law's level is correlated with Z' through rho."""
+    def level_of(law):
+        mean, sd = axis_law(law, n, z, level, cfg)
+        return mean if sd is None else _correlated(mean, sd, rho, eps_Z, eps)
+
     present = np.bincount(laws, minlength=3).nonzero()[0].tolist()
     if len(present) == 1:
-        return move(present[0], n, x, eps, cfg)
-    level = np.empty(laws.shape)
+        return level_of(present[0])
+    out = np.empty(laws.shape)
     for law in present:
-        np.copyto(level, move(law, n, x, eps, cfg), where=laws == law)
-    return level
+        np.copyto(out, level_of(law), where=laws == law)
+    return out
 
 
 def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig) -> State:
@@ -494,12 +498,14 @@ def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig)
     of one law per axis.
     """
     if isinstance(a, Action):
-        q_laws, g_laws = np.array([_LAWS[a]]).T
+        laws = _LAWS[[a]]
     elif (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
           and (a.size == 0 or 0 <= a.min() <= a.max() < len(Action))):
-        q_laws, g_laws = _Q_LAW_OF_CODE[a], _G_LAW_OF_CODE[a]
+        laws = _LAWS[a]
     else:
         raise ValueError(f"unknown action: {a!r}")
     seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, whatever the laws
-    return State(z_next(x.z, eps.eps_Z, cfg), _move_by_law(_move_q, q_laws, n, x, eps, cfg),
-                 _move_by_law(_move_g, g_laws, n, x, eps, cfg))
+    sc = cfg.constants
+    return State(z_next(x.z, eps.eps_Z, cfg),
+                 _move(_q_law, laws[:, 0], n, x.z, x.q, sc.rho_q, eps.eps_Z, eps.eps_Q, cfg),
+                 _move(_g_law, laws[:, 1], n, x.z, x.g, sc.rho_g, eps.eps_Z, eps.eps_G, cfg))

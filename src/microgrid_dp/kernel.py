@@ -50,10 +50,12 @@ The standardized z edges and their CDFs do not depend on the step, so
 each kernel computes them once for the z block and both bivariate blocks.
 
 The battery and generator blocks depend on the step only through the
-seasonal mean mu_R(t_n), and their laws take a 1-D array of steps, so
-both are built for a chunk of steps in one pass: the laws, the lattice
-and the differencing gain a leading step axis, and each step's slice has
-the bits of a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
+seasonal mean mu_R(t_n), and their laws take an array of steps: a step
+array broadcasts against the states as numpy broadcasts any argument.
+So both are built for a chunk of steps in one pass: the chunk's steps,
+shaped as a leading axis, give the laws, the lattice and the
+differencing a leading step axis, and each step's slice has the bits of
+a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
 step's battery CDF lattice) steps, at least one: four on table1 and one
 from 26 x 16 x 16 up, so a big grid holds no more than one step's arrays.
 The chunks cut the horizon from step N - 1 down (chunk_of), the order in
@@ -352,7 +354,7 @@ class TransitionKernel:
     def _battery_chunk(self, steps: np.ndarray) -> np.ndarray:
         """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell)."""
         grid = self.grid
-        m_q, sd_q = battery_law(steps, grid.z.points[:, None], grid.q.points[None, :], self.cfg)
+        m_q, sd_q = battery_law(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points), self.cfg)
         std_q = _std_edges(grid.q.edges, m_q, sd_q)
         mass = _lattice_masses(_cdf_lattice(self._z_std[:, None, :], std_q, self.cfg.constants.rho_q,
                                             self._z_cdf[:, None, :], ndtr(std_q)))
@@ -371,7 +373,7 @@ class TransitionKernel:
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
-        burn, sd_g = generator_law(steps, grid.z.points, self.cfg)
+        burn, sd_g = generator_law(steps[:, None], grid.z.points, self.cfg)
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
         std_g = _std_edges(offsets, -burn, sd_g)
         # (step, z src, z edge, offset)

@@ -16,7 +16,9 @@ the q/g recursion: it locates q and g, reads the policy and calls
 transition_operator once with every path's action code, which runs each
 law of Q' and of G' once. The stage cost depends on (step, z, action)
 alone, so it runs after the loop, once per action present over the
-whole (step, path) table, each entry keeping its own action's cost.
+whole (step, path) table, each entry keeping its own action's cost: its
+steps are np.arange(N)[:, None], and a step array broadcasts against the
+states as numpy broadcasts any argument.
 """
 
 from __future__ import annotations

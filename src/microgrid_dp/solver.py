@@ -83,8 +83,9 @@ def stage_cost_rows(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     A 1-D step array n gives (step, action, z index), one step's rows per slice.
     """
     out = np.empty(np.shape(n) + (len(Action), grid.z.n_points))
+    steps = np.reshape(n, np.shape(n) + (1,))
     for a in Action:
-        out[..., a, :] = expected_stage_cost(n, State(grid.z.points, 0.0, 0.0), a, cfg)
+        out[..., a, :] = expected_stage_cost(steps, State(grid.z.points, 0.0, 0.0), a, cfg)
     return out
 
 

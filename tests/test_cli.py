@@ -765,6 +765,25 @@ def test_numerical_failure_exit_code(small_ini, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("microgrid_dp.cli.solve", boom)
     assert cli.main(["solve", small_ini, "--out", str(tmp_path / "x")]) == 3
     assert "numerical error" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "x") == []  # --out is created before the solve
+
+
+@pytest.mark.parametrize("command", ["solve", "paper-run"])
+def test_out_that_cannot_be_a_directory_fails_before_solving(small_ini, tmp_path, monkeypatch,
+                                                             command, capsys):
+    """An --out that is a file, or lies under one, exits 2 with one line
+    before the backward recursion runs."""
+    def never(cfg, grid):
+        raise AssertionError("solve ran before --out was created")
+
+    monkeypatch.setattr("microgrid_dp.cli.solve", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    for out in (blocker, blocker / "out"):
+        assert cli.main([command, small_ini, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("detail", [

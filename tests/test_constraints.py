@@ -224,22 +224,21 @@ def _z_at(r, mu):
 
 
 def _assert_codes_of_feasible_actions(codes, n, z, q, g, cfg):
-    """codes = _exclusions(n, z, q, g, cfg) has the (action, step, state)
-    shape, and each (step, state) holds the code of feasible_actions there:
-    the same first excluding rule for every action."""
+    """codes = _exclusions(n, z, q, g, cfg) has the action axis followed by
+    the broadcast shape of n, z, q and g, and each entry holds the code of
+    feasible_actions at its step and state: the same first excluding rule
+    for every action."""
     eps = cfg.discretization.epsilon
     code_of = {text.format(eps=eps, threshold=threshold): code
                for code, text in _REASONS.items()
                for threshold in (f"R_Q0 = {cfg.battery.R_Q0}", f"R_G0 = {cfg.generator.R_G0}")}
-    shape = np.broadcast(z, q, g).shape
-    assert codes.shape == (len(m.Action),) + np.shape(n) + shape
-    points = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (z, q, g)))
-    for p, x in enumerate(points):
-        for s, step in enumerate(np.atleast_1d(n).tolist()):
-            fs = m.feasible_actions(step, m.State(*x), cfg)
-            want = [0 if a in fs else code_of[fs.excluded[a]] for a in m.Action]
-            got = codes.reshape(len(m.Action), -1, math.prod(shape))[:, s, p]
-            assert got.tolist() == want, (step, x)
+    shape = np.broadcast(n, z, q, g).shape
+    assert codes.shape == (len(m.Action),) + shape
+    entries = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (n, z, q, g)))
+    for e, (step, *x) in enumerate(entries):
+        fs = m.feasible_actions(step, m.State(*x), cfg)
+        want = [0 if a in fs else code_of[fs.excluded[a]] for a in m.Action]
+        assert codes.reshape(len(m.Action), -1)[:, e].tolist() == want, (step, x)
 
 
 # The residual demands at which a rule changes its verdict: both edges of the
@@ -257,7 +256,8 @@ _POINTS = st.tuples(st.one_of(st.none(), st.sampled_from(_EDGES)), st.integers(-
        points=st.lists(_POINTS, min_size=1, max_size=8))
 def test_exclusions_on_state_batches_are_feasible_actions(cfg_table1, steps, as_array, points):
     """_exclusions over 1-D batches of states, at an int step or over a step
-    array, gives each entry the codes of feasible_actions at that point:
+    column (every step against every state), gives each entry the codes
+    of feasible_actions at that point:
     the same first excluding rule for every action. The states sit on the
     band edges, at r = 0, at R_Q0 and R_G0 (or one ulp off them) or
     anywhere, with q and g at 0, at 1 or inside."""
@@ -274,15 +274,17 @@ def test_exclusions_on_state_batches_are_feasible_actions(cfg_table1, steps, as_
         r = edge[kind] if ulps == 0 else math.nextafter(edge[kind], ulps * math.inf)
         z.append(_z_at(r, mu[steps[anchor % len(steps)]]))
     z, q, g = np.array(z), np.array([p[4] for p in points]), np.array([p[5] for p in points])
-    n = np.array(steps) if as_array else steps[0]
+    n = np.array(steps)[:, None] if as_array else steps[0]
     _assert_codes_of_feasible_actions(_exclusions(n, z, q, g, cfg), n, z, q, g, cfg)
 
 
-@pytest.mark.parametrize("n", [3, np.array([0, 1, 2]), np.array([168, 40])])
+@pytest.mark.parametrize("n", [3, np.array([0, 1, 2]), np.array([[168], [40]])])
 def test_exclusions_align_states_of_unequal_ndim(cfg_table1, grid_table1, n):
     """A float z against 3-entry q and g, a float q or g among arrays, and a
-    (z, 1) column against a row of q: length-1 axes are prepended, so every
-    (step, entry) code is the code of feasible_actions at that point, and
+    (z, 1) column against a row of q: the steps and the states broadcast
+    as numpy broadcasts any argument, so a 1-D step array pairs with the
+    3-entry axis entry by entry and a step column adds a leading axis.
+    Every (step, state) code is the code of feasible_actions there, and
     the lattice mask keeps the bits of the full-size states."""
     cfg = cfg_table1
     levels = np.array([0.0, 0.5, 1.0])
@@ -293,4 +295,19 @@ def test_exclusions_align_states_of_unequal_ndim(cfg_table1, grid_table1, n):
     full = np.broadcast_arrays(*np.ix_(grid_table1.z.points, grid_table1.q.points,
                                        grid_table1.g.points))
     mask = m.feasibility_mask(n, grid_table1, cfg)
-    assert np.array_equal(mask, np.moveaxis(_exclusions(n, *full, cfg), 0, np.ndim(n)) == 0)
+    steps = np.reshape(n, np.shape(n) + (1, 1, 1))
+    assert np.array_equal(mask, np.moveaxis(_exclusions(steps, *full, cfg), 0, np.ndim(n)) == 0)
+
+
+def test_exclusions_over_a_step_path_table_are_feasible_actions(cfg_table1):
+    """np.arange(N)[:, None] against a (step, path) table of states, the
+    form a simulator's batch takes, gives every entry the codes of
+    feasible_actions at its step and state."""
+    cfg = cfg_table1
+    n_steps = cfg.discretization.steps_N
+    rng = np.random.default_rng(30)
+    z = rng.normal(0.0, 1.5, (n_steps, 3)) - cfg.constants.mu[:n_steps, None]
+    z[:, 0] = rng.normal(0.0, 0.05, n_steps) - cfg.constants.mu[:n_steps]  # near r = 0
+    q, g = rng.uniform(0.0, 1.0, (2, n_steps, 3))
+    n = np.arange(n_steps)[:, None]
+    _assert_codes_of_feasible_actions(_exclusions(n, z, q, g, cfg), n, z, q, g, cfg)

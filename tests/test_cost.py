@@ -117,18 +117,28 @@ def test_stage_cost_on_a_step_column_equals_the_int_calls(problem, cfg_table1, c
 
 
 def test_stage_cost_step_arrays_place_their_axes(cfg_table1):
-    """A 2-D step array outside 0..N raises KeyError; a 1-D one still adds a
-    leading step axis in front of the states."""
+    """A 2-D step array outside 0..N raises KeyError. A step array
+    broadcasts against z as numpy broadcasts any argument: a 1-D one pairs
+    with a 1-D z entry by entry, a step column against a row of z adds a
+    leading step axis, and a 1-D one against a z of another length raises
+    numpy's ValueError instead of adding a step axis."""
     n_steps = cfg_table1.discretization.steps_N
     x = m.State(np.zeros((2, 4)), 0.5, 0.5)
     for steps in ([[0], [n_steps + 1]], [[-1], [0]]):
         with pytest.raises(KeyError):
             m.expected_stage_cost(np.array(steps), x, m.Action.WAIT, cfg_table1)
-    cost = m.expected_stage_cost(np.arange(3), m.State(np.zeros(4), 0.5, 0.5), m.Action.WAIT,
-                                 cfg_table1)
-    assert cost.shape == (3, 4)
-    assert np.array_equal(cost[2], m.expected_stage_cost(2, m.State(np.zeros(4), 0.5, 0.5),
-                                                         m.Action.WAIT, cfg_table1))
+    z = np.array([-1.5, 0.2, 2.5])
+    for a in m.Action:
+        paired = m.expected_stage_cost(np.arange(3), m.State(z, 0.5, 0.5), a, cfg_table1)
+        table = m.expected_stage_cost(np.arange(3)[:, None], m.State(z, 0.5, 0.5), a, cfg_table1)
+        assert np.shape(paired) in ((3,), ()) and np.shape(table) in ((3, 3), ())
+        for n in range(3):
+            want = m.expected_stage_cost(n, m.State(z, 0.5, 0.5), a, cfg_table1)
+            assert np.array_equal(np.broadcast_to(paired, (3,))[n], np.broadcast_to(want, (3,))[n])
+            assert np.array_equal(np.broadcast_to(table, (3, 3))[n], np.broadcast_to(want, (3,)))
+    with pytest.raises(ValueError):
+        m.expected_stage_cost(np.arange(3), m.State(np.zeros(4), 0.5, 0.5), m.Action.WAIT,
+                              cfg_table1)
 
 
 def test_terminal_cost_frozen_values(cfg_table1):

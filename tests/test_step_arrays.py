@@ -56,30 +56,43 @@ def test_one_case_squares_differently_from_the_product(cfg_table1):
 @pytest.mark.parametrize("name", CASES)
 def test_laws_on_a_step_array_equal_the_int_calls(cfg_table1, name):
     """battery_law, generator_law and expected_stage_cost over every step
-    0..N at once, on lattice axes and at one float state."""
+    0..N at once: a step column against lattice axes, a 1-D step array at
+    one float state, and a 1-D step array paired entry by entry with 1-D
+    states of its length, as numpy broadcasts any argument."""
     cfg, grid = _case(cfg_table1, name)
     steps = np.arange(cfg.discretization.steps_N + 1)
     z, q = grid.z.points[:, None], grid.q.points[None, :]
-    bat = battery_law(steps, z, q, cfg)
-    gen = generator_law(steps, grid.z.points, cfg)
+    bat = battery_law(steps[:, None, None], z, q, cfg)
+    gen = generator_law(steps[:, None], grid.z.points, cfg)
     bat_point = battery_law(steps, 0.3, 0.6, cfg)
+    # one state per step: z over [-3, 3], q over [0, 1]
+    z_path, q_path = np.linspace(-3.0, 3.0, steps.size), np.linspace(0.0, 1.0, steps.size)
+    bat_path = battery_law(steps, z_path, q_path, cfg)
+    gen_path = generator_law(steps, z_path, cfg)
     assert bat[0].shape == (steps.size,) + grid.shape[:2] and bat_point[0].shape == steps.shape
-    costs = {a: m.expected_stage_cost(steps, m.State(grid.z.points, 0.0, 0.0), a, cfg)
+    assert bat_path[0].shape == gen_path[0].shape == steps.shape
+    costs = {a: m.expected_stage_cost(steps[:, None], m.State(grid.z.points, 0.0, 0.0), a, cfg)
              for a in m.Action}
     costs_point = {a: m.expected_stage_cost(steps, m.State(-0.4, 0.5, 0.5), a, cfg)
                    for a in m.Action}
+    costs_path = {a: m.expected_stage_cost(steps, m.State(z_path, 0.5, 0.5), a, cfg)
+                  for a in m.Action}
     for s, n in enumerate(steps.tolist()):
         for got, want in ((bat, battery_law(n, z, q, cfg)),
-                          (bat_point, battery_law(n, 0.3, 0.6, cfg))):
+                          (bat_point, battery_law(n, 0.3, 0.6, cfg)),
+                          (bat_path, battery_law(n, z_path[s], q_path[s], cfg))):
             assert np.array_equal(got[0][s], want[0]) and np.array_equal(got[1][s], want[1])
         burn, sd_g = generator_law(n, grid.z.points, cfg)
         assert np.array_equal(gen[0][s], burn) and gen[1] == sd_g  # sd_g is state- and step-free
+        assert gen_path[0][s] == generator_law(n, z_path[s], cfg)[0]
         for a in m.Action:
             want = m.expected_stage_cost(n, m.State(grid.z.points, 0.0, 0.0), a, cfg)
             assert np.array_equal(np.broadcast_to(costs[a], steps.shape + grid.z.points.shape)[s],
                                   np.broadcast_to(want, grid.z.points.shape)), (n, a)
             want = m.expected_stage_cost(n, m.State(-0.4, 0.5, 0.5), a, cfg)
             assert np.array_equal(np.broadcast_to(costs_point[a], steps.shape)[s], want), (n, a)
+            want = m.expected_stage_cost(n, m.State(z_path[s], 0.5, 0.5), a, cfg)
+            assert np.array_equal(np.broadcast_to(costs_path[a], steps.shape)[s], want), (n, a)
 
 
 @pytest.mark.parametrize("name", CASES)
