@@ -16,12 +16,13 @@ that the deterministic branches of dynamics.q_moments/g_moments give.
 cell_of puts a level below 0 or above 1 in its boundary cell.
 
 TransitionKernel.expected_next(n, v) applies the chain to a value table v:
-one np.tensordot per gathered table, the z block (z src, z cell) against v
-at the idle, limited-discharge or idle-then-limited-generator targets, the
-battery block (z src, q src, z cell, q cell) against v over (z, q), the
-generator block (z src, g src, z cell, g cell) over (z, g). Contracting z
-once and gathering afterwards would add in another order and move the
-last bits, so each gathered table has its own contraction.
+one np.tensordot of the z block (z src, z cell) per gathered table, against
+v at the idle, limited-discharge or idle-then-limited-generator targets;
+and one np.dot per bivariate block as a (source, cell) matrix, the battery
+block (z src, q src, z cell, q cell) against v over (z, q), the generator
+block (z src, g src, z cell, g cell) over (z, g). Contracting z once and
+gathering afterwards would add in another order and move the last bits,
+so each gathered table has its own contraction.
 
 The bivariate masses come from Genz's bivariate-normal scheme (Genz 2004,
 Stat. Comput. 14:251) with one Gauss-Legendre rule, his 20-point one, at
@@ -38,10 +39,18 @@ standardized edges both lie in the band |std| < T = 9 (_BAND, the band of
 dynamics.ndtr, outside which the univariate CDF is exactly 0 or 1), as one
 dense slab whose rows are the columns of the in-band edges of the second
 axis. Outside it the CDF takes its closed form: the univariate CDF of one
-coordinate where the other edge is >= T, else 0. Each is off by at most
-Phi(-9) = 1.1e-19, below half an ulp of 1 (2^-53 = 1.1e-16), so the band
-costs less than the rounding of the scheme itself. The infinite tail edges
-take their exact closed forms (0, the univariate CDF, 1).
+coordinate where the other edge is >= T, else 0. With correlation rho the
+scheme also stops where the correlated coordinate leaves the band (the
+joint band): X + Y for rho < 0 and X - Y for rho > 0, of sd
+s = sqrt(2 (1 - |rho|)). At a + b <= -T s the CDF is 0, at a + b >= T s
+it is Phi(a) + Phi(b) - 1, at a - b >= T s it is Phi(b) and at
+b - a >= T s it is Phi(a); for example P(X > a, Y > b) <= P(X + Y > a + b).
+Each closed form is off by at most Phi(-9) = 1.1e-19, below half an ulp
+of 1 (2^-53 = 1.1e-16), so the bands cost less than the rounding of the
+scheme itself. On table1 (rho = -0.84, s = 0.56) the joint band halves
+the scheme's points: 645,646 battery and 22,985 generator points over
+168 steps instead of 1,204,621 and 39,508. The infinite tail edges take
+their exact closed forms (0, the univariate CDF, 1).
 
 The univariate CDFs of the edges are computed once per edge and read
 everywhere: by the closed forms, by the tail rows and columns, and by
@@ -53,15 +62,26 @@ The battery and generator blocks depend on the step only through the
 seasonal mean mu_R(t_n), and their laws take an array of steps: a step
 array broadcasts against the states as numpy broadcasts any argument.
 So both are built for a chunk of steps in one pass: the chunk's steps,
-shaped as a leading axis, give the laws, the lattice and the
-differencing a leading step axis, and each step's slice has the bits of
-a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
+shaped as a leading axis, give the laws a leading step axis, the lattice
+and its differences run over the chunk's (step, source) rows, and each
+step's slice has the bits of a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
 step's battery CDF lattice) steps, at least one: four on table1 and one
 from 26 x 16 x 16 up, so a big grid holds no more than one step's arrays.
 The chunks cut the horizon from step N - 1 down (chunk_of), the order in
 which the solver walks it; the kernel keeps the last chunk of each block
 and battery_block(n) / generator_block(n) return step n's view of it,
-building the chunk that holds n on a miss. Genz's scheme runs on at most
+building the chunk that holds n on a miss.
+
+The solver hands the kernel each chunk's feasibility mask, and a chunk
+built for a mask holds only the rows that a feasible pair reads: the
+(step, z src, q src) battery rows where charge or full discharge is
+feasible at some g, and the (step, z src) generator lattices where the
+full generator mode is feasible at some (q, g), 81.5 % and 50.5 % of them
+on table1. The other rows are 0, and the mask makes their Q-values +inf.
+The products' output rows are independent, so every other Q-value keeps
+its bits. Without a mask every row is built, by the same code with an
+all-true selection, and a chunk built for a mask serves only that mask.
+Genz's scheme runs on at most
 _GENZ_BATCH points per call, which keeps its (20 nodes x points)
 temporary near 1.3 MB at any chunk length; a point's bits do not depend
 on its batch.
@@ -71,7 +91,8 @@ G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
 every standardized g edge is a shared offset (edge_f - point_k) shifted by
 burn(z_i), so one CDF lattice per z source serves all g sources. Its g
 differences (lower tail, consecutive offsets, upper tail) are stacked and
-z-differenced once, and each g source reads its window of them at f - k.
+z-differenced once, and each g source reads its window of them at f - k,
+gathered straight into the block's (g src, z cell, g cell) memory order.
 """
 
 from __future__ import annotations
@@ -96,11 +117,12 @@ _ROW_SUM_TOL = 1e-6
 # blocks are built together is as long as this holds (at least one step).
 # 1.5 MiB holds four steps on table1 (0.36 MB each) and one from 26 x 16 x 16
 # up (1.5 MB; 4.9 MB on 36 x 21 x 21), so a big grid holds no more than
-# one step's arrays. On table1 four steps took less solve time than two or
-# three. Their transient arrays are large enough for glibc to trim the heap
-# top and fault it back in from chunk to chunk: a fresh process's first
-# solve takes 5,000 to 19,000 minor page faults, by allocation layout,
-# against about 2,200 with one or two steps per chunk.
+# one step's arrays. On table1 four steps took less solve time than two,
+# three or eight, also with mask-selected rows. Their transient arrays are
+# large enough for glibc to trim the heap top and fault it back in from
+# chunk to chunk: a fresh process's first solve takes about 17,500 minor
+# page faults with four steps per chunk, against 4,900 with two and
+# 21,300 with eight.
 _CHUNK_BYTES = 3 << 19
 
 # Points per call of _bvn_cdf; its (20 nodes x points) temporary is then at most 1.3 MB.
@@ -223,24 +245,39 @@ def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
     std_a (..., NA) and std_b (..., NB) are standardized interior edges,
     and cdf_a, cdf_b their univariate CDFs ndtr(std_a), ndtr(std_b).
     Genz's scheme runs only at lattice points where both edges lie inside
-    the band |std| < _BAND; elsewhere the CDF takes its closed form to
+    the band |std| < _BAND and, at rho != 0, the correlated coordinate
+    u = a - b (rho > 0) or a + b (rho < 0), of sd s = sqrt(2 (1 - |rho|)),
+    lies inside |u| < _BAND s. Elsewhere the CDF takes its closed form to
     within Phi(-_BAND): cdf_b where std_a >= _BAND, else cdf_a where
-    std_b >= _BAND, else 0. At an out-of-band b edge that is the b axis's
-    form alone (cdf_b is then 0 or 1, as cdf_a is at std_a >= _BAND), which
+    std_b >= _BAND, else 0; inside the marginal band, at rho > 0, cdf_b
+    where u >= _BAND s and cdf_a where u <= -_BAND s, and at rho < 0,
+    cdf_a + cdf_b - 1 (at least 0) where u >= _BAND s and 0 where
+    u <= -_BAND s. At an out-of-band b edge that is the b axis's form
+    alone (cdf_b is then 0 or 1, as cdf_a is at std_a >= _BAND), which
     fills the interior. Each in-band b edge's column over the NA a edges is
-    a row of one dense (columns, NA) slab: Genz at in-band a, cdf_b at
-    a >= _BAND, else 0. The tail edges are exact: -inf gives 0, +inf the
-    other coordinate's CDF, (+inf, +inf) gives 1.
+    a row of one dense (columns, NA) slab. The tail edges are exact: -inf
+    gives 0, +inf the other coordinate's CDF, (+inf, +inf) gives 1.
     """
     lead = np.broadcast_shapes(std_a.shape[:-1], std_b.shape[:-1])
     n_a, n_b = std_a.shape[-1], std_b.shape[-1]
     a, ca, b, cb = (np.broadcast_to(v, lead + v.shape[-1:]).reshape(-1, v.shape[-1])  # per source
                     for v in (std_a, cdf_a, std_b, cdf_b))
     src, col = np.nonzero(np.abs(b) < _BAND)
-    a, ca, b, cb = a[src], ca[src], b[src, col], cb[src, col]
-    slab = np.where(a >= _BAND, cb[:, None], 0.0)
-    band = np.flatnonzero(np.abs(a) < _BAND)
-    a, ca, flat = a.ravel(), ca.ravel(), slab.ravel()
+    a, ca, b, cb = a[src], ca[src], b[src, col][:, None], cb[src, col][:, None]
+    slab = np.where(a >= _BAND, cb, 0.0)
+    genz = np.abs(a) < _BAND
+    if rho:
+        u = a - b if rho > 0.0 else a + b
+        reach = _BAND * math.sqrt(2.0 * (1.0 - abs(rho)))
+        high = genz & (u >= reach)
+        if rho > 0.0:
+            np.copyto(slab, cb, where=high)
+            np.copyto(slab, ca, where=genz & (u <= -reach))
+        else:
+            np.copyto(slab, np.maximum(ca + cb - 1.0, 0.0), where=high)
+        genz &= np.abs(u) < reach
+    band = np.flatnonzero(genz)
+    a, ca, b, cb, flat = a.ravel(), ca.ravel(), b.ravel(), cb.ravel(), slab.ravel()
     for first in range(0, band.size, _GENZ_BATCH):
         at = band[first:first + _GENZ_BATCH]
         row = at // n_a
@@ -268,11 +305,21 @@ def _span(steps: np.ndarray) -> str:
 def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
     """mass divided by its sum over axes, in place; raises if a sum is not within _ROW_SUM_TOL of 1."""
     total = mass.sum(axis=axes, keepdims=True)
-    worst = float(np.abs(1.0 - total).max())
+    worst = float(np.abs(1.0 - total).max(initial=0.0))
     if not worst <= _ROW_SUM_TOL:  # a NaN row fails this test too
         raise NumericalError(f"{what}: row mass deviates from 1 by {worst:.3e} (> {_ROW_SUM_TOL})")
     mass /= total
     return mass
+
+
+def _row_block(rows: np.ndarray, mass: np.ndarray, what: str) -> np.ndarray:
+    """The masses of the selected rows, normalized, at the True entries of rows; 0 elsewhere.
+
+    mass holds one (cells, cells) row per True entry of rows, in C order.
+    """
+    block = np.zeros(rows.shape + mass.shape[1:])
+    block[rows] = _normalize_rows(mass, (-2, -1), what)
+    return block
 
 
 class TransitionKernel:
@@ -283,7 +330,8 @@ class TransitionKernel:
     deterministic moves, q_idle (self-discharge only), q_limited (limited
     discharge) and g_limited (limited generator mode). The battery and
     generator blocks depend on the step through the seasonal mean; each is
-    built for a chunk of chunk_steps steps (chunk_of) and the last chunk
+    built for a chunk of chunk_steps steps (chunk_of), for every row or for
+    the rows that the chunk's feasibility mask selects, and the last chunk
     of each is kept, so expected_next over the steps of a chunk builds it once.
     """
 
@@ -307,12 +355,15 @@ class TransitionKernel:
         self.g_limited = cell_of(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
         # Window of g source k into generator_block's stacked g differences
         # at padded offset p: lower tail p - 1, consecutive N_G + p, upper tail 2 N_G + p.
+        # _g_gather indexes a (z cell, 4 N_G + 1 differences) row of them flat,
+        # in the block's (g src, z cell, g cell) order.
         n_g = grid.g.edges.size
-        self._g_window = np.r_[n_g, 2 * n_g + np.arange(1, n_g), 4 * n_g] - np.arange(n_g + 1)[:, None]
+        window = np.r_[n_g, 2 * n_g + np.arange(1, n_g), 4 * n_g] - np.arange(n_g + 1)[:, None]
+        self._g_gather = np.arange(grid.z.n_points)[:, None] * (4 * n_g + 1) + window[:, None, :]
         lattice = q.size * (grid.q.edges.size + 2) * grid.z.n_points * (grid.z.edges.size + 2)
         self.chunk_steps = max(1, _CHUNK_BYTES // (8 * lattice))
-        # (first step, stacked blocks) of the chunk each block holds
-        self._held = {"battery": (0, ()), "generator": (0, ())}
+        # (first step, stacked blocks, chunk mask they were built for) of each block's chunk
+        self._held = {"battery": (0, (), None), "generator": (0, (), None)}
 
     def chunk_of(self, n: int) -> np.ndarray:
         """The steps whose blocks are built with step n's, in increasing order.
@@ -326,41 +377,61 @@ class TransitionKernel:
         stop = steps - (steps - 1 - n) // self.chunk_steps * self.chunk_steps
         return np.arange(max(0, stop - self.chunk_steps), min(stop, steps + 1))
 
-    def _held_view(self, kind: str, n: int, build) -> np.ndarray:
-        """Step n's block from the held chunk of kind, built by build(chunk_of(n)) on a miss."""
-        first, blocks = self._held[kind]
-        if not first <= n < first + len(blocks):
+    def _held_view(self, kind: str, n: int, chunk_mask, build) -> np.ndarray:
+        """Step n's block from the held chunk of kind, built on a miss.
+
+        The miss builds build(chunk_of(n), chunk_mask). A chunk built for a
+        mask serves only that mask object, so a call without one never
+        reads the rows that the mask left out.
+        """
+        first, blocks, held_mask = self._held[kind]
+        if not (first <= n < first + len(blocks) and held_mask is chunk_mask):
             steps = self.chunk_of(n)
-            first, blocks = self._held[kind] = int(steps[0]), build(steps)
+            first, blocks = int(steps[0]), build(steps, chunk_mask)
+            self._held[kind] = first, blocks, chunk_mask
         return blocks[n - first]
 
-    def battery_block(self, n: int) -> np.ndarray:
+    def battery_block(self, n: int, chunk_mask: np.ndarray | None = None) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
 
         Shape (z src, q src, z cell, q cell); rows sum to 1 over the last
         two axes. The law is shared by both actions (costs and feasibility
         differ, the transition does not). A view of the held chunk.
+        chunk_mask is the feasibility_mask of chunk_of(n)'s steps; with it
+        only the rows that _battery_chunk selects from it are built, and
+        the others are 0. Without it every row is built.
         """
-        return self._held_view("battery", n, self._battery_chunk)
+        return self._held_view("battery", n, chunk_mask, self._battery_chunk)
 
-    def generator_block(self, n: int) -> np.ndarray:
+    def generator_block(self, n: int, chunk_mask: np.ndarray | None = None) -> np.ndarray:
         """Joint (Z, G) cell masses for the full generator mode at step n.
 
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
-        two axes. A view of the held chunk.
+        two axes. A view of the held chunk; chunk_mask selects the rows
+        built as in battery_block, by _generator_chunk's rule.
         """
-        return self._held_view("generator", n, self._generator_chunk)
+        return self._held_view("generator", n, chunk_mask, self._generator_chunk)
 
-    def _battery_chunk(self, steps: np.ndarray) -> np.ndarray:
-        """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell)."""
+    def _battery_chunk(self, steps: np.ndarray,
+                       chunk_mask: np.ndarray | None = None) -> np.ndarray:
+        """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell).
+
+        chunk_mask, the feasibility_mask of steps, selects the (step, z src,
+        q src) rows where charge or full discharge is feasible at some g;
+        only those are built and the others are 0. Without it every row is.
+        """
         grid = self.grid
         m_q, sd_q = battery_law(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points), self.cfg)
-        std_q = _std_edges(grid.q.edges, m_q, sd_q)
-        mass = _lattice_masses(_cdf_lattice(self._z_std[:, None, :], std_q, self.cfg.constants.rho_q,
-                                            self._z_cdf[:, None, :], ndtr(std_q)))
-        return _normalize_rows(mass, (-2, -1), f"battery block n={_span(steps)}")
+        rows = (np.ones(m_q.shape, dtype=bool) if chunk_mask is None else
+                (chunk_mask[:, Action.CHARGE] | chunk_mask[:, Action.DISCHARGE_FULL]).any(axis=-1))
+        z_src = np.nonzero(rows)[1]
+        std_q = _std_edges(grid.q.edges, m_q[rows], sd_q[rows])
+        mass = _lattice_masses(_cdf_lattice(self._z_std[z_src], std_q, self.cfg.constants.rho_q,
+                                            self._z_cdf[z_src], ndtr(std_q)))
+        return _row_block(rows, mass, f"battery block n={_span(steps)}")
 
-    def _generator_chunk(self, steps: np.ndarray) -> np.ndarray:
+    def _generator_chunk(self, steps: np.ndarray,
+                         chunk_mask: np.ndarray | None = None) -> np.ndarray:
         """generator_block of each step of a 1-D step array: (step, z src, g src, z cell, g cell).
 
         The standardized g edge f of source (i, k) is
@@ -368,38 +439,56 @@ class TransitionKernel:
         f - k only, so each (step, z source) needs one CDF lattice over the
         2 N_G shared offsets. Each g difference of a source is a lower tail,
         two consecutive offsets or an upper tail of that lattice; all three
-        kinds are z-differenced once, and source k reads its window via _g_window.
+        kinds are z-differenced once, and source k reads its window via
+        _g_gather. chunk_mask, the feasibility_mask of steps, selects the
+        (step, z src) lattices where the full generator mode is feasible at
+        some (q, g); the others' rows are 0. Without it every lattice is built.
         """
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
         burn, sd_g = generator_law(steps[:, None], grid.z.points, self.cfg)
+        rows = (np.ones(burn.shape, dtype=bool) if chunk_mask is None else
+                chunk_mask[:, Action.FUEL_FULL].any(axis=(-2, -1)))
+        z_src = np.nonzero(rows)[1]
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
-        std_g = _std_edges(offsets, -burn, sd_g)
-        # (step, z src, z edge, offset)
-        cdf = _cdf_lattice(self._z_std, std_g, self.cfg.constants.rho_g, self._z_cdf, ndtr(std_g))
+        std_g = _std_edges(offsets, -burn[rows], sd_g)
+        # (row, z edge, offset)
+        cdf = _cdf_lattice(self._z_std[z_src], std_g, self.cfg.constants.rho_g,
+                           self._z_cdf[z_src], ndtr(std_g))
         diffs = np.concatenate((cdf[..., 1:n_int + 2] - cdf[..., :1], np.diff(cdf[..., 1:-1]),
                                 cdf[..., -1:] - cdf[..., n_int:-1]), axis=-1)
         mass = np.diff(diffs, axis=-2)
-        mass = np.clip(mass, 0.0, None, out=mass)[..., self._g_window]
-        return _normalize_rows(mass.swapaxes(-3, -2), (-2, -1),
-                               f"generator block n={_span(steps)}")
+        np.clip(mass, 0.0, None, out=mass)
+        rows_n, cells, stacked = mass.shape
+        mass = np.take(mass.reshape(rows_n, cells * stacked), self._g_gather, axis=1)
+        return _row_block(rows, mass, f"generator block n={_span(steps)}")
 
-    def expected_next(self, n: int, v_next: np.ndarray) -> np.ndarray:
+    def expected_next(self, n: int, v_next: np.ndarray,
+                      chunk_mask: np.ndarray | None = None) -> np.ndarray:
         """E[v_next(X') | x, a] at step n for every state and action; shape (action, i, j, k).
 
         v_next is the next value table over linear state ids. Actions with
-        one law share its contraction: overspill and wait, charge and full discharge.
+        one law share its contraction: overspill and wait, charge and full
+        discharge. chunk_mask, the feasibility_mask of chunk_of(n)'s steps,
+        lets both bivariate blocks build only the rows it selects: a state
+        where it makes charge, full discharge or the full generator mode
+        infeasible may then read 0 for them, and every other entry keeps its bits.
         """
+        n_z, n_q, n_g = self.grid.shape
         v = v_next.reshape(self.grid.shape)
         v_idle = v[:, self.q_idle, :]
         ev = np.empty((len(Action),) + self.grid.shape)
         ev[[Action.OVERSPILL, Action.WAIT]] = np.tensordot(self.z_block, v_idle, axes=1)
         ev[Action.DISCHARGE_LIMITED] = np.tensordot(self.z_block, v[:, self.q_limited, :], axes=1)
         ev[Action.FUEL_LIMITED] = np.tensordot(self.z_block, v_idle[:, :, self.g_limited], axes=1)
-        ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.tensordot(
-            self.battery_block(n), v, axes=([2, 3], [0, 1]))
+        # Each block as one (source, cell) matrix against v over its (z, q) or (z, g) cells.
+        battery = self.battery_block(n, chunk_mask).reshape(n_z * n_q, n_z * n_q)
+        ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.dot(
+            battery, v.reshape(n_z * n_q, n_g)).reshape(n_z, n_q, n_g)
+        generator = self.generator_block(n, chunk_mask).reshape(n_z * n_g, n_z * n_g)
         # (z src, g src, q) -> the idle q target of each q source
-        ev_gen = np.tensordot(self.generator_block(n), v, axes=([2, 3], [0, 2]))
+        v_zg = v.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
+        ev_gen = np.dot(generator, v_zg).reshape(n_z, n_g, n_q)
         ev[Action.FUEL_FULL] = ev_gen[:, :, self.q_idle].transpose(0, 2, 1)
         return ev

@@ -747,15 +747,25 @@ def dense_cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
                       cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
     """kernel._cdf_lattice's contract on a dense boolean band mask: shape (..., NA + 2, NB + 2).
 
-    The closed forms (cdf_b where std_a >= NDTR_BAND, else cdf_a where
-    std_b >= NDTR_BAND, else 0) are taken on the whole (..., NA, NB)
-    lattice; Genz's scheme then overwrites every point whose two edges both
-    lie in the band, gathered through one mask over the broadcast lattice.
+    The marginal closed forms (cdf_b where std_a >= NDTR_BAND, else cdf_a
+    where std_b >= NDTR_BAND, else 0) are taken on the whole (..., NA, NB)
+    lattice. Where both edges lie in the band, the joint band of
+    u = a - b (rho > 0) or a + b (rho < 0) at reach NDTR_BAND * sqrt(2 (1 - |rho|))
+    then gives cdf_b / cdf_a (rho > 0) or max(cdf_a + cdf_b - 1, 0) / 0
+    (rho < 0) at u >= reach / u <= -reach. Genz's scheme overwrites every
+    remaining point, gathered through one mask over the broadcast lattice.
     """
     a, b = std_a[..., :, None], std_b[..., None, :]
     ca, cb = cdf_a[..., :, None], cdf_b[..., None, :]
     inner = np.where(a >= NDTR_BAND, cb, np.where(b >= NDTR_BAND, ca, 0.0))
     band = (np.abs(a) < NDTR_BAND) & (np.abs(b) < NDTR_BAND)
+    if rho:
+        u = a - b if rho > 0.0 else a + b
+        reach = NDTR_BAND * math.sqrt(2.0 * (1.0 - abs(rho)))
+        inner = np.where(band & (u >= reach), cb if rho > 0.0 else np.maximum(ca + cb - 1.0, 0.0),
+                         inner)
+        inner = np.where(band & (u <= -reach), ca if rho > 0.0 else 0.0, inner)
+        band &= np.abs(u) < reach
     a, b, ca, cb = np.broadcast_arrays(a, b, ca, cb)
     inner[band] = _bvn_cdf(a[band], b[band], rho, ca[band], cb[band])
     cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))
@@ -782,7 +792,9 @@ def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
     Each g source gathers its window of the (z src, z edge, offset)
     lattice, tail edges included, and the whole gathered (z src, z edge,
     g src, g edge) array is differenced along g and z: the shared offset
-    lattice, but none of the kernel's differencing of it.
+    lattice, but none of the kernel's differencing of it. The rows are
+    normalized in the block's own (z src, g src, z cell, g cell) memory
+    order, whose row sums add in the kernel's order.
     """
     grid, cfg = kern.grid, kern.cfg
     pts, edges = grid.g.points, grid.g.edges
@@ -796,7 +808,7 @@ def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
     cols = np.arange(n_int + 2)[None, :] - np.arange(pts.size)[:, None] + n_int
     cols[:, 0] = 0
     cols[:, -1] = 2 * n_int + 1
-    mass = _lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3))
+    mass = np.ascontiguousarray(_lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3)))
     return _normalize_rows(mass, (-2, -1), f"dense generator block n={n}")
 
 

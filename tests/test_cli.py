@@ -737,11 +737,11 @@ PAPER_RUN_DIGESTS = {
     "path_sunny-start_seed001.csv":
         "4624f623b496ca78e967c0970ed176f455856fb9bdc3b08d6e682e66ca0acc70",
     "value_policy_step0000.csv":
-        "2962b3e5f6a4b9d03f58e5b40c067108af12e01af95bb9720139a7bd6feacffa",
+        "eaaa22b5cb942132d7bece727cc6798ae9d1020fba1aff0c3c9b0d8d0a504520",
     "value_policy_step0012.csv":
-        "8f2c22c0c96da557e4a4fe6c11b4bb2663c2f3d185e86925d7ed0f8049445e65",
+        "e59efe9b78664da44b5c8c49f79db3eddc54677eeb33af8d71173a4c89825be9",
     "value_policy_step0023.csv":
-        "beb257b2cc761f91746cea3c99ca9c9b3c33893dd3fab881dadf6118748b65d2",
+        "af7e5f18838ab5eff3b0a2cbd86bc759a9f70e4fdeb9202759d7d1e8ec73b559",
     "value_policy_step0024.csv":
         "9a23cd30a14e1181a4598f02bd481d12823a5a3fb6e5e65fbbd580aa73f5b1a7",
 }

@@ -291,18 +291,40 @@ _BAND_EDGES_B = np.array([
 ])
 
 
+def _joint_band_edges(rho):
+    """Edges of six sources whose correlated coordinate u = a - b (rho > 0)
+    or a + b (rho < 0) lies at -9 s and 9 s and 1e-9 either side,
+    s = sqrt(2 (1 - |rho|)), with both edges inside |std| < 9."""
+    reach = 9.0 * math.sqrt(2.0 * (1.0 - abs(rho)))
+    sign = 1.0 if rho < 0.0 else -1.0  # u = a + sign * b
+    std_a, std_b = [], []
+    for u in (-reach, reach):
+        for shift in (-0.5, 0.0, 0.5):
+            a, b = u / 2.0 + shift, sign * (u / 2.0 - shift)
+            std_a.append(a + np.array([-0.3, -1e-9, 0.0, 1e-9, 0.3]))
+            std_b.append(b + np.array([-1.0, 0.0, 1.0]))
+    return np.array(std_a), np.array(std_b)
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.3, -0.84, 0.95, -0.985, -0.999])
 def test_banded_lattice_matches_full_lattice_at_band_edges(rho):
     """Edges exactly at +-9, just inside it, at the +-37 clip, and every
     pairing of the all-low / all-high / straddling edge rows (a <= -9 with
-    b >= 9 included), in both Genz branches: the closed forms outside the
-    band match the CDF evaluated on every edge."""
+    b >= 9 included), in both Genz branches, and at rho != 0 edges at and
+    1e-9 either side of the joint band's |u| = 9 s: the closed forms
+    outside both bands match the CDF evaluated on every edge."""
     std_a = _BAND_EDGES_A[:, None, :]
     std_b = np.broadcast_to(_BAND_EDGES_B, (4, 4, 6))
     got = _lattice_masses(_lattice(std_a, std_b, rho))
     ref = full_lattice_rect_masses(std_a, std_b, rho)
     assert got.shape == ref.shape == (4, 4, 8, 7)
     assert np.abs(got - ref).max() <= 1e-15
+    if rho:
+        std_a, std_b = _joint_band_edges(rho)
+        got = _lattice_masses(_lattice(std_a, std_b, rho))
+        ref = full_lattice_rect_masses(std_a, std_b, rho)
+        assert got.shape == ref.shape == (6, 6, 4)
+        assert np.abs(got - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.84, 0.95, -0.985])
@@ -326,11 +348,14 @@ def test_lattice_without_band_points_takes_the_closed_forms(rho):
 def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):
     """Genz's scheme runs at under a quarter of the battery block's interior
     lattice points and under a tenth of the generator block's, per step of
-    the chunk that the first call builds. Over a table1 solve's 168 steps
-    it runs at exactly the lattice points whose two edges lie in the band:
-    1,204,621 battery and 39,508 generator points, each chunk built once.
-    A column slab that sent its out-of-band a edges to the scheme would
-    count more."""
+    the chunk that the first call builds. Over 168 steps of blocks built
+    with every row it runs at exactly the lattice points whose two edges
+    lie in the band and whose correlated coordinate lies in the joint band:
+    645,646 battery and 22,985 generator points, each chunk built once
+    (1,204,621 and 39,508 with the marginal band alone). A solve, whose
+    chunks build only the rows that its masks select, runs it at 592,782
+    points. A column slab that sent its out-of-band a edges to the scheme
+    would count more."""
     seen = []
 
     def counting(x, y, rho, cdf_x, cdf_y):
@@ -349,12 +374,15 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     assert 0 < sum(seen) <= chunk * 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
     steps = range(cfg_table1.discretization.steps_N)
     fresh = m.TransitionKernel(cfg_table1, grid_table1)
-    for block, total in ((fresh.battery_block, 1_204_621), (fresh.generator_block, 39_508)):
+    for block, total in ((fresh.battery_block, 645_646), (fresh.generator_block, 22_985)):
         seen.clear()
         for n in steps:
             block(n)
         assert sum(seen) == total, block.__name__
         assert max(seen) <= kernel._GENZ_BATCH
+    seen.clear()
+    m.solve(cfg_table1, grid_table1)
+    assert sum(seen) == 592_782
 
 
 _DENSE_RHOS = [0.0, 0.3, -0.84, 0.95, -0.985]
@@ -386,6 +414,7 @@ _DENSE_CASES = {
     "1-d": lambda: (np.linspace(-10.0, 10.0, 7), np.array([-9.0, -3.5, 0.2, 8.9, 9.0, 11.0])),
     "no-band-point": lambda: (np.array([-30.0, -9.0, 2.0, 9.0, 12.0]),
                               np.array([-12.0, 9.0, 40.0])),
+    "joint-band-edges": lambda: _joint_band_edges(TABLE1_RHO_Q.values[0]),
 }
 
 

@@ -21,6 +21,14 @@ validated domain: eta0 at beta_R or far beyond it, epsilon near 0 or 0.5,
 values or fails cleanly, with the same bits in one-step chunks as in the
 default ones, and simulates 4 paths at finite cost; a few examples also
 run `validate`, `solve` and `simulate` through the CLI.
+
+Two structural properties hold on every example (Puterman 1994, sec.
+4.7; Smith & McCardle, Oper. Res. 50(5), 2002): the feasible sets nest
+upwards in g, and in q for every action but CHARGE, whose overflow rule
+can drop it at a fuller battery; and V_n is non-increasing in g. The
+solver builds only the block rows that the mask selects, so a mask that
+broke the nesting would show here too. V is not monotone in q: on a
+26 x 16 x 16 grid a fuller battery costs more where CHARGE overflows.
 """
 
 from __future__ import annotations
@@ -221,3 +229,49 @@ def test_valid_configs_through_the_cli(cfg):
                 assert err.getvalue() == ""
             else:
                 assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs())
+def test_feasible_sets_nest_upwards_in_fuel_and_battery_level(cfg):
+    """At every step and state, a higher g never loses a feasible action,
+    and a higher q loses none but CHARGE."""
+    grid = m.build_grid(cfg)
+    mask = m.feasibility_mask(np.arange(cfg.discretization.steps_N + 1), grid, cfg)
+    assert not (mask[..., :-1] & ~mask[..., 1:]).any()
+    lost_with_q = (mask[..., :-1, :] & ~mask[..., 1:, :]).any(axis=(0, 2, 3, 4))
+    assert not lost_with_q[[a for a in m.Action if a is not m.Action.CHARGE]].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs())
+def test_values_do_not_rise_with_the_fuel_level(cfg):
+    """V_n(z, q, g) is non-increasing in g at every step, to 1e-12 relative."""
+    grid = m.build_grid(cfg)
+    try:
+        m.validate_config(cfg)
+        values, _ = m.solve(cfg, grid)
+    except (m.NumericalError, m.ConfigError):
+        return
+    v = values.values.reshape((cfg.discretization.steps_N + 1,) + grid.shape)
+    low_g, high_g = v[..., :-1], v[..., 1:]
+    assert (high_g - low_g <= 1e-12 * np.maximum(np.abs(low_g), np.abs(high_g))).all()
+
+
+def test_a_fuller_battery_costs_more_where_charge_overflows():
+    """26 x 16 x 16 over 24 steps, step 12, z = -1.79 (surplus): at every g,
+    V rises by 0.0128 EUR from q = 0.867 to 0.933, because the lower cell
+    charges and the higher one may not (P(Q' > 1) >= epsilon) and overspills."""
+    cfg = _case(steps=24, n_z=25, n_q=15, n_g=15)
+    grid = m.build_grid(cfg)
+    values, policy = m.solve(cfg, grid)
+    n, i, low, high = 12, 2, 13, 14
+    assert grid.z.points[i] == pytest.approx(-1.79, abs=5e-3)
+    assert grid.q.points[[low, high]] == pytest.approx([0.867, 0.933], abs=5e-4)
+    v = values.values.reshape((25,) + grid.shape)[n, i]
+    np.testing.assert_allclose(v[high] - v[low], 0.0128, rtol=0.0, atol=1e-4)
+    actions = policy.actions.reshape((24,) + grid.shape)[n, i]
+    assert (actions[low] == m.Action.CHARGE).all() and (actions[high] == m.Action.OVERSPILL).all()
+    for g in grid.g.points:
+        feasible = m.feasible_actions(n, m.State(grid.z.points[i], grid.q.points[high], g), cfg)
+        assert feasible.excluded[m.Action.CHARGE].startswith("P(next level > 1)")

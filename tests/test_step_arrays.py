@@ -1,6 +1,8 @@
 """Step arrays: every step-only layer called on a 1-D array of steps gives
 each step the bits of its int call, and the kernel's chunks of steps give
-each step the block of a kernel that builds one step at a time."""
+each step the block of a kernel that builds one step at a time. The
+blocks that solve builds for its chunk masks give every Q-value the bits
+of blocks built for every row."""
 
 import dataclasses
 
@@ -11,7 +13,7 @@ import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp import kernel
 from microgrid_dp.dynamics import battery_law, generator_law
-from microgrid_dp.solver import stage_cost_rows
+from microgrid_dp.solver import _TIE_TOL, stage_cost_rows, step_q_values, terminal_values
 
 
 def _with(cfg, section, **fields):
@@ -27,6 +29,8 @@ CASES = {
     "mu0_R=0.2": lambda cfg: _with(cfg, "demand", mu0_R=0.2),
     "small": small_discretization,
     "steps_N=1": lambda cfg: small_discretization(cfg, steps=1),
+    # beta_R * dt = 4e-8: a chunk in which no row of either bivariate block is feasible
+    "beta_R=4e-8": lambda cfg: _with(small_discretization(cfg, steps=3), "demand", beta_R=4e-8),
 }
 
 
@@ -162,3 +166,61 @@ def test_baseline_wait_policy_reads_the_mask_of_every_step(cfg_small, grid_small
     for n in range(cfg_small.discretization.steps_N):
         surplus = m.feasibility_mask(n, grid_small, cfg_small)[m.Action.OVERSPILL].reshape(-1)
         assert np.array_equal(policy[n], np.where(surplus, m.Action.OVERSPILL, m.Action.WAIT))
+
+
+def _rows_selected(mask):
+    """The battery rows (step, z src, q src) and generator rows (step, z src)
+    that a chunk mask selects."""
+    battery = (mask[:, m.Action.CHARGE] | mask[:, m.Action.DISCHARGE_FULL]).any(axis=-1)
+    return battery, mask[:, m.Action.FUEL_FULL].any(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_solve_over_mask_selected_rows_equals_every_row(cfg_table1, name):
+    """solve builds only the block rows that its chunk masks select; the
+    backward loop over blocks built for every row, with the same stage rows,
+    masks and tie rule, gives its values and policy bit for bit."""
+    cfg, grid = _case(cfg_table1, name)
+    n_steps = cfg.discretization.steps_N
+    values, policy = m.solve(cfg, grid)
+    kern = m.TransitionKernel(cfg, grid)
+    steps = np.arange(n_steps)
+    stage, mask = stage_cost_rows(steps, grid, cfg), m.feasibility_mask(steps, grid, cfg)
+    want = np.empty_like(values.values)
+    want[n_steps] = terminal_values(cfg, grid)
+    actions = np.empty_like(policy.actions)
+    for n in range(n_steps - 1, -1, -1):
+        q_vals = step_q_values(n, want[n + 1], kern, stage[n], mask[n])
+        v_n = q_vals.min(axis=0)
+        want[n] = v_n.reshape(-1)
+        actions[n] = np.argmax(q_vals <= v_n[None] + _TIE_TOL, axis=0).reshape(-1)
+    assert np.array_equal(values.values, want)
+    assert np.array_equal(policy.actions, actions)
+    if name == "beta_R=4e-8":
+        chunk = kern.chunk_of(n_steps - 1)
+        battery, generator = _rows_selected(m.feasibility_mask(chunk, grid, cfg))
+        assert not battery.any() and not generator.any()
+
+
+def test_a_chunk_built_for_a_mask_serves_only_that_mask(cfg_table1, grid_table1):
+    """A masked build holds the selected rows of the full build, bit for bit,
+    and 0 elsewhere, also right after a call without the mask held the
+    chunk; a call without the mask then gets every row, and an all-false
+    mask builds a chunk of zeros."""
+    full = m.TransitionKernel(cfg_table1, grid_table1)
+    kern = m.TransitionKernel(cfg_table1, grid_table1)
+    chunk = kern.chunk_of(100)
+    mask = m.feasibility_mask(chunk, grid_table1, cfg_table1)
+    selected = _rows_selected(mask)
+    assert 0 < selected[0].mean() < 1 and 0 < selected[1].mean() < 1
+    for block, rows in zip(("battery_block", "generator_block"), selected):
+        for s, n in enumerate(chunk.tolist()):
+            whole = getattr(full, block)(n)
+            masked = getattr(kern, block)(n, mask)
+            assert np.array_equal(masked[rows[s]], whole[rows[s]]), (block, n)
+            assert not masked[~rows[s]].any(), (block, n)
+            assert np.array_equal(getattr(kern, block)(n), whole), (block, n)
+    empty = np.zeros_like(mask)
+    for build in (kern._battery_chunk, kern._generator_chunk):
+        block = build(chunk, empty)
+        assert block.shape == (chunk.size,) + grid_table1.shape[:2] * 2 and not block.any()
