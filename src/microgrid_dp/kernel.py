@@ -398,8 +398,9 @@ class TransitionKernel:
         two axes. The law is shared by both actions (costs and feasibility
         differ, the transition does not). A view of the held chunk.
         chunk_mask is the feasibility_mask of chunk_of(n)'s steps; with it
-        only the rows that _battery_chunk selects from it are built, and
-        the others are 0. Without it every row is built.
+        only the (z src, q src) rows where charge or full discharge is
+        feasible at some g are built, and the others are 0. Without it
+        every row is built.
         """
         return self._held_view("battery", n, chunk_mask, self._battery_chunk)
 
@@ -407,8 +408,9 @@ class TransitionKernel:
         """Joint (Z, G) cell masses for the full generator mode at step n.
 
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
-        two axes. A view of the held chunk; chunk_mask selects the rows
-        built as in battery_block, by _generator_chunk's rule.
+        two axes. A view of the held chunk. With chunk_mask, as in
+        battery_block, only the z sources where the full generator mode is
+        feasible at some (q, g) are built, and the other rows are 0.
         """
         return self._held_view("generator", n, chunk_mask, self._generator_chunk)
 
