@@ -15,14 +15,15 @@ source level, taken once per kernel: grid.cell_of of the next levels
 that the deterministic branches of dynamics.q_moments/g_moments give.
 cell_of puts a level below 0 or above 1 in its boundary cell.
 
-TransitionKernel.expected_next(n, v) applies the chain to a value table v:
-one np.tensordot of the z block (z src, z cell) per gathered table, against
-v at the idle, limited-discharge or idle-then-limited-generator targets;
-and one np.dot per bivariate block as a (source, cell) matrix, the battery
-block (z src, q src, z cell, q cell) against v over (z, q), the generator
-block (z src, g src, z cell, g cell) over (z, g). Contracting z once and
-gathering afterwards would add in another order and move the last bits,
-so each gathered table has its own contraction.
+TransitionKernel.expected_next(v, battery, generator) applies the chain to
+a value table v: one np.tensordot of the z block (z src, z cell) per
+gathered table, against v at the idle, limited-discharge or
+idle-then-limited-generator targets; and one np.dot per bivariate block it
+is given, as a (source, cell) matrix, the battery block (z src, q src,
+z cell, q cell) against v over (z, q), the generator block (z src, g src,
+z cell, g cell) over (z, g). Contracting z once and gathering afterwards
+would add in another order and move the last bits, so each gathered table
+has its own contraction.
 
 The bivariate masses come from Genz's bivariate-normal scheme (Genz 2004,
 Stat. Comput. 14:251) with one Gauss-Legendre rule, his 20-point one, at
@@ -61,30 +62,26 @@ each kernel computes them once for the z block and both bivariate blocks.
 The battery and generator blocks depend on the step only through the
 seasonal mean mu_R(t_n), and their laws take an array of steps: a step
 array broadcasts against the states as numpy broadcasts any argument.
-So both are built for a chunk of steps in one pass: the chunk's steps,
-shaped as a leading axis, give the laws a leading step axis, the lattice
-and its differences run over the chunk's (step, source) rows, and each
-step's slice has the bits of a one-step build. A chunk holds _CHUNK_BYTES / (bytes of one
-step's battery CDF lattice) steps, at least one: four on table1 and one
+So blocks(steps, mask) builds both for a chunk of steps in one pass: the
+chunk's steps, shaped as a leading axis, give the laws a leading step
+axis, the lattice and its differences run over the chunk's (step, source)
+rows, and each step's slice has the bits of a one-step build. chunk_steps
+is the chunk length that the solver cuts: _CHUNK_BYTES / (bytes of one
+step's battery CDF lattice) steps, at least one; four on table1 and one
 from 26 x 16 x 16 up, so a big grid holds no more than one step's arrays.
-The chunks cut the horizon from step N - 1 down (chunk_of), the order in
-which the solver walks it; the kernel keeps the last chunk of each block
-and battery_block(n) / generator_block(n) return step n's view of it,
-building the chunk that holds n on a miss.
 
-The solver hands the kernel each chunk's feasibility mask, and a chunk
-built for a mask holds only the rows that a feasible pair reads: the
-(step, z src, q src) battery rows where charge or full discharge is
-feasible at some g, and the (step, z src) generator lattices where the
-full generator mode is feasible at some (q, g), 81.5 % and 50.5 % of them
-on table1. The other rows are 0, and the mask makes their Q-values +inf.
-The products' output rows are independent, so every other Q-value keeps
-its bits. Without a mask every row is built, by the same code with an
-all-true selection, and a chunk built for a mask serves only that mask.
-Genz's scheme runs on at most
-_GENZ_BATCH points per call, which keeps its (20 nodes x points)
-temporary near 1.3 MB at any chunk length; a point's bits do not depend
-on its batch.
+blocks takes the chunk's feasibility mask and builds only the rows that a
+feasible pair reads: the (step, z src, q src) battery rows where charge or
+full discharge is feasible at some g, and the (step, z src) generator
+lattices where the full generator mode is feasible at some (q, g), 81.5 %
+and 50.5 % of them on table1. The other rows are 0, and the mask makes
+their Q-values +inf. The products' output rows are independent, so every
+other Q-value keeps its bits. battery_block(n) and generator_block(n)
+build one step's block with every row, by the same code with an all-true
+selection. The kernel keeps nothing it builds: each call builds afresh.
+Genz's scheme runs on at most _GENZ_BATCH points per call, which keeps its
+(20 nodes x points) temporary near 1.3 MB at any chunk length; a point's
+bits do not depend on its batch.
 
 The generator block also uses an exact structure of its law,
 G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
@@ -104,7 +101,7 @@ import numpy as np
 from .config import Action, ModelConfig
 from .dynamics import NDTR_BAND as _BAND
 from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
-                       seasonal_mean, z_law)
+                       z_law)
 from .grid import StateGrid, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel"]
@@ -329,10 +326,10 @@ class TransitionKernel:
     masses (z source, z cell), and the target cell per source level of the
     deterministic moves, q_idle (self-discharge only), q_limited (limited
     discharge) and g_limited (limited generator mode). The battery and
-    generator blocks depend on the step through the seasonal mean; each is
-    built for a chunk of chunk_steps steps (chunk_of), for every row or for
-    the rows that the chunk's feasibility mask selects, and the last chunk
-    of each is kept, so expected_next over the steps of a chunk builds it once.
+    generator blocks depend on the step through the seasonal mean; blocks
+    builds both for a chunk of steps and the rows that its feasibility mask
+    selects, battery_block / generator_block one step's block with every
+    row. Nothing is kept after __init__.
     """
 
     def __init__(self, cfg: ModelConfig, grid: StateGrid):
@@ -362,78 +359,53 @@ class TransitionKernel:
         self._g_gather = np.arange(grid.z.n_points)[:, None] * (4 * n_g + 1) + window[:, None, :]
         lattice = q.size * (grid.q.edges.size + 2) * grid.z.n_points * (grid.z.edges.size + 2)
         self.chunk_steps = max(1, _CHUNK_BYTES // (8 * lattice))
-        # (first step, stacked blocks, chunk mask they were built for) of each block's chunk
-        self._held = {"battery": (0, (), None), "generator": (0, (), None)}
 
-    def chunk_of(self, n: int) -> np.ndarray:
-        """The steps whose blocks are built with step n's, in increasing order.
+    def blocks(self, steps: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The battery and generator blocks of a 1-D step array, with the rows that mask selects.
 
-        The horizon is cut into runs of chunk_steps steps from step N - 1
-        down, so the last run to reach step 0 may be shorter; step N forms
-        a run of its own. A step outside 0..N raises KeyError.
+        mask is the feasibility_mask of steps. The battery chunk (step,
+        z src, q src, z cell, q cell) holds the (step, z src, q src) rows
+        where charge or full discharge is feasible at some g; the generator
+        chunk (step, z src, g src, z cell, g cell) the (step, z src) rows
+        where the full generator mode is feasible at some (q, g). Every
+        other row is 0.
         """
-        steps = self.cfg.discretization.steps_N
-        seasonal_mean(n, self.cfg)  # KeyError outside 0..N
-        stop = steps - (steps - 1 - n) // self.chunk_steps * self.chunk_steps
-        return np.arange(max(0, stop - self.chunk_steps), min(stop, steps + 1))
+        battery = (mask[:, Action.CHARGE] | mask[:, Action.DISCHARGE_FULL]).any(axis=-1)
+        generator = mask[:, Action.FUEL_FULL].any(axis=(-2, -1))
+        return self._battery_chunk(steps, battery), self._generator_chunk(steps, generator)
 
-    def _held_view(self, kind: str, n: int, chunk_mask, build) -> np.ndarray:
-        """Step n's block from the held chunk of kind, built on a miss.
-
-        The miss builds build(chunk_of(n), chunk_mask). A chunk built for a
-        mask serves only that mask object, so a call without one never
-        reads the rows that the mask left out.
-        """
-        first, blocks, held_mask = self._held[kind]
-        if not (first <= n < first + len(blocks) and held_mask is chunk_mask):
-            steps = self.chunk_of(n)
-            first, blocks = int(steps[0]), build(steps, chunk_mask)
-            self._held[kind] = first, blocks, chunk_mask
-        return blocks[n - first]
-
-    def battery_block(self, n: int, chunk_mask: np.ndarray | None = None) -> np.ndarray:
+    def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
 
         Shape (z src, q src, z cell, q cell); rows sum to 1 over the last
         two axes. The law is shared by both actions (costs and feasibility
-        differ, the transition does not). A view of the held chunk.
-        chunk_mask is the feasibility_mask of chunk_of(n)'s steps; with it
-        only the (z src, q src) rows where charge or full discharge is
-        feasible at some g are built, and the others are 0. Without it
-        every row is built.
+        differ, the transition does not). Every row is built.
         """
-        return self._held_view("battery", n, chunk_mask, self._battery_chunk)
+        return self._battery_chunk(np.array([n]), np.ones((1,) + self.grid.shape[:2], bool))[0]
 
-    def generator_block(self, n: int, chunk_mask: np.ndarray | None = None) -> np.ndarray:
+    def generator_block(self, n: int) -> np.ndarray:
         """Joint (Z, G) cell masses for the full generator mode at step n.
 
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
-        two axes. A view of the held chunk. With chunk_mask, as in
-        battery_block, only the z sources where the full generator mode is
-        feasible at some (q, g) are built, and the other rows are 0.
+        two axes. Every row is built.
         """
-        return self._held_view("generator", n, chunk_mask, self._generator_chunk)
+        return self._generator_chunk(np.array([n]), np.ones((1, self.grid.z.n_points), bool))[0]
 
-    def _battery_chunk(self, steps: np.ndarray,
-                       chunk_mask: np.ndarray | None = None) -> np.ndarray:
+    def _battery_chunk(self, steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell).
 
-        chunk_mask, the feasibility_mask of steps, selects the (step, z src,
-        q src) rows where charge or full discharge is feasible at some g;
-        only those are built and the others are 0. Without it every row is.
+        Only the (step, z src, q src) rows where rows is True are built;
+        the others are 0.
         """
         grid = self.grid
         m_q, sd_q = battery_law(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points), self.cfg)
-        rows = (np.ones(m_q.shape, dtype=bool) if chunk_mask is None else
-                (chunk_mask[:, Action.CHARGE] | chunk_mask[:, Action.DISCHARGE_FULL]).any(axis=-1))
         z_src = np.nonzero(rows)[1]
         std_q = _std_edges(grid.q.edges, m_q[rows], sd_q[rows])
         mass = _lattice_masses(_cdf_lattice(self._z_std[z_src], std_q, self.cfg.constants.rho_q,
                                             self._z_cdf[z_src], ndtr(std_q)))
         return _row_block(rows, mass, f"battery block n={_span(steps)}")
 
-    def _generator_chunk(self, steps: np.ndarray,
-                         chunk_mask: np.ndarray | None = None) -> np.ndarray:
+    def _generator_chunk(self, steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """generator_block of each step of a 1-D step array: (step, z src, g src, z cell, g cell).
 
         The standardized g edge f of source (i, k) is
@@ -442,16 +414,13 @@ class TransitionKernel:
         2 N_G shared offsets. Each g difference of a source is a lower tail,
         two consecutive offsets or an upper tail of that lattice; all three
         kinds are z-differenced once, and source k reads its window via
-        _g_gather. chunk_mask, the feasibility_mask of steps, selects the
-        (step, z src) lattices where the full generator mode is feasible at
-        some (q, g); the others' rows are 0. Without it every lattice is built.
+        _g_gather. Only the (step, z src) lattices where rows is True are
+        built; the other rows are 0.
         """
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
         burn, sd_g = generator_law(steps[:, None], grid.z.points, self.cfg)
-        rows = (np.ones(burn.shape, dtype=bool) if chunk_mask is None else
-                chunk_mask[:, Action.FUEL_FULL].any(axis=(-2, -1)))
         z_src = np.nonzero(rows)[1]
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
         std_g = _std_edges(offsets, -burn[rows], sd_g)
@@ -466,16 +435,15 @@ class TransitionKernel:
         mass = np.take(mass.reshape(rows_n, cells * stacked), self._g_gather, axis=1)
         return _row_block(rows, mass, f"generator block n={_span(steps)}")
 
-    def expected_next(self, n: int, v_next: np.ndarray,
-                      chunk_mask: np.ndarray | None = None) -> np.ndarray:
-        """E[v_next(X') | x, a] at step n for every state and action; shape (action, i, j, k).
+    def expected_next(self, v_next: np.ndarray, battery: np.ndarray,
+                      generator: np.ndarray) -> np.ndarray:
+        """E[v_next(X') | x, a] for every state and action; shape (action, i, j, k).
 
-        v_next is the next value table over linear state ids. Actions with
-        one law share its contraction: overspill and wait, charge and full
-        discharge. chunk_mask, the feasibility_mask of chunk_of(n)'s steps,
-        lets both bivariate blocks build only the rows it selects: a state
-        where it makes charge, full discharge or the full generator mode
-        infeasible may then read 0 for them, and every other entry keeps its bits.
+        v_next is the next value table over linear state ids, and battery and
+        generator are the step's 4-D blocks (battery_block, generator_block,
+        or a step's slice of blocks). Actions with one law share its
+        contraction: overspill and wait, charge and full discharge. Where a
+        block row is 0 (left out by blocks' mask), its actions read 0.
         """
         n_z, n_q, n_g = self.grid.shape
         v = v_next.reshape(self.grid.shape)
@@ -485,10 +453,10 @@ class TransitionKernel:
         ev[Action.DISCHARGE_LIMITED] = np.tensordot(self.z_block, v[:, self.q_limited, :], axes=1)
         ev[Action.FUEL_LIMITED] = np.tensordot(self.z_block, v_idle[:, :, self.g_limited], axes=1)
         # Each block as one (source, cell) matrix against v over its (z, q) or (z, g) cells.
-        battery = self.battery_block(n, chunk_mask).reshape(n_z * n_q, n_z * n_q)
+        battery = battery.reshape(n_z * n_q, n_z * n_q)
         ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.dot(
             battery, v.reshape(n_z * n_q, n_g)).reshape(n_z, n_q, n_g)
-        generator = self.generator_block(n, chunk_mask).reshape(n_z * n_g, n_z * n_g)
+        generator = generator.reshape(n_z * n_g, n_z * n_g)
         # (z src, g src, q) -> the idle q target of each q source
         v_zg = v.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
         ev_gen = np.dot(generator, v_zg).reshape(n_z, n_g, n_q)

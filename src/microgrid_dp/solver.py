@@ -12,17 +12,18 @@ pairs to +inf. The steps run one after another on one thread.
 
 Everything but the contraction with V_{n+1} depends on the step only
 through mu_R(t_n), and every layer takes a 1-D array of steps. solve
-therefore walks the horizon backwards in the kernel's chunks of steps
-(TransitionKernel.chunk_of, sized by its byte budget): per chunk it builds
-the stage rows in one call and the mask in another, and the kernel builds
-both bivariate blocks in one pass each; then step_q_values, the one
-Bellman line, runs once per step of the chunk on that step's slices.
+therefore walks the horizon backwards in chunks of kernel.chunk_steps
+steps (sized by the kernel's byte budget), cut from step N - 1 down: per
+chunk it builds the stage rows in one call, the mask in another, and both
+bivariate blocks in one more (TransitionKernel.blocks); then
+step_q_values, the one Bellman line, runs once per step of the chunk on
+that step's slices.
 
-solve also hands the chunk's mask to the kernel, which then builds only
-the block rows that a feasible (state, action) pair reads (81.5 % of the
-battery rows and 50.5 % of the generator lattices on table1). The rows it
-leaves out are 0, but the mask sets their Q-values to +inf, and every
-other Q-value has the bits of blocks built for every row.
+The blocks hold only the rows that a feasible (state, action) pair of the
+chunk's mask reads (81.5 % of the battery rows and 50.5 % of the generator
+lattices on table1). The rows left out are 0, but the mask sets their
+Q-values to +inf, and every other Q-value has the bits of blocks built for
+every row.
 """
 
 from __future__ import annotations
@@ -95,18 +96,18 @@ def stage_cost_rows(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     return out
 
 
-def step_q_values(n: int, v_next: np.ndarray, kernel: TransitionKernel, stage: np.ndarray,
-                  mask: np.ndarray, chunk_mask: np.ndarray | None = None) -> np.ndarray:
+def step_q_values(v_next: np.ndarray, kernel: TransitionKernel, stage: np.ndarray,
+                  mask: np.ndarray, battery: np.ndarray, generator: np.ndarray) -> np.ndarray:
     """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k).
 
-    stage and mask are step n's stage_cost_rows and feasibility_mask.
-    chunk_mask, the feasibility_mask of kernel.chunk_of(n)'s steps, lets the
-    kernel build only the block rows that a feasible pair reads; every
-    Q-value keeps its bits with or without it.
+    stage, mask, battery and generator are step n's stage_cost_rows,
+    feasibility_mask and transition blocks: kernel.battery_block(n) and
+    kernel.generator_block(n), or step n's slices of kernel.blocks, whose
+    rows left out by the mask do not change a feasible Q-value's bits.
     """
     cfg = kernel.cfg
     disc = math.exp(-cfg.costs.rho * cfg.dt)
-    q_vals = stage[:, :, None, None] + disc * kernel.expected_next(n, v_next, chunk_mask)
+    q_vals = stage[:, :, None, None] + disc * kernel.expected_next(v_next, battery, generator)
     return np.where(mask, q_vals, np.inf)
 
 
@@ -120,12 +121,14 @@ def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
     values[steps] = terminal_values(cfg, grid)
 
     for stop in range(steps, 0, -kernel.chunk_steps):
-        chunk = kernel.chunk_of(stop - 1)
+        chunk = np.arange(max(0, stop - kernel.chunk_steps), stop)
         stage = stage_cost_rows(chunk, grid, cfg)
         mask = feasibility_mask(chunk, grid, cfg)
+        battery, generator = kernel.blocks(chunk, mask)
         for s in range(chunk.size - 1, -1, -1):
             n = int(chunk[s])
-            q_vals = step_q_values(n, values[n + 1], kernel, stage[s], mask[s], mask)
+            q_vals = step_q_values(values[n + 1], kernel, stage[s], mask[s], battery[s],
+                                   generator[s])
             v_n = q_vals.min(axis=0)
             if not np.isfinite(v_n).all():
                 raise NumericalError(f"non-finite value at step {n}")

@@ -163,7 +163,8 @@ def test_criterion_6_full_scale_solve(cfg_table1, grid_table1, table1_solution):
     mask = m.feasibility_mask(steps, grid_table1, cfg_table1)
     resid = 0.0
     for n in steps.tolist():
-        q_vals = step_q_values(n, values.values[n + 1], kern, stage[n], mask[n])
+        q_vals = step_q_values(values.values[n + 1], kern, stage[n], mask[n],
+                               kern.battery_block(n), kern.generator_block(n))
         resid = max(resid, float(np.abs(
             q_vals.min(axis=0).reshape(-1) - values.values[n]).max()))
     assert resid <= 1e-10

@@ -557,11 +557,10 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
                 lambda: generator_law(steps, grid.z.points, cfg),
                 lambda: stage_cost_rows(steps, grid, cfg),
                 lambda: m.feasibility_mask(steps, grid, cfg),
-                lambda: kern._battery_chunk(steps),
-                lambda: kern._generator_chunk(steps),
+                lambda: kern.blocks(steps, np.ones((3, len(m.Action)) + grid.shape, bool)),
+                lambda: kern._generator_chunk(steps, np.ones((3, grid.z.n_points), bool)),
                 lambda: kern.battery_block(bad),
-                lambda: kern.generator_block(bad),
-                lambda: kern.chunk_of(bad)]
+                lambda: kern.generator_block(bad)]
         laws += [lambda a=a: m.expected_stage_cost(steps, x, a, cfg) for a in m.Action]
         for law in laws:
             with pytest.raises(KeyError):

@@ -348,10 +348,10 @@ def test_lattice_without_band_points_takes_the_closed_forms(rho):
 def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeypatch):
     """Genz's scheme runs at under a quarter of the battery block's interior
     lattice points and under a tenth of the generator block's, per step of
-    the chunk that the first call builds. Over 168 steps of blocks built
-    with every row it runs at exactly the lattice points whose two edges
-    lie in the band and whose correlated coordinate lies in the joint band:
-    645,646 battery and 22,985 generator points, each chunk built once
+    a chunk of solve's length built with every row. Over 168 one-step
+    blocks built with every row it runs at exactly the lattice points whose
+    two edges lie in the band and whose correlated coordinate lies in the
+    joint band: 645,646 battery and 22,985 generator points
     (1,204,621 and 39,508 with the marginal band alone). A solve, whose
     chunks build only the rows that its masks select, runs it at 592,782
     points. A column slab that sent its out-of-band a edges to the scheme
@@ -365,13 +365,13 @@ def test_band_limits_genz_evaluations_on_table1(cfg_table1, grid_table1, monkeyp
     monkeypatch.setattr(kernel, "_bvn_cdf", counting)
     kern = m.TransitionKernel(cfg_table1, grid_table1)
     n_z, n_q, n_g = grid_table1.shape
-    chunk = kern.chunk_of(0).size
-    assert kern.chunk_steps == chunk == 4
-    kern.battery_block(0)
-    assert 0 < sum(seen) <= chunk * 0.25 * n_z * n_q * (n_z - 1) * (n_q - 1)
+    chunk = np.arange(kern.chunk_steps)
+    assert chunk.size == 4
+    kern._battery_chunk(chunk, np.ones((chunk.size, n_z, n_q), bool))
+    assert 0 < sum(seen) <= chunk.size * 0.25 * n_z * n_q * (n_z - 1) * (n_q - 1)
     seen.clear()
-    kern.generator_block(0)
-    assert 0 < sum(seen) <= chunk * 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
+    kern._generator_chunk(chunk, np.ones((chunk.size, n_z), bool))
+    assert 0 < sum(seen) <= chunk.size * 0.10 * n_z * (n_z - 1) * 2 * (n_g - 1)
     steps = range(cfg_table1.discretization.steps_N)
     fresh = m.TransitionKernel(cfg_table1, grid_table1)
     for block, total in ((fresh.battery_block, 645_646), (fresh.generator_block, 22_985)):
@@ -538,7 +538,8 @@ def test_expected_next_keeps_a_constant(cfg_table1, shape):
     kern = m.TransitionKernel(cfg, m.build_grid(cfg))
     const = 123.456
     for n in (0, 83, 167):
-        ev = kern.expected_next(n, np.full(kern.grid.n_states, const))
+        ev = kern.expected_next(np.full(kern.grid.n_states, const), kern.battery_block(n),
+                                kern.generator_block(n))
         assert ev.shape == (len(m.Action),) + kern.grid.shape
         np.testing.assert_allclose(ev, const, rtol=1e-14, atol=0.0)
 
@@ -549,7 +550,7 @@ def test_expected_next_matches_the_scalar_rows(cfg_small, grid_small):
     v = np.random.default_rng(21).uniform(0.0, 100.0, grid_small.n_states)
     sources = [grid_small.lin(*idx) for idx in ((0, 0, 0), (2, 1, 2), (3, 2, 1), (5, 3, 3))]
     for n in (0, 3):
-        ev = kern.expected_next(n, v)
+        ev = kern.expected_next(v, kern.battery_block(n), kern.generator_block(n))
         for a in m.Action:
             for source in sources:
                 dense = transition_row(n, source, a, grid_small, cfg_small).as_dense(

@@ -95,15 +95,16 @@ def test_small_solution_matches_brute_force(cfg_small, grid_small, small_solutio
 
 
 def _step_layers(n, kern):
-    """Step n's stage rows and feasibility mask, as solve hands them to step_q_values."""
-    return stage_cost_rows(n, kern.grid, kern.cfg), m.feasibility_mask(n, kern.grid, kern.cfg)
+    """Step n's stage rows, feasibility mask and blocks with every row, for step_q_values."""
+    return (stage_cost_rows(n, kern.grid, kern.cfg), m.feasibility_mask(n, kern.grid, kern.cfg),
+            kern.battery_block(n), kern.generator_block(n))
 
 
 def test_values_never_exceed_wait_q_value(cfg_small, grid_small, small_solution):
     values, _, _ = small_solution
     kern = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = step_q_values(n, values.values[n + 1], kern, *_step_layers(n, kern))
+        q_vals = step_q_values(values.values[n + 1], kern, *_step_layers(n, kern))
         wait = q_vals[m.Action.WAIT].reshape(-1)
         ok = np.isfinite(wait)
         assert (values.values[n][ok] <= wait[ok] + 1e-12).all()
@@ -113,7 +114,7 @@ def test_bellman_residual_zero_on_refresh(cfg_small, grid_small, small_solution)
     values, _, _ = small_solution
     fresh = m.TransitionKernel(cfg_small, grid_small)
     for n in range(cfg_small.discretization.steps_N):
-        q_vals = step_q_values(n, values.values[n + 1], fresh, *_step_layers(n, fresh))
+        q_vals = step_q_values(values.values[n + 1], fresh, *_step_layers(n, fresh))
         resid = np.abs(q_vals.min(axis=0).reshape(-1) - values.values[n]).max()
         assert resid <= 1e-12
 
@@ -191,8 +192,9 @@ def test_table1_solve_bits_do_not_depend_on_the_chunk_length(cfg_table1, grid_ta
 
 
 def test_solve_builds_each_chunk_once(cfg_table1, grid_table1, monkeypatch):
-    """One stage-row call, one mask call and one build of each block per
-    chunk, and one step_q_values call per step: 42 chunks of 4 on table1."""
+    """One stage-row call, one mask call, one blocks call and one build of
+    each block per chunk, and one step_q_values call per step: 42 chunks of
+    4 on table1."""
     calls = {}
 
     def counted(owner, name):
@@ -204,9 +206,10 @@ def test_solve_builds_each_chunk_once(cfg_table1, grid_table1, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((solver, "stage_cost_rows"), (solver, "feasibility_mask"),
-                        (solver, "step_q_values"), (kernel.TransitionKernel, "_battery_chunk"),
+                        (solver, "step_q_values"), (kernel.TransitionKernel, "blocks"),
+                        (kernel.TransitionKernel, "_battery_chunk"),
                         (kernel.TransitionKernel, "_generator_chunk")):
         counted(owner, name)
     m.solve(cfg_table1, grid_table1)
     assert calls == {"stage_cost_rows": 42, "feasibility_mask": 42, "step_q_values": 168,
-                     "_battery_chunk": 42, "_generator_chunk": 42}
+                     "blocks": 42, "_battery_chunk": 42, "_generator_chunk": 42}

@@ -1,8 +1,8 @@
 """Step arrays: every step-only layer called on a 1-D array of steps gives
-each step the bits of its int call, and the kernel's chunks of steps give
-each step the block of a kernel that builds one step at a time. The
-blocks that solve builds for its chunk masks give every Q-value the bits
-of blocks built for every row."""
+each step the bits of its int call, and blocks built for a chunk of steps
+give each step the block of a one-step build. The blocks that solve
+builds for its chunk masks give every Q-value the bits of blocks built
+for every row."""
 
 import dataclasses
 
@@ -37,15 +37,6 @@ CASES = {
 def _case(cfg_table1, name):
     cfg = CASES[name](cfg_table1)
     return cfg, m.build_grid(cfg)
-
-
-def _one_step_kernel(cfg, grid, monkeypatch):
-    """A kernel whose chunks hold one step: the int route of every block."""
-    with monkeypatch.context() as patch:
-        patch.setattr(kernel, "_CHUNK_BYTES", 1)
-        kern = m.TransitionKernel(cfg, grid)
-    assert kern.chunk_steps == 1
-    return kern
 
 
 def test_one_case_squares_differently_from_the_product(cfg_table1):
@@ -113,51 +104,54 @@ def test_rows_and_mask_on_a_step_array_equal_the_int_calls(cfg_table1, name):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_blocks_on_a_step_array_equal_one_step_builds(cfg_table1, name, monkeypatch):
-    """Both blocks built for a run of steps in one pass, a last partial chunk
-    of a solve and step N included, against one-step kernels."""
+def test_blocks_on_a_step_array_equal_one_step_builds(cfg_table1, name):
+    """Both blocks built for a run of steps in one pass with every row, a
+    last partial chunk of a solve and step N included, against the 4-D
+    one-step blocks."""
     cfg, grid = _case(cfg_table1, name)
     n_steps = cfg.discretization.steps_N
-    one = _one_step_kernel(cfg, grid, monkeypatch)
     kern = m.TransitionKernel(cfg, grid)
     runs = [np.arange(n_steps + 1)[-3:], np.arange(min(n_steps, 2)), np.array([n_steps]),
             np.array([n_steps - 1, 0])]
     for steps in runs:
-        bat, gen = kern._battery_chunk(steps), kern._generator_chunk(steps)
+        every = np.ones((steps.size, len(m.Action)) + grid.shape, dtype=bool)
+        bat, gen = kern.blocks(steps, every)
         assert bat.ndim == gen.ndim == 5 and len(bat) == len(gen) == steps.size
         for s, n in enumerate(steps.tolist()):
-            assert np.array_equal(bat[s], one.battery_block(n)), (steps, n)
-            assert np.array_equal(gen[s], one.generator_block(n)), (steps, n)
+            one_bat, one_gen = kern.battery_block(n), kern.generator_block(n)
+            assert one_bat.shape == one_gen.shape == grid.shape[:2] * 2
+            assert np.array_equal(bat[s], one_bat), (steps, n)
+            assert np.array_equal(gen[s], one_gen), (steps, n)
 
 
-def test_chunks_cut_the_horizon_from_the_top(cfg_table1, monkeypatch):
-    """Runs of chunk_steps steps from N - 1 down, a shorter last run at step
-    0 and step N on its own; each step lies in exactly one run."""
+def _chunks_of_a_solve(cfg, monkeypatch):
+    """The steps of each TransitionKernel.blocks call that solve makes, in call order."""
+    chunks = []
+    blocks = kernel.TransitionKernel.blocks
+
+    def recording(self, steps, mask):
+        chunks.append(steps.tolist())
+        return blocks(self, steps, mask)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel.TransitionKernel, "blocks", recording)
+        m.solve(cfg, m.build_grid(cfg))
+    return chunks
+
+
+def test_solve_cuts_its_chunks_from_the_top(cfg_table1, monkeypatch):
+    """solve hands the kernel runs of chunk_steps steps from N - 1 down, a
+    shorter last run at step 0: 42 runs of 4 on table1."""
     assert m.TransitionKernel(cfg_table1, m.build_grid(cfg_table1)).chunk_steps == 4
     big = small_discretization(cfg_table1, steps=24, n_z=25, n_q=15, n_g=15)
     assert m.TransitionKernel(big, m.build_grid(big)).chunk_steps == 1
+    assert _chunks_of_a_solve(cfg_table1, monkeypatch) == [
+        list(range(stop - 4, stop)) for stop in range(168, 0, -4)]
     cfg = small_discretization(cfg_table1, steps=7)
-    grid = m.build_grid(cfg)
     # three battery CDF lattices of (z src, q src, z edge, q edge) = (6, 4, 7, 5) floats
     monkeypatch.setattr(kernel, "_CHUNK_BYTES", 3 * 8 * 6 * 4 * 7 * 5)
-    kern = m.TransitionKernel(cfg, grid)
-    assert kern.chunk_steps == 3
-    chunks = {n: kern.chunk_of(n).tolist() for n in range(8)}
-    assert chunks == {0: [0], 1: [1, 2, 3], 2: [1, 2, 3], 3: [1, 2, 3],
-                      4: [4, 5, 6], 5: [4, 5, 6], 6: [4, 5, 6], 7: [7]}
-
-
-def test_blocks_in_a_random_step_order_equal_a_fresh_kernel(cfg_table1, grid_table1):
-    """A kernel read in any order, step N included, returns each step's 4-D
-    block, equal to the block of a kernel that has built nothing yet."""
-    kern = m.TransitionKernel(cfg_table1, grid_table1)
-    order = np.random.default_rng(25).permutation(cfg_table1.discretization.steps_N + 1)
-    for n in order.tolist():
-        fresh = m.TransitionKernel(cfg_table1, grid_table1)
-        bat, gen = kern.battery_block(n), kern.generator_block(n)
-        assert bat.shape == gen.shape == grid_table1.shape[:2] * 2
-        assert np.array_equal(bat, fresh.battery_block(n)), n
-        assert np.array_equal(gen, fresh.generator_block(n)), n
+    assert m.TransitionKernel(cfg, m.build_grid(cfg)).chunk_steps == 3
+    assert _chunks_of_a_solve(cfg, monkeypatch) == [[4, 5, 6], [1, 2, 3], [0]]
 
 
 def test_baseline_wait_policy_reads_the_mask_of_every_step(cfg_small, grid_small):
@@ -190,37 +184,36 @@ def test_solve_over_mask_selected_rows_equals_every_row(cfg_table1, name):
     want[n_steps] = terminal_values(cfg, grid)
     actions = np.empty_like(policy.actions)
     for n in range(n_steps - 1, -1, -1):
-        q_vals = step_q_values(n, want[n + 1], kern, stage[n], mask[n])
+        q_vals = step_q_values(want[n + 1], kern, stage[n], mask[n], kern.battery_block(n),
+                               kern.generator_block(n))
         v_n = q_vals.min(axis=0)
         want[n] = v_n.reshape(-1)
         actions[n] = np.argmax(q_vals <= v_n[None] + _TIE_TOL, axis=0).reshape(-1)
     assert np.array_equal(values.values, want)
     assert np.array_equal(policy.actions, actions)
     if name == "beta_R=4e-8":
-        chunk = kern.chunk_of(n_steps - 1)
+        chunk = np.arange(max(0, n_steps - kern.chunk_steps), n_steps)
         battery, generator = _rows_selected(m.feasibility_mask(chunk, grid, cfg))
         assert not battery.any() and not generator.any()
 
 
-def test_a_chunk_built_for_a_mask_serves_only_that_mask(cfg_table1, grid_table1):
-    """A masked build holds the selected rows of the full build, bit for bit,
-    and 0 elsewhere, also right after a call without the mask held the
-    chunk; a call without the mask then gets every row, and an all-false
-    mask builds a chunk of zeros."""
-    full = m.TransitionKernel(cfg_table1, grid_table1)
+def test_blocks_hold_the_selected_rows_of_the_one_step_blocks(cfg_table1, grid_table1):
+    """blocks builds the rows that its mask selects, bit for bit those of
+    battery_block(n) / generator_block(n), and 0 elsewhere; an all-false
+    mask gives zeros. The kernel keeps nothing that a call builds."""
     kern = m.TransitionKernel(cfg_table1, grid_table1)
-    chunk = kern.chunk_of(100)
+    held = dict(vars(kern))
+    chunk = np.arange(100, 100 + kern.chunk_steps)
     mask = m.feasibility_mask(chunk, grid_table1, cfg_table1)
     selected = _rows_selected(mask)
     assert 0 < selected[0].mean() < 1 and 0 < selected[1].mean() < 1
-    for block, rows in zip(("battery_block", "generator_block"), selected):
+    built = kern.blocks(chunk, mask)
+    for block, rows, whole in zip(built, selected, (kern.battery_block, kern.generator_block)):
+        assert block.shape == (chunk.size,) + grid_table1.shape[:2] * 2
         for s, n in enumerate(chunk.tolist()):
-            whole = getattr(full, block)(n)
-            masked = getattr(kern, block)(n, mask)
-            assert np.array_equal(masked[rows[s]], whole[rows[s]]), (block, n)
-            assert not masked[~rows[s]].any(), (block, n)
-            assert np.array_equal(getattr(kern, block)(n), whole), (block, n)
-    empty = np.zeros_like(mask)
-    for build in (kern._battery_chunk, kern._generator_chunk):
-        block = build(chunk, empty)
+            assert np.array_equal(block[s][rows[s]], whole(n)[rows[s]]), (whole.__name__, n)
+            assert not block[s][~rows[s]].any(), (whole.__name__, n)
+    for block in kern.blocks(chunk, np.zeros_like(mask)):
         assert block.shape == (chunk.size,) + grid_table1.shape[:2] * 2 and not block.any()
+    assert vars(kern).keys() == held.keys()
+    assert all(vars(kern)[name] is value for name, value in held.items())
