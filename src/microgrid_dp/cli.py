@@ -210,8 +210,8 @@ def _write_json(path: str, obj) -> None:
     _write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-# By action code: the action column of both CSV writers.
-_LABELS = [a.label.encode() for a in Action]
+# By action code: the action column of both CSV writers, an object array that a code table gathers.
+_LABELS = np.array([a.label.encode() for a in Action], dtype=object)
 
 # Floats per reprs call, rounded down to whole steps or paths (at least
 # one): enough to amortise reprs' per-call cost, few enough that the
@@ -241,7 +241,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     parts = [b"i,j,k,z,r_mid,q,g,value_eur,action\n"] + [b""] * (5 * len(cells))
     parts[1::5] = [b"%d,%d,%d,%s," % (i, j, k, z[i]) for i, j, k in cells]
     parts[3::5] = [b",%s,%s," % (q[j], g[k]) for _, j, k in cells]
-    ends = [b",%s\n" % label for label in _LABELS]
+    ends = np.array([b",%s\n" % label for label in _LABELS], dtype=object)
     mu = cfg.constants.mu
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -255,7 +255,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
             parts[2::5] = np.repeat(r_mids, len(cells) // grid.shape[0]).tolist()  # row-major
             parts[4::5] = vals.tolist()
             parts[5::5] = ([b",\n"] * len(cells) if n == n_steps
-                           else [ends[a] for a in policy.actions[n].tolist()])
+                           else ends[policy.actions[n]].tolist())
             path = os.path.join(out_dir, f"value_policy_step{n:04d}.csv")
             _write_bytes(path, b"".join(parts))
             written.append(path)
@@ -418,10 +418,11 @@ def _simulate_scenario(cfg, grid, policy, scenario, seeds: int, out_dir: str,
                        else reprs(field[rows].ravel()).reshape(-1, n_steps) for field in (
                            batch.z, batch.r, batch.q, batch.g, batch.stage_cost_eur,
                            batch.cum_cost_eur)]
+            labels = _LABELS[batch.action[rows]]
             for row, idx in enumerate(indices[rows]):
                 z, r, q, g, stage, cum = (column[row].tolist() for column in columns)
-                labels = [_LABELS[a] for a in batch.action[sub + row].tolist()]
-                body = b"\n".join(map(b",".join, zip(steps, z, r, q, g, labels, stage, cum)))
+                action = labels[row].tolist()
+                body = b"\n".join(map(b",".join, zip(steps, z, r, q, g, action, stage, cum)))
                 path = os.path.join(out_dir, f"path_{scenario.name}_seed{idx:03d}.csv")
                 _write_bytes(path, b"step,time_h,z,r,q,g,action,stage_cost_eur,cum_cost_eur\n"
                                    + body + b"\n")

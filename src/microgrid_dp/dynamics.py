@@ -27,23 +27,36 @@ library.
 
 Each law has one implementation, written for numpy arrays and read at a
 single state by passing floats: z_law (mean and sd of Z'), battery_law
-(mean and sd of Q' under charge / full discharge, through the one regime
-rule _efficiency), generator_law (burn and sd of G' under the full
-generator mode), and the deterministic means discharge_limited_mean and
-fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
-and rho_g. The feasibility mask and the transition blocks read them
-over whole lattices; the scalar API (q_moments, g_moments,
-transition_moments) reads them at a point, and the path sampler
-transition_operator at a point or over a batch of paths. z_next is the
-one draw of Z'. Which law moves Q' and G' under each action is one
-(action, axis) table, _LAWS, and each axis has one function that gives
-the (mean, sd) of its next level under a law: _q_law and _g_law, with sd
-None for a deterministic law. q_moments and g_moments read them at a
-point, and transition_operator, which takes an Action or one action code
-per path, over a batch: each law that moves an axis runs once over the
-whole batch, and each entry keeps its own action's level. A variance is
-sd * sd, whose square root is sd again exactly in binary64, so every
-route sees the same (mean, sd) and the same rho.
+(mean and sd of Q' under charge / full discharge, through the one
+efficiency rule _efficiency), generator_law (burn and sd of G' under the
+full generator mode), and the deterministic means discharge_limited_mean
+and fuel_limited_mean; the state-free correlations are
+cfg.constants.rho_q and rho_g. z_next is the one draw of Z'.
+
+Every law of Q' and G' is split in two parts, one public pair.
+law_drive(n, z, cfg, eps) gives the terms that read no level, over any
+broadcast (step, z, noise) table, as a LawDrive: the battery drive
+z q_psi + mu_R(t_n) q_phi and its charge regime mu_R(t_n) + z <= 0, the
+generator burn, and each Gaussian axis's innovation
+rho eps_Z + sqrt(1 - rho^2) eps, correlated with Z'. move_levels(drive,
+a, q, g, cfg) adds the levels: it moves q and g under an Action or one
+action code per entry. Which law moves Q' and G' under each action is
+one (action, axis) table, _LAWS, and each axis has one level part that
+gives the (mean, sd) of its next level under a law from the drive and
+the level: _q_law and _g_law, with sd None for a deterministic law. A
+Gaussian level is mean + sd * innovation. move_levels runs each law
+that moves an axis once over the whole batch, and each entry keeps its
+own action's level.
+
+Everything composes the pair. battery_law and generator_law are a
+noise-free drive and the Gaussian level part; q_moments and g_moments
+read the level parts at a point; transition_operator is z_next beside
+move_levels over the drive at (n, z, eps). The feasibility mask and the
+transition blocks read battery_law and generator_law over whole
+lattices, and the path simulator builds one drive over its whole (step,
+path) table and calls move_levels once per step. A variance is sd * sd,
+whose square root is sd again exactly in binary64, so every route sees
+the same (mean, sd) and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
@@ -53,12 +66,12 @@ once per config object. Every law reads it from there. Its mu is a
 read-only array over n = 0..N, read through seasonal_mean, which raises
 KeyError for a step outside 0..N (a -1 does not wrap round to step N).
 
-A law that takes a step n (battery_law, generator_law and the stage
-cost, and through them the blocks, the feasibility mask and the path
-simulator) also takes an array of steps: a step array broadcasts against
-the states as numpy broadcasts any argument. Each step's entries have the
-bits of the int call, since every entry goes through the same elementwise
-arithmetic.
+A law that takes a step n (law_drive, battery_law, generator_law and
+the stage cost, and through them the blocks, the feasibility mask and
+the path simulator) also takes an array of steps: a step array
+broadcasts against the states as numpy broadcasts any argument. Each
+step's entries have the bits of the int call, since every entry goes
+through the same elementwise arithmetic.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ import numpy as np
 from .config import Action, ModelConfig, State, eta_charge, eta_discharge, seasonality
 
 __all__ = [
+    "LawDrive",
     "NoiseVector",
     "NumericalError",
     "StepConstants",
@@ -79,6 +93,8 @@ __all__ = [
     "battery_law",
     "g_moments",
     "generator_law",
+    "law_drive",
+    "move_levels",
     "ndtr",
     "noise_integral",
     "q_moments",
@@ -320,28 +336,27 @@ def seasonal_mean(n, cfg: ModelConfig):
     return mu[steps]
 
 
-def _efficiency(mu: float, z, q, cfg: ModelConfig):
-    """Energy-conversion factor eta_E frozen at the seasonal mean mu and (z, q).
+def _efficiency(charging, q, cfg: ModelConfig):
+    """Energy-conversion factor eta_E at level q in law_drive's regime charging.
 
-    The one regime rule: charging (residual demand mu + z <= 0) applies
-    eta_E^C(q) to the stored surplus; discharging applies 1 / eta_E^D(q)
-    to the served demand. Broadcasts over z and q; a scalar for floats.
+    Charging (residual demand mu + z <= 0) applies eta_E^C(q) to the stored
+    surplus; discharging applies 1 / eta_E^D(q) to the served demand.
+    Broadcasts over charging and q; a scalar for scalars.
     """
     bat = cfg.battery
-    return np.where(mu + z <= 0.0, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
+    return np.where(charging, eta_charge(q, bat), 1.0 / eta_discharge(q, bat))[()]
 
 
 def _moments(axis_law, axis: int, n, z, level, a: Action, cfg: ModelConfig):
     """Mean and variance of one axis of the next state under Action a, by axis_law.
 
-    The one Action check and step guard of q_moments and g_moments: a
-    that is not an Action raises ValueError, and a step outside 0..N
-    raises KeyError also where the axis's law is step-free.
+    The one Action check of q_moments and g_moments: a that is not an
+    Action raises ValueError. A step outside 0..N raises law_drive's
+    KeyError, also where the axis's law is step-free.
     """
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
-    seasonal_mean(n, cfg)
-    mean, sd = axis_law(_LAWS[a, axis], n, z, level, cfg)
+    mean, sd = axis_law(_LAWS[a, axis], law_drive(n, z, cfg), level, cfg)
     return mean, 0.0 if sd is None else sd * sd
 
 
@@ -386,6 +401,41 @@ def z_next(z, eps_Z, cfg: ModelConfig):
     return m_Z + sd_Z * eps_Z
 
 
+class LawDrive(NamedTuple):
+    """The terms of the laws of Q' and G' that read no q or g level.
+
+    law_drive builds them over any broadcast (step, z, noise) table, and
+    move_levels adds the levels: the drive of the Gaussian laws, and each
+    Gaussian axis's innovation, correlated with Z'. The innovations are
+    None for a drive built without noise.
+    """
+
+    charging: np.ndarray              # mu_R(t_n) + z <= 0: the efficiency regime of Q'
+    battery: np.ndarray               # z q_psi + mu_R(t_n) q_phi: Q' drifts by (eta / C_Q) battery
+    burn: np.ndarray                  # the full generator mode's burn: G' ~ N(g - burn, sd_g^2)
+    innovation_q: np.ndarray | None   # rho_q eps_Z + sqrt(1 - rho_q^2) eps_Q
+    innovation_g: np.ndarray | None   # rho_g eps_Z + sqrt(1 - rho_g^2) eps_G
+
+
+def law_drive(n, z, cfg: ModelConfig, eps: NoiseVector | None = None) -> LawDrive:
+    """The level-free terms of the laws of Q' and G' at step n, z and, if given, noise eps.
+
+    n, z and the fields of eps broadcast as numpy broadcasts any argument:
+    an int step with floats gives scalars, and np.arange(N)[:, None]
+    against a (step, path) table of z gives each entry its own step's
+    terms. A step outside 0..N raises seasonal_mean's KeyError.
+    """
+    sc, gen = cfg.constants, cfg.generator
+    dt = cfg.dt
+    mu = seasonal_mean(n, cfg)
+    innovations = [None, None] if eps is None else [
+        rho * eps.eps_Z + math.sqrt(1.0 - rho * rho) * eps_axis
+        for rho, eps_axis in ((sc.rho_q, eps.eps_Q), (sc.rho_g, eps.eps_G))]
+    return LawDrive(mu + z <= 0.0, z * sc.q_psi + mu * sc.q_phi,
+                    (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG,
+                    *innovations)
+
+
 def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
 
@@ -395,14 +445,7 @@ def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     with 1-D states entry by entry; a leading step axis takes
     steps[:, None, None] against (z, 1) and (1, q) axes.
     """
-    sc = cfg.constants
-    mu = seasonal_mean(n, cfg)
-    eta = _efficiency(mu, z, q, cfg)
-    h = z * sc.q_psi + mu * sc.q_phi
-    m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * h
-    # evaluated left to right, (eta * q_noise) * q_sqrt_iq; regrouping changes the last bit
-    sd_q = eta * sc.q_noise * sc.q_sqrt_iq
-    return m_q, sd_q
+    return _q_law(_GAUSSIAN, law_drive(n, z, cfg), q, cfg)
 
 
 def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
@@ -412,11 +455,7 @@ def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
     all; the generator block exploits exactly this structure. A step
     array n broadcasts against z as numpy broadcasts any argument.
     """
-    gen, sc = cfg.generator, cfg.constants
-    dt = cfg.dt
-    mu = seasonal_mean(n, cfg)
-    burn = (gen.c0 * dt + gen.c1 * (mu * dt + z * sc.g_phi)) / gen.capacity_CG
-    return burn, sc.sd_g
+    return law_drive(n, z, cfg).burn, cfg.constants.sd_g
 
 
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
@@ -438,46 +477,62 @@ def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> Transit
                              rho_G * sd_Z * math.sqrt(var_G), rho_G)
 
 
-def _correlated(m, sd, rho: float, eps_Z, eps):
-    """m + sd * (rho eps_Z + sqrt(1 - rho^2) eps): one axis correlated with Z'; broadcasts."""
-    return m + sd * (rho * eps_Z + math.sqrt(1.0 - rho * rho) * eps)
-
-
-def _q_law(law: int, n, z, q, cfg: ModelConfig):
-    """(mean, sd) of Q_{n+1} under one law of Q'; sd is None for a deterministic law."""
+def _q_law(law: int, drive: LawDrive, q, cfg: ModelConfig):
+    """(mean, sd) of Q_{n+1} under one law of Q' at the drive's (n, z) and level q;
+    sd is None for a deterministic law."""
+    sc = cfg.constants
     if law == _GAUSSIAN:
-        return battery_law(n, z, q, cfg)
+        eta = _efficiency(drive.charging, q, cfg)
+        m_q = q * sc.q_decay - (eta / cfg.battery.capacity_CQ) * drive.battery
+        # evaluated left to right, (eta * q_noise) * q_sqrt_iq; regrouping changes the last bit
+        return m_q, eta * sc.q_noise * sc.q_sqrt_iq
     if law == _LIMITED:
         return discharge_limited_mean(q, cfg), None
-    return q * cfg.constants.q_decay, None
+    return q * sc.q_decay, None
 
 
-def _g_law(law: int, n, z, g, cfg: ModelConfig):
-    """(mean, sd) of G_{n+1} under one law of G'; sd is None for a deterministic law."""
+def _g_law(law: int, drive: LawDrive, g, cfg: ModelConfig):
+    """(mean, sd) of G_{n+1} under one law of G' at the drive's (n, z) and level g;
+    sd is None for a deterministic law."""
     if law == _GAUSSIAN:
-        burn, sd_g = generator_law(n, z, cfg)
-        return g - burn, sd_g
+        return g - drive.burn, cfg.constants.sd_g
     if law == _LIMITED:
         return fuel_limited_mean(g, cfg), None
     return g, None
 
 
-def _move(axis_law, laws: np.ndarray, n, z, level, rho: float, eps_Z, eps, cfg: ModelConfig):
+def _move(axis_law, laws: np.ndarray, drive: LawDrive, level, innovation, cfg: ModelConfig):
     """One axis's next levels where entry p moves under law laws[p]: each law
     present runs once, over the whole batch, and each entry keeps the level
     of its own law (a lone law's levels are returned as they come). A
-    Gaussian law's level is correlated with Z' through rho."""
-    def level_of(law):
-        mean, sd = axis_law(law, n, z, level, cfg)
-        return mean if sd is None else _correlated(mean, sd, rho, eps_Z, eps)
-
-    present = np.bincount(laws, minlength=3).nonzero()[0].tolist()
-    if len(present) == 1:
-        return level_of(present[0])
-    out = np.empty(laws.shape)
-    for law in present:
-        np.copyto(out, level_of(law), where=laws == law)
+    Gaussian law's level is its mean plus its sd times the innovation."""
+    out = np.empty(laws.shape)  # the levels of an empty batch
+    for i, law in enumerate(np.bincount(laws, minlength=3).nonzero()[0].tolist()):
+        mean, sd = axis_law(law, drive, level, cfg)
+        moved = mean if sd is None else mean + sd * innovation
+        out = np.where(laws == law, moved, out) if i else moved
     return out
+
+
+def move_levels(drive: LawDrive, a, q, g, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(Q', G') of every entry under its action, from a drive built with noise and the levels.
+
+    a is an Action, or a 1-D integer array of Action codes with one code
+    per entry of 1-D drive fields, q and g (any other a raises ValueError
+    "unknown action"). Each law of Q' and of G' that a names runs once,
+    over every entry, and each entry keeps the level of its own action's
+    law, so it has the bits of the call with its own Action. An Action is
+    the case of one law per axis. The levels are not clamped.
+    """
+    if isinstance(a, Action):
+        laws = _LAWS[[a]]
+    elif (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+          and (a.size == 0 or 0 <= a.min() <= a.max() < len(Action))):
+        laws = _LAWS.take(a, axis=0)
+    else:
+        raise ValueError(f"unknown action: {a!r}")
+    return (_move(_q_law, laws[:, 0], drive, q, drive.innovation_q, cfg),
+            _move(_g_law, laws[:, 1], drive, g, drive.innovation_g, cfg))
 
 
 def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig) -> State:
@@ -491,21 +546,9 @@ def transition_operator(n: int, x: State, a, eps: NoiseVector, cfg: ModelConfig)
     the scalar call.
 
     a is an Action, or a 1-D integer array of Action codes with one code
-    per entry of 1-D fields of x and eps (any other a raises ValueError).
-    Each law of Q' and of G' that the codes name runs once, over every
-    entry, and each entry keeps the level of its own action's law, so it
-    has the bits of the call with its own Action. An Action is the case
-    of one law per axis.
+    per entry of 1-D fields of x and eps, as move_levels takes it: Z' is
+    z_next, and Q' and G' are move_levels over law_drive at (n, z, eps).
+    A step outside 0..N raises KeyError whatever the laws.
     """
-    if isinstance(a, Action):
-        laws = _LAWS[[a]]
-    elif (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
-          and (a.size == 0 or 0 <= a.min() <= a.max() < len(Action))):
-        laws = _LAWS[a]
-    else:
-        raise ValueError(f"unknown action: {a!r}")
-    seasonal_mean(n, cfg)  # KeyError for a step outside 0..N, whatever the laws
-    sc = cfg.constants
     return State(z_next(x.z, eps.eps_Z, cfg),
-                 _move(_q_law, laws[:, 0], n, x.z, x.q, sc.rho_q, eps.eps_Z, eps.eps_Q, cfg),
-                 _move(_g_law, laws[:, 1], n, x.z, x.g, sc.rho_g, eps.eps_Z, eps.eps_G, cfg))
+                 *move_levels(law_drive(n, x.z, cfg, eps), a, x.q, x.g, cfg))

@@ -11,14 +11,19 @@ simulate_paths is the one simulator: it advances a batch of paths
 together, one array step per time step, and returns their columns as a
 PathBatch; one path is the batch of one index. Z' takes no action, so
 the batch's z paths, their cells, each path's offset into the policy at
-every step and r = mu_R(t_n) + z come first. The step loop carries only
-the q/g recursion: it locates q and g, reads the policy and calls
-transition_operator once with every path's action code, which runs each
-law of Q' and of G' once. The stage cost depends on (step, z, action)
-alone, so it runs after the loop, once per action present over the
-whole (step, path) table, each entry keeping its own action's cost: its
-steps are np.arange(N)[:, None], and a step array broadcasts against the
-states as numpy broadcasts any argument.
+every step and r = mu_R(t_n) + z come first, and so does every term of
+the laws of Q' and G' that reads no level: one dynamics.law_drive over
+the whole (step, path) table gives the battery drive and its charge
+regime, the generator burn and both innovations correlated with Z'. The
+step loop carries only the q/g recursion: it locates q and g, reads the
+policy and calls dynamics.move_levels with every path's action code and
+its step's row of the drive, which runs the level part of each law of Q'
+and of G' present once, and clamps. The stage cost depends on (step, z,
+action) alone, so it runs after the loop, once per action present over
+the whole (step, path) table, each entry keeping its own action's cost:
+its steps are np.arange(N)[:, None], and a step array broadcasts against
+the states as numpy broadcasts any argument. The module holds no law
+arithmetic: every law is dynamics'.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .config import Action, ModelConfig, State
 from .constraints import feasibility_mask
 from .cost import expected_stage_cost
-from .dynamics import NoiseVector, transition_operator, z_next
+from .dynamics import LawDrive, NoiseVector, law_drive, move_levels, transition_operator, z_next
 from .grid import StateGrid, cell_of, clamp01
 from .solver import PolicyTable
 
@@ -116,19 +121,24 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     z cells in one cell_of call, each path's index of (step, z cell) into
     the flat policy table and r = mu_R(t_n) + z in one sum each; a NaN
     anywhere on a z path raises cell_of's ValueError naming 'z' before any
-    step runs. The step loop carries only the q/g recursion: each step
+    step runs. One law_drive call over steps np.arange(N)[:, None], the z
+    table and the noise gives the level-free terms of the laws of Q' and
+    G'; its innovations overwrite the spent eps_Q and eps_G rows of the
+    draws. The step loop carries only the q/g recursion: each step
     locates q and g with one cell_of call per axis (a NaN raises for that
     axis), adds their cell to the offsets to read the policy's action
-    codes, and passes the codes to transition_operator, which runs each
-    law of Q' and of G' present once, over all paths, each path keeping
-    its own law's level; the clamped levels are the next step's state.
-    After the loop, expected_stage_cost runs once per action present over
-    the whole (step, path) table (steps np.arange(N)[:, None]), and each
-    entry keeps the cost of its own action. All of them read the config's
-    constants (cfg.constants). The running cost adds exp(-rho t_n) * stage
-    in step order, as a one-path loop does, so every path has the bits of
-    a per-step loop over the scalar laws. Memory is O(paths * N); callers
-    with many paths pass them in chunks.
+    codes, and passes the codes with the step's row of the drive to
+    move_levels, which runs each law of Q' and of G' present once, over
+    all paths, each path keeping its own law's level (a code outside the
+    Action alphabet raises ValueError); the clamped levels are the next
+    step's state. After the loop, expected_stage_cost runs once per action
+    present over the whole (step, path) table (steps np.arange(N)[:, None]),
+    and each entry keeps the cost of its own action. All of them read the
+    config's constants (cfg.constants). The running cost adds
+    exp(-rho t_n) * stage in step order, as a one-path loop does, so every
+    path has the bits of a per-step loop over the scalar laws
+    (transition_operator). Memory is O(paths * N); callers with many paths
+    pass them in chunks.
     """
     n_steps = cfg.discretization.steps_N
     # draws[n, k] is the k-th normal of step n for every path, contiguous
@@ -137,16 +147,21 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
         for idx in path_indices]).reshape(-1, n_steps, 3).transpose(1, 2, 0).copy()
     n_paths = draws.shape[2]
     times = [cfg.t_of(n) for n in range(n_steps)]
-    eps_z = draws[:, 0] + np.array([scenario.offset_at(t) for t in times])[:, None]
+    steps = np.arange(n_steps)[:, None]  # broadcasts against a (step, path) table
+    eps_z = draws[:, 0]
+    eps_z += np.array([scenario.offset_at(t) for t in times])[:, None]  # the scenario's tilt
     x0 = initial_state if initial_state is not None else default_initial_state(grid)
     # Rows are steps and columns paths; the batch is their transpose.
     z = np.empty((n_steps, n_paths))
     z[0] = x0.z
     for n in range(n_steps - 1):
         z[n + 1] = z_next(z[n], eps_z[n], cfg)
-    z_cells = cell_of(z, grid.z)
     # each path's index into the flat policy at its step and z cell; a step adds its (q, g) cell
-    offsets = grid.lin(z_cells, 0, 0) + np.arange(n_steps)[:, None] * grid.n_states
+    offsets = grid.lin(cell_of(z, grid.z), 0, 0) + steps * grid.n_states
+    drive = law_drive(steps, z, cfg, NoiseVector(eps_z, draws[:, 1], draws[:, 2]))
+    # the innovations overwrite the spent eps_Q / eps_G rows, and the loop reads them there
+    draws[:, 1], draws[:, 2] = drive.innovation_q, drive.innovation_g
+    drive = drive._replace(innovation_q=draws[:, 1], innovation_g=draws[:, 2])
     q_steps, g_steps, stage = (np.empty((n_steps, n_paths)) for _ in range(3))
     codes = np.empty((n_steps, n_paths), dtype=np.int8)
     q, g = np.full(n_paths, float(x0.q)), np.full(n_paths, float(x0.g))
@@ -154,15 +169,13 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
         q_steps[n], g_steps[n] = q, g
         codes[n] = policy.actions.take(offsets[n] + grid.lin(0, cell_of(q, grid.q),
                                                              cell_of(g, grid.g)))
-        # its z' is z[n + 1], drawn above by the same z_next
-        nxt = transition_operator(n, State(z[n], q, g), codes[n],
-                                  NoiseVector(eps_z[n], *draws[n, 1:]), cfg)
-        q, g = clamp01(nxt.q), clamp01(nxt.g)
+        q, g = map(clamp01, move_levels(LawDrive(*(field[n] for field in drive)), codes[n],
+                                        q, g, cfg))
     # The stage cost depends on (step, z, action) alone: one call per action present over
     # the whole (step, path) table, each entry keeping its own action's cost.
     x = State(z, q_steps, g_steps)
     for code in np.bincount(codes.ravel(), minlength=1).nonzero()[0].tolist():
-        np.copyto(stage, expected_stage_cost(np.arange(n_steps)[:, None], x, Action(code), cfg),
+        np.copyto(stage, expected_stage_cost(steps, x, Action(code), cfg),
                   where=codes == code)
     discount = np.array([math.exp(-cfg.costs.rho * t) for t in times])
     # a zero row first, so step 0 sums 0.0 + cost as a step-by-step sum does (-0.0 becomes 0.0)

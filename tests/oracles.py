@@ -898,7 +898,7 @@ def euler_oracle(n: int, x: State, a, paths: int, inner_step: float,
     p, bat, gen = cfg.demand, cfg.battery, cfg.generator
     mu = seasonality(cfg.t_of(n), p)
 
-    eta = _efficiency(mu, x.z, x.q, cfg)
+    eta = _efficiency(mu + x.z <= 0.0, x.q, cfg)
     eta_lim = 1.0 / (bat.C0_D + bat.C1_D * x.q**bat.l_D * (1.0 - x.q) ** bat.m_D)
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,8 @@ from scipy.special import ndtr as scipy_ndtr
 import microgrid_dp as m
 from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
-from microgrid_dp.dynamics import NoiseVector, battery_law, generator_law, step_constants, z_law
+from microgrid_dp.dynamics import (NoiseVector, battery_law, generator_law, law_drive, step_constants,
+                                  z_law)
 from microgrid_dp.solver import stage_cost_rows
 from conftest import small_discretization
 from oracles import battery_noise_reference, decimal_noise_integrals, euler_oracle
@@ -45,7 +46,7 @@ def test_efficiency_branch_switch(cfg_table1):
     mu0 = m.seasonality(0.0, cfg_table1.demand)
 
     def eta(z, q):
-        return dynamics._efficiency(mu0, z, q, cfg_table1)
+        return dynamics._efficiency(law_drive(0, z, cfg_table1).charging, q, cfg_table1)
 
     assert eta(-5.0, 1.0 / 3.0) == pytest.approx(0.9955555555555556, abs=1e-13)
     expected = 1.0 / eta_discharge(1.0 / 3.0, cfg_table1.battery)
@@ -154,7 +155,7 @@ def test_moments_euler_consistent_at_small_steps(cfg_table1):
     def errors(dt):
         cfg = _with_dt(cfg_table1, dt)
         mu = m.seasonality(0.0, p)
-        eta = dynamics._efficiency(mu, z, q, cfg)
+        eta = dynamics._efficiency(law_drive(0, z, cfg).charging, q, cfg)
         mom = m.transition_moments(0, m.State(z, q, 0.9), m.Action.DISCHARGE_FULL, cfg)
         e_z = abs(mom.m_Z - (z - p.beta_R * z * dt))
         euler_q = q - bat.eta0 * q * dt - (eta / bat.capacity_CQ) * (mu + z) * dt
@@ -282,6 +283,64 @@ def test_action_code_arrays_outside_the_alphabet_are_refused(cfg_table1, codes):
     eps = NoiseVector(*np.zeros((3, 2)))
     with pytest.raises(ValueError, match="unknown action"):
         m.transition_operator(0, x, codes, eps, cfg_table1)
+
+
+_ONE_ROUTE_CASES = {
+    "table1": lambda cfg: cfg,
+    "small": small_discretization,
+    "eta0=20": lambda cfg: _with_eta0(cfg, 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_ROUTE_CASES))
+def test_drive_and_mover_are_the_one_route_of_every_law(cfg_table1, case):
+    """At random (step, z, q, g) in both regimes and under all seven
+    actions, three routes give the same next levels bit for bit: the
+    simulator's, one law_drive over a (step, path) table and move_levels
+    on each step's row with mixed action codes; transition_operator at a
+    single state; and the (mean, sd) of battery_law, generator_law or the
+    deterministic law's mean, with sd times the innovation added."""
+    cfg = _ONE_ROUTE_CASES[case](cfg_table1)
+    sc = cfg.constants
+    rng = np.random.default_rng(35)
+    rows, paths = 6, 28
+    steps = rng.integers(0, cfg.discretization.steps_N, (rows, 1))
+    # z around -mu_R(t_n) puts entries in both regimes, mu + z <= 0 and > 0
+    z = rng.uniform(-2.5, 2.5, (rows, paths)) - sc.mu[steps]
+    q = np.concatenate((np.zeros((rows, 1)), np.ones((rows, 1)),
+                        rng.uniform(0.0, 1.0, (rows, paths - 2))), axis=1)
+    g = rng.uniform(0.0, 1.0, (rows, paths))
+    eps = NoiseVector(*rng.standard_normal((3, rows, paths)))
+    drive = law_drive(steps, z, cfg, eps)
+    assert drive.charging.any() and not drive.charging.all()
+    base = rng.integers(0, len(m.Action), (rows, paths))
+    gaussian_q, gaussian_g = {m.Action.CHARGE, m.Action.DISCHARGE_FULL}, {m.Action.FUEL_FULL}
+    for shift in range(len(m.Action)):  # every entry under every action, codes mixed in each row
+        codes = ((base + shift) % len(m.Action)).astype(np.int8)
+        moved = np.array([dynamics.move_levels(dynamics.LawDrive(*(f[r] for f in drive)),
+                                               codes[r], q[r], g[r], cfg) for r in range(rows)])
+        by_operator, by_laws = (np.empty((rows, 2, paths)) for _ in range(2))
+        for r, p in np.ndindex(rows, paths):
+            n, a = int(steps[r, 0]), m.Action(codes[r, p])
+            x = m.State(float(z[r, p]), float(q[r, p]), float(g[r, p]))
+            e = NoiseVector(*(float(f[r, p]) for f in eps))
+            nxt = m.transition_operator(n, x, a, e, cfg)
+            by_operator[r, :, p] = nxt.q, nxt.g
+            if a in gaussian_q:
+                m_q, sd_q = battery_law(n, x.z, x.q, cfg)
+                q_next = m_q + sd_q * (sc.rho_q * e.eps_Z
+                                       + math.sqrt(1.0 - sc.rho_q * sc.rho_q) * e.eps_Q)
+            else:
+                q_next = m.q_moments(n, x.z, x.q, a, cfg)[0]
+            if a in gaussian_g:
+                burn, sd_g = generator_law(n, x.z, cfg)
+                g_next = (x.g - burn) + sd_g * (sc.rho_g * e.eps_Z
+                                                + math.sqrt(1.0 - sc.rho_g * sc.rho_g) * e.eps_G)
+            else:
+                g_next = m.g_moments(n, x.z, x.g, a, cfg)[0]
+            by_laws[r, :, p] = q_next, g_next
+        assert moved.tobytes() == by_operator.tobytes(), (case, shift)
+        assert moved.tobytes() == by_laws.tobytes(), (case, shift)
 
 
 def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):

@@ -21,6 +21,8 @@ EXEMPT = {
     ("constraints", "q_moments"),
     # ... and constraints.g_moments, likewise.
     ("constraints", "g_moments"),
+    # ... and simulate.transition_operator, which the step loop no longer calls.
+    ("simulate", "transition_operator"),
 }
 
 

@@ -188,20 +188,39 @@ def test_simulate_paths_rejects_a_nan_level_reached_mid_path(
     """A law that returns NaN for one path of a batch stops the batch with the
     ValueError of the axis, not a silent clamp to 0. The NaN comes from the
     law the simulator calls for the axis: z_next, which draws the z paths
-    ahead of the steps, or transition_operator, which moves q and g."""
+    ahead of the steps, or move_levels, which moves q and g."""
     _, policy, _ = small_solution
-    name = "z_next" if axis == "z" else "transition_operator"
+    name = "z_next" if axis == "z" else "move_levels"
     law = getattr(simulate, name)
 
     def nan_in_one_path(*args):
         nxt = law(*args)
-        level = (nxt if axis == "z" else getattr(nxt, axis)).copy()
-        level[0] = np.nan
-        return level if axis == "z" else nxt._replace(**{axis: level})
+        if axis == "z":
+            level = nxt.copy()
+            level[0] = np.nan
+            return level
+        levels = [np.array(level, dtype=float) for level in nxt]
+        levels["qg".index(axis)][0] = np.nan
+        return tuple(levels)
 
     monkeypatch.setattr(simulate, name, nan_in_one_path)
     with pytest.raises(ValueError, match=f"NaN on axis '{axis}'"):
         m.simulate_paths(policy, m.SCENARIOS["neutral"], cfg_small, grid_small, range(3))
+
+
+@pytest.mark.parametrize("code", [7, -1])
+def test_simulate_paths_refuses_an_unknown_action_code(code, cfg_small, grid_small,
+                                                       small_solution):
+    """A policy whose int8 table holds a code outside the Action alphabet at
+    its last step stops the batch there with ValueError, and -1 does not
+    wrap round to the last action."""
+    _, policy, _ = small_solution
+    actions = policy.actions.copy()
+    actions[-1] = code
+    assert actions.dtype == np.int8
+    with pytest.raises(ValueError, match="unknown action"):
+        m.simulate_paths(m.PolicyTable(actions), m.SCENARIOS["neutral"], cfg_small, grid_small,
+                         range(3))
 
 
 def test_default_initial_state(grid_table1):
