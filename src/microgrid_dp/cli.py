@@ -14,8 +14,10 @@ written directly and every other value goes to repr itself. `simulate`
 and `paper-run` simulate the paths of a scenario in batches of
 _PATHS_PER_BATCH (simulate_paths). Both writers format about
 _FLOATS_PER_FORMAT floats per call: the paths of a column, or the steps
-of the value export. The path writer formats its fuel column one run of
-repeated bits at a time (_reprs_by_run). main parses with one parser per
+of the value export. The value export formats the r_mid of all its steps
+(one string per step and z) up front, and each step's rows share those
+strings. The path writer formats its fuel column one run of repeated bits
+at a time (_reprs_by_run). main parses with one parser per
 process (_build_parser is cached; parse_args keeps no state on it).
 Every output file is opened by _overwrite, which overwrites an existing
 file in place and then truncates it to the new length. A write that
@@ -39,6 +41,7 @@ import datetime
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import zipfile
@@ -135,13 +138,23 @@ def _parse_window(raw: str | None) -> tuple[float, float] | None:
     return start, end
 
 
-def _check_export_steps(steps: list[int], cfg: ModelConfig) -> list[int]:
-    """steps, each range-checked against 0..N in the order given; the first outside is refused."""
+def _check_export_steps(steps, cfg: ModelConfig) -> list[int]:
+    """steps as Python ints, in the order given; the first that is not an integer in 0..N is refused.
+
+    Any integer type passes (operator.index), so numpy integers are written
+    to the metadata as plain ints.
+    """
     n_steps = cfg.discretization.steps_N
+    checked = []
     for n in steps:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ConfigError([f"export step {n!r} is not an integer"]) from None
         if not 0 <= n <= n_steps:
             raise ConfigError([f"export step {n} outside 0..{n_steps}"])
-    return steps
+        checked.append(n)
+    return checked
 
 
 def _parse_export_steps(raw: str | None, cfg: ModelConfig) -> list[int]:
@@ -224,16 +237,18 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
                         steps: list[int], out_dir: str, cfg: ModelConfig) -> list[str]:
     """Write one CSV per step (i,j,k,z,r_mid,q,g,value_eur,action) plus metadata.
 
-    Every step is range-checked before the first file is written. Floats
-    are written by floatfmt.reprs, so each is the repr of a Python float
-    (shortest round trip): the grid points once per call, and the values
-    and r_mid of as many steps per reprs call as _FLOATS_PER_FORMAT
-    holds. A file is one bytes.join of a list of row parts whose step-free
-    'i,j,k,z,' and ',q,g,' parts are set once per call; each step sets its
-    r_mid, value and ',action' parts (empty labels at the terminal step N).
+    Every step is checked (an integer in 0..N) before the first file is
+    written. Floats are written by floatfmt.reprs, so each is the repr of a
+    Python float (shortest round trip): the grid points and the r_mid of
+    every step (mu[n] + z, one string per (step, z), shared by that step's
+    rows) once per call, and the values of as many steps per reprs call as
+    _FLOATS_PER_FORMAT holds. A file is one bytes.join of a list of row
+    parts whose step-free 'i,j,k,z,' and ',q,g,' parts are set once per
+    call; each step sets its r_mid, value and ',action' parts (empty labels
+    at the terminal step N).
     """
     values, policy = tables
-    _check_export_steps(steps, cfg)
+    steps = _check_export_steps(steps, cfg)
     n_steps = cfg.discretization.steps_N
     z, q, g = (reprs(axis.points).tolist() for axis in (grid.z, grid.q, grid.g))
     cells = list(np.ndindex(grid.shape))
@@ -242,16 +257,17 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     parts[1::5] = [b"%d,%d,%d,%s," % (i, j, k, z[i]) for i, j, k in cells]
     parts[3::5] = [b",%s,%s," % (q[j], g[k]) for _, j, k in cells]
     ends = np.array([b",%s\n" % label for label in _LABELS], dtype=object)
-    mu = cfg.constants.mu
+    r_mid = (cfg.constants.mu[steps][:, None] + grid.z.points).ravel()
+    r_mid_strs = np.array([s for first in range(0, r_mid.size, _FLOATS_PER_FORMAT)
+                           for s in reprs(r_mid[first:first + _FLOATS_PER_FORMAT]).tolist()],
+                          dtype=object).reshape(len(steps), grid.shape[0])
     os.makedirs(out_dir, exist_ok=True)
     written = []
     per_call = max(1, _FLOATS_PER_FORMAT // grid.n_states)
     for first in range(0, len(steps), per_call):
         chunk = steps[first:first + per_call]
         value_strs = reprs(values.values[chunk].ravel()).reshape(len(chunk), -1)
-        r_mid = mu[chunk][:, None] + grid.z.points
-        r_mid_strs = reprs(r_mid.ravel()).reshape(len(chunk), -1)
-        for n, vals, r_mids in zip(chunk, value_strs, r_mid_strs):
+        for n, vals, r_mids in zip(chunk, value_strs, r_mid_strs[first:first + per_call]):
             parts[2::5] = np.repeat(r_mids, len(cells) // grid.shape[0]).tolist()  # row-major
             parts[4::5] = vals.tolist()
             parts[5::5] = ([b",\n"] * len(cells) if n == n_steps
@@ -262,7 +278,7 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
     meta = {
         "config_hash": config_hash(cfg),
         "version": __version__,
-        "steps": list(steps),
+        "steps": steps,
         "grid": {f"{axis.name}_points": axis.points.tolist() for axis in (grid.z, grid.q, grid.g)},
     }
     meta_path = os.path.join(out_dir, "value_policy_meta.json")

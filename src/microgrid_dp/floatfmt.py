@@ -19,10 +19,12 @@ Fast path, for 1e-4 <= |x| < 1e15 (every such repr is positional):
   k - 2 <= 22, so this is one correctly rounded division (Clinger's fast
   path, PLDI 1990).
 - D16 reads back to x iff |10 * D16 - y| < h, with h = ulp(x) / 2 * 10**k
-  the half-width of x's rounding interval. With delta = 10 * D16 - D17
-  this is delta - h < f < delta + h, where both bounds are exact doubles.
-  No 16-digit decimal lies exactly on an interval end in this range, so
-  the strict test is exact.
+  the half-width of x's rounding interval. ulp(x) / 2 is the power of two
+  2**(e - 1023 - 53) built from x's biased exponent bits e: every x on the
+  fast path is normal, so it equals np.spacing(x) / 2. With delta =
+  10 * D16 - D17 this is delta - h < f < delta + h, where both bounds are
+  exact doubles. No 16-digit decimal lies exactly on an interval end in
+  this range, so the strict test is exact.
 - The first of D15, D16, D17 that reads back is repr's digit string, as
   dtoa's shortest, nearest and half-even choice: h lies in (0.55, 11.1],
   so the interval holds at most one 15-digit decimal (and a tie at 15
@@ -119,10 +121,12 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = d17 // 100
     d15 = q + ((d17 - q * 100) + f > 50)
     ok15 = d15.astype(np.float64) / _P10[k - 2] == x
-    half = np.spacing(x) * (0.5 * _P10[k])
+    half = ((x.view(np.int64) >> 52) - 53 << 52).view(np.float64) * _P10[k]  # ulp(x) / 2 * 10**k
     delta = (d16 * 10 - d17).astype(np.float64)
     ok16 = (delta - half < f) & (f < delta + half)
-    return np.where(ok15, d15 * 100, np.where(ok16, d16 * 10, d17)), k
+    np.copyto(d17, d16 * 10, where=ok16)
+    np.copyto(d17, d15 * 100, where=ok15)
+    return d17, k
 
 
 def _positional(d: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -170,11 +174,11 @@ def _positional(d: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
                          strides=(1,))
     out = windows[first]
     bits = out.view(np.uint64)
-    bits &= _BEFORE[key].view(np.uint64)
+    bits &= np.take(_BEFORE, key).view(np.uint64)
     shifted = windows[first - 1].view(np.uint64)
-    shifted &= _AFTER[key].view(np.uint64)
+    shifted &= np.take(_AFTER, key).view(np.uint64)
     bits |= shifted
-    bits |= _PUNCT[key].view(np.uint64)
+    bits |= np.take(_PUNCT, key).view(np.uint64)
     return out
 
 

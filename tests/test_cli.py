@@ -437,11 +437,93 @@ def test_export_checks_every_step_before_writing(cfg_small, grid_small, small_so
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", [1.5, np.float64(2.0), "2"], ids=repr)
+def test_export_refuses_non_integer_step_before_writing(cfg_small, grid_small, small_solution,
+                                                        tmp_path, step):
+    values, policy, _ = small_solution
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(m.ConfigError, match=r"export step .* is not an integer"):
+        cli.export_value_policy((values, policy), grid_small, [0, step], str(out), cfg_small)
+    assert list(out.iterdir()) == []
+
+
+def test_numpy_integer_export_steps_give_a_usable_policy_dir(small_ini, cfg_small, grid_small,
+                                                             tmp_path, capsys):
+    """np.arange(N + 1) as export steps: every CSV, metadata that lists the
+    steps as plain ints, and a directory that simulate --policy reads."""
+    n_steps = cfg_small.discretization.steps_N
+    out = str(tmp_path / "np-steps")
+    cli._solve_and_export(cfg_small, grid_small, np.arange(n_steps + 1), out)
+    meta = json.loads(Path(out, "value_policy_meta.json").read_text())
+    assert meta["steps"] == list(range(n_steps + 1))
+    assert len(list(Path(out).glob("value_policy_step*.csv"))) == n_steps + 1
+    assert cli.main(["simulate", small_ini, "--policy", out, "--scenario", "neutral",
+                     "--out", str(tmp_path / "paths")]) == 0
+    capsys.readouterr()
+
+
+def test_shared_r_mid_in_any_step_order_and_format_chunks(cfg_small, grid_small, small_solution,
+                                                          tmp_path, monkeypatch):
+    """Unsorted steps with a repeat and step N, formatted one float, one
+    step, three steps or the default per reprs call: each file holds the
+    bytes of a one-step export of its step."""
+    values, policy, _ = small_solution
+    n_steps = cfg_small.discretization.steps_N
+    steps = [n_steps, 0, 3, 3, 1]
+    alone = {}
+    for n in set(steps):
+        path, _ = cli.export_value_policy((values, policy), grid_small, [n],
+                                          str(tmp_path / f"alone{n}"), cfg_small)
+        alone[n] = Path(path).read_bytes()
+    n_states = grid_small.n_states
+    for budget in (cli._FLOATS_PER_FORMAT, 1, n_states, 3 * n_states):
+        monkeypatch.setattr(cli, "_FLOATS_PER_FORMAT", budget)
+        out = tmp_path / f"budget{budget}"
+        written = cli.export_value_policy((values, policy), grid_small, steps, str(out), cfg_small)
+        assert [Path(p).name for p in written[:-1]] == [f"value_policy_step{n:04d}.csv"
+                                                        for n in steps]
+        for n, path in zip(steps, written):
+            assert Path(path).read_bytes() == alone[n], (budget, n)
+
+
+def test_export_of_no_steps_writes_only_the_metadata(cfg_small, grid_small, small_solution,
+                                                     tmp_path):
+    values, policy, _ = small_solution
+    out = tmp_path / "out"
+    written = cli.export_value_policy((values, policy), grid_small, [], str(out), cfg_small)
+    assert written == [str(out / "value_policy_meta.json")]
+    assert [p.name for p in out.iterdir()] == ["value_policy_meta.json"]
+    assert json.loads(Path(written[0]).read_text())["steps"] == []
+
+
+def test_table1_export_formats_r_mid_in_one_call(cfg_table1, grid_table1, table1_solution,
+                                                 tmp_path, monkeypatch):
+    """All 169 table1 steps: three reprs calls for the axes, 43 for the
+    values (4 steps each) and one for every step's r_mid."""
+    values, policy, _ = table1_solution
+    calls = []
+
+    original = cli.reprs
+
+    def counted(x):
+        calls.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(cli, "reprs", counted)
+    steps = list(range(cfg_table1.discretization.steps_N + 1))
+    cli.export_value_policy((values, policy), grid_table1, steps, str(tmp_path / "out"),
+                            cfg_table1)
+    assert len(calls) == 3 + 43 + 1
+    assert len(steps) * grid_table1.shape[0] in calls
+
+
 # sha256 over the sha256 of each of the 1000 table1 path CSVs (five scenarios
 # x 200 seeds at base seed 0, the benchmark's paths), in file name order.
 TABLE1_PATHS_DIGEST = "f81482801177b7bdf14d61a12dce86d936dee786c4ec4b661ec3fe2f7c0ed162"
 
 
+@pytest.mark.cpu_bits
 def test_table1_path_bytes_match_earlier_versions(cfg_table1, grid_table1, table1_solution,
                                                   tmp_path):
     _, policy, _ = table1_solution
@@ -747,6 +829,7 @@ PAPER_RUN_DIGESTS = {
 }
 
 
+@pytest.mark.cpu_bits
 def test_paper_run_bytes_match_earlier_versions(cfg_table1, tmp_path, capsys):
     ini = _ini_for(small_discretization(cfg_table1, steps=24, n_q=6), tmp_path,
                   "small24.ini")

@@ -527,6 +527,7 @@ def test_step_constants_read_the_one_route(cfg_table1, eta0, beta, dt):
     assert _rel(sc.q_psi, ref.psi) <= 1e-15 * (1.0 + min(eta0, beta) * dt)
 
 
+@pytest.mark.cpu_bits
 def test_table1_constants_take_the_one_route(cfg_table1):
     """table1's noise integrals take the one tanh-sinh route and psi its
     non-cancelling form, bit for bit as recorded when that route became the
