@@ -11,11 +11,13 @@ a full battery may still serve demand. Near zero residual demand (within
 half a grid cell of 0) the only feasible control is to wait.
 
 One rule decides every set: _exclusions codes, for each action and each
-state, the first test that excludes the action, with the means and
-standard deviations of the dynamics' laws. Like them it takes floats or
-broadcast arrays of states, and a step array broadcasts against the
-states as numpy broadcasts any argument: feasibility_mask passes the
-grid axes as an open lattice (np.ix_) for the solver, and
+state, the first test that excludes the action. It reads the (mean, sd)
+of the dynamics' two Gaussian laws, q_moments under charge (the law that
+full discharge shares) and g_moments under the full generator mode, and
+the deterministic means of the two limited modes. Like them it takes
+floats or broadcast arrays of states, and a step array broadcasts
+against the states as numpy broadcasts any argument: feasibility_mask
+passes the grid axes as an open lattice (np.ix_) for the solver, and
 feasible_actions passes its one state's floats and names the reason for
 every excluded action.
 
@@ -32,10 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Action, ModelConfig, State
-from .dynamics import (battery_law, discharge_limited_mean, fuel_limited_mean, generator_law, ndtr,
+from .dynamics import (discharge_limited_mean, fuel_limited_mean, g_moments, ndtr, q_moments,
                        seasonal_mean)
-# Bound only so that perfbench/tracing.py can count calls of constraints.q_moments/g_moments.
-from .dynamics import g_moments, q_moments  # noqa: F401
 from .grid import StateGrid, z_truncation
 
 __all__ = ["FeasibleSet", "feasibility_mask", "feasible_actions", "near_zero_halfwidth"]
@@ -93,11 +93,12 @@ def _exclusions(n, z, q, g, cfg: ModelConfig) -> np.ndarray:
     r = seasonal_mean(n, cfg) + z
     band = np.abs(r) < near_zero_halfwidth(cfg)
     surplus = np.less(r, 0.0)  # a numpy bool even for floats, so that ~ is a logical not
-    # P(Q' < 0) and P(Q' > 1) in one ndtr call, and P(G' < 0) under the full mode
-    m_q, sd_q = battery_law(n, z, q, cfg)
+    # P(Q' < 0) and P(Q' > 1) in one ndtr call under the Gaussian law that charge
+    # and full discharge share, and P(G' < 0) under the full generator mode
+    m_q, sd_q = q_moments(n, z, q, Action.CHARGE, cfg)
     q_below, q_above = ndtr(np.stack((-m_q / sd_q, (m_q - 1.0) / sd_q))) >= eps
-    burn, sd_g = generator_law(n, z, cfg)
-    g_below = ndtr((burn - g) / sd_g) >= eps
+    m_g, sd_g = g_moments(n, z, g, Action.FUEL_FULL, cfg)
+    g_below = ndtr(-m_g / sd_g) >= eps
     q_negative = discharge_limited_mean(q, cfg) < 0.0
     g_negative = fuel_limited_mean(g, cfg) < 0.0
 

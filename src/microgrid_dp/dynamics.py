@@ -26,12 +26,12 @@ calibrate, the package needs nothing beyond numpy and the standard
 library.
 
 Each law has one implementation, written for numpy arrays and read at a
-single state by passing floats: z_law (mean and sd of Z'), battery_law
-(mean and sd of Q' under charge / full discharge, through the one
-efficiency rule _efficiency), generator_law (burn and sd of G' under the
-full generator mode), and the deterministic means discharge_limited_mean
-and fuel_limited_mean; the state-free correlations are
-cfg.constants.rho_q and rho_g. z_next is the one draw of Z'.
+single state by passing floats: z_law (mean and sd of Z'), q_moments and
+g_moments (mean and sd of Q' and G' under any Action, the sd 0.0 for a
+deterministic law; the Gaussian law of Q' reads the one efficiency rule
+_efficiency), and the deterministic means discharge_limited_mean and
+fuel_limited_mean; the state-free correlations are cfg.constants.rho_q
+and rho_g. z_next is the one draw of Z'.
 
 Every law of Q' and G' is split in two parts, one public pair.
 law_drive(n, z, cfg, eps) gives the terms that read no level, over any
@@ -48,15 +48,14 @@ Gaussian level is mean + sd * innovation. move_levels runs each law
 that moves an axis once over the whole batch, and each entry keeps its
 own action's level.
 
-Everything composes the pair. battery_law and generator_law are a
-noise-free drive and the Gaussian level part; q_moments and g_moments
-read the level parts at a point; transition_operator is z_next beside
-move_levels over the drive at (n, z, eps). The feasibility mask and the
-transition blocks read battery_law and generator_law over whole
-lattices, and the path simulator builds one drive over its whole (step,
-path) table and calls move_levels once per step. A variance is sd * sd,
-whose square root is sd again exactly in binary64, so every route sees
-the same (mean, sd) and the same rho.
+Everything composes the pair. q_moments and g_moments are a noise-free
+drive and an axis's level part; transition_moments reads them at a
+point and squares their sd for the variances; transition_operator is
+z_next beside move_levels over the drive at (n, z, eps). The feasibility
+mask reads q_moments under CHARGE and g_moments under FUEL_FULL over
+whole lattices, and so do the transition blocks; the path simulator
+builds one drive over its whole (step, path) table and calls move_levels
+once per step. So every route sees the same (mean, sd) and the same rho.
 
 What depends on the config only (the expm1 integrals, the decay factors,
 both correlations, the stage cost's discount factors and the seasonal
@@ -66,9 +65,9 @@ once per config object. Every law reads it from there. Its mu is a
 read-only array over n = 0..N, read through seasonal_mean, which raises
 KeyError for a step outside 0..N (a -1 does not wrap round to step N).
 
-A law that takes a step n (law_drive, battery_law, generator_law and
-the stage cost, and through them the blocks, the feasibility mask and
-the path simulator) also takes an array of steps: a step array
+A law that takes a step n (law_drive, q_moments, g_moments and the
+stage cost, and through them the blocks, the feasibility mask and the
+path simulator) also takes an array of steps: a step array
 broadcasts against the states as numpy broadcasts any argument. Each
 step's entries have the bits of the int call, since every entry goes
 through the same elementwise arithmetic.
@@ -90,9 +89,7 @@ __all__ = [
     "NumericalError",
     "StepConstants",
     "TransitionMoments",
-    "battery_law",
     "g_moments",
-    "generator_law",
     "law_drive",
     "move_levels",
     "ndtr",
@@ -108,8 +105,8 @@ __all__ = [
 
 # The law that moves Q' and the one that moves G' under each action: the one
 # map from actions to laws, a read-only (action, axis) table indexed by an
-# Action or by an array of action codes. _GAUSSIAN is battery_law /
-# generator_law, correlated with Z'; _LIMITED is discharge_limited_mean /
+# Action or by an array of action codes. _GAUSSIAN is the Gaussian law of
+# Q' / G', correlated with Z'; _LIMITED is discharge_limited_mean /
 # fuel_limited_mean; _IDLE is self-discharge alone for Q' and no change for
 # G'. Charge and full discharge share one law of Q' (their costs and
 # feasibility differ).
@@ -348,7 +345,8 @@ def _efficiency(charging, q, cfg: ModelConfig):
 
 
 def _moments(axis_law, axis: int, n, z, level, a: Action, cfg: ModelConfig):
-    """Mean and variance of one axis of the next state under Action a, by axis_law.
+    """(mean, sd) of one axis of the next state under Action a, by axis_law; sd 0.0
+    for a deterministic law.
 
     The one Action check of q_moments and g_moments: a that is not an
     Action raises ValueError. A step outside 0..N raises law_drive's
@@ -357,16 +355,29 @@ def _moments(axis_law, axis: int, n, z, level, a: Action, cfg: ModelConfig):
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
     mean, sd = axis_law(_LAWS[a, axis], law_drive(n, z, cfg), level, cfg)
-    return mean, 0.0 if sd is None else sd * sd
+    return mean, 0.0 if sd is None else sd
 
 
-def q_moments(n: int, z: float, q: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of Q_{n+1}; an a that is not an Action raises ValueError."""
+def q_moments(n, z, q, a: Action, cfg: ModelConfig):
+    """(mean, sd) of Q_{n+1} under Action a, broadcast over n, z and q; sd 0.0 if deterministic.
+
+    Under charge / full discharge both depend on the state through the
+    frozen efficiency eta_E(t_n, z, q). Scalars for an int n and float z
+    and q; a step array n broadcasts against z and q as numpy broadcasts
+    any argument, so a 1-D one pairs with 1-D states entry by entry, and a
+    leading step axis takes steps[:, None, None] against (z, 1) and (1, q)
+    axes. An a that is not an Action raises ValueError.
+    """
     return _moments(_q_law, 0, n, z, q, a, cfg)
 
 
-def g_moments(n: int, z: float, g: float, a: Action, cfg: ModelConfig) -> tuple[float, float]:
-    """Conditional mean and variance of G_{n+1}; an a that is not an Action raises ValueError."""
+def g_moments(n, z, g, a: Action, cfg: ModelConfig):
+    """(mean, sd) of G_{n+1} under Action a, broadcast over n, z and g; sd 0.0 if deterministic.
+
+    Under the full generator mode G_{n+1} ~ N(g - burn, sd^2): the burn
+    depends on (n, z) only and the sd on no state at all, which the
+    generator block exploits. An a that is not an Action raises ValueError.
+    """
     return _moments(_g_law, 1, n, z, g, a, cfg)
 
 
@@ -436,45 +447,24 @@ def law_drive(n, z, cfg: ModelConfig, eps: NoiseVector | None = None) -> LawDriv
                     *innovations)
 
 
-def battery_law(n, z, q, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, sd) of Q_{n+1} under charge / full discharge, broadcast over z and q.
-
-    Both depend on the state through the frozen efficiency eta_E(t_n, z, q);
-    scalars for an int n and float z and q. A step array n broadcasts
-    against z and q as numpy broadcasts any argument, so a 1-D one pairs
-    with 1-D states entry by entry; a leading step axis takes
-    steps[:, None, None] against (z, 1) and (1, q) axes.
-    """
-    return _q_law(_GAUSSIAN, law_drive(n, z, cfg), q, cfg)
-
-
-def generator_law(n, z, cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """(burn, sd) of the full generator mode for a float or array z: G_{n+1} ~ N(g - burn, sd^2).
-
-    The burn depends on z only and the standard deviation on no state at
-    all; the generator block exploits exactly this structure. A step
-    array n broadcasts against z as numpy broadcasts any argument.
-    """
-    return law_drive(n, z, cfg).burn, cfg.constants.sd_g
-
-
 def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> TransitionMoments:
     """All first and second conditional moments of (Z', Q', G') in one record.
 
-    Both correlations are state-free; each covariance is rho * sd_Z * sd of
-    the stochastic axis. At most one of them is nonzero because the battery
-    and the generator are never simultaneously stochastic.
+    Both correlations are state-free; each variance is the square of the
+    law's sd and each covariance is rho * sd_Z * sd of the stochastic axis,
+    taken from the sd itself so that it does not underflow with the
+    variance. At most one covariance is nonzero because the battery and the
+    generator are never simultaneously stochastic.
     """
     sc = cfg.constants
     m_Z, sd_Z = z_law(x.z, cfg)
-    m_Q, var_Q = q_moments(n, x.z, x.q, a, cfg)
-    m_G, var_G = g_moments(n, x.z, x.g, a, cfg)
+    m_Q, sd_Q = q_moments(n, x.z, x.q, a, cfg)
+    m_G, sd_G = g_moments(n, x.z, x.g, a, cfg)
     q_law, g_law = _LAWS[a]
     rho_Q = sc.rho_q if q_law == _GAUSSIAN else 0.0
     rho_G = sc.rho_g if g_law == _GAUSSIAN else 0.0
-    return TransitionMoments(m_Z, sd_Z * sd_Z, m_Q, var_Q, m_G, var_G,
-                             rho_Q * sd_Z * math.sqrt(var_Q), rho_Q,
-                             rho_G * sd_Z * math.sqrt(var_G), rho_G)
+    return TransitionMoments(m_Z, sd_Z * sd_Z, m_Q, sd_Q * sd_Q, m_G, sd_G * sd_G,
+                             rho_Q * sd_Z * sd_Q, rho_Q, rho_G * sd_Z * sd_G, rho_G)
 
 
 def _q_law(law: int, drive: LawDrive, q, cfg: ModelConfig):

@@ -13,6 +13,8 @@ the z boundary cells own the (-inf, .] and (., +inf) tails. The Dirac
 axes need no probabilities: their target cells are step-free maps per
 source level, taken once per kernel: grid.cell_of of the next levels
 that the deterministic branches of dynamics.q_moments/g_moments give.
+The bivariate blocks read the Gaussian (mean, sd) of the same two laws,
+q_moments under charge and g_moments under the full generator mode.
 cell_of puts a level below 0 or above 1 in its boundary cell.
 
 TransitionKernel.expected_next(v, battery, generator) applies the chain to
@@ -100,8 +102,7 @@ import numpy as np
 
 from .config import Action, ModelConfig
 from .dynamics import NDTR_BAND as _BAND
-from .dynamics import (NumericalError, battery_law, g_moments, generator_law, ndtr, q_moments,
-                       z_law)
+from .dynamics import NumericalError, g_moments, ndtr, q_moments, z_law
 from .grid import StateGrid, cell_of
 
 __all__ = ["NumericalError", "TransitionKernel"]
@@ -398,7 +399,8 @@ class TransitionKernel:
         the others are 0.
         """
         grid = self.grid
-        m_q, sd_q = battery_law(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points), self.cfg)
+        m_q, sd_q = q_moments(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points),
+                              Action.CHARGE, self.cfg)
         z_src = np.nonzero(rows)[1]
         std_q = _std_edges(grid.q.edges, m_q[rows], sd_q[rows])
         mass = _lattice_masses(_cdf_lattice(self._z_std[z_src], std_q, self.cfg.constants.rho_q,
@@ -420,10 +422,12 @@ class TransitionKernel:
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
         n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
-        burn, sd_g = generator_law(steps[:, None], grid.z.points, self.cfg)
+        # The mean at g = 0 is 0.0 - burn, which is -burn but for the sign of a
+        # zero burn; every offset is nonzero, so offsets - mean has the bits either way.
+        m_g, sd_g = g_moments(steps[:, None], grid.z.points, 0.0, Action.FUEL_FULL, self.cfg)
         z_src = np.nonzero(rows)[1]
         offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
-        std_g = _std_edges(offsets, -burn[rows], sd_g)
+        std_g = _std_edges(offsets, m_g[rows], sd_g)
         # (row, z edge, offset)
         cdf = _cdf_lattice(self._z_std[z_src], std_g, self.cfg.constants.rho_g,
                            self._z_cdf[z_src], ndtr(std_g))

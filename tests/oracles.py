@@ -69,8 +69,7 @@ from microgrid_dp import (
     transition_operator,
 )
 from microgrid_dp.constraints import near_zero_halfwidth
-from microgrid_dp.dynamics import (NDTR_BAND, NoiseVector, _efficiency, battery_law, generator_law,
-                                   z_law)
+from microgrid_dp.dynamics import NDTR_BAND, NoiseVector, _efficiency, z_law
 from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from microgrid_dp.grid import clamp01
 from microgrid_dp.simulate import default_initial_state
@@ -225,10 +224,10 @@ def _box_tails(m, sd):
     return ndtr(-m / sd), ndtr((m - 1.0) / sd)
 
 
-def _box_chance(m: float, var: float, eps: float, check_upper: bool) -> str | None:
+def _box_chance(m: float, sd: float, eps: float, check_upper: bool) -> str | None:
     """None if the next level stays in [0, 1] with chance >= 1 - eps, else the reason."""
-    if var > 0.0:
-        below, above = _box_tails(m, np.sqrt(var))
+    if sd > 0.0:
+        below, above = _box_tails(m, sd)
         if below >= eps:
             return f"P(next level < 0) >= {eps}"
         if check_upper and above >= eps:
@@ -268,8 +267,8 @@ def feasible_actions_reference(n: int, x: State, cfg: ModelConfig) -> FeasibleSe
 
     if r < 0.0:
         consider(Action.OVERSPILL, None)
-        m, var = q_moments(n, x.z, x.q, Action.CHARGE, cfg)
-        consider(Action.CHARGE, _box_chance(m, var, eps, check_upper=True))
+        m, sd = q_moments(n, x.z, x.q, Action.CHARGE, cfg)
+        consider(Action.CHARGE, _box_chance(m, sd, eps, check_upper=True))
         for a in (Action.WAIT, Action.DISCHARGE_LIMITED, Action.DISCHARGE_FULL,
                   Action.FUEL_LIMITED, Action.FUEL_FULL):
             excluded[a] = "surplus production (r < 0)"
@@ -279,20 +278,20 @@ def feasible_actions_reference(n: int, x: State, cfg: ModelConfig) -> FeasibleSe
         consider(Action.WAIT, None)
 
         if r >= cfg.battery.R_Q0:
-            m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_LIMITED, cfg)
-            consider(Action.DISCHARGE_LIMITED, _box_chance(m, var, eps, check_upper=False))
+            m, sd = q_moments(n, x.z, x.q, Action.DISCHARGE_LIMITED, cfg)
+            consider(Action.DISCHARGE_LIMITED, _box_chance(m, sd, eps, check_upper=False))
         else:
             excluded[Action.DISCHARGE_LIMITED] = f"residual demand below threshold R_Q0 = {cfg.battery.R_Q0}"
-        m, var = q_moments(n, x.z, x.q, Action.DISCHARGE_FULL, cfg)
-        consider(Action.DISCHARGE_FULL, _box_chance(m, var, eps, check_upper=False))
+        m, sd = q_moments(n, x.z, x.q, Action.DISCHARGE_FULL, cfg)
+        consider(Action.DISCHARGE_FULL, _box_chance(m, sd, eps, check_upper=False))
 
         if r >= cfg.generator.R_G0:
-            m, var = g_moments(n, x.z, x.g, Action.FUEL_LIMITED, cfg)
-            consider(Action.FUEL_LIMITED, _box_chance(m, var, eps, check_upper=False))
+            m, sd = g_moments(n, x.z, x.g, Action.FUEL_LIMITED, cfg)
+            consider(Action.FUEL_LIMITED, _box_chance(m, sd, eps, check_upper=False))
         else:
             excluded[Action.FUEL_LIMITED] = f"residual demand below threshold R_G0 = {cfg.generator.R_G0}"
-        m, var = g_moments(n, x.z, x.g, Action.FUEL_FULL, cfg)
-        consider(Action.FUEL_FULL, _box_chance(m, var, eps, check_upper=False))
+        m, sd = g_moments(n, x.z, x.g, Action.FUEL_FULL, cfg)
+        consider(Action.FUEL_FULL, _box_chance(m, sd, eps, check_upper=False))
 
     feasible.sort()
     return FeasibleSet(actions=tuple(feasible), excluded=excluded)
@@ -414,7 +413,7 @@ def simpson_terminal_battery(x_q: float, cfg: ModelConfig, nodes: int = 20_001) 
         scale = c.gamma_pen_Q * bat.capacity_CQ
     else:
         qs = np.linspace(q_ref, x_q, nodes)
-        # energy delivered per unit stored: the eta_D of battery_law and terminal_cost
+        # energy delivered per unit stored: the eta_D of q_moments and terminal_cost
         integrand = bat.C0_D + bat.C1_D * qs**bat.l_D * (1.0 - qs) ** bat.m_D
         scale = -c.gamma_liq_Q * bat.capacity_CQ
     h = (qs[-1] - qs[0]) / (nodes - 1)
@@ -736,8 +735,8 @@ def generator_block_per_source(n: int, grid: StateGrid, cfg: ModelConfig) -> np.
         m_z, sd_z = z_law(float(z), cfg)
         std_z[i, 0] = (grid.z.edges - m_z) / sd_z
         for k, g in enumerate(grid.g.points):
-            m_g, var_g = g_moments(n, float(z), float(g), Action.FUEL_FULL, cfg)
-            std_g[i, k] = (grid.g.edges - m_g) / math.sqrt(var_g)
+            m_g, sd_g = g_moments(n, float(z), float(g), Action.FUEL_FULL, cfg)
+            std_g[i, k] = (grid.g.edges - m_g) / sd_g
     mass = full_lattice_rect_masses(np.clip(std_z, -_CLIP, _CLIP),
                                     np.clip(std_g, -_CLIP, _CLIP), rho)
     return _normalize_rows(mass, (-2, -1), f"reference generator block n={n}")
@@ -779,7 +778,7 @@ def dense_cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
 def dense_battery_block(kern: TransitionKernel, n: int) -> np.ndarray:
     """TransitionKernel.battery_block over dense_cdf_lattice, from the kernel's z edges."""
     grid, cfg = kern.grid, kern.cfg
-    m_q, sd_q = battery_law(n, grid.z.points[:, None], grid.q.points[None, :], cfg)
+    m_q, sd_q = q_moments(n, grid.z.points[:, None], grid.q.points[None, :], Action.CHARGE, cfg)
     std_q = _std_edges(grid.q.edges, m_q, sd_q)
     cdf = dense_cdf_lattice(kern._z_std[:, None, :], std_q, cfg.constants.rho_q,
                             kern._z_cdf[:, None, :], pkg_ndtr(std_q))
@@ -799,9 +798,10 @@ def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
     grid, cfg = kern.grid, kern.cfg
     pts, edges = grid.g.points, grid.g.edges
     n_int = edges.size
-    burn, sd_g = generator_law(n, grid.z.points, cfg)
+    # the mean at g = 0 is the shared offsets' shift
+    m_g, sd_g = g_moments(n, grid.z.points, 0.0, Action.FUEL_FULL, cfg)
     offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
-    std_g = _std_edges(offsets, -burn, sd_g)
+    std_g = _std_edges(offsets, m_g, sd_g)
     cdf = dense_cdf_lattice(kern._z_std, std_g, cfg.constants.rho_g, kern._z_cdf, pkg_ndtr(std_g))
     # Padded column of interior edge f (column f + 1) for source k is
     # f - k + N_G + 1; the two tail columns are shared by every source.

@@ -12,7 +12,7 @@ from scipy.special import ndtr
 import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp.constraints import _REASONS, _exclusions, near_zero_halfwidth
-from microgrid_dp.dynamics import battery_law, ndtr as pkg_ndtr
+from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from oracles import feasible_actions_reference, state_of
 
 
@@ -149,7 +149,8 @@ def test_knife_edge_epsilon_same_decision_on_both_routes(cfg_table1, grid_table1
     n, i, j, tail = next(
         (n, i, j, float(pkg_ndtr(x)))
         for n in range(cfg_table1.discretization.steps_N)
-        for i, x_row in enumerate(-np.divide(*battery_law(n, z[:, None], q[None, :], cfg_table1)))
+        for i, x_row in enumerate(-np.divide(*m.q_moments(n, z[:, None], q[None, :],
+                                                          m.Action.DISCHARGE_FULL, cfg_table1)))
         if m.seasonality(cfg_table1.t_of(n), cfg_table1.demand) + z[i] >= half
         for j, x in enumerate(x_row.tolist())
         if 1e-6 < pkg_ndtr(x) < 0.4 and pkg_ndtr(x) < ndtr(x))

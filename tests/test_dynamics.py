@@ -12,8 +12,7 @@ from scipy.special import ndtr as scipy_ndtr
 import microgrid_dp as m
 from microgrid_dp import dynamics
 from microgrid_dp.config import eta_discharge
-from microgrid_dp.dynamics import (NoiseVector, battery_law, generator_law, law_drive, step_constants,
-                                  z_law)
+from microgrid_dp.dynamics import NoiseVector, law_drive, step_constants, z_law
 from microgrid_dp.solver import stage_cost_rows
 from conftest import small_discretization
 from oracles import battery_noise_reference, decimal_noise_integrals, euler_oracle
@@ -55,9 +54,9 @@ def test_efficiency_branch_switch(cfg_table1):
 
 
 def test_idle_battery_decays_exponentially(cfg_table1):
-    m_Q, var_Q = m.q_moments(0, 0.0, 1.0, m.Action.WAIT, cfg_table1)
+    m_Q, sd_Q = m.q_moments(0, 0.0, 1.0, m.Action.WAIT, cfg_table1)
     assert m_Q == pytest.approx(0.9997895821409437, abs=1e-12)
-    assert var_Q == 0.0
+    assert sd_Q == 0.0
     for a in (m.Action.OVERSPILL, m.Action.FUEL_FULL, m.Action.FUEL_LIMITED):
         got = m.q_moments(0, 0.3, 0.6, a, cfg_table1)
         assert got == (pytest.approx(0.6 * math.exp(-cfg_table1.battery.eta0)), 0.0)
@@ -77,39 +76,55 @@ def test_charge_and_discharge_full_share_one_law(cfg_table1):
 def test_discharge_limited_is_deterministic_drain(cfg_table1):
     bat = cfg_table1.battery
     q, z = 0.7, 1.0
-    m_Q, var_Q = m.q_moments(0, z, q, m.Action.DISCHARGE_LIMITED, cfg_table1)
+    m_Q, sd_Q = m.q_moments(0, z, q, m.Action.DISCHARGE_LIMITED, cfg_table1)
     phi = -math.expm1(-bat.eta0) / bat.eta0
     expect = q * math.exp(-bat.eta0) - bat.R_Q0 * phi / (
         bat.capacity_CQ * eta_discharge(q, bat))
     assert m_Q == pytest.approx(expect, abs=1e-14)
-    assert var_Q == 0.0
+    assert sd_Q == 0.0
     assert m_Q == pytest.approx(
         m.q_moments(0, -2.0, q, m.Action.DISCHARGE_LIMITED, cfg_table1)[0], abs=1e-14)
 
 
 def test_fuel_limited_mean_frozen(cfg_table1):
-    m_G, var_G = m.g_moments(0, 0.0, 1.0, m.Action.FUEL_LIMITED, cfg_table1)
+    m_G, sd_G = m.g_moments(0, 0.0, 1.0, m.Action.FUEL_LIMITED, cfg_table1)
     assert m_G == pytest.approx(0.9502935, abs=1e-12)
-    assert var_G == 0.0
+    assert sd_G == 0.0
 
 
 def test_fuel_idle_is_exact_identity(cfg_table1):
     for a in (m.Action.OVERSPILL, m.Action.CHARGE, m.Action.WAIT,
               m.Action.DISCHARGE_LIMITED, m.Action.DISCHARGE_FULL):
-        m_G, var_G = m.g_moments(0, 1.2, 0.37, a, cfg_table1)
+        m_G, sd_G = m.g_moments(0, 1.2, 0.37, a, cfg_table1)
         assert m_G == 0.37
-        assert var_G == 0.0
+        assert sd_G == 0.0
 
 
 def test_fuel_full_burn_arithmetic(cfg_table1):
     gen, p = cfg_table1.generator, cfg_table1.demand
     z, g = 0.5, 0.9
-    m_G, var_G = m.g_moments(0, z, g, m.Action.FUEL_FULL, cfg_table1)
+    m_G, sd_G = m.g_moments(0, z, g, m.Action.FUEL_FULL, cfg_table1)
     phi_beta = -math.expm1(-p.beta_R) / p.beta_R
     mu = m.seasonality(0.0, p)
     expect = g - (gen.c0 + gen.c1 * (mu + z * phi_beta)) / gen.capacity_CG
     assert m_G == pytest.approx(expect, abs=1e-14)
-    assert var_G > 0.0
+    assert sd_G > 0.0
+
+
+def test_covariance_survives_an_underflowing_variance(cfg_table1):
+    """With capacity_CQ = 1e300 the sd of Q' under charge is about 1e-301,
+    whose square underflows to 0: var_Q is 0, but cov_ZQ is still
+    rho_Q * sd_Z * sd_Q, taken from the sd itself, not from sqrt(var_Q)."""
+    cfg = m.validate_config(dataclasses.replace(
+        cfg_table1, battery=dataclasses.replace(cfg_table1.battery, capacity_CQ=1e300)))
+    x = m.State(0.5, 0.5, 0.5)
+    mom = m.transition_moments(3, x, m.Action.CHARGE, cfg)
+    sd_Q = m.q_moments(3, x.z, x.q, m.Action.CHARGE, cfg)[1]
+    assert 0.0 < sd_Q < 1e-300 and mom.var_Q == 0.0
+    assert mom.rho_Q < -0.8
+    assert mom.cov_ZQ < 0.0
+    assert mom.cov_ZQ == mom.rho_Q * math.sqrt(mom.var_Z) * sd_Q
+    assert mom.cov_ZQ == pytest.approx(-8.6e-302, rel=1e-2)
 
 
 def test_correlations_state_free_and_frozen(cfg_table1):
@@ -195,8 +210,8 @@ def test_transition_operator_is_the_law_closed_form(cfg_table1):
     for n in (0, 5, 17, 100):
         for x in (STATE, m.State(-1.5, 0.3, 1.0), m.State(0.2, 0.05, 0.6), m.State(2.2, 1.0, 0.0)):
             m_z, sd_z = z_law(x.z, cfg)
-            m_q, sd_q = battery_law(n, x.z, x.q, cfg)
-            burn, sd_g = generator_law(n, x.z, cfg)
+            m_q, sd_q = m.q_moments(n, x.z, x.q, m.Action.CHARGE, cfg)
+            m_g, sd_g = m.g_moments(n, x.z, x.g, m.Action.FUEL_FULL, cfg)
             for a in m.Action:
                 got = m.transition_operator(n, x, a, eps, cfg)
                 assert got.z == m_z + sd_z * eps.eps_Z
@@ -206,8 +221,8 @@ def test_transition_operator_is_the_law_closed_form(cfg_table1):
                 else:
                     assert got.q == m.q_moments(n, x.z, x.q, a, cfg)[0]
                 if a is m.Action.FUEL_FULL:
-                    assert got.g == (x.g - burn) + sd_g * (rho_g * eps.eps_Z
-                                                           + math.sqrt(1.0 - rho_g**2) * eps.eps_G)
+                    assert got.g == m_g + sd_g * (rho_g * eps.eps_Z
+                                                  + math.sqrt(1.0 - rho_g**2) * eps.eps_G)
                 else:
                     assert got.g == m.g_moments(n, x.z, x.g, a, cfg)[0]
 
@@ -298,8 +313,8 @@ def test_drive_and_mover_are_the_one_route_of_every_law(cfg_table1, case):
     actions, three routes give the same next levels bit for bit: the
     simulator's, one law_drive over a (step, path) table and move_levels
     on each step's row with mixed action codes; transition_operator at a
-    single state; and the (mean, sd) of battery_law, generator_law or the
-    deterministic law's mean, with sd times the innovation added."""
+    single state; and the (mean, sd) of q_moments or g_moments under the
+    entry's action, with sd times the innovation added where sd is not 0."""
     cfg = _ONE_ROUTE_CASES[case](cfg_table1)
     sc = cfg.constants
     rng = np.random.default_rng(35)
@@ -326,47 +341,40 @@ def test_drive_and_mover_are_the_one_route_of_every_law(cfg_table1, case):
             e = NoiseVector(*(float(f[r, p]) for f in eps))
             nxt = m.transition_operator(n, x, a, e, cfg)
             by_operator[r, :, p] = nxt.q, nxt.g
-            if a in gaussian_q:
-                m_q, sd_q = battery_law(n, x.z, x.q, cfg)
-                q_next = m_q + sd_q * (sc.rho_q * e.eps_Z
-                                       + math.sqrt(1.0 - sc.rho_q * sc.rho_q) * e.eps_Q)
-            else:
-                q_next = m.q_moments(n, x.z, x.q, a, cfg)[0]
-            if a in gaussian_g:
-                burn, sd_g = generator_law(n, x.z, cfg)
-                g_next = (x.g - burn) + sd_g * (sc.rho_g * e.eps_Z
-                                                + math.sqrt(1.0 - sc.rho_g * sc.rho_g) * e.eps_G)
-            else:
-                g_next = m.g_moments(n, x.z, x.g, a, cfg)[0]
-            by_laws[r, :, p] = q_next, g_next
+            m_q, sd_q = m.q_moments(n, x.z, x.q, a, cfg)
+            m_g, sd_g = m.g_moments(n, x.z, x.g, a, cfg)
+            assert (sd_q != 0.0) == (a in gaussian_q) and (sd_g != 0.0) == (a in gaussian_g)
+            innovation_q = sc.rho_q * e.eps_Z + math.sqrt(1.0 - sc.rho_q * sc.rho_q) * e.eps_Q
+            innovation_g = sc.rho_g * e.eps_Z + math.sqrt(1.0 - sc.rho_g * sc.rho_g) * e.eps_G
+            by_laws[r, :, p] = (m_q + sd_q * innovation_q if sd_q else m_q,
+                                m_g + sd_g * innovation_g if sd_g else m_g)
         assert moved.tobytes() == by_operator.tobytes(), (case, shift)
         assert moved.tobytes() == by_laws.tobytes(), (case, shift)
 
 
 def test_scalar_moments_are_the_array_laws_bit_for_bit(cfg_table1, grid_table1):
     """On every table1 step and every (z, q) and (z, g) lattice pair (so for
-    every grid state), the scalar means and square-rooted variances equal the
-    array laws' (mean, sd) and the correlations equal cfg.constants.rho_q /
-    rho_g, without rounding slack."""
+    every grid state), the scalar (mean, sd) of q_moments and g_moments
+    equal the same laws taken over the whole lattice, transition_moments'
+    variances are those sds squared, and the correlations equal
+    cfg.constants.rho_q / rho_g, without rounding slack."""
     cfg, grid = cfg_table1, grid_table1
     z, q, g = grid.z.points, grid.q.points, grid.g.points
     rho_q, rho_g = cfg.constants.rho_q, cfg.constants.rho_g
     mismatches = 0
     for n in range(cfg.discretization.steps_N):
-        m_q, sd_q = battery_law(n, z[:, None], q[None, :], cfg)
-        burn, sd_g = generator_law(n, z, cfg)
+        m_q, sd_q = m.q_moments(n, z[:, None], q[None, :], m.Action.CHARGE, cfg)
+        m_g, sd_g = m.g_moments(n, z[:, None], g[None, :], m.Action.FUEL_FULL, cfg)
         for i, zi in enumerate(z.tolist()):
             for j, qj in enumerate(q.tolist()):
                 for a in (m.Action.CHARGE, m.Action.DISCHARGE_FULL):
-                    mean, var = m.q_moments(n, zi, qj, a, cfg)
-                    mismatches += (mean, math.sqrt(var)) != (m_q[i, j], sd_q[i, j])
+                    mismatches += m.q_moments(n, zi, qj, a, cfg) != (m_q[i, j], sd_q[i, j])
                 mom = m.transition_moments(n, m.State(zi, qj, 0.5), m.Action.CHARGE, cfg)
-                mismatches += mom.rho_Q != rho_q
+                mismatches += (mom.var_Q, mom.rho_Q) != (sd_q[i, j] * sd_q[i, j], rho_q)
             for k, gk in enumerate(g.tolist()):
-                mean, var = m.g_moments(n, zi, gk, m.Action.FUEL_FULL, cfg)
-                mismatches += (mean, math.sqrt(var)) != (gk - burn[i], sd_g)
+                mismatches += m.g_moments(n, zi, gk, m.Action.FUEL_FULL, cfg) != (m_g[i, k], sd_g)
                 mom = m.transition_moments(n, m.State(zi, 0.5, gk), m.Action.FUEL_FULL, cfg)
-                mismatches += mom.rho_G != rho_g
+                mismatches += (mom.var_G, mom.rho_G) != (sd_g * sd_g, rho_g)
     assert mismatches == 0
 
 
@@ -587,12 +595,10 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
     n_steps = cfg.discretization.steps_N
     x, eps = m.State(0.5, 0.5, 0.5), NoiseVector(0.1, 0.2, 0.3)
     for n in (0, n_steps):
-        battery_law(n, x.z, x.q, cfg)
+        m.q_moments(n, x.z, x.q, m.Action.CHARGE, cfg)
         m.expected_stage_cost(n, x, m.Action.WAIT, cfg)
     for n in (-1, n_steps + 1):
-        laws = [lambda: battery_law(n, x.z, x.q, cfg),
-                lambda: generator_law(n, x.z, cfg),
-                lambda: m.feasible_actions(n, x, cfg),
+        laws = [lambda: m.feasible_actions(n, x, cfg),
                 # one path per action code, the step-free moves included
                 lambda: m.transition_operator(
                     n, m.State(*(np.full(len(m.Action), v) for v in x)), np.arange(len(m.Action)),
@@ -613,15 +619,16 @@ def test_laws_reject_steps_outside_the_horizon(cfg_table1):
     kern = m.TransitionKernel(cfg, grid)
     for bad in (-1, n_steps + 1):
         steps = np.array([0, bad, n_steps])
-        laws = [lambda: battery_law(steps, x.z, x.q, cfg),
-                lambda: generator_law(steps, grid.z.points, cfg),
-                lambda: stage_cost_rows(steps, grid, cfg),
+        laws = [lambda: stage_cost_rows(steps, grid, cfg),
                 lambda: m.feasibility_mask(steps, grid, cfg),
                 lambda: kern.blocks(steps, np.ones((3, len(m.Action)) + grid.shape, bool)),
                 lambda: kern._generator_chunk(steps, np.ones((3, grid.z.n_points), bool)),
                 lambda: kern.battery_block(bad),
                 lambda: kern.generator_block(bad)]
-        laws += [lambda a=a: m.expected_stage_cost(steps, x, a, cfg) for a in m.Action]
+        for a in m.Action:
+            laws += [lambda a=a: m.q_moments(steps, x.z, x.q, a, cfg),
+                     lambda a=a: m.g_moments(steps, grid.z.points, x.g, a, cfg),
+                     lambda a=a: m.expected_stage_cost(steps, x, a, cfg)]
         for law in laws:
             with pytest.raises(KeyError):
                 law()

@@ -17,10 +17,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "microgrid_dp"
 EXEMPT = {
     # perfbench/tracing.py wraps solver.feasible_actions to count its calls.
     ("solver", "feasible_actions"),
-    # ... and constraints.q_moments, which the feasibility rule no longer calls.
-    ("constraints", "q_moments"),
-    # ... and constraints.g_moments, likewise.
-    ("constraints", "g_moments"),
     # ... and simulate.transition_operator, which the step loop no longer calls.
     ("simulate", "transition_operator"),
 }
