@@ -263,12 +263,14 @@ def export_value_policy(tables: tuple[ValueTable, PolicyTable], grid: StateGrid,
                           dtype=object).reshape(len(steps), grid.shape[0])
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    per_z = len(cells) // grid.shape[0]  # rows per z, contiguous: the rows are row-major
     per_call = max(1, _FLOATS_PER_FORMAT // grid.n_states)
     for first in range(0, len(steps), per_call):
         chunk = steps[first:first + per_call]
         value_strs = reprs(values.values[chunk].ravel()).reshape(len(chunk), -1)
         for n, vals, r_mids in zip(chunk, value_strs, r_mid_strs[first:first + per_call]):
-            parts[2::5] = np.repeat(r_mids, len(cells) // grid.shape[0]).tolist()  # row-major
+            for i, r_mid_str in enumerate(r_mids.tolist()):
+                parts[2 + 5 * per_z * i:2 + 5 * per_z * (i + 1):5] = [r_mid_str] * per_z
             parts[4::5] = vals.tolist()
             parts[5::5] = ([b",\n"] * len(cells) if n == n_steps
                            else ends[policy.actions[n]].tolist())

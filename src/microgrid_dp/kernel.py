@@ -20,12 +20,13 @@ cell_of puts a level below 0 or above 1 in its boundary cell.
 TransitionKernel.expected_next(v, battery, generator) applies the chain to
 a value table v: one np.tensordot of the z block (z src, z cell) per
 gathered table, against v at the idle, limited-discharge or
-idle-then-limited-generator targets; and one np.dot per bivariate block it
-is given, as a (source, cell) matrix, the battery block (z src, q src,
-z cell, q cell) against v over (z, q), the generator block (z src, g src,
-z cell, g cell) over (z, g). Contracting z once and gathering afterwards
-would add in another order and move the last bits, so each gathered table
-has its own contraction.
+idle-then-limited-generator targets; and one np.dot of each bivariate
+block's rows that it is given, as a (row, cell) matrix, the battery rows
+(row, z cell, q cell) against v over (z, q), the generator rows (row,
+g src, z cell, g cell) over (z, g), whose products it scatters to their
+sources. Contracting z once and gathering afterwards would add in another
+order and move the last bits, so each gathered table has its own
+contraction.
 
 The bivariate masses come from Genz's bivariate-normal scheme (Genz 2004,
 Stat. Comput. 14:251) with one Gauss-Legendre rule, his 20-point one, at
@@ -76,11 +77,16 @@ blocks takes the chunk's feasibility mask and builds only the rows that a
 feasible pair reads: the (step, z src, q src) battery rows where charge or
 full discharge is feasible at some g, and the (step, z src) generator
 lattices where the full generator mode is feasible at some (q, g), 81.5 %
-and 50.5 % of them on table1. The other rows are 0, and the mask makes
-their Q-values +inf. The products' output rows are independent, so every
-other Q-value keeps its bits. battery_block(n) and generator_block(n)
-build one step's block with every row, by the same code with an all-true
-selection. The kernel keeps nothing it builds: each call builds afresh.
+and 50.5 % of them on table1. It returns each step's selected source ids
+and their masses, one view of the chunk's rows per step; the rows left
+out are neither stored nor multiplied, and the mask makes their Q-values
++inf. Each row's masses have the bits of a one-step build, but BLAS may
+add a product over fewer rows in another order, so a Q-value may differ
+from the product over every row in the last bits: a table1 solve's values
+differ by at most 3.6e-15 EUR, with the same policy. battery_block(n) and
+generator_block(n) build one step's block with every row, by the same
+code with an all-true selection, whose rows in C order are the 4-D block.
+The kernel keeps nothing it builds: each call builds afresh.
 Genz's scheme runs on at most _GENZ_BATCH points per call, which keeps its
 (20 nodes x points) temporary near 1.3 MB at any chunk length; a point's
 bits do not depend on its batch.
@@ -310,14 +316,15 @@ def _normalize_rows(mass: np.ndarray, axes: tuple[int, ...], what: str) -> np.nd
     return mass
 
 
-def _row_block(rows: np.ndarray, mass: np.ndarray, what: str) -> np.ndarray:
-    """The masses of the selected rows, normalized, at the True entries of rows; 0 elsewhere.
+def _per_step(rows: np.ndarray, mass: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each step's (flat source ids, masses) of a chunk's selected rows.
 
-    mass holds one (cells, cells) row per True entry of rows, in C order.
+    rows is the chunk's boolean (step, source...) selection and mass holds
+    one row per True entry, in C order, so each step's masses are a view.
     """
-    block = np.zeros(rows.shape + mass.shape[1:])
-    block[rows] = _normalize_rows(mass, (-2, -1), what)
-    return block
+    flat = rows.reshape(rows.shape[0], -1)
+    return list(zip((np.flatnonzero(r) for r in flat),
+                    np.split(mass, np.cumsum(flat.sum(axis=1))[:-1])))
 
 
 class TransitionKernel:
@@ -361,28 +368,32 @@ class TransitionKernel:
         lattice = q.size * (grid.q.edges.size + 2) * grid.z.n_points * (grid.z.edges.size + 2)
         self.chunk_steps = max(1, _CHUNK_BYTES // (8 * lattice))
 
-    def blocks(self, steps: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The battery and generator blocks of a 1-D step array, with the rows that mask selects.
+    def blocks(self, steps: np.ndarray, mask: np.ndarray) -> tuple[list, list]:
+        """Each step's battery and generator rows that mask selects, for a 1-D step array.
 
-        mask is the feasibility_mask of steps. The battery chunk (step,
-        z src, q src, z cell, q cell) holds the (step, z src, q src) rows
-        where charge or full discharge is feasible at some g; the generator
-        chunk (step, z src, g src, z cell, g cell) the (step, z src) rows
-        where the full generator mode is feasible at some (q, g). Every
-        other row is 0.
+        mask is the feasibility_mask of steps. Each list holds one
+        (source ids, masses) pair per step: the battery rows are the
+        (z src, q src) sources, as flat ids over (z, q), where charge or
+        full discharge is feasible at some g, with masses (row, z cell,
+        q cell); the generator rows are the z sources where the full
+        generator mode is feasible at some (q, g), with masses (row, g src,
+        z cell, g cell). Rows left out are not built.
         """
         battery = (mask[:, Action.CHARGE] | mask[:, Action.DISCHARGE_FULL]).any(axis=-1)
         generator = mask[:, Action.FUEL_FULL].any(axis=(-2, -1))
-        return self._battery_chunk(steps, battery), self._generator_chunk(steps, generator)
+        return (_per_step(battery, self._battery_chunk(steps, battery)),
+                _per_step(generator, self._generator_chunk(steps, generator)))
 
     def battery_block(self, n: int) -> np.ndarray:
         """Joint (Z, Q) cell masses for charge / full discharge at step n.
 
         Shape (z src, q src, z cell, q cell); rows sum to 1 over the last
         two axes. The law is shared by both actions (costs and feasibility
-        differ, the transition does not). Every row is built.
+        differ, the transition does not). Every row is built, so the rows
+        in C order are the block.
         """
-        return self._battery_chunk(np.array([n]), np.ones((1,) + self.grid.shape[:2], bool))[0]
+        every = np.ones((1,) + self.grid.shape[:2], bool)
+        return self._battery_chunk(np.array([n]), every).reshape(self.grid.shape[:2] * 2)
 
     def generator_block(self, n: int) -> np.ndarray:
         """Joint (Z, G) cell masses for the full generator mode at step n.
@@ -390,13 +401,14 @@ class TransitionKernel:
         Shape (z src, g src, z cell, g cell); rows sum to 1 over the last
         two axes. Every row is built.
         """
-        return self._generator_chunk(np.array([n]), np.ones((1, self.grid.z.n_points), bool))[0]
+        every = np.ones((1, self.grid.z.n_points), bool)
+        return self._generator_chunk(np.array([n]), every)
 
     def _battery_chunk(self, steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """battery_block of each step of a 1-D step array: (step, z src, q src, z cell, q cell).
+        """The battery rows of a 1-D step array that rows selects: (row, z cell, q cell).
 
-        Only the (step, z src, q src) rows where rows is True are built;
-        the others are 0.
+        rows is a boolean (step, z src, q src) table; its True entries, in C
+        order, are the rows built, normalized.
         """
         grid = self.grid
         m_q, sd_q = q_moments(steps[:, None, None], *np.ix_(grid.z.points, grid.q.points),
@@ -405,10 +417,10 @@ class TransitionKernel:
         std_q = _std_edges(grid.q.edges, m_q[rows], sd_q[rows])
         mass = _lattice_masses(_cdf_lattice(self._z_std[z_src], std_q, self.cfg.constants.rho_q,
                                             self._z_cdf[z_src], ndtr(std_q)))
-        return _row_block(rows, mass, f"battery block n={_span(steps)}")
+        return _normalize_rows(mass, (-2, -1), f"battery block n={_span(steps)}")
 
     def _generator_chunk(self, steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """generator_block of each step of a 1-D step array: (step, z src, g src, z cell, g cell).
+        """The generator rows of a 1-D step array that rows selects: (row, g src, z cell, g cell).
 
         The standardized g edge f of source (i, k) is
         (edge_f - point_k + burn_i) / sd_g, and edge_f - point_k depends on
@@ -416,8 +428,8 @@ class TransitionKernel:
         2 N_G shared offsets. Each g difference of a source is a lower tail,
         two consecutive offsets or an upper tail of that lattice; all three
         kinds are z-differenced once, and source k reads its window via
-        _g_gather. Only the (step, z src) lattices where rows is True are
-        built; the other rows are 0.
+        _g_gather. rows is a boolean (step, z src) table; only the lattices
+        of its True entries, in C order, are built.
         """
         grid = self.grid
         pts, edges = grid.g.points, grid.g.edges
@@ -437,17 +449,16 @@ class TransitionKernel:
         np.clip(mass, 0.0, None, out=mass)
         rows_n, cells, stacked = mass.shape
         mass = np.take(mass.reshape(rows_n, cells * stacked), self._g_gather, axis=1)
-        return _row_block(rows, mass, f"generator block n={_span(steps)}")
+        return _normalize_rows(mass, (-2, -1), f"generator block n={_span(steps)}")
 
-    def expected_next(self, v_next: np.ndarray, battery: np.ndarray,
-                      generator: np.ndarray) -> np.ndarray:
+    def expected_next(self, v_next: np.ndarray, battery: tuple[np.ndarray, np.ndarray],
+                      generator: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """E[v_next(X') | x, a] for every state and action; shape (action, i, j, k).
 
         v_next is the next value table over linear state ids, and battery and
-        generator are the step's 4-D blocks (battery_block, generator_block,
-        or a step's slice of blocks). Actions with one law share its
-        contraction: overspill and wait, charge and full discharge. Where a
-        block row is 0 (left out by blocks' mask), its actions read 0.
+        generator are one step's (source ids, masses) rows of blocks. Actions
+        with one law share its contraction: overspill and wait, charge and
+        full discharge. The actions of a source whose row is left out read 0.
         """
         n_z, n_q, n_g = self.grid.shape
         v = v_next.reshape(self.grid.shape)
@@ -456,13 +467,17 @@ class TransitionKernel:
         ev[[Action.OVERSPILL, Action.WAIT]] = np.tensordot(self.z_block, v_idle, axes=1)
         ev[Action.DISCHARGE_LIMITED] = np.tensordot(self.z_block, v[:, self.q_limited, :], axes=1)
         ev[Action.FUEL_LIMITED] = np.tensordot(self.z_block, v_idle[:, :, self.g_limited], axes=1)
-        # Each block as one (source, cell) matrix against v over its (z, q) or (z, g) cells.
-        battery = battery.reshape(n_z * n_q, n_z * n_q)
-        ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.dot(
-            battery, v.reshape(n_z * n_q, n_g)).reshape(n_z, n_q, n_g)
-        generator = generator.reshape(n_z * n_g, n_z * n_g)
-        # (z src, g src, q) -> the idle q target of each q source
+        # Each step's rows as one (row, cell) matrix against v over their (z, q) or (z, g)
+        # cells, scattered to their sources.
+        src, mass = battery
+        charge = ev[Action.CHARGE].reshape(n_z * n_q, n_g)
+        charge.fill(0.0)
+        charge[src] = np.dot(mass.reshape(src.size, n_z * n_q), v.reshape(n_z * n_q, n_g))
+        ev[Action.DISCHARGE_FULL] = ev[Action.CHARGE]
+        src, mass = generator
+        # (z, g, q) -> each source's (g src, q) products, then the idle q target of each q source
         v_zg = v.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
-        ev_gen = np.dot(generator, v_zg).reshape(n_z, n_g, n_q)
-        ev[Action.FUEL_FULL] = ev_gen[:, :, self.q_idle].transpose(0, 2, 1)
+        ev_gen = np.dot(mass.reshape(src.size * n_g, n_z * n_g), v_zg).reshape(src.size, n_g, n_q)
+        ev[Action.FUEL_FULL].fill(0.0)
+        ev[Action.FUEL_FULL][src] = ev_gen[:, :, self.q_idle].transpose(0, 2, 1)
         return ev

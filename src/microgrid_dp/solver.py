@@ -12,18 +12,19 @@ pairs to +inf. The steps run one after another on one thread.
 
 Everything but the contraction with V_{n+1} depends on the step only
 through mu_R(t_n), and every layer takes a 1-D array of steps. solve
-therefore walks the horizon backwards in chunks of kernel.chunk_steps
-steps (sized by the kernel's byte budget), cut from step N - 1 down: per
-chunk it builds the stage rows in one call, the mask in another, and both
-bivariate blocks in one more (TransitionKernel.blocks); then
-step_q_values, the one Bellman line, runs once per step of the chunk on
-that step's slices.
+therefore builds the stage rows and the mask once, each in one call over
+the whole horizon (the mask is 2.6 MB on table1), and walks the horizon
+backwards in chunks of kernel.chunk_steps steps (sized by the kernel's
+byte budget), cut from step N - 1 down: per chunk it builds both
+bivariate blocks' rows in one call (TransitionKernel.blocks) on the
+chunk's slice of the mask; then step_q_values, the one Bellman line, runs
+once per step of the chunk on that step's slices and rows, in place on the
+expected continuation.
 
 The blocks hold only the rows that a feasible (state, action) pair of the
 chunk's mask reads (81.5 % of the battery rows and 50.5 % of the generator
-lattices on table1). The rows left out are 0, but the mask sets their
-Q-values to +inf, and every other Q-value has the bits of blocks built for
-every row.
+lattices on table1); the mask sets the Q-values of the sources left out to
++inf.
 """
 
 from __future__ import annotations
@@ -97,18 +98,22 @@ def stage_cost_rows(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
 
 
 def step_q_values(v_next: np.ndarray, kernel: TransitionKernel, stage: np.ndarray,
-                  mask: np.ndarray, battery: np.ndarray, generator: np.ndarray) -> np.ndarray:
+                  mask: np.ndarray, battery: tuple[np.ndarray, np.ndarray],
+                  generator: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Q(n, state, action) for all states, +inf where infeasible; shape (action, i, j, k).
 
-    stage, mask, battery and generator are step n's stage_cost_rows,
-    feasibility_mask and transition blocks: kernel.battery_block(n) and
-    kernel.generator_block(n), or step n's slices of kernel.blocks, whose
-    rows left out by the mask do not change a feasible Q-value's bits.
+    stage and mask are step n's stage_cost_rows and feasibility_mask, and
+    battery and generator step n's (source ids, masses) rows of
+    kernel.blocks. A source whose rows the mask leaves out has no feasible
+    action that reads them, so its Q-values there are +inf.
     """
     cfg = kernel.cfg
     disc = math.exp(-cfg.costs.rho * cfg.dt)
-    q_vals = stage[:, :, None, None] + disc * kernel.expected_next(v_next, battery, generator)
-    return np.where(mask, q_vals, np.inf)
+    q_vals = kernel.expected_next(v_next, battery, generator)
+    q_vals *= disc
+    q_vals += stage[:, :, None, None]
+    q_vals[~mask] = np.inf
+    return q_vals
 
 
 def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
@@ -120,15 +125,15 @@ def solve(cfg: ModelConfig, grid: StateGrid) -> tuple[ValueTable, PolicyTable]:
     actions = np.empty((steps, n_states), dtype=np.int8)
     values[steps] = terminal_values(cfg, grid)
 
+    horizon = np.arange(steps)
+    stage = stage_cost_rows(horizon, grid, cfg)
+    mask = feasibility_mask(horizon, grid, cfg)
     for stop in range(steps, 0, -kernel.chunk_steps):
-        chunk = np.arange(max(0, stop - kernel.chunk_steps), stop)
-        stage = stage_cost_rows(chunk, grid, cfg)
-        mask = feasibility_mask(chunk, grid, cfg)
-        battery, generator = kernel.blocks(chunk, mask)
-        for s in range(chunk.size - 1, -1, -1):
-            n = int(chunk[s])
-            q_vals = step_q_values(values[n + 1], kernel, stage[s], mask[s], battery[s],
-                                   generator[s])
+        start = max(0, stop - kernel.chunk_steps)
+        battery, generator = kernel.blocks(horizon[start:stop], mask[start:stop])
+        for n in range(stop - 1, start - 1, -1):
+            q_vals = step_q_values(values[n + 1], kernel, stage[n], mask[n], battery[n - start],
+                                   generator[n - start])
             v_n = q_vals.min(axis=0)
             if not np.isfinite(v_n).all():
                 raise NumericalError(f"non-finite value at step {n}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 import microgrid_dp as m
@@ -16,6 +17,13 @@ def small_discretization(cfg: m.ModelConfig, steps: int = 4, n_z: int = 5,
     disc = dataclasses.replace(cfg.discretization, horizon_T=float(steps),
                                steps_N=steps, N_Z=n_z, N_Q=n_q, N_G=n_g)
     return dataclasses.replace(cfg, discretization=disc)
+
+
+def every_row(kern: m.TransitionKernel, n: int) -> tuple:
+    """Step n's battery and generator rows of kern.blocks with every row selected."""
+    battery, generator = kern.blocks(np.array([n]),
+                                     np.ones((1, len(m.Action)) + kern.grid.shape, bool))
+    return battery[0], generator[0]
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,9 @@ boolean band mask over the whole broadcast lattice, and dense_battery_block
 and dense_generator_block build both blocks on it, the generator block by
 gathering and differencing each g source's window of the offset lattice:
 the references, bit for bit, for the kernel's column slabs and its
-differences of the offset lattice.
+differences of the offset lattice. dense_q_values contracts such 4-D
+blocks with every source row, the reference within 1e-12 for
+step_q_values over the kernel's mask-selected rows.
 neighborhood gives the (lo, hi] cell of a grid point, the reference for
 cell_of, and state_of(grid, m) the grid-point state of a linear state
 id, the inverse of grid.lin.
@@ -810,6 +812,32 @@ def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
     cols[:, -1] = 2 * n_int + 1
     mass = np.ascontiguousarray(_lattice_masses(cdf[:, :, cols].transpose(0, 2, 1, 3)))
     return _normalize_rows(mass, (-2, -1), f"dense generator block n={n}")
+
+
+def dense_q_values(v_next: np.ndarray, kern: TransitionKernel, stage: np.ndarray,
+                   mask: np.ndarray, battery: np.ndarray, generator: np.ndarray) -> np.ndarray:
+    """Q(n, state, action) over 4-D blocks, +inf where infeasible; shape (action, i, j, k).
+
+    The reference for solver.step_q_values over the rows of
+    TransitionKernel.blocks: battery and generator are step n's dense
+    blocks (battery_block(n), generator_block(n)), each contracted as one
+    (source, cell) matrix with every source row, against v_next over its
+    (z, q) or (z, g) cells; the z-only actions read the kernel's z block.
+    """
+    n_z, n_q, n_g = kern.grid.shape
+    v = v_next.reshape(kern.grid.shape)
+    v_idle = v[:, kern.q_idle, :]
+    ev = np.empty((len(Action),) + kern.grid.shape)
+    ev[[Action.OVERSPILL, Action.WAIT]] = np.tensordot(kern.z_block, v_idle, axes=1)
+    ev[Action.DISCHARGE_LIMITED] = np.tensordot(kern.z_block, v[:, kern.q_limited, :], axes=1)
+    ev[Action.FUEL_LIMITED] = np.tensordot(kern.z_block, v_idle[:, :, kern.g_limited], axes=1)
+    ev[[Action.CHARGE, Action.DISCHARGE_FULL]] = np.dot(
+        battery.reshape(n_z * n_q, n_z * n_q), v.reshape(n_z * n_q, n_g)).reshape(n_z, n_q, n_g)
+    v_zg = v.transpose(0, 2, 1).reshape(n_z * n_g, n_q)
+    ev_gen = np.dot(generator.reshape(n_z * n_g, n_z * n_g), v_zg).reshape(n_z, n_g, n_q)
+    ev[Action.FUEL_FULL] = ev_gen[:, :, kern.q_idle].transpose(0, 2, 1)
+    disc = math.exp(-kern.cfg.costs.rho * kern.cfg.dt)
+    return np.where(mask, stage[:, :, None, None] + disc * ev, np.inf)
 
 
 @dataclass(frozen=True)

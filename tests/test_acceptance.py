@@ -17,6 +17,7 @@ import microgrid_dp as m
 from microgrid_dp.constraints import near_zero_halfwidth
 from microgrid_dp.calibrate import self_discharge_rate
 from microgrid_dp import cli
+from conftest import every_row
 from microgrid_dp.solver import stage_cost_rows, step_q_values
 from oracles import (brute_force_values, euler_oracle, mc_stage_cost, operator_cell_counts,
                      state_of, transition_row)
@@ -164,7 +165,7 @@ def test_criterion_6_full_scale_solve(cfg_table1, grid_table1, table1_solution):
     resid = 0.0
     for n in steps.tolist():
         q_vals = step_q_values(values.values[n + 1], kern, stage[n], mask[n],
-                               kern.battery_block(n), kern.generator_block(n))
+                               *every_row(kern, n))
         resid = max(resid, float(np.abs(
             q_vals.min(axis=0).reshape(-1) - values.values[n]).max()))
     assert resid <= 1e-10

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import microgrid_dp as m
-from conftest import small_discretization
+from conftest import every_row, small_discretization
 from microgrid_dp import dynamics, kernel
 from microgrid_dp.dynamics import ndtr as pkg_ndtr
 from microgrid_dp.grid import clamp01, cell_of
@@ -538,8 +538,7 @@ def test_expected_next_keeps_a_constant(cfg_table1, shape):
     kern = m.TransitionKernel(cfg, m.build_grid(cfg))
     const = 123.456
     for n in (0, 83, 167):
-        ev = kern.expected_next(np.full(kern.grid.n_states, const), kern.battery_block(n),
-                                kern.generator_block(n))
+        ev = kern.expected_next(np.full(kern.grid.n_states, const), *every_row(kern, n))
         assert ev.shape == (len(m.Action),) + kern.grid.shape
         np.testing.assert_allclose(ev, const, rtol=1e-14, atol=0.0)
 
@@ -550,7 +549,7 @@ def test_expected_next_matches_the_scalar_rows(cfg_small, grid_small):
     v = np.random.default_rng(21).uniform(0.0, 100.0, grid_small.n_states)
     sources = [grid_small.lin(*idx) for idx in ((0, 0, 0), (2, 1, 2), (3, 2, 1), (5, 3, 3))]
     for n in (0, 3):
-        ev = kern.expected_next(v, kern.battery_block(n), kern.generator_block(n))
+        ev = kern.expected_next(v, *every_row(kern, n))
         for a in m.Action:
             for source in sources:
                 dense = transition_row(n, source, a, grid_small, cfg_small).as_dense(

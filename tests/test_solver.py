@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import microgrid_dp as m
-from conftest import small_discretization
+from conftest import every_row, small_discretization
 from microgrid_dp import kernel, solver
 from microgrid_dp.solver import stage_cost_rows, step_q_values, terminal_values
 from oracles import bellman_backup, brute_force_values, feasible_actions_reference, state_of
@@ -95,9 +95,9 @@ def test_small_solution_matches_brute_force(cfg_small, grid_small, small_solutio
 
 
 def _step_layers(n, kern):
-    """Step n's stage rows, feasibility mask and blocks with every row, for step_q_values."""
+    """Step n's stage rows, feasibility mask and block rows (every row), for step_q_values."""
     return (stage_cost_rows(n, kern.grid, kern.cfg), m.feasibility_mask(n, kern.grid, kern.cfg),
-            kern.battery_block(n), kern.generator_block(n))
+            *every_row(kern, n))
 
 
 def test_values_never_exceed_wait_q_value(cfg_small, grid_small, small_solution):
@@ -192,9 +192,9 @@ def test_table1_solve_bits_do_not_depend_on_the_chunk_length(cfg_table1, grid_ta
 
 
 def test_solve_builds_each_chunk_once(cfg_table1, grid_table1, monkeypatch):
-    """One stage-row call, one mask call, one blocks call and one build of
-    each block per chunk, and one step_q_values call per step: 42 chunks of
-    4 on table1."""
+    """One stage-row call and one mask call over the whole horizon, one
+    blocks call and one build of each block's rows per chunk, and one
+    step_q_values call per step: 42 chunks of 4 on table1."""
     calls = {}
 
     def counted(owner, name):
@@ -211,5 +211,5 @@ def test_solve_builds_each_chunk_once(cfg_table1, grid_table1, monkeypatch):
                         (kernel.TransitionKernel, "_generator_chunk")):
         counted(owner, name)
     m.solve(cfg_table1, grid_table1)
-    assert calls == {"stage_cost_rows": 42, "feasibility_mask": 42, "step_q_values": 168,
+    assert calls == {"stage_cost_rows": 1, "feasibility_mask": 1, "step_q_values": 168,
                      "blocks": 42, "_battery_chunk": 42, "_generator_chunk": 42}

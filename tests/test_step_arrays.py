@@ -1,8 +1,9 @@
 """Step arrays: every step-only layer called on a 1-D array of steps gives
-each step the bits of its int call, and blocks built for a chunk of steps
-give each step the block of a one-step build. The blocks that solve
-builds for its chunk masks give every Q-value the bits of blocks built
-for every row."""
+each step the bits of its int call, and the rows that blocks builds for a
+chunk of steps are each step's rows of a one-step build. solve, over its
+whole-horizon stage rows and mask and its chunks' mask-selected rows, has
+the bits of the same layers called step by step; against 4-D blocks
+contracted with every row it agrees within 1e-12 with the same policy."""
 
 import dataclasses
 
@@ -13,6 +14,7 @@ import microgrid_dp as m
 from conftest import small_discretization
 from microgrid_dp import kernel
 from microgrid_dp.solver import _TIE_TOL, stage_cost_rows, step_q_values, terminal_values
+from oracles import dense_q_values
 
 
 def _with(cfg, section, **fields):
@@ -114,9 +116,10 @@ def test_rows_and_mask_on_a_step_array_equal_the_int_calls(cfg_table1, name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_blocks_on_a_step_array_equal_one_step_builds(cfg_table1, name):
-    """Both blocks built for a run of steps in one pass with every row, a
-    last partial chunk of a solve and step N included, against the 4-D
-    one-step blocks."""
+    """Both blocks' rows built for a run of steps in one pass with every
+    row, a last partial chunk of a solve and step N included: each step's
+    source ids are every source in C order and its masses, bit for bit, the
+    4-D one-step blocks."""
     cfg, grid = _case(cfg_table1, name)
     n_steps = cfg.discretization.steps_N
     kern = m.TransitionKernel(cfg, grid)
@@ -125,12 +128,15 @@ def test_blocks_on_a_step_array_equal_one_step_builds(cfg_table1, name):
     for steps in runs:
         every = np.ones((steps.size, len(m.Action)) + grid.shape, dtype=bool)
         bat, gen = kern.blocks(steps, every)
-        assert bat.ndim == gen.ndim == 5 and len(bat) == len(gen) == steps.size
+        assert len(bat) == len(gen) == steps.size
         for s, n in enumerate(steps.tolist()):
             one_bat, one_gen = kern.battery_block(n), kern.generator_block(n)
             assert one_bat.shape == one_gen.shape == grid.shape[:2] * 2
-            assert np.array_equal(bat[s], one_bat), (steps, n)
-            assert np.array_equal(gen[s], one_gen), (steps, n)
+            (bat_src, bat_mass), (gen_src, gen_mass) = bat[s], gen[s]
+            assert np.array_equal(bat_src, np.arange(grid.shape[0] * grid.shape[1]))
+            assert np.array_equal(gen_src, np.arange(grid.shape[0]))
+            assert np.array_equal(bat_mass.reshape(one_bat.shape), one_bat), (steps, n)
+            assert np.array_equal(gen_mass, one_gen), (steps, n)
 
 
 def _chunks_of_a_solve(cfg, monkeypatch):
@@ -180,36 +186,78 @@ def _rows_selected(mask):
 
 @pytest.mark.parametrize("name", CASES)
 def test_solve_over_mask_selected_rows_equals_every_row(cfg_table1, name):
-    """solve builds only the block rows that its chunk masks select; the
-    backward loop over blocks built for every row, with the same stage rows,
-    masks and tie rule, gives its values and policy bit for bit."""
+    """solve builds only the block rows that its mask selects. Its values
+    and policy have the bits of the backward loop over the same layers
+    called one step at a time (stage rows, mask, blocks), and against the
+    loop over 4-D blocks contracted with every row (oracles.dense_q_values)
+    its values agree within 1e-12 and its policy is the same. A product
+    over fewer rows may add in another order in BLAS, so the last bits
+    may differ there."""
     cfg, grid = _case(cfg_table1, name)
     n_steps = cfg.discretization.steps_N
     values, policy = m.solve(cfg, grid)
     kern = m.TransitionKernel(cfg, grid)
-    steps = np.arange(n_steps)
-    stage, mask = stage_cost_rows(steps, grid, cfg), m.feasibility_mask(steps, grid, cfg)
-    want = np.empty_like(values.values)
-    want[n_steps] = terminal_values(cfg, grid)
-    actions = np.empty_like(policy.actions)
-    for n in range(n_steps - 1, -1, -1):
-        q_vals = step_q_values(want[n + 1], kern, stage[n], mask[n], kern.battery_block(n),
-                               kern.generator_block(n))
-        v_n = q_vals.min(axis=0)
-        want[n] = v_n.reshape(-1)
-        actions[n] = np.argmax(q_vals <= v_n[None] + _TIE_TOL, axis=0).reshape(-1)
-    assert np.array_equal(values.values, want)
-    assert np.array_equal(policy.actions, actions)
+    for route in ("one step at a time", "dense blocks"):
+        want = np.empty_like(values.values)
+        want[n_steps] = terminal_values(cfg, grid)
+        actions = np.empty_like(policy.actions)
+        for n in range(n_steps - 1, -1, -1):
+            stage, mask = stage_cost_rows(n, grid, cfg), m.feasibility_mask(n, grid, cfg)
+            if route == "dense blocks":
+                q_vals = dense_q_values(want[n + 1], kern, stage, mask, kern.battery_block(n),
+                                        kern.generator_block(n))
+            else:
+                battery, generator = kern.blocks(np.array([n]), mask[None])
+                q_vals = step_q_values(want[n + 1], kern, stage, mask, battery[0], generator[0])
+            v_n = q_vals.min(axis=0)
+            want[n] = v_n.reshape(-1)
+            actions[n] = np.argmax(q_vals <= v_n[None] + _TIE_TOL, axis=0).reshape(-1)
+        if route == "dense blocks":
+            assert np.abs(values.values - want).max() <= 1e-12
+        else:
+            assert np.array_equal(values.values, want)
+        assert np.array_equal(policy.actions, actions), route
     if name == "beta_R=4e-8":
         chunk = np.arange(max(0, n_steps - kern.chunk_steps), n_steps)
         battery, generator = _rows_selected(m.feasibility_mask(chunk, grid, cfg))
         assert not battery.any() and not generator.any()
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_step_q_values_over_rows_match_the_dense_product(cfg_table1, name):
+    """At every step of solve's values, step_q_values over the rows of
+    each chunk's blocks matches oracles.dense_q_values over the 4-D blocks
+    within 1e-12, with +inf at the same pairs and the same tie-rule argmin.
+    The beta_R = 4e-8 case has a chunk with no selected row, steps_N=1 one
+    step."""
+    cfg, grid = _case(cfg_table1, name)
+    n_steps = cfg.discretization.steps_N
+    values, _ = m.solve(cfg, grid)
+    kern = m.TransitionKernel(cfg, grid)
+    steps = np.arange(n_steps)
+    stage, mask = stage_cost_rows(steps, grid, cfg), m.feasibility_mask(steps, grid, cfg)
+    worst = 0.0
+    for start in range(0, n_steps, kern.chunk_steps):
+        chunk = steps[start:start + kern.chunk_steps]
+        battery, generator = kern.blocks(chunk, mask[chunk])
+        for s, n in enumerate(chunk.tolist()):
+            v_next = values.values[n + 1]
+            got = step_q_values(v_next, kern, stage[n], mask[n], battery[s], generator[s])
+            want = dense_q_values(v_next, kern, stage[n], mask[n], kern.battery_block(n),
+                                  kern.generator_block(n))
+            assert np.array_equal(np.isinf(got), ~mask[n]), n
+            worst = max(worst, float(np.abs(got[mask[n]] - want[mask[n]]).max(initial=0.0)))
+            tie = [np.argmax(q <= q.min(axis=0)[None] + _TIE_TOL, axis=0) for q in (got, want)]
+            assert np.array_equal(*tie), n
+    assert worst <= 1e-12
+
+
 def test_blocks_hold_the_selected_rows_of_the_one_step_blocks(cfg_table1, grid_table1):
-    """blocks builds the rows that its mask selects, bit for bit those of
-    battery_block(n) / generator_block(n), and 0 elsewhere; an all-false
-    mask gives zeros. The kernel keeps nothing that a call builds."""
+    """blocks builds the rows that its mask selects and no other: each
+    step's source ids are the selected ones in C order and their masses,
+    bit for bit, those rows of battery_block(n) / generator_block(n); an
+    all-false mask builds no row. The kernel keeps nothing that a call
+    builds."""
     kern = m.TransitionKernel(cfg_table1, grid_table1)
     held = dict(vars(kern))
     chunk = np.arange(100, 100 + kern.chunk_steps)
@@ -217,12 +265,15 @@ def test_blocks_hold_the_selected_rows_of_the_one_step_blocks(cfg_table1, grid_t
     selected = _rows_selected(mask)
     assert 0 < selected[0].mean() < 1 and 0 < selected[1].mean() < 1
     built = kern.blocks(chunk, mask)
-    for block, rows, whole in zip(built, selected, (kern.battery_block, kern.generator_block)):
-        assert block.shape == (chunk.size,) + grid_table1.shape[:2] * 2
-        for s, n in enumerate(chunk.tolist()):
-            assert np.array_equal(block[s][rows[s]], whole(n)[rows[s]]), (whole.__name__, n)
-            assert not block[s][~rows[s]].any(), (whole.__name__, n)
-    for block in kern.blocks(chunk, np.zeros_like(mask)):
-        assert block.shape == (chunk.size,) + grid_table1.shape[:2] * 2 and not block.any()
+    for per_step, rows, whole in zip(built, selected,
+                                     (kern.battery_block, kern.generator_block)):
+        assert len(per_step) == chunk.size
+        for (src, mass), step_rows, n in zip(per_step, rows, chunk.tolist()):
+            assert np.array_equal(src, np.flatnonzero(step_rows)), (whole.__name__, n)
+            sources = whole(n).reshape((-1,) + mass.shape[1:])
+            assert np.array_equal(mass, sources[src]), (whole.__name__, n)
+    for per_step in kern.blocks(chunk, np.zeros_like(mask)):
+        assert len(per_step) == chunk.size
+        assert all(src.size == 0 and len(mass) == 0 for src, mass in per_step)
     assert vars(kern).keys() == held.keys()
     assert all(vars(kern)[name] is value for name, value in held.items())

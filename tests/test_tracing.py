@@ -61,12 +61,12 @@ def test_every_exempt_import_is_patched_by_install(monkeypatch):
 def test_law_counts_are_one_call_per_mask(monkeypatch, cfg_table1, grid_table1):
     """The feasibility rule reads the two Gaussian laws through
     constraints.q_moments and g_moments, the names the tracer counts, once
-    each per feasibility_mask call: 42 masks on a table1 solve."""
+    each per feasibility_mask call: one mask over the horizon of a table1 solve."""
     tracer = _load_tracing(monkeypatch).install()
     try:
         solver.solve(cfg_table1, grid_table1)
     finally:
         tracer.uninstall()
     masks = sum(span.name == "solver.feasibility_mask" for span in tracer.spans)
-    assert masks == 42
+    assert masks == 1
     assert tracer.counts["dynamics.q_moments"] == tracer.counts["dynamics.g_moments"] == masks
