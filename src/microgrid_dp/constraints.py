@@ -146,8 +146,9 @@ def feasibility_mask(n, grid: StateGrid, cfg: ModelConfig) -> np.ndarray:
     _exclusions over the open lattice of the grid axes: the rule of
     feasible_actions at every grid state, taken for the whole lattice at
     once. For a 1-D step array n the mask is (step, action, i, j, k), one
-    step's mask per slice.
+    step's mask per slice. The codes are compared in place, so the mask
+    reuses their memory and the build holds no second array of its size.
     """
     steps = np.reshape(n, np.shape(n) + (1, 1, 1))
     code = _exclusions(steps, *np.ix_(grid.z.points, grid.q.points, grid.g.points), cfg)
-    return np.moveaxis(code, 0, np.ndim(n)) == 0
+    return np.moveaxis(np.equal(code, 0, out=code.view(np.bool_)), 0, np.ndim(n))

@@ -259,8 +259,8 @@ class StepConstants(NamedTuple):
     q_sqrt_iq: float   # sqrt(I_Q); sd of Q' is (eta q_noise) q_sqrt_iq
     g_phi: float       # phi(beta_R, dt): weight of z in the generator burn
     sd_g: float        # sd of G' under the full generator mode
-    rho_q: float       # corr(Z', Q') under charge / full discharge
-    rho_g: float       # corr(Z', G') under the full generator mode
+    rho_q: float       # corr(Z', Q') under charge / full discharge, in (-1, 0]
+    rho_g: float       # corr(Z', G') under the full generator mode, in (-1, 0]
     zeta1: float       # discount factors int_0^dt e^(-(rho + (i-1) beta_R) s) ds
     zeta2: float
     zeta3: float
@@ -271,8 +271,12 @@ class StepConstants(NamedTuple):
 def step_constants(cfg: ModelConfig) -> StepConstants:
     """The step-free constants of cfg's laws and stage cost, and mu_R(t_n) per step.
 
-    Raises NumericalError if a constant is not finite or a correlation
-    does not lie strictly inside (-1, 1).
+    Higher residual demand drains the battery and burns fuel, so both
+    correlations are minus a ratio of integrals with nonnegative
+    integrands, and Cauchy-Schwarz keeps them above -1: rho_q and rho_g
+    lie in (-1, 0], the only correlations the kernel's bivariate-normal
+    scheme serves. Raises NumericalError if a constant is not finite or a
+    correlation lies outside (-1, 0].
     """
     p, bat, gen = cfg.demand, cfg.battery, cfg.generator
     beta, eta0, rho = p.beta_R, bat.eta0, cfg.costs.rho
@@ -307,7 +311,7 @@ def step_constants(cfg: ModelConfig) -> StepConstants:
         raise NumericalError(f"one-step law constants: {exc}") from None
     # every field but mu, the last one, is a float
     bad = [name for name, value in zip(sc._fields, sc[:-1]) if not math.isfinite(value)]
-    bad += [name for name in ("rho_q", "rho_g") if not abs(getattr(sc, name)) < 1.0]
+    bad += [name for name in ("rho_q", "rho_g") if not -1.0 < getattr(sc, name) <= 0.0]
     if bad:
         raise NumericalError("one-step law constants out of range: "
                              + ", ".join(f"{name} = {getattr(sc, name)}" for name in bad))

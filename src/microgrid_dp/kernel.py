@@ -43,18 +43,19 @@ standardized edges both lie in the band |std| < T = 9 (_BAND, the band of
 dynamics.ndtr, outside which the univariate CDF is exactly 0 or 1), as one
 dense slab whose rows are the columns of the in-band edges of the second
 axis. Outside it the CDF takes its closed form: the univariate CDF of one
-coordinate where the other edge is >= T, else 0. With correlation rho the
-scheme also stops where the correlated coordinate leaves the band (the
-joint band): X + Y for rho < 0 and X - Y for rho > 0, of sd
-s = sqrt(2 (1 - |rho|)). At a + b <= -T s the CDF is 0, at a + b >= T s
-it is Phi(a) + Phi(b) - 1, at a - b >= T s it is Phi(b) and at
-b - a >= T s it is Phi(a); for example P(X > a, Y > b) <= P(X + Y > a + b).
-Each closed form is off by at most Phi(-9) = 1.1e-19, below half an ulp
-of 1 (2^-53 = 1.1e-16), so the bands cost less than the rounding of the
-scheme itself. On table1 (rho = -0.84, s = 0.56) the joint band halves
-the scheme's points: 645,646 battery and 22,985 generator points over
-168 steps instead of 1,204,621 and 39,508. The infinite tail edges take
-their exact closed forms (0, the univariate CDF, 1).
+coordinate where the other edge is >= T, else 0. The chain's correlations
+rho lie in (-1, 0] (dynamics.step_constants raises otherwise), so the
+scheme also stops where the correlated coordinate X + Y, of sd
+s = sqrt(2 (1 + rho)), leaves the band (the joint band). At
+a + b <= -T s the CDF is 0 and at a + b >= T s it is
+Phi(a) + Phi(b) - 1, since P(X > a, Y > b) <= P(X + Y > a + b); this
+holds at rho = 0 too. Each closed form is off by at most
+Phi(-9) = 1.1e-19, below half an ulp of 1 (2^-53 = 1.1e-16), so the
+bands cost less than the rounding of the scheme itself. On table1
+(rho = -0.84, s = 0.56) the joint band halves the scheme's points:
+645,646 battery and 22,985 generator points over 168 steps instead of
+1,204,621 and 39,508. The infinite tail edges take their exact closed
+forms (0, the univariate CDF, 1).
 
 The univariate CDFs of the edges are computed once per edge and read
 everywhere: by the closed forms, by the tail rows and columns, and by
@@ -163,27 +164,26 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
-    """P(X <= x, Y <= y) for standard bivariate normals with scalar correlation.
+    """P(X <= x, Y <= y) for standard bivariate normals with correlation rho in (-1, 0].
 
     Vectorized port of the Drezner-Wesolowsky / Genz scheme, which works
     with the upper orthant P(X > h, Y > k) at h = -x, k = -y: one 20-point
-    Gauss-Legendre rule in the asin form for |rho| < 0.925, and the same
-    rule in the high-|rho| tail expansion above. cdf_x and cdf_y are the
-    marginals ndtr(x) and ndtr(y), which the caller holds already; the
-    scheme's univariate terms at the same arguments read them. At rho = 0
-    the asin term is exactly 0 and the result is cdf_x * cdf_y. All four
-    inputs broadcast; x and y must be finite (_cdf_lattice passes only
-    points inside the band |std| < _BAND). The exponents are laid out as
-    (nodes, points) and summed node by node, so a point's value does not
-    depend on the other points evaluated with it.
+    Gauss-Legendre rule in the asin form for rho > -0.925, and the same
+    rule in the high-|rho| tail expansion below. The chain's correlations
+    are never positive (dynamics.step_constants), so the tail expansion
+    keeps only its rho < 0 form. x, y, cdf_x and cdf_y are 1-D arrays of
+    one length; cdf_x and cdf_y are the marginals ndtr(x) and ndtr(y),
+    which the caller holds already, and the scheme's univariate terms at
+    the same arguments read them. At rho = 0 the asin term is exactly 0
+    and the result is cdf_x * cdf_y. x and y must be finite (_cdf_lattice
+    passes only points inside the band |std| < _BAND). The exponents are
+    laid out as (nodes, points) and summed node by node, so a point's
+    value does not depend on the other points evaluated with it.
     """
-    x, y, cdf_x, cdf_y = np.broadcast_arrays(x, y, cdf_x, cdf_y)
-    shape = x.shape
-    x, y, cdf_x, cdf_y = (np.ravel(v) for v in (x, y, cdf_x, cdf_y))
     h, k = -x, -y
     twopi = 2.0 * math.pi
 
-    if abs(rho) < 0.925:
+    if rho > -0.925:
         hk = h * k
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(rho)
@@ -196,11 +196,10 @@ def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
         # the result by < 1e-300, so clamp them there.
         np.maximum(expo, -700.0, out=expo)
         bvn = _node_sum(np.exp(expo, out=expo))
-        return np.clip(bvn * asr / twopi + cdf_x * cdf_y, 0.0, 1.0).reshape(shape)
+        return np.clip(bvn * asr / twopi + cdf_x * cdf_y, 0.0, 1.0)
 
-    # high-correlation branch
-    if rho < 0.0:
-        k = -k  # = y, so ndtr(k) is cdf_y
+    # high-correlation branch, at rho < 0
+    k = -k  # = y, so ndtr(k) is cdf_y
     hk = h * k
     ass = 1.0 - rho * rho
     a = math.sqrt(ass)
@@ -226,15 +225,11 @@ def _bvn_cdf(x, y, rho: float, cdf_x, cdf_y) -> np.ndarray:
     ep = np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
     terms = np.where(asr1 > -100.0, np.exp(asr1) * (sp1 - ep), 0.0)
     bvn = (a_half * _node_sum(terms) - bvn) / twopi
-    if rho > 0.0:
-        # ndtr(-max(h, k)) = ndtr(min(x, y))
-        bvn = bvn + np.where(x <= y, cdf_x, cdf_y)
-    else:
-        # ndtr(k) - ndtr(h) where h < 0, else ndtr(-h) - ndtr(-k)
-        low = h < 0.0
-        low_mass = np.where(low, cdf_y, cdf_x) - ndtr(np.where(low, h, -k))
-        bvn = np.where(h >= k, -bvn, low_mass - bvn)
-    return np.clip(bvn, 0.0, 1.0).reshape(shape)
+    # ndtr(k) - ndtr(h) where h < 0, else ndtr(-h) - ndtr(-k)
+    low = h < 0.0
+    low_mass = np.where(low, cdf_y, cdf_x) - ndtr(np.where(low, h, -k))
+    bvn = np.where(h >= k, -bvn, low_mass - bvn)
+    return np.clip(bvn, 0.0, 1.0)
 
 
 def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
@@ -244,54 +239,45 @@ def _std_edges(edges: np.ndarray, mean, sd) -> np.ndarray:
 
 def _cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
                  cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
-    """Bivariate CDF over the edge lattice, tails included: shape (..., NA + 2, NB + 2).
+    """Bivariate CDF over each row's edge lattice, tails included: shape (row, NA + 2, NB + 2).
 
-    std_a (..., NA) and std_b (..., NB) are standardized interior edges,
-    and cdf_a, cdf_b their univariate CDFs ndtr(std_a), ndtr(std_b).
-    Genz's scheme runs only at lattice points where both edges lie inside
-    the band |std| < _BAND and, at rho != 0, the correlated coordinate
-    u = a - b (rho > 0) or a + b (rho < 0), of sd s = sqrt(2 (1 - |rho|)),
-    lies inside |u| < _BAND s. Elsewhere the CDF takes its closed form to
+    std_a (row, NA) and std_b (row, NB) are standardized interior edges,
+    cdf_a and cdf_b their univariate CDFs ndtr(std_a), ndtr(std_b), and
+    rho in (-1, 0] is the correlation. Genz's scheme runs only at lattice
+    points where both edges lie inside the band |std| < _BAND and the
+    correlated coordinate u = a + b, of sd s = sqrt(2 (1 + rho)), lies
+    inside |u| < _BAND s. Elsewhere the CDF takes its closed form to
     within Phi(-_BAND): cdf_b where std_a >= _BAND, else cdf_a where
-    std_b >= _BAND, else 0; inside the marginal band, at rho > 0, cdf_b
-    where u >= _BAND s and cdf_a where u <= -_BAND s, and at rho < 0,
-    cdf_a + cdf_b - 1 (at least 0) where u >= _BAND s and 0 where
-    u <= -_BAND s. At an out-of-band b edge that is the b axis's form
-    alone (cdf_b is then 0 or 1, as cdf_a is at std_a >= _BAND), which
-    fills the interior. Each in-band b edge's column over the NA a edges is
-    a row of one dense (columns, NA) slab. The tail edges are exact: -inf
-    gives 0, +inf the other coordinate's CDF, (+inf, +inf) gives 1.
+    std_b >= _BAND, else 0; inside the marginal band, cdf_a + cdf_b - 1
+    (at least 0) where u >= _BAND s and 0 where u <= -_BAND s. At rho = 0
+    the joint band is u's band of s = sqrt(2), which the same closed forms
+    serve. At an out-of-band b edge that is the b axis's form alone (cdf_b
+    is then 0 or 1, as cdf_a is at std_a >= _BAND), which fills the
+    interior. Each in-band b edge's column over the NA a edges is a row of
+    one dense (columns, NA) slab. The tail edges are exact: -inf gives 0,
+    +inf the other coordinate's CDF, (+inf, +inf) gives 1.
     """
-    lead = np.broadcast_shapes(std_a.shape[:-1], std_b.shape[:-1])
-    n_a, n_b = std_a.shape[-1], std_b.shape[-1]
-    a, ca, b, cb = (np.broadcast_to(v, lead + v.shape[-1:]).reshape(-1, v.shape[-1])  # per source
-                    for v in (std_a, cdf_a, std_b, cdf_b))
-    src, col = np.nonzero(np.abs(b) < _BAND)
-    a, ca, b, cb = a[src], ca[src], b[src, col][:, None], cb[src, col][:, None]
+    n_a, n_b = std_a.shape[1], std_b.shape[1]
+    src, col = np.nonzero(np.abs(std_b) < _BAND)
+    a, ca, b, cb = std_a[src], cdf_a[src], std_b[src, col][:, None], cdf_b[src, col][:, None]
     slab = np.where(a >= _BAND, cb, 0.0)
+    u = a + b
+    reach = _BAND * math.sqrt(2.0 * (1.0 + rho))
     genz = np.abs(a) < _BAND
-    if rho:
-        u = a - b if rho > 0.0 else a + b
-        reach = _BAND * math.sqrt(2.0 * (1.0 - abs(rho)))
-        high = genz & (u >= reach)
-        if rho > 0.0:
-            np.copyto(slab, cb, where=high)
-            np.copyto(slab, ca, where=genz & (u <= -reach))
-        else:
-            np.copyto(slab, np.maximum(ca + cb - 1.0, 0.0), where=high)
-        genz &= np.abs(u) < reach
+    np.copyto(slab, np.maximum(ca + cb - 1.0, 0.0), where=genz & (u >= reach))
+    genz &= np.abs(u) < reach
     band = np.flatnonzero(genz)
     a, ca, b, cb, flat = a.ravel(), ca.ravel(), b.ravel(), cb.ravel(), slab.ravel()
     for first in range(0, band.size, _GENZ_BATCH):
         at = band[first:first + _GENZ_BATCH]
         row = at // n_a
         flat[at] = _bvn_cdf(a[at], b[row], rho, ca[at], cb[row])
-    cdf = np.zeros(lead + (n_a + 2, n_b + 2))
-    np.copyto(cdf[..., 1:-1, 1:-1], cdf_a[..., :, None], where=std_b[..., None, :] >= _BAND)
-    cdf.reshape(-1, n_a + 2, n_b + 2)[src, 1:-1, col + 1] = slab
-    cdf[..., 1:-1, -1] = cdf_a
-    cdf[..., -1, 1:-1] = cdf_b
-    cdf[..., -1, -1] = 1.0
+    cdf = np.zeros((std_a.shape[0], n_a + 2, n_b + 2))
+    np.copyto(cdf[:, 1:-1, 1:-1], cdf_a[:, :, None], where=std_b[:, None, :] >= _BAND)
+    cdf[src, 1:-1, col + 1] = slab
+    cdf[:, 1:-1, -1] = cdf_a
+    cdf[:, -1, 1:-1] = cdf_b
+    cdf[:, -1, -1] = 1.0
     return cdf
 
 

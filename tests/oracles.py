@@ -714,8 +714,9 @@ def full_lattice_rect_masses(std_a: np.ndarray, std_b: np.ndarray, rho: float) -
         lo = np.full(std.shape[:-1] + (1,), -_CLIP)
         return np.concatenate((lo, std, -lo), axis=-1)
 
-    a, b = padded(std_a)[..., :, None], padded(std_b)[..., None, :]
-    cdf = _bvn_cdf(a, b, rho, ndtr(a), ndtr(b))
+    a, b = np.broadcast_arrays(padded(std_a)[..., :, None], padded(std_b)[..., None, :])
+    points = a.ravel(), b.ravel()  # _bvn_cdf takes 1-D point batches
+    cdf = _bvn_cdf(*points, rho, *map(ndtr, points)).reshape(a.shape)
     return np.clip(np.diff(np.diff(cdf, axis=-1), axis=-2), 0.0, None)
 
 
@@ -748,25 +749,23 @@ def dense_cdf_lattice(std_a: np.ndarray, std_b: np.ndarray, rho: float,
                       cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
     """kernel._cdf_lattice's contract on a dense boolean band mask: shape (..., NA + 2, NB + 2).
 
-    The marginal closed forms (cdf_b where std_a >= NDTR_BAND, else cdf_a
-    where std_b >= NDTR_BAND, else 0) are taken on the whole (..., NA, NB)
-    lattice. Where both edges lie in the band, the joint band of
-    u = a - b (rho > 0) or a + b (rho < 0) at reach NDTR_BAND * sqrt(2 (1 - |rho|))
-    then gives cdf_b / cdf_a (rho > 0) or max(cdf_a + cdf_b - 1, 0) / 0
-    (rho < 0) at u >= reach / u <= -reach. Genz's scheme overwrites every
+    std_a (..., NA) and std_b (..., NB) broadcast over their leading axes,
+    and rho lies in (-1, 0]. The marginal closed forms (cdf_b where
+    std_a >= NDTR_BAND, else cdf_a where std_b >= NDTR_BAND, else 0) are
+    taken on the whole (..., NA, NB) lattice. Where both edges lie in the
+    band, the joint band of u = a + b at reach NDTR_BAND * sqrt(2 (1 + rho))
+    then gives max(cdf_a + cdf_b - 1, 0) at u >= reach; at u <= -reach the
+    marginal form there is already 0. Genz's scheme overwrites every
     remaining point, gathered through one mask over the broadcast lattice.
     """
     a, b = std_a[..., :, None], std_b[..., None, :]
     ca, cb = cdf_a[..., :, None], cdf_b[..., None, :]
     inner = np.where(a >= NDTR_BAND, cb, np.where(b >= NDTR_BAND, ca, 0.0))
     band = (np.abs(a) < NDTR_BAND) & (np.abs(b) < NDTR_BAND)
-    if rho:
-        u = a - b if rho > 0.0 else a + b
-        reach = NDTR_BAND * math.sqrt(2.0 * (1.0 - abs(rho)))
-        inner = np.where(band & (u >= reach), cb if rho > 0.0 else np.maximum(ca + cb - 1.0, 0.0),
-                         inner)
-        inner = np.where(band & (u <= -reach), ca if rho > 0.0 else 0.0, inner)
-        band &= np.abs(u) < reach
+    u = a + b
+    reach = NDTR_BAND * math.sqrt(2.0 * (1.0 + rho))
+    inner = np.where(band & (u >= reach), np.maximum(ca + cb - 1.0, 0.0), inner)
+    band &= np.abs(u) < reach
     a, b, ca, cb = np.broadcast_arrays(a, b, ca, cb)
     inner[band] = _bvn_cdf(a[band], b[band], rho, ca[band], cb[band])
     cdf = np.zeros(inner.shape[:-2] + (inner.shape[-2] + 2, inner.shape[-1] + 2))

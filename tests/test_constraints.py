@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_exclusions_align_states_of_unequal_ndim(cfg_table1, grid_table1, n):
     mask = m.feasibility_mask(n, grid_table1, cfg)
     steps = np.reshape(n, np.shape(n) + (1, 1, 1))
     assert np.array_equal(mask, np.moveaxis(_exclusions(steps, *full, cfg), 0, np.ndim(n)) == 0)
+
+
+def test_horizon_mask_build_holds_no_second_mask(cfg_table1, grid_table1):
+    """The codes are compared in place, so building table1's 168-step mask
+    (2.56 MB) peaks at 1.39x the mask under tracemalloc, the codes plus one
+    action's temporaries; a separate boolean result peaked at 2.0x."""
+    steps = np.arange(cfg_table1.discretization.steps_N)
+    m.feasibility_mask(steps[:1], grid_table1, cfg_table1)  # the config's constants, once
+    tracemalloc.start()
+    try:
+        mask = m.feasibility_mask(steps, grid_table1, cfg_table1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * mask.nbytes
 
 
 def test_exclusions_over_a_step_path_table_are_feasible_actions(cfg_table1):

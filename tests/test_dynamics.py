@@ -554,11 +554,21 @@ def test_table1_constants_take_the_one_route(cfg_table1):
 
 
 def test_constants_out_of_range_are_numerical_errors(cfg_table1, monkeypatch):
+    """Overflowing constants and correlations outside (-1, 0] raise. The
+    kernel's bivariate-normal scheme serves rho in (-1, 0] only, so a law
+    whose correlation turned positive raises instead of building wrong
+    masses; rho = 0 (a zero J_G) is accepted."""
     with pytest.raises(m.NumericalError, match="one-step law constants"):
         step_constants(_with_eta0(cfg_table1, 1e200))
+    jg = dynamics._jg
     monkeypatch.setattr(dynamics, "_jg", lambda beta, dt: 1e3)
     with pytest.raises(m.NumericalError, match="rho_g"):
         step_constants(cfg_table1)
+    monkeypatch.setattr(dynamics, "_jg", lambda beta, dt: -jg(beta, dt))
+    with pytest.raises(m.NumericalError, match="rho_g = 0.84"):
+        step_constants(cfg_table1)
+    monkeypatch.setattr(dynamics, "_jg", lambda beta, dt: 0.0)
+    assert step_constants(cfg_table1).rho_g == 0.0
 
 
 def test_config_derives_its_constants_once(cfg_table1, monkeypatch):

@@ -20,7 +20,10 @@ validated domain: eta0 at beta_R or far beyond it, epsilon near 0 or 0.5,
 1 to 6 steps on grids up to 6 x 4 x 4. Each example solves to finite
 values or fails cleanly, with the same bits in one-step chunks as in the
 default ones, and simulates 4 paths at finite cost; a few examples also
-run `validate`, `solve` and `simulate` through the CLI.
+run `validate`, `solve` and `simulate` through the CLI. Both one-step
+correlations of every example, and of the named configs of the kernel's
+bit checks, lie in (-1, 0], the only domain of the kernel's
+bivariate-normal scheme.
 
 Two structural properties hold on every example (Puterman 1994, sec.
 4.7; Smith & McCardle, Oper. Res. 50(5), 2002): the feasible sets nest
@@ -202,6 +205,33 @@ def test_valid_configs_solve_alike_in_any_chunk_and_simulate(cfg, scenario):
     assert np.array_equal(policy.actions, one_policy.actions)
     batch = m.simulate_paths(policy, scenario, cfg, grid, range(4))
     assert np.isfinite(batch.stage_cost_eur).all() and np.isfinite(batch.cum_cost_eur).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=valid_configs())
+def test_valid_configs_have_correlations_in_the_kernels_domain(cfg):
+    """Both one-step correlations lie in (-1, 0], the only domain of the
+    kernel's bivariate-normal scheme: higher residual demand drains the
+    battery and burns fuel."""
+    assert -1.0 < cfg.constants.rho_q <= 0.0
+    assert -1.0 < cfg.constants.rho_g <= 0.0
+
+
+@pytest.mark.parametrize("cfg", [
+    m.default_config(),
+    _case(battery={"eta0": 20.0}),
+    _case(demand={"sigma_R": 1e-9}),
+    _case(demand={"mu0_R": 0.2}),
+    small_discretization(m.default_config()),
+    _case(steps=1),
+    _case(demand={"beta_R": 4e-8}),
+    _case(demand={"beta_R": 50.0}, battery={"eta0": 0.0}),
+    small_discretization(m.default_config(), steps=24, n_z=35, n_q=20, n_g=20),
+], ids=["table1", "eta0=20", "sigma_R=1e-9", "mu0_R=0.2", "small", "steps_N=1", "beta_R=4e-8",
+        "beta_R=50 eta0=0", "36x21x21"])
+def test_named_configs_have_correlations_in_the_kernels_domain(cfg):
+    assert -1.0 < cfg.constants.rho_q <= 0.0
+    assert -1.0 < cfg.constants.rho_g <= 0.0
 
 
 @settings(max_examples=8, deadline=None)
