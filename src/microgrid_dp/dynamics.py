@@ -43,10 +43,10 @@ a, q, g, cfg) adds the levels: it moves q and g under an Action or one
 action code per entry. Which law moves Q' and G' under each action is
 one (action, axis) table, _LAWS, and each axis has one level part that
 gives the (mean, sd) of its next level under a law from the drive and
-the level: _q_law and _g_law, with sd None for a deterministic law. A
-Gaussian level is mean + sd * innovation. move_levels runs each law
-that moves an axis once over the whole batch, and each entry keeps its
-own action's level.
+the level: _q_law and _g_law, with sd 0.0 for a deterministic law. A
+Gaussian level is mean + sd * innovation, and a deterministic one is its
+mean. move_levels runs each law that moves an axis once over the whole
+batch, and each entry keeps its own action's level.
 
 Everything composes the pair. q_moments and g_moments are a noise-free
 drive and an axis's level part; transition_moments reads them at a
@@ -358,8 +358,7 @@ def _moments(axis_law, axis: int, n, z, level, a: Action, cfg: ModelConfig):
     """
     if not isinstance(a, Action):
         raise ValueError(f"unknown action: {a!r}")
-    mean, sd = axis_law(_LAWS[a, axis], law_drive(n, z, cfg), level, cfg)
-    return mean, 0.0 if sd is None else sd
+    return axis_law(_LAWS[a, axis], law_drive(n, z, cfg), level, cfg)
 
 
 def q_moments(n, z, q, a: Action, cfg: ModelConfig):
@@ -473,7 +472,7 @@ def transition_moments(n: int, x: State, a: Action, cfg: ModelConfig) -> Transit
 
 def _q_law(law: int, drive: LawDrive, q, cfg: ModelConfig):
     """(mean, sd) of Q_{n+1} under one law of Q' at the drive's (n, z) and level q;
-    sd is None for a deterministic law."""
+    sd is 0.0 for a deterministic law."""
     sc = cfg.constants
     if law == _GAUSSIAN:
         eta = _efficiency(drive.charging, q, cfg)
@@ -481,29 +480,31 @@ def _q_law(law: int, drive: LawDrive, q, cfg: ModelConfig):
         # evaluated left to right, (eta * q_noise) * q_sqrt_iq; regrouping changes the last bit
         return m_q, eta * sc.q_noise * sc.q_sqrt_iq
     if law == _LIMITED:
-        return discharge_limited_mean(q, cfg), None
-    return q * sc.q_decay, None
+        return discharge_limited_mean(q, cfg), 0.0
+    return q * sc.q_decay, 0.0
 
 
 def _g_law(law: int, drive: LawDrive, g, cfg: ModelConfig):
     """(mean, sd) of G_{n+1} under one law of G' at the drive's (n, z) and level g;
-    sd is None for a deterministic law."""
+    sd is 0.0 for a deterministic law."""
     if law == _GAUSSIAN:
         return g - drive.burn, cfg.constants.sd_g
     if law == _LIMITED:
-        return fuel_limited_mean(g, cfg), None
-    return g, None
+        return fuel_limited_mean(g, cfg), 0.0
+    return g, 0.0
 
 
 def _move(axis_law, laws: np.ndarray, drive: LawDrive, level, innovation, cfg: ModelConfig):
     """One axis's next levels where entry p moves under law laws[p]: each law
     present runs once, over the whole batch, and each entry keeps the level
     of its own law (a lone law's levels are returned as they come). A
-    Gaussian law's level is its mean plus its sd times the innovation."""
+    Gaussian law's level is its mean plus its sd times the innovation, and a
+    deterministic law's level is its mean as it comes (adding 0.0 times the
+    innovation would turn a -0.0 level into 0.0)."""
     out = np.empty(laws.shape)  # the levels of an empty batch
     for i, law in enumerate(np.bincount(laws, minlength=3).nonzero()[0].tolist()):
         mean, sd = axis_law(law, drive, level, cfg)
-        moved = mean if sd is None else mean + sd * innovation
+        moved = mean + sd * innovation if law == _GAUSSIAN else mean
         out = np.where(laws == law, moved, out) if i else moved
     return out
 

@@ -95,10 +95,11 @@ bits do not depend on its batch.
 The generator block also uses an exact structure of its law,
 G' ~ N(g - burn(z), sd^2) with a state-free sd on an equidistant g axis:
 every standardized g edge is a shared offset (edge_f - point_k) shifted by
-burn(z_i), so one CDF lattice per z source serves all g sources. Its g
-differences (lower tail, consecutive offsets, upper tail) are stacked and
-z-differenced once, and each g source reads its window of them at f - k,
-gathered straight into the block's (g src, z cell, g cell) memory order.
+burn(z_i), so one CDF lattice per z source serves all g sources. Each g
+source gathers its window of that lattice at f - k, tails included, on
+the block's (g src, z edge, g edge) axes, and _lattice_masses differences
+the windows as it does the battery's lattices: both blocks take one
+differencing route.
 """
 
 from __future__ import annotations
@@ -344,13 +345,15 @@ class TransitionKernel:
         self.q_idle = cell_of(idle, grid.q)
         self.q_limited = cell_of(limited, grid.q)
         self.g_limited = cell_of(g_moments(0, 0.0, g, Action.FUEL_LIMITED, cfg)[0], grid.g)
-        # Window of g source k into generator_block's stacked g differences
-        # at padded offset p: lower tail p - 1, consecutive N_G + p, upper tail 2 N_G + p.
-        # _g_gather indexes a (z cell, 4 N_G + 1 differences) row of them flat,
-        # in the block's (g src, z cell, g cell) order.
+        # The generator lattice's g edges are the 2 N_G shared offsets edge_f - point_k,
+        # ordered by f - k = -N_G .. N_G - 1. Source k's window of the padded lattice is
+        # column 0, then f - k + N_G + 1 for f = 0..N_G - 1, then 2 N_G + 1. _g_window
+        # indexes a chunk's (row, z edge, column) lattices as (row, g src, z edge, g edge).
         n_g = grid.g.edges.size
-        window = np.r_[n_g, 2 * n_g + np.arange(1, n_g), 4 * n_g] - np.arange(n_g + 1)[:, None]
-        self._g_gather = np.arange(grid.z.n_points)[:, None] * (4 * n_g + 1) + window[:, None, :]
+        self._g_offsets = np.concatenate((grid.g.edges[0] - g[:0:-1], grid.g.edges - g[0]))
+        window = np.arange(n_g + 2) - np.arange(n_g + 1)[:, None] + n_g
+        window[:, 0], window[:, -1] = 0, 2 * n_g + 1
+        self._g_window = slice(None), np.arange(grid.z.edges.size + 2)[:, None], window[:, None, :]
         lattice = q.size * (grid.q.edges.size + 2) * grid.z.n_points * (grid.z.edges.size + 2)
         self.chunk_steps = max(1, _CHUNK_BYTES // (8 * lattice))
 
@@ -411,30 +414,22 @@ class TransitionKernel:
         The standardized g edge f of source (i, k) is
         (edge_f - point_k + burn_i) / sd_g, and edge_f - point_k depends on
         f - k only, so each (step, z source) needs one CDF lattice over the
-        2 N_G shared offsets. Each g difference of a source is a lower tail,
-        two consecutive offsets or an upper tail of that lattice; all three
-        kinds are z-differenced once, and source k reads its window via
-        _g_gather. rows is a boolean (step, z src) table; only the lattices
-        of its True entries, in C order, are built.
+        2 N_G shared offsets. Each g source gathers its window of that
+        lattice, tails included, on the block's (g src, z edge, g edge)
+        axes, and _lattice_masses differences the windows as it does the
+        battery's lattices. rows is a boolean (step, z src) table; only the
+        lattices of its True entries, in C order, are built.
         """
-        grid = self.grid
-        pts, edges = grid.g.points, grid.g.edges
-        n_int = edges.size  # N_G interior g edges; offsets f - k run over -N_G .. N_G - 1
         # The mean at g = 0 is 0.0 - burn, which is -burn but for the sign of a
         # zero burn; every offset is nonzero, so offsets - mean has the bits either way.
-        m_g, sd_g = g_moments(steps[:, None], grid.z.points, 0.0, Action.FUEL_FULL, self.cfg)
+        m_g, sd_g = g_moments(steps[:, None], self.grid.z.points, 0.0, Action.FUEL_FULL, self.cfg)
         z_src = np.nonzero(rows)[1]
-        offsets = np.concatenate((edges[0] - pts[:0:-1], edges - pts[0]))
-        std_g = _std_edges(offsets, m_g[rows], sd_g)
-        # (row, z edge, offset)
+        std_g = _std_edges(self._g_offsets, m_g[rows], sd_g)
         cdf = _cdf_lattice(self._z_std[z_src], std_g, self.cfg.constants.rho_g,
                            self._z_cdf[z_src], ndtr(std_g))
-        diffs = np.concatenate((cdf[..., 1:n_int + 2] - cdf[..., :1], np.diff(cdf[..., 1:-1]),
-                                cdf[..., -1:] - cdf[..., n_int:-1]), axis=-1)
-        mass = np.diff(diffs, axis=-2)
-        np.clip(mass, 0.0, None, out=mass)
-        rows_n, cells, stacked = mass.shape
-        mass = np.take(mass.reshape(rows_n, cells * stacked), self._g_gather, axis=1)
+        # The gather lays the row axis out innermost, where the differences run fastest;
+        # the copy restores the block's C order, in which _normalize_rows adds each row.
+        mass = np.ascontiguousarray(_lattice_masses(cdf[self._g_window]))
         return _normalize_rows(mass, (-2, -1), f"generator block n={_span(steps)}")
 
     def expected_next(self, v_next: np.ndarray, battery: tuple[np.ndarray, np.ndarray],

@@ -123,11 +123,10 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     anywhere on a z path raises cell_of's ValueError naming 'z' before any
     step runs. One law_drive call over steps np.arange(N)[:, None], the z
     table and the noise gives the level-free terms of the laws of Q' and
-    G'; its innovations overwrite the spent eps_Q and eps_G rows of the
-    draws. The step loop carries only the q/g recursion: each step
-    locates q and g with one cell_of call per axis (a NaN raises for that
-    axis), adds their cell to the offsets to read the policy's action
-    codes, and passes the codes with the step's row of the drive to
+    G'. The step loop carries only the q/g recursion: each step locates q
+    and g with one cell_of call per axis (a NaN raises for that axis), adds
+    their cell to the offsets to read the policy's action codes, and
+    passes the codes with the step's row of the drive to
     move_levels, which runs each law of Q' and of G' present once, over
     all paths, each path keeping its own law's level (a code outside the
     Action alphabet raises ValueError); the clamped levels are the next
@@ -159,9 +158,6 @@ def simulate_paths(policy: PolicyTable, scenario: Scenario, cfg: ModelConfig,
     # each path's index into the flat policy at its step and z cell; a step adds its (q, g) cell
     offsets = grid.lin(cell_of(z, grid.z), 0, 0) + steps * grid.n_states
     drive = law_drive(steps, z, cfg, NoiseVector(eps_z, draws[:, 1], draws[:, 2]))
-    # the innovations overwrite the spent eps_Q / eps_G rows, and the loop reads them there
-    draws[:, 1], draws[:, 2] = drive.innovation_q, drive.innovation_g
-    drive = drive._replace(innovation_q=draws[:, 1], innovation_g=draws[:, 2])
     q_steps, g_steps, stage = (np.empty((n_steps, n_paths)) for _ in range(3))
     codes = np.empty((n_steps, n_paths), dtype=np.int8)
     q, g = np.full(n_paths, float(x0.q)), np.full(n_paths, float(x0.g))

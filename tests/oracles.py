@@ -25,15 +25,18 @@ transition_operator per step), and the CSV writers against the
 row-at-a-time f-string writers. The full-lattice block forms evaluate
 the bivariate CDF on every edge of every source, tails as +-37, with
 scipy's ndtr for the marginals: the reference for the kernel's
-closed-form tail edges and its one generator lattice per z source.
-dense_cdf_lattice evaluates the kernel's banded CDF lattice through one
-boolean band mask over the whole broadcast lattice, and dense_battery_block
-and dense_generator_block build both blocks on it, the generator block by
-gathering and differencing each g source's window of the offset lattice:
-the references, bit for bit, for the kernel's column slabs and its
-differences of the offset lattice. dense_q_values contracts such 4-D
-blocks with every source row, the reference within 1e-12 for
-step_q_values over the kernel's mask-selected rows.
+closed-form tail edges and its one generator lattice per z source;
+generator_block_per_source, with one lattice per (z, g) source, is the
+independent check of the generator's window rule. dense_cdf_lattice
+evaluates the kernel's banded CDF lattice through one boolean band mask
+over the whole broadcast lattice, and dense_battery_block and
+dense_generator_block build both blocks on it, the generator block by
+gathering each g source's window of the offset lattice: the references,
+bit for bit, for the kernel's column slabs. They share the kernel's
+differencing (_lattice_masses) and differ from it only in the lattice.
+dense_q_values contracts such 4-D blocks with every source row, the
+reference within 1e-12 for step_q_values over the kernel's mask-selected
+rows.
 neighborhood gives the (lo, hi] cell of a grid point, the reference for
 cell_of, and state_of(grid, m) the grid-point state of a linear state
 id, the inverse of grid.lin.
@@ -787,12 +790,14 @@ def dense_battery_block(kern: TransitionKernel, n: int) -> np.ndarray:
 
 
 def dense_generator_block(kern: TransitionKernel, n: int) -> np.ndarray:
-    """TransitionKernel.generator_block over dense_cdf_lattice, differencing windows.
+    """TransitionKernel.generator_block over dense_cdf_lattice.
 
     Each g source gathers its window of the (z src, z edge, offset)
-    lattice, tail edges included, and the whole gathered (z src, z edge,
-    g src, g edge) array is differenced along g and z: the shared offset
-    lattice, but none of the kernel's differencing of it. The rows are
+    lattice, tail edges included, and _lattice_masses differences the
+    gathered (z src, g src, z edge, g edge) array along g and z, as the
+    kernel does: the two differ only in the lattice, the dense band mask
+    here. The windows' columns are written out here from the offset rule,
+    which generator_block_per_source checks independently. The rows are
     normalized in the block's own (z src, g src, z cell, g cell) memory
     order, whose row sums add in the kernel's order.
     """

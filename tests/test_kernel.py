@@ -475,6 +475,10 @@ _DENSE_BLOCK_CASES = {
     "sigma_R=1e-9": (lambda cfg: _with(cfg, "demand", sigma_R=1e-9), (0, 83, 167)),
     "36x21x21": (lambda cfg: small_discretization(cfg, steps=168, n_z=35, n_q=20, n_g=20),
                  (0, 83, 167)),
+    "8x13x3": (lambda cfg: small_discretization(cfg, steps=168, n_z=7, n_q=12, n_g=2),
+               (0, 83, 167)),
+    "8x4x14": (lambda cfg: small_discretization(cfg, steps=168, n_z=7, n_q=3, n_g=13),
+               (0, 83, 167)),
 }
 
 
@@ -482,7 +486,8 @@ _DENSE_BLOCK_CASES = {
 def test_blocks_match_dense_route(cfg_table1, make, steps):
     """Both blocks equal, bit for bit, the dense lattice with the generator's
     gathered windows: table1, the high-|rho| battery (eta0 = 20), a lattice
-    with no band point (sigma_R = 1e-9) and a refined grid."""
+    with no band point (sigma_R = 1e-9), a refined grid, the smallest g axis
+    (N_G = 2) beside a longer q axis, and a g axis longer than the q axis."""
     cfg = make(cfg_table1)
     kern = m.TransitionKernel(cfg, m.build_grid(cfg))
     for n in steps:
